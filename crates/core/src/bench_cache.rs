@@ -7,20 +7,31 @@
 //! Networks that replicate identically-shaped layers (ResNet) hit this cache
 //! constantly.
 //!
+//! Every lookup carries a workspace budget, and the substrate's `Find` only
+//! benchmarks algorithms that fit it ([`CudnnHandle::find_algorithms_within`]):
+//! the optimizers only ever use `t*(m)` within their limit, so timing the
+//! rest is wasted set-up. Each entry records the budget it has been
+//! *measured up to*. A lookup at or below that budget is served from the
+//! entry; a larger one benchmarks only the algorithms the larger budget
+//! newly admits and merges them in. A lookup therefore returns exactly the
+//! rows an unbudgeted `Find` would return with workspace within its budget,
+//! and no algorithm is measured twice, whatever order the budgets arrive in.
+//!
 //! The cache is a shared, lock-sharded structure: any number of optimizer
-//! threads may call [`BenchCache::get_or_bench`] through `&BenchCache`
-//! concurrently. Per-key *single-flight* arbitration guarantees that no
-//! kernel is ever measured twice — the first thread to request a key becomes
-//! its leader and runs the benchmark while later requesters block on a
-//! condition variable until the result lands (counted in
+//! threads may look entries up through `&BenchCache` concurrently. Per-key
+//! *single-flight* arbitration guarantees that no algorithm is ever
+//! measured twice — the first thread whose budget needs a benchmark becomes
+//! the key's leader and runs it while later requesters block on a condition
+//! variable until the result lands (counted in
 //! [`CacheStats::single_flight_waits`]). Benchmarks always run outside every
-//! map lock, so independent keys never serialize behind each other.
+//! lock, so independent keys never serialize behind each other.
 
 use crate::json::{self, Value};
 use crate::kernel::{KernelKey, OpKind};
 use parking_lot::{Condvar, Mutex, RwLock};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
+use std::ops::RangeInclusive;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -31,9 +42,10 @@ use ucudnn_cudnn_sim::{
 use ucudnn_gpu_model::ConvAlgo;
 
 /// File-DB format version. Bump on any incompatible layout change; files
-/// with a different (or missing) version are quarantined wholesale rather
-/// than half-parsed.
-const DB_VERSION: usize = 2;
+/// with an unknown (or missing) version are quarantined wholesale rather
+/// than half-parsed. Version 2 files, written before rows carried their
+/// budget, still load: their rows came from complete `Find`s.
+const DB_VERSION: usize = 3;
 
 /// One cached benchmark row (a persistable `AlgoPerf`).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -79,6 +91,10 @@ pub struct CacheStats {
     /// failed while benchmarking — each is a degradation of the search
     /// space the optimizer would otherwise have explored.
     pub bench_points_dropped: u64,
+    /// (algo, micro-batch) points a budgeted `Find` reported over the
+    /// lookup's budget and never ran, summed over benchmark runs. Not a
+    /// degradation: no plan within the budget could use them.
+    pub bench_points_over_budget: u64,
     /// Whole-key benchmark re-runs taken to ride out transient faults.
     pub bench_retries: u64,
     /// Rows accepted from the file DB at load time.
@@ -91,40 +107,115 @@ pub struct CacheStats {
     pub invalidations: u64,
 }
 
-/// What a leader's benchmark produced: measurements, or the failure that
-/// every later lookup of the key will observe (failures are cached too —
+/// What a lookup returns: the measurements within its budget, or the
+/// failure every lookup at that budget observes (failures are cached too —
 /// retrying a permanently faulted kernel on every lookup would serialize
 /// the optimizer behind known-dead benchmarks).
 type BenchOutcome = Result<Vec<BenchEntry>, CudnnError>;
 
-/// Per-key single-flight slot. `result` is `None` while the leader is still
-/// benchmarking; waiters sleep on `ready` until it is filled.
-#[derive(Debug)]
-struct Slot {
-    result: Mutex<Option<BenchOutcome>>,
-    ready: Condvar,
-    /// How many times this key's benchmark actually ran (0 for entries
-    /// loaded from the file DB; the single-flight guarantee keeps it ≤ 1
-    /// outside transient-fault retries).
-    runs: AtomicU64,
+/// The measurements of one (engine, kernel) key.
+#[derive(Debug, Default)]
+struct Measured {
+    /// The budget the entry has been measured up to: every supported
+    /// algorithm whose workspace fits it has been benchmarked.
+    up_to: usize,
+    /// Successful rows, by time, then algorithm id.
+    rows: Vec<BenchEntry>,
+    /// Smallest workspace among the algorithms that failed while
+    /// benchmarking: a budget that admits a failure but no success is a
+    /// failed benchmark.
+    min_failed_bytes: Option<usize>,
 }
 
-impl Slot {
-    fn empty() -> Self {
-        Self {
-            result: Mutex::new(None),
-            ready: Condvar::new(),
-            runs: AtomicU64::new(0),
+impl Measured {
+    /// The lookup result at a budget up to `up_to`.
+    fn within(&self, budget: usize) -> BenchOutcome {
+        let rows: Vec<BenchEntry> = self
+            .rows
+            .iter()
+            .filter(|e| e.memory_bytes <= budget)
+            .copied()
+            .collect();
+        if rows.is_empty() && self.min_failed_bytes.is_some_and(|b| b <= budget) {
+            return Err(CudnnError::ExecutionFailed(
+                "every algorithm failed while benchmarking".into(),
+            ));
+        }
+        Ok(rows)
+    }
+}
+
+/// Rows in lookup order: by time, then algorithm id.
+fn sort_rows(rows: &mut [BenchEntry]) {
+    rows.sort_by(|a, b| {
+        a.time_us
+            .total_cmp(&b.time_us)
+            .then(a.algo.id().cmp(&b.algo.id()))
+    });
+}
+
+/// A key's measurements plus whether a leader is widening them.
+#[derive(Debug, Default)]
+struct SlotState {
+    /// `None` before the first benchmark; an error when the substrate
+    /// refused the kernel itself, which no budget changes.
+    measured: Option<Result<Measured, CudnnError>>,
+    in_flight: bool,
+}
+
+impl SlotState {
+    fn covers(&self, budget: usize) -> bool {
+        match &self.measured {
+            None => false,
+            Some(Ok(m)) => m.up_to >= budget,
+            Some(Err(_)) => true,
         }
     }
 
-    fn filled(entries: Vec<BenchEntry>) -> Self {
-        Self {
-            result: Mutex::new(Some(Ok(entries))),
-            ready: Condvar::new(),
-            runs: AtomicU64::new(0),
+    /// The smallest workspace the entry has not been measured at.
+    fn unmeasured_from(&self) -> usize {
+        match &self.measured {
+            Some(Ok(m)) => m.up_to + 1,
+            _ => 0,
         }
     }
+
+    /// The lookup result at a budget the entry covers.
+    fn within(&self, budget: usize) -> BenchOutcome {
+        match &self.measured {
+            Some(Ok(m)) => m.within(budget),
+            Some(Err(e)) => Err(e.clone()),
+            None => Ok(Vec::new()),
+        }
+    }
+
+    /// Fold in a benchmark of the algorithms up to `budget` that the entry
+    /// was not measured at yet.
+    fn merge(&mut self, run: Result<FindRun, CudnnError>, budget: usize) {
+        self.measured = Some(match (self.measured.take(), run) {
+            (_, Err(e)) => Err(e),
+            (earlier, Ok(run)) => {
+                let mut m = earlier.and_then(Result::ok).unwrap_or_default();
+                m.rows.extend(run.rows);
+                sort_rows(&mut m.rows);
+                m.min_failed_bytes = m.min_failed_bytes.into_iter().chain(run.failed_bytes).min();
+                m.up_to = budget;
+                Ok(m)
+            }
+        });
+    }
+}
+
+/// Per-key single-flight slot. Waiters sleep on `ready` while a leader
+/// benchmarks outside the lock.
+#[derive(Debug, Default)]
+struct Slot {
+    state: Mutex<SlotState>,
+    ready: Condvar,
+    /// How many times this key's benchmark actually ran: once per budget
+    /// widening (0 for entries loaded from the file DB; more only after
+    /// transient-fault retries).
+    runs: AtomicU64,
 }
 
 const SHARD_COUNT: usize = 16;
@@ -141,6 +232,7 @@ pub struct BenchCache {
     misses: AtomicU64,
     single_flight_waits: AtomicU64,
     bench_points_dropped: AtomicU64,
+    bench_points_over_budget: AtomicU64,
     bench_retries: AtomicU64,
     db_rows_loaded: AtomicU64,
     db_rows_quarantined: AtomicU64,
@@ -159,6 +251,7 @@ impl BenchCache {
             misses: AtomicU64::new(0),
             single_flight_waits: AtomicU64::new(0),
             bench_points_dropped: AtomicU64::new(0),
+            bench_points_over_budget: AtomicU64::new(0),
             bench_retries: AtomicU64::new(0),
             db_rows_loaded: AtomicU64::new(0),
             db_rows_quarantined: AtomicU64::new(0),
@@ -171,8 +264,8 @@ impl BenchCache {
     /// ([`CacheStats::db_rows_loaded`]), malformed rows are *quarantined* —
     /// skipped and counted ([`CacheStats::db_rows_quarantined`]) — never
     /// coerced into zero-valued measurements. A missing file is a cold
-    /// cache; a file with a wrong or missing format version is quarantined
-    /// wholesale.
+    /// cache; a file with an unknown or missing format version is
+    /// quarantined wholesale.
     pub fn with_file(path: impl AsRef<Path>) -> Self {
         let path = path.as_ref().to_path_buf();
         let mut cache = Self::new();
@@ -183,23 +276,32 @@ impl BenchCache {
             cache
                 .db_rows_quarantined
                 .store(quarantined, Ordering::Relaxed);
-            for (key, entries) in rows {
+            for (key, up_to, rows) in rows {
+                let slot = Slot::default();
+                slot.state.lock().measured = Some(Ok(Measured {
+                    up_to,
+                    rows,
+                    min_failed_bytes: None,
+                }));
                 let shard = &cache.shards[shard_index(&key)];
-                shard.write().insert(key, Arc::new(Slot::filled(entries)));
+                shard.write().insert(key, Arc::new(slot));
             }
         }
         cache
     }
 
-    /// Number of cached (kernel, micro-batch) entries whose results are
-    /// available (in-flight benchmarks are not counted).
+    /// Number of cached (kernel, micro-batch) entries holding at least one
+    /// measurement (in-flight first benchmarks and failed keys are not
+    /// counted).
     pub fn len(&self) -> usize {
         self.shards
             .iter()
             .map(|s| {
                 s.read()
                     .values()
-                    .filter(|slot| matches!(*slot.result.lock(), Some(Ok(_))))
+                    .filter(|slot| {
+                        matches!(&slot.state.lock().measured, Some(Ok(m)) if !m.rows.is_empty())
+                    })
                     .count()
             })
             .sum()
@@ -217,6 +319,7 @@ impl BenchCache {
             misses: self.misses.load(Ordering::Relaxed),
             single_flight_waits: self.single_flight_waits.load(Ordering::Relaxed),
             bench_points_dropped: self.bench_points_dropped.load(Ordering::Relaxed),
+            bench_points_over_budget: self.bench_points_over_budget.load(Ordering::Relaxed),
             bench_retries: self.bench_retries.load(Ordering::Relaxed),
             db_rows_loaded: self.db_rows_loaded.load(Ordering::Relaxed),
             db_rows_quarantined: self.db_rows_quarantined.load(Ordering::Relaxed),
@@ -247,150 +350,174 @@ impl BenchCache {
         removed
     }
 
-    /// Benchmark all algorithms for `kernel` (whose `input.n` *is* the
-    /// micro-batch size), serving from cache when possible. Results are
-    /// sorted fastest-first.
-    ///
-    /// Safe to call from many threads at once: per-key single-flight
-    /// arbitration ensures the benchmark for any key runs exactly once, and
-    /// benchmarks for distinct keys proceed in parallel.
+    /// Every algorithm's benchmark for `kernel` (whose `input.n` *is* the
+    /// micro-batch size), served from cache when possible, fastest-first:
+    /// [`Self::try_get_or_bench`] with an unlimited budget, failures read
+    /// as no rows.
     pub fn get_or_bench(&self, handle: &CudnnHandle, kernel: &KernelKey) -> Vec<BenchEntry> {
-        self.try_get_or_bench(handle, kernel).unwrap_or_default()
+        self.try_get_or_bench(handle, kernel, usize::MAX)
+            .unwrap_or_default()
     }
 
-    /// [`Self::get_or_bench`] with the failure visible: a key whose
-    /// benchmark failed outright (every algorithm faulted, or the substrate
-    /// refused the query) returns the cached error so callers can count the
-    /// degradation and fall back. Transient faults are retried here, up to
-    /// the handle's [`CudnnHandle::fault_retry_budget`] extra attempts
-    /// (counted in [`CacheStats::bench_retries`]).
+    /// The benchmark rows of the algorithms whose workspace fits `budget`,
+    /// by time, then algorithm id — exactly the rows of an unbudgeted
+    /// `Find` within the budget. Only algorithms the entry has not been
+    /// measured up to are benchmarked.
+    ///
+    /// Safe to call from many threads at once: per-key single-flight
+    /// arbitration ensures no algorithm is benchmarked twice, and
+    /// benchmarks for distinct keys proceed in parallel. Transient faults
+    /// are retried here, up to the handle's
+    /// [`CudnnHandle::fault_retry_budget`] extra attempts (counted in
+    /// [`CacheStats::bench_retries`]).
     ///
     /// # Errors
-    /// The benchmark failure for this key, cached like any other result.
+    /// The substrate's refusal of the kernel, or — when every algorithm
+    /// within the budget failed while benchmarking — an execution failure;
+    /// cached like any other result.
     pub fn try_get_or_bench(
         &self,
         handle: &CudnnHandle,
         kernel: &KernelKey,
-    ) -> Result<Vec<BenchEntry>, CudnnError> {
-        let key = CacheKey {
+        budget: usize,
+    ) -> BenchOutcome {
+        let slot = self.slot_for(CacheKey {
             engine: engine_tag(handle),
             kernel: *kernel,
-        };
-        let (slot, leader) = self.slot_for(key);
-        if leader {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            let outcome = self.lead_benchmark(handle, kernel, &slot);
-            // Single-flight means exactly one such event per unique micro
-            // kernel — the event set is thread-count-invariant.
-            crate::trace::event("bench", "benchmark", || {
-                (
-                    kernel.to_string(),
-                    crate::json::obj([
-                        (
-                            "entries",
-                            crate::json::num(outcome.as_ref().map_or(0, Vec::len) as f64),
-                        ),
-                        ("failed", crate::json::Value::Bool(outcome.is_err())),
-                    ]),
-                )
-            });
-            let mut guard = slot.result.lock();
-            *guard = Some(outcome.clone());
-            slot.ready.notify_all();
-            return outcome;
-        }
-        let mut guard = slot.result.lock();
-        if guard.is_none() {
-            // The leader is still benchmarking; block until its result
-            // lands rather than measuring the same kernel twice.
-            self.single_flight_waits.fetch_add(1, Ordering::Relaxed);
-            while guard.is_none() {
-                slot.ready.wait(&mut guard);
+        });
+        let mut st = slot.state.lock();
+        let mut waited = false;
+        while !st.covers(budget) {
+            if !st.in_flight {
+                return self.lead(handle, kernel, &slot, st, budget);
             }
-        } else {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+            // A leader is benchmarking; block until its result lands rather
+            // than measuring the same algorithms twice. It may stop short
+            // of this budget, in which case this thread leads next.
+            waited = true;
+            slot.ready.wait(&mut st);
         }
-        guard.clone().expect("slot filled after wait")
+        let counter = if waited {
+            &self.single_flight_waits
+        } else {
+            &self.hits
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        st.within(budget)
     }
 
-    /// Run the benchmark for a key this thread leads, riding out transient
-    /// faults within the handle's retry budget and folding per-algorithm
-    /// failures into [`CacheStats::bench_points_dropped`].
-    fn lead_benchmark(
+    /// Benchmark, as the key's leader, the algorithms up to `budget` that
+    /// the slot is not measured up to yet, then publish them and wake the
+    /// waiters.
+    fn lead(
         &self,
         handle: &CudnnHandle,
         kernel: &KernelKey,
         slot: &Slot,
+        mut st: parking_lot::MutexGuard<'_, SlotState>,
+        budget: usize,
     ) -> BenchOutcome {
-        let budget = handle.fault_retry_budget();
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        st.in_flight = true;
+        let window = st.unmeasured_from()..=budget;
+        drop(st);
+        let run = self.run_with_retries(handle, kernel, slot, window);
+        let mut st = slot.state.lock();
+        st.merge(run, budget);
+        st.in_flight = false;
+        slot.ready.notify_all();
+        let outcome = st.within(budget);
+        drop(st);
+        // Single-flight means exactly one such event per benchmarked
+        // window of a micro kernel — the event set is thread-count-invariant.
+        crate::trace::event("bench", "benchmark", || {
+            (
+                kernel.to_string(),
+                crate::json::obj([
+                    (
+                        "entries",
+                        crate::json::num(outcome.as_ref().map_or(0, Vec::len) as f64),
+                    ),
+                    ("failed", crate::json::Value::Bool(outcome.is_err())),
+                ]),
+            )
+        });
+        outcome
+    }
+
+    /// Run one benchmark window, riding out transient faults within the
+    /// handle's retry budget and counting the final run's failed rows into
+    /// [`CacheStats::bench_points_dropped`] and its over-budget rows into
+    /// [`CacheStats::bench_points_over_budget`]. Over-budget rows are not
+    /// failures and never trigger a retry.
+    fn run_with_retries(
+        &self,
+        handle: &CudnnHandle,
+        kernel: &KernelKey,
+        slot: &Slot,
+        window: RangeInclusive<usize>,
+    ) -> Result<FindRun, CudnnError> {
+        let retries = handle.fault_retry_budget();
         let mut attempt = 0u32;
         let result = loop {
-            let res = run_benchmark(handle, kernel);
+            let res = run_benchmark(handle, kernel, window.clone());
             slot.runs.fetch_add(1, Ordering::Relaxed);
-            let clean = matches!(&res, Ok((_, 0)));
-            if clean || attempt >= budget {
+            let clean = matches!(&res, Ok(run) if run.failed_bytes.is_empty());
+            if clean || attempt >= retries {
                 break res;
             }
             attempt += 1;
             self.bench_retries.fetch_add(1, Ordering::Relaxed);
         };
-        match result {
-            Ok((entries, dropped)) => {
-                self.bench_points_dropped
-                    .fetch_add(dropped, Ordering::Relaxed);
-                if entries.is_empty() && dropped > 0 {
-                    Err(CudnnError::ExecutionFailed(
-                        "every algorithm failed while benchmarking".into(),
-                    ))
-                } else {
-                    Ok(entries)
-                }
-            }
-            Err(e) => Err(e),
+        if let Ok(run) = &result {
+            self.bench_points_dropped
+                .fetch_add(run.failed_bytes.len() as u64, Ordering::Relaxed);
+            self.bench_points_over_budget
+                .fetch_add(run.over_budget, Ordering::Relaxed);
         }
+        result
     }
 
-    /// Find or create the slot for `key`. The thread that inserts the slot
-    /// is its *leader* (returns `true`) and must run the benchmark; every
-    /// other thread gets the shared slot and `false`.
-    fn slot_for(&self, key: CacheKey) -> (Arc<Slot>, bool) {
+    /// Find or create the slot for `key`.
+    fn slot_for(&self, key: CacheKey) -> Arc<Slot> {
         let shard = &self.shards[shard_index(&key)];
         if let Some(slot) = shard.read().get(&key) {
-            return (Arc::clone(slot), false);
+            return Arc::clone(slot);
         }
-        let mut map = shard.write();
-        if let Some(slot) = map.get(&key) {
-            return (Arc::clone(slot), false);
-        }
-        let slot = Arc::new(Slot::empty());
-        map.insert(key, Arc::clone(&slot));
-        (slot, true)
+        Arc::clone(shard.write().entry(key).or_default())
     }
 
-    /// Benchmark many (kernel, micro-batch) pairs, evaluating cache misses
-    /// on parallel threads — the analogue of μ-cuDNN's multi-GPU parallel
-    /// micro-benchmark evaluation (§III-D). Redundant with calling
-    /// [`Self::get_or_bench`] from worker threads, but kept as the warm-up
-    /// entry point for callers that batch their keys up front.
-    pub fn prefetch(&self, handle: &CudnnHandle, kernels: &[KernelKey], parallel: bool) {
+    /// Benchmark many (kernel, micro-batch) pairs within `budget`,
+    /// evaluating cache misses on parallel threads — the analogue of
+    /// μ-cuDNN's multi-GPU parallel micro-benchmark evaluation (§III-D).
+    /// Redundant with looking keys up from worker threads, but kept as the
+    /// warm-up entry point for callers that batch their keys up front.
+    pub fn prefetch(
+        &self,
+        handle: &CudnnHandle,
+        kernels: &[KernelKey],
+        budget: usize,
+        parallel: bool,
+    ) {
         if parallel && kernels.len() > 1 {
             std::thread::scope(|scope| {
                 for k in kernels {
                     scope.spawn(move || {
-                        self.get_or_bench(handle, k);
+                        let _ = self.try_get_or_bench(handle, k, budget);
                     });
                 }
             });
         } else {
             for k in kernels {
-                self.get_or_bench(handle, k);
+                let _ = self.try_get_or_bench(handle, k, budget);
             }
         }
     }
 
     /// Per-kernel benchmark-run counts, sorted by kernel label. Under the
-    /// single-flight guarantee every count is exactly 1 (file-DB entries
-    /// that were never re-measured do not appear).
+    /// single-flight guarantee every count is the number of budgets that
+    /// widened the entry — 1 when all lookups share one budget (file-DB
+    /// entries that were never re-measured do not appear).
     pub fn benchmark_counts(&self) -> Vec<(String, u64)> {
         let mut counts: Vec<(String, u64)> = self
             .shards
@@ -436,9 +563,10 @@ impl BenchCache {
 
     /// Persist the cache to its file DB (no-op for in-memory caches).
     /// Rows are sorted by key, so identical contents produce byte-identical
-    /// files regardless of benchmarking order or thread count. Only
-    /// successful measurements are persisted — cached benchmark *failures*
-    /// are runtime state, not truth worth sharing with other nodes.
+    /// files regardless of benchmarking order or thread count. Each row
+    /// keeps the budget its entry was measured up to. Only successful
+    /// measurements are persisted — cached benchmark *failures* are runtime
+    /// state, not truth worth sharing with other nodes.
     ///
     /// The write is atomic: the document lands in a `<name>.tmp` sibling
     /// first and is renamed over the target, so a reader (or a crash)
@@ -450,25 +578,31 @@ impl BenchCache {
         let Some(path) = &self.file else {
             return Ok(());
         };
-        let mut rows: Vec<(CacheKey, Vec<BenchEntry>)> = self
+        let mut rows: Vec<DbRow> = self
             .shards
             .iter()
             .flat_map(|s| {
                 s.read()
                     .iter()
-                    .filter_map(|(key, slot)| match slot.result.lock().as_ref() {
-                        Some(Ok(v)) => Some((key.clone(), v.clone())),
+                    .filter_map(|(key, slot)| match &slot.state.lock().measured {
+                        Some(Ok(m)) if !m.rows.is_empty() => {
+                            Some((key.clone(), m.up_to, m.rows.clone()))
+                        }
                         _ => None,
                     })
                     .collect::<Vec<_>>()
             })
             .collect();
-        rows.sort_by_key(|(k, _)| (k.engine.clone(), format!("{}", k.kernel)));
+        rows.sort_by_key(|(k, _, _)| (k.engine.clone(), format!("{}", k.kernel)));
         let doc = json::obj([
             ("version", json::num(DB_VERSION as f64)),
             (
                 "rows",
-                Value::Arr(rows.iter().map(|(k, v)| row_to_json(k, v)).collect()),
+                Value::Arr(
+                    rows.iter()
+                        .map(|(k, up_to, v)| row_to_json(k, *up_to, v))
+                        .collect(),
+                ),
             ),
         ]);
         let mut tmp_name = path.as_os_str().to_owned();
@@ -530,7 +664,7 @@ fn op_from_tag(tag: &str) -> Option<OpKind> {
     }
 }
 
-fn row_to_json(key: &CacheKey, entries: &[BenchEntry]) -> Value {
+fn row_to_json(key: &CacheKey, up_to: usize, entries: &[BenchEntry]) -> Value {
     let k = &key.kernel;
     json::obj([
         ("engine", Value::Str(key.engine.clone())),
@@ -546,6 +680,16 @@ fn row_to_json(key: &CacheKey, entries: &[BenchEntry]) -> Value {
                 .map(|&v| json::num(v as f64))
                 .collect(),
             ),
+        ),
+        // `null` is the unlimited budget of a complete `Find`. JSON numbers
+        // hold byte counts exactly up to 2^53; capping there only forgets
+        // part of a range no workspace reaches.
+        (
+            "budget",
+            match up_to {
+                usize::MAX => Value::Null,
+                b => json::num(b.min(1 << 53) as f64),
+            },
         ),
         (
             "entries",
@@ -565,7 +709,10 @@ fn row_to_json(key: &CacheKey, entries: &[BenchEntry]) -> Value {
     ])
 }
 
-fn row_from_json(row: &Value) -> Option<(CacheKey, Vec<BenchEntry>)> {
+/// Parse one DB row: its key, the budget it was measured up to, and its
+/// entries. Version-2 rows carry no budget and came from complete `Find`s,
+/// so they load as unlimited.
+fn row_from_json(row: &Value, version: usize) -> Option<DbRow> {
     let engine = row.get("engine")?.as_str()?.to_string();
     let op = op_from_tag(row.get("op")?.as_str()?)?;
     let g = row.get("geometry")?.as_arr()?;
@@ -582,7 +729,11 @@ fn row_from_json(row: &Value) -> Option<(CacheKey, Vec<BenchEntry>)> {
         stride_h: d[10],
         stride_w: d[11],
     };
-    let entries = row
+    let up_to = match (version, row.get("budget")) {
+        (2, _) | (_, Some(Value::Null)) => usize::MAX,
+        (_, budget) => budget?.as_usize()?,
+    };
+    let mut entries = row
         .get("entries")?
         .as_arr()?
         .iter()
@@ -598,10 +749,12 @@ fn row_from_json(row: &Value) -> Option<(CacheKey, Vec<BenchEntry>)> {
             if !time_us.is_finite() || time_us < 0.0 {
                 return None;
             }
-            Some(BenchEntry {
+            let memory_bytes = e[2].as_usize()?;
+            // A row measured up to a budget holds nothing above it.
+            (memory_bytes <= up_to).then_some(BenchEntry {
                 algo,
                 time_us,
-                memory_bytes: e[2].as_usize()?,
+                memory_bytes,
             })
         })
         .collect::<Option<Vec<_>>>()?;
@@ -609,33 +762,41 @@ fn row_from_json(row: &Value) -> Option<(CacheKey, Vec<BenchEntry>)> {
     if entries.is_empty() {
         return None;
     }
-    Some((CacheKey { engine, kernel }, entries))
+    sort_rows(&mut entries);
+    Some((CacheKey { engine, kernel }, up_to, entries))
 }
+
+/// A DB row: key, the budget it was measured up to, entries.
+type DbRow = (CacheKey, usize, Vec<BenchEntry>);
 
 /// Parse a file DB: `(accepted rows, loaded count, quarantined count)`.
 ///
-/// Only a well-formed version-`DB_VERSION` document contributes rows; its
-/// malformed rows are skipped and counted individually. Anything else —
-/// unparseable JSON, a bare legacy array, a wrong version — quarantines the
-/// whole file, counted as the number of rows visible (minimum 1).
-fn load_db(text: &str) -> (Vec<(CacheKey, Vec<BenchEntry>)>, u64, u64) {
+/// Only a well-formed document of version 2 or `DB_VERSION` contributes
+/// rows; its malformed rows are skipped and counted individually. Anything
+/// else — unparseable JSON, a bare legacy array, an unknown version —
+/// quarantines the whole file, counted as the number of rows visible
+/// (minimum 1).
+fn load_db(text: &str) -> (Vec<DbRow>, u64, u64) {
     let Some(doc) = Value::parse(text) else {
         return (Vec::new(), 0, 1);
     };
-    if doc.get("version").and_then(|v| v.as_usize()) != Some(DB_VERSION) {
-        let visible = doc
-            .as_arr()
-            .or_else(|| doc.get("rows").and_then(|r| r.as_arr()))
-            .map_or(1, |a| a.len().max(1) as u64);
-        return (Vec::new(), 0, visible);
-    }
+    let version = match doc.get("version").and_then(|v| v.as_usize()) {
+        Some(v @ (2 | DB_VERSION)) => v,
+        _ => {
+            let visible = doc
+                .as_arr()
+                .or_else(|| doc.get("rows").and_then(|r| r.as_arr()))
+                .map_or(1, |a| a.len().max(1) as u64);
+            return (Vec::new(), 0, visible);
+        }
+    };
     let Some(rows) = doc.get("rows").and_then(|r| r.as_arr()) else {
         return (Vec::new(), 0, 1);
     };
     let mut out = Vec::new();
     let (mut loaded, mut quarantined) = (0u64, 0u64);
     for row in rows {
-        match row_from_json(row) {
+        match row_from_json(row, version) {
             Some(parsed) => {
                 out.push(parsed);
                 loaded += 1;
@@ -646,36 +807,50 @@ fn load_db(text: &str) -> (Vec<(CacheKey, Vec<BenchEntry>)>, u64, u64) {
     (out, loaded, quarantined)
 }
 
-/// Run the substrate's `Find` benchmark for one micro-batch kernel.
-/// Returns the successful measurements (already fastest-first) plus the
-/// number of per-algorithm failures dropped from the result.
+/// One budgeted `Find` run over a workspace window, as the cache keeps it.
+#[derive(Debug)]
+struct FindRun {
+    /// Successful rows.
+    rows: Vec<BenchEntry>,
+    /// Workspace of each row that failed while benchmarking.
+    failed_bytes: Vec<usize>,
+    /// Rows over the window's budget, which never ran.
+    over_budget: u64,
+}
+
+/// Run the substrate's budgeted `Find` benchmark for one micro-batch
+/// kernel over the algorithms whose workspace lies in `window`.
 ///
 /// # Errors
-/// The substrate's own refusal (e.g. an injected allocation failure on the
-/// workspace query, or a degenerate geometry).
+/// The substrate's own refusal (e.g. a degenerate geometry).
 fn run_benchmark(
     handle: &CudnnHandle,
     kernel: &KernelKey,
-) -> Result<(Vec<BenchEntry>, u64), CudnnError> {
+    window: RangeInclusive<usize>,
+) -> Result<FindRun, CudnnError> {
     let g = kernel.geometry();
     let xd = TensorDescriptor::from_shape(g.input)?;
     let wd = FilterDescriptor::from_shape(g.filter)?;
     let cd = ConvolutionDescriptor::new_2d(g.pad_h, g.pad_w, g.stride_h, g.stride_w)?;
-    let perfs = handle.find_algorithms(kernel.conv_op(), &xd, &wd, &cd)?;
-    let dropped = perfs
-        .iter()
-        .filter(|p| p.status != AlgoStatus::Success)
-        .count() as u64;
-    let entries = perfs
-        .into_iter()
-        .filter(|p| p.status == AlgoStatus::Success)
-        .map(|p| BenchEntry {
-            algo: p.algo,
-            time_us: p.time_us,
-            memory_bytes: p.memory_bytes,
-        })
-        .collect();
-    Ok((entries, dropped))
+    let mut run = FindRun {
+        rows: Vec::new(),
+        failed_bytes: Vec::new(),
+        over_budget: 0,
+    };
+    for p in handle.find_algorithms_within(kernel.conv_op(), &xd, &wd, &cd, window)? {
+        match p.status {
+            AlgoStatus::Success => run.rows.push(BenchEntry {
+                algo: p.algo,
+                time_us: p.time_us,
+                memory_bytes: p.memory_bytes,
+            }),
+            AlgoStatus::OverBudget => run.over_budget += 1,
+            AlgoStatus::ExecutionFailed | AlgoStatus::AllocFailed => {
+                run.failed_bytes.push(p.memory_bytes)
+            }
+        }
+    }
+    Ok(run)
 }
 
 #[cfg(test)]
@@ -851,7 +1026,7 @@ mod tests {
         writer.save().unwrap();
         let future = std::fs::read_to_string(&path)
             .unwrap()
-            .replace("\"version\":2", "\"version\":99");
+            .replace(&format!("\"version\":{DB_VERSION}"), "\"version\":99");
         std::fs::write(&path, future).unwrap();
         let c = BenchCache::with_file(&path);
         assert!(c.is_empty(), "a future format version must not half-parse");
@@ -887,9 +1062,9 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("bench.json");
         let c = BenchCache::with_file(&path);
-        assert!(c.try_get_or_bench(&h, &key(8)).is_err());
+        assert!(c.try_get_or_bench(&h, &key(8), usize::MAX).is_err());
         assert!(
-            c.try_get_or_bench(&h, &key(8)).is_err(),
+            c.try_get_or_bench(&h, &key(8), usize::MAX).is_err(),
             "the failure is cached"
         );
         let stats = c.stats();
@@ -915,7 +1090,7 @@ mod tests {
             ..FaultPlan::default()
         });
         let c = BenchCache::new();
-        let got = c.try_get_or_bench(&h, &key(8)).unwrap();
+        let got = c.try_get_or_bench(&h, &key(8), usize::MAX).unwrap();
         assert_eq!(got, want, "the retried benchmark is a clean measurement");
         let stats = c.stats();
         assert_eq!(stats.bench_retries, 1);
@@ -923,13 +1098,95 @@ mod tests {
     }
 
     #[test]
+    fn one_benchmark_serves_every_smaller_budget() {
+        let h = CudnnHandle::simulated(p100_sxm2());
+        let c = BenchCache::new();
+        let full = c.get_or_bench(&h, &key(16));
+        for budget in [0, 1 << 20, usize::MAX] {
+            let want: Vec<BenchEntry> = full
+                .iter()
+                .filter(|e| e.memory_bytes <= budget)
+                .copied()
+                .collect();
+            assert_eq!(c.try_get_or_bench(&h, &key(16), budget).unwrap(), want);
+        }
+        assert_eq!(
+            c.stats(),
+            CacheStats {
+                hits: 3,
+                misses: 1,
+                ..CacheStats::default()
+            }
+        );
+    }
+
+    /// Fault targets for the algorithms of `key(16)` on the simulated P100
+    /// whose workspace need does (`true`) or does not exceed zero.
+    fn targets_needing_workspace(needs: bool) -> Vec<ucudnn_cudnn_sim::FaultTarget> {
+        let g = key(16).geometry();
+        ConvAlgo::ALL
+            .into_iter()
+            .filter(|&a| {
+                ucudnn_cudnn_sim::workspace_bytes_on(
+                    &Engine::Simulated(p100_sxm2()),
+                    a,
+                    ConvOp::Forward,
+                    &g,
+                )
+                .is_some_and(|b| (b > 0) == needs)
+            })
+            .map(ucudnn_cudnn_sim::FaultTarget::algo)
+            .collect()
+    }
+
+    #[test]
+    fn over_budget_points_are_neither_failures_nor_retried() {
+        use ucudnn_cudnn_sim::FaultPlan;
+        // Transient faults on every algorithm that needs a workspace: a
+        // zero-budget lookup never attempts them, so nothing fails, nothing
+        // is retried and nothing is dropped.
+        let h = CudnnHandle::simulated(p100_sxm2()).with_faults(FaultPlan {
+            targets: targets_needing_workspace(true),
+            transient_tries: 1,
+            ..FaultPlan::default()
+        });
+        let c = BenchCache::new();
+        let rows = c.try_get_or_bench(&h, &key(16), 0).unwrap();
+        assert!(!rows.is_empty() && rows.iter().all(|e| e.memory_bytes == 0));
+        let stats = c.stats();
+        assert!(stats.bench_points_over_budget > 0);
+        assert_eq!(stats.bench_points_dropped, 0);
+        assert_eq!(stats.bench_retries, 0);
+        assert_eq!(h.faults_injected(), 0);
+    }
+
+    #[test]
+    fn a_budget_whose_every_algorithm_failed_is_a_failed_lookup() {
+        use ucudnn_cudnn_sim::FaultPlan;
+        let failed = targets_needing_workspace(false);
+        let h = CudnnHandle::simulated(p100_sxm2()).with_faults(FaultPlan {
+            targets: failed.clone(),
+            ..FaultPlan::default()
+        });
+        let c = BenchCache::new();
+        assert!(c.try_get_or_bench(&h, &key(16), 0).is_err());
+        let wide = c.try_get_or_bench(&h, &key(16), usize::MAX).unwrap();
+        assert!(!wide.is_empty());
+        assert!(
+            c.try_get_or_bench(&h, &key(16), 0).is_err(),
+            "the zero budget still admits only failed algorithms"
+        );
+        assert_eq!(c.stats().bench_points_dropped, failed.len() as u64);
+    }
+
+    #[test]
     fn prefetch_parallel_matches_serial() {
         let h = CudnnHandle::simulated(p100_sxm2());
         let keys: Vec<KernelKey> = [1usize, 2, 4, 8, 16].iter().map(|&n| key(n)).collect();
         let serial = BenchCache::new();
-        serial.prefetch(&h, &keys, false);
+        serial.prefetch(&h, &keys, usize::MAX, false);
         let parallel = BenchCache::new();
-        parallel.prefetch(&h, &keys, true);
+        parallel.prefetch(&h, &keys, usize::MAX, true);
         for k in &keys {
             assert_eq!(serial.get_or_bench(&h, k), parallel.get_or_bench(&h, k));
         }

@@ -96,6 +96,15 @@ impl KernelKey {
         self.geometry().with_batch(micro_batch)
     }
 
+    /// The same kernel at a micro-batch size: the key its benchmarks are
+    /// cached under.
+    pub fn with_batch(&self, micro_batch: usize) -> Self {
+        Self {
+            input: self.input.with_batch(micro_batch),
+            ..*self
+        }
+    }
+
     /// The operation as the execution-layer enum.
     pub fn conv_op(&self) -> ConvOp {
         self.op.into()

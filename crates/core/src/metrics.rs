@@ -73,6 +73,7 @@ pub struct OptimizerMetrics {
     cache_misses: Counter,
     cache_single_flight: Counter,
     cache_points_dropped: Counter,
+    cache_points_over_budget: Counter,
     cache_bench_retries: Counter,
     cache_db_loaded: Counter,
     cache_db_quarantined: Counter,
@@ -137,6 +138,10 @@ impl OptimizerMetrics {
             cache_points_dropped: registry.counter(
                 "ucudnn_cache_bench_points_dropped_total",
                 "Benchmark points dropped after persistent faults.",
+            ),
+            cache_points_over_budget: registry.counter(
+                "ucudnn_cache_bench_points_over_budget_total",
+                "Benchmark points over the lookup's workspace budget, never run.",
             ),
             cache_bench_retries: registry.counter(
                 "ucudnn_cache_bench_retries_total",
@@ -281,6 +286,8 @@ impl OptimizerMetrics {
         self.cache_misses.set(cache.misses);
         self.cache_single_flight.set(cache.single_flight_waits);
         self.cache_points_dropped.set(cache.bench_points_dropped);
+        self.cache_points_over_budget
+            .set(cache.bench_points_over_budget);
         self.cache_bench_retries.set(cache.bench_retries);
         self.cache_db_loaded.set(cache.db_rows_loaded);
         self.cache_db_quarantined.set(cache.db_rows_quarantined);
@@ -310,7 +317,9 @@ impl OptimizerMetrics {
         self.sync_cache(&cache, &exec_cache, faults_injected);
         let t = self.timings();
         // Degradations observed anywhere: explicit ladder steps recorded by
-        // the optimizers plus benchmark points the cache had to drop.
+        // the optimizers plus benchmark points the cache had to drop. Points
+        // over the lookup's budget are not among them: no plan within the
+        // budget could have used them.
         let degradations = self.degradations() + cache.bench_points_dropped;
         json::obj([
             (
@@ -333,6 +342,10 @@ impl OptimizerMetrics {
                     (
                         "single_flight_waits",
                         json::num(cache.single_flight_waits as f64),
+                    ),
+                    (
+                        "bench_points_over_budget",
+                        json::num(cache.bench_points_over_budget as f64),
                     ),
                 ]),
             ),
@@ -442,6 +455,7 @@ mod tests {
             misses: 2,
             single_flight_waits: 1,
             bench_points_dropped: 4,
+            bench_points_over_budget: 5,
             bench_retries: 1,
             db_rows_loaded: 7,
             db_rows_quarantined: 2,
@@ -499,8 +513,17 @@ mod tests {
         assert_eq!(ec.get("misses").unwrap().as_u64(), Some(3));
         assert_eq!(ec.get("evictions").unwrap().as_u64(), Some(1));
         assert_eq!(ec.get("bytes").unwrap().as_u64(), Some(2048));
+        assert_eq!(
+            doc.get("cache")
+                .unwrap()
+                .get("bench_points_over_budget")
+                .unwrap()
+                .as_u64(),
+            Some(5)
+        );
         let rob = doc.get("robustness").unwrap();
-        // 1 explicit degradation + 4 dropped benchmark points.
+        // 1 explicit degradation + 4 dropped benchmark points; the 5 points
+        // over budget are not degradations.
         assert_eq!(rob.get("degradations").unwrap().as_u64(), Some(5));
         assert_eq!(rob.get("faults_injected").unwrap().as_u64(), Some(6));
         assert_eq!(rob.get("bench_retries").unwrap().as_u64(), Some(1));
@@ -513,6 +536,7 @@ mod tests {
         for line in [
             "ucudnn_opt_phase_us_total{phase=\"benchmark\"} 100",
             "ucudnn_cache_hits_total 3",
+            "ucudnn_cache_bench_points_over_budget_total 5",
             "ucudnn_exec_cache_hits_total 12",
             "ucudnn_exec_cache_bytes 2048",
             "ucudnn_faults_injected_total 6",

@@ -98,11 +98,9 @@ pub fn desirable_set_traced(
     let micro_fronts: Vec<(usize, Vec<MicroConfig>)> = sizes
         .iter()
         .map(|&m| {
-            let micro_key = KernelKey {
-                input: kernel.input.with_batch(m),
-                ..*kernel
-            };
-            let entries = match cache.try_get_or_bench(handle, &micro_key) {
+            // The cap is the benchmark budget: algorithms that cannot fit
+            // are never timed.
+            let entries = match cache.try_get_or_bench(handle, &kernel.with_batch(m), ws_cap) {
                 Ok(entries) => entries,
                 Err(_) => {
                     if let Some(mx) = metrics {
@@ -113,7 +111,6 @@ pub fn desirable_set_traced(
             };
             let singles: Vec<Configuration> = entries
                 .into_iter()
-                .filter(|e| e.memory_bytes <= ws_cap)
                 .map(|e| {
                     Configuration::undivided(MicroConfig {
                         micro_batch: m,

@@ -224,11 +224,7 @@ pub fn rebench_latency_table(
 ) -> Result<Vec<(usize, f64)>, UcudnnError> {
     for kernel in stale {
         for m in policy.candidate_sizes(max_batch) {
-            let micro_key = KernelKey {
-                input: kernel.input.with_batch(m),
-                ..*kernel
-            };
-            cache.invalidate(handle, &micro_key);
+            cache.invalidate(handle, &kernel.with_batch(m));
         }
     }
     let table = forward_latency_table(handle, cache, kernels, policy, max_batch, ws_limit);

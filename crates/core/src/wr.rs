@@ -12,7 +12,7 @@
 //! the workspace limit. Because the benchmark policy restricts which sizes
 //! `m` are measured, the recursion is computed over those candidate sizes.
 
-use crate::bench_cache::BenchCache;
+use crate::bench_cache::{BenchCache, BenchEntry};
 use crate::config::{Configuration, MicroConfig};
 use crate::error::UcudnnError;
 use crate::kernel::KernelKey;
@@ -23,7 +23,8 @@ use ucudnn_cudnn_sim::{supported_on, workspace_bytes_on, CudnnHandle, Engine};
 use ucudnn_gpu_model::{kernel_time_us, ConvAlgo};
 
 /// Fastest micro-configuration at one size within the workspace limit
-/// (step 1 of the WR algorithm).
+/// (step 1 of the WR algorithm). The limit is the benchmark budget, so
+/// algorithms that cannot fit are never timed.
 pub fn best_micro(
     handle: &CudnnHandle,
     cache: &BenchCache,
@@ -31,21 +32,20 @@ pub fn best_micro(
     micro_batch: usize,
     ws_limit: usize,
 ) -> Option<MicroConfig> {
-    let micro_key = KernelKey {
-        input: kernel.input.with_batch(micro_batch),
-        ..*kernel
-    };
-    cache
-        .get_or_bench(handle, &micro_key)
-        .into_iter()
-        .filter(|e| e.memory_bytes <= ws_limit)
-        .min_by(|a, b| a.time_us.total_cmp(&b.time_us))
-        .map(|e| MicroConfig {
-            micro_batch,
-            algo: e.algo,
-            time_us: e.time_us,
-            workspace_bytes: e.memory_bytes,
-        })
+    let entries = cache
+        .try_get_or_bench(handle, &kernel.with_batch(micro_batch), ws_limit)
+        .ok()?;
+    fastest(micro_batch, &entries)
+}
+
+/// The first (fastest) row of a budgeted lookup as a micro-configuration.
+fn fastest(micro_batch: usize, entries: &[BenchEntry]) -> Option<MicroConfig> {
+    entries.first().map(|e| MicroConfig {
+        micro_batch,
+        algo: e.algo,
+        time_us: e.time_us,
+        workspace_bytes: e.memory_bytes,
+    })
 }
 
 /// Like [`best_micro`], but aware of benchmark failures: a size whose
@@ -60,21 +60,8 @@ fn best_micro_degrading(
     metrics: Option<&OptimizerMetrics>,
     lost_points: &mut bool,
 ) -> Option<MicroConfig> {
-    let micro_key = KernelKey {
-        input: kernel.input.with_batch(micro_batch),
-        ..*kernel
-    };
-    match cache.try_get_or_bench(handle, &micro_key) {
-        Ok(entries) => entries
-            .into_iter()
-            .filter(|e| e.memory_bytes <= ws_limit)
-            .min_by(|a, b| a.time_us.total_cmp(&b.time_us))
-            .map(|e| MicroConfig {
-                micro_batch,
-                algo: e.algo,
-                time_us: e.time_us,
-                workspace_bytes: e.memory_bytes,
-            }),
+    match cache.try_get_or_bench(handle, &kernel.with_batch(micro_batch), ws_limit) {
+        Ok(entries) => fastest(micro_batch, &entries),
         Err(_) => {
             *lost_points = true;
             if let Some(m) = metrics {
@@ -210,15 +197,9 @@ pub fn optimize_wr_metered(
     let sizes = policy.candidate_sizes(b);
     // Warm the cache for all candidate sizes (optionally in parallel, the
     // analogue of multi-GPU benchmark distribution).
-    let micro_keys: Vec<KernelKey> = sizes
-        .iter()
-        .map(|&m| KernelKey {
-            input: kernel.input.with_batch(m),
-            ..*kernel
-        })
-        .collect();
+    let micro_keys: Vec<KernelKey> = sizes.iter().map(|&m| kernel.with_batch(m)).collect();
     let bench_start = std::time::Instant::now();
-    cache.prefetch(handle, &micro_keys, parallel_benchmark);
+    cache.prefetch(handle, &micro_keys, ws_limit, parallel_benchmark);
 
     let mut lost_points = false;
     let per_size: Vec<(usize, Option<MicroConfig>)> = sizes

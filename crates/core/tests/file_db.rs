@@ -176,3 +176,119 @@ fn partially_valid_db_quarantines_bad_rows_and_keeps_the_rest() {
     assert_eq!(recovered.len(), 2);
     assert_eq!(recovered.stats().db_rows_quarantined, 0);
 }
+
+/// Rows of a saved DB document, parsed.
+fn db_rows(db: &std::path::Path) -> Vec<ucudnn::json::Value> {
+    let doc = ucudnn::json::Value::parse(&std::fs::read_to_string(db).unwrap()).unwrap();
+    doc.get("rows").unwrap().as_arr().unwrap().to_vec()
+}
+
+#[test]
+fn v3_rows_round_trip_with_their_budgets() {
+    let dir = TempDir::new("v3");
+    let db = dir.path("bench.json");
+    let h = CudnnHandle::simulated(p100_sxm2());
+    let budgets = [(key(8), 0), (key(16), 1 << 20), (key(32), usize::MAX)];
+    let writer = BenchCache::with_file(&db);
+    let want: Vec<Vec<BenchEntry>> = budgets
+        .iter()
+        .map(|(k, b)| writer.try_get_or_bench(&h, k, *b).unwrap())
+        .collect();
+    writer.save().unwrap();
+    let text = std::fs::read_to_string(&db).unwrap();
+    assert!(text.starts_with("{\"version\":3,"), "{text}");
+    let saved: Vec<String> = db_rows(&db)
+        .iter()
+        .map(|r| r.get("budget").unwrap().to_json())
+        .collect();
+    assert_eq!(saved, ["1048576", "null", "0"], "rows sort by kernel label");
+
+    // Every budget up to the persisted one is served warm, bit-exact.
+    let reloaded = BenchCache::with_file(&db);
+    assert_eq!(reloaded.stats().db_rows_loaded, 3);
+    for ((k, b), want) in budgets.iter().zip(&want) {
+        assert_eq!(&reloaded.try_get_or_bench(&h, k, *b).unwrap(), want);
+        assert!(reloaded.try_get_or_bench(&h, k, 0).is_ok());
+    }
+    assert_eq!(
+        reloaded.stats().misses,
+        0,
+        "no lookup exceeded its row's budget"
+    );
+    // A larger budget widens the loaded row, which then matches an
+    // unbudgeted benchmark.
+    let widened = reloaded.get_or_bench(&h, &key(8));
+    assert_eq!(reloaded.stats().misses, 1);
+    assert_eq!(widened, BenchCache::new().get_or_bench(&h, &key(8)));
+}
+
+#[test]
+fn v2_rows_load_as_unlimited() {
+    let dir = TempDir::new("v2");
+    let db = dir.path("bench.json");
+    let h = CudnnHandle::simulated(p100_sxm2());
+    let writer = BenchCache::with_file(&db);
+    let want = writer.get_or_bench(&h, &key(8));
+    writer.save().unwrap();
+    // The version-2 layout: the same rows without a budget field.
+    let v2 = std::fs::read_to_string(&db)
+        .unwrap()
+        .replace("\"version\":3", "\"version\":2")
+        .replace("\"budget\":null,", "");
+    assert!(!v2.contains("budget"), "{v2}");
+    std::fs::write(&db, v2).unwrap();
+
+    let cache = BenchCache::with_file(&db);
+    assert_eq!(cache.stats().db_rows_loaded, 1);
+    assert_eq!(cache.get_or_bench(&h, &key(8)), want);
+    assert_eq!(
+        cache.try_get_or_bench(&h, &key(8), 0).unwrap(),
+        want.iter()
+            .filter(|e| e.memory_bytes == 0)
+            .copied()
+            .collect::<Vec<_>>()
+    );
+    assert_eq!(
+        cache.stats().misses,
+        0,
+        "a v2 row came from a complete Find"
+    );
+}
+
+#[test]
+fn malformed_budgets_are_quarantined() {
+    let dir = TempDir::new("badbudget");
+    let db = dir.path("bench.json");
+    let h = CudnnHandle::simulated(p100_sxm2());
+    let writer = BenchCache::with_file(&db);
+    let want = writer.try_get_or_bench(&h, &key(8), 1 << 20).unwrap();
+    writer.save().unwrap();
+    let valid = std::fs::read_to_string(&db).unwrap();
+    let row = db_rows(&db)[0].to_json();
+    let good = "\"budget\":1048576";
+    assert!(row.contains(good), "{row}");
+    // A budget that is no byte count, or one below a workspace its own
+    // entries need, is quarantined; a v3 row must carry a budget.
+    let bad: Vec<String> = [
+        "\"budget\":\"big\"",
+        "\"budget\":-1",
+        "\"budget\":1.5",
+        "\"budget\":0",
+    ]
+    .iter()
+    .map(|b| row.replace(good, b))
+    .chain([row.replace(&format!("{good},"), "")])
+    .collect();
+    let doctored = valid.replace(&row, &format!("{row},{}", bad.join(",")));
+    std::fs::write(&db, doctored).unwrap();
+
+    let cache = BenchCache::with_file(&db);
+    assert_eq!(cache.stats().db_rows_loaded, 1);
+    assert_eq!(cache.stats().db_rows_quarantined, bad.len() as u64);
+    assert_eq!(cache.try_get_or_bench(&h, &key(8), 1 << 20).unwrap(), want);
+    assert_eq!(
+        cache.stats().misses,
+        0,
+        "the intact row still serves lookups"
+    );
+}

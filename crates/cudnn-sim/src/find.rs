@@ -4,9 +4,10 @@
 use crate::descriptor::{ConvolutionDescriptor, FilterDescriptor, TensorDescriptor};
 use crate::error::{CudnnError, Result};
 use crate::handle::{CudnnHandle, Engine};
-use crate::map::{cpu_engine_for, supported_on, workspace_bytes_on};
-use ucudnn_conv::ConvOp;
-use ucudnn_gpu_model::{enumerate, ConvAlgo};
+use crate::map::{cpu_engine_for, workspace_bytes_on};
+use std::ops::RangeInclusive;
+use ucudnn_conv::{ConvOp, EngineKind};
+use ucudnn_gpu_model::{kernel_time_us, ConvAlgo};
 use ucudnn_tensor::{ConvGeometry, Tensor};
 
 /// Per-algorithm outcome of a `Find` benchmark, mirroring the `status`
@@ -21,6 +22,10 @@ pub enum AlgoStatus {
     ExecutionFailed,
     /// The benchmark could not obtain the algorithm's workspace.
     AllocFailed,
+    /// The algorithm needs more workspace than the `Find` call's budget, so
+    /// it was never attempted; `time_us` is meaningless. Not a failure: a
+    /// call with a larger budget measures it.
+    OverBudget,
 }
 
 /// One row of a `Find` benchmark result (`cudnnConvolution*AlgoPerf_t`).
@@ -51,12 +56,8 @@ pub enum AlgoPreference {
 impl CudnnHandle {
     /// Benchmark every supported algorithm for `op` on the described
     /// geometry and return them sorted fastest-first
-    /// (`cudnnFindConvolution*Algorithm`).
-    ///
-    /// On the simulated engine this queries the performance model; on the
-    /// CPU engine it actually executes each algorithm on deterministic
-    /// synthetic data and measures wall time — the honest equivalent of
-    /// cuDNN's exhaustive auto-tuner.
+    /// (`cudnnFindConvolution*Algorithm`): [`Self::find_algorithms_within`]
+    /// with an unlimited budget.
     pub fn find_algorithms(
         &self,
         op: ConvOp,
@@ -64,61 +65,81 @@ impl CudnnHandle {
         w: &FilterDescriptor,
         conv: &ConvolutionDescriptor,
     ) -> Result<Vec<AlgoPerf>> {
+        self.find_algorithms_within(op, x, w, conv, 0..=usize::MAX)
+    }
+
+    /// Budgeted `Find`: benchmark the supported algorithms whose workspace
+    /// lies in `workspace`. As cuDNN's `Find*Ex` benchmarks inside the
+    /// workspace its caller supplies, an algorithm needing more than the
+    /// range's end (the budget) is never attempted and comes back as an
+    /// [`AlgoStatus::OverBudget`] row. Algorithms needing less than the
+    /// range's start are left out, so a caller that measured up to some
+    /// budget widens it without measuring anything twice.
+    ///
+    /// Successful rows come first, then failed rows, then rows over budget;
+    /// each group is sorted by time, then algorithm id. On the simulated
+    /// engine times come from the performance model; on the CPU engine each
+    /// compute engine runs once on deterministic synthetic data and its wall
+    /// time is shared by the algorithms that alias it (`GEMM` and
+    /// `IMPLICIT_PRECOMP_GEMM`, `FFT` and `FFT_TILING`) — the honest
+    /// equivalent of cuDNN's exhaustive auto-tuner.
+    pub fn find_algorithms_within(
+        &self,
+        op: ConvOp,
+        x: &TensorDescriptor,
+        w: &FilterDescriptor,
+        conv: &ConvolutionDescriptor,
+        workspace: RangeInclusive<usize>,
+    ) -> Result<Vec<AlgoPerf>> {
         let g = conv.geometry(x, w)?;
-        let mut perfs: Vec<AlgoPerf> = match self.engine() {
-            Engine::Simulated(d) => {
-                // Benchmarks observe the device as it is *now*: a perturbed
-                // latency curve re-measures slower, which is exactly what a
-                // re-benchmark after drift must see.
-                let factor = self.perturb_factor_now();
-                enumerate(d, op, &g)
-                    .into_iter()
-                    .map(|p| AlgoPerf {
-                        algo: p.algo,
-                        time_us: p.time_us * factor,
-                        memory_bytes: p.workspace_bytes,
-                        status: self.bench_status(op, p.algo, g.input.n, p.workspace_bytes),
-                    })
-                    .collect()
-            }
-            Engine::RealCpu => ConvAlgo::ALL
-                .iter()
-                .filter(|&&a| supported_on(self.engine(), a, op, &g))
-                .map(|&a| {
-                    let mem = workspace_bytes_on(self.engine(), a, op, &g).unwrap_or(0);
-                    match self.bench_status(op, a, g.input.n, mem) {
-                        AlgoStatus::Success => match bench_cpu(a, op, &g, mem) {
-                            Ok(time_us) => AlgoPerf {
-                                algo: a,
-                                time_us,
-                                memory_bytes: mem,
-                                status: AlgoStatus::Success,
-                            },
-                            // A kernel that dies mid-benchmark is a failed
-                            // row, not a process abort — exactly how the
-                            // real auto-tuner reports it.
-                            Err(_) => AlgoPerf {
-                                algo: a,
-                                time_us: 0.0,
-                                memory_bytes: mem,
-                                status: AlgoStatus::ExecutionFailed,
-                            },
-                        },
-                        status => AlgoPerf {
-                            algo: a,
-                            time_us: 0.0,
-                            memory_bytes: mem,
-                            status,
-                        },
+        // Benchmarks observe the device as it is *now*: a perturbed latency
+        // curve re-measures slower, which is exactly what a re-benchmark
+        // after drift must see.
+        let factor = self.perturb_factor_now();
+        let mut cpu_times: Vec<(EngineKind, Option<f64>)> = Vec::new();
+        let mut perfs: Vec<AlgoPerf> = ConvAlgo::ALL
+            .iter()
+            .filter_map(|&algo| Some((algo, workspace_bytes_on(self.engine(), algo, op, &g)?)))
+            .filter(|(_, mem)| mem >= workspace.start())
+            .map(|(algo, mem)| {
+                let mut status = if mem > *workspace.end() {
+                    AlgoStatus::OverBudget
+                } else {
+                    self.bench_status(op, algo, g.input.n, mem)
+                };
+                let mut time_us = 0.0;
+                if status == AlgoStatus::Success {
+                    let measured = match self.engine() {
+                        Engine::Simulated(d) => kernel_time_us(d, algo, op, &g).map(|t| t * factor),
+                        Engine::RealCpu => cpu_engine_for(algo)
+                            .and_then(|kind| cpu_time(&mut cpu_times, kind, op, &g, mem)),
+                    };
+                    // A kernel that dies mid-benchmark is a failed row, not
+                    // a process abort — exactly how the real auto-tuner
+                    // reports it.
+                    match measured {
+                        Some(t) => time_us = t,
+                        None => status = AlgoStatus::ExecutionFailed,
                     }
-                })
-                .collect(),
+                }
+                AlgoPerf {
+                    algo,
+                    time_us,
+                    memory_bytes: mem,
+                    status,
+                }
+            })
+            .collect();
+        let group = |s: AlgoStatus| match s {
+            AlgoStatus::Success => 0,
+            AlgoStatus::ExecutionFailed | AlgoStatus::AllocFailed => 1,
+            AlgoStatus::OverBudget => 2,
         };
-        // Successful rows first, fastest-first; failed rows trail.
         perfs.sort_by(|a, b| {
-            (a.status != AlgoStatus::Success)
-                .cmp(&(b.status != AlgoStatus::Success))
+            group(a.status)
+                .cmp(&group(b.status))
                 .then(a.time_us.total_cmp(&b.time_us))
+                .then(a.algo.id().cmp(&b.algo.id()))
         });
         crate::observe::emit_with(|| crate::observe::CallEvent {
             site: crate::observe::CallSite::Find,
@@ -126,7 +147,10 @@ impl CudnnHandle {
             algo: None,
             micro_batch: g.input.n,
             geometry: format!("{g}"),
-            rows: perfs.len(),
+            rows: perfs
+                .iter()
+                .filter(|p| p.status != AlgoStatus::OverBudget)
+                .count(),
             modeled_us: 0.0,
         });
         Ok(perfs)
@@ -146,7 +170,8 @@ impl CudnnHandle {
     }
 
     /// `cudnnGetConvolution*Algorithm`: pick one algorithm under a
-    /// workspace preference.
+    /// workspace preference. The limit is the budget of the `Find` call, so
+    /// algorithms that cannot fit are never benchmarked.
     pub fn get_algorithm(
         &self,
         op: ConvOp,
@@ -155,15 +180,14 @@ impl CudnnHandle {
         conv: &ConvolutionDescriptor,
         pref: AlgoPreference,
     ) -> Result<ConvAlgo> {
-        let perfs = self.find_algorithms(op, x, w, conv)?;
         let limit = match pref {
             AlgoPreference::PreferFastest => usize::MAX,
             AlgoPreference::SpecifyWorkspaceLimit(b) => b,
             AlgoPreference::NoWorkspace => 0,
         };
-        perfs
+        self.find_algorithms_within(op, x, w, conv, 0..=limit)?
             .into_iter()
-            .find(|p| p.status == AlgoStatus::Success && p.memory_bytes <= limit)
+            .find(|p| p.status == AlgoStatus::Success)
             .map(|p| p.algo)
             .ok_or_else(|| CudnnError::NotSupported("no algorithm fits the workspace limit".into()))
     }
@@ -187,11 +211,27 @@ impl CudnnHandle {
     }
 }
 
+/// Wall time of CPU engine `kind` within one `Find`: the first algorithm
+/// that runs `kind` measures it, its aliases reuse the measurement. `None`
+/// when the kernel failed.
+fn cpu_time(
+    times: &mut Vec<(EngineKind, Option<f64>)>,
+    kind: EngineKind,
+    op: ConvOp,
+    g: &ConvGeometry,
+    ws_bytes: usize,
+) -> Option<f64> {
+    if let Some(&(_, t)) = times.iter().find(|(k, _)| *k == kind) {
+        return t;
+    }
+    let t = bench_cpu(kind, op, g, ws_bytes).ok();
+    times.push((kind, t));
+    t
+}
+
 /// Execute one CPU kernel on synthetic data and return wall microseconds,
 /// or the kernel's own failure — benchmarking must never abort the process.
-fn bench_cpu(algo: ConvAlgo, op: ConvOp, g: &ConvGeometry, ws_bytes: usize) -> Result<f64> {
-    let kind = cpu_engine_for(algo)
-        .ok_or_else(|| CudnnError::NotSupported(format!("{algo} has no CPU kernel")))?;
+fn bench_cpu(kind: EngineKind, op: ConvOp, g: &ConvGeometry, ws_bytes: usize) -> Result<f64> {
     let x = Tensor::random(g.input, 0x5eed);
     let w = Tensor::random(g.filter.as_shape4(), 0x5eed + 1);
     let dy = Tensor::random(g.output(), 0x5eed + 2);
@@ -243,6 +283,86 @@ mod tests {
         // Direct, Gemm-family, FFT-family and Winograd-family all apply.
         assert!(perfs.len() >= 4);
         assert!(perfs.iter().all(|p| p.time_us > 0.0));
+    }
+
+    #[test]
+    fn budgeted_find_is_the_unlimited_find_cut_at_the_budget() {
+        use crate::fault::{FaultPlan, FaultTarget};
+        let (x, w, c) = descs(32);
+        let full = CudnnHandle::simulated(p100_sxm2())
+            .find_algorithms(ConvOp::Forward, &x, &w, &c)
+            .unwrap();
+        let mut budgets: Vec<usize> = full.iter().map(|p| p.memory_bytes).collect();
+        budgets.sort_unstable();
+        budgets.dedup();
+        assert!(budgets.len() >= 3, "the sweep needs distinct workspaces");
+        for budget in budgets {
+            // Failing every attempted algorithm shows what was attempted:
+            // rows over the budget never consult the fault plan.
+            let faulted = CudnnHandle::simulated(p100_sxm2()).with_faults(FaultPlan {
+                targets: vec![FaultTarget::any()],
+                ..FaultPlan::default()
+            });
+            let rows = faulted
+                .find_algorithms_within(ConvOp::Forward, &x, &w, &c, 0..=budget)
+                .unwrap();
+            let fits = full.iter().filter(|p| p.memory_bytes <= budget).count();
+            assert_eq!(faulted.faults_injected(), fits as u64);
+            assert!(rows[fits..]
+                .iter()
+                .all(|p| p.status == AlgoStatus::OverBudget && p.memory_bytes > budget));
+
+            let h = CudnnHandle::simulated(p100_sxm2());
+            let rows = h
+                .find_algorithms_within(ConvOp::Forward, &x, &w, &c, 0..=budget)
+                .unwrap();
+            let want: Vec<&AlgoPerf> = full.iter().filter(|p| p.memory_bytes <= budget).collect();
+            let got: Vec<&AlgoPerf> = rows
+                .iter()
+                .filter(|p| p.status == AlgoStatus::Success)
+                .collect();
+            assert_eq!(got, want, "budget {budget}");
+            // The rest of the window, measured later, completes the sweep.
+            let rest = h
+                .find_algorithms_within(ConvOp::Forward, &x, &w, &c, budget + 1..=usize::MAX)
+                .unwrap();
+            assert_eq!(rest.len() + want.len(), full.len());
+            assert!(rest.iter().all(|p| p.memory_bytes > budget));
+        }
+    }
+
+    #[test]
+    fn cpu_aliases_share_one_measurement() {
+        let h = CudnnHandle::real_cpu();
+        let (x, w, c) = descs(2);
+        let perfs = h.find_algorithms(ConvOp::Forward, &x, &w, &c).unwrap();
+        let row = |a: ConvAlgo| *perfs.iter().find(|p| p.algo == a).unwrap();
+        for (first, alias) in [
+            (ConvAlgo::ImplicitPrecompGemm, ConvAlgo::Gemm),
+            (ConvAlgo::Fft, ConvAlgo::FftTiling),
+        ] {
+            assert_eq!(row(first).time_us, row(alias).time_us);
+            let at = |a: ConvAlgo| perfs.iter().position(|p| p.algo == a).unwrap();
+            assert_eq!(at(first) + 1, at(alias), "ties break by algorithm id");
+        }
+    }
+
+    #[test]
+    fn no_workspace_preference_never_benchmarks_workspace_algorithms() {
+        use crate::fault::{FaultPlan, FaultTarget};
+        let h = CudnnHandle::real_cpu().with_faults(FaultPlan {
+            targets: vec![
+                FaultTarget::algo(ConvAlgo::Fft),
+                FaultTarget::algo(ConvAlgo::FftTiling),
+            ],
+            ..FaultPlan::default()
+        });
+        let (x, w, c) = descs(2);
+        let algo = h
+            .get_algorithm(ConvOp::Forward, &x, &w, &c, AlgoPreference::NoWorkspace)
+            .unwrap();
+        assert_eq!(algo, ConvAlgo::ImplicitGemm);
+        assert_eq!(h.faults_injected(), 0, "FFT was never attempted");
     }
 
     #[test]

@@ -35,7 +35,8 @@ pub struct CallEvent {
     pub micro_batch: usize,
     /// Rendered geometry, identifying the kernel beyond (op, batch).
     pub geometry: String,
-    /// `Find`: number of measured rows. `Exec`: always 1.
+    /// `Find`: number of rows benchmarked (rows over the call's budget
+    /// never run and are not counted). `Exec`: always 1.
     pub rows: usize,
     /// `Exec` on the simulated engine: the modeled kernel time. Zero for
     /// `Find` events and wall-clock-priced CPU executions.

@@ -13,8 +13,8 @@ use ucudnn::{
     OptimizerMode, ServeOptions, UcudnnHandle, UcudnnOptions,
 };
 use ucudnn_cudnn_sim::{
-    ConvOp, ConvolutionDescriptor, CudnnHandle, FaultPlan, FaultSite, FaultTarget,
-    FilterDescriptor, TensorDescriptor,
+    workspace_bytes_on, ConvOp, ConvolutionDescriptor, CudnnHandle, Engine, FaultPlan, FaultSite,
+    FaultTarget, FilterDescriptor, TensorDescriptor,
 };
 use ucudnn_framework::{alexnet, setup_network};
 use ucudnn_gpu_model::{p100_sxm2, ConvAlgo};
@@ -112,6 +112,89 @@ fn fault_free_runs_report_zero_degradations() {
     assert_eq!(json_counter(&json, "degradations"), 0);
     assert_eq!(json_counter(&json, "faults_injected"), 0);
     assert_eq!(json_counter(&json, "db_rows_quarantined"), 0);
+}
+
+#[test]
+fn algorithms_over_budget_are_neither_degradations_nor_retried() {
+    // A retry budget but no fault: skipping an algorithm over the limit is
+    // not a failure, so the tuner neither retries nor degrades — it only
+    // counts the points it never timed.
+    let plan = FaultPlan {
+        transient_tries: 2,
+        ..FaultPlan::default()
+    };
+    for mode in [OptimizerMode::Wr, OptimizerMode::Wd] {
+        let h = handle_with(plan.clone(), mode, 1);
+        setup_network(&h, &alexnet(256)).unwrap();
+        let json = h.metrics_json();
+        assert_eq!(json_counter(&json, "degradations"), 0, "{mode:?}: {json}");
+        assert_eq!(json_counter(&json, "bench_retries"), 0, "{mode:?}: {json}");
+        assert!(
+            json_counter(&json, "bench_points_over_budget") > 0,
+            "{mode:?}: 64 MiB must exclude some algorithms: {json}"
+        );
+    }
+}
+
+#[test]
+fn real_cpu_tuning_never_runs_an_algorithm_over_the_limit() {
+    // Every FFT execution fails, but the WR limit sits below FFT's
+    // workspace at every candidate micro-batch: the budgeted Find never
+    // attempts FFT, so tuning injects no fault at all.
+    let g = ConvGeometry::with_square(
+        Shape4::new(8, 8, 16, 16),
+        FilterShape::new(8, 8, 3, 3),
+        1,
+        1,
+    );
+    let fft_bytes = |m: usize| {
+        workspace_bytes_on(
+            &Engine::RealCpu,
+            ConvAlgo::Fft,
+            ConvOp::Forward,
+            &g.with_batch(m),
+        )
+        .expect("FFT runs this geometry")
+    };
+    let limit = BatchSizePolicy::PowerOfTwo
+        .candidate_sizes(8)
+        .into_iter()
+        .map(fft_bytes)
+        .min()
+        .unwrap()
+        - 1;
+    let h = UcudnnHandle::new(
+        CudnnHandle::real_cpu().with_faults(FaultPlan {
+            targets: vec![
+                FaultTarget::algo(ConvAlgo::Fft),
+                FaultTarget::algo(ConvAlgo::FftTiling),
+            ],
+            ..FaultPlan::default()
+        }),
+        UcudnnOptions {
+            policy: BatchSizePolicy::PowerOfTwo,
+            workspace_limit_bytes: limit,
+            mode: OptimizerMode::Wr,
+            opt_threads: 1,
+            ..Default::default()
+        },
+    );
+    let x = TensorDescriptor::from_shape(g.input).unwrap();
+    let w = FilterDescriptor::from_shape(g.filter).unwrap();
+    let conv = ConvolutionDescriptor::new_2d(1, 1, 1, 1).unwrap();
+    h.get_algorithm(ConvOp::Forward, &x, &w, &conv).unwrap();
+    assert_eq!(
+        h.inner().faults_injected(),
+        0,
+        "{:?}",
+        h.inner().fault_log()
+    );
+    let json = h.metrics_json();
+    assert_eq!(json_counter(&json, "degradations"), 0, "{json}");
+    assert!(
+        json_counter(&json, "bench_points_over_budget") > 0,
+        "{json}"
+    );
 }
 
 #[test]

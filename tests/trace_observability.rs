@@ -166,7 +166,12 @@ fn metrics_json_golden_schema() {
     }
     assert_eq!(v.get("threads").unwrap().as_usize(), Some(2));
     assert!(v.get("kernels_optimized").unwrap().as_usize().unwrap() > 0);
-    for k in ["hits", "misses", "single_flight_waits"] {
+    for k in [
+        "hits",
+        "misses",
+        "single_flight_waits",
+        "bench_points_over_budget",
+    ] {
         assert!(
             v.get("cache").unwrap().get(k).is_some(),
             "cache.{k} missing"
