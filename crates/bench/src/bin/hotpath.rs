@@ -9,7 +9,9 @@
 //!   filter spectra on every call);
 //! * **fast** — the register-blocked packed GEMM with a warm
 //!   [`ucudnn_conv::EnginePlan`], i.e. what a layer's second and later
-//!   micro-batches execute.
+//!   micro-batches execute. The im2col rows time it twice: on one worker
+//!   (`_1t`) and on every execution worker (`_mt`); the other rows are
+//!   single-threaded engines.
 //!
 //! Results go to stdout and to `BENCH_hotpath.json` (override with
 //! `--out <path>`): per-kernel GFLOP/s for both paths plus the speedup.
@@ -18,6 +20,7 @@
 
 use std::time::Instant;
 use ucudnn_conv::gemm::{sgemm, sgemm_ref, Trans};
+use ucudnn_conv::parallel::{max_workers, set_thread_cap};
 use ucudnn_conv::{fft_conv, im2col_gemm, winograd, winograd_f4};
 use ucudnn_tensor::{ConvGeometry, FilterShape, Shape4, Tensor};
 
@@ -27,6 +30,8 @@ struct Kernel<'a> {
     name: &'static str,
     shape: String,
     flops: f64,
+    /// Execution workers the fast path may use (the naive path uses one).
+    workers: usize,
     naive: Box<dyn FnMut() + 'a>,
     fast: Box<dyn FnMut() + 'a>,
 }
@@ -35,6 +40,7 @@ struct Row {
     name: &'static str,
     shape: String,
     flops: f64,
+    workers: usize,
     naive_us: f64,
     fast_us: f64,
 }
@@ -128,6 +134,7 @@ fn main() {
             name: "sgemm",
             shape: format!("{m}x{n}x{k}"),
             flops: 2.0 * (m * n * k) as f64,
+            workers: 1,
             naive: Box::new({
                 let (a, b) = (a.clone(), b.clone());
                 let mut c = c.clone();
@@ -147,6 +154,7 @@ fn main() {
                 name: kern.name,
                 shape: kern.shape.clone(),
                 flops: kern.flops,
+                workers: kern.workers,
                 naive_us,
                 fast_us,
             });
@@ -154,14 +162,15 @@ fn main() {
     }
 
     println!(
-        "{:<28} {:>16} {:>12} {:>12} {:>12} {:>9}",
-        "kernel", "shape", "naive GF/s", "fast GF/s", "fast us", "speedup"
+        "{:<28} {:>16} {:>8} {:>12} {:>12} {:>12} {:>9}",
+        "kernel", "shape", "workers", "naive GF/s", "fast GF/s", "fast us", "speedup"
     );
     for r in &rows {
         println!(
-            "{:<28} {:>16} {:>12.2} {:>12.2} {:>12.1} {:>8.2}x",
+            "{:<28} {:>16} {:>8} {:>12.2} {:>12.2} {:>12.1} {:>8.2}x",
             r.name,
             r.shape,
+            r.workers,
             r.naive_gflops(),
             r.fast_gflops(),
             r.fast_us,
@@ -174,12 +183,13 @@ fn main() {
         .map(|r| {
             format!(
                 "    {{\"name\": \"{}\", \"shape\": \"{}\", \"flops\": {}, \
-                 \"naive_us\": {:.3}, \"fast_us\": {:.3}, \
+                 \"workers\": {}, \"naive_us\": {:.3}, \"fast_us\": {:.3}, \
                  \"naive_gflops\": {:.3}, \"fast_gflops\": {:.3}, \
                  \"speedup\": {:.3}}}",
                 json_escape_free(r.name),
                 json_escape_free(&r.shape),
                 r.flops,
+                r.workers,
                 r.naive_us,
                 r.fast_us,
                 r.naive_gflops(),
@@ -213,8 +223,9 @@ fn planned_conv_kernels(tag: &'static str, g: &ConvGeometry) -> Vec<Kernel<'stat
     let mut kernels = Vec::new();
 
     // im2col+GEMM forward: naive = im2col + sgemm_ref per sample (the
-    // pre-substrate path), fast = warm plan + packed GEMM.
-    {
+    // pre-substrate path), fast = warm plan + packed GEMM, once on one
+    // worker and once on every execution worker.
+    for (suffix, cap) in [("1t", Some(1)), ("mt", None)] {
         let (xa, wa) = (x.clone(), w.clone());
         let mut y = vec![0.0f32; y_len];
         let mut ws = vec![0.0f32; im2col_gemm::workspace_floats(&g)];
@@ -244,15 +255,20 @@ fn planned_conv_kernels(tag: &'static str, g: &ConvGeometry) -> Vec<Kernel<'stat
         let mut ws = vec![0.0f32; im2col_gemm::workspace_floats(&g)];
         let mut plan = ucudnn_conv::plan::GemmPlan::default();
         let fast = Box::new(move || {
+            let prev = set_thread_cap(cap);
             im2col_gemm::forward_with_plan(&g, &xa, &wa, &mut y, 1.0, 0.0, &mut ws, &mut plan);
+            set_thread_cap(prev);
         });
         kernels.push(Kernel {
-            name: match tag {
-                "resnet3x3" => "im2col_fwd_resnet3x3",
-                _ => "im2col_fwd_vgg3x3",
+            name: match (tag, suffix) {
+                ("resnet3x3", "1t") => "im2col_fwd_resnet3x3_1t",
+                ("resnet3x3", _) => "im2col_fwd_resnet3x3_mt",
+                (_, "1t") => "im2col_fwd_vgg3x3_1t",
+                _ => "im2col_fwd_vgg3x3_mt",
             },
             shape: format!("{g}"),
             flops: 2.0 * macs,
+            workers: cap.unwrap_or_else(max_workers),
             naive,
             fast,
         });
@@ -281,6 +297,7 @@ fn planned_conv_kernels(tag: &'static str, g: &ConvGeometry) -> Vec<Kernel<'stat
             },
             shape: format!("{g}"),
             flops: 2.0 * macs,
+            workers: 1,
             naive,
             fast,
         });
@@ -307,6 +324,7 @@ fn planned_conv_kernels(tag: &'static str, g: &ConvGeometry) -> Vec<Kernel<'stat
             },
             shape: format!("{g}"),
             flops: 2.0 * macs,
+            workers: 1,
             naive,
             fast,
         });
@@ -336,6 +354,7 @@ fn planned_conv_kernels(tag: &'static str, g: &ConvGeometry) -> Vec<Kernel<'stat
             },
             shape: format!("{g}"),
             flops: 2.0 * macs,
+            workers: 1,
             naive,
             fast,
         });

@@ -5,8 +5,26 @@
 //! It needs zero workspace, like cuDNN's `IMPLICIT_GEMM`, and serves as the
 //! ground truth every other engine is validated against.
 
-use crate::parallel::par_batch_chunks;
+use crate::parallel::{even_cuts, fork_join, split_at_cuts, workers_for};
 use ucudnn_tensor::ConvGeometry;
+
+/// Split `out`, `units` items of `unit_len` elements, into one contiguous
+/// `(lo, hi, chunk)` range of items per worker of a call on `g`. Each output
+/// element is one sample's (or one filter's) independent loop nest, so any
+/// split computes the same bits.
+fn batch_parts<'a>(
+    g: &ConvGeometry,
+    units: usize,
+    unit_len: usize,
+    out: &'a mut [f32],
+) -> Vec<(usize, usize, &'a mut [f32])> {
+    let cuts = even_cuts(units, workers_for(g.macs(), units));
+    let lens: Vec<usize> = cuts.iter().map(|&u| u * unit_len).collect();
+    cuts.windows(2)
+        .zip(split_at_cuts(out, &lens))
+        .map(|(c, chunk)| (c[0], c[1], chunk))
+        .collect()
+}
 
 /// `y = alpha * conv(x, w) + beta * y`.
 ///
@@ -25,7 +43,7 @@ pub fn forward(g: &ConvGeometry, x: &[f32], w: &[f32], y: &mut [f32], alpha: f32
 
     let out_sample = k * ho * wo;
     let in_sample = c * h * wd;
-    par_batch_chunks(n, out_sample, y, |lo, hi, ychunk| {
+    fork_join(batch_parts(g, n, out_sample, y), |(lo, hi, ychunk)| {
         for ni in lo..hi {
             let xs = &x[ni * in_sample..(ni + 1) * in_sample];
             let ys = &mut ychunk[(ni - lo) * out_sample..(ni - lo + 1) * out_sample];
@@ -76,7 +94,7 @@ pub fn backward_data(
 
     let in_sample = c * h * wd;
     let out_sample = k * ho * wo;
-    par_batch_chunks(n, in_sample, dx, |lo, hi, dxchunk| {
+    fork_join(batch_parts(g, n, in_sample, dx), |(lo, hi, dxchunk)| {
         for ni in lo..hi {
             let dys = &dy[ni * out_sample..(ni + 1) * out_sample];
             let dxs = &mut dxchunk[(ni - lo) * in_sample..(ni - lo + 1) * in_sample];
@@ -143,7 +161,7 @@ pub fn backward_filter(
     // The filter gradient reduces over the batch, so parallelise over the
     // K dimension of dw instead of over samples.
     let per_k = c * r * s;
-    par_batch_chunks(k, per_k, dw, |klo, khi, dwchunk| {
+    fork_join(batch_parts(g, k, per_k, dw), |(klo, khi, dwchunk)| {
         for ki in klo..khi {
             for ci in 0..c {
                 for ri in 0..r {

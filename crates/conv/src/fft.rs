@@ -337,6 +337,35 @@ mod tests {
         }
     }
 
+    /// `fft2d` on a non-square grid against the direct 2-D DFT sum.
+    #[test]
+    fn fft2d_nonsquare_matches_naive() {
+        let (fh, fw) = (4usize, 8usize);
+        let x: Vec<C32> = (0..fh * fw)
+            .map(|i| C32::new((i as f32 * 0.37).sin(), (i as f32 * 0.11).cos()))
+            .collect();
+        let mut got = x.clone();
+        fft2d(&mut got, fh, fw, false);
+        for (i, g) in got.iter().enumerate() {
+            let (u, v) = (i / fw, i % fw);
+            let (mut re, mut im) = (0.0f64, 0.0f64);
+            for (t, xv) in x.iter().enumerate() {
+                let (r, c) = (t / fw, t % fw);
+                let ang = -2.0
+                    * std::f64::consts::PI
+                    * ((u * r) as f64 / fh as f64 + (v * c) as f64 / fw as f64);
+                re += xv.re as f64 * ang.cos() - xv.im as f64 * ang.sin();
+                im += xv.re as f64 * ang.sin() + xv.im as f64 * ang.cos();
+            }
+            assert!(
+                (g.re as f64 - re).abs() < 1e-3 && (g.im as f64 - im).abs() < 1e-3,
+                "mismatch at {i}: got ({}, {}), want ({re}, {im})",
+                g.re,
+                g.im
+            );
+        }
+    }
+
     #[test]
     fn fft2d_roundtrip() {
         let (fh, fw) = (8, 16);

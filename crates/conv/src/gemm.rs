@@ -37,6 +37,7 @@
 //! is overwritten, not propagated.
 
 use core::cell::RefCell;
+use core::ops::Range;
 
 /// Whether an operand is used as stored or transposed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,7 +82,7 @@ const BLOCK: usize = 64;
 
 /// Scale `c` by `beta` with cuDNN semantics: `beta == 0` writes zeros
 /// without reading the prior contents.
-fn scale_beta(c: &mut [f32], beta: f32) {
+pub(crate) fn scale_beta(c: &mut [f32], beta: f32) {
     if beta == 0.0 {
         c.fill(0.0);
     } else if beta != 1.0 {
@@ -201,18 +202,47 @@ pub fn pack_a(trans_a: Trans, m: usize, k: usize, a: &[f32]) -> PackedA {
     PackedA { m, k, buf }
 }
 
+/// Row access to the `C` operand of the macro loop: one loop serves a dense
+/// row-major matrix and a worker's column range of a wider one (one slice
+/// per row, carved with `split_at_mut`).
+trait OutRows {
+    /// Row `i`, exactly as many elements long as `C` has columns.
+    fn row(&mut self, i: usize) -> &mut [f32];
+}
+
+/// A dense row-major `C` with `n` columns.
+struct Dense<'a> {
+    c: &'a mut [f32],
+    n: usize,
+}
+
+impl OutRows for Dense<'_> {
+    #[inline(always)]
+    fn row(&mut self, i: usize) -> &mut [f32] {
+        &mut self.c[i * self.n..(i + 1) * self.n]
+    }
+}
+
+impl OutRows for [&mut [f32]] {
+    #[inline(always)]
+    fn row(&mut self, i: usize) -> &mut [f32] {
+        &mut *self[i]
+    }
+}
+
 /// The `MR x NR` register tile: accumulate `alpha * panelA . panelB` into
 /// the tile of C at `(i0, j0)`, writing back only `rows x cols` (edge tiles
-/// run full-width over the zero padding and mask on writeback).
+/// run full-width over the zero padding and mask on writeback). Every
+/// element of C is one fixed k-ordered chain whatever tile or lane it falls
+/// in, so any split of C's rows or columns computes the same bits.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn microkernel(
+fn microkernel<C: OutRows + ?Sized>(
     k: usize,
     ap: &[f32],
     bp: &[f32],
     alpha: f32,
-    c: &mut [f32],
-    ldc: usize,
+    c: &mut C,
     i0: usize,
     j0: usize,
     rows: usize,
@@ -230,16 +260,16 @@ fn microkernel(
         }
     }
     if rows == MR && cols == NR {
-        for r in 0..MR {
-            let crow = &mut c[(i0 + r) * ldc + j0..][..NR];
-            for (cv, av) in crow.iter_mut().zip(acc[r]) {
+        for (r, accr) in acc.into_iter().enumerate() {
+            let crow = &mut c.row(i0 + r)[j0..][..NR];
+            for (cv, av) in crow.iter_mut().zip(accr) {
                 *cv += alpha * av;
             }
         }
     } else {
-        for r in 0..rows {
-            let crow = &mut c[(i0 + r) * ldc + j0..][..cols];
-            for (cv, av) in crow.iter_mut().zip(acc[r]) {
+        for (r, accr) in acc.into_iter().enumerate().take(rows) {
+            let crow = &mut c.row(i0 + r)[j0..][..cols];
+            for (cv, av) in crow.iter_mut().zip(accr) {
                 *cv += alpha * av;
             }
         }
@@ -249,7 +279,7 @@ fn microkernel(
 /// Macro-loop over packed panels. B panels are the outer loop so each one
 /// stays cache-hot while every A panel streams past it.
 #[allow(clippy::too_many_arguments)]
-fn gemm_packed(
+fn gemm_packed<C: OutRows + ?Sized>(
     m: usize,
     n: usize,
     k: usize,
@@ -257,9 +287,11 @@ fn gemm_packed(
     pa: &[f32],
     pb: &[f32],
     beta: f32,
-    c: &mut [f32],
+    c: &mut C,
 ) {
-    scale_beta(&mut c[..m * n], beta);
+    for i in 0..m {
+        scale_beta(c.row(i), beta);
+    }
     if alpha == 0.0 || m == 0 || n == 0 || k == 0 {
         return;
     }
@@ -269,7 +301,7 @@ fn gemm_packed(
         for pi in 0..m.div_ceil(MR) {
             let rows = MR.min(m - pi * MR);
             let ap = &pa[pi * MR * k..(pi + 1) * MR * k];
-            microkernel(k, ap, bp, alpha, c, n, pi * MR, pj * NR, rows, cols);
+            microkernel(k, ap, bp, alpha, c, pi * MR, pj * NR, rows, cols);
         }
     }
 }
@@ -312,12 +344,70 @@ pub fn sgemm(
     beta: f32,
     c: &mut [f32],
 ) {
+    assert!(c.len() >= m * n, "C too small: {} < {}", c.len(), m * n);
+    sgemm_into(
+        trans_a,
+        trans_b,
+        m,
+        n,
+        k,
+        alpha,
+        a,
+        b,
+        beta,
+        &mut Dense { c, n },
+    );
+}
+
+/// [`sgemm`] into one `n`-long slice per row of `C` (`c_rows.len() == m`):
+/// a worker's column range of a wider output matrix.
+///
+/// # Panics
+/// Panics when a buffer is smaller than its shape requires or a row of `C`
+/// is not `n` long.
+#[allow(clippy::too_many_arguments)] // BLAS/cuDNN-style signature
+pub(crate) fn sgemm_rows(
+    trans_a: Trans,
+    trans_b: Trans,
+    m: usize,
+    n: usize,
+    k: usize,
+    alpha: f32,
+    a: &[f32],
+    b: &[f32],
+    beta: f32,
+    c_rows: &mut [&mut [f32]],
+) {
+    check_rows(c_rows, m, n);
+    sgemm_into(trans_a, trans_b, m, n, k, alpha, a, b, beta, c_rows);
+}
+
+fn check_rows(c_rows: &[&mut [f32]], m: usize, n: usize) {
+    assert_eq!(c_rows.len(), m, "C has {} rows, not {m}", c_rows.len());
+    assert!(
+        c_rows.iter().all(|r| r.len() == n),
+        "C rows must be {n} long"
+    );
+}
+
+#[allow(clippy::too_many_arguments)]
+fn sgemm_into<C: OutRows + ?Sized>(
+    trans_a: Trans,
+    trans_b: Trans,
+    m: usize,
+    n: usize,
+    k: usize,
+    alpha: f32,
+    a: &[f32],
+    b: &[f32],
+    beta: f32,
+    c: &mut C,
+) {
     assert!(a.len() >= m * k, "A too small: {} < {}", a.len(), m * k);
     assert!(b.len() >= k * n, "B too small: {} < {}", b.len(), k * n);
-    assert!(c.len() >= m * n, "C too small: {} < {}", c.len(), m * n);
     if alpha == 0.0 || m == 0 || n == 0 || k == 0 {
-        scale_beta(&mut c[..m * n], beta);
-        return;
+        // Only beta applies; skip packing operands nothing reads.
+        return gemm_packed(m, n, k, alpha, &[], &[], beta, c);
     }
     SCRATCH.with(|s| {
         let s = &mut *s.borrow_mut();
@@ -343,17 +433,44 @@ pub fn sgemm_prepacked_a(
     beta: f32,
     c: &mut [f32],
 ) {
-    let (m, k) = (pa.m, pa.k);
+    sgemm_prepacked_a_rows(pa, 0..pa.m, trans_b, n, alpha, b, beta, c);
+}
+
+/// [`sgemm_prepacked_a`] for the rows `rows` of `op(A)` only, into the dense
+/// `rows.len() x n` matrix `c`: a worker's row range of the product. The
+/// range must start an `MR` row panel, so its panels are a sub-slice of the
+/// packed operand.
+///
+/// # Panics
+/// Panics when `rows` does not start a panel or exceeds `op(A)`, or when `b`
+/// or `c` is smaller than its shape requires.
+#[allow(clippy::too_many_arguments)] // BLAS/cuDNN-style signature
+pub(crate) fn sgemm_prepacked_a_rows(
+    pa: &PackedA,
+    rows: Range<usize>,
+    trans_b: Trans,
+    n: usize,
+    alpha: f32,
+    b: &[f32],
+    beta: f32,
+    c: &mut [f32],
+) {
+    assert!(
+        rows.start.is_multiple_of(MR) && rows.start <= rows.end && rows.end <= pa.m,
+        "rows {rows:?} must start an MR panel of a {}-row operand",
+        pa.m
+    );
+    let (m, k) = (rows.len(), pa.k);
     assert!(b.len() >= k * n, "B too small: {} < {}", b.len(), k * n);
     assert!(c.len() >= m * n, "C too small: {} < {}", c.len(), m * n);
+    let c = &mut Dense { c, n };
     if alpha == 0.0 || m == 0 || n == 0 || k == 0 {
-        scale_beta(&mut c[..m * n], beta);
-        return;
+        return gemm_packed(m, n, k, alpha, &[], &[], beta, c);
     }
     SCRATCH.with(|s| {
         let s = &mut *s.borrow_mut();
         pack_b_into(trans_b, k, n, b, &mut s.b);
-        gemm_packed(m, n, k, alpha, &pa.buf, &s.b, beta, c);
+        gemm_packed(m, n, k, alpha, &pa.buf[rows.start * k..], &s.b, beta, c);
     });
 }
 
@@ -367,6 +484,41 @@ pub fn sgemm_prepacked_a(
 /// # Panics
 /// Panics when `pb` or `c` is smaller than its shape requires.
 pub fn sgemm_prepacked(pa: &PackedA, n: usize, alpha: f32, pb: &[f32], beta: f32, c: &mut [f32]) {
+    assert!(
+        c.len() >= pa.m * n,
+        "C too small: {} < {}",
+        c.len(),
+        pa.m * n
+    );
+    prepacked_into(pa, n, alpha, pb, beta, &mut Dense { c, n });
+}
+
+/// [`sgemm_prepacked`] into one `n`-long slice per row of `C`: a worker's
+/// range of `NR`-column panels of `op(B)` multiplied into its own columns.
+///
+/// # Panics
+/// Panics when `pb` is smaller than its shape requires or `C` does not have
+/// `pa.m()` rows of `n` elements.
+pub(crate) fn sgemm_prepacked_rows(
+    pa: &PackedA,
+    n: usize,
+    alpha: f32,
+    pb: &[f32],
+    beta: f32,
+    c_rows: &mut [&mut [f32]],
+) {
+    check_rows(c_rows, pa.m, n);
+    prepacked_into(pa, n, alpha, pb, beta, c_rows);
+}
+
+fn prepacked_into<C: OutRows + ?Sized>(
+    pa: &PackedA,
+    n: usize,
+    alpha: f32,
+    pb: &[f32],
+    beta: f32,
+    c: &mut C,
+) {
     let (m, k) = (pa.m, pa.k);
     assert!(
         pb.len() >= packed_b_len(k, n),
@@ -374,11 +526,6 @@ pub fn sgemm_prepacked(pa: &PackedA, n: usize, alpha: f32, pb: &[f32], beta: f32
         pb.len(),
         packed_b_len(k, n)
     );
-    assert!(c.len() >= m * n, "C too small: {} < {}", c.len(), m * n);
-    if alpha == 0.0 || m == 0 || n == 0 || k == 0 {
-        scale_beta(&mut c[..m * n], beta);
-        return;
-    }
     gemm_packed(m, n, k, alpha, &pa.buf, pb, beta, c);
 }
 
@@ -423,10 +570,6 @@ pub fn sgemm_prepacked_batch(
         pas.len() * m * n
     );
     for (xi, pa) in pas.iter().enumerate() {
-        if alpha == 0.0 || m == 0 || n == 0 || k == 0 {
-            scale_beta(&mut c[xi * m * n..(xi + 1) * m * n], beta);
-            continue;
-        }
         gemm_packed(
             m,
             n,
@@ -435,7 +578,10 @@ pub fn sgemm_prepacked_batch(
             &pa.buf,
             &pb[xi * pbl..(xi + 1) * pbl],
             beta,
-            &mut c[xi * m * n..(xi + 1) * m * n],
+            &mut Dense {
+                c: &mut c[xi * m * n..(xi + 1) * m * n],
+                n,
+            },
         );
     }
 }

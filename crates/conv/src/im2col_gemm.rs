@@ -10,11 +10,32 @@
 //! operand). The explicit lowering is what gives this algorithm its
 //! workspace appetite in cuDNN; the *model* of the GPU algorithm's workspace
 //! lives in `ucudnn-gpu-model`.
+//!
+//! Every call runs on `parallel::workers_for` workers with one
+//! fork/join, inside the same one-sample workspace. Each worker owns a slice
+//! of the column buffer and the output elements it feeds, for every sample
+//! of the call, so workers never wait for each other:
+//!
+//! * **Forward** splits the `NR`-column panels of the packed column buffer:
+//!   a worker lowers its panels and multiplies them into its own columns of
+//!   `y`.
+//! * **BackwardData** splits the input channels at `MR` row panels of the
+//!   packed `Wᵀ`: a worker computes its channels' rows of the column buffer
+//!   and `col2im`s them into its own channels of `dx`.
+//! * **BackwardFilter** splits the column-buffer rows (filter taps): a
+//!   worker lowers its rows and accumulates its own columns of `dw`.
+//!
+//! Every output element keeps its micro-kernel chain and its `col2im`
+//! accumulation order, so the result is bit-identical for every worker
+//! count.
 
-use crate::gemm::{sgemm, sgemm_prepacked, sgemm_prepacked_a, Trans};
-use crate::im2col::{col2im_add, im2col, im2col_packed_b, packed_col_len};
+use crate::gemm::{
+    scale_beta, sgemm_prepacked_a_rows, sgemm_prepacked_rows, sgemm_rows, Trans, MR, NR,
+};
+use crate::im2col::{col2im_add, im2col_packed_b, im2col_rows, packed_col_len};
+use crate::parallel::{even_cuts, fork_join, split_at_cuts, split_columns, workers_for};
 use crate::plan::GemmPlan;
-use ucudnn_tensor::ConvGeometry;
+use ucudnn_tensor::{ConvGeometry, FilterShape, Shape4};
 
 /// Workspace (in `f32` elements) required by this engine for any of the
 /// three convolution operations: the single-sample column buffer, rounded up
@@ -31,6 +52,29 @@ fn check_ws(g: &ConvGeometry, ws: &[f32]) {
         ws.len(),
         workspace_floats(g)
     );
+}
+
+/// `cuts` scaled by `unit_len`: unit cut points as element offsets.
+fn scaled(cuts: &[usize], unit_len: usize) -> Vec<usize> {
+    cuts.iter().map(|&c| c * unit_len).collect()
+}
+
+/// `g` restricted to `c` input channels: the geometry of one worker's
+/// channel range, for `col2im` over that range alone.
+fn with_channels(g: &ConvGeometry, c: usize) -> ConvGeometry {
+    ConvGeometry {
+        input: Shape4 { c, ..g.input },
+        filter: FilterShape { c, ..g.filter },
+        ..*g
+    }
+}
+
+fn gcd(a: usize, b: usize) -> usize {
+    if b == 0 {
+        a
+    } else {
+        gcd(b, a % b)
+    }
 }
 
 /// `y = alpha * conv(x, w) + beta * y` via per-sample im2col + GEMM.
@@ -66,26 +110,37 @@ pub fn forward_with_plan(
     let (k, crs) = (g.filter.k, g.input.c * g.filter.r * g.filter.s);
     let howo = g.out_h() * g.out_w();
     let in_sample = g.input.sample_len();
-    let out_sample = k * howo;
     assert_eq!(x.len(), g.input.len(), "x buffer mismatch");
     assert_eq!(w.len(), g.filter.len(), "w buffer mismatch");
-    assert_eq!(y.len(), n * out_sample, "y buffer mismatch");
+    assert_eq!(y.len(), n * k * howo, "y buffer mismatch");
 
     let packed_w = plan.packed_forward(k, crs, w);
-    let pcol = &mut ws[..packed_col_len(g)];
-    for ni in 0..n {
-        // Fused im2col + pack: columns land directly in packed-B panels.
-        im2col_packed_b(g, &x[ni * in_sample..(ni + 1) * in_sample], pcol);
-        // y[n] (K x HoWo) = alpha * W (K x CRS) @ col (CRS x HoWo) + beta * y[n]
-        sgemm_prepacked(
-            packed_w,
-            howo,
-            alpha,
-            pcol,
-            beta,
-            &mut y[ni * out_sample..(ni + 1) * out_sample],
-        );
-    }
+    // Worker i owns packed-B panels [cuts[i], cuts[i+1]) and the matching
+    // columns of every output row.
+    let panels = howo.div_ceil(NR);
+    let cuts = even_cuts(panels, workers_for(g.macs(), panels));
+    let cols: Vec<usize> = cuts.iter().map(|&p| (p * NR).min(howo)).collect();
+    let pcols = split_at_cuts(&mut ws[..packed_col_len(g)], &scaled(&cuts, NR * crs));
+    let parts: Vec<_> = cuts
+        .windows(2)
+        .zip(cols.windows(2))
+        .zip(pcols)
+        .zip(split_columns(y, n * k, &cols))
+        .collect();
+    fork_join(parts, |(((p, c), pcol), mut rows)| {
+        for ni in 0..n {
+            // Fused im2col + pack: columns land directly in packed-B panels.
+            im2col_packed_b(
+                g,
+                &x[ni * in_sample..(ni + 1) * in_sample],
+                p[0]..p[1],
+                pcol,
+            );
+            // y[n] (K x cols) = alpha * W (K x CRS) @ col (CRS x cols) + beta * y[n]
+            let yrows = &mut rows[ni * k..(ni + 1) * k];
+            sgemm_prepacked_rows(packed_w, c[1] - c[0], alpha, pcol, beta, yrows);
+        }
+    });
 }
 
 /// `dx = alpha * grad_x + beta * dx` via GEMM + col2im.
@@ -116,38 +171,48 @@ pub fn backward_data_with_plan(
 ) {
     check_ws(g, ws);
     let n = g.input.n;
-    let (k, crs) = (g.filter.k, g.input.c * g.filter.r * g.filter.s);
+    let (c, rs, k) = (g.input.c, g.filter.r * g.filter.s, g.filter.k);
     let howo = g.out_h() * g.out_w();
-    let in_sample = g.input.sample_len();
-    let out_sample = k * howo;
+    let (hw, out_sample) = (g.input.h * g.input.w, k * howo);
     assert_eq!(dy.len(), n * out_sample, "dy buffer mismatch");
     assert_eq!(w.len(), g.filter.len(), "w buffer mismatch");
     assert_eq!(dx.len(), g.input.len(), "dx buffer mismatch");
 
-    let packed_wt = plan.packed_backward_data(crs, k, w);
-    let col = &mut ws[..crs * howo];
-    for ni in 0..n {
-        // col (CRS x HoWo) = W^T (CRS x K) @ dy[n] (K x HoWo)
-        sgemm_prepacked_a(
-            packed_wt,
-            Trans::No,
-            howo,
-            1.0,
-            &dy[ni * out_sample..(ni + 1) * out_sample],
-            0.0,
-            col,
-        );
-        let dxs = &mut dx[ni * in_sample..(ni + 1) * in_sample];
-        if beta == 0.0 {
+    let packed_wt = plan.packed_backward_data(c * rs, k, w);
+    // Worker i owns input channels [cuts[i], cuts[i+1]): whole blocks of
+    // `step` channels, the fewest whose column-buffer rows fill MR panels.
+    let step = MR / gcd(rs, MR);
+    let blocks = c.div_ceil(step);
+    let cuts: Vec<usize> = even_cuts(blocks, workers_for(g.macs(), blocks))
+        .iter()
+        .map(|&b| (b * step).min(c))
+        .collect();
+    let cols = split_at_cuts(&mut ws[..c * rs * howo], &scaled(&cuts, rs * howo));
+    let parts: Vec<_> = cuts
+        .windows(2)
+        .zip(cols)
+        .zip(split_columns(dx, n, &scaled(&cuts, hw)))
+        .collect();
+    fork_join(parts, |((ch, col), mut dxs)| {
+        let sub = with_channels(g, ch[1] - ch[0]);
+        for (ni, dxs) in dxs.iter_mut().enumerate() {
+            // col (rows x HoWo) = W^T[rows] (rows x K) @ dy[n] (K x HoWo)
+            let dys = &dy[ni * out_sample..(ni + 1) * out_sample];
+            sgemm_prepacked_a_rows(
+                packed_wt,
+                ch[0] * rs..ch[1] * rs,
+                Trans::No,
+                howo,
+                1.0,
+                dys,
+                0.0,
+                col,
+            );
             // cuDNN semantics: beta == 0 must not read the output buffer.
-            dxs.fill(0.0);
-        } else if beta != 1.0 {
-            for v in dxs.iter_mut() {
-                *v *= beta;
-            }
+            scale_beta(dxs, beta);
+            col2im_add(&sub, col, dxs, alpha);
         }
-        col2im_add(g, col, dxs, alpha);
-    }
+    });
 }
 
 /// `dw = alpha * grad_w + beta * dw` via im2col + GEMM, reducing over the
@@ -171,31 +236,38 @@ pub fn backward_filter(
     assert_eq!(dy.len(), n * out_sample, "dy buffer mismatch");
     assert_eq!(dw.len(), g.filter.len(), "dw buffer mismatch");
 
-    let col = &mut ws[..crs * howo];
-    if beta == 0.0 {
-        // cuDNN semantics: beta == 0 must not read the output buffer.
-        dw.fill(0.0);
-    } else if beta != 1.0 {
-        for v in dw.iter_mut() {
-            *v *= beta;
+    // Worker i owns column-buffer rows [cuts[i], cuts[i+1]) and the same
+    // columns of dw.
+    let cuts = even_cuts(crs, workers_for(g.macs(), crs));
+    let cols = split_at_cuts(&mut ws[..crs * howo], &scaled(&cuts, howo));
+    let parts: Vec<_> = cuts
+        .windows(2)
+        .zip(cols)
+        .zip(split_columns(dw, k, &cuts))
+        .collect();
+    fork_join(parts, |((r, col), mut dw_rows)| {
+        for seg in dw_rows.iter_mut() {
+            // cuDNN semantics: beta == 0 must not read the output buffer.
+            scale_beta(seg, beta);
         }
-    }
-    for ni in 0..n {
-        im2col(g, &x[ni * in_sample..(ni + 1) * in_sample], col);
-        // dw (K x CRS) += alpha * dy[n] (K x HoWo) @ col^T (HoWo x CRS)
-        sgemm(
-            Trans::No,
-            Trans::Yes,
-            k,
-            crs,
-            howo,
-            alpha,
-            &dy[ni * out_sample..(ni + 1) * out_sample],
-            col,
-            1.0,
-            dw,
-        );
-    }
+        for ni in 0..n {
+            im2col_rows(g, &x[ni * in_sample..(ni + 1) * in_sample], r[0]..r[1], col);
+            // dw[:, rows] (K x rows) += alpha * dy[n] (K x HoWo) @ col[rows]^T
+            let dys = &dy[ni * out_sample..(ni + 1) * out_sample];
+            sgemm_rows(
+                Trans::No,
+                Trans::Yes,
+                k,
+                r[1] - r[0],
+                howo,
+                alpha,
+                dys,
+                col,
+                1.0,
+                &mut dw_rows,
+            );
+        }
+    });
 }
 
 #[cfg(test)]

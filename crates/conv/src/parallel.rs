@@ -1,17 +1,31 @@
-//! Batch-parallel execution helper.
+//! Fork/join for one engine call.
 //!
-//! The mini-batch loop of a convolution has no cross-sample dependencies
-//! (the observation μ-cuDNN itself is built on), so the CPU engines can run
-//! disjoint batch ranges on scoped threads. Each worker gets an exclusive
-//! `&mut` slice of the output, so the parallelism is data-race free by
-//! construction.
+//! An engine splits the output of a call into disjoint parts, one per
+//! worker, and runs them with `fork_join`: the first part on the calling
+//! thread, the others on scoped threads, one fork/join per call. Each part
+//! owns `&mut` slices carved with `split_at_mut` (`split_at_cuts`,
+//! `split_columns`), so the split is data-race free by construction and
+//! needs no `unsafe`. The engines keep every output element's arithmetic and
+//! reduction order independent of the split, so results are bit-identical
+//! for every worker count.
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
+/// Multiply-adds each worker of a call must get before the call forks.
+///
+/// A scoped spawn and join costs 11–40 µs on a 2-vCPU x86-64 VM, and the
+/// im2col+GEMM engine runs 8 Mi multiply-adds in 0.35–0.9 ms on one of its
+/// cores. Forced splits below this lost up to a third; above it they lost
+/// at most 14% while the second vCPU was busy and gained up to 1.9× while
+/// it was free. A call below it runs inline as the one-worker case of the
+/// same code: every call of a small serving model and every micro-batch of
+/// a small layer (DESIGN.md §11).
+pub const MIN_MACS_PER_WORKER: u128 = 8 << 20;
+
 /// Hardware parallelism, probed once per process (`available_parallelism`
-/// takes a syscall on some platforms — too hot for a per-GEMM query).
+/// takes a syscall on some platforms — too hot for a per-call query).
 fn hardware_threads() -> usize {
     static HW: OnceLock<usize> = OnceLock::new();
     *HW.get_or_init(|| {
@@ -55,49 +69,80 @@ pub fn max_workers() -> usize {
     env_thread_cap().unwrap_or_else(hardware_threads)
 }
 
-/// Number of worker threads to use for a batch of `n` samples.
-fn worker_count(n: usize) -> usize {
-    max_workers().min(n).max(1)
+/// Workers for a call of `macs` multiply-adds whose output splits into
+/// `units` parts: at most [`max_workers`], at most one per unit, and at
+/// least [`MIN_MACS_PER_WORKER`] multiply-adds each (never fewer than one).
+pub(crate) fn workers_for(macs: u128, units: usize) -> usize {
+    let by_work = usize::try_from(macs / MIN_MACS_PER_WORKER).unwrap_or(usize::MAX);
+    max_workers().min(units).min(by_work).max(1)
 }
 
-/// Run `body(batch_lo, batch_hi, out_chunk)` over disjoint, contiguous batch
-/// ranges in parallel. `out` must have exactly `n * sample_len` elements; the
-/// chunk passed to `body` covers samples `[batch_lo, batch_hi)`.
-///
-/// Falls back to a single inline call for tiny batches so tests and
-/// micro-batches of size 1 don't pay thread-spawn costs.
-pub fn par_batch_chunks<F>(n: usize, sample_len: usize, out: &mut [f32], body: F)
-where
-    F: Fn(usize, usize, &mut [f32]) + Sync,
-{
-    assert_eq!(
-        out.len(),
-        n * sample_len,
-        "output length must be n * sample_len"
-    );
-    if n == 0 {
-        return;
-    }
-    let workers = worker_count(n);
-    if workers == 1 || n < 4 {
-        body(0, n, out);
-        return;
-    }
-    // Split the batch into `workers` nearly-equal contiguous ranges.
-    let base = n / workers;
-    let extra = n % workers;
-    std::thread::scope(|scope| {
-        let mut rest = out;
-        let mut lo = 0;
-        for widx in 0..workers {
-            let take = base + usize::from(widx < extra);
-            let (chunk, tail) = rest.split_at_mut(take * sample_len);
+/// Cut points `0 = c₀ ≤ c₁ ≤ … ≤ c_parts = units` splitting `units` into
+/// `parts` contiguous ranges whose sizes differ by at most one.
+pub(crate) fn even_cuts(units: usize, parts: usize) -> Vec<usize> {
+    let parts = parts.max(1);
+    (0..=parts).map(|i| units * i / parts).collect()
+}
+
+/// Split `buf` into the contiguous chunks `[cuts[i], cuts[i+1])`. `cuts`
+/// starts at 0 and ends at `buf.len()`.
+pub(crate) fn split_at_cuts<'a>(buf: &'a mut [f32], cuts: &[usize]) -> Vec<&'a mut [f32]> {
+    assert_eq!(cuts.first(), Some(&0), "cuts must start at 0");
+    assert_eq!(cuts.last(), Some(&buf.len()), "cuts must end at the length");
+    let mut rest = buf;
+    cuts.windows(2)
+        .map(|c| {
+            let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(c[1] - c[0]);
             rest = tail;
-            let hi = lo + take;
-            let body = &body;
-            scope.spawn(move || body(lo, hi, chunk));
-            lo = hi;
+            chunk
+        })
+        .collect()
+}
+
+/// Split each of the `rows` rows of `buf` at the column `cuts` (starting at
+/// 0, ending at the row length): part `i` gets, in row order, the segment
+/// `[cuts[i], cuts[i+1])` of every row — a worker's column range of a
+/// row-major matrix, or its channel range of every sample.
+pub(crate) fn split_columns<'a>(
+    buf: &'a mut [f32],
+    rows: usize,
+    cuts: &[usize],
+) -> Vec<Vec<&'a mut [f32]>> {
+    let row_len = cuts.last().copied().unwrap_or(0);
+    assert_eq!(
+        buf.len(),
+        rows * row_len,
+        "buffer must be rows x row length"
+    );
+    let mut parts: Vec<Vec<&mut [f32]>> =
+        (1..cuts.len()).map(|_| Vec::with_capacity(rows)).collect();
+    let mut rest = buf;
+    for _ in 0..rows {
+        let (row, tail) = std::mem::take(&mut rest).split_at_mut(row_len);
+        rest = tail;
+        for (part, seg) in parts.iter_mut().zip(split_at_cuts(row, cuts)) {
+            part.push(seg);
         }
+    }
+    parts
+}
+
+/// Run `body` on every part: the first on the calling thread, the others on
+/// scoped threads, and return when all are done. One part runs inline with
+/// no spawn at all.
+pub(crate) fn fork_join<T: Send>(parts: Vec<T>, body: impl Fn(T) + Sync) {
+    let mut parts = parts.into_iter();
+    let Some(first) = parts.next() else { return };
+    if parts.len() == 0 {
+        body(first);
+        return;
+    }
+    let body = &body;
+    std::thread::scope(|scope| {
+        for part in parts {
+            scope.spawn(move || body(part));
+        }
+        body(first);
     });
 }
 
@@ -106,72 +151,75 @@ mod tests {
     use super::*;
 
     #[test]
-    fn covers_every_sample_exactly_once() {
-        let n = 37;
-        let sample_len = 5;
-        let mut out = vec![0.0f32; n * sample_len];
-        par_batch_chunks(n, sample_len, &mut out, |lo, hi, chunk| {
-            assert_eq!(chunk.len(), (hi - lo) * sample_len);
-            for (i, v) in chunk.iter_mut().enumerate() {
-                *v += (lo * sample_len + i) as f32;
+    fn even_cuts_cover_the_range_in_balanced_parts() {
+        assert_eq!(even_cuts(10, 3), vec![0, 3, 6, 10]);
+        assert_eq!(even_cuts(2, 4), vec![0, 0, 1, 1, 2]);
+        assert_eq!(even_cuts(7, 1), vec![0, 7]);
+        assert_eq!(even_cuts(5, 0), vec![0, 5], "zero parts means one");
+        for (units, parts) in [(37, 2), (37, 3), (64, 8), (1, 1)] {
+            let c = even_cuts(units, parts);
+            let sizes: Vec<usize> = c.windows(2).map(|w| w[1] - w[0]).collect();
+            assert_eq!(sizes.iter().sum::<usize>(), units);
+            assert!(sizes.iter().max().unwrap() - sizes.iter().min().unwrap() <= 1);
+        }
+    }
+
+    #[test]
+    fn split_columns_hands_out_every_element_once() {
+        let (rows, row_len) = (5, 7);
+        let mut buf = vec![0.0f32; rows * row_len];
+        let cuts = [0, 2, 3, 7];
+        let parts = split_columns(&mut buf, rows, &cuts);
+        assert_eq!(parts.len(), 3);
+        fork_join(parts.into_iter().enumerate().collect(), |(i, segs)| {
+            assert_eq!(segs.len(), rows);
+            for seg in segs {
+                assert_eq!(seg.len(), cuts[i + 1] - cuts[i]);
+                for v in seg.iter_mut() {
+                    *v += (i + 1) as f32;
+                }
             }
         });
-        for (i, v) in out.iter().enumerate() {
-            assert_eq!(
-                *v, i as f32,
-                "sample element {i} touched wrong number of times"
-            );
+        for row in buf.chunks(row_len) {
+            assert_eq!(row, &[1.0, 1.0, 2.0, 3.0, 3.0, 3.0, 3.0]);
         }
     }
 
     #[test]
-    fn handles_empty_batch() {
-        let mut out: Vec<f32> = vec![];
-        par_batch_chunks(0, 7, &mut out, |_, _, _| panic!("must not be called"));
-    }
-
-    #[test]
-    fn handles_single_sample() {
-        let mut out = vec![0.0f32; 3];
-        par_batch_chunks(1, 3, &mut out, |lo, hi, chunk| {
-            assert_eq!((lo, hi), (0, 1));
-            chunk.fill(2.0);
+    fn fork_join_runs_each_part_once() {
+        let mut out = vec![0.0f32; 12];
+        let cuts = even_cuts(12, 4);
+        let chunks = split_at_cuts(&mut out, &cuts);
+        fork_join(cuts.windows(2).zip(chunks).collect(), |(c, chunk)| {
+            for (v, i) in chunk.iter_mut().zip(c[0]..) {
+                *v += i as f32;
+            }
         });
-        assert_eq!(out, vec![2.0; 3]);
+        assert_eq!(out, (0..12).map(|i| i as f32).collect::<Vec<_>>());
+        fork_join(Vec::<()>::new(), |()| panic!("no parts, no calls"));
     }
 
     #[test]
-    #[should_panic(expected = "output length")]
-    fn rejects_bad_output_length() {
+    #[should_panic(expected = "cuts must end at the length")]
+    fn split_at_cuts_rejects_short_cuts() {
         let mut out = vec![0.0f32; 5];
-        par_batch_chunks(2, 3, &mut out, |_, _, _| {});
+        split_at_cuts(&mut out, &[0, 3]);
     }
 
-    /// Thread-cap override wins over env/hardware and results stay correct
-    /// at every cap (the split only changes chunk boundaries, not coverage).
+    /// The cap bounds the worker count, and work below the per-worker
+    /// minimum never forks.
     #[test]
-    fn thread_cap_override_bounds_workers_and_preserves_results() {
-        let n = 16;
-        let sample_len = 3;
-        let run = |cap: Option<usize>| {
-            let prev = set_thread_cap(cap);
-            let mut out = vec![0.0f32; n * sample_len];
-            par_batch_chunks(n, sample_len, &mut out, |lo, _hi, chunk| {
-                for (i, v) in chunk.iter_mut().enumerate() {
-                    *v = (lo * sample_len + i) as f32 * 2.0;
-                }
-            });
-            set_thread_cap(prev);
-            out
-        };
-        let baseline = run(Some(1));
-        for cap in [2, 8, 64] {
-            assert_eq!(run(Some(cap)), baseline, "cap={cap} changed results");
-        }
-        assert!(worker_count(4) <= max_workers());
-        let prev = set_thread_cap(Some(2));
-        assert_eq!(max_workers(), 2);
-        assert_eq!(worker_count(100), 2);
+    fn workers_follow_the_cap_the_units_and_the_work() {
+        let prev = set_thread_cap(Some(3));
+        assert_eq!(max_workers(), 3);
+        let big = 100 * MIN_MACS_PER_WORKER;
+        assert_eq!(workers_for(big, 100), 3);
+        assert_eq!(workers_for(big, 2), 2, "at most one worker per unit");
+        assert_eq!(workers_for(big, 0), 1);
+        assert_eq!(workers_for(MIN_MACS_PER_WORKER - 1, 100), 1);
+        assert_eq!(workers_for(2 * MIN_MACS_PER_WORKER, 100), 2);
+        set_thread_cap(Some(1));
+        assert_eq!(workers_for(big, 100), 1);
         set_thread_cap(prev);
     }
 }

@@ -21,16 +21,40 @@ use crate::fft::{FftTables, C32};
 use crate::gemm::{pack_a, PackedA, Trans};
 use crate::EngineKind;
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// Independent FNV chains of [`fingerprint_f32`].
+const LANES: usize = 32;
+
+/// One FNV-1a step: xor a word in, multiply by the prime.
+#[inline(always)]
+fn fnv(h: u64, word: u64) -> u64 {
+    (h ^ word).wrapping_mul(FNV_PRIME)
+}
+
 /// 64-bit FNV-1a-style fingerprint over the raw bits of an `f32` slice.
-/// Used to revalidate filter-derived plan state; collisions only cost
-/// correctness if two distinct filters collide *and* share a geometry key,
-/// which FNV makes vanishingly unlikely for non-adversarial training data.
+/// Used to revalidate filter-derived plan state on every call, so it runs
+/// 32 independent chains over words of two floats (one serial chain
+/// waits a multiply latency per element), then folds the chains and the
+/// tail into one. Each step is a bijection of its chain, so changing any
+/// single element always changes the fingerprint. Distinct filters collide
+/// only if they share a geometry key and the 64-bit hashes, which FNV makes
+/// vanishingly unlikely for non-adversarial training data.
 pub fn fingerprint_f32(data: &[f32]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for v in data {
-        h = (h ^ u64::from(v.to_bits())).wrapping_mul(0x0000_0100_0000_01b3);
+    let mut lanes = [FNV_OFFSET; LANES];
+    let mut groups = data.chunks_exact(2 * LANES);
+    for group in &mut groups {
+        for (h, pair) in lanes.iter_mut().zip(group.chunks_exact(2)) {
+            let word = u64::from(pair[0].to_bits()) | u64::from(pair[1].to_bits()) << 32;
+            *h = fnv(*h, word);
+        }
     }
-    h
+    let folded = lanes.into_iter().fold(FNV_OFFSET, fnv);
+    groups
+        .remainder()
+        .iter()
+        .fold(folded, |h, v| fnv(h, u64::from(v.to_bits())))
 }
 
 /// Cached state for the im2col+GEMM engine: the filter packed as the `A`
@@ -275,6 +299,47 @@ mod tests {
         assert_ne!(fingerprint_f32(&a), fingerprint_f32(&c));
         // 0.0 and -0.0 have different bits — fingerprint sees raw bits.
         assert_ne!(fingerprint_f32(&[0.0]), fingerprint_f32(&[-0.0]));
+    }
+
+    /// A one-ulp change to any single element — first, middle, last of the
+    /// lane groups, or in the tail after them — changes the fingerprint and
+    /// invalidates the packed filter.
+    #[test]
+    fn one_ulp_change_anywhere_invalidates_the_packed_filter() {
+        use crate::gemm::sgemm_prepacked_a;
+        let group = 2 * LANES;
+        for len in [3 * group, 3 * group + 5] {
+            let (m, k) = (1, len);
+            let w: Vec<f32> = (0..len).map(|i| (i as f32 * 0.37).sin() + 2.0).collect();
+            let mut plan = GemmPlan::default();
+            plan.packed_forward(m, k, &w);
+            let tail = len - len % group;
+            let mut at = vec![0, len / 2, tail - 1, len - 1];
+            if tail < len {
+                at.push(tail + 1);
+            }
+            for i in at {
+                let mut w2 = w.clone();
+                w2[i] = f32::from_bits(w[i].to_bits() + 1);
+                assert_ne!(
+                    fingerprint_f32(&w),
+                    fingerprint_f32(&w2),
+                    "len {len}, element {i}"
+                );
+                // W @ I reproduces the packed filter exactly.
+                let mut eye = vec![0.0f32; k * k];
+                eye.iter_mut().step_by(k + 1).for_each(|v| *v = 1.0);
+                let mut got = vec![0.0f32; k];
+                let packed = plan.packed_forward(m, k, &w2);
+                sgemm_prepacked_a(packed, Trans::No, k, 1.0, &eye, 0.0, &mut got);
+                assert_eq!(
+                    got[i].to_bits(),
+                    w2[i].to_bits(),
+                    "len {len}: stale pack at {i}"
+                );
+                plan.packed_forward(m, k, &w);
+            }
+        }
     }
 
     #[test]

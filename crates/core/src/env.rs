@@ -14,7 +14,7 @@
 //! | `UCUDNN_TRACE_FORMAT` | `jsonl` / `chrome` | [`crate::trace::TraceConfig::format`] |
 //! | `UCUDNN_TRACE_CLOCK` | `wall` / `logical` | [`crate::trace::TraceConfig::clock`] |
 //! | `UCUDNN_TRACE_BUF` | event-buffer capacity ≥ 1 | [`crate::trace::TraceConfig::capacity`] |
-//! | `UCUDNN_EXEC_THREADS` | execution worker threads ≥ 1 | `ucudnn_conv::parallel::max_workers` (batch-parallel engine cap) |
+//! | `UCUDNN_EXEC_THREADS` | execution worker threads ≥ 1 | `ucudnn_conv::parallel::max_workers` (workers per direct or im2col+GEMM call; results are bit-identical at any value) |
 //! | `UCUDNN_EXEC_CACHE_BYTES` | bytes, or suffixed `K`/`M`/`G` (binary); `0` disables | execution-plan cache capacity in the cuDNN simulation layer |
 //! | `UCUDNN_SERVE_SLO_US` | deadline budget per request, µs ≥ 1 | [`ServeOptions::slo_us`] |
 //! | `UCUDNN_SERVE_QUEUE_CAP` | admission-queue capacity ≥ 1 | [`ServeOptions::queue_cap`] |

@@ -25,7 +25,6 @@ use crate::env::EnvError;
 use crate::json::{self, Value};
 use crate::kernel::KernelKey;
 use parking_lot::Mutex;
-use std::cell::RefCell;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -364,18 +363,23 @@ impl Collector {
     }
 }
 
-/// Thread-local recorder. Dropping it (thread exit) flushes the tail, so
-/// scoped optimizer workers lose no events.
-struct LocalBuf(Vec<TraceEvent>);
+/// One thread's recorder. The thread holds it in a thread-local and
+/// [`BUFFERS`] holds it too, so the collector can drain a thread's unflushed
+/// tail itself: a scoped worker's thread-local destructors run after
+/// `thread::scope` has joined it, too late for a session finishing right
+/// after the join.
+type LocalBuf = Arc<Mutex<Vec<TraceEvent>>>;
 
-impl Drop for LocalBuf {
-    fn drop(&mut self) {
-        flush_local(&mut self.0);
-    }
-}
+/// The buffer of every live thread that has recorded, plus those of threads
+/// that exited since the last drain.
+static BUFFERS: Mutex<Vec<LocalBuf>> = Mutex::new(Vec::new());
 
 thread_local! {
-    static LOCAL: RefCell<LocalBuf> = const { RefCell::new(LocalBuf(Vec::new())) };
+    static LOCAL: LocalBuf = {
+        let buf = LocalBuf::default();
+        BUFFERS.lock().push(Arc::clone(&buf));
+        buf
+    };
     static TID: u64 = NEXT_TID.fetch_add(1, Ordering::Relaxed);
 }
 
@@ -390,12 +394,23 @@ fn flush_local(buf: &mut Vec<TraceEvent>) {
     }
 }
 
+/// Drain every thread's buffer: into the active collector, or (with none)
+/// discarding stragglers recorded as the previous session closed. Buffers
+/// of exited threads are drained once more and then released.
+fn drain_all() {
+    let mut buffers = BUFFERS.lock();
+    for buf in buffers.iter() {
+        flush_local(&mut buf.lock());
+    }
+    buffers.retain(|b| Arc::strong_count(b) > 1);
+}
+
 fn record(event: TraceEvent) {
     LOCAL.with(|l| {
-        let mut l = l.borrow_mut();
-        l.0.push(event);
-        if l.0.len() >= FLUSH_CHUNK {
-            flush_local(&mut l.0);
+        let mut l = l.lock();
+        l.push(event);
+        if l.len() >= FLUSH_CHUNK {
+            flush_local(&mut l);
         }
     });
 }
@@ -530,6 +545,7 @@ pub fn session(config: TraceConfig) -> TraceSession {
         events: Mutex::new(Vec::new()),
         dropped: AtomicU64::new(0),
     });
+    drain_all();
     *COLLECTOR.lock() = Some(Arc::clone(&collector));
     // Bridge substrate find/exec hooks into trace events. Args carry only
     // modeled quantities, keeping logical-mode traces deterministic.
@@ -590,8 +606,10 @@ impl TraceSession {
         self.finished = true;
         ENABLED.store(false, Ordering::SeqCst);
         ucudnn_cudnn_sim::set_call_observer(None);
-        // Drain this thread's recorder; worker threads flushed at exit.
-        LOCAL.with(|l| flush_local(&mut l.borrow_mut().0));
+        // Every event emitted before now sits in some thread's buffer or in
+        // the collector, including those of joined workers whose
+        // thread-local destructors have not run yet.
+        drain_all();
         *COLLECTOR.lock() = None;
         let mut events = std::mem::take(&mut *self.collector.events.lock());
         let dropped = self.collector.dropped.load(Ordering::Relaxed);

@@ -7,7 +7,9 @@
 //! reproduce the uncached computation bit for bit, and the batch-parallel
 //! engines must not let the thread split leak into results. This test pins
 //! all of it end to end — per-step losses (f64 bits) and final parameters
-//! (f32 bits) across cache on/off × thread caps {1, 2, 8}.
+//! (f32 bits) across cache on/off × thread caps {1, 2, 8}, for a network
+//! whose convolutions run inline and for one whose convolutions are large
+//! enough to split across the workers.
 
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -142,9 +144,33 @@ fn tiny_classifier(n: usize) -> NetworkDef {
     net
 }
 
-/// Train 4 steps on a fresh executor/dataset; return per-step loss bits and
-/// a flat bit-dump of every learned parameter.
-fn run(cache_bytes: Option<usize>, thread_cap: usize) -> (Vec<u64>, Vec<u32>) {
+/// Two 3x3 layers of 64 output channels at batch 8: every call carries at
+/// least two workers' worth of multiply-adds, so the engines split it.
+fn split_classifier(n: usize) -> NetworkDef {
+    let mut net = NetworkDef::new("split", Shape4::new(n, 16, 16, 16));
+    let c1 = net.conv_relu("conv1", net.input(), 64, 3, 1, 1);
+    let p = net.add(
+        "pool",
+        LayerSpec::Pool {
+            max: true,
+            kernel: 2,
+            stride: 2,
+            pad: 0,
+        },
+        &[c1],
+    );
+    let c2 = net.conv_relu("conv2", p, 64, 3, 1, 1);
+    let gap = net.add("gap", LayerSpec::GlobalAvgPool, &[c2]);
+    net.add("fc", LayerSpec::FullyConnected { out: 3 }, &[gap]);
+    net
+}
+
+/// Train 4 steps of `net` on a fresh executor/dataset; return per-step loss
+/// bits and a flat bit-dump of every learned parameter.
+fn run(net: &NetworkDef, cache_bytes: Option<usize>, thread_cap: usize) -> (Vec<u64>, Vec<u32>) {
+    // The thread cap is process-global: runs take turns.
+    static CAP: Mutex<()> = Mutex::new(());
+    let _serial = CAP.lock().unwrap_or_else(|e| e.into_inner());
     let prev = ucudnn_conv::parallel::set_thread_cap(Some(thread_cap));
     let handle = match cache_bytes {
         Some(b) => CudnnHandle::real_cpu().with_exec_cache_bytes(b),
@@ -155,8 +181,8 @@ fn run(cache_bytes: Option<usize>, thread_cap: usize) -> (Vec<u64>, Vec<u32>) {
     // is the point — eviction must be invisible too.
     let expect_hits = cache_bytes.is_none();
     let provider = PinnedGemm::new(handle);
-    let mut exec = RealExecutor::new(tiny_classifier(8), 77);
-    let mut data = SyntheticDataset::new(Shape4::new(1, 2, 8, 8), 3, 99);
+    let mut exec = RealExecutor::new(net.clone(), 77);
+    let mut data = SyntheticDataset::new(net.input_shape().with_batch(1), 3, 99);
     let losses = train(&mut exec, &provider, &mut data, 4, 0.05).unwrap();
     if expect_hits {
         let stats = provider.handle().exec_cache_stats();
@@ -187,7 +213,8 @@ fn run(cache_bytes: Option<usize>, thread_cap: usize) -> (Vec<u64>, Vec<u32>) {
 #[test]
 fn training_is_bit_identical_across_cache_and_thread_configs() {
     // Baseline: default cache, single-threaded execution.
-    let want = run(None, 1);
+    let net = tiny_classifier(8);
+    let want = run(&net, None, 1);
     assert_eq!(want.0.len(), 4);
     assert!(!want.1.is_empty());
     for (label, cache_bytes, threads) in [
@@ -197,8 +224,28 @@ fn training_is_bit_identical_across_cache_and_thread_configs() {
         ("cache off, 8 threads", Some(0), 8),
         ("tiny 4 KiB cache (thrashing), 2 threads", Some(4 << 10), 2),
     ] {
-        let got = run(cache_bytes, threads);
+        let got = run(&net, cache_bytes, threads);
         assert_eq!(got.0, want.0, "losses diverged: {label}");
         assert_eq!(got.1, want.1, "parameters diverged: {label}");
     }
+}
+
+#[test]
+fn split_convolutions_train_bit_identically_at_every_thread_cap() {
+    let net = split_classifier(8);
+    for id in net.conv_layers() {
+        let g = net.conv_geometry(id);
+        assert!(
+            g.macs() >= 2 * ucudnn_conv::parallel::MIN_MACS_PER_WORKER,
+            "{g} is too small to split"
+        );
+    }
+    let want = run(&net, None, 1);
+    for threads in [2, 3, 8] {
+        let got = run(&net, None, threads);
+        assert_eq!(got.0, want.0, "losses diverged at {threads} threads");
+        assert_eq!(got.1, want.1, "parameters diverged at {threads} threads");
+    }
+    let got = run(&net, Some(0), 2);
+    assert_eq!(got, want, "cache off, 2 threads diverged");
 }
