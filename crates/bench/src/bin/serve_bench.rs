@@ -64,7 +64,7 @@ use ucudnn_serve::{
     run_fleet_sim, run_ingress_sim, run_reopt_sim, run_sim, sys, BatchPolicy, BatchRunner as _,
     BurnConfig, FleetMetrics, FleetOutcome, FleetReplicaConfig, FleetSimConfig, IngressOutcome,
     IngressSimConfig, RealModelRunner, ReoptConfig, ReoptOutcome, ReoptSimConfig, ReplicaFailure,
-    Scheduler, Server, SimConfig, SimOutcome, TcpFrontend,
+    Server, ShedCounts, SimConfig, SimOutcome, TcpFrontend,
 };
 use ucudnn_tensor::{ConvGeometry, FilterShape, Shape4};
 
@@ -82,40 +82,44 @@ const WORKERS: usize = 2;
 const QUEUE_CAP: usize = 256;
 const MAX_BATCH: usize = 32;
 
+/// Run one lane twice: the reproducibility gate every lane passes is a
+/// byte-identical decision log on a same-seed replay.
+fn replayed<C, S>(run: fn(&C) -> SimOutcome<S>, cfg: &C, lane: &str) -> SimOutcome<S> {
+    let out = run(cfg);
+    assert_eq!(out.log, run(cfg).log, "{lane} replay diverged");
+    out
+}
+
+/// The full shed ladder of one lane.
+fn shed_ladder(shed: &ShedCounts) -> Value {
+    obj([
+        ("queue_full", num(shed.queue_full as f64)),
+        ("deadline_infeasible", num(shed.deadline_infeasible as f64)),
+        ("exec_failed", num(shed.exec_failed as f64)),
+        ("draining", num(shed.draining as f64)),
+        ("total", num(shed.total() as f64)),
+    ])
+}
+
 fn policy_row(out: &SimOutcome, policy: BatchPolicy) -> Value {
-    let pct = out.latencies.try_percentiles();
+    let pct = out.latencies.cumulative();
     let q = |v: Option<f64>| v.map(num).unwrap_or(Value::Null);
     obj([
         ("name", Value::Str(policy.name().to_string())),
         ("completed", num(out.completed as f64)),
-        (
-            "shed",
-            obj([
-                ("queue_full", num(out.shed.queue_full as f64)),
-                (
-                    "deadline_infeasible",
-                    num(out.shed.deadline_infeasible as f64),
-                ),
-                ("exec_failed", num(out.shed.exec_failed as f64)),
-                ("draining", num(out.shed.draining as f64)),
-                ("total", num(out.shed.total() as f64)),
-            ]),
-        ),
+        ("shed", shed_ladder(&out.shed)),
         ("violations", num(out.violations as f64)),
         ("throughput_rps", num(out.throughput_rps())),
         ("mean_batch", num(out.mean_batch())),
-        ("p50_us", q(pct.as_ref().map(|p| p.p50_us))),
-        ("p95_us", q(pct.as_ref().map(|p| p.p95_us))),
-        ("p99_us", q(pct.as_ref().map(|p| p.p99_us))),
-        (
-            "mean_us",
-            q((out.completed > 0).then(|| out.latencies.mean())),
-        ),
+        ("p50_us", q(pct.p50_us)),
+        ("p95_us", q(pct.p95_us)),
+        ("p99_us", q(pct.p99_us)),
+        ("mean_us", q((out.completed > 0).then(|| pct.mean()))),
     ])
 }
 
 fn reopt_lane_row(out: &ReoptOutcome) -> Value {
-    let pct = out.latencies.try_percentiles();
+    let pct = out.latencies.cumulative();
     let q = |v: Option<f64>| v.map(num).unwrap_or(Value::Null);
     obj([
         ("completed", num(out.completed as f64)),
@@ -131,16 +135,19 @@ fn reopt_lane_row(out: &ReoptOutcome) -> Value {
             ]),
         ),
         ("violations", num(out.violations as f64)),
-        ("violations_post_swap", num(out.violations_post_swap as f64)),
-        ("stale_detections", num(out.stale_detections as f64)),
-        ("plan_swaps", num(out.swaps as f64)),
-        ("final_plan_version", num(out.final_version as f64)),
-        ("detect_time_us", q(out.detect_time_us)),
-        ("swap_time_us", q(out.swap_time_us)),
-        ("slo_alerts", num(out.slo_alerts as f64)),
-        ("first_alert_us", q(out.first_alert_us)),
-        ("p50_us", q(pct.as_ref().map(|p| p.p50_us))),
-        ("p99_us", q(pct.as_ref().map(|p| p.p99_us))),
+        (
+            "violations_post_swap",
+            num(out.stats.violations_post_swap as f64),
+        ),
+        ("stale_detections", num(out.stats.stale_detections as f64)),
+        ("plan_swaps", num(out.stats.swaps as f64)),
+        ("final_plan_version", num(out.stats.final_version as f64)),
+        ("detect_time_us", q(out.stats.detect_time_us)),
+        ("swap_time_us", q(out.stats.swap_time_us)),
+        ("slo_alerts", num(out.stats.slo_alerts as f64)),
+        ("first_alert_us", q(out.stats.first_alert_us)),
+        ("p50_us", q(pct.p50_us)),
+        ("p99_us", q(pct.p99_us)),
     ])
 }
 
@@ -188,22 +195,8 @@ fn reopt_experiment(table: &[(usize, f64)]) -> Value {
         rebench_latency_us: REBENCH_LATENCY_US,
         burn: Some(burn),
     };
-    let frozen_cfg = lane(None);
-    let reopt_cfg = lane(Some(ReoptConfig::default()));
-    let frozen = run_reopt_sim(&frozen_cfg);
-    let reopt = run_reopt_sim(&reopt_cfg);
-    // The reproducibility gate, same as the policy lanes: byte-identical
-    // fire/shed/drift/swap logs on a same-seed replay.
-    assert_eq!(
-        frozen.log,
-        run_reopt_sim(&frozen_cfg).log,
-        "frozen replay diverged"
-    );
-    assert_eq!(
-        reopt.log,
-        run_reopt_sim(&reopt_cfg).log,
-        "reopt replay diverged"
-    );
+    let frozen = replayed(run_reopt_sim, &lane(None), "frozen");
+    let reopt = replayed(run_reopt_sim, &lane(Some(ReoptConfig::default())), "reopt");
 
     println!("\nre-optimization under a {PERTURB_FACTOR}x slowdown at t={PERTURB_AT_US}us:");
     println!(
@@ -218,18 +211,18 @@ fn reopt_experiment(table: &[(usize, f64)]) -> Value {
         reopt.completed,
         reopt.shed.total(),
         reopt.violations,
-        reopt.violations_post_swap,
-        reopt.stale_detections,
-        reopt.swaps,
-        reopt.detect_time_us.unwrap_or(f64::NAN),
-        reopt.swap_time_us.unwrap_or(f64::NAN),
+        reopt.stats.violations_post_swap,
+        reopt.stats.stale_detections,
+        reopt.stats.swaps,
+        reopt.stats.detect_time_us.unwrap_or(f64::NAN),
+        reopt.stats.swap_time_us.unwrap_or(f64::NAN),
     );
     println!(
         "  burn:   frozen alerts={} first_t={:.0}us | reopt alerts={} first_t={:.0}us",
-        frozen.slo_alerts,
-        frozen.first_alert_us.unwrap_or(f64::NAN),
-        reopt.slo_alerts,
-        reopt.first_alert_us.unwrap_or(f64::NAN),
+        frozen.stats.slo_alerts,
+        frozen.stats.first_alert_us.unwrap_or(f64::NAN),
+        reopt.stats.slo_alerts,
+        reopt.stats.first_alert_us.unwrap_or(f64::NAN),
     );
 
     // The headline gates.
@@ -241,24 +234,25 @@ fn reopt_experiment(table: &[(usize, f64)]) -> Value {
         frozen.violations > 0,
         "the stale plan must break deadline promises it can no longer keep"
     );
-    assert_eq!(frozen.swaps, 0, "the frozen lane must never swap");
+    assert_eq!(frozen.stats.swaps, 0, "the frozen lane must never swap");
     assert!(
-        reopt.stale_detections >= 1,
+        reopt.stats.stale_detections >= 1,
         "the detector must flag the 2x drift"
     );
-    assert!(reopt.swaps >= 1, "a re-benchmarked plan must land");
+    assert!(reopt.stats.swaps >= 1, "a re-benchmarked plan must land");
     assert_eq!(
-        reopt.violations_post_swap, 0,
+        reopt.stats.violations_post_swap, 0,
         "after re-convergence the re-optimized lane must serve violation-free"
     );
     // The observability gate: the sustained post-drift burn on the frozen
     // plan must page, after the drift exists, at a replay-stable timestamp
     // (the log byte-identity above already pins the exact microsecond).
     assert!(
-        frozen.slo_alerts >= 1,
+        frozen.stats.slo_alerts >= 1,
         "the frozen lane's sustained burn must fire an slo_alert"
     );
     let first_alert = frozen
+        .stats
         .first_alert_us
         .expect("an alert implies a first-alert timestamp");
     assert!(
@@ -314,7 +308,7 @@ fn reopt_experiment(table: &[(usize, f64)]) -> Value {
 }
 
 fn ingress_lane_row(rate_rps: f64, queue_cap: usize, out: &IngressOutcome) -> Value {
-    let pct = out.latencies.try_percentiles();
+    let pct = out.latencies.cumulative();
     let q = |v: Option<f64>| v.map(num).unwrap_or(Value::Null);
     obj([
         ("rate_rps", num(rate_rps)),
@@ -323,16 +317,16 @@ fn ingress_lane_row(rate_rps: f64, queue_cap: usize, out: &IngressOutcome) -> Va
         ("shed_queue_full", num(out.shed.queue_full as f64)),
         ("shed_total", num(out.shed.total() as f64)),
         ("violations", num(out.violations as f64)),
-        ("admission_pauses", num(out.admission_pauses as f64)),
-        ("buffered_peak", num(out.buffered_peak as f64)),
-        ("max_buffer_wait_us", num(out.max_buffer_wait_us)),
-        ("conns_opened", num(out.conns_opened as f64)),
-        ("conns_rejected", num(out.conns_rejected as f64)),
-        ("peak_conns", num(out.peak_conns as f64)),
+        ("admission_pauses", num(out.stats.admission_pauses as f64)),
+        ("buffered_peak", num(out.stats.buffered_peak as f64)),
+        ("max_buffer_wait_us", num(out.stats.max_buffer_wait_us)),
+        ("conns_opened", num(out.stats.conns_opened as f64)),
+        ("conns_rejected", num(out.stats.conns_rejected as f64)),
+        ("peak_conns", num(out.stats.peak_conns as f64)),
         ("throughput_rps", num(out.throughput_rps())),
         ("mean_batch", num(out.mean_batch())),
-        ("p50_us", q(pct.as_ref().map(|p| p.p50_us))),
-        ("p99_us", q(pct.as_ref().map(|p| p.p99_us))),
+        ("p50_us", q(pct.p50_us)),
+        ("p99_us", q(pct.p99_us)),
     ])
 }
 
@@ -351,7 +345,6 @@ fn ingress_experiment(table: &[(usize, f64)], smoke: bool) -> Value {
     const BURST_RATE_RPS: f64 = 400_000.0;
     const BURST_QUEUE_CAP: usize = 32;
     let requests = if smoke { 2_000 } else { 4_000 };
-    let sched = Scheduler::new(table.to_vec(), SLO_US, MAX_BATCH, BatchPolicy::Dynamic);
     let base = IngressSimConfig {
         seed: SEED,
         slo_us: SLO_US,
@@ -359,6 +352,7 @@ fn ingress_experiment(table: &[(usize, f64)], smoke: bool) -> Value {
         workers: WORKERS,
         max_batch: MAX_BATCH,
         policy: BatchPolicy::Dynamic,
+        table: table.to_vec(),
         arrival_rate_rps: RATE_RPS,
         requests,
         idle_conns: IDLE_CONNS,
@@ -374,59 +368,56 @@ fn ingress_experiment(table: &[(usize, f64)], smoke: bool) -> Value {
         requests: 4_000,
         ..base.clone()
     };
-    let nominal = run_ingress_sim(&sched, &base);
-    let burst = run_ingress_sim(&sched, &burst_cfg);
-    // The reproducibility gate, same as every other lane.
-    assert_eq!(
-        nominal.log,
-        run_ingress_sim(&sched, &base).log,
-        "nominal ingress replay diverged"
-    );
-    assert_eq!(
-        burst.log,
-        run_ingress_sim(&sched, &burst_cfg).log,
-        "burst ingress replay diverged"
-    );
+    let nominal = replayed(run_ingress_sim, &base, "nominal ingress");
+    let burst = replayed(run_ingress_sim, &burst_cfg, "burst ingress");
 
     println!("\ningress (connections axis, {IDLE_CONNS} idle + {CHURN_CYCLES} churn):");
     println!(
         "  nominal {:>7.0} rps: completed={} pauses={} shed={} violations={} peak_conns={}",
         RATE_RPS,
         nominal.completed,
-        nominal.admission_pauses,
+        nominal.stats.admission_pauses,
         nominal.shed.total(),
         nominal.violations,
-        nominal.peak_conns,
+        nominal.stats.peak_conns,
     );
     println!(
         "  burst   {:>7.0} rps: completed={} pauses={} buffered_peak={} shed={} violations={}",
         BURST_RATE_RPS,
         burst.completed,
-        burst.admission_pauses,
-        burst.buffered_peak,
+        burst.stats.admission_pauses,
+        burst.stats.buffered_peak,
         burst.shed.total(),
         burst.violations,
     );
 
     // The headline gates. Nominal: the fan-in must be invisible — no pause,
     // no shed-by-accident, every deadline kept, p99 inside the SLO.
-    assert_eq!(nominal.admission_pauses, 0, "nominal load must not pause");
+    assert_eq!(
+        nominal.stats.admission_pauses, 0,
+        "nominal load must not pause"
+    );
     assert_eq!(nominal.shed.total(), 0, "nominal load must not shed");
     assert_eq!(nominal.violations, 0, "nominal load must not violate");
     assert_eq!(nominal.completed, requests as u64);
-    assert!(nominal.peak_conns >= IDLE_CONNS, "the C10k floor must hold");
+    assert!(
+        nominal.stats.peak_conns >= IDLE_CONNS,
+        "the C10k floor must hold"
+    );
     let p99 = nominal
         .latencies
-        .try_percentiles()
-        .expect("completions imply percentiles")
-        .p99_us;
+        .try_quantile(0.99)
+        .expect("completions imply percentiles");
     assert!(
         p99 <= SLO_US,
         "nominal ingress p99 must sit inside the {SLO_US}us SLO, got {p99:.1}us"
     );
     // Burst: backpressure engages before the shed ladder and admitted
     // requests still meet their deadlines.
-    assert!(burst.admission_pauses > 0, "the burst must park admission");
+    assert!(
+        burst.stats.admission_pauses > 0,
+        "the burst must park admission"
+    );
     assert_eq!(
         burst.violations, 0,
         "pauses delay admission; they never break the deadline contract"
@@ -556,7 +547,8 @@ fn ingress_live(smoke: bool) {
     assert!(m.completed.get() >= (per_conn * ACTIVE_CONNS) as u64);
     let p99 = m
         .latency
-        .try_quantile(0.99)
+        .cumulative()
+        .p99_us
         .expect("completions imply a p99");
     assert!(
         p99 <= opts.slo_us,
@@ -747,33 +739,22 @@ fn telemetry_smoke(metrics_dump: Option<&str>) {
 }
 
 fn fleet_lane_row(out: &FleetOutcome) -> Value {
-    let pct = out.latencies.try_percentiles();
+    let pct = out.latencies.cumulative();
     let q = |v: Option<f64>| v.map(num).unwrap_or(Value::Null);
     obj([
         ("completed", num(out.completed as f64)),
-        (
-            "shed",
-            obj([
-                ("queue_full", num(out.shed.queue_full as f64)),
-                (
-                    "deadline_infeasible",
-                    num(out.shed.deadline_infeasible as f64),
-                ),
-                ("exec_failed", num(out.shed.exec_failed as f64)),
-                ("draining", num(out.shed.draining as f64)),
-                ("total", num(out.shed.total() as f64)),
-            ]),
-        ),
+        ("shed", shed_ladder(&out.shed)),
         ("violations", num(out.violations as f64)),
-        ("requeued", num(out.requeued as f64)),
+        ("requeued", num(out.stats.requeued as f64)),
         ("throughput_rps", num(out.throughput_rps())),
         ("mean_batch", num(out.mean_batch())),
-        ("p50_us", q(pct.as_ref().map(|p| p.p50_us))),
-        ("p99_us", q(pct.as_ref().map(|p| p.p99_us))),
+        ("p50_us", q(pct.p50_us)),
+        ("p99_us", q(pct.p99_us)),
         (
             "per_replica",
             Value::Arr(
-                out.per_replica
+                out.stats
+                    .per_replica
                     .iter()
                     .map(|r| {
                         obj([
@@ -896,35 +877,16 @@ fn fleet_experiment() -> Value {
         replicas: replicas.clone(),
         fail,
     };
-    let feas_cfg = lane(FleetRouterPolicy::Feasibility, None);
-    let jsq_cfg = lane(FleetRouterPolicy::LeastLoaded, None);
-    let failover_cfg = lane(
-        FleetRouterPolicy::Feasibility,
-        Some(ReplicaFailure {
-            replica: 1,
-            at_us: FAIL_AT_US,
-        }),
-    );
-    let feas = run_fleet_sim(&feas_cfg);
-    let jsq = run_fleet_sim(&jsq_cfg);
-    let failover = run_fleet_sim(&failover_cfg);
-    // The reproducibility gate: byte-identical event logs on same-seed
-    // replays, for every lane.
-    assert_eq!(
-        feas.log,
-        run_fleet_sim(&feas_cfg).log,
-        "feasibility replay diverged"
-    );
-    assert_eq!(
-        jsq.log,
-        run_fleet_sim(&jsq_cfg).log,
-        "least_loaded replay diverged"
-    );
-    assert_eq!(
-        failover.log,
-        run_fleet_sim(&failover_cfg).log,
-        "failover replay diverged"
-    );
+    let feasibility = lane(FleetRouterPolicy::Feasibility, None);
+    let feas = replayed(run_fleet_sim, &feasibility, "feasibility");
+    let least_loaded = lane(FleetRouterPolicy::LeastLoaded, None);
+    let jsq = replayed(run_fleet_sim, &least_loaded, "least_loaded");
+    let failure = ReplicaFailure {
+        replica: 1,
+        at_us: FAIL_AT_US,
+    };
+    let failover_cfg = lane(FleetRouterPolicy::Feasibility, Some(failure));
+    let failover = replayed(run_fleet_sim, &failover_cfg, "failover");
 
     println!(
         "\nfleet: k80+p100+v100, {} req at {:.0}k rps, {:.0} ms SLO:",
@@ -947,10 +909,10 @@ fn fleet_experiment() -> Value {
             out.shed.deadline_infeasible,
             out.shed.draining,
             out.violations,
-            out.requeued,
+            out.stats.requeued,
             out.throughput_rps()
         );
-        for r in &out.per_replica {
+        for r in &out.stats.per_replica {
             println!(
                 "    {:<5} routed={:>6} completed={:>6} shed={:>5} batches={:>5}",
                 r.name, r.routed, r.completed, r.shed, r.batches
@@ -1009,7 +971,7 @@ fn fleet_experiment() -> Value {
         "the failover lane must log the replica death"
     );
     assert!(
-        failover.per_replica[0].completed + failover.per_replica[2].completed > 0,
+        failover.stats.per_replica[0].completed + failover.stats.per_replica[2].completed > 0,
         "survivors must keep serving after the failure"
     );
 
@@ -1109,7 +1071,6 @@ fn main() {
     ];
     let mut outcomes = Vec::new();
     for policy in policies {
-        let sched = Scheduler::new(table.clone(), SLO_US, MAX_BATCH, policy);
         let cfg = SimConfig {
             seed: SEED,
             slo_us: SLO_US,
@@ -1119,13 +1080,9 @@ fn main() {
             arrival_rate_rps: RATE_RPS,
             requests,
             policy,
+            table: table.clone(),
         };
-        let out = run_sim(&sched, &cfg);
-        // The reproducibility gate: same seed + same worker count must give
-        // a byte-identical batch/shed log.
-        let again = run_sim(&sched, &cfg);
-        assert_eq!(out.log, again.log, "{} replay diverged", policy.name());
-        outcomes.push((policy, out));
+        outcomes.push((policy, replayed(run_sim, &cfg, policy.name())));
     }
 
     println!(
@@ -1133,7 +1090,7 @@ fn main() {
         "policy", "completed", "shed", "violations", "throughput", "mean_bat", "p50 us", "p99 us"
     );
     for (policy, out) in &outcomes {
-        let pct = out.latencies.try_percentiles();
+        let pct = out.latencies.cumulative();
         println!(
             "{:<10} {:>9} {:>6} {:>10} {:>11.1}rps {:>10.2} {:>9.1} {:>9.1}",
             policy.name(),
@@ -1142,8 +1099,8 @@ fn main() {
             out.violations,
             out.throughput_rps(),
             out.mean_batch(),
-            pct.as_ref().map_or(0.0, |p| p.p50_us),
-            pct.as_ref().map_or(0.0, |p| p.p99_us),
+            pct.p50_us.unwrap_or(0.0),
+            pct.p99_us.unwrap_or(0.0),
         );
     }
 

@@ -8,8 +8,8 @@
 
 use std::collections::BTreeMap;
 use ucudnn::json::Value;
+use ucudnn::telemetry::{HistStats, StreamingHistogram};
 use ucudnn::{Trace, TraceEvent};
-use ucudnn_framework::{Percentiles, StreamingHistogram};
 
 /// Aggregated plan decision for one kernel (the last `"plan"` event wins,
 /// matching how re-optimization replaces plans).
@@ -39,7 +39,7 @@ pub struct ExecRow {
     pub launches: u64,
     /// Launch-time percentiles (wall `dur_us`, falling back to the modeled
     /// time in logical-clock traces where durations are normalized to 0).
-    pub percentiles: Percentiles,
+    pub percentiles: HistStats,
 }
 
 /// Training-time statistics for one layer.
@@ -48,9 +48,9 @@ pub struct LayerRow {
     /// Layer name.
     pub layer: String,
     /// Forward span percentiles, microseconds.
-    pub forward: Percentiles,
+    pub forward: HistStats,
     /// Backward span percentiles, microseconds.
-    pub backward: Percentiles,
+    pub backward: HistStats,
     /// Spans observed (forward + backward).
     pub samples: u64,
 }
@@ -70,6 +70,11 @@ pub struct TraceReport {
     pub layers: Vec<LayerRow>,
     /// Workspace high-water mark over the traced run, bytes.
     pub workspace_hwm_bytes: Option<u64>,
+}
+
+/// One percentile cell of the rendered profile (0.0 when empty).
+fn us(v: Option<f64>) -> String {
+    format!("{:.1}", v.unwrap_or(0.0))
 }
 
 /// A span/event duration to aggregate: the wall duration when the trace has
@@ -178,18 +183,19 @@ impl TraceReport {
                 .map(|(kernel, (launches, h))| ExecRow {
                     kernel,
                     launches,
-                    percentiles: h.percentiles(),
+                    percentiles: h.cumulative(),
                 })
                 .collect(),
             layers: layer_order
                 .into_iter()
                 .map(|name| {
-                    let (f, b) = &layers[&name];
+                    let (forward, backward) =
+                        (layers[&name].0.cumulative(), layers[&name].1.cumulative());
                     LayerRow {
-                        layer: name.clone(),
-                        forward: f.percentiles(),
-                        backward: b.percentiles(),
-                        samples: f.count() + b.count(),
+                        layer: name,
+                        samples: forward.count + backward.count,
+                        forward,
+                        backward,
                     }
                 })
                 .collect(),
@@ -245,9 +251,9 @@ impl TraceReport {
                         vec![
                             r.kernel.clone(),
                             r.launches.to_string(),
-                            format!("{:.1}", r.percentiles.p50_us),
-                            format!("{:.1}", r.percentiles.p95_us),
-                            format!("{:.1}", r.percentiles.p99_us),
+                            us(r.percentiles.p50_us),
+                            us(r.percentiles.p95_us),
+                            us(r.percentiles.p99_us),
                         ]
                     })
                     .collect::<Vec<_>>(),
@@ -267,12 +273,12 @@ impl TraceReport {
                         vec![
                             l.layer.clone(),
                             l.samples.to_string(),
-                            format!("{:.1}", l.forward.p50_us),
-                            format!("{:.1}", l.forward.p95_us),
-                            format!("{:.1}", l.forward.p99_us),
-                            format!("{:.1}", l.backward.p50_us),
-                            format!("{:.1}", l.backward.p95_us),
-                            format!("{:.1}", l.backward.p99_us),
+                            us(l.forward.p50_us),
+                            us(l.forward.p95_us),
+                            us(l.forward.p99_us),
+                            us(l.backward.p50_us),
+                            us(l.backward.p95_us),
+                            us(l.backward.p99_us),
                         ]
                     })
                     .collect::<Vec<_>>(),
@@ -440,11 +446,11 @@ mod tests {
         // back to modeled_us.
         assert_eq!(r.execs.len(), 1);
         assert_eq!(r.execs[0].launches, 2);
-        assert!((r.execs[0].percentiles.p50_us - 210.0).abs() < 1.0);
+        assert!((r.execs[0].percentiles.p50_us.unwrap() - 210.0).abs() < 1.0);
         assert_eq!(r.layers.len(), 1);
         assert_eq!(r.layers[0].samples, 2);
-        assert!((r.layers[0].forward.p50_us - 100.0).abs() < 1e-9);
-        assert!((r.layers[0].backward.p50_us - 300.0).abs() < 1e-9);
+        assert!((r.layers[0].forward.p50_us.unwrap() - 100.0).abs() < 1e-9);
+        assert!((r.layers[0].backward.p50_us.unwrap() - 300.0).abs() < 1e-9);
         assert_eq!(r.workspace_hwm_bytes, Some(8 << 20));
     }
 

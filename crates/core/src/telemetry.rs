@@ -13,8 +13,7 @@
 //!
 //! * **Zero external deps, lock-free hot path.** Counters are one
 //!   `fetch_add`; gauges one `store` of f64 bits; histograms one short
-//!   mutex-protected bucket increment (same cost as the framework's
-//!   streaming histogram).
+//!   mutex-protected bucket increment into a [`StreamingHistogram`].
 //! * **Bounded label cardinality.** A labeled family is created with a
 //!   fixed vocabulary; values outside it are rejected and counted by the
 //!   `ucudnn_telemetry_dropped_total` self-metric, so a hostile request
@@ -27,9 +26,11 @@
 //!   (virtual-clock sims pass virtual time), never read from a wall clock,
 //!   so expositions are byte-reproducible under the deterministic sims.
 //!
-//! The log-bucket geometry (`HIST_LO_US`/`HIST_FACTOR`/`HIST_BUCKETS`) is
-//! defined here and reused by `ucudnn_framework::StreamingHistogram`, so
-//! quantiles agree across the training and serving planes.
+//! The log-bucket histogram itself ([`StreamingHistogram`]: record, the
+//! quantile walk, the window) is defined here once. The training reports,
+//! the serving simulators and the drift detector own one directly; the
+//! registry's [`Histogram`] wraps one behind a mutex, so quantiles agree
+//! across the training and serving planes.
 
 use crate::env::EnvError;
 use crate::json::{self, Value};
@@ -139,8 +140,19 @@ pub struct WindowSnapshot {
     pub count: u64,
 }
 
-#[derive(Debug)]
-struct HistState {
+/// A single-owner log-bucket histogram over positive durations
+/// (microseconds): O(1) `record` into the shared bucket geometry, fixed
+/// memory, and quantiles with one bucket width (~5%) of relative error.
+///
+/// Two accumulations run side by side: the cumulative view that
+/// [`Self::try_quantile`] and [`Self::cumulative`] read, and a window
+/// that [`Self::take_window`] summarizes and resets in place. The
+/// cumulative view is what training reports want; the window is what a
+/// drift detector wants — a late 2× slowdown is averaged away in the
+/// cumulative p50 but dominates the windowed one. The registry's
+/// [`Histogram`] wraps one behind a mutex.
+#[derive(Debug, Clone)]
+pub struct StreamingHistogram {
     counts: Vec<u64>,
     total: u64,
     sum: f64,
@@ -151,12 +163,17 @@ struct HistState {
     w_sum: f64,
     w_min: f64,
     w_max: f64,
-    /// Last request-correlated observation: `(request id, value µs)`.
-    exemplar: Option<(u64, f64)>,
 }
 
-impl HistState {
-    fn new() -> Self {
+impl Default for StreamingHistogram {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl StreamingHistogram {
+    /// An empty histogram.
+    pub fn new() -> Self {
         Self {
             counts: vec![0; HIST_BUCKETS],
             total: 0,
@@ -168,11 +185,11 @@ impl HistState {
             w_sum: 0.0,
             w_min: f64::INFINITY,
             w_max: f64::NEG_INFINITY,
-            exemplar: None,
         }
     }
 
-    fn record(&mut self, us: f64) {
+    /// Record one observation, microseconds. Non-finite values are ignored.
+    pub fn record(&mut self, us: f64) {
         if !us.is_finite() {
             return;
         }
@@ -189,6 +206,9 @@ impl HistState {
         self.w_max = self.w_max.max(us);
     }
 
+    /// The quantile walk: the representative value of the bucket holding
+    /// the target rank, clamped to the observed `[min, max]` so
+    /// single-sample histograms answer exactly. `None` when empty.
     fn quantile_of(counts: &[u64], total: u64, min: f64, max: f64, q: f64) -> Option<f64> {
         if total == 0 {
             return None;
@@ -204,11 +224,37 @@ impl HistState {
         Some(max)
     }
 
-    fn try_quantile(&self, q: f64) -> Option<f64> {
+    /// Observations recorded since creation.
+    pub fn count(&self) -> u64 {
+        self.total
+    }
+
+    /// Cumulative q-quantile (`0.0 ..= 1.0`), or `None` when nothing has
+    /// been recorded yet (no fake 0µs tail before the first sample).
+    pub fn try_quantile(&self, q: f64) -> Option<f64> {
         Self::quantile_of(&self.counts, self.total, self.min, self.max, q)
     }
 
-    fn take_window(&mut self) -> HistStats {
+    /// Cumulative summary (quantiles `None` when empty).
+    pub fn cumulative(&self) -> HistStats {
+        let q = |p| self.try_quantile(p);
+        HistStats {
+            count: self.total,
+            sum: self.sum,
+            p50_us: q(0.50),
+            p95_us: q(0.95),
+            p99_us: q(0.99),
+        }
+    }
+
+    /// Observations recorded since the last [`Self::take_window`].
+    pub fn window_count(&self) -> u64 {
+        self.w_total
+    }
+
+    /// Summarize the window and reset it in place; the cumulative view is
+    /// untouched.
+    pub fn take_window(&mut self) -> HistStats {
         let q = |p| Self::quantile_of(&self.w_counts, self.w_total, self.w_min, self.w_max, p);
         let stats = HistStats {
             count: self.w_total,
@@ -252,13 +298,21 @@ impl HistStats {
     }
 }
 
+/// A registry histogram's state: the distribution plus the last
+/// request-correlated observation `(request id, value µs)`.
+#[derive(Debug, Default)]
+struct HistSeries {
+    hist: StreamingHistogram,
+    exemplar: Option<(u64, f64)>,
+}
+
 #[derive(Debug)]
 struct SeriesInner {
     /// Label value of this series (`None` for unlabeled families).
     label: Option<String>,
     /// Counter: integer count. Gauge: f64 bits.
     value: AtomicU64,
-    hist: Option<Mutex<HistState>>,
+    hist: Option<Mutex<HistSeries>>,
     ring: Mutex<VecDeque<WindowSnapshot>>,
 }
 
@@ -267,7 +321,7 @@ impl SeriesInner {
         Self {
             label,
             value: AtomicU64::new(0),
-            hist: (kind == Kind::Histogram).then(|| Mutex::new(HistState::new())),
+            hist: (kind == Kind::Histogram).then(|| Mutex::new(HistSeries::default())),
             ring: Mutex::new(VecDeque::new()),
         }
     }
@@ -345,23 +399,22 @@ impl Gauge {
     }
 }
 
-/// A log-bucketed latency histogram (geometry shared with
-/// `ucudnn_framework::StreamingHistogram`), exposed as a quantile summary.
-/// Keeps a cumulative view plus a window since the last snapshot, and the
-/// last request-correlated exemplar.
+/// A registry latency histogram: a [`StreamingHistogram`] behind a mutex,
+/// exposed as a quantile summary, plus the last request-correlated
+/// exemplar.
 #[derive(Debug, Clone)]
 pub struct Histogram {
     series: Arc<SeriesInner>,
 }
 
 impl Histogram {
-    fn state(&self) -> &Mutex<HistState> {
+    fn state(&self) -> &Mutex<HistSeries> {
         self.series.hist.as_ref().expect("histogram series")
     }
 
     /// Record one observation, microseconds. Non-finite values are ignored.
     pub fn record(&self, us: f64) {
-        self.state().lock().record(us);
+        self.state().lock().hist.record(us);
     }
 
     /// Record one observation correlated with a request id; the id/value
@@ -369,59 +422,22 @@ impl Histogram {
     /// into the exposition.
     pub fn record_with_exemplar(&self, us: f64, request_id: u64) {
         let mut h = self.state().lock();
-        h.record(us);
+        h.hist.record(us);
         if us.is_finite() {
             h.exemplar = Some((request_id, us));
         }
     }
 
-    /// Observations recorded since creation.
-    pub fn count(&self) -> u64 {
-        self.state().lock().total
-    }
-
-    /// Mean over the cumulative view; 0 when empty.
-    pub fn mean(&self) -> f64 {
-        let h = self.state().lock();
-        if h.total == 0 {
-            0.0
-        } else {
-            h.sum / h.total as f64
-        }
-    }
-
-    /// Cumulative q-quantile, or `None` when nothing has been recorded.
-    pub fn try_quantile(&self, q: f64) -> Option<f64> {
-        self.state().lock().try_quantile(q)
-    }
-
     /// Cumulative p50/p95/p99 bundle (quantiles `None` when empty).
     pub fn cumulative(&self) -> HistStats {
-        let h = self.state().lock();
-        HistStats {
-            count: h.total,
-            sum: h.sum,
-            p50_us: h.try_quantile(0.50),
-            p95_us: h.try_quantile(0.95),
-            p99_us: h.try_quantile(0.99),
-        }
-    }
-
-    /// Observations since the last window consumer.
-    pub fn window_count(&self) -> u64 {
-        self.state().lock().w_total
+        self.state().lock().hist.cumulative()
     }
 
     /// Detach and reset the window, returning its summary. Window consumers
     /// compose: the serving JSON snapshot and the ring snapshot each see
     /// the observations that landed since whichever consumer ran last.
     pub fn take_window(&self) -> HistStats {
-        self.state().lock().take_window()
-    }
-
-    /// The last request-correlated observation, if any.
-    pub fn exemplar(&self) -> Option<(u64, f64)> {
-        self.state().lock().exemplar
+        self.state().lock().hist.take_window()
     }
 }
 
@@ -623,7 +639,7 @@ impl Registry {
             for s in &fam.series {
                 let snap = match &s.hist {
                     Some(h) => {
-                        let w = h.lock().take_window();
+                        let w = h.lock().hist.take_window();
                         WindowSnapshot {
                             ts_us,
                             value: w.p50_us.unwrap_or(0.0),
@@ -693,8 +709,9 @@ impl Registry {
                     }
                     Some(h) => {
                         let h = h.lock();
-                        for (q, qs) in [(0.50, "0.5"), (0.95, "0.95"), (0.99, "0.99")] {
-                            if let Some(v) = h.try_quantile(q) {
+                        let c = h.hist.cumulative();
+                        for (v, qs) in [(c.p50_us, "0.5"), (c.p95_us, "0.95"), (c.p99_us, "0.99")] {
+                            if let Some(v) = v {
                                 out.push_str(&format!(
                                     "{}{} {}\n",
                                     fam.name,
@@ -707,13 +724,13 @@ impl Registry {
                             "{}_sum{} {}\n",
                             fam.name,
                             label(None),
-                            fmt_num(h.sum)
+                            fmt_num(c.sum)
                         ));
                         out.push_str(&format!(
                             "{}_count{} {}\n",
                             fam.name,
                             label(None),
-                            fmt_num(h.total as f64)
+                            fmt_num(c.count as f64)
                         ));
                         if let Some((id, us)) = h.exemplar {
                             out.push_str(&format!(
@@ -824,7 +841,7 @@ mod tests {
 
     #[test]
     fn bucket_geometry_matches_the_streaming_histogram() {
-        // The framework's histogram reuses these; pin the geometry.
+        // Every histogram records through these; pin the geometry.
         assert_eq!(bucket_index(0.0), 0);
         assert_eq!(bucket_index(HIST_LO_US), 0);
         assert_eq!(bucket_index(f64::MAX), HIST_BUCKETS - 1);
@@ -832,6 +849,165 @@ mod tests {
             let upper = bucket_upper(idx);
             assert_eq!(bucket_index(upper * 0.999), idx, "idx {idx}");
         }
+    }
+
+    #[test]
+    fn empty_histogram_has_no_percentiles() {
+        // The cold-start defect: a 0.0 answer on an empty histogram cannot
+        // be told apart from a real 0µs p99, so absence is explicit.
+        let mut h = StreamingHistogram::new();
+        assert_eq!(h.try_quantile(0.99), None);
+        let c = h.cumulative();
+        assert_eq!(
+            (c.count, c.p50_us, c.p99_us, c.mean()),
+            (0, None, None, 0.0)
+        );
+        // And the first sample flips them to real answers.
+        h.record(42.0);
+        assert_eq!(h.try_quantile(0.99), Some(42.0));
+        let c = h.cumulative();
+        assert_eq!(
+            (c.p50_us, c.p95_us, c.p99_us),
+            (Some(42.0), Some(42.0), Some(42.0))
+        );
+    }
+
+    #[test]
+    fn single_sample_is_exact() {
+        let mut h = StreamingHistogram::new();
+        h.record(123.4);
+        assert_eq!(h.try_quantile(0.5), Some(123.4));
+        assert_eq!(h.try_quantile(0.99), Some(123.4));
+        assert!((h.cumulative().mean() - 123.4).abs() < 1e-9);
+        // Exact across the whole quantile range, including a sub-LO sample.
+        let mut lo = StreamingHistogram::new();
+        lo.record(0.005);
+        for q in [0.0, 0.5, 0.99, 1.0] {
+            assert_eq!(lo.try_quantile(q), Some(0.005));
+        }
+    }
+
+    #[test]
+    fn small_counts_match_a_sorted_vec_oracle() {
+        // Before the first bucket accumulates bulk, quantiles must track
+        // the exact order statistics within one bucket width (~5%).
+        let samples = [830.0, 12.5, 96.0, 412.0, 3.3, 1550.0, 96.0, 7.1];
+        let mut h = StreamingHistogram::new();
+        let mut sorted = Vec::new();
+        for (i, &v) in samples.iter().enumerate() {
+            h.record(v);
+            sorted.push(v);
+            sorted.sort_by(f64::total_cmp);
+            let n = i + 1;
+            for q in [0.5, 0.95, 0.99] {
+                let rank = ((q * n as f64).ceil() as usize).clamp(1, n);
+                let exact = sorted[rank - 1];
+                let got = h.try_quantile(q).unwrap();
+                assert!(
+                    (got - exact).abs() <= 0.06 * exact,
+                    "n={n} q={q}: got {got}, exact {exact}"
+                );
+            }
+            // p99 with n < 100 samples is the maximum, exactly.
+            assert_eq!(h.try_quantile(0.99), sorted.last().copied(), "n={n}");
+        }
+    }
+
+    #[test]
+    fn quantiles_are_within_bucket_error() {
+        let mut h = StreamingHistogram::new();
+        for i in 1..=1000 {
+            h.record(i as f64);
+        }
+        // p50 ≈ 500, p95 ≈ 950, p99 ≈ 990, each within ~5% relative error.
+        for (q, want) in [(0.50, 500.0), (0.95, 950.0), (0.99, 990.0)] {
+            let got = h.try_quantile(q).unwrap();
+            assert!(
+                (got - want).abs() / want < 0.06,
+                "q{q}: got {got}, want ~{want}"
+            );
+        }
+        assert_eq!(h.count(), 1000);
+    }
+
+    #[test]
+    fn quantiles_are_monotone_and_bounded() {
+        let mut h = StreamingHistogram::new();
+        for v in [0.5, 2.0, 8.0, 100.0, 5000.0, 5000.0] {
+            h.record(v);
+        }
+        let p = h.cumulative();
+        assert!(p.p50_us <= p.p95_us && p.p95_us <= p.p99_us);
+        assert!(h.try_quantile(0.0) >= Some(0.5) && h.try_quantile(1.0) <= Some(5000.0));
+    }
+
+    #[test]
+    fn take_window_isolates_late_drift_from_the_cumulative_view() {
+        // 1000 fast samples, then 100 slow ones. Cumulatively the slow tail
+        // is invisible at p50; the window after a reset sees only it.
+        let mut h = StreamingHistogram::new();
+        for _ in 0..1000 {
+            h.record(100.0);
+        }
+        let early = h.take_window();
+        assert_eq!(early.count, 1000);
+        assert!((early.p50_us.unwrap() - 100.0).abs() < 6.0);
+        assert_eq!(h.window_count(), 0, "take_window resets the window");
+        for _ in 0..100 {
+            h.record(200.0);
+        }
+        let late = h.take_window();
+        assert_eq!(late.count, 100);
+        let p50 = late.p50_us.unwrap();
+        assert!(
+            (p50 - 200.0).abs() < 12.0,
+            "window p50 {p50} must see the drift"
+        );
+        assert!((late.mean() - 200.0).abs() < 1e-9);
+        // The cumulative path is untouched by window resets: p50 of the
+        // 1100-sample history is still the fast mode.
+        let c = h.cumulative();
+        assert_eq!(c.count, 1100);
+        assert!((c.p50_us.unwrap() - 100.0).abs() < 6.0);
+        assert!((c.mean() - (1000.0 * 100.0 + 100.0 * 200.0) / 1100.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn fresh_window_matches_the_cumulative_view() {
+        // Before any take_window, the window summary equals the cumulative
+        // one; after it, the next window starts empty and fills alone.
+        let mut h = StreamingHistogram::new();
+        for v in [10.0, 20.0, 30.0] {
+            h.record(v);
+        }
+        assert_eq!(h.window_count(), h.count());
+        assert_eq!(h.take_window(), h.cumulative());
+        h.record(40.0);
+        assert_eq!(h.window_count(), 1);
+        assert_eq!(h.take_window().p99_us, Some(40.0));
+        assert_eq!(h.cumulative().count, 4);
+    }
+
+    #[test]
+    fn empty_window_is_cold() {
+        let mut h = StreamingHistogram::new();
+        h.record(5.0);
+        let _ = h.take_window();
+        let w = h.take_window();
+        assert_eq!(w.count, 0);
+        assert_eq!((w.p50_us, w.p95_us, w.p99_us), (None, None, None));
+    }
+
+    #[test]
+    fn extreme_and_nonfinite_values_are_safe() {
+        let mut h = StreamingHistogram::new();
+        h.record(f64::NAN);
+        h.record(f64::INFINITY);
+        assert_eq!(h.count(), 0);
+        h.record(0.0); // below LO -> bucket 0
+        h.record(1e12); // beyond range -> clamped to last bucket
+        assert_eq!(h.count(), 2);
+        assert!(h.try_quantile(1.0) <= Some(1e12));
     }
 
     #[test]
@@ -856,8 +1032,8 @@ mod tests {
         });
         assert_eq!(c.get(), (THREADS * PER) as u64);
         assert_eq!(g.get(), (THREADS * PER - 1) as f64);
-        assert_eq!(h.count(), (THREADS * PER) as u64);
-        assert_eq!(h.try_quantile(0.99), Some(100.0));
+        let c = h.cumulative();
+        assert_eq!((c.count, c.p99_us), ((THREADS * PER) as u64, Some(100.0)));
     }
 
     #[test]
@@ -961,7 +1137,6 @@ ucudnn_telemetry_dropped_total 0
         let w = h.take_window();
         assert_eq!(w.count, 10);
         assert_eq!(w.p50_us, Some(100.0));
-        assert_eq!(h.window_count(), 0);
         h.record(400.0);
         let w2 = h.take_window();
         assert_eq!(w2.count, 1);

@@ -20,7 +20,6 @@ pub mod data_parallel;
 pub mod exec_real;
 pub mod exec_sim;
 pub mod graph;
-pub mod hist;
 pub mod memory;
 pub mod models;
 pub mod provider;
@@ -30,7 +29,6 @@ pub mod train;
 pub use exec_real::{Params, RealExecutor};
 pub use exec_sim::{setup_network, time_forward, time_iteration, IterationTiming, LayerTiming};
 pub use graph::{LayerSpec, NetworkDef, NodeId};
-pub use hist::{Percentiles, StreamingHistogram};
 pub use memory::{memory_report, totals, LayerMemory, MemoryTotals};
 pub use models::{alexnet, densenet40, inception_module, resnet18, resnet50};
 pub use provider::{BaselineCudnn, ConvProvider, ProviderError};

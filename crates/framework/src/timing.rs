@@ -3,8 +3,8 @@
 
 use crate::exec_sim::{setup_network, time_iteration, IterationTiming};
 use crate::graph::NetworkDef;
-use crate::hist::{Percentiles, StreamingHistogram};
 use crate::provider::{ConvProvider, ProviderError};
+use ucudnn::telemetry::{HistStats, StreamingHistogram};
 
 /// Aggregated result of a `time` run.
 #[derive(Debug, Clone)]
@@ -20,10 +20,10 @@ pub struct TimeReport {
     /// Provider workspace footprint after setup, bytes.
     pub workspace_bytes: usize,
     /// Streaming percentile summary of whole-iteration times.
-    pub iteration_percentiles: Percentiles,
+    pub iteration_percentiles: HistStats,
     /// Per-layer (forward, backward) percentiles, same order as
     /// `timing.layers`.
-    pub layer_percentiles: Vec<(Percentiles, Percentiles)>,
+    pub layer_percentiles: Vec<(HistStats, HistStats)>,
 }
 
 impl TimeReport {
@@ -62,9 +62,9 @@ impl TimeReport {
         ));
         out.push_str(&format!(
             "iteration p50 {:.1} us, p95 {:.1} us, p99 {:.1} us\n",
-            self.iteration_percentiles.p50_us,
-            self.iteration_percentiles.p95_us,
-            self.iteration_percentiles.p99_us
+            self.iteration_percentiles.p50_us.unwrap_or(0.0),
+            self.iteration_percentiles.p95_us.unwrap_or(0.0),
+            self.iteration_percentiles.p99_us.unwrap_or(0.0)
         ));
         out
     }
@@ -126,10 +126,10 @@ pub fn time_command(
         timing,
         iterations,
         workspace_bytes: provider.workspace_bytes(),
-        iteration_percentiles: iter_hist.percentiles(),
+        iteration_percentiles: iter_hist.cumulative(),
         layer_percentiles: layer_hists
             .into_iter()
-            .map(|(f, b)| (f.percentiles(), b.percentiles()))
+            .map(|(f, b)| (f.cumulative(), b.cumulative()))
             .collect(),
     })
 }

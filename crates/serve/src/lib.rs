@@ -12,13 +12,15 @@
 //!   drain; execution goes through [`ucudnn_framework::RealExecutor`] over a
 //!   [`ucudnn::UcudnnHandle`], hitting the batch-normalized execution-plan
 //!   cache and the fault-injection/retry machinery;
-//! * [`sim`] — the deterministic discrete-event twin (seeded LCG arrivals,
-//!   virtual clock) behind the reproducible SLO/throughput claims in
+//! * [`sim`] — the deterministic discrete-event core (seeded LCG arrivals,
+//!   virtual clock) every simulated twin runs on, with hooks for ground
+//!   truth, completion observation, routing and ingress buffering, and the
+//!   plain twin behind the reproducible SLO/throughput claims in
 //!   `BENCH_serve.json`;
 //! * [`reopt`] + [`sim_reopt`] — online re-optimization (DESIGN.md §13):
 //!   windowed-percentile drift detection against the plan's latency table,
 //!   background re-benchmarking, and atomic epoch-pointer plan hot-swaps,
-//!   with a deterministic drift-and-recover simulation;
+//!   with the drift-and-recover twin as hooks on the core;
 //! * [`metrics`] — queue depth, batch occupancy, shed/degradation counters,
 //!   latency percentiles — typed instruments in a `ucudnn::telemetry`
 //!   registry, exported as JSON and as a Prometheus-style exposition;
@@ -32,15 +34,15 @@
 //! * [`sys`] — libc-free epoll/ppoll syscall shims (the sync-shim
 //!   discipline applied to readiness multiplexing) behind a
 //!   backend-neutral poller;
-//! * [`sim_ingress`] — the deterministic connection-churn + fan-in twin
-//!   behind the `ingress` section of `BENCH_serve.json`;
+//! * [`sim_ingress`] — the connection-churn + fan-in twin (ingress-buffer
+//!   hooks on the core) behind the `ingress` section of `BENCH_serve.json`;
 //! * [`fleet`] + [`sim_fleet`] — the fleet tier (DESIGN.md §16):
 //!   SLO-aware feasibility-first routing across heterogeneous device
 //!   replicas (each with its own per-device latency table), a
 //!   least-loaded baseline to beat, replica drain/failure handling with
 //!   zero ticket loss, closed-vocabulary per-replica instruments, and the
-//!   deterministic fleet twin behind the `fleet` section of
-//!   `BENCH_serve.json`.
+//!   fleet twin (router hooks on the core, one pool per replica) behind
+//!   the `fleet` section of `BENCH_serve.json`.
 
 pub mod fleet;
 pub mod metrics;
@@ -64,11 +66,12 @@ pub use reopt::{DriftDetector, DriftReport, ReoptConfig};
 pub use request::{RequestId, Response, ShedReason};
 pub use scheduler::{Action, BatchPolicy, Scheduler};
 pub use server::{BatchRunner, PlanState, RealModelRunner, Server, Ticket};
-pub use sim::{poisson_arrivals, run_sim, Lcg, ShedCounts, SimConfig, SimOutcome};
+pub use sim::{poisson_arrivals, run_sim, ShedCounts, SimConfig, SimOutcome};
 pub use sim_fleet::{
-    run_fleet_sim, FleetOutcome, FleetReplicaConfig, FleetSimConfig, ReplicaFailure, ReplicaOutcome,
+    run_fleet_sim, FleetOutcome, FleetReplicaConfig, FleetSimConfig, FleetStats, ReplicaFailure,
+    ReplicaOutcome,
 };
-pub use sim_ingress::{run_ingress_sim, IngressOutcome, IngressSimConfig};
-pub use sim_reopt::{run_reopt_sim, ReoptOutcome, ReoptSimConfig};
+pub use sim_ingress::{run_ingress_sim, IngressOutcome, IngressSimConfig, IngressStats};
+pub use sim_reopt::{run_reopt_sim, ReoptOutcome, ReoptSimConfig, ReoptStats};
 pub use slo_monitor::{BurnAlert, BurnConfig, BurnMonitor};
 pub use tcp::TcpFrontend;

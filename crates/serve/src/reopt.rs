@@ -8,15 +8,16 @@
 //! every executed micro-batch, compares the *windowed* p50 of observed
 //! execution times per micro-batch size against the table's expectation
 //! (windowed, not cumulative — [`StreamingHistogram::take_window`] exists
-//! precisely so late drift is not averaged away), and flags a size stale
+//! precisely so late drift is not averaged away; it resets in place, so a
+//! closed window allocates nothing), and flags a size stale
 //! when the deviation exceeds a configurable ratio for K consecutive
 //! windows. One flagged size is enough to re-benchmark: the whole table
 //! came from the same device, so one drifted kernel means the rest are
 //! suspect too.
 
 use std::collections::BTreeMap;
+use ucudnn::telemetry::StreamingHistogram;
 use ucudnn::EnvError;
-use ucudnn_framework::StreamingHistogram;
 
 /// Configuration of the re-optimization loop, read from `UCUDNN_REOPT_*`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -185,8 +186,7 @@ impl DriftDetector {
         if w.hist.window_count() < self.cfg.window_samples as u64 {
             return None;
         }
-        let window = w.hist.take_window();
-        let p50 = window.try_quantile(0.5)?;
+        let p50 = w.hist.take_window().p50_us?;
         let ratio = p50 / expected_us;
         let breach = ratio > self.cfg.p50_ratio || ratio < 1.0 / self.cfg.p50_ratio;
         if !breach {

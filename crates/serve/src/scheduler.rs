@@ -94,14 +94,6 @@ impl Scheduler {
         &self.table
     }
 
-    /// Unconstrained best execution time for a batch of `n` (no deadline) —
-    /// used by the fixed baselines and for wait-time estimation.
-    /// (`plan_batch` rejects non-finite budgets, so "no deadline" is spelled
-    /// `f64::MAX`.)
-    pub fn exec_us(&self, n: usize) -> Option<f64> {
-        plan_batch(&self.table, n, n, f64::MAX).map(|d| d.exec_us)
-    }
-
     /// Decide at absolute time `now_us` for a non-empty queue.
     ///
     /// `arrivals` are the queued requests' arrival times, oldest first

@@ -16,12 +16,17 @@
 //! they admit in arrival order once the queue drains to the resume
 //! threshold. Only buffer overflow sheds — exactly the reactor's contract
 //! that backpressure engages before the shed ladder.
+//!
+//! Both policies are lazy hooks of the event core ([`crate::sim`]): at each
+//! tick, connection churn up to the tick, then a resume, then the tick's
+//! offered requests. The log is therefore not time-sorted — a `conn_open`
+//! drained at a late tick precedes a `pause` stamped with an earlier
+//! arrival — and must stay so for committed logs to replay byte for byte.
 
 use crate::request::ShedReason;
-use crate::scheduler::{Action, BatchPolicy, Scheduler};
-use crate::sim::{poisson_arrivals, ShedCounts};
+use crate::scheduler::{BatchPolicy, Scheduler};
+use crate::sim::{poisson_arrivals, Admit, Core, Hooks, Pool, SimOutcome};
 use std::collections::VecDeque;
-use ucudnn_framework::StreamingHistogram;
 
 /// One simulated ingress experiment.
 #[derive(Debug, Clone)]
@@ -39,6 +44,8 @@ pub struct IngressSimConfig {
     pub max_batch: usize,
     /// Batching policy under test.
     pub policy: BatchPolicy,
+    /// The latency table `t*(m)` the workers execute from.
+    pub table: Vec<(usize, f64)>,
     /// Pooled offered load across all active connections, requests/s.
     pub arrival_rate_rps: f64,
     /// Total requests to offer.
@@ -58,15 +65,13 @@ pub struct IngressSimConfig {
     pub kernel_buf: usize,
 }
 
-/// What one simulated ingress run produced.
-#[derive(Debug, Clone)]
-pub struct IngressOutcome {
-    /// Requests that completed.
-    pub completed: u64,
-    /// Requests shed, by reason (under backpressure only buffer overflow).
-    pub shed: ShedCounts,
-    /// Completions whose admission-to-response latency exceeded the SLO.
-    pub violations: u64,
+/// What one simulated ingress run produced. Latencies and violations run
+/// from admission (the deadline anchor), not from the offer.
+pub type IngressOutcome = SimOutcome<IngressStats>;
+
+/// The ingress experiment's own tallies.
+#[derive(Debug, Clone, Default)]
+pub struct IngressStats {
     /// Admission-pause transitions (read interest parked, queue full).
     pub admission_pauses: u64,
     /// Peak simultaneous kernel-buffered requests.
@@ -79,48 +84,16 @@ pub struct IngressOutcome {
     pub conns_rejected: u64,
     /// Peak simultaneous connections (idle + live churn).
     pub peak_conns: usize,
-    /// Every fired batch size, in firing order.
-    pub batch_sizes: Vec<usize>,
-    /// The deterministic event log; byte-identical for equal configs.
-    pub log: Vec<String>,
-    /// Admission-to-completion latency distribution.
-    pub latencies: StreamingHistogram,
-    /// Virtual time of the first offered request.
-    pub first_arrival_us: f64,
-    /// Virtual time of the last batch completion.
-    pub last_completion_us: f64,
-}
-
-impl IngressOutcome {
-    /// Completed-request throughput over the active window, requests/s.
-    pub fn throughput_rps(&self) -> f64 {
-        let span = self.last_completion_us - self.first_arrival_us;
-        if span <= 0.0 || self.completed == 0 {
-            0.0
-        } else {
-            self.completed as f64 / (span / 1e6)
-        }
-    }
-
-    /// Mean fired batch size.
-    pub fn mean_batch(&self) -> f64 {
-        if self.batch_sizes.is_empty() {
-            0.0
-        } else {
-            self.batch_sizes.iter().sum::<usize>() as f64 / self.batch_sizes.len() as f64
-        }
-    }
 }
 
 /// Run one ingress experiment.
 ///
 /// # Panics
 /// Panics on a degenerate config (zero workers, queue, or connections).
-pub fn run_ingress_sim(sched: &Scheduler, cfg: &IngressSimConfig) -> IngressOutcome {
-    assert!(cfg.workers >= 1, "need at least one worker");
-    assert!(cfg.queue_cap >= 1, "need a non-empty queue");
+pub fn run_ingress_sim(cfg: &IngressSimConfig) -> IngressOutcome {
     assert!(cfg.max_conns >= 1, "need room for at least one connection");
-    let arrivals = poisson_arrivals(cfg.seed, cfg.requests, cfg.arrival_rate_rps);
+    let sched = Scheduler::new(cfg.table.clone(), cfg.slo_us, cfg.max_batch, cfg.policy);
+    let pool = Pool::new(sched, cfg.workers, cfg.queue_cap);
     let churn_opens = if cfg.churn_cycles > 0 {
         poisson_arrivals(
             cfg.seed ^ 0x9e37_79b9_7f4a_7c15,
@@ -130,83 +103,89 @@ pub fn run_ingress_sim(sched: &Scheduler, cfg: &IngressSimConfig) -> IngressOutc
     } else {
         Vec::new()
     };
-    let mut out = IngressOutcome {
-        completed: 0,
-        shed: ShedCounts::default(),
-        violations: 0,
-        admission_pauses: 0,
-        buffered_peak: 0,
-        max_buffer_wait_us: 0.0,
-        conns_opened: 0,
-        conns_rejected: 0,
-        peak_conns: cfg.idle_conns.min(cfg.max_conns),
-        batch_sizes: Vec::new(),
-        log: Vec::new(),
-        latencies: StreamingHistogram::new(),
-        first_arrival_us: arrivals.first().copied().unwrap_or(0.0),
-        last_completion_us: 0.0,
+    let mut hooks = Ingress {
+        cfg,
+        churn_opens,
+        next_open: 0,
+        closes: VecDeque::new(),
+        conns: cfg.idle_conns,
+        buffer: VecDeque::new(),
+        paused: false,
     };
+    let stats = IngressStats {
+        peak_conns: cfg.idle_conns.min(cfg.max_conns),
+        ..IngressStats::default()
+    };
+    let arrivals = poisson_arrivals(cfg.seed, cfg.requests, cfg.arrival_rate_rps);
+    Core::new(vec![pool], stats).run(&arrivals, &mut hooks)
+}
 
-    // (id, offered_us, admitted_us) admitted and waiting to batch.
-    let mut queue: VecDeque<(u64, f64, f64)> = VecDeque::new();
-    // (id, offered_us) parked in the kernel-buffer stand-in.
-    let mut buffer: VecDeque<(u64, f64)> = VecDeque::new();
-    let mut paused = false;
-    let resume_depth = cfg.queue_cap / 2;
-    let mut next_id: usize = 0;
-    let mut next_open: usize = 0;
-    // Accepted opens close after a fixed hold, so closes stay sorted.
-    let mut closes: VecDeque<f64> = VecDeque::new();
-    let mut conns = cfg.idle_conns;
-    let mut free_at = vec![0.0f64; cfg.workers];
+/// The ingress twin's hooks: the kernel-buffer stand-in behind admission
+/// pauses, and the connection ledger under churn.
+struct Ingress<'a> {
+    cfg: &'a IngressSimConfig,
+    churn_opens: Vec<f64>,
+    next_open: usize,
+    /// Accepted opens close after a fixed hold, so closes stay sorted.
+    closes: VecDeque<f64>,
+    conns: usize,
+    /// `(id, offered_us)` parked in the kernel-buffer stand-in.
+    buffer: VecDeque<(u64, f64)>,
+    paused: bool,
+}
 
-    loop {
-        // The earliest-free worker drives the clock (ties: lowest index).
-        let (w, _) = free_at
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.partial_cmp(b.1).unwrap().then(a.0.cmp(&b.0)))
-            .unwrap();
-        let mut now = free_at[w];
+impl Hooks for Ingress<'_> {
+    type Stats = IngressStats;
 
-        // Nothing pending anywhere: jump to the next event or finish.
-        if queue.is_empty() && buffer.is_empty() {
-            let jump = [
-                arrivals.get(next_id).copied(),
-                churn_opens.get(next_open).copied(),
-                closes.front().copied(),
-            ]
+    /// Held requests need a worker at once; otherwise the next connection
+    /// event wakes an idle pool.
+    fn wake_at(&self) -> Option<f64> {
+        if !self.buffer.is_empty() {
+            return Some(f64::NEG_INFINITY);
+        }
+        let open = self.churn_opens.get(self.next_open).copied();
+        [open, self.closes.front().copied()]
             .into_iter()
             .flatten()
-            .fold(f64::INFINITY, f64::min);
-            if jump.is_infinite() {
-                break;
-            }
-            now = now.max(jump);
-        }
+            .reduce(f64::min)
+    }
 
+    /// Under a pause the next admission instant is unknown to the
+    /// scheduler — no arrival oracle, exactly like the live server.
+    fn lookahead(&self) -> bool {
+        !self.paused
+    }
+
+    fn on_tick(&mut self, core: &mut Core<IngressStats>, now: f64) {
+        let stats = &mut core.out.stats;
         // Connection churn up to `now`, opens and closes in time order.
         loop {
-            let open = churn_opens.get(next_open).copied();
-            let close = closes.front().copied();
+            let open = self.churn_opens.get(self.next_open).copied();
+            let close = self.closes.front().copied();
             match (open, close) {
                 (Some(t), c) if t <= now && c.is_none_or(|c| t <= c) => {
-                    next_open += 1;
-                    if conns >= cfg.max_conns {
-                        out.conns_rejected += 1;
-                        out.log.push(format!("conn_reject t={t:.3} n={conns}"));
+                    self.next_open += 1;
+                    if self.conns >= self.cfg.max_conns {
+                        stats.conns_rejected += 1;
+                        core.out
+                            .log
+                            .push(format!("conn_reject t={t:.3} n={}", self.conns));
                     } else {
-                        conns += 1;
-                        out.conns_opened += 1;
-                        out.peak_conns = out.peak_conns.max(conns);
-                        closes.push_back(t + cfg.churn_hold_us);
-                        out.log.push(format!("conn_open t={t:.3} n={conns}"));
+                        self.conns += 1;
+                        stats.conns_opened += 1;
+                        stats.peak_conns = stats.peak_conns.max(self.conns);
+                        self.closes.push_back(t + self.cfg.churn_hold_us);
+                        core.out
+                            .log
+                            .push(format!("conn_open t={t:.3} n={}", self.conns));
                     }
                 }
                 (_, Some(t)) if t <= now => {
-                    closes.pop_front();
-                    conns -= 1;
-                    out.log.push(format!("conn_close t={t:.3} n={conns}"));
+                    self.closes.pop_front();
+                    self.conns -= 1;
+                    core.out
+                        .log
+                        .push(format!("conn_close t={t:.3} n={}", self.conns));
                 }
                 _ => break,
             }
@@ -215,110 +194,52 @@ pub fn run_ingress_sim(sched: &Scheduler, cfg: &IngressSimConfig) -> IngressOutc
         // Resume: the queue drained to the hysteresis floor, so parked
         // requests admit in arrival order (possibly re-pausing if the
         // backlog alone refills the queue).
-        if paused && queue.len() <= resume_depth {
-            paused = false;
-            out.log
-                .push(format!("resume t={now:.3} buffered={}", buffer.len()));
-            while let Some(&(id, offered)) = buffer.front() {
-                if queue.len() >= cfg.queue_cap {
-                    paused = true;
-                    out.admission_pauses += 1;
-                    out.log
-                        .push(format!("pause t={now:.3} depth={}", queue.len()));
-                    break;
-                }
-                buffer.pop_front();
-                let admitted = now.max(offered);
-                out.max_buffer_wait_us = out.max_buffer_wait_us.max(admitted - offered);
-                queue.push_back((id, offered, admitted));
-            }
+        let queue = &mut core.pools[0].queue;
+        if !self.paused || queue.len() > self.cfg.queue_cap / 2 {
+            return;
         }
-
-        // Offered arrivals up to `now` flow into the queue or the buffer.
-        while next_id < arrivals.len() && arrivals[next_id] <= now {
-            let (id, t) = (next_id as u64, arrivals[next_id]);
-            next_id += 1;
-            if !paused && queue.len() >= cfg.queue_cap {
-                paused = true;
-                out.admission_pauses += 1;
-                out.log
-                    .push(format!("pause t={t:.3} depth={}", queue.len()));
+        self.paused = false;
+        core.out
+            .log
+            .push(format!("resume t={now:.3} buffered={}", self.buffer.len()));
+        while let Some(&(id, offered)) = self.buffer.front() {
+            if queue.len() >= self.cfg.queue_cap {
+                self.paused = true;
+                stats.admission_pauses += 1;
+                core.out
+                    .log
+                    .push(format!("pause t={now:.3} depth={}", queue.len()));
+                break;
             }
-            if paused {
-                if buffer.len() >= cfg.kernel_buf {
-                    // The kernel-buffer stand-in overflowed: this is the
-                    // point where real backpressure turns into a shed.
-                    out.shed.bump(ShedReason::QueueFull);
-                    out.log
-                        .push(format!("shed t={t:.3} id={id} reason=queue_full"));
-                } else {
-                    buffer.push_back((id, t));
-                    out.buffered_peak = out.buffered_peak.max(buffer.len());
-                }
-            } else {
-                queue.push_back((id, t, t));
-            }
-        }
-        if queue.is_empty() {
-            free_at[w] = now;
-            continue;
-        }
-
-        let times: Vec<f64> = queue.iter().map(|&(_, _, at)| at).collect();
-        // Under a pause the next admission instant is unknown to the
-        // scheduler — no arrival oracle, exactly like the live server.
-        let next_arrival = if paused {
-            None
-        } else {
-            arrivals.get(next_id).copied()
-        };
-        match sched.decide(now, &times, next_arrival) {
-            Action::Fire(d) => {
-                let finish = now + d.exec_us;
-                free_at[w] = finish;
-                out.last_completion_us = out.last_completion_us.max(finish);
-                let mut ids = Vec::with_capacity(d.batch);
-                for _ in 0..d.batch {
-                    let (id, _offered, admitted) =
-                        queue.pop_front().expect("planned batch exceeds queue");
-                    let latency = finish - admitted;
-                    if latency > sched.slo_us() + 1e-6 {
-                        out.violations += 1;
-                    }
-                    out.latencies.record(latency);
-                    out.completed += 1;
-                    ids.push(id);
-                }
-                out.batch_sizes.push(d.batch);
-                let micros = d
-                    .micros
-                    .iter()
-                    .map(|m| m.to_string())
-                    .collect::<Vec<_>>()
-                    .join("+");
-                out.log.push(format!(
-                    "fire t={now:.3} worker={w} batch={} micros={micros} exec={:.3} ids={}..{}",
-                    d.batch,
-                    d.exec_us,
-                    ids.first().unwrap(),
-                    ids.last().unwrap()
-                ));
-            }
-            Action::WaitUntil(t) => {
-                debug_assert!(t > now, "wait must move the clock forward");
-                free_at[w] = t;
-            }
-            Action::ShedOldest => {
-                let (id, _, _) = queue.pop_front().unwrap();
-                out.shed.bump(ShedReason::DeadlineInfeasible);
-                out.log.push(format!(
-                    "shed t={now:.3} id={id} reason=deadline_infeasible"
-                ));
-            }
+            self.buffer.pop_front();
+            let admitted = now.max(offered);
+            stats.max_buffer_wait_us = stats.max_buffer_wait_us.max(admitted - offered);
+            queue.push_back((id, admitted));
         }
     }
 
-    out
+    /// Offered requests flow into the queue, or into the buffer while
+    /// admission is paused; only buffer overflow sheds.
+    fn admit(&mut self, core: &mut Core<IngressStats>, id: u64, t: f64) -> Admit {
+        let depth = core.pools[0].queue.len();
+        if !self.paused && depth >= self.cfg.queue_cap {
+            self.paused = true;
+            core.out.stats.admission_pauses += 1;
+            core.out.log.push(format!("pause t={t:.3} depth={depth}"));
+        }
+        if !self.paused {
+            Admit::Queue(0)
+        } else if self.buffer.len() >= self.cfg.kernel_buf {
+            // The kernel-buffer stand-in overflowed: this is the point
+            // where real backpressure turns into a shed.
+            Admit::Shed(ShedReason::QueueFull)
+        } else {
+            self.buffer.push_back((id, t));
+            let peak = &mut core.out.stats.buffered_peak;
+            *peak = (*peak).max(self.buffer.len());
+            Admit::Held
+        }
+    }
 }
 
 #[cfg(test)]
@@ -340,6 +261,7 @@ mod tests {
             workers: 2,
             max_batch: 32,
             policy: BatchPolicy::Dynamic,
+            table: table(),
             arrival_rate_rps: 20_000.0,
             requests: 2_000,
             idle_conns: 10_000,
@@ -351,27 +273,11 @@ mod tests {
         }
     }
 
-    fn run(c: &IngressSimConfig) -> IngressOutcome {
-        let sched = Scheduler::new(table(), c.slo_us, c.max_batch, c.policy);
-        run_ingress_sim(&sched, c)
-    }
-
-    #[test]
-    fn same_config_gives_a_byte_identical_log() {
-        let c = cfg();
-        let a = run(&c);
-        let b = run(&c);
-        assert_eq!(a.log, b.log);
-        assert_eq!(a.batch_sizes, b.batch_sizes);
-        assert_eq!(a.completed, b.completed);
-        assert_eq!(a.admission_pauses, b.admission_pauses);
-    }
-
     #[test]
     fn nominal_load_never_pauses_or_sheds() {
         let c = cfg();
-        let out = run(&c);
-        assert_eq!(out.admission_pauses, 0, "nominal load must not pause");
+        let out = run_ingress_sim(&c);
+        assert_eq!(out.stats.admission_pauses, 0, "nominal load must not pause");
         assert_eq!(out.shed.total(), 0, "nominal load must not shed");
         assert_eq!(out.violations, 0);
         assert_eq!(out.completed, c.requests as u64);
@@ -384,10 +290,13 @@ mod tests {
         c.arrival_rate_rps = 400_000.0;
         c.queue_cap = 32;
         c.requests = 4_000;
-        let out = run(&c);
-        assert!(out.admission_pauses > 0, "overload must park read interest");
-        assert!(out.buffered_peak > 0);
-        assert!(out.max_buffer_wait_us > 0.0);
+        let out = run_ingress_sim(&c);
+        assert!(
+            out.stats.admission_pauses > 0,
+            "overload must park read interest"
+        );
+        assert!(out.stats.buffered_peak > 0);
+        assert!(out.stats.max_buffer_wait_us > 0.0);
         // Everything offered is accounted for: completed, shed at a rung,
         // but nothing lost.
         assert_eq!(
@@ -409,7 +318,7 @@ mod tests {
         c.queue_cap = 16;
         c.kernel_buf = 8;
         c.requests = 2_000;
-        let out = run(&c);
+        let out = run_ingress_sim(&c);
         assert!(out.shed.queue_full > 0, "overflow must shed");
         assert_eq!(out.completed + out.shed.total(), c.requests as u64);
     }
@@ -421,11 +330,11 @@ mod tests {
         c.max_conns = 110;
         c.churn_cycles = 500;
         c.churn_rate_cps = 100_000.0; // all opens land inside one hold window
-        let out = run(&c);
-        assert!(out.conns_rejected > 0, "cap must refuse");
-        assert!(out.peak_conns <= c.max_conns, "cap is a hard ceiling");
+        let out = run_ingress_sim(&c);
+        assert!(out.stats.conns_rejected > 0, "cap must refuse");
+        assert!(out.stats.peak_conns <= c.max_conns, "cap is a hard ceiling");
         assert_eq!(
-            out.conns_opened + out.conns_rejected,
+            out.stats.conns_opened + out.stats.conns_rejected,
             c.churn_cycles as u64,
             "every churn open is accounted for"
         );
@@ -437,12 +346,12 @@ mod tests {
         with.churn_cycles = 500;
         let mut without = cfg();
         without.churn_cycles = 0;
-        let a = run(&with);
-        let b = run(&without);
+        let a = run_ingress_sim(&with);
+        let b = run_ingress_sim(&without);
         // The connection ledger is independent of the batching plane.
         assert_eq!(a.completed, b.completed);
         assert_eq!(a.batch_sizes, b.batch_sizes);
-        assert!(a.conns_opened > 0);
-        assert_eq!(b.conns_opened, 0);
+        assert!(a.stats.conns_opened > 0);
+        assert_eq!(b.stats.conns_opened, 0);
     }
 }

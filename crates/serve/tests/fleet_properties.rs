@@ -102,9 +102,11 @@ proptest! {
         prop_assert_eq!(out.completed + out.shed.total(), requests as u64);
         // Per-replica accounting closes too: everything routed to a replica
         // either completed there or was shed with a typed reason.
-        for r in &out.per_replica {
+        for r in &out.stats.per_replica {
             prop_assert_eq!(r.routed, r.completed + r.shed);
         }
+        let per_replica: u64 = out.stats.per_replica.iter().map(|r| r.completed).sum();
+        prop_assert_eq!(out.completed, per_replica);
     }
 
     /// Zero ticket loss across a replica failure: kill an arbitrary replica
@@ -139,9 +141,9 @@ proptest! {
         // A re-routed ticket is counted as routed on both the dead replica
         // and its survivor, so the fleet-wide ledger closes modulo the
         // requeue count — nothing vanishes, nothing is double-resolved.
-        let routed: u64 = out.per_replica.iter().map(|r| r.routed).sum();
-        let resolved: u64 = out.per_replica.iter().map(|r| r.completed + r.shed).sum();
-        prop_assert_eq!(routed, resolved + out.requeued);
+        let routed: u64 = out.stats.per_replica.iter().map(|r| r.routed).sum();
+        let resolved: u64 = out.stats.per_replica.iter().map(|r| r.completed + r.shed).sum();
+        prop_assert_eq!(routed, resolved + out.stats.requeued);
         // No dispatch on the dead replica after its failure line.
         let dead = format!("replica={}", cfg.replicas[fail_replica].name);
         let mut failed = false;

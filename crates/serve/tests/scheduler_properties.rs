@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use ucudnn::BatchSizePolicy;
-use ucudnn_serve::{run_sim, BatchPolicy, Scheduler, SimConfig};
+use ucudnn_serve::{poisson_arrivals, run_sim, BatchPolicy, SimConfig};
 
 /// A latency table over `policy`'s candidate sizes with launch-overhead
 /// economics: `t(m) = overhead + per_sample * m`, plus a deterministic
@@ -41,7 +41,8 @@ proptest! {
     /// The SLO-safety invariant of the tentpole: whatever the load, the
     /// dynamic scheduler never lets an *admitted* request finish past its
     /// deadline — overload turns into sheds, not violations — and every
-    /// offered request is accounted for exactly once.
+    /// offered request is accounted for exactly once. And causality: no
+    /// batch fires before its oldest request has arrived.
     #[test]
     fn dynamic_never_violates_the_slo(
         seed in 1u64..1_000_000,
@@ -55,14 +56,27 @@ proptest! {
     ) {
         let max_batch = 16;
         let table = table_for(BatchSizePolicy::PowerOfTwo, max_batch, overhead, per_sample, seed);
-        let sched = Scheduler::new(table, slo_us, max_batch, BatchPolicy::Dynamic);
         let cfg = SimConfig {
             seed, slo_us, queue_cap, workers, max_batch,
-            arrival_rate_rps: rate, requests, policy: BatchPolicy::Dynamic,
+            arrival_rate_rps: rate, requests, policy: BatchPolicy::Dynamic, table,
         };
-        let out = run_sim(&sched, &cfg);
+        let out = run_sim(&cfg);
         prop_assert_eq!(out.violations, 0);
         prop_assert_eq!(out.completed + out.shed.total(), requests as u64);
+        // Compared at the log's resolution: rounding to 3 decimals is
+        // monotone, so a fire at or after the arrival never prints before it.
+        let arrivals = poisson_arrivals(seed, requests, rate);
+        for line in out.log.iter().filter(|l| l.starts_with("fire ")) {
+            let field = |key: &str| {
+                line.split_whitespace()
+                    .find_map(|f| f.strip_prefix(key))
+                    .expect("fire lines carry t= and ids=")
+            };
+            let t: f64 = field("t=").parse().unwrap();
+            let first: usize = field("ids=").split("..").next().unwrap().parse().unwrap();
+            let arrived: f64 = format!("{:.3}", arrivals[first]).parse().unwrap();
+            prop_assert!(t >= arrived, "{} fires before id {} arrives at {}", line, first, arrived);
+        }
     }
 
     /// Policy conformance: every fired micro-batch size is a candidate of
@@ -77,12 +91,11 @@ proptest! {
     ) {
         let table = table_for(policy, max_batch, 100.0, 10.0, seed);
         let candidates = policy.candidate_sizes(max_batch);
-        let sched = Scheduler::new(table, 30_000.0, max_batch, BatchPolicy::Dynamic);
         let cfg = SimConfig {
             seed, slo_us: 30_000.0, queue_cap: 64, workers: 2, max_batch,
-            arrival_rate_rps: rate, requests: 120, policy: BatchPolicy::Dynamic,
+            arrival_rate_rps: rate, requests: 120, policy: BatchPolicy::Dynamic, table,
         };
-        let out = run_sim(&sched, &cfg);
+        let out = run_sim(&cfg);
         for &b in &out.batch_sizes {
             prop_assert!(b <= max_batch, "batch {} exceeds cap {}", b, max_batch);
         }
@@ -115,17 +128,16 @@ proptest! {
     ) {
         let max_batch = 16;
         let table = table_for(BatchSizePolicy::PowerOfTwo, max_batch, 150.0, 8.0, seed);
-        let sched = Scheduler::new(table, 15_000.0, max_batch, BatchPolicy::Dynamic);
         let cfg = SimConfig {
             seed, slo_us: 15_000.0, queue_cap: 64, workers, max_batch,
-            arrival_rate_rps: rate, requests: 150, policy: BatchPolicy::Dynamic,
+            arrival_rate_rps: rate, requests: 150, policy: BatchPolicy::Dynamic, table,
         };
-        let a = run_sim(&sched, &cfg);
-        let b = run_sim(&sched, &cfg);
+        let a = run_sim(&cfg);
+        let b = run_sim(&cfg);
         prop_assert_eq!(&a.log, &b.log);
         prop_assert_eq!(&a.batch_sizes, &b.batch_sizes);
         prop_assert_eq!(a.shed, b.shed);
-        let c = run_sim(&sched, &SimConfig { seed: seed + 1, ..cfg.clone() });
+        let c = run_sim(&SimConfig { seed: seed + 1, ..cfg.clone() });
         prop_assert!(a.log != c.log, "different seed must produce a different load");
     }
 
@@ -139,12 +151,11 @@ proptest! {
     ) {
         let max_batch = 8;
         let table = table_for(BatchSizePolicy::All, max_batch, 300.0, 30.0, seed);
-        let sched = Scheduler::new(table, 5_000.0, max_batch, BatchPolicy::Dynamic);
         let cfg = SimConfig {
             seed, slo_us: 5_000.0, queue_cap, workers: 1, max_batch,
-            arrival_rate_rps: 500_000.0, requests: 400, policy: BatchPolicy::Dynamic,
+            arrival_rate_rps: 500_000.0, requests: 400, policy: BatchPolicy::Dynamic, table,
         };
-        let out = run_sim(&sched, &cfg);
+        let out = run_sim(&cfg);
         prop_assert!(out.shed.total() > 0, "this load must overwhelm one worker");
         prop_assert_eq!(out.violations, 0);
         prop_assert_eq!(out.completed + out.shed.total(), 400);

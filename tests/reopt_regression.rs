@@ -78,10 +78,20 @@ fn same_seed_gives_a_byte_identical_swap_and_shed_log() {
         assert_eq!(a.batch_sizes, b.batch_sizes);
         assert_eq!(a.shed, b.shed);
         assert_eq!(
-            (a.violations, a.swaps, a.stale_detections, a.final_version),
-            (b.violations, b.swaps, b.stale_detections, b.final_version),
+            (
+                a.violations,
+                a.stats.swaps,
+                a.stats.stale_detections,
+                a.stats.final_version
+            ),
+            (
+                b.violations,
+                b.stats.swaps,
+                b.stats.stale_detections,
+                b.stats.final_version
+            ),
         );
-        assert_eq!(a.swap_time_us, b.swap_time_us);
+        assert_eq!(a.stats.swap_time_us, b.stats.swap_time_us);
     }
 }
 
@@ -90,8 +100,11 @@ fn a_2x_slowdown_is_detected_within_the_window_budget_and_reconverges() {
     let cfg = experiment(2018, Some(ReoptConfig::default()));
     let out = run_reopt_sim(&cfg);
 
-    assert!(out.stale_detections >= 1, "the drift must be detected");
-    let detect = out.detect_time_us.expect("a detection timestamp");
+    assert!(
+        out.stats.stale_detections >= 1,
+        "the drift must be detected"
+    );
+    let detect = out.stats.detect_time_us.expect("a detection timestamp");
     assert!(
         detect >= PERTURB_AT_US,
         "no detection before the drift exists (got t={detect})"
@@ -116,12 +129,12 @@ fn a_2x_slowdown_is_detected_within_the_window_budget_and_reconverges() {
     );
 
     // The re-benchmark lands after its modeled latency and re-converges.
-    assert!(out.swaps >= 1, "a refreshed plan must hot-swap in");
-    let swap = out.swap_time_us.expect("a swap timestamp");
+    assert!(out.stats.swaps >= 1, "a refreshed plan must hot-swap in");
+    let swap = out.stats.swap_time_us.expect("a swap timestamp");
     assert!(swap >= detect + cfg.rebench_latency_us);
-    assert_eq!(out.final_version, 1 + out.swaps);
+    assert_eq!(out.stats.final_version, 1 + out.stats.swaps);
     assert_eq!(
-        out.violations_post_swap, 0,
+        out.stats.violations_post_swap, 0,
         "after re-convergence the plan and the device agree — violations must stop"
     );
     assert_eq!(out.completed + out.shed.total(), cfg.requests as u64);
@@ -134,9 +147,9 @@ fn the_frozen_baseline_sheds_and_violates_where_reopt_stays_clean() {
 
     // Frozen: never notices the device halved; keeps promising 20ms
     // deadlines the device cannot meet.
-    assert_eq!(frozen.swaps, 0);
-    assert_eq!(frozen.stale_detections, 0);
-    assert_eq!(frozen.final_version, 1);
+    assert_eq!(frozen.stats.swaps, 0);
+    assert_eq!(frozen.stats.stale_detections, 0);
+    assert_eq!(frozen.stats.final_version, 1);
     assert!(frozen.shed.total() > 0, "overload must shed");
     assert!(
         frozen.violations > 0,
@@ -145,7 +158,7 @@ fn the_frozen_baseline_sheds_and_violates_where_reopt_stays_clean() {
 
     // Re-optimized: same load, same drift — zero violations after the swap,
     // and strictly fewer violations than the frozen lane overall.
-    assert_eq!(reopt.violations_post_swap, 0);
+    assert_eq!(reopt.stats.violations_post_swap, 0);
     assert!(
         reopt.violations < frozen.violations,
         "re-optimization must reduce violations ({} vs frozen {})",
@@ -164,12 +177,12 @@ fn no_drift_means_zero_false_positive_swaps_across_seeds() {
         cfg.perturb = Perturbation::new(f64::INFINITY, 2.0); // never fires
         let out = run_reopt_sim(&cfg);
         assert_eq!(
-            out.stale_detections, 0,
+            out.stats.stale_detections, 0,
             "seed {seed}: detector false-positived on an on-table device"
         );
-        assert_eq!(out.swaps, 0, "seed {seed}: spurious swap");
+        assert_eq!(out.stats.swaps, 0, "seed {seed}: spurious swap");
         assert_eq!(out.violations, 0, "seed {seed}: healthy lane violated");
-        assert_eq!(out.final_version, 1);
+        assert_eq!(out.stats.final_version, 1);
         // And with the detector observing but never firing, the reopt lane
         // is byte-identical to the frozen lane on the same seed.
         let mut frozen_cfg = experiment(seed, None);

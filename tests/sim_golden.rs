@@ -16,7 +16,7 @@ use ucudnn_gpu_model::{k80, p100_sxm2, v100_sxm2, Perturbation};
 use ucudnn_serve::{
     run_fleet_sim, run_ingress_sim, run_reopt_sim, run_sim, BatchPolicy, BurnConfig,
     FleetReplicaConfig, FleetSimConfig, IngressSimConfig, ReoptConfig, ReoptSimConfig,
-    ReplicaFailure, Scheduler, SimConfig,
+    ReplicaFailure, SimConfig,
 };
 use ucudnn_tensor::{ConvGeometry, FilterShape, Shape4};
 
@@ -85,16 +85,6 @@ fn unit_table() -> Vec<(usize, f64)> {
         .collect()
 }
 
-fn sim_log(table: &[(usize, f64)], cfg: &SimConfig) -> Vec<String> {
-    let sched = Scheduler::new(table.to_vec(), cfg.slo_us, cfg.max_batch, cfg.policy);
-    run_sim(&sched, cfg).log
-}
-
-fn ingress_log(table: &[(usize, f64)], cfg: &IngressSimConfig) -> Vec<String> {
-    let sched = Scheduler::new(table.to_vec(), cfg.slo_us, cfg.max_batch, cfg.policy);
-    run_ingress_sim(&sched, cfg).log
-}
-
 #[test]
 fn serve_bench_policy_lanes() {
     let table = p100_conv2_table();
@@ -114,8 +104,9 @@ fn serve_bench_policy_lanes() {
                 arrival_rate_rps: 20_000.0,
                 requests,
                 policy,
+                table: table.clone(),
             };
-            lanes.push((policy.name(), sim_log(&table, &cfg)));
+            lanes.push((policy.name(), run_sim(&cfg).log));
         }
     }
     check(
@@ -179,6 +170,7 @@ fn serve_bench_ingress_lanes() {
         workers: 2,
         max_batch: MAX_BATCH,
         policy: BatchPolicy::Dynamic,
+        table: table.clone(),
         arrival_rate_rps: 20_000.0,
         requests,
         idle_conns: 10_000,
@@ -194,9 +186,9 @@ fn serve_bench_ingress_lanes() {
         ..nominal(4_000)
     };
     let lanes = vec![
-        ("nominal", ingress_log(&table, &nominal(4_000))),
-        ("nominal_smoke", ingress_log(&table, &nominal(2_000))),
-        ("burst", ingress_log(&table, &burst)),
+        ("nominal", run_ingress_sim(&nominal(4_000)).log),
+        ("nominal_smoke", run_ingress_sim(&nominal(2_000)).log),
+        ("burst", run_ingress_sim(&burst).log),
     ];
     check(
         &lanes,
@@ -287,6 +279,7 @@ fn sim_unit_test_configs() {
         arrival_rate_rps: 4_000.0,
         requests: 400,
         policy: BatchPolicy::Dynamic,
+        table: unit_table(),
     };
     let overload = SimConfig {
         arrival_rate_rps: 400_000.0,
@@ -306,12 +299,11 @@ fn sim_unit_test_configs() {
         requests: 200,
         ..base.clone()
     };
-    let table = unit_table();
     let lanes = vec![
-        ("dynamic", sim_log(&table, &base)),
-        ("overload", sim_log(&table, &overload)),
-        ("fixed1", sim_log(&table, &fixed_one)),
-        ("tiny_queue", sim_log(&table, &tiny_queue)),
+        ("dynamic", run_sim(&base).log),
+        ("overload", run_sim(&overload).log),
+        ("fixed1", run_sim(&fixed_one).log),
+        ("tiny_queue", run_sim(&tiny_queue).log),
     ];
     check(
         &lanes,
@@ -388,6 +380,7 @@ fn ingress_unit_test_configs() {
         workers: 2,
         max_batch: MAX_BATCH,
         policy: BatchPolicy::Dynamic,
+        table: unit_table(),
         arrival_rate_rps: 20_000.0,
         requests: 2_000,
         idle_conns: 10_000,
@@ -424,14 +417,13 @@ fn ingress_unit_test_configs() {
         churn_cycles: 0,
         ..base.clone()
     };
-    let table = unit_table();
     let lanes = vec![
-        ("nominal", ingress_log(&table, &base)),
-        ("burst", ingress_log(&table, &burst)),
-        ("tiny_buffer", ingress_log(&table, &tiny_buffer)),
-        ("conn_cap", ingress_log(&table, &conn_cap)),
-        ("churn", ingress_log(&table, &churn)),
-        ("no_churn", ingress_log(&table, &no_churn)),
+        ("nominal", run_ingress_sim(&base).log),
+        ("burst", run_ingress_sim(&burst).log),
+        ("tiny_buffer", run_ingress_sim(&tiny_buffer).log),
+        ("conn_cap", run_ingress_sim(&conn_cap).log),
+        ("churn", run_ingress_sim(&churn).log),
+        ("no_churn", run_ingress_sim(&no_churn).log),
     ];
     check(
         &lanes,
