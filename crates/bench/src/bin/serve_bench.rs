@@ -90,6 +90,11 @@ fn replayed<C, S>(run: fn(&C) -> SimOutcome<S>, cfg: &C, lane: &str) -> SimOutco
     out
 }
 
+/// A JSON number, or `null` when absent.
+fn opt(v: Option<f64>) -> Value {
+    v.map(num).unwrap_or(Value::Null)
+}
+
 /// The full shed ladder of one lane.
 fn shed_ladder(shed: &ShedCounts) -> Value {
     obj([
@@ -103,7 +108,6 @@ fn shed_ladder(shed: &ShedCounts) -> Value {
 
 fn policy_row(out: &SimOutcome, policy: BatchPolicy) -> Value {
     let pct = out.latencies.cumulative();
-    let q = |v: Option<f64>| v.map(num).unwrap_or(Value::Null);
     obj([
         ("name", Value::Str(policy.name().to_string())),
         ("completed", num(out.completed as f64)),
@@ -111,16 +115,15 @@ fn policy_row(out: &SimOutcome, policy: BatchPolicy) -> Value {
         ("violations", num(out.violations as f64)),
         ("throughput_rps", num(out.throughput_rps())),
         ("mean_batch", num(out.mean_batch())),
-        ("p50_us", q(pct.p50_us)),
-        ("p95_us", q(pct.p95_us)),
-        ("p99_us", q(pct.p99_us)),
-        ("mean_us", q((out.completed > 0).then(|| pct.mean()))),
+        ("p50_us", opt(pct.p50_us)),
+        ("p95_us", opt(pct.p95_us)),
+        ("p99_us", opt(pct.p99_us)),
+        ("mean_us", opt((out.completed > 0).then(|| pct.mean()))),
     ])
 }
 
 fn reopt_lane_row(out: &ReoptOutcome) -> Value {
     let pct = out.latencies.cumulative();
-    let q = |v: Option<f64>| v.map(num).unwrap_or(Value::Null);
     obj([
         ("completed", num(out.completed as f64)),
         (
@@ -142,12 +145,12 @@ fn reopt_lane_row(out: &ReoptOutcome) -> Value {
         ("stale_detections", num(out.stats.stale_detections as f64)),
         ("plan_swaps", num(out.stats.swaps as f64)),
         ("final_plan_version", num(out.stats.final_version as f64)),
-        ("detect_time_us", q(out.stats.detect_time_us)),
-        ("swap_time_us", q(out.stats.swap_time_us)),
+        ("detect_time_us", opt(out.stats.detect_time_us)),
+        ("swap_time_us", opt(out.stats.swap_time_us)),
         ("slo_alerts", num(out.stats.slo_alerts as f64)),
-        ("first_alert_us", q(out.stats.first_alert_us)),
-        ("p50_us", q(pct.p50_us)),
-        ("p99_us", q(pct.p99_us)),
+        ("first_alert_us", opt(out.stats.first_alert_us)),
+        ("p50_us", opt(pct.p50_us)),
+        ("p99_us", opt(pct.p99_us)),
     ])
 }
 
@@ -309,7 +312,6 @@ fn reopt_experiment(table: &[(usize, f64)]) -> Value {
 
 fn ingress_lane_row(rate_rps: f64, queue_cap: usize, out: &IngressOutcome) -> Value {
     let pct = out.latencies.cumulative();
-    let q = |v: Option<f64>| v.map(num).unwrap_or(Value::Null);
     obj([
         ("rate_rps", num(rate_rps)),
         ("queue_cap", num(queue_cap as f64)),
@@ -325,8 +327,8 @@ fn ingress_lane_row(rate_rps: f64, queue_cap: usize, out: &IngressOutcome) -> Va
         ("peak_conns", num(out.stats.peak_conns as f64)),
         ("throughput_rps", num(out.throughput_rps())),
         ("mean_batch", num(out.mean_batch())),
-        ("p50_us", q(pct.p50_us)),
-        ("p99_us", q(pct.p99_us)),
+        ("p50_us", opt(pct.p50_us)),
+        ("p99_us", opt(pct.p99_us)),
     ])
 }
 
@@ -334,8 +336,8 @@ fn ingress_lane_row(rate_rps: f64, queue_cap: usize, out: &IngressOutcome) -> Va
 /// policies (admission pause before the shed ladder, the listener cap,
 /// kernel-buffer absorption) replayed on the virtual clock. Two lanes share
 /// one seed: nominal fan-in (10k idle connections, 20k rps) and a 20×
-/// burst against a shallow queue.
-fn ingress_experiment(table: &[(usize, f64)], smoke: bool) -> Value {
+/// burst against a shallow queue. `dynamic` is the dynamic policy lane.
+fn ingress_experiment(dynamic: &SimConfig, smoke: bool) -> Value {
     const IDLE_CONNS: usize = 10_000;
     const CHURN_CYCLES: usize = 1_000;
     const CHURN_RATE_CPS: f64 = 2_000.0;
@@ -346,15 +348,10 @@ fn ingress_experiment(table: &[(usize, f64)], smoke: bool) -> Value {
     const BURST_QUEUE_CAP: usize = 32;
     let requests = if smoke { 2_000 } else { 4_000 };
     let base = IngressSimConfig {
-        seed: SEED,
-        slo_us: SLO_US,
-        queue_cap: QUEUE_CAP,
-        workers: WORKERS,
-        max_batch: MAX_BATCH,
-        policy: BatchPolicy::Dynamic,
-        table: table.to_vec(),
-        arrival_rate_rps: RATE_RPS,
-        requests,
+        sim: SimConfig {
+            requests,
+            ..dynamic.clone()
+        },
         idle_conns: IDLE_CONNS,
         churn_cycles: CHURN_CYCLES,
         churn_rate_cps: CHURN_RATE_CPS,
@@ -363,9 +360,12 @@ fn ingress_experiment(table: &[(usize, f64)], smoke: bool) -> Value {
         kernel_buf: KERNEL_BUF,
     };
     let burst_cfg = IngressSimConfig {
-        arrival_rate_rps: BURST_RATE_RPS,
-        queue_cap: BURST_QUEUE_CAP,
-        requests: 4_000,
+        sim: SimConfig {
+            arrival_rate_rps: BURST_RATE_RPS,
+            queue_cap: BURST_QUEUE_CAP,
+            requests: 4_000,
+            ..base.sim.clone()
+        },
         ..base.clone()
     };
     let nominal = replayed(run_ingress_sim, &base, "nominal ingress");
@@ -406,7 +406,8 @@ fn ingress_experiment(table: &[(usize, f64)], smoke: bool) -> Value {
     );
     let p99 = nominal
         .latencies
-        .try_quantile(0.99)
+        .cumulative()
+        .p99_us
         .expect("completions imply percentiles");
     assert!(
         p99 <= SLO_US,
@@ -740,7 +741,6 @@ fn telemetry_smoke(metrics_dump: Option<&str>) {
 
 fn fleet_lane_row(out: &FleetOutcome) -> Value {
     let pct = out.latencies.cumulative();
-    let q = |v: Option<f64>| v.map(num).unwrap_or(Value::Null);
     obj([
         ("completed", num(out.completed as f64)),
         ("shed", shed_ladder(&out.shed)),
@@ -748,8 +748,8 @@ fn fleet_lane_row(out: &FleetOutcome) -> Value {
         ("requeued", num(out.stats.requeued as f64)),
         ("throughput_rps", num(out.throughput_rps())),
         ("mean_batch", num(out.mean_batch())),
-        ("p50_us", q(pct.p50_us)),
-        ("p99_us", q(pct.p99_us)),
+        ("p50_us", opt(pct.p50_us)),
+        ("p99_us", opt(pct.p99_us)),
         (
             "per_replica",
             Value::Arr(
@@ -1069,21 +1069,21 @@ fn main() {
         BatchPolicy::FixedOne,
         BatchPolicy::FixedMax,
     ];
-    let mut outcomes = Vec::new();
-    for policy in policies {
-        let cfg = SimConfig {
-            seed: SEED,
-            slo_us: SLO_US,
-            queue_cap: QUEUE_CAP,
-            workers: WORKERS,
-            max_batch: MAX_BATCH,
-            arrival_rate_rps: RATE_RPS,
-            requests,
-            policy,
-            table: table.clone(),
-        };
-        outcomes.push((policy, replayed(run_sim, &cfg, policy.name())));
-    }
+    let lane = |policy| SimConfig {
+        seed: SEED,
+        slo_us: SLO_US,
+        queue_cap: QUEUE_CAP,
+        workers: WORKERS,
+        max_batch: MAX_BATCH,
+        arrival_rate_rps: RATE_RPS,
+        requests,
+        policy,
+        table: table.clone(),
+    };
+    let outcomes: Vec<_> = policies
+        .into_iter()
+        .map(|policy| (policy, replayed(run_sim, &lane(policy), policy.name())))
+        .collect();
 
     println!(
         "\n{:<10} {:>9} {:>6} {:>10} {:>14} {:>10} {:>9} {:>9}",
@@ -1118,7 +1118,8 @@ fn main() {
     );
 
     let reopt_section = want_reopt.then(|| reopt_experiment(&table));
-    let ingress_section = want_ingress.then(|| ingress_experiment(&table, smoke));
+    let ingress_section =
+        want_ingress.then(|| ingress_experiment(&lane(BatchPolicy::Dynamic), smoke));
     let fleet_section = want_fleet.then(fleet_experiment);
 
     let mut doc = obj([

@@ -145,7 +145,7 @@ pub struct WindowSnapshot {
 /// memory, and quantiles with one bucket width (~5%) of relative error.
 ///
 /// Two accumulations run side by side: the cumulative view that
-/// [`Self::try_quantile`] and [`Self::cumulative`] read, and a window
+/// [`Self::cumulative`] summarizes, and a window
 /// that [`Self::take_window`] summarizes and resets in place. The
 /// cumulative view is what training reports want; the window is what a
 /// drift detector wants — a late 2× slowdown is averaged away in the
@@ -224,14 +224,9 @@ impl StreamingHistogram {
         Some(max)
     }
 
-    /// Observations recorded since creation.
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
     /// Cumulative q-quantile (`0.0 ..= 1.0`), or `None` when nothing has
     /// been recorded yet (no fake 0µs tail before the first sample).
-    pub fn try_quantile(&self, q: f64) -> Option<f64> {
+    fn try_quantile(&self, q: f64) -> Option<f64> {
         Self::quantile_of(&self.counts, self.total, self.min, self.max, q)
     }
 
@@ -927,7 +922,7 @@ mod tests {
                 "q{q}: got {got}, want ~{want}"
             );
         }
-        assert_eq!(h.count(), 1000);
+        assert_eq!(h.cumulative().count, 1000);
     }
 
     #[test]
@@ -980,7 +975,7 @@ mod tests {
         for v in [10.0, 20.0, 30.0] {
             h.record(v);
         }
-        assert_eq!(h.window_count(), h.count());
+        assert_eq!(h.window_count(), 3);
         assert_eq!(h.take_window(), h.cumulative());
         h.record(40.0);
         assert_eq!(h.window_count(), 1);
@@ -1003,10 +998,10 @@ mod tests {
         let mut h = StreamingHistogram::new();
         h.record(f64::NAN);
         h.record(f64::INFINITY);
-        assert_eq!(h.count(), 0);
+        assert_eq!(h.cumulative().count, 0);
         h.record(0.0); // below LO -> bucket 0
         h.record(1e12); // beyond range -> clamped to last bucket
-        assert_eq!(h.count(), 2);
+        assert_eq!(h.cumulative().count, 2);
         assert!(h.try_quantile(1.0) <= Some(1e12));
     }
 

@@ -164,10 +164,17 @@ pub fn poisson_arrivals(seed: u64, n: usize, rate_rps: f64) -> Vec<f64> {
 /// scheduler, and a pool of virtual workers executing from the latency
 /// table.
 pub fn run_sim(cfg: &SimConfig) -> SimOutcome {
-    let sched = Scheduler::new(cfg.table.clone(), cfg.slo_us, cfg.max_batch, cfg.policy);
-    let pool = Pool::new(sched, cfg.workers, cfg.queue_cap);
-    let arrivals = poisson_arrivals(cfg.seed, cfg.requests, cfg.arrival_rate_rps);
+    let (pool, arrivals) = cfg.setup();
     Core::new(vec![pool], ()).run(&arrivals, &mut Plain)
+}
+
+impl SimConfig {
+    /// The experiment's one pool and its offered arrivals.
+    pub(crate) fn setup(&self) -> (Pool, Vec<f64>) {
+        let sched = Scheduler::new(self.table.clone(), self.slo_us, self.max_batch, self.policy);
+        let arrivals = poisson_arrivals(self.seed, self.requests, self.arrival_rate_rps);
+        (Pool::new(sched, self.workers, self.queue_cap), arrivals)
+    }
 }
 
 /// One pool of workers behind one scheduler: the whole server in the

@@ -24,32 +24,16 @@
 //! arrival — and must stay so for committed logs to replay byte for byte.
 
 use crate::request::ShedReason;
-use crate::scheduler::{BatchPolicy, Scheduler};
-use crate::sim::{poisson_arrivals, Admit, Core, Hooks, Pool, SimOutcome};
+use crate::sim::{poisson_arrivals, Admit, Core, Hooks, SimConfig, SimOutcome};
 use std::collections::VecDeque;
 
 /// One simulated ingress experiment.
 #[derive(Debug, Clone)]
 pub struct IngressSimConfig {
-    /// Load-generator seed; the only entropy source (the churn stream
-    /// derives its own from it).
-    pub seed: u64,
-    /// Per-request deadline budget, microseconds (from admission).
-    pub slo_us: f64,
-    /// Bounded admission queue capacity.
-    pub queue_cap: usize,
-    /// Parallel worker lanes.
-    pub workers: usize,
-    /// Coalesced-batch cap.
-    pub max_batch: usize,
-    /// Batching policy under test.
-    pub policy: BatchPolicy,
-    /// The latency table `t*(m)` the workers execute from.
-    pub table: Vec<(usize, f64)>,
-    /// Pooled offered load across all active connections, requests/s.
-    pub arrival_rate_rps: f64,
-    /// Total requests to offer.
-    pub requests: usize,
+    /// The serving experiment behind the ingress: its offered load is pooled
+    /// across all active connections, its deadlines run from admission, and
+    /// its seed also derives the churn stream's.
+    pub sim: SimConfig,
     /// Long-held idle connections (the C10k floor under the fan-in).
     pub idle_conns: usize,
     /// Short-lived churn connections to open over the run.
@@ -92,11 +76,10 @@ pub struct IngressStats {
 /// Panics on a degenerate config (zero workers, queue, or connections).
 pub fn run_ingress_sim(cfg: &IngressSimConfig) -> IngressOutcome {
     assert!(cfg.max_conns >= 1, "need room for at least one connection");
-    let sched = Scheduler::new(cfg.table.clone(), cfg.slo_us, cfg.max_batch, cfg.policy);
-    let pool = Pool::new(sched, cfg.workers, cfg.queue_cap);
+    let (pool, arrivals) = cfg.sim.setup();
     let churn_opens = if cfg.churn_cycles > 0 {
         poisson_arrivals(
-            cfg.seed ^ 0x9e37_79b9_7f4a_7c15,
+            cfg.sim.seed ^ 0x9e37_79b9_7f4a_7c15,
             cfg.churn_cycles,
             cfg.churn_rate_cps,
         )
@@ -116,7 +99,6 @@ pub fn run_ingress_sim(cfg: &IngressSimConfig) -> IngressOutcome {
         peak_conns: cfg.idle_conns.min(cfg.max_conns),
         ..IngressStats::default()
     };
-    let arrivals = poisson_arrivals(cfg.seed, cfg.requests, cfg.arrival_rate_rps);
     Core::new(vec![pool], stats).run(&arrivals, &mut hooks)
 }
 
@@ -143,10 +125,10 @@ impl Hooks for Ingress<'_> {
         if !self.buffer.is_empty() {
             return Some(f64::NEG_INFINITY);
         }
-        let open = self.churn_opens.get(self.next_open).copied();
-        [open, self.closes.front().copied()]
-            .into_iter()
-            .flatten()
+        let open = self.churn_opens.get(self.next_open);
+        open.into_iter()
+            .chain(self.closes.front())
+            .copied()
             .reduce(f64::min)
     }
 
@@ -195,7 +177,7 @@ impl Hooks for Ingress<'_> {
         // requests admit in arrival order (possibly re-pausing if the
         // backlog alone refills the queue).
         let queue = &mut core.pools[0].queue;
-        if !self.paused || queue.len() > self.cfg.queue_cap / 2 {
+        if !self.paused || queue.len() > self.cfg.sim.queue_cap / 2 {
             return;
         }
         self.paused = false;
@@ -203,7 +185,7 @@ impl Hooks for Ingress<'_> {
             .log
             .push(format!("resume t={now:.3} buffered={}", self.buffer.len()));
         while let Some(&(id, offered)) = self.buffer.front() {
-            if queue.len() >= self.cfg.queue_cap {
+            if queue.len() >= self.cfg.sim.queue_cap {
                 self.paused = true;
                 stats.admission_pauses += 1;
                 core.out
@@ -222,7 +204,7 @@ impl Hooks for Ingress<'_> {
     /// admission is paused; only buffer overflow sheds.
     fn admit(&mut self, core: &mut Core<IngressStats>, id: u64, t: f64) -> Admit {
         let depth = core.pools[0].queue.len();
-        if !self.paused && depth >= self.cfg.queue_cap {
+        if !self.paused && depth >= self.cfg.sim.queue_cap {
             self.paused = true;
             core.out.stats.admission_pauses += 1;
             core.out.log.push(format!("pause t={t:.3} depth={depth}"));
@@ -255,15 +237,17 @@ mod tests {
 
     fn cfg() -> IngressSimConfig {
         IngressSimConfig {
-            seed: 2018,
-            slo_us: 20_000.0,
-            queue_cap: 256,
-            workers: 2,
-            max_batch: 32,
-            policy: BatchPolicy::Dynamic,
-            table: table(),
-            arrival_rate_rps: 20_000.0,
-            requests: 2_000,
+            sim: SimConfig {
+                seed: 2018,
+                slo_us: 20_000.0,
+                queue_cap: 256,
+                workers: 2,
+                max_batch: 32,
+                arrival_rate_rps: 20_000.0,
+                requests: 2_000,
+                policy: crate::scheduler::BatchPolicy::Dynamic,
+                table: table(),
+            },
             idle_conns: 10_000,
             churn_cycles: 200,
             churn_rate_cps: 2_000.0,
@@ -280,16 +264,16 @@ mod tests {
         assert_eq!(out.stats.admission_pauses, 0, "nominal load must not pause");
         assert_eq!(out.shed.total(), 0, "nominal load must not shed");
         assert_eq!(out.violations, 0);
-        assert_eq!(out.completed, c.requests as u64);
+        assert_eq!(out.completed, c.sim.requests as u64);
         assert!(out.mean_batch() > 1.0, "20k rps must coalesce");
     }
 
     #[test]
     fn bursts_pause_and_recover_instead_of_shedding() {
         let mut c = cfg();
-        c.arrival_rate_rps = 400_000.0;
-        c.queue_cap = 32;
-        c.requests = 4_000;
+        c.sim.arrival_rate_rps = 400_000.0;
+        c.sim.queue_cap = 32;
+        c.sim.requests = 4_000;
         let out = run_ingress_sim(&c);
         assert!(
             out.stats.admission_pauses > 0,
@@ -301,7 +285,7 @@ mod tests {
         // but nothing lost.
         assert_eq!(
             out.completed + out.shed.total(),
-            c.requests as u64,
+            c.sim.requests as u64,
             "every offered request is accounted for"
         );
         assert_eq!(
@@ -314,13 +298,13 @@ mod tests {
     #[test]
     fn a_tiny_kernel_buffer_overflows_into_queue_full() {
         let mut c = cfg();
-        c.arrival_rate_rps = 400_000.0;
-        c.queue_cap = 16;
+        c.sim.arrival_rate_rps = 400_000.0;
+        c.sim.queue_cap = 16;
         c.kernel_buf = 8;
-        c.requests = 2_000;
+        c.sim.requests = 2_000;
         let out = run_ingress_sim(&c);
         assert!(out.shed.queue_full > 0, "overflow must shed");
-        assert_eq!(out.completed + out.shed.total(), c.requests as u64);
+        assert_eq!(out.completed + out.shed.total(), c.sim.requests as u64);
     }
 
     #[test]

@@ -164,15 +164,17 @@ fn serve_bench_reopt_lanes() {
 fn serve_bench_ingress_lanes() {
     let table = p100_conv2_table();
     let nominal = |requests| IngressSimConfig {
-        seed: SEED,
-        slo_us: SLO_US,
-        queue_cap: 256,
-        workers: 2,
-        max_batch: MAX_BATCH,
-        policy: BatchPolicy::Dynamic,
-        table: table.clone(),
-        arrival_rate_rps: 20_000.0,
-        requests,
+        sim: SimConfig {
+            seed: SEED,
+            slo_us: SLO_US,
+            queue_cap: 256,
+            workers: 2,
+            max_batch: MAX_BATCH,
+            arrival_rate_rps: 20_000.0,
+            requests,
+            policy: BatchPolicy::Dynamic,
+            table: table.clone(),
+        },
         idle_conns: 10_000,
         churn_cycles: 1_000,
         churn_rate_cps: 2_000.0,
@@ -181,8 +183,11 @@ fn serve_bench_ingress_lanes() {
         kernel_buf: 4_096,
     };
     let burst = IngressSimConfig {
-        arrival_rate_rps: 400_000.0,
-        queue_cap: 32,
+        sim: SimConfig {
+            arrival_rate_rps: 400_000.0,
+            queue_cap: 32,
+            ..nominal(4_000).sim
+        },
         ..nominal(4_000)
     };
     let lanes = vec![
@@ -374,15 +379,17 @@ fn reopt_unit_test_configs() {
 #[test]
 fn ingress_unit_test_configs() {
     let base = IngressSimConfig {
-        seed: SEED,
-        slo_us: SLO_US,
-        queue_cap: 256,
-        workers: 2,
-        max_batch: MAX_BATCH,
-        policy: BatchPolicy::Dynamic,
-        table: unit_table(),
-        arrival_rate_rps: 20_000.0,
-        requests: 2_000,
+        sim: SimConfig {
+            seed: SEED,
+            slo_us: SLO_US,
+            queue_cap: 256,
+            workers: 2,
+            max_batch: MAX_BATCH,
+            arrival_rate_rps: 20_000.0,
+            requests: 2_000,
+            policy: BatchPolicy::Dynamic,
+            table: unit_table(),
+        },
         idle_conns: 10_000,
         churn_cycles: 200,
         churn_rate_cps: 2_000.0,
@@ -391,14 +398,20 @@ fn ingress_unit_test_configs() {
         kernel_buf: 4_096,
     };
     let burst = IngressSimConfig {
-        arrival_rate_rps: 400_000.0,
-        queue_cap: 32,
-        requests: 4_000,
+        sim: SimConfig {
+            arrival_rate_rps: 400_000.0,
+            queue_cap: 32,
+            requests: 4_000,
+            ..base.sim.clone()
+        },
         ..base.clone()
     };
     let tiny_buffer = IngressSimConfig {
-        arrival_rate_rps: 400_000.0,
-        queue_cap: 16,
+        sim: SimConfig {
+            arrival_rate_rps: 400_000.0,
+            queue_cap: 16,
+            ..base.sim.clone()
+        },
         kernel_buf: 8,
         ..base.clone()
     };
