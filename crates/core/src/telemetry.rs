@@ -145,12 +145,11 @@ pub struct WindowSnapshot {
 /// memory, and quantiles with one bucket width (~5%) of relative error.
 ///
 /// Two accumulations run side by side: the cumulative view that
-/// [`Self::cumulative`] summarizes, and a window
-/// that [`Self::take_window`] summarizes and resets in place. The
-/// cumulative view is what training reports want; the window is what a
-/// drift detector wants — a late 2× slowdown is averaged away in the
-/// cumulative p50 but dominates the windowed one. The registry's
-/// [`Histogram`] wraps one behind a mutex.
+/// [`Self::cumulative`] summarizes, and a window that [`Self::take_window`]
+/// summarizes and resets in place. The cumulative view is what training
+/// reports want; the window is what a drift detector wants — a late 2×
+/// slowdown is averaged away in the cumulative p50 but dominates the
+/// windowed one.
 #[derive(Debug, Clone)]
 pub struct StreamingHistogram {
     counts: Vec<u64>,

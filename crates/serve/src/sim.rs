@@ -251,7 +251,7 @@ pub(crate) trait Hooks {
     type Stats;
 
     /// Ground truth: how long the fired plan really runs.
-    fn exec_us(&mut self, _now: f64, d: &SloDecision) -> f64 {
+    fn exec_us(&self, _now: f64, d: &SloDecision) -> f64 {
         d.exec_us
     }
 

@@ -172,7 +172,7 @@ impl Hooks for Reopt<'_> {
     type Stats = ReoptStats;
 
     /// Ground truth: the device as it is now, not as the plan believes.
-    fn exec_us(&mut self, now: f64, d: &SloDecision) -> f64 {
+    fn exec_us(&self, now: f64, d: &SloDecision) -> f64 {
         let factor = self.cfg.perturb.factor_at(now);
         d.micros.iter().map(|&m| self.base_t(m) * factor).sum()
     }
