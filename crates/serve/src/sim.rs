@@ -6,7 +6,7 @@
 //! fixed-batch-1 by ≥1.3×") are exactly reproducible: the same seed and
 //! worker count produce a byte-identical batch/shed log on every machine.
 //!
-//! No wall clock, no OS entropy: arrivals come from a splittable LCG and an
+//! No wall clock, no OS entropy: arrivals come from a seeded LCG and an
 //! exponential inter-arrival transform, all times are f64 microseconds on
 //! the virtual clock.
 //!
@@ -28,10 +28,10 @@
 //!
 //! An ordered event runs alone at its tick. At any other tick the hooks run
 //! their lazy work first, then every arrival up to the tick is admitted in
-//! order, then the earliest due pool decides once.
-//! Lazy work (a plan swap, connection churn, an admission resume) happens at
-//! the tick, not at its own instant, so a log line can carry an earlier
-//! timestamp than the one before it.
+//! order, then the earliest due pool decides once. Lazy work (a plan swap,
+//! connection churn, an admission resume) happens at the tick, not at its
+//! own instant, so a log line can carry an earlier timestamp than the one
+//! before it.
 
 use crate::request::ShedReason;
 use crate::scheduler::{Action, BatchPolicy, Scheduler};
