@@ -10,8 +10,9 @@
 //! * **fast** — the register-blocked packed GEMM with a warm
 //!   [`ucudnn_conv::EnginePlan`], i.e. what a layer's second and later
 //!   micro-batches execute. The im2col rows time it twice: on one worker
-//!   (`_1t`) and on every execution worker (`_mt`); the other rows are
-//!   single-threaded engines.
+//!   (`_1t`) and on every execution worker (`_mt`). The implicit-GEMM row
+//!   times the zero-workspace engine on one worker against the im2col
+//!   row's naive path; the other rows are single-threaded engines.
 //!
 //! Results go to stdout and to `BENCH_hotpath.json` (override with
 //! `--out <path>`): per-kernel GFLOP/s for both paths plus the speedup.
@@ -57,25 +58,31 @@ impl Row {
     }
 }
 
-/// Best-of-`reps` wall times of an interleaved naive/fast pair, in
-/// microseconds. Interleaving means both paths see the same background
-/// noise, and minimum time is the standard noise-robust estimator on a
-/// shared machine (noise only ever adds time).
-fn time_pair_us(reps: usize, naive: &mut dyn FnMut(), fast: &mut dyn FnMut()) -> (f64, f64) {
+/// Best-of-`reps` wall times of each kernel's naive and fast paths, in
+/// microseconds. Each kernel's pair is interleaved, so both paths see the
+/// same background noise, and the kernels are timed in rounds, one pair per
+/// kernel per round, so every row samples the same host phases and rows
+/// compare with each other. Minimum time is the standard noise-robust
+/// estimator on a shared machine (noise only ever adds time).
+fn time_pairs_us(reps: usize, kernels: &mut [Kernel]) -> Vec<(f64, f64)> {
     let one = |f: &mut dyn FnMut()| {
         let start = Instant::now();
         f();
         start.elapsed().as_secs_f64() * 1e6
     };
     // Warm-up: populates plans/caches so "fast" measures the steady state.
-    one(naive);
-    one(fast);
-    let (mut best_naive, mut best_fast) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..reps.max(1) {
-        best_naive = best_naive.min(one(naive));
-        best_fast = best_fast.min(one(fast));
+    for kern in kernels.iter_mut() {
+        one(&mut kern.naive);
+        one(&mut kern.fast);
     }
-    (best_naive, best_fast)
+    let mut best = vec![(f64::INFINITY, f64::INFINITY); kernels.len()];
+    for _ in 0..reps.max(1) {
+        for (kern, (naive, fast)) in kernels.iter_mut().zip(&mut best) {
+            *naive = naive.min(one(&mut kern.naive));
+            *fast = fast.min(one(&mut kern.fast));
+        }
+    }
+    best
 }
 
 fn filled(len: usize, seed: usize) -> Vec<f32> {
@@ -148,8 +155,8 @@ fn main() {
             kernels.extend(conv_kernels);
         }
 
-        for kern in &mut kernels {
-            let (naive_us, fast_us) = time_pair_us(reps, &mut kern.naive, &mut kern.fast);
+        let times = time_pairs_us(reps, &mut kernels);
+        for (kern, (naive_us, fast_us)) in kernels.iter().zip(times) {
             rows.push(Row {
                 name: kern.name,
                 shape: kern.shape.clone(),
@@ -226,30 +233,7 @@ fn planned_conv_kernels(tag: &'static str, g: &ConvGeometry) -> Vec<Kernel<'stat
     // pre-substrate path), fast = warm plan + packed GEMM, once on one
     // worker and once on every execution worker.
     for (suffix, cap) in [("1t", Some(1)), ("mt", None)] {
-        let (xa, wa) = (x.clone(), w.clone());
-        let mut y = vec![0.0f32; y_len];
-        let mut ws = vec![0.0f32; im2col_gemm::workspace_floats(&g)];
-        let naive = Box::new(move || {
-            let (k, crs) = (g.filter.k, g.input.c * g.filter.r * g.filter.s);
-            let howo = g.out_h() * g.out_w();
-            let in_sample = g.input.sample_len();
-            for ni in 0..g.input.n {
-                let col = &mut ws[..crs * howo];
-                ucudnn_conv::im2col::im2col(&g, &xa[ni * in_sample..(ni + 1) * in_sample], col);
-                sgemm_ref(
-                    Trans::No,
-                    Trans::No,
-                    k,
-                    howo,
-                    crs,
-                    1.0,
-                    &wa,
-                    col,
-                    0.0,
-                    &mut y[ni * k * howo..(ni + 1) * k * howo],
-                );
-            }
-        });
+        let naive = im2col_naive(g, x.clone(), w.clone());
         let (xa, wa) = (x.clone(), w.clone());
         let mut y = vec![0.0f32; y_len];
         let mut ws = vec![0.0f32; im2col_gemm::workspace_floats(&g)];
@@ -269,6 +253,29 @@ fn planned_conv_kernels(tag: &'static str, g: &ConvGeometry) -> Vec<Kernel<'stat
             shape: format!("{g}"),
             flops: 2.0 * macs,
             workers: cap.unwrap_or_else(max_workers),
+            naive,
+            fast,
+        });
+    }
+
+    // Implicit-GEMM forward on one worker: no workspace, the column buffer
+    // lowered in bounded blocks. The naive side is the im2col row's, so a
+    // smoke run spends no time in the seven-loop oracle.
+    if tag == "resnet3x3" {
+        let naive = im2col_naive(g, x.clone(), w.clone());
+        let (xa, wa) = (x.clone(), w.clone());
+        let mut y = vec![0.0f32; y_len];
+        let mut plan = ucudnn_conv::plan::GemmPlan::default();
+        let fast = Box::new(move || {
+            let prev = set_thread_cap(Some(1));
+            im2col_gemm::implicit_forward_with_plan(&g, &xa, &wa, &mut y, 1.0, 0.0, &mut plan);
+            set_thread_cap(prev);
+        });
+        kernels.push(Kernel {
+            name: "implicit_fwd_resnet3x3_1t",
+            shape: format!("{g}"),
+            flops: 2.0 * macs,
+            workers: 1,
             naive,
             fast,
         });
@@ -361,4 +368,32 @@ fn planned_conv_kernels(tag: &'static str, g: &ConvGeometry) -> Vec<Kernel<'stat
     }
 
     kernels
+}
+
+/// The im2col rows' naive path on `g`: per sample, the explicit `im2col`
+/// lowering and the `sgemm_ref` triple loop.
+fn im2col_naive(g: ConvGeometry, x: Vec<f32>, w: Vec<f32>) -> Box<dyn FnMut()> {
+    let mut y = vec![0.0f32; g.output().len()];
+    let mut ws = vec![0.0f32; im2col_gemm::workspace_floats(&g)];
+    Box::new(move || {
+        let (k, crs) = (g.filter.k, g.input.c * g.filter.r * g.filter.s);
+        let howo = g.out_h() * g.out_w();
+        let in_sample = g.input.sample_len();
+        for ni in 0..g.input.n {
+            let col = &mut ws[..crs * howo];
+            ucudnn_conv::im2col::im2col(&g, &x[ni * in_sample..(ni + 1) * in_sample], col);
+            sgemm_ref(
+                Trans::No,
+                Trans::No,
+                k,
+                howo,
+                crs,
+                1.0,
+                &w,
+                col,
+                0.0,
+                &mut y[ni * k * howo..(ni + 1) * k * howo],
+            );
+        }
+    })
 }

@@ -2,11 +2,33 @@
 //!
 //! This is Algorithm 1 of the paper, computed exactly as written, in
 //! cross-correlation form (the mode every deep learning framework uses).
-//! It needs zero workspace, like cuDNN's `IMPLICIT_GEMM`, and serves as the
-//! ground truth every other engine is validated against.
+//! It is no execution engine: it serves as the ground truth every engine is
+//! validated against, in the tests and the `hotpath` benchmark.
 
 use crate::parallel::{even_cuts, fork_join, split_at_cuts, workers_for};
+use crate::ConvOp;
 use ucudnn_tensor::ConvGeometry;
+
+/// The reference result of `op`, with [`crate::exec`]'s buffer roles:
+/// `out = alpha * op(a, b) + beta * out`.
+///
+/// # Panics
+/// Panics when any buffer does not match the geometry.
+pub fn run(
+    op: ConvOp,
+    g: &ConvGeometry,
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    alpha: f32,
+    beta: f32,
+) {
+    match op {
+        ConvOp::Forward => forward(g, a, b, out, alpha, beta),
+        ConvOp::BackwardData => backward_data(g, a, b, out, alpha, beta),
+        ConvOp::BackwardFilter => backward_filter(g, a, b, out, alpha, beta),
+    }
+}
 
 /// Split `out`, `units` items of `unit_len` elements, into one contiguous
 /// `(lo, hi, chunk)` range of items per worker of a call on `g`. Each output

@@ -96,7 +96,7 @@ pub(crate) fn scale_beta(c: &mut [f32], beta: f32) {
 /// k-major within each panel: element `(r, p)` of panel `pi` lives at
 /// `pi*MR*k + p*MR + r`. Pack once per layer execution and reuse across
 /// micro-batches via [`sgemm_prepacked_a`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PackedA {
     m: usize,
     k: usize,
@@ -104,6 +104,17 @@ pub struct PackedA {
 }
 
 impl PackedA {
+    /// Pack `op(A)` in place of the current panels, reusing their buffer:
+    /// [`pack_a`] for an operand packed once per call rather than per layer.
+    ///
+    /// # Panics
+    /// Panics when `a` is smaller than `m * k`.
+    pub(crate) fn repack(&mut self, trans_a: Trans, m: usize, k: usize, a: &[f32]) {
+        assert!(a.len() >= m * k, "A too small: {} < {}", a.len(), m * k);
+        pack_a_into(trans_a, m, k, a, &mut self.buf);
+        (self.m, self.k) = (m, k);
+    }
+
     /// Rows of `op(A)`.
     pub fn m(&self) -> usize {
         self.m
@@ -203,8 +214,8 @@ pub fn pack_a(trans_a: Trans, m: usize, k: usize, a: &[f32]) -> PackedA {
 }
 
 /// Row access to the `C` operand of the macro loop: one loop serves a dense
-/// row-major matrix and a worker's column range of a wider one (one slice
-/// per row, carved with `split_at_mut`).
+/// row-major matrix and a column window of a wider one (one slice per row,
+/// carved with `split_at_mut`).
 trait OutRows {
     /// Row `i`, exactly as many elements long as `C` has columns.
     fn row(&mut self, i: usize) -> &mut [f32];
@@ -223,10 +234,17 @@ impl OutRows for Dense<'_> {
     }
 }
 
-impl OutRows for [&mut [f32]] {
+/// The columns `cols` of one slice per row: a block of a worker's column
+/// range of a wider output matrix.
+struct Window<'a, 'b> {
+    rows: &'a mut [&'b mut [f32]],
+    cols: Range<usize>,
+}
+
+impl OutRows for Window<'_, '_> {
     #[inline(always)]
     fn row(&mut self, i: usize) -> &mut [f32] {
-        &mut *self[i]
+        &mut self.rows[i][self.cols.clone()]
     }
 }
 
@@ -359,35 +377,14 @@ pub fn sgemm(
     );
 }
 
-/// [`sgemm`] into one `n`-long slice per row of `C` (`c_rows.len() == m`):
-/// a worker's column range of a wider output matrix.
-///
-/// # Panics
-/// Panics when a buffer is smaller than its shape requires or a row of `C`
-/// is not `n` long.
-#[allow(clippy::too_many_arguments)] // BLAS/cuDNN-style signature
-pub(crate) fn sgemm_rows(
-    trans_a: Trans,
-    trans_b: Trans,
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: f32,
-    a: &[f32],
-    b: &[f32],
-    beta: f32,
-    c_rows: &mut [&mut [f32]],
-) {
-    check_rows(c_rows, m, n);
-    sgemm_into(trans_a, trans_b, m, n, k, alpha, a, b, beta, c_rows);
-}
-
-fn check_rows(c_rows: &[&mut [f32]], m: usize, n: usize) {
+/// The column window `cols` of the `m` rows `c_rows`.
+fn window<'a, 'b>(c_rows: &'a mut [&'b mut [f32]], m: usize, cols: Range<usize>) -> Window<'a, 'b> {
     assert_eq!(c_rows.len(), m, "C has {} rows, not {m}", c_rows.len());
     assert!(
-        c_rows.iter().all(|r| r.len() == n),
-        "C rows must be {n} long"
+        cols.start <= cols.end && c_rows.iter().all(|r| r.len() >= cols.end),
+        "C rows must hold the columns {cols:?}"
     );
+    Window { rows: c_rows, cols }
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -433,25 +430,29 @@ pub fn sgemm_prepacked_a(
     beta: f32,
     c: &mut [f32],
 ) {
-    sgemm_prepacked_a_rows(pa, 0..pa.m, trans_b, n, alpha, b, beta, c);
+    let k = pa.k;
+    assert!(b.len() >= k * n, "B too small: {} < {}", b.len(), k * n);
+    SCRATCH.with(|s| {
+        let s = &mut *s.borrow_mut();
+        pack_b_into(trans_b, k, n, b, &mut s.b);
+        sgemm_prepacked_rows(pa, 0..pa.m, n, alpha, &s.b, beta, c);
+    });
 }
 
-/// [`sgemm_prepacked_a`] for the rows `rows` of `op(A)` only, into the dense
-/// `rows.len() x n` matrix `c`: a worker's row range of the product. The
-/// range must start an `MR` row panel, so its panels are a sub-slice of the
-/// packed operand.
+/// [`sgemm_prepacked`] for the rows `rows` of `op(A)` only, into the dense
+/// `rows.len() x n` matrix `c`: a block of a worker's row range of the
+/// product. The range must start an `MR` row panel, so its panels are a
+/// sub-slice of the packed operand.
 ///
 /// # Panics
-/// Panics when `rows` does not start a panel or exceeds `op(A)`, or when `b`
-/// or `c` is smaller than its shape requires.
-#[allow(clippy::too_many_arguments)] // BLAS/cuDNN-style signature
-pub(crate) fn sgemm_prepacked_a_rows(
+/// Panics when `rows` does not start a panel or exceeds `op(A)`, or when
+/// `pb` or `c` is smaller than its shape requires.
+pub(crate) fn sgemm_prepacked_rows(
     pa: &PackedA,
     rows: Range<usize>,
-    trans_b: Trans,
     n: usize,
     alpha: f32,
-    b: &[f32],
+    pb: &[f32],
     beta: f32,
     c: &mut [f32],
 ) {
@@ -461,16 +462,40 @@ pub(crate) fn sgemm_prepacked_a_rows(
         pa.m
     );
     let (m, k) = (rows.len(), pa.k);
-    assert!(b.len() >= k * n, "B too small: {} < {}", b.len(), k * n);
+    assert!(
+        pb.len() >= packed_b_len(k, n),
+        "packed B too small: {} < {}",
+        pb.len(),
+        packed_b_len(k, n)
+    );
     assert!(c.len() >= m * n, "C too small: {} < {}", c.len(), m * n);
-    let c = &mut Dense { c, n };
-    if alpha == 0.0 || m == 0 || n == 0 || k == 0 {
-        return gemm_packed(m, n, k, alpha, &[], &[], beta, c);
-    }
+    let pa = &pa.buf[rows.start * k..];
+    gemm_packed(m, n, k, alpha, pa, pb, beta, &mut Dense { c, n });
+}
+
+/// [`sgemm_prepacked_a`] into the columns `cols` of one slice per row of
+/// `C` (`pa.m()` rows, `n == cols.len()`): a block of a worker's column
+/// range of a wider output matrix.
+///
+/// # Panics
+/// Panics when `b` is smaller than its shape requires or `C` does not have
+/// `pa.m()` rows that hold the columns `cols`.
+pub(crate) fn sgemm_prepacked_a_cols(
+    pa: &PackedA,
+    trans_b: Trans,
+    cols: Range<usize>,
+    alpha: f32,
+    b: &[f32],
+    beta: f32,
+    c_rows: &mut [&mut [f32]],
+) {
+    let (k, n) = (pa.k, cols.len());
+    assert!(b.len() >= k * n, "B too small: {} < {}", b.len(), k * n);
+    let c = &mut window(c_rows, pa.m, cols);
     SCRATCH.with(|s| {
         let s = &mut *s.borrow_mut();
         pack_b_into(trans_b, k, n, b, &mut s.b);
-        gemm_packed(m, n, k, alpha, &pa.buf[rows.start * k..], &s.b, beta, c);
+        gemm_packed(pa.m, n, k, alpha, &pa.buf, &s.b, beta, c);
     });
 }
 
@@ -493,22 +518,23 @@ pub fn sgemm_prepacked(pa: &PackedA, n: usize, alpha: f32, pb: &[f32], beta: f32
     prepacked_into(pa, n, alpha, pb, beta, &mut Dense { c, n });
 }
 
-/// [`sgemm_prepacked`] into one `n`-long slice per row of `C`: a worker's
-/// range of `NR`-column panels of `op(B)` multiplied into its own columns.
+/// [`sgemm_prepacked`] into the columns `cols` of one slice per row of `C`:
+/// a block of `NR`-column panels of `op(B)` multiplied into its own columns
+/// of a worker's column range.
 ///
 /// # Panics
 /// Panics when `pb` is smaller than its shape requires or `C` does not have
-/// `pa.m()` rows of `n` elements.
-pub(crate) fn sgemm_prepacked_rows(
+/// `pa.m()` rows that hold the columns `cols`.
+pub(crate) fn sgemm_prepacked_cols(
     pa: &PackedA,
-    n: usize,
+    cols: Range<usize>,
     alpha: f32,
     pb: &[f32],
     beta: f32,
     c_rows: &mut [&mut [f32]],
 ) {
-    check_rows(c_rows, pa.m, n);
-    prepacked_into(pa, n, alpha, pb, beta, c_rows);
+    let n = cols.len();
+    prepacked_into(pa, n, alpha, pb, beta, &mut window(c_rows, pa.m, cols));
 }
 
 fn prepacked_into<C: OutRows + ?Sized>(

@@ -1,20 +1,33 @@
-//! The im2col + GEMM convolution engine (cuDNN `ALGO_GEMM` analogue).
+//! The im2col + GEMM convolution engines: `GEMM` and `IMPLICIT_GEMM`.
 //!
-//! Each sample is lowered in caller-provided workspace and multiplied
-//! against the filter matrix. The forward path fuses the lowering with GEMM
-//! operand packing ([`crate::im2col::im2col_packed_b`]): columns are written
-//! straight into packed-B panels, so no separate `(C*R*S) x (Ho*Wo)` im2col
-//! matrix is materialized and the GEMM skips its internal packing pass. The
-//! backward paths still use the explicit column buffer (the data gradient
+//! Both lower each sample's receptive fields into a `(C*R*S) x (Ho*Wo)`
+//! column matrix and multiply it against the filter matrix. The forward
+//! path fuses the lowering with GEMM operand packing
+//! ([`crate::im2col::im2col_packed_b`]): columns are written straight into
+//! packed-B panels, and the GEMM skips its internal packing pass. The
+//! backward paths use the explicit column layout (the data gradient
 //! *produces* columns; the filter gradient consumes them as the transposed
-//! operand). The explicit lowering is what gives this algorithm its
-//! workspace appetite in cuDNN; the *model* of the GPU algorithm's workspace
-//! lives in `ucudnn-gpu-model`.
+//! operand). The *model* of the GPU algorithms' workspace lives in
+//! `ucudnn-gpu-model`.
 //!
-//! Every call runs on `parallel::workers_for` workers with one
-//! fork/join, inside the same one-sample workspace. Each worker owns a slice
-//! of the column buffer and the output elements it feeds, for every sample
-//! of the call, so workers never wait for each other:
+//! The two engines differ only in where the column buffer lives:
+//!
+//! * **GEMM** ([`forward_with_plan`], ...) lowers a whole sample at once
+//!   into caller-provided workspace, [`workspace_floats`] long. cuDNN's
+//!   `GEMM` and `IMPLICIT_PRECOMP_GEMM` run it.
+//! * **Implicit GEMM** ([`implicit_forward_with_plan`], ...) needs no
+//!   workspace. Each worker lowers its part of the column buffer one block
+//!   at a time into a buffer it owns, multiplies the block and moves on,
+//!   as cuDNN's `IMPLICIT_GEMM` forms tiles of the lowered matrix on chip
+//!   instead of the whole matrix (Chetlur et al.). A block holds at most
+//!   [`BLOCK_FLOATS`], or one aligned unit where a unit is larger, so the
+//!   buffer depends on the layer's shape and never on the batch.
+//!
+//! Every call runs on `parallel::workers_for` workers with one fork/join.
+//! Each worker owns a slice of the column buffer and the output elements it
+//! feeds, for every sample of the call, so workers never wait for each
+//! other. The unit a worker owns, and a block is made of, depends on the
+//! op:
 //!
 //! * **Forward** splits the `NR`-column panels of the packed column buffer:
 //!   a worker lowers its panels and multiplies them into its own columns of
@@ -26,21 +39,33 @@
 //!   worker lowers its rows and accumulates its own columns of `dw`.
 //!
 //! Every output element keeps its micro-kernel chain and its `col2im`
-//! accumulation order, so the result is bit-identical for every worker
-//! count.
+//! accumulation order whichever worker or block computes it, so the result
+//! is bit-identical for every worker count, and the two engines are
+//! bit-identical to each other.
 
 use crate::gemm::{
-    scale_beta, sgemm_prepacked_a_rows, sgemm_prepacked_rows, sgemm_rows, Trans, MR, NR,
+    pack_b_into, scale_beta, sgemm_prepacked_a_cols, sgemm_prepacked_cols, sgemm_prepacked_rows,
+    PackedA, Trans, MR, NR,
 };
 use crate::im2col::{col2im_add, im2col_packed_b, im2col_rows, packed_col_len};
 use crate::parallel::{even_cuts, fork_join, split_at_cuts, split_columns, workers_for};
 use crate::plan::GemmPlan;
+use core::cell::RefCell;
+use core::ops::Range;
 use ucudnn_tensor::{ConvGeometry, FilterShape, Shape4};
 
-/// Workspace (in `f32` elements) required by this engine for any of the
+/// Column-buffer floats an implicit-GEMM worker lowers at a time: 256 KiB,
+/// an eighth of a 2 MiB L2, so a block stays cache-resident between its
+/// lowering and its multiply. A unit larger than this (one packed panel,
+/// one `MR`-aligned group of channels, one column-buffer row) makes a block
+/// of its own.
+pub const BLOCK_FLOATS: usize = 64 << 10;
+
+/// Workspace (in `f32` elements) required by the GEMM engine for any of the
 /// three convolution operations: the single-sample column buffer, rounded up
 /// to whole packed-B panels for the fused forward path
-/// (`packed_col_len >= col_len`, so the backward paths fit too).
+/// (`packed_col_len >= col_len`, so the backward paths fit too). The
+/// implicit engine needs none.
 pub fn workspace_floats(g: &ConvGeometry) -> usize {
     packed_col_len(g)
 }
@@ -59,7 +84,7 @@ fn scaled(cuts: &[usize], unit_len: usize) -> Vec<usize> {
     cuts.iter().map(|&c| c * unit_len).collect()
 }
 
-/// `g` restricted to `c` input channels: the geometry of one worker's
+/// `g` restricted to `c` input channels: the geometry of one block's
 /// channel range, for `col2im` over that range alone.
 fn with_channels(g: &ConvGeometry, c: usize) -> ConvGeometry {
     ConvGeometry {
@@ -74,6 +99,95 @@ fn gcd(a: usize, b: usize) -> usize {
         a
     } else {
         gcd(b, a % b)
+    }
+}
+
+thread_local! {
+    // The implicit-GEMM block buffers of the calls this thread makes, one
+    // per worker. They grow to the largest call the thread has made, which
+    // `BLOCK_FLOATS` bounds per worker and layer shape.
+    static BLOCKS: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    // One sample's `dy`, packed once as the GEMM operand every block of
+    // the sample shares: B panels for backward-data, A panels for
+    // backward-filter.
+    static DY_B: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    static DY_A: RefCell<PackedA> = RefCell::default();
+}
+
+/// The calling thread's block buffers, out of `BLOCKS` for one call and
+/// back in it when dropped. Workers borrow their blocks from it, so a
+/// worker spawned for the call allocates none.
+struct Blocks(Vec<f32>);
+
+impl Blocks {
+    fn take() -> Self {
+        Blocks(BLOCKS.take())
+    }
+}
+
+impl Drop for Blocks {
+    fn drop(&mut self) {
+        BLOCKS.set(std::mem::take(&mut self.0));
+    }
+}
+
+/// Where a call's workers lower their parts of the column buffer.
+enum Cols<'a> {
+    /// The caller's one-sample workspace: each worker lowers its whole
+    /// part at once (GEMM).
+    Workspace(&'a mut [f32]),
+    /// Blocks of at most this many floats (at least one aligned unit) of
+    /// the calling thread's [`Blocks`] (implicit GEMM).
+    Blocked(usize),
+}
+
+impl Cols<'_> {
+    /// One buffer per worker of the unit `cuts`, each unit `unit_len`
+    /// floats: its slice of the workspace, or its block of `blocks`. A
+    /// block holds a multiple of `align` units, or the worker's whole part.
+    fn split<'b>(
+        self,
+        cuts: &[usize],
+        unit_len: usize,
+        align: usize,
+        blocks: &'b mut Blocks,
+    ) -> Vec<&'b mut [f32]>
+    where
+        Self: 'b,
+    {
+        match self {
+            Cols::Workspace(ws) => {
+                let len = cuts.last().map_or(0, |&c| c * unit_len);
+                split_at_cuts(&mut ws[..len], &scaled(cuts, unit_len))
+            }
+            Cols::Blocked(floats) => {
+                let widest = cuts.windows(2).map(|c| c[1] - c[0]).max().unwrap_or(0);
+                let units = (floats / (align * unit_len).max(1)).max(1) * align;
+                let (workers, len) = (cuts.len() - 1, units.min(widest) * unit_len);
+                let buf = &mut blocks.0;
+                if buf.len() < workers * len {
+                    buf.resize(workers * len, 0.0);
+                }
+                let offsets: Vec<usize> = (0..=workers).map(|i| i * len).collect();
+                split_at_cuts(&mut buf[..workers * len], &offsets)
+            }
+        }
+    }
+}
+
+/// Run `body` on consecutive blocks of the unit range `units`, as many
+/// units at a time as `buf` holds (`unit_len` floats each), with exactly the
+/// block's part of `buf`.
+fn for_blocks(
+    buf: &mut [f32],
+    units: Range<usize>,
+    unit_len: usize,
+    mut body: impl FnMut(Range<usize>, &mut [f32]),
+) {
+    let per = (buf.len() / unit_len.max(1)).max(1);
+    for start in units.clone().step_by(per) {
+        let block = start..(start + per).min(units.end);
+        body(block.clone(), &mut buf[..block.len() * unit_len]);
     }
 }
 
@@ -106,6 +220,34 @@ pub fn forward_with_plan(
     plan: &mut GemmPlan,
 ) {
     check_ws(g, ws);
+    forward_in(g, x, w, y, alpha, beta, Cols::Workspace(ws), plan);
+}
+
+/// [`forward_with_plan`] without workspace: the implicit-GEMM engine.
+/// Bit-identical to the GEMM engine.
+pub fn implicit_forward_with_plan(
+    g: &ConvGeometry,
+    x: &[f32],
+    w: &[f32],
+    y: &mut [f32],
+    alpha: f32,
+    beta: f32,
+    plan: &mut GemmPlan,
+) {
+    forward_in(g, x, w, y, alpha, beta, Cols::Blocked(BLOCK_FLOATS), plan);
+}
+
+#[allow(clippy::too_many_arguments)] // mirrors the cuDNN convolution ABI
+fn forward_in(
+    g: &ConvGeometry,
+    x: &[f32],
+    w: &[f32],
+    y: &mut [f32],
+    alpha: f32,
+    beta: f32,
+    cols: Cols<'_>,
+    plan: &mut GemmPlan,
+) {
     let n = g.input.n;
     let (k, crs) = (g.filter.k, g.input.c * g.filter.r * g.filter.s);
     let howo = g.out_h() * g.out_w();
@@ -119,26 +261,25 @@ pub fn forward_with_plan(
     // columns of every output row.
     let panels = howo.div_ceil(NR);
     let cuts = even_cuts(panels, workers_for(g.macs(), panels));
-    let cols: Vec<usize> = cuts.iter().map(|&p| (p * NR).min(howo)).collect();
-    let pcols = split_at_cuts(&mut ws[..packed_col_len(g)], &scaled(&cuts, NR * crs));
+    let ycols: Vec<usize> = cuts.iter().map(|&p| (p * NR).min(howo)).collect();
+    let mut blocks = Blocks::take();
     let parts: Vec<_> = cuts
         .windows(2)
-        .zip(cols.windows(2))
-        .zip(pcols)
-        .zip(split_columns(y, n * k, &cols))
+        .zip(cols.split(&cuts, NR * crs, 1, &mut blocks))
+        .zip(split_columns(y, n * k, &ycols))
         .collect();
-    fork_join(parts, |(((p, c), pcol), mut rows)| {
+    fork_join(parts, |((p, buf), mut rows)| {
         for ni in 0..n {
-            // Fused im2col + pack: columns land directly in packed-B panels.
-            im2col_packed_b(
-                g,
-                &x[ni * in_sample..(ni + 1) * in_sample],
-                p[0]..p[1],
-                pcol,
-            );
-            // y[n] (K x cols) = alpha * W (K x CRS) @ col (CRS x cols) + beta * y[n]
+            let xs = &x[ni * in_sample..(ni + 1) * in_sample];
             let yrows = &mut rows[ni * k..(ni + 1) * k];
-            sgemm_prepacked_rows(packed_w, c[1] - c[0], alpha, pcol, beta, yrows);
+            for_blocks(buf, p[0]..p[1], NR * crs, |block, pcol| {
+                // Fused im2col + pack: columns land directly in packed-B panels.
+                im2col_packed_b(g, xs, block.clone(), pcol);
+                // y[n] (K x cols) = alpha * W (K x CRS) @ col (CRS x cols) + beta * y[n],
+                // for the block's columns within the worker's.
+                let at = (block.start - p[0]) * NR..(block.end * NR).min(howo) - p[0] * NR;
+                sgemm_prepacked_cols(packed_w, at, alpha, pcol, beta, yrows);
+            });
         }
     });
 }
@@ -170,6 +311,34 @@ pub fn backward_data_with_plan(
     plan: &mut GemmPlan,
 ) {
     check_ws(g, ws);
+    backward_data_in(g, dy, w, dx, alpha, beta, Cols::Workspace(ws), plan);
+}
+
+/// [`backward_data_with_plan`] without workspace: the implicit-GEMM engine.
+/// Bit-identical to the GEMM engine.
+pub fn implicit_backward_data_with_plan(
+    g: &ConvGeometry,
+    dy: &[f32],
+    w: &[f32],
+    dx: &mut [f32],
+    alpha: f32,
+    beta: f32,
+    plan: &mut GemmPlan,
+) {
+    backward_data_in(g, dy, w, dx, alpha, beta, Cols::Blocked(BLOCK_FLOATS), plan);
+}
+
+#[allow(clippy::too_many_arguments)] // mirrors the cuDNN convolution ABI
+fn backward_data_in(
+    g: &ConvGeometry,
+    dy: &[f32],
+    w: &[f32],
+    dx: &mut [f32],
+    alpha: f32,
+    beta: f32,
+    cols: Cols<'_>,
+    plan: &mut GemmPlan,
+) {
     let n = g.input.n;
     let (c, rs, k) = (g.input.c, g.filter.r * g.filter.s, g.filter.k);
     let howo = g.out_h() * g.out_w();
@@ -179,39 +348,38 @@ pub fn backward_data_with_plan(
     assert_eq!(dx.len(), g.input.len(), "dx buffer mismatch");
 
     let packed_wt = plan.packed_backward_data(c * rs, k, w);
-    // Worker i owns input channels [cuts[i], cuts[i+1]): whole blocks of
-    // `step` channels, the fewest whose column-buffer rows fill MR panels.
+    // Worker i owns input channels [cuts[i], cuts[i+1]), and each block
+    // starts, at whole groups of `step` channels: the fewest whose
+    // column-buffer rows fill MR panels.
     let step = MR / gcd(rs, MR);
-    let blocks = c.div_ceil(step);
-    let cuts: Vec<usize> = even_cuts(blocks, workers_for(g.macs(), blocks))
+    let groups = c.div_ceil(step);
+    let cuts: Vec<usize> = even_cuts(groups, workers_for(g.macs(), groups))
         .iter()
         .map(|&b| (b * step).min(c))
         .collect();
-    let cols = split_at_cuts(&mut ws[..c * rs * howo], &scaled(&cuts, rs * howo));
+    let mut blocks = Blocks::take();
     let parts: Vec<_> = cuts
         .windows(2)
-        .zip(cols)
+        .zip(cols.split(&cuts, rs * howo, step, &mut blocks))
         .zip(split_columns(dx, n, &scaled(&cuts, hw)))
         .collect();
-    fork_join(parts, |((ch, col), mut dxs)| {
-        let sub = with_channels(g, ch[1] - ch[0]);
-        for (ni, dxs) in dxs.iter_mut().enumerate() {
-            // col (rows x HoWo) = W^T[rows] (rows x K) @ dy[n] (K x HoWo)
-            let dys = &dy[ni * out_sample..(ni + 1) * out_sample];
-            sgemm_prepacked_a_rows(
-                packed_wt,
-                ch[0] * rs..ch[1] * rs,
-                Trans::No,
-                howo,
-                1.0,
-                dys,
-                0.0,
-                col,
-            );
-            // cuDNN semantics: beta == 0 must not read the output buffer.
-            scale_beta(dxs, beta);
-            col2im_add(&sub, col, dxs, alpha);
-        }
+    fork_join(parts, |((ch, buf), mut dxs)| {
+        DY_B.with(|pdy| {
+            let pdy = &mut *pdy.borrow_mut();
+            for (ni, dxs) in dxs.iter_mut().enumerate() {
+                let dys = &dy[ni * out_sample..(ni + 1) * out_sample];
+                pack_b_into(Trans::No, k, howo, dys, pdy);
+                for_blocks(buf, ch[0]..ch[1], rs * howo, |block, col| {
+                    // col (rows x HoWo) = W^T[rows] (rows x K) @ dy[n] (K x HoWo)
+                    let rows = block.start * rs..block.end * rs;
+                    sgemm_prepacked_rows(packed_wt, rows, howo, 1.0, pdy, 0.0, col);
+                    // cuDNN semantics: beta == 0 must not read the output buffer.
+                    let dxb = &mut dxs[(block.start - ch[0]) * hw..(block.end - ch[0]) * hw];
+                    scale_beta(dxb, beta);
+                    col2im_add(&with_channels(g, block.len()), col, dxb, alpha);
+                });
+            }
+        });
     });
 }
 
@@ -227,6 +395,31 @@ pub fn backward_filter(
     ws: &mut [f32],
 ) {
     check_ws(g, ws);
+    backward_filter_in(g, x, dy, dw, alpha, beta, Cols::Workspace(ws));
+}
+
+/// [`backward_filter`] without workspace: the implicit-GEMM engine.
+/// Bit-identical to the GEMM engine.
+pub fn implicit_backward_filter(
+    g: &ConvGeometry,
+    x: &[f32],
+    dy: &[f32],
+    dw: &mut [f32],
+    alpha: f32,
+    beta: f32,
+) {
+    backward_filter_in(g, x, dy, dw, alpha, beta, Cols::Blocked(BLOCK_FLOATS));
+}
+
+fn backward_filter_in(
+    g: &ConvGeometry,
+    x: &[f32],
+    dy: &[f32],
+    dw: &mut [f32],
+    alpha: f32,
+    beta: f32,
+    cols: Cols<'_>,
+) {
     let n = g.input.n;
     let (k, crs) = (g.filter.k, g.input.c * g.filter.r * g.filter.s);
     let howo = g.out_h() * g.out_w();
@@ -239,34 +432,35 @@ pub fn backward_filter(
     // Worker i owns column-buffer rows [cuts[i], cuts[i+1]) and the same
     // columns of dw.
     let cuts = even_cuts(crs, workers_for(g.macs(), crs));
-    let cols = split_at_cuts(&mut ws[..crs * howo], &scaled(&cuts, howo));
+    let mut blocks = Blocks::take();
     let parts: Vec<_> = cuts
         .windows(2)
-        .zip(cols)
+        .zip(cols.split(&cuts, howo, 1, &mut blocks))
         .zip(split_columns(dw, k, &cuts))
         .collect();
-    fork_join(parts, |((r, col), mut dw_rows)| {
+    fork_join(parts, |((r, buf), mut dw_rows)| {
         for seg in dw_rows.iter_mut() {
             // cuDNN semantics: beta == 0 must not read the output buffer.
             scale_beta(seg, beta);
         }
-        for ni in 0..n {
-            im2col_rows(g, &x[ni * in_sample..(ni + 1) * in_sample], r[0]..r[1], col);
-            // dw[:, rows] (K x rows) += alpha * dy[n] (K x HoWo) @ col[rows]^T
-            let dys = &dy[ni * out_sample..(ni + 1) * out_sample];
-            sgemm_rows(
-                Trans::No,
-                Trans::Yes,
-                k,
-                r[1] - r[0],
-                howo,
-                alpha,
-                dys,
-                col,
-                1.0,
-                &mut dw_rows,
-            );
-        }
+        DY_A.with(|pdy| {
+            let pdy = &mut *pdy.borrow_mut();
+            for ni in 0..n {
+                let xs = &x[ni * in_sample..(ni + 1) * in_sample];
+                pdy.repack(
+                    Trans::No,
+                    k,
+                    howo,
+                    &dy[ni * out_sample..(ni + 1) * out_sample],
+                );
+                for_blocks(buf, r[0]..r[1], howo, |block, col| {
+                    im2col_rows(g, xs, block.clone(), col);
+                    // dw[:, rows] (K x rows) += alpha * dy[n] (K x HoWo) @ col[rows]^T
+                    let at = block.start - r[0]..block.end - r[0];
+                    sgemm_prepacked_a_cols(pdy, Trans::Yes, at, alpha, col, 1.0, &mut dw_rows);
+                });
+            }
+        });
     });
 }
 
@@ -553,6 +747,70 @@ mod tests {
             &mut ws,
         );
         assert!(dw.as_slice().iter().all(|v| v.is_finite()));
+    }
+
+    /// Output bits of every op on `g` with beta scaling a live output,
+    /// lowering into the workspace (`None`) or in blocks of `Some(floats)`.
+    fn op_bits(g: &ConvGeometry, blocked: Option<usize>) -> [Vec<u32>; 3] {
+        fn cols(ws: &mut [f32], blocked: Option<usize>) -> Cols<'_> {
+            blocked.map_or(Cols::Workspace(ws), Cols::Blocked)
+        }
+        let x = Tensor::random(g.input, 31);
+        let w = Tensor::random(g.filter.as_shape4(), 32);
+        let dy = Tensor::random(g.output(), 33);
+        let (x, w, dy) = (x.as_slice(), w.as_slice(), dy.as_slice());
+        let mut y = Tensor::random(g.output(), 34);
+        let mut dx = Tensor::random(g.input, 35);
+        let mut dw = Tensor::random(g.filter.as_shape4(), 36);
+        let (alpha, beta) = (0.75, -0.5);
+        let mut ws = vec![0.0; workspace_floats(g)];
+        let mut plan = GemmPlan::default();
+        let y_out = y.as_mut_slice();
+        forward_in(
+            g,
+            x,
+            w,
+            y_out,
+            alpha,
+            beta,
+            cols(&mut ws, blocked),
+            &mut plan,
+        );
+        let dx_out = dx.as_mut_slice();
+        backward_data_in(
+            g,
+            dy,
+            w,
+            dx_out,
+            alpha,
+            beta,
+            cols(&mut ws, blocked),
+            &mut plan,
+        );
+        let dw_out = dw.as_mut_slice();
+        backward_filter_in(g, x, dy, dw_out, alpha, beta, cols(&mut ws, blocked));
+        [y, dx, dw].map(|t| t.as_slice().iter().map(|v| v.to_bits()).collect())
+    }
+
+    /// Lowering in blocks — one unit per block, a few units, or whole
+    /// parts — computes the bits of lowering into the workspace.
+    #[test]
+    fn blocked_lowering_is_bit_identical_to_the_workspace() {
+        let mut shapes = geoms();
+        // Seven channels: backward-data blocks end off a channel group.
+        shapes.push(ConvGeometry::with_square(
+            Shape4::new(2, 7, 10, 10),
+            FilterShape::new(9, 7, 3, 3),
+            1,
+            1,
+        ));
+        for g in shapes {
+            let want = op_bits(&g, None);
+            for floats in [1, 100, 2000, BLOCK_FLOATS] {
+                let got = op_bits(&g, Some(floats));
+                assert!(got == want, "{g}: blocks of {floats} floats diverged");
+            }
+        }
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! CPU convolution engines for the μ-cuDNN reproduction.
 //!
-//! Four interchangeable engines compute the same mathematical operation with
+//! Five interchangeable engines compute the same mathematical operation with
 //! different algorithm/workspace trade-offs, mirroring cuDNN's algorithm
 //! families:
 //!
 //! | Engine       | cuDNN analogue           | workspace               | constraints |
 //! |--------------|--------------------------|-------------------------|-------------|
-//! | [`direct`]   | `IMPLICIT_GEMM`          | zero                    | none        |
-//! | [`im2col_gemm`] | `GEMM`                | per-sample column matrix| none        |
+//! | [`im2col_gemm`] implicit | `IMPLICIT_GEMM` | zero (bounded blocks in engine-owned buffers) | none |
+//! | [`im2col_gemm`] | `GEMM`, `IMPLICIT_PRECOMP_GEMM` | per-sample column matrix | none |
 //! | [`fft_conv`] | `FFT` / `FFT_TILING`     | activation+filter spectra (∝ batch) | stride 1, pad < filter |
 //! | [`winograd`] | `WINOGRAD`               | transformed tiles (∝ batch) | 3×3, stride 1, pad ≤ 2; fwd & bwd-data only |
 //! | [`winograd_f4`] | `WINOGRAD_NONFUSED`   | transformed 6×6 tiles (∝ batch) | 3×3, stride 1, pad ≤ 2; fwd & bwd-data only |
@@ -15,6 +15,8 @@
 //! The [`exec`] dispatcher gives the cuDNN-simulation layer one entry point
 //! with uniform (alpha, beta, workspace) semantics and explicit
 //! `NotSupported` errors, exactly like `cudnnConvolution*` status codes.
+//! The seven-loop [`direct`] convolution is no engine: it is the reference
+//! the tests hold every engine to.
 
 pub mod direct;
 pub mod fft;
@@ -64,9 +66,10 @@ impl core::fmt::Display for ConvOp {
 /// The CPU compute engine behind a cuDNN-level algorithm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EngineKind {
-    /// Seven-loop reference convolution, zero workspace.
-    Direct,
-    /// im2col + GEMM.
+    /// im2col + GEMM lowering bounded blocks into engine-owned buffers,
+    /// zero workspace.
+    ImplicitGemm,
+    /// im2col + GEMM lowering one sample at a time into the workspace.
     Gemm,
     /// Frequency-domain convolution.
     Fft,
@@ -79,7 +82,7 @@ pub enum EngineKind {
 impl EngineKind {
     /// All engines.
     pub const ALL: [EngineKind; 5] = [
-        EngineKind::Direct,
+        EngineKind::ImplicitGemm,
         EngineKind::Gemm,
         EngineKind::Fft,
         EngineKind::Winograd,
@@ -137,7 +140,7 @@ impl std::error::Error for ConvError {}
 
 fn support_reason(engine: EngineKind, op: ConvOp, g: &ConvGeometry) -> Option<&'static str> {
     match engine {
-        EngineKind::Direct | EngineKind::Gemm => None,
+        EngineKind::ImplicitGemm | EngineKind::Gemm => None,
         EngineKind::Fft => {
             if !fft_conv::supports(g) {
                 Some("requires unit stride and pad < filter size")
@@ -172,7 +175,7 @@ pub fn workspace_floats(engine: EngineKind, op: ConvOp, g: &ConvGeometry) -> usi
         return 0;
     }
     match engine {
-        EngineKind::Direct => 0,
+        EngineKind::ImplicitGemm => 0,
         EngineKind::Gemm => im2col_gemm::workspace_floats(g),
         EngineKind::Fft => {
             let fop = match op {
@@ -253,14 +256,14 @@ pub fn exec_with_plan(
         });
     }
     match (engine, op, plan) {
-        (EngineKind::Direct, ConvOp::Forward, EnginePlan::Direct) => {
-            direct::forward(g, a, b, out, alpha, beta)
+        (EngineKind::ImplicitGemm, ConvOp::Forward, EnginePlan::Gemm(p)) => {
+            im2col_gemm::implicit_forward_with_plan(g, a, b, out, alpha, beta, p)
         }
-        (EngineKind::Direct, ConvOp::BackwardData, EnginePlan::Direct) => {
-            direct::backward_data(g, a, b, out, alpha, beta)
+        (EngineKind::ImplicitGemm, ConvOp::BackwardData, EnginePlan::Gemm(p)) => {
+            im2col_gemm::implicit_backward_data_with_plan(g, a, b, out, alpha, beta, p)
         }
-        (EngineKind::Direct, ConvOp::BackwardFilter, EnginePlan::Direct) => {
-            direct::backward_filter(g, a, b, out, alpha, beta)
+        (EngineKind::ImplicitGemm, ConvOp::BackwardFilter, EnginePlan::Gemm(_)) => {
+            im2col_gemm::implicit_backward_filter(g, a, b, out, alpha, beta)
         }
         (EngineKind::Gemm, ConvOp::Forward, EnginePlan::Gemm(p)) => {
             im2col_gemm::forward_with_plan(g, a, b, out, alpha, beta, ws, p)
@@ -330,18 +333,7 @@ mod tests {
                 ConvOp::BackwardFilter => (x.as_slice(), dy.as_slice(), g.filter.as_shape4()),
             };
             let mut reference = Tensor::zeros(out_shape);
-            exec(
-                EngineKind::Direct,
-                op,
-                &g,
-                a,
-                b,
-                reference.as_mut_slice(),
-                1.0,
-                0.0,
-                &mut [],
-            )
-            .unwrap();
+            direct::run(op, &g, a, b, reference.as_mut_slice(), 1.0, 0.0);
             for engine in EngineKind::ALL {
                 if !supports(engine, op, &g) {
                     continue;
@@ -492,10 +484,11 @@ mod tests {
     }
 
     #[test]
-    fn direct_needs_no_workspace() {
+    fn implicit_gemm_needs_no_workspace() {
         let g = g33();
         for op in ConvOp::ALL {
-            assert_eq!(workspace_floats(EngineKind::Direct, op, &g), 0);
+            assert!(supports(EngineKind::ImplicitGemm, op, &g));
+            assert_eq!(workspace_floats(EngineKind::ImplicitGemm, op, &g), 0);
         }
     }
 }

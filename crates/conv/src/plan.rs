@@ -250,9 +250,7 @@ impl WinogradPlan {
 /// filter-derived entries by fingerprint.
 #[derive(Debug)]
 pub enum EnginePlan {
-    /// The direct engine has no reusable state.
-    Direct,
-    /// im2col+GEMM packed filter panels.
+    /// im2col+GEMM packed filter panels, for both of its engines.
     Gemm(GemmPlan),
     /// FFT tables, scratch grids, and filter spectra.
     Fft(FftPlan),
@@ -266,8 +264,7 @@ impl EnginePlan {
     /// An empty plan for `engine`.
     pub fn for_engine(engine: EngineKind) -> Self {
         match engine {
-            EngineKind::Direct => EnginePlan::Direct,
-            EngineKind::Gemm => EnginePlan::Gemm(GemmPlan::default()),
+            EngineKind::ImplicitGemm | EngineKind::Gemm => EnginePlan::Gemm(GemmPlan::default()),
             EngineKind::Fft => EnginePlan::Fft(FftPlan::default()),
             EngineKind::Winograd => EnginePlan::Winograd(WinogradPlan::default()),
             EngineKind::WinogradF4 => EnginePlan::WinogradF4(WinogradPlan::default()),
@@ -277,7 +274,6 @@ impl EnginePlan {
     /// Heap bytes held by the cached state (for LRU byte accounting).
     pub fn bytes(&self) -> usize {
         match self {
-            EnginePlan::Direct => 0,
             EnginePlan::Gemm(p) => p.bytes(),
             EnginePlan::Fft(p) => p.bytes(),
             EnginePlan::Winograd(p) | EnginePlan::WinogradF4(p) => p.bytes(),

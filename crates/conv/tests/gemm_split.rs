@@ -1,12 +1,17 @@
-//! The im2col+GEMM engine splits every call across the execution workers
+//! Both im2col+GEMM engines split every call across the execution workers
 //! (forward by column panels, backward-data by input channels, backward-
-//! filter by column-buffer rows). The split must be invisible: every op's
-//! output is bit-identical at thread caps 1, 2, 3 and 8, through `exec` and
-//! through a warm plan, for micro-batches 1 to 16 of the `train` layer
-//! shapes and of shapes chosen to make the split awkward.
+//! filter by column-buffer rows), and the implicit-GEMM engine lowers each
+//! worker's part in bounded blocks. Neither the split nor the blocks may
+//! show: every op's output is bit-identical at thread caps 1, 2, 3 and 8,
+//! through `exec` and through a warm plan, for micro-batches 1 to 16 of the
+//! `train` layer shapes and of shapes chosen to make the split awkward —
+//! for GEMM with its one-sample workspace and for implicit GEMM with an
+//! empty one.
 
 use std::sync::Mutex;
 use ucudnn_conv::gemm::NR;
+use ucudnn_conv::im2col::packed_col_len;
+use ucudnn_conv::im2col_gemm::BLOCK_FLOATS;
 use ucudnn_conv::parallel::{set_thread_cap, MIN_MACS_PER_WORKER};
 use ucudnn_conv::{exec, exec_with_plan, workspace_floats, ConvOp, EngineKind, EnginePlan};
 use ucudnn_tensor::{ConvGeometry, FilterShape, Shape4, Tensor};
@@ -42,6 +47,9 @@ fn shapes() -> Vec<(&'static str, ConvGeometry)> {
         ("tiny_howo", layer(64, 3, 128, 3, 1, 1)),
         // Two input channels: fewer than the workers at caps 3 and 8.
         ("two_c", layer(2, 48, 64, 3, 1, 1)),
+        // A column buffer of 3.4 implicit-GEMM blocks: split workers lower
+        // several blocks each, and the last one is short.
+        ("blocks", layer(32, 28, 64, 3, 1, 1)),
     ]
 }
 
@@ -49,8 +57,9 @@ fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
-/// Output bits of `op` on `g` at every cap: through `exec`, then through a
-/// plan warmed by a first call (only the second call's output counts).
+/// Output bits of `op` on `g` for both engines at every cap: through
+/// `exec`, then through a plan warmed by a first call (only the second
+/// call's output counts). GEMM at cap 1 comes first.
 fn outputs(op: ConvOp, g: &ConvGeometry) -> Vec<(String, Vec<u32>)> {
     let x = Tensor::random(g.input, 1);
     let w = Tensor::random(g.filter.as_shape4(), 2);
@@ -61,42 +70,24 @@ fn outputs(op: ConvOp, g: &ConvGeometry) -> Vec<(String, Vec<u32>)> {
         ConvOp::BackwardFilter => (x.as_slice(), dy.as_slice(), g.filter.as_shape4()),
     };
     let init = Tensor::random(out_shape, 4);
-    let mut ws = vec![0.0f32; workspace_floats(EngineKind::Gemm, op, g)];
     let mut runs = Vec::new();
-    for cap in CAPS {
-        set_thread_cap(Some(cap));
-        let mut out = init.as_slice().to_vec();
-        exec(
-            EngineKind::Gemm,
-            op,
-            g,
-            a,
-            b,
-            &mut out,
-            ALPHA,
-            BETA,
-            &mut ws,
-        )
-        .unwrap();
-        runs.push((format!("exec cap {cap}"), bits(&out)));
-        let mut plan = EnginePlan::for_engine(EngineKind::Gemm);
-        for pass in 0..2 {
+    for engine in [EngineKind::Gemm, EngineKind::ImplicitGemm] {
+        let mut ws = vec![0.0f32; workspace_floats(engine, op, g)];
+        for cap in CAPS {
+            set_thread_cap(Some(cap));
             let mut out = init.as_slice().to_vec();
-            exec_with_plan(
-                EngineKind::Gemm,
-                op,
-                g,
-                a,
-                b,
-                &mut out,
-                ALPHA,
-                BETA,
-                &mut ws,
-                &mut plan,
-            )
-            .unwrap();
-            if pass == 1 {
-                runs.push((format!("warm plan cap {cap}"), bits(&out)));
+            exec(engine, op, g, a, b, &mut out, ALPHA, BETA, &mut ws).unwrap();
+            runs.push((format!("{engine:?} exec cap {cap}"), bits(&out)));
+            let mut plan = EnginePlan::for_engine(engine);
+            for pass in 0..2 {
+                let mut out = init.as_slice().to_vec();
+                exec_with_plan(
+                    engine, op, g, a, b, &mut out, ALPHA, BETA, &mut ws, &mut plan,
+                )
+                .unwrap();
+                if pass == 1 {
+                    runs.push((format!("{engine:?} warm plan cap {cap}"), bits(&out)));
+                }
             }
         }
     }
@@ -127,7 +118,10 @@ fn check_op(op: ConvOp) {
             let runs = outputs(op, &g);
             let (_, want) = &runs[0];
             for (label, got) in &runs[1..] {
-                assert!(got == want, "{op} {name} n={n}: {label} differs from cap 1");
+                assert!(
+                    got == want,
+                    "{op} {name} n={n}: {label} differs from GEMM at cap 1"
+                );
             }
         }
     }
@@ -157,4 +151,15 @@ fn awkward_shapes_cover_the_split_edges() {
     assert!(geoms.iter().any(|g| g.out_h() * g.out_w() < NR));
     assert!(geoms.iter().any(|g| g.input.c < 3));
     assert!(geoms.iter().any(|g| (g.out_h() * g.out_w()) % NR != 0));
+    assert!(geoms.iter().any(|g| packed_col_len(g) > 3 * BLOCK_FLOATS));
+}
+
+/// The implicit engine takes no workspace at all.
+#[test]
+fn implicit_gemm_needs_no_workspace() {
+    for (_, g) in shapes() {
+        for op in ConvOp::ALL {
+            assert_eq!(workspace_floats(EngineKind::ImplicitGemm, op, &g), 0);
+        }
+    }
 }

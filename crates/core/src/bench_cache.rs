@@ -65,12 +65,19 @@ struct CacheKey {
     kernel: KernelKey,
 }
 
+/// Engine tag of `RealCpu` rows. Its suffix is the revision of the CPU
+/// engines behind the algorithms: bump it whenever an algorithm's engine
+/// changes, so rows timed on the old engine are measured again rather than
+/// served. Revision 2 runs `IMPLICIT_GEMM` on the implicit-GEMM engine
+/// instead of the seven-loop direct convolution.
+const CPU_TAG: &str = "cpu:2";
+
 /// Identity string of a handle's engine; results from different devices
 /// must never be mixed.
 fn engine_tag(handle: &CudnnHandle) -> String {
     match handle.engine() {
         Engine::Simulated(d) => format!("sim:{}", d.name),
-        Engine::RealCpu => "cpu".to_string(),
+        Engine::RealCpu => CPU_TAG.to_string(),
     }
 }
 
@@ -100,7 +107,8 @@ pub struct CacheStats {
     /// Rows accepted from the file DB at load time.
     pub db_rows_loaded: u64,
     /// Rows (or whole files counted as one) rejected at load time:
-    /// malformed fields, truncation, or a wrong/missing format version.
+    /// malformed fields, truncation, a wrong/missing format version, or
+    /// timings of an earlier CPU engine revision.
     pub db_rows_quarantined: u64,
     /// Entries evicted by [`BenchCache::invalidate`] — stale measurements
     /// discarded so a re-benchmark re-measures the kernel as it is now.
@@ -261,9 +269,10 @@ impl BenchCache {
 
     /// Cache backed by a JSON database at `path`. Existing contents are
     /// loaded row by row: valid rows land in the cache
-    /// ([`CacheStats::db_rows_loaded`]), malformed rows are *quarantined* —
-    /// skipped and counted ([`CacheStats::db_rows_quarantined`]) — never
-    /// coerced into zero-valued measurements. A missing file is a cold
+    /// ([`CacheStats::db_rows_loaded`]), malformed or stale rows are
+    /// *quarantined* — skipped and counted
+    /// ([`CacheStats::db_rows_quarantined`]) — never coerced into
+    /// zero-valued measurements or served. A missing file is a cold
     /// cache; a file with an unknown or missing format version is
     /// quarantined wholesale.
     pub fn with_file(path: impl AsRef<Path>) -> Self {
@@ -711,9 +720,13 @@ fn row_to_json(key: &CacheKey, up_to: usize, entries: &[BenchEntry]) -> Value {
 
 /// Parse one DB row: its key, the budget it was measured up to, and its
 /// entries. Version-2 rows carry no budget and came from complete `Find`s,
-/// so they load as unlimited.
+/// so they load as unlimited. Rows of an earlier CPU engine revision are
+/// stale and rejected.
 fn row_from_json(row: &Value, version: usize) -> Option<DbRow> {
     let engine = row.get("engine")?.as_str()?.to_string();
+    if engine.starts_with("cpu") && engine != CPU_TAG {
+        return None;
+    }
     let op = op_from_tag(row.get("op")?.as_str()?)?;
     let g = row.get("geometry")?.as_arr()?;
     if g.len() != 12 {

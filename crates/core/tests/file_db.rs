@@ -4,7 +4,7 @@
 use std::path::PathBuf;
 use ucudnn::{BenchCache, BenchEntry, KernelKey};
 use ucudnn_cudnn_sim::{ConvOp, CudnnHandle};
-use ucudnn_gpu_model::p100_sxm2;
+use ucudnn_gpu_model::{p100_sxm2, ConvAlgo};
 use ucudnn_tensor::{ConvGeometry, FilterShape, Shape4};
 
 fn key(n: usize) -> KernelKey {
@@ -291,4 +291,49 @@ fn malformed_budgets_are_quarantined() {
         0,
         "the intact row still serves lookups"
     );
+}
+
+#[test]
+fn cpu_rows_of_an_earlier_engine_revision_are_measured_again() {
+    let dir = TempDir::new("cpurev");
+    let db = dir.path("bench.json");
+    let sim = CudnnHandle::simulated(p100_sxm2());
+    let writer = BenchCache::with_file(&db);
+    let want = writer.get_or_bench(&sim, &key(8));
+    writer.save().unwrap();
+    // A v3 file written before the revision tag: RealCpu rows were tagged
+    // "cpu", and its IMPLICIT_GEMM row timed the seven-loop direct engine.
+    let stale = format!(
+        "{{\"engine\":\"cpu\",\"op\":\"fwd\",\
+         \"geometry\":[1,16,16,16,16,16,3,3,1,1,1,1],\"budget\":0,\
+         \"entries\":[[{},1,0]]}}",
+        ConvAlgo::ImplicitGemm.id()
+    );
+    let text = std::fs::read_to_string(&db).unwrap();
+    assert!(text.starts_with("{\"version\":3,"), "{text}");
+    std::fs::write(
+        &db,
+        text.replace("\"rows\":[", &format!("\"rows\":[{stale},")),
+    )
+    .unwrap();
+
+    let cache = BenchCache::with_file(&db);
+    assert_eq!(cache.stats().db_rows_loaded, 1);
+    assert_eq!(cache.stats().db_rows_quarantined, 1, "the cpu row is stale");
+    assert_eq!(cache.get_or_bench(&sim, &key(8)), want);
+    assert_eq!(cache.stats().misses, 0, "the sim row is still served");
+
+    let cpu = CudnnHandle::real_cpu();
+    let rows = cache.try_get_or_bench(&cpu, &key(1), 0).unwrap();
+    assert_eq!(cache.stats().misses, 1, "the cpu kernel is measured again");
+    assert_eq!(
+        rows.iter().map(|e| e.algo).collect::<Vec<_>>(),
+        [ConvAlgo::ImplicitGemm]
+    );
+    cache.save().unwrap();
+    let engines: Vec<String> = db_rows(&db)
+        .iter()
+        .map(|r| r.get("engine").unwrap().to_json())
+        .collect();
+    assert_eq!(engines, ["\"cpu:2\"", "\"sim:P100-SXM2\""]);
 }

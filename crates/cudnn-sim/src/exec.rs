@@ -335,7 +335,12 @@ mod tests {
             0.0,
         );
 
-        for algo in [ConvAlgo::Gemm, ConvAlgo::Fft, ConvAlgo::Winograd] {
+        for algo in [
+            ConvAlgo::ImplicitGemm,
+            ConvAlgo::Gemm,
+            ConvAlgo::Fft,
+            ConvAlgo::Winograd,
+        ] {
             let bytes = h
                 .get_workspace_size(ConvOp::Forward, &xd, &wd, &cd, algo)
                 .unwrap();

@@ -280,7 +280,7 @@ mod tests {
         let h = CudnnHandle::real_cpu();
         let (x, w, c) = descs(2);
         let perfs = h.find_algorithms(ConvOp::Forward, &x, &w, &c).unwrap();
-        // Direct, Gemm-family, FFT-family and Winograd-family all apply.
+        // Implicit GEMM, Gemm-family, FFT-family and Winograd-family all apply.
         assert!(perfs.len() >= 4);
         assert!(perfs.iter().all(|p| p.time_us > 0.0));
     }

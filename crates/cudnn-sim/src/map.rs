@@ -10,7 +10,7 @@ use ucudnn_tensor::ConvGeometry;
 /// when the algorithm has no kernel at all (`DIRECT`, as in cuDNN).
 pub fn cpu_engine_for(algo: ConvAlgo) -> Option<EngineKind> {
     match algo {
-        ConvAlgo::ImplicitGemm => Some(EngineKind::Direct),
+        ConvAlgo::ImplicitGemm => Some(EngineKind::ImplicitGemm),
         ConvAlgo::ImplicitPrecompGemm | ConvAlgo::Gemm => Some(EngineKind::Gemm),
         ConvAlgo::Direct => None,
         ConvAlgo::Fft | ConvAlgo::FftTiling => Some(EngineKind::Fft),

@@ -2,7 +2,7 @@
 //! micro-batching invariants, over randomized geometries.
 
 use proptest::prelude::*;
-use ucudnn_conv::{exec, supports, workspace_floats, ConvOp, EngineKind};
+use ucudnn_conv::{direct, exec, supports, workspace_floats, ConvOp, EngineKind};
 use ucudnn_tensor::{max_rel_diff, ConvGeometry, FilterShape, Shape4, Tensor};
 
 /// Random small-but-nontrivial convolution geometries.
@@ -26,6 +26,21 @@ fn geometries() -> impl Strategy<Value = ConvGeometry> {
                 stride,
             )
         })
+}
+
+/// The direct seven-loop oracle's result.
+fn oracle(op: ConvOp, g: &ConvGeometry, a: &Tensor, b: &Tensor, out_shape: Shape4) -> Tensor {
+    let mut out = Tensor::zeros(out_shape);
+    direct::run(
+        op,
+        g,
+        a.as_slice(),
+        b.as_slice(),
+        out.as_mut_slice(),
+        1.0,
+        0.0,
+    );
+    out
 }
 
 fn run_engine(
@@ -56,7 +71,7 @@ fn run_engine(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// All supported engines agree with the direct reference on all ops.
+    /// All supported engines agree with the direct oracle on all ops.
     #[test]
     fn engines_agree(g in geometries(), seed in 0u64..1000) {
         let x = Tensor::random(g.input, seed);
@@ -68,8 +83,8 @@ proptest! {
                 ConvOp::BackwardData => (&dy, &w, g.input),
                 ConvOp::BackwardFilter => (&x, &dy, g.filter.as_shape4()),
             };
-            let reference = run_engine(EngineKind::Direct, op, &g, a, b, out_shape);
-            for engine in [EngineKind::Gemm, EngineKind::Fft, EngineKind::Winograd] {
+            let reference = oracle(op, &g, a, b, out_shape);
+            for engine in [EngineKind::ImplicitGemm, EngineKind::Gemm, EngineKind::Fft, EngineKind::Winograd] {
                 if supports(engine, op, &g) {
                     let got = run_engine(engine, op, &g, a, b, out_shape);
                     prop_assert!(
@@ -117,31 +132,35 @@ proptest! {
     }
 
     /// BackwardFilter with beta=1 accumulation over any 2-way split matches
-    /// the undivided gradient within f32 reassociation error.
+    /// the undivided oracle gradient within f32 reassociation error, on both
+    /// im2col+GEMM engines.
     #[test]
     fn backward_filter_accumulation(g in geometries(), split_frac in 0.0f64..1.0, seed in 0u64..1000) {
         prop_assume!(g.input.n >= 2);
         let split = 1 + ((g.input.n - 1) as f64 * split_frac) as usize;
         let x = Tensor::random(g.input, seed);
         let dy = Tensor::random(g.output(), seed + 3);
-        let full = run_engine(EngineKind::Direct, ConvOp::BackwardFilter, &g, &x, &dy, g.filter.as_shape4());
-        let mut acc = Tensor::zeros(g.filter.as_shape4());
-        for (i, (lo, hi)) in [(0, split), (split, g.input.n)].into_iter().enumerate() {
-            let mg = g.with_batch(hi - lo);
-            exec(
-                EngineKind::Direct,
-                ConvOp::BackwardFilter,
-                &mg,
-                x.batch_slice(lo, hi),
-                dy.batch_slice(lo, hi),
-                acc.as_mut_slice(),
-                1.0,
-                if i == 0 { 0.0 } else { 1.0 },
-                &mut [],
-            )
-            .unwrap();
+        let full = oracle(ConvOp::BackwardFilter, &g, &x, &dy, g.filter.as_shape4());
+        for engine in [EngineKind::ImplicitGemm, EngineKind::Gemm] {
+            let mut acc = Tensor::zeros(g.filter.as_shape4());
+            for (i, (lo, hi)) in [(0, split), (split, g.input.n)].into_iter().enumerate() {
+                let mg = g.with_batch(hi - lo);
+                let mut ws = vec![0.0f32; workspace_floats(engine, ConvOp::BackwardFilter, &mg)];
+                exec(
+                    engine,
+                    ConvOp::BackwardFilter,
+                    &mg,
+                    x.batch_slice(lo, hi),
+                    dy.batch_slice(lo, hi),
+                    acc.as_mut_slice(),
+                    1.0,
+                    if i == 0 { 0.0 } else { 1.0 },
+                    &mut ws,
+                )
+                .unwrap();
+            }
+            prop_assert!(max_rel_diff(&full, &acc) < 1e-3, "{:?} accumulation mismatch", engine);
         }
-        prop_assert!(max_rel_diff(&full, &acc) < 1e-3);
     }
 
     /// alpha/beta output scaling is uniform across engines.
@@ -151,8 +170,8 @@ proptest! {
         let w = Tensor::random(g.filter.as_shape4(), seed + 1);
         let init = Tensor::random(g.output(), seed + 2);
         let mut reference = init.clone();
-        exec(EngineKind::Direct, ConvOp::Forward, &g, x.as_slice(), w.as_slice(), reference.as_mut_slice(), alpha, beta, &mut []).unwrap();
-        for engine in [EngineKind::Gemm, EngineKind::Fft, EngineKind::Winograd] {
+        direct::forward(&g, x.as_slice(), w.as_slice(), reference.as_mut_slice(), alpha, beta);
+        for engine in [EngineKind::ImplicitGemm, EngineKind::Gemm, EngineKind::Fft, EngineKind::Winograd] {
             if supports(engine, ConvOp::Forward, &g) {
                 let mut out = init.clone();
                 let mut ws = vec![0.0f32; workspace_floats(engine, ConvOp::Forward, &g)];

@@ -3,7 +3,7 @@
 //! unchecked divisions like to hide.
 
 use ucudnn::{optimize_wd, optimize_wr, BatchSizePolicy, BenchCache, KernelKey};
-use ucudnn_conv::{exec, supports, workspace_floats, ConvOp, EngineKind};
+use ucudnn_conv::{direct, exec, supports, workspace_floats, ConvOp, EngineKind};
 use ucudnn_cudnn_sim::CudnnHandle;
 use ucudnn_gpu_model::p100_sxm2;
 use ucudnn_tensor::{ConvGeometry, FilterShape, Shape4, Tensor};
@@ -47,34 +47,32 @@ fn kernel_equals_image() {
     assert_eq!(g.output(), Shape4::new(2, 3, 1, 1));
     let x = Tensor::random(g.input, 1);
     let w = Tensor::random(g.filter.as_shape4(), 2);
-    let mut direct = Tensor::zeros(g.output());
-    exec(
-        EngineKind::Direct,
-        ConvOp::Forward,
+    let mut reference = Tensor::zeros(g.output());
+    direct::forward(
         &g,
         x.as_slice(),
         w.as_slice(),
-        direct.as_mut_slice(),
+        reference.as_mut_slice(),
         1.0,
         0.0,
-        &mut [],
-    )
-    .unwrap();
-    let mut fft = Tensor::zeros(g.output());
-    let mut ws = vec![0.0; workspace_floats(EngineKind::Fft, ConvOp::Forward, &g)];
-    exec(
-        EngineKind::Fft,
-        ConvOp::Forward,
-        &g,
-        x.as_slice(),
-        w.as_slice(),
-        fft.as_mut_slice(),
-        1.0,
-        0.0,
-        &mut ws,
-    )
-    .unwrap();
-    ucudnn_tensor::assert_all_close(&direct, &fft, 5e-3);
+    );
+    for engine in [EngineKind::ImplicitGemm, EngineKind::Fft] {
+        let mut y = Tensor::zeros(g.output());
+        let mut ws = vec![0.0; workspace_floats(engine, ConvOp::Forward, &g)];
+        exec(
+            engine,
+            ConvOp::Forward,
+            &g,
+            x.as_slice(),
+            w.as_slice(),
+            y.as_mut_slice(),
+            1.0,
+            0.0,
+            &mut ws,
+        )
+        .unwrap();
+        ucudnn_tensor::assert_all_close(&reference, &y, 5e-3);
+    }
 }
 
 /// WR on a batch of one: the only division is no division.
@@ -162,19 +160,15 @@ fn rectangular_geometry_agreement() {
     let x = Tensor::random(g.input, 5);
     let w = Tensor::random(g.filter.as_shape4(), 6);
     let mut reference = Tensor::zeros(g.output());
-    exec(
-        EngineKind::Direct,
-        ConvOp::Forward,
+    direct::forward(
         &g,
         x.as_slice(),
         w.as_slice(),
         reference.as_mut_slice(),
         1.0,
         0.0,
-        &mut [],
-    )
-    .unwrap();
-    for engine in [EngineKind::Gemm, EngineKind::Fft] {
+    );
+    for engine in [EngineKind::ImplicitGemm, EngineKind::Gemm, EngineKind::Fft] {
         if !supports(engine, ConvOp::Forward, &g) {
             continue;
         }
