@@ -348,9 +348,9 @@ fn backward_data_in(
     assert_eq!(dx.len(), g.input.len(), "dx buffer mismatch");
 
     let packed_wt = plan.packed_backward_data(c * rs, k, w);
-    // Worker i owns input channels [cuts[i], cuts[i+1]), and each block
-    // starts, at whole groups of `step` channels: the fewest whose
-    // column-buffer rows fill MR panels.
+    // Worker i owns input channels [cuts[i], cuts[i+1]). Its range, and
+    // each block in it, starts on a whole group of `step` channels: the
+    // fewest whose column-buffer rows fill MR panels.
     let step = MR / gcd(rs, MR);
     let groups = c.div_ceil(step);
     let cuts: Vec<usize> = even_cuts(groups, workers_for(g.macs(), groups))
