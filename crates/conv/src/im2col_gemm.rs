@@ -57,8 +57,8 @@ use ucudnn_tensor::{ConvGeometry, FilterShape, Shape4};
 /// Column-buffer floats an implicit-GEMM worker lowers at a time: 256 KiB,
 /// an eighth of a 2 MiB L2, so a block stays cache-resident between its
 /// lowering and its multiply. A unit larger than this (one packed panel,
-/// one `MR`-aligned group of channels, one column-buffer row) makes a block
-/// of its own.
+/// one `MR`-aligned group of channels, `NR` column-buffer rows) makes a
+/// block of its own.
 pub const BLOCK_FLOATS: usize = 64 << 10;
 
 /// Workspace (in `f32` elements) required by the GEMM engine for any of the
@@ -430,12 +430,13 @@ fn backward_filter_in(
     assert_eq!(dw.len(), g.filter.len(), "dw buffer mismatch");
 
     // Worker i owns column-buffer rows [cuts[i], cuts[i+1]) and the same
-    // columns of dw.
+    // columns of dw. A block holds whole groups of NR rows, which fill the
+    // packed panels of the transposed operand.
     let cuts = even_cuts(crs, workers_for(g.macs(), crs));
     let mut blocks = Blocks::take();
     let parts: Vec<_> = cuts
         .windows(2)
-        .zip(cols.split(&cuts, howo, 1, &mut blocks))
+        .zip(cols.split(&cuts, howo, NR, &mut blocks))
         .zip(split_columns(dw, k, &cuts))
         .collect();
     fork_join(parts, |((r, buf), mut dw_rows)| {
