@@ -36,7 +36,12 @@
 //!   packed `Wᵀ`: a worker computes its channels' rows of the column buffer
 //!   and `col2im`s them into its own channels of `dx`.
 //! * **BackwardFilter** splits the column-buffer rows (filter taps): a
-//!   worker lowers its rows and accumulates its own columns of `dw`.
+//!   worker lowers its rows and accumulates its own columns of `dw`. An
+//!   implicit block holds whole groups of `NR` rows, which fill the packed
+//!   panels of the transposed operand.
+//!
+//! The backward paths pack each sample's `dy` once per worker, as the GEMM
+//! operand all of the sample's blocks share.
 //!
 //! Every output element keeps its micro-kernel chain and its `col2im`
 //! accumulation order whichever worker or block computes it, so the result
