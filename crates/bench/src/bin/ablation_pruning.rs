@@ -99,7 +99,7 @@ fn main() {
             capacity: budget,
         }
         .solve()
-        .map(|(_, v)| v);
+        .map(|s| s.cost);
         let pruned_us = start.elapsed().as_secs_f64() * 1e6;
 
         // Full path.
@@ -122,7 +122,7 @@ fn main() {
             capacity: budget,
         }
         .solve()
-        .map(|(_, v)| v);
+        .map(|s| s.cost);
         let full_us = start.elapsed().as_secs_f64() * 1e6;
 
         let same = match (pruned_opt, full_opt) {

@@ -74,7 +74,7 @@ pub struct FleetBudgetPlan {
     pub total_granted_bytes: usize,
     /// Number of 0/1 variables in the lifted ILP.
     pub ilp_variables: usize,
-    /// Branch-and-bound nodes the solver expanded.
+    /// Branch-and-bound nodes the solver bounded, over both passes.
     pub ilp_nodes: usize,
     /// Wall-clock microseconds spent in the solver.
     pub ilp_solve_us: f64,
@@ -172,20 +172,18 @@ pub fn arbitrate_fleet_budget(
         groups,
         capacity: global_budget_bytes as f64,
     };
-    let ilp = instance.to_ilp();
     let start = std::time::Instant::now();
-    let sol = ucudnn_lp::solve_binary(&ilp);
+    let sol = instance.solve();
     let ilp_solve_us = start.elapsed().as_secs_f64() * 1e6;
-    if sol.status != ucudnn_lp::IlpStatus::Optimal {
+    let Some(sol) = sol else {
         return Err(UcudnnError::WdInfeasible(format!(
             "no combination of replica shares fits the {global_budget_bytes}-byte fleet budget"
         )));
-    }
-    let choices = instance.choices_from(&sol.x);
+    };
 
     let mut shares = Vec::with_capacity(replicas.len());
     let mut total_granted_bytes = 0usize;
-    for ((r, kept), choice) in replicas.iter().zip(&viable).zip(choices) {
+    for ((r, kept), choice) in replicas.iter().zip(&viable).zip(sol.choices) {
         let c = kept[choice];
         total_granted_bytes += c.ws_limit_bytes;
         shares.push(BudgetShare {

@@ -23,19 +23,19 @@
 use crate::bench_cache::CacheStats;
 use crate::json::{self, Value};
 use crate::telemetry::{Counter, Gauge, Registry};
-use std::time::Instant;
 use ucudnn_cudnn_sim::ExecCacheStats;
 
 /// The optimizer phases that are individually timed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
-    /// Micro-benchmark evaluation (cache misses running `Find`).
+    /// Micro-benchmark evaluation: benchmark-cache lookups, with `Find`
+    /// on a miss.
     Benchmark,
     /// WR dynamic programming over batch divisions.
     Dp,
-    /// Pareto-front / desirable-set construction for WD.
+    /// WD's desirable-set DP, after its benchmark lookups.
     Pareto,
-    /// WD 0-1 ILP solving.
+    /// Solving WD's multiple-choice knapsack (the 0-1 ILP).
     Ilp,
 }
 
@@ -46,7 +46,8 @@ pub struct PhaseTimings {
     pub benchmark_us: u64,
     /// WR dynamic-programming time, summed across worker threads.
     pub dp_us: u64,
-    /// Pareto/desirable-set construction time, summed across worker threads.
+    /// Desirable-set DP time (benchmark lookups excluded), summed across
+    /// worker threads.
     pub pareto_us: u64,
     /// ILP solve time (always single-threaded).
     pub ilp_us: u64,
@@ -192,14 +193,6 @@ impl OptimizerMetrics {
             Phase::Ilp => &self.ilp_us,
         };
         counter.add(micros);
-    }
-
-    /// Run `f`, charging its wall time to `phase`.
-    pub fn time<R>(&self, phase: Phase, f: impl FnOnce() -> R) -> R {
-        let start = Instant::now();
-        let out = f();
-        self.add(phase, start.elapsed().as_micros() as u64);
-        out
     }
 
     /// Record the end-to-end wall clock of the whole optimization.
@@ -424,21 +417,6 @@ mod tests {
             }
         });
         assert_eq!(m.timings().dp_us, 8000);
-    }
-
-    #[test]
-    fn time_charges_the_right_phase() {
-        let m = OptimizerMetrics::new();
-        let out = m.time(Phase::Pareto, || {
-            std::thread::sleep(std::time::Duration::from_millis(2));
-            42
-        });
-        assert_eq!(out, 42);
-        assert!(
-            m.timings().pareto_us >= 1000,
-            "sleep must be charged to pareto"
-        );
-        assert_eq!(m.timings().dp_us, 0);
     }
 
     #[test]

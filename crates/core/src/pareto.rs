@@ -8,30 +8,59 @@
 //! optimum never uses an undesirable configuration, so this pruning is
 //! lossless (validated by `tests/wd_pruning.rs` against exhaustive search).
 
-use crate::bench_cache::BenchCache;
+use crate::bench_cache::{BenchCache, BenchEntry};
 use crate::config::{Configuration, MicroConfig};
 use crate::kernel::KernelKey;
-use crate::metrics::OptimizerMetrics;
+use crate::metrics::{OptimizerMetrics, Phase};
 use crate::policy::BatchSizePolicy;
+use std::time::Instant;
 use ucudnn_cudnn_sim::CudnnHandle;
 
 /// Prune a set of configurations to its Pareto front: ascending workspace,
 /// strictly descending time. Ties on workspace keep the fastest.
 pub fn pareto_front(mut configs: Vec<Configuration>) -> Vec<Configuration> {
-    configs.sort_by(|a, b| {
-        a.workspace_bytes()
-            .cmp(&b.workspace_bytes())
-            .then(a.time_us().total_cmp(&b.time_us()))
+    retain_front(&mut configs, |c| (c.workspace_bytes(), c.time_us()));
+    configs
+}
+
+/// Keep the Pareto front of `items` under `key = (workspace, time)`, in
+/// place: a stable sort by workspace then time, then a scan that keeps an
+/// item only if it is faster than the last one kept by more than 1e-12 µs.
+fn retain_front<T>(items: &mut Vec<T>, key: impl Fn(&T) -> (usize, f64)) {
+    items.sort_by(|a, b| {
+        let ((wa, ta), (wb, tb)) = (key(a), key(b));
+        wa.cmp(&wb).then(ta.total_cmp(&tb))
     });
-    let mut front: Vec<Configuration> = Vec::new();
-    for c in configs {
-        match front.last() {
-            Some(last) if c.workspace_bytes() == last.workspace_bytes() => continue,
-            Some(last) if c.time_us() >= last.time_us() - 1e-12 => continue,
-            _ => front.push(c),
+    let mut last: Option<(usize, f64)> = None;
+    items.retain(|item| {
+        let (w, t) = key(item);
+        match last {
+            Some((lw, _)) if w == lw => false,
+            Some((_, lt)) if t >= lt - 1e-12 => false,
+            _ => {
+                last = Some((w, t));
+                true
+            }
         }
-    }
-    front
+    });
+}
+
+/// A configuration in the set-valued DP, stored flat: its totals and a
+/// back-pointer instead of its micro-configurations.
+#[derive(Debug, Clone, Copy)]
+struct Partial {
+    /// Execution time, summed left to right as [`Configuration::time_us`]
+    /// sums it.
+    time_us: f64,
+    /// Resident workspace, as a position in the kernel's ascending list of
+    /// workspace sizes.
+    level: usize,
+    /// Position of the prefix in the front covering the samples before the
+    /// last micro-configuration.
+    prefix: usize,
+    /// The last micro-configuration, as a position in the flattened
+    /// per-size micro fronts.
+    micro: usize,
 }
 
 /// Compute the desirable configuration set for one kernel: every
@@ -93,42 +122,48 @@ pub fn desirable_set_traced(
     let b = kernel.batch();
     let sizes = policy.candidate_sizes(b);
 
-    // Per-size micro-configuration fronts: for each benchmarked size, the
-    // Pareto-optimal (time, workspace) algorithms within the cap.
-    let micro_fronts: Vec<(usize, Vec<MicroConfig>)> = sizes
+    // Benchmark every candidate size. The cap is the benchmark budget:
+    // algorithms that cannot fit are never timed.
+    let bench_start = Instant::now();
+    let entries: Vec<(usize, Vec<BenchEntry>)> = sizes
         .iter()
         .map(|&m| {
-            // The cap is the benchmark budget: algorithms that cannot fit
-            // are never timed.
-            let entries = match cache.try_get_or_bench(handle, &kernel.with_batch(m), ws_cap) {
-                Ok(entries) => entries,
-                Err(_) => {
+            let found = cache
+                .try_get_or_bench(handle, &kernel.with_batch(m), ws_cap)
+                .unwrap_or_else(|_| {
                     if let Some(mx) = metrics {
                         mx.degradation();
                     }
                     Vec::new()
-                }
-            };
-            let singles: Vec<Configuration> = entries
-                .into_iter()
-                .map(|e| {
-                    Configuration::undivided(MicroConfig {
-                        micro_batch: m,
-                        algo: e.algo,
-                        time_us: e.time_us,
-                        workspace_bytes: e.memory_bytes,
-                    })
-                })
-                .collect();
-            (
-                m,
-                pareto_front(singles)
-                    .into_iter()
-                    .map(|c| c.micros[0])
-                    .collect(),
-            )
+                });
+            (m, found)
         })
         .collect();
+    if let Some(mx) = metrics {
+        mx.add(Phase::Benchmark, bench_start.elapsed().as_micros() as u64);
+    }
+
+    let dp_start = Instant::now();
+    // Per-size micro-configuration fronts, flattened: for each benchmarked
+    // size, the Pareto-optimal (time, workspace) algorithms within the cap,
+    // as a range of `micros`.
+    let mut micros: Vec<MicroConfig> = Vec::new();
+    let mut micro_fronts: Vec<(usize, std::ops::Range<usize>)> = Vec::with_capacity(sizes.len());
+    for (m, found) in entries {
+        let mut front: Vec<MicroConfig> = found
+            .into_iter()
+            .map(|e| MicroConfig {
+                micro_batch: m,
+                algo: e.algo,
+                time_us: e.time_us,
+                workspace_bytes: e.memory_bytes,
+            })
+            .collect();
+        retain_front(&mut front, |mc| (mc.workspace_bytes, mc.time_us));
+        let start = micros.len();
+        micros.extend(front);
+        micro_fronts.push((m, start..micros.len()));
+    }
 
     let mut stats = DesirableStats {
         candidate_sizes: sizes.len(),
@@ -136,36 +171,96 @@ pub fn desirable_set_traced(
         ..DesirableStats::default()
     };
 
-    // Set-valued DP: fronts[n] = desirable configurations covering n samples.
-    let mut fronts: Vec<Vec<Configuration>> = vec![Vec::new(); b + 1];
-    fronts[0] = vec![Configuration::default()];
+    // A configuration's workspace is the largest of its micros', so it is
+    // one of these levels (0 for the empty configuration).
+    let mut levels: Vec<usize> = micros.iter().map(|mc| mc.workspace_bytes).collect();
+    levels.push(0);
+    levels.sort_unstable();
+    levels.dedup();
+    let level_of: Vec<usize> = micros
+        .iter()
+        .map(|mc| levels.partition_point(|&w| w < mc.workspace_bytes))
+        .collect();
+
+    // Set-valued DP: fronts[n] = desirable configurations covering n
+    // samples. fronts[0] holds the empty configuration, so a single micro
+    // is its own candidate.
+    let mut fronts: Vec<Vec<Partial>> = vec![Vec::new(); b + 1];
+    fronts[0].push(Partial {
+        time_us: 0.0,
+        level: 0,
+        prefix: usize::MAX,
+        micro: usize::MAX,
+    });
+    // Per workspace level, the fastest candidate of the stage.
+    let mut fastest: Vec<Option<Partial>> = vec![None; levels.len()];
     for n in 1..=b {
-        let mut candidates: Vec<Configuration> = Vec::new();
-        for (m, micros) in &micro_fronts {
+        fastest.fill(None);
+        let mut generated = 0;
+        for (m, range) in &micro_fronts {
             if *m > n {
                 continue;
             }
-            for prefix in &fronts[n - m] {
-                // fronts[0] is the empty configuration; a single micro is
-                // then its own candidate.
-                for mc in micros {
-                    let mut micros_new = Vec::with_capacity(prefix.micros.len() + 1);
-                    micros_new.extend_from_slice(&prefix.micros);
-                    micros_new.push(*mc);
-                    candidates.push(Configuration { micros: micros_new });
+            for (prefix, p) in fronts[n - m].iter().enumerate() {
+                for micro in range.clone() {
+                    let c = Partial {
+                        time_us: p.time_us + micros[micro].time_us,
+                        level: p.level.max(level_of[micro]),
+                        prefix,
+                        micro,
+                    };
+                    generated += 1;
+                    let slot = &mut fastest[c.level];
+                    // The first generated wins a tie, as in a stable sort.
+                    if slot.is_none_or(|s| c.time_us.total_cmp(&s.time_us).is_lt()) {
+                        *slot = Some(c);
+                    }
                 }
             }
         }
         if n == b {
-            stats.generated = candidates.len();
+            stats.generated = generated;
         }
-        fronts[n] = pareto_front(candidates);
+        // What `pareto_front` keeps of the candidates: by ascending
+        // workspace, the fastest of each level if it is strictly faster
+        // than the last one kept.
+        let mut last: Option<f64> = None;
+        for c in fastest.iter().flatten() {
+            match last {
+                Some(t) if c.time_us >= t - 1e-12 => {}
+                _ => {
+                    fronts[n].push(*c);
+                    last = Some(c.time_us);
+                }
+            }
+        }
     }
-    let mut out = std::mem::take(&mut fronts[b]);
+
+    // Materialize the final front only, following the back-pointers.
+    let out: Vec<Configuration> = fronts[b]
+        .iter()
+        .map(|last| {
+            let mut config = Configuration::default();
+            let (mut n, mut at) = (b, *last);
+            while n > 0 {
+                let mc = micros[at.micro];
+                config.micros.push(mc);
+                n -= mc.micro_batch;
+                if n > 0 {
+                    at = fronts[n][at.prefix];
+                }
+            }
+            config.micros.reverse();
+            // Canonical ordering of micros within each configuration.
+            config
+                .micros
+                .sort_by_key(|m| std::cmp::Reverse(m.micro_batch));
+            config
+        })
+        .collect();
     stats.kept = out.len();
-    // Canonical ordering of micros within each configuration.
-    for c in &mut out {
-        c.micros.sort_by_key(|m| std::cmp::Reverse(m.micro_batch));
+    if let Some(mx) = metrics {
+        mx.add(Phase::Pareto, dp_start.elapsed().as_micros() as u64);
     }
     (out, stats)
 }
@@ -309,5 +404,116 @@ mod tests {
         let ds = desirable_set(&h, &cache, &conv2(32), 0, BatchSizePolicy::PowerOfTwo);
         assert_eq!(ds.len(), 1);
         assert_eq!(ds[0].workspace_bytes(), 0);
+    }
+
+    /// The set-valued DP over whole configurations: every candidate is a
+    /// fresh `Configuration`, pruned with [`pareto_front`].
+    fn desirable_set_reference(
+        h: &CudnnHandle,
+        cache: &BenchCache,
+        kernel: &KernelKey,
+        ws_cap: usize,
+        policy: BatchSizePolicy,
+    ) -> (Vec<Configuration>, usize) {
+        let b = kernel.batch();
+        let micro_fronts: Vec<(usize, Vec<MicroConfig>)> = policy
+            .candidate_sizes(b)
+            .into_iter()
+            .map(|m| {
+                let singles = cache
+                    .try_get_or_bench(h, &kernel.with_batch(m), ws_cap)
+                    .unwrap_or_default()
+                    .into_iter()
+                    .map(|e| {
+                        Configuration::undivided(MicroConfig {
+                            micro_batch: m,
+                            algo: e.algo,
+                            time_us: e.time_us,
+                            workspace_bytes: e.memory_bytes,
+                        })
+                    })
+                    .collect();
+                let front = pareto_front(singles).into_iter().map(|c| c.micros[0]);
+                (m, front.collect())
+            })
+            .collect();
+        let mut fronts: Vec<Vec<Configuration>> = vec![Vec::new(); b + 1];
+        fronts[0] = vec![Configuration::default()];
+        let mut generated = 0;
+        for n in 1..=b {
+            let mut candidates = Vec::new();
+            for (m, micros) in &micro_fronts {
+                if *m > n {
+                    continue;
+                }
+                for prefix in &fronts[n - m] {
+                    for mc in micros {
+                        candidates.push(prefix.concat(&Configuration::undivided(*mc)));
+                    }
+                }
+            }
+            generated = candidates.len();
+            fronts[n] = pareto_front(candidates);
+        }
+        let mut out = std::mem::take(&mut fronts[b]);
+        for c in &mut out {
+            c.micros.sort_by_key(|m| std::cmp::Reverse(m.micro_batch));
+        }
+        (out, generated)
+    }
+
+    #[test]
+    fn flat_dp_builds_the_reference_sets_exactly() {
+        // Configurations compare field by field, times as exact f64s, so
+        // the flat DP must generate, order and sum as the reference does.
+        let h = CudnnHandle::simulated(p100_sxm2());
+        let cache = BenchCache::new();
+        let kernels = [
+            conv2(24),
+            conv2(37),
+            KernelKey::new(
+                ConvOp::BackwardFilter,
+                &ConvGeometry::with_square(
+                    Shape4::new(32, 192, 13, 13),
+                    FilterShape::new(384, 192, 3, 3),
+                    1,
+                    1,
+                ),
+            ),
+        ];
+        for key in &kernels {
+            for policy in [
+                BatchSizePolicy::All,
+                BatchSizePolicy::PowerOfTwo,
+                BatchSizePolicy::Undivided,
+            ] {
+                for cap in [0, 4 * MIB, 64 * MIB, usize::MAX] {
+                    let (want, generated) = desirable_set_reference(&h, &cache, key, cap, policy);
+                    let (got, stats) = desirable_set_traced(&h, &cache, key, cap, policy, None);
+                    assert_eq!(got, want, "{key} {policy:?} cap {cap}");
+                    assert_eq!(stats.generated, generated);
+                    assert_eq!(stats.kept, want.len());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn find_time_is_metered_apart_from_the_dp() {
+        let h = CudnnHandle::simulated(p100_sxm2());
+        let cache = BenchCache::new();
+        let m = OptimizerMetrics::new();
+        desirable_set_metered(
+            &h,
+            &cache,
+            &conv2(64),
+            64 * MIB,
+            BatchSizePolicy::All,
+            Some(&m),
+        );
+        let t = m.timings();
+        assert!(t.benchmark_us > 0, "64 cold Find calls are metered");
+        assert!(t.pareto_us > 0, "64 DP stages are metered");
+        assert_eq!((t.dp_us, t.ilp_us), (0, 0));
     }
 }

@@ -10,8 +10,9 @@
 //!            x ∈ {0,1}
 //! ```
 //!
-//! — a multiple-choice knapsack, solved exactly with the branch-and-bound
-//! ILP solver from `ucudnn-lp` (the GLPK stand-in).
+//! — a multiple-choice knapsack, solved exactly by
+//! [`MckInstance::solve`] from `ucudnn-lp` (the GLPK stand-in), whose tie
+//! rule makes the plan independent of the search order.
 
 use crate::bench_cache::BenchCache;
 use crate::config::Configuration;
@@ -59,7 +60,7 @@ pub struct WdPlan {
     /// Number of 0-1 variables in the ILP (reported in §IV-D: 562 for
     /// ResNet-50).
     pub ilp_variables: usize,
-    /// Branch-and-bound nodes explored.
+    /// Branch-and-bound nodes the solver bounded, over both passes.
     pub ilp_nodes: usize,
     /// Wall time spent in the ILP solver, microseconds.
     pub ilp_solve_us: f64,
@@ -189,12 +190,7 @@ pub fn optimize_wd_weighted_parallel(
 
     type Front = (Vec<Configuration>, DesirableStats);
     let compute_front = |k: &KernelKey| -> Front {
-        match metrics {
-            Some(m) => m.time(Phase::Pareto, || {
-                desirable_set_traced(handle, cache, k, total_limit, policy, metrics)
-            }),
-            None => desirable_set_traced(handle, cache, k, total_limit, policy, None),
-        }
+        desirable_set_traced(handle, cache, k, total_limit, policy, metrics)
     };
 
     let fronts: Vec<Front> = if threads > 1 && unique.len() > 1 {
@@ -301,24 +297,22 @@ pub fn optimize_wd_weighted_parallel(
         groups,
         capacity: total_limit as f64,
     };
-    let ilp = instance.to_ilp();
     let start = std::time::Instant::now();
-    let sol = ucudnn_lp::solve_binary(&ilp);
+    let sol = instance.solve();
     let ilp_solve_us = start.elapsed().as_secs_f64() * 1e6;
     if let Some(m) = metrics {
         m.add(Phase::Ilp, ilp_solve_us as u64);
     }
-    if sol.status != ucudnn_lp::IlpStatus::Optimal {
+    let Some(sol) = sol else {
         return Err(UcudnnError::WdInfeasible(format!(
             "no combination of configurations fits {total_limit} bytes"
         )));
-    }
-    let choices = instance.choices_from(&sol.x);
+    };
 
     // Lay segments out contiguously in registration order.
     let mut assignments = Vec::with_capacity(kernels.len());
     let mut offset = 0usize;
-    for (k, choice) in kernels.iter().zip(choices) {
+    for (k, choice) in kernels.iter().zip(sol.choices) {
         let (ds, stats, fallback) = &sets[k];
         let config = ds[choice].clone();
         let bytes = config.workspace_bytes();

@@ -1,5 +1,8 @@
-//! Exact 0-1 integer linear programming by branch & bound over LP
-//! relaxations — the GLPK stand-in used by the WD optimizer (DESIGN.md §2).
+//! Exact 0-1 integer linear programming by branch & bound over simplex LP
+//! relaxations: the oracle for the paper's WD formulation (DESIGN.md §2).
+//! Production plans come from the multiple-choice-knapsack solver in
+//! [`crate::mck`]; this general solver checks its optimum in tests and in
+//! the `ablation_ilp` cross-check.
 
 use crate::simplex::{self, Cmp, Constraint, LpProblem, LpStatus};
 

@@ -1,5 +1,6 @@
 //! Two-phase dense-tableau simplex for linear programs in the form
-//! `minimize cᵀx  s.t.  Ax {≤,=,≥} b,  x ≥ 0`.
+//! `minimize cᵀx  s.t.  Ax {≤,=,≥} b,  x ≥ 0`: the LP engine of the
+//! formulation oracle ([`crate::ilp`]), not of production WD plans.
 //!
 //! Bland's rule is used throughout, trading a little speed for a guarantee
 //! against cycling on the degenerate bases that multiple-choice knapsack

@@ -129,13 +129,13 @@ fn pruned_ilp_matches_full_space_ilp() {
             capacity: budget,
         }
         .solve()
-        .map(|(_, v)| v);
+        .map(|s| s.cost);
         let full = MckInstance {
             groups: full_groups,
             capacity: budget,
         }
         .solve()
-        .map(|(_, v)| v);
+        .map(|s| s.cost);
         match (pruned, full) {
             (Some(p), Some(f)) => assert!(
                 (p - f).abs() <= 1e-6 * f.max(1.0),
