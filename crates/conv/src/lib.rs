@@ -245,16 +245,7 @@ pub fn exec_with_plan(
     ws: &mut [f32],
     plan: &mut EnginePlan,
 ) -> Result<(), ConvError> {
-    if let Some(reason) = support_reason(engine, op, g) {
-        return Err(ConvError::NotSupported { engine, op, reason });
-    }
-    let need = workspace_floats(engine, op, g);
-    if ws.len() < need {
-        return Err(ConvError::WorkspaceTooSmall {
-            need,
-            got: ws.len(),
-        });
-    }
+    check_call(engine, op, g, ws)?;
     match (engine, op, plan) {
         (EngineKind::ImplicitGemm, ConvOp::Forward, EnginePlan::Gemm(p)) => {
             im2col_gemm::implicit_forward_with_plan(g, a, b, out, alpha, beta, p)
@@ -306,6 +297,68 @@ pub fn exec_with_plan(
                 reason: "plan variant does not match the engine",
             })
         }
+    }
+    Ok(())
+}
+
+/// [`exec`] on the engine's retained naive baseline instead of its fast
+/// path: for the Winograd engines, scalar per-tile transforms and one
+/// reference GEMM per ξ, plan-free. The `hotpath` benchmark times the fast
+/// path against it, and `tests/winograd_golden.rs` pins both. Engines that
+/// keep no such baseline return `NotSupported`.
+#[allow(clippy::too_many_arguments)] // BLAS/cuDNN-style signature
+pub fn exec_ref(
+    engine: EngineKind,
+    op: ConvOp,
+    g: &ConvGeometry,
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    alpha: f32,
+    beta: f32,
+    ws: &mut [f32],
+) -> Result<(), ConvError> {
+    check_call(engine, op, g, ws)?;
+    match (engine, op) {
+        (EngineKind::Winograd, ConvOp::Forward) => {
+            winograd::forward_ref(g, a, b, out, alpha, beta, ws)
+        }
+        (EngineKind::Winograd, ConvOp::BackwardData) => {
+            winograd::backward_data_ref(g, a, b, out, alpha, beta, ws)
+        }
+        (EngineKind::WinogradF4, ConvOp::Forward) => {
+            winograd_f4::forward_ref(g, a, b, out, alpha, beta, ws)
+        }
+        (EngineKind::WinogradF4, ConvOp::BackwardData) => {
+            winograd_f4::backward_data_ref(g, a, b, out, alpha, beta, ws)
+        }
+        _ => {
+            return Err(ConvError::NotSupported {
+                engine,
+                op,
+                reason: "no retained naive baseline",
+            })
+        }
+    }
+    Ok(())
+}
+
+/// The support and workspace checks every entry point runs first.
+fn check_call(
+    engine: EngineKind,
+    op: ConvOp,
+    g: &ConvGeometry,
+    ws: &[f32],
+) -> Result<(), ConvError> {
+    if let Some(reason) = support_reason(engine, op, g) {
+        return Err(ConvError::NotSupported { engine, op, reason });
+    }
+    let need = workspace_floats(engine, op, g);
+    if ws.len() < need {
+        return Err(ConvError::WorkspaceTooSmall {
+            need,
+            got: ws.len(),
+        });
     }
     Ok(())
 }
