@@ -22,7 +22,9 @@
 use std::time::Instant;
 use ucudnn_conv::gemm::{sgemm, sgemm_ref, Trans};
 use ucudnn_conv::parallel::{max_workers, set_thread_cap};
-use ucudnn_conv::{fft_conv, im2col_gemm, winograd, winograd_f4};
+use ucudnn_conv::{
+    exec_ref, exec_with_plan, fft_conv, im2col_gemm, ConvOp, EngineKind, EnginePlan,
+};
 use ucudnn_tensor::{ConvGeometry, FilterShape, Shape4, Tensor};
 
 /// One benchmarked kernel: label, shape note, FLOPs per call, and the two
@@ -106,10 +108,7 @@ fn json_escape_free(s: &str) -> &str {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .map(|i| args[i + 1].clone())
+    let out = ucudnn_bench::flag_value(&args, "--out", "hotpath [--smoke] [--out <path>]")
         .unwrap_or_else(|| "BENCH_hotpath.json".to_string());
     let reps = if smoke { 9 } else { 12 };
 
@@ -281,53 +280,48 @@ fn planned_conv_kernels(tag: &'static str, g: &ConvGeometry) -> Vec<Kernel<'stat
         });
     }
 
-    // Winograd F(2x2) forward: naive = scalar per-tile transforms and 16
-    // separate naive GEMMs, fast = strip-vectorized transforms writing
-    // ξ-major packed panels into one batched prepacked GEMM, warm plan.
-    if winograd::supports(&g) {
+    // Winograd forward, F(2x2) and F(4x4) tiles: naive = scalar per-tile
+    // transforms and 16/36 separate naive GEMMs, fast = strip-vectorized
+    // transforms writing ξ-major packed panels into one batched prepacked
+    // GEMM, warm plan.
+    for (engine, resnet_name, vgg_name) in [
+        (
+            EngineKind::Winograd,
+            "winograd_fwd_resnet3x3",
+            "winograd_fwd_vgg3x3",
+        ),
+        (
+            EngineKind::WinogradF4,
+            "winograd4_fwd_resnet3x3",
+            "winograd4_fwd_vgg3x3",
+        ),
+    ] {
+        let op = ConvOp::Forward;
+        if !ucudnn_conv::supports(engine, op, &g) {
+            continue;
+        }
+        let ws_len = ucudnn_conv::workspace_floats(engine, op, &g);
         let (xa, wa) = (x.clone(), w.clone());
         let mut y = vec![0.0f32; y_len];
-        let mut ws = vec![0.0f32; winograd::workspace_floats(&g)];
-        let naive =
-            Box::new(move || winograd::forward_ref(&g, &xa, &wa, &mut y, 1.0, 0.0, &mut ws));
+        let mut ws = vec![0.0f32; ws_len];
+        let naive = Box::new(move || {
+            exec_ref(engine, op, &g, &xa, &wa, &mut y, 1.0, 0.0, &mut ws).unwrap();
+        });
         let (xa, wa) = (x.clone(), w.clone());
         let mut y = vec![0.0f32; y_len];
-        let mut ws = vec![0.0f32; winograd::workspace_floats(&g)];
-        let mut plan = ucudnn_conv::plan::WinogradPlan::default();
+        let mut ws = vec![0.0f32; ws_len];
+        let mut plan = EnginePlan::for_engine(engine);
         let fast = Box::new(move || {
-            winograd::forward_with_plan(&g, &xa, &wa, &mut y, 1.0, 0.0, &mut ws, &mut plan);
+            exec_with_plan(
+                engine, op, &g, &xa, &wa, &mut y, 1.0, 0.0, &mut ws, &mut plan,
+            )
+            .unwrap();
         });
         kernels.push(Kernel {
-            name: match tag {
-                "resnet3x3" => "winograd_fwd_resnet3x3",
-                _ => "winograd_fwd_vgg3x3",
-            },
-            shape: format!("{g}"),
-            flops: 2.0 * macs,
-            workers: 1,
-            naive,
-            fast,
-        });
-    }
-
-    // Winograd F(4x4) forward (same 3x3/stride-1 support set as F(2x2)).
-    if winograd::supports(&g) {
-        let (xa, wa) = (x.clone(), w.clone());
-        let mut y = vec![0.0f32; y_len];
-        let mut ws = vec![0.0f32; winograd_f4::workspace_floats(&g)];
-        let naive =
-            Box::new(move || winograd_f4::forward_ref(&g, &xa, &wa, &mut y, 1.0, 0.0, &mut ws));
-        let (xa, wa) = (x.clone(), w.clone());
-        let mut y = vec![0.0f32; y_len];
-        let mut ws = vec![0.0f32; winograd_f4::workspace_floats(&g)];
-        let mut plan = ucudnn_conv::plan::WinogradPlan::default();
-        let fast = Box::new(move || {
-            winograd_f4::forward_with_plan(&g, &xa, &wa, &mut y, 1.0, 0.0, &mut ws, &mut plan);
-        });
-        kernels.push(Kernel {
-            name: match tag {
-                "resnet3x3" => "winograd4_fwd_resnet3x3",
-                _ => "winograd4_fwd_vgg3x3",
+            name: if tag == "resnet3x3" {
+                resnet_name
+            } else {
+                vgg_name
             },
             shape: format!("{g}"),
             flops: 2.0 * macs,

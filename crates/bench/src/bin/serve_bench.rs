@@ -1024,14 +1024,10 @@ fn main() {
     let want_ingress = args.iter().any(|a| a == "--ingress");
     let want_fleet = args.iter().any(|a| a == "--fleet");
     let want_telemetry = args.iter().any(|a| a == "--telemetry-smoke");
-    let metrics_dump = args
-        .iter()
-        .position(|a| a == "--metrics-dump")
-        .map(|i| args[i + 1].clone());
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .map(|i| args[i + 1].clone())
+    let usage = "serve_bench [--smoke] [--tcp-smoke] [--reopt] [--ingress] [--fleet] \
+                 [--telemetry-smoke] [--metrics-dump <path>] [--out <path>]";
+    let metrics_dump = ucudnn_bench::flag_value(&args, "--metrics-dump", usage);
+    let out_path = ucudnn_bench::flag_value(&args, "--out", usage)
         .unwrap_or_else(|| "BENCH_serve.json".to_string());
     let requests = if smoke { 600 } else { 4_000 };
 

@@ -14,6 +14,20 @@ use ucudnn_framework::NetworkDef;
 /// One mebibyte.
 pub const MIB: usize = 1024 * 1024;
 
+/// The value that follows `flag` in `args`, or `None` when the flag is
+/// absent. A flag given without a value prints `usage` and exits with
+/// status 2.
+pub fn flag_value(args: &[String], flag: &str, usage: &str) -> Option<String> {
+    let i = args.iter().position(|a| a == flag)?;
+    match args.get(i + 1) {
+        Some(v) if !v.starts_with("--") => Some(v.clone()),
+        _ => {
+            eprintln!("{flag} needs a value\nusage: {usage}");
+            std::process::exit(2)
+        }
+    }
+}
+
 /// Where CSV outputs go.
 pub fn results_dir() -> PathBuf {
     let dir = std::env::var("UCUDNN_RESULTS_DIR").unwrap_or_else(|_| "results".to_string());

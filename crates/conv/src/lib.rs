@@ -1,16 +1,16 @@
 //! CPU convolution engines for the μ-cuDNN reproduction.
 //!
-//! Five interchangeable engines compute the same mathematical operation with
-//! different algorithm/workspace trade-offs, mirroring cuDNN's algorithm
-//! families:
+//! Five interchangeable engines ([`EngineKind`]) compute the same
+//! mathematical operation with different algorithm/workspace trade-offs,
+//! mirroring cuDNN's algorithm families; the two Winograd ones are one
+//! engine with two tile sizes:
 //!
 //! | Engine       | cuDNN analogue           | workspace               | constraints |
 //! |--------------|--------------------------|-------------------------|-------------|
 //! | [`im2col_gemm`] implicit | `IMPLICIT_GEMM` | zero (bounded blocks in engine-owned buffers) | none |
 //! | [`im2col_gemm`] | `GEMM`, `IMPLICIT_PRECOMP_GEMM` | per-sample column matrix | none |
 //! | [`fft_conv`] | `FFT` / `FFT_TILING`     | activation+filter spectra (∝ batch) | stride 1, pad < filter |
-//! | [`winograd`] | `WINOGRAD`               | transformed tiles (∝ batch) | 3×3, stride 1, pad ≤ 2; fwd & bwd-data only |
-//! | [`winograd_f4`] | `WINOGRAD_NONFUSED`   | transformed 6×6 tiles (∝ batch) | 3×3, stride 1, pad ≤ 2; fwd & bwd-data only |
+//! | [`winograd`] | `WINOGRAD` (F(2×2) tiles), `WINOGRAD_NONFUSED` (F(4×4) tiles) | transformed tiles (∝ batch) | 3×3, stride 1, pad ≤ 2; fwd & bwd-data only |
 //!
 //! The [`exec`] dispatcher gives the cuDNN-simulation layer one entry point
 //! with uniform (alpha, beta, workspace) semantics and explicit
@@ -27,10 +27,10 @@ pub mod im2col_gemm;
 pub mod parallel;
 pub mod plan;
 pub mod winograd;
-pub mod winograd_f4;
 
 pub use plan::EnginePlan;
 use ucudnn_tensor::ConvGeometry;
+use winograd::{F2, F4};
 
 /// Which of the three convolution operations to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -186,13 +186,13 @@ pub fn workspace_floats(engine: EngineKind, op: ConvOp, g: &ConvGeometry) -> usi
             fft_conv::workspace_floats(g, fop)
         }
         EngineKind::Winograd => match op {
-            ConvOp::Forward => winograd::workspace_floats(g),
-            ConvOp::BackwardData => winograd::workspace_floats_backward_data(g),
+            ConvOp::Forward => winograd::workspace_floats(F2, g),
+            ConvOp::BackwardData => winograd::workspace_floats_backward_data(F2, g),
             ConvOp::BackwardFilter => 0,
         },
         EngineKind::WinogradF4 => match op {
-            ConvOp::Forward => winograd_f4::workspace_floats(g),
-            ConvOp::BackwardData => winograd_f4::workspace_floats_backward_data(g),
+            ConvOp::Forward => winograd::workspace_floats(F4, g),
+            ConvOp::BackwardData => winograd::workspace_floats_backward_data(F4, g),
             ConvOp::BackwardFilter => 0,
         },
     }
@@ -276,16 +276,16 @@ pub fn exec_with_plan(
             return fft_conv::backward_filter_with_plan(g, a, b, out, alpha, beta, ws, p)
         }
         (EngineKind::Winograd, ConvOp::Forward, EnginePlan::Winograd(p)) => {
-            winograd::forward_with_plan(g, a, b, out, alpha, beta, ws, p)
+            winograd::forward_with_plan(F2, g, a, b, out, alpha, beta, ws, p)
         }
         (EngineKind::Winograd, ConvOp::BackwardData, EnginePlan::Winograd(p)) => {
-            winograd::backward_data_with_plan(g, a, b, out, alpha, beta, ws, p)
+            winograd::backward_data_with_plan(F2, g, a, b, out, alpha, beta, ws, p)
         }
-        (EngineKind::WinogradF4, ConvOp::Forward, EnginePlan::WinogradF4(p)) => {
-            winograd_f4::forward_with_plan(g, a, b, out, alpha, beta, ws, p)
+        (EngineKind::WinogradF4, ConvOp::Forward, EnginePlan::Winograd(p)) => {
+            winograd::forward_with_plan(F4, g, a, b, out, alpha, beta, ws, p)
         }
-        (EngineKind::WinogradF4, ConvOp::BackwardData, EnginePlan::WinogradF4(p)) => {
-            winograd_f4::backward_data_with_plan(g, a, b, out, alpha, beta, ws, p)
+        (EngineKind::WinogradF4, ConvOp::BackwardData, EnginePlan::Winograd(p)) => {
+            winograd::backward_data_with_plan(F4, g, a, b, out, alpha, beta, ws, p)
         }
         (EngineKind::Winograd | EngineKind::WinogradF4, ConvOp::BackwardFilter, _) => {
             unreachable!("rejected above")
@@ -321,16 +321,16 @@ pub fn exec_ref(
     check_call(engine, op, g, ws)?;
     match (engine, op) {
         (EngineKind::Winograd, ConvOp::Forward) => {
-            winograd::forward_ref(g, a, b, out, alpha, beta, ws)
+            winograd::forward_ref(F2, g, a, b, out, alpha, beta, ws)
         }
         (EngineKind::Winograd, ConvOp::BackwardData) => {
-            winograd::backward_data_ref(g, a, b, out, alpha, beta, ws)
+            winograd::backward_data_ref(F2, g, a, b, out, alpha, beta, ws)
         }
         (EngineKind::WinogradF4, ConvOp::Forward) => {
-            winograd_f4::forward_ref(g, a, b, out, alpha, beta, ws)
+            winograd::forward_ref(F4, g, a, b, out, alpha, beta, ws)
         }
         (EngineKind::WinogradF4, ConvOp::BackwardData) => {
-            winograd_f4::backward_data_ref(g, a, b, out, alpha, beta, ws)
+            winograd::backward_data_ref(F4, g, a, b, out, alpha, beta, ws)
         }
         _ => {
             return Err(ConvError::NotSupported {
@@ -530,10 +530,35 @@ mod tests {
     }
 
     #[test]
+    fn exec_ref_runs_only_retained_baselines() {
+        let g = g33();
+        let x = Tensor::zeros(g.input);
+        let w = Tensor::zeros(g.filter.as_shape4());
+        let mut y = Tensor::zeros(g.output());
+        let mut ws = vec![0.0; workspace_floats(EngineKind::Gemm, ConvOp::Forward, &g)];
+        let (xs, wf) = (x.as_slice(), w.as_slice());
+        let err = exec_ref(
+            EngineKind::Gemm,
+            ConvOp::Forward,
+            &g,
+            xs,
+            wf,
+            y.as_mut_slice(),
+            1.0,
+            0.0,
+            &mut ws,
+        )
+        .unwrap_err();
+        assert!(err.to_string().contains("no retained naive baseline"));
+    }
+
+    #[test]
     fn winograd_rejects_backward_filter() {
         let g = g33();
-        assert!(!supports(EngineKind::Winograd, ConvOp::BackwardFilter, &g));
-        assert!(supports(EngineKind::Winograd, ConvOp::BackwardData, &g));
+        for engine in [EngineKind::Winograd, EngineKind::WinogradF4] {
+            assert!(!supports(engine, ConvOp::BackwardFilter, &g));
+            assert!(supports(engine, ConvOp::BackwardData, &g));
+        }
     }
 
     #[test]

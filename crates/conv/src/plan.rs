@@ -168,7 +168,7 @@ pub(crate) enum WinogradDir {
 
 /// One direction's cached state: the transformed filter `U`, packed per ξ as
 /// the `A` operand of the batched per-ξ GEMM. `tiles` is 16 for F(2×2, 3×3)
-/// and 36 for F(4×4, 3×3).
+/// and 36 for F(4×4, 3×3), so a plan moved between the tiles re-derives.
 #[derive(Debug, Default)]
 struct WinogradSlot {
     fp: Option<u64>,
@@ -210,9 +210,10 @@ impl WinogradSlot {
     }
 }
 
-/// Cached state for the Winograd engines, one [`WinogradSlot`] per direction.
-/// A plan checked out for the "wrong" direction simply fills the other slot —
-/// every checkout path degrades to re-deriving state, never to a panic.
+/// Cached state for the Winograd engine (either tile), one `WinogradSlot`
+/// per direction. A plan checked out for the "wrong" direction simply fills
+/// the other slot — every checkout path degrades to re-deriving state, never
+/// to a panic.
 #[derive(Debug, Default)]
 pub struct WinogradPlan {
     fwd: WinogradSlot,
@@ -254,10 +255,8 @@ pub enum EnginePlan {
     Gemm(GemmPlan),
     /// FFT tables, scratch grids, and filter spectra.
     Fft(FftPlan),
-    /// F(2×2, 3×3) packed transformed filters.
+    /// Packed transformed filters, for both Winograd tiles.
     Winograd(WinogradPlan),
-    /// F(4×4, 3×3) packed transformed filters.
-    WinogradF4(WinogradPlan),
 }
 
 impl EnginePlan {
@@ -266,8 +265,9 @@ impl EnginePlan {
         match engine {
             EngineKind::ImplicitGemm | EngineKind::Gemm => EnginePlan::Gemm(GemmPlan::default()),
             EngineKind::Fft => EnginePlan::Fft(FftPlan::default()),
-            EngineKind::Winograd => EnginePlan::Winograd(WinogradPlan::default()),
-            EngineKind::WinogradF4 => EnginePlan::WinogradF4(WinogradPlan::default()),
+            EngineKind::Winograd | EngineKind::WinogradF4 => {
+                EnginePlan::Winograd(WinogradPlan::default())
+            }
         }
     }
 
@@ -276,7 +276,7 @@ impl EnginePlan {
         match self {
             EnginePlan::Gemm(p) => p.bytes(),
             EnginePlan::Fft(p) => p.bytes(),
-            EnginePlan::Winograd(p) | EnginePlan::WinogradF4(p) => p.bytes(),
+            EnginePlan::Winograd(p) => p.bytes(),
         }
     }
 }

@@ -8,7 +8,8 @@
 //! indexing bug anywhere inside the advertised envelope fails here before
 //! it can ship behind `supports()`.
 
-use ucudnn_conv::{direct, winograd, winograd_f4};
+use ucudnn_conv::direct;
+use ucudnn_conv::winograd::{self, Tile, F2, F4};
 use ucudnn_tensor::{assert_all_close, ConvGeometry, FilterShape, Shape4, Tensor};
 
 /// Spatial sizes chosen so tile grids clip differently per axis: even/even,
@@ -34,89 +35,42 @@ fn envelope() -> Vec<ConvGeometry> {
     gs
 }
 
-fn check_forward(
+fn check_forward<T: Tile<M, A>, const M: usize, const A: usize>(
+    tile: T,
     g: &ConvGeometry,
-    ws_len: usize,
     tol: f32,
-    fast: impl Fn(&ConvGeometry, &[f32], &[f32], &mut [f32], f32, f32, &mut [f32]),
-    naive: impl Fn(&ConvGeometry, &[f32], &[f32], &mut [f32], f32, f32, &mut [f32]),
 ) {
     let x = Tensor::random(g.input, 11);
     let w = Tensor::random(g.filter.as_shape4(), 12);
+    let (xs, wsl) = (x.as_slice(), w.as_slice());
     let mut y_ref = Tensor::zeros(g.output());
-    direct::forward(
-        g,
-        x.as_slice(),
-        w.as_slice(),
-        y_ref.as_mut_slice(),
-        1.0,
-        0.0,
-    );
-    let mut ws = vec![0.0; ws_len];
+    direct::forward(g, xs, wsl, y_ref.as_mut_slice(), 1.0, 0.0);
+    let mut ws = vec![0.0; winograd::workspace_floats(tile, g)];
     let mut y = Tensor::zeros(g.output());
-    fast(
-        g,
-        x.as_slice(),
-        w.as_slice(),
-        y.as_mut_slice(),
-        1.0,
-        0.0,
-        &mut ws,
-    );
+    winograd::forward(tile, g, xs, wsl, y.as_mut_slice(), 1.0, 0.0, &mut ws);
     assert_all_close(&y_ref, &y, tol);
     let mut y_naive = Tensor::zeros(g.output());
-    naive(
-        g,
-        x.as_slice(),
-        w.as_slice(),
-        y_naive.as_mut_slice(),
-        1.0,
-        0.0,
-        &mut ws,
-    );
+    winograd::forward_ref(tile, g, xs, wsl, y_naive.as_mut_slice(), 1.0, 0.0, &mut ws);
     assert_all_close(&y_ref, &y_naive, tol);
 }
 
-fn check_backward(
+fn check_backward<T: Tile<M, A>, const M: usize, const A: usize>(
+    tile: T,
     g: &ConvGeometry,
-    ws_len: usize,
     tol: f32,
-    fast: impl Fn(&ConvGeometry, &[f32], &[f32], &mut [f32], f32, f32, &mut [f32]),
-    naive: impl Fn(&ConvGeometry, &[f32], &[f32], &mut [f32], f32, f32, &mut [f32]),
 ) {
     let dy = Tensor::random(g.output(), 13);
     let w = Tensor::random(g.filter.as_shape4(), 14);
+    let (dys, wsl) = (dy.as_slice(), w.as_slice());
     let mut dx_ref = Tensor::zeros(g.input);
-    direct::backward_data(
-        g,
-        dy.as_slice(),
-        w.as_slice(),
-        dx_ref.as_mut_slice(),
-        1.0,
-        0.0,
-    );
-    let mut ws = vec![0.0; ws_len];
+    direct::backward_data(g, dys, wsl, dx_ref.as_mut_slice(), 1.0, 0.0);
+    let mut ws = vec![0.0; winograd::workspace_floats_backward_data(tile, g)];
     let mut dx = Tensor::zeros(g.input);
-    fast(
-        g,
-        dy.as_slice(),
-        w.as_slice(),
-        dx.as_mut_slice(),
-        1.0,
-        0.0,
-        &mut ws,
-    );
+    winograd::backward_data(tile, g, dys, wsl, dx.as_mut_slice(), 1.0, 0.0, &mut ws);
     assert_all_close(&dx_ref, &dx, tol);
     let mut dx_naive = Tensor::zeros(g.input);
-    naive(
-        g,
-        dy.as_slice(),
-        w.as_slice(),
-        dx_naive.as_mut_slice(),
-        1.0,
-        0.0,
-        &mut ws,
-    );
+    let dxn = dx_naive.as_mut_slice();
+    winograd::backward_data_ref(tile, g, dys, wsl, dxn, 1.0, 0.0, &mut ws);
     assert_all_close(&dx_ref, &dx_naive, tol);
 }
 
@@ -124,53 +78,28 @@ fn check_backward(
 fn f2_forward_covers_full_pad_envelope() {
     for g in envelope() {
         assert!(winograd::supports(&g), "{g} must be inside the envelope");
-        check_forward(
-            &g,
-            winograd::workspace_floats(&g),
-            1e-3,
-            winograd::forward,
-            winograd::forward_ref,
-        );
+        check_forward(F2, &g, 1e-3);
     }
 }
 
 #[test]
 fn f2_backward_data_covers_full_pad_envelope() {
     for g in envelope() {
-        check_backward(
-            &g,
-            winograd::workspace_floats_backward_data(&g),
-            1e-3,
-            winograd::backward_data,
-            winograd::backward_data_ref,
-        );
+        check_backward(F2, &g, 1e-3);
     }
 }
 
 #[test]
 fn f4_forward_covers_full_pad_envelope() {
     for g in envelope() {
-        assert!(winograd_f4::supports(&g), "{g} must be inside the envelope");
-        check_forward(
-            &g,
-            winograd_f4::workspace_floats(&g),
-            5e-3,
-            winograd_f4::forward,
-            winograd_f4::forward_ref,
-        );
+        check_forward(F4, &g, 5e-3);
     }
 }
 
 #[test]
 fn f4_backward_data_covers_full_pad_envelope() {
     for g in envelope() {
-        check_backward(
-            &g,
-            winograd_f4::workspace_floats_backward_data(&g),
-            5e-3,
-            winograd_f4::backward_data,
-            winograd_f4::backward_data_ref,
-        );
+        check_backward(F4, &g, 5e-3);
     }
 }
 
@@ -179,5 +108,4 @@ fn f4_backward_data_covers_full_pad_envelope() {
 fn pad_three_is_outside_the_envelope() {
     let g = ConvGeometry::with_square(Shape4::new(1, 2, 8, 8), FilterShape::new(2, 2, 3, 3), 3, 1);
     assert!(!winograd::supports(&g));
-    assert!(!winograd_f4::supports(&g));
 }

@@ -84,7 +84,7 @@ proptest! {
                 ConvOp::BackwardFilter => (&x, &dy, g.filter.as_shape4()),
             };
             let reference = oracle(op, &g, a, b, out_shape);
-            for engine in [EngineKind::ImplicitGemm, EngineKind::Gemm, EngineKind::Fft, EngineKind::Winograd] {
+            for engine in EngineKind::ALL {
                 if supports(engine, op, &g) {
                     let got = run_engine(engine, op, &g, a, b, out_shape);
                     prop_assert!(
@@ -171,7 +171,7 @@ proptest! {
         let init = Tensor::random(g.output(), seed + 2);
         let mut reference = init.clone();
         direct::forward(&g, x.as_slice(), w.as_slice(), reference.as_mut_slice(), alpha, beta);
-        for engine in [EngineKind::ImplicitGemm, EngineKind::Gemm, EngineKind::Fft, EngineKind::Winograd] {
+        for engine in EngineKind::ALL {
             if supports(engine, ConvOp::Forward, &g) {
                 let mut out = init.clone();
                 let mut ws = vec![0.0f32; workspace_floats(engine, ConvOp::Forward, &g)];
