@@ -9,10 +9,9 @@
 //!   filter spectra on every call);
 //! * **fast** — the register-blocked packed GEMM with a warm
 //!   [`ucudnn_conv::EnginePlan`], i.e. what a layer's second and later
-//!   micro-batches execute. The im2col rows time it twice: on one worker
-//!   (`_1t`) and on every execution worker (`_mt`). The implicit-GEMM row
-//!   times the zero-workspace engine on one worker against the im2col
-//!   row's naive path; the other rows are single-threaded engines.
+//!   micro-batches execute. The im2col rows time the zero-workspace
+//!   im2col+GEMM engine twice: on one worker (`_1t`) and on every execution
+//!   worker (`_mt`); the other rows are single-threaded engines.
 //!
 //! Results go to stdout and to `BENCH_hotpath.json` (override with
 //! `--out <path>`): per-kernel GFLOP/s for both paths plus the speedup.
@@ -23,7 +22,7 @@ use std::time::Instant;
 use ucudnn_conv::gemm::{sgemm, sgemm_ref, Trans};
 use ucudnn_conv::parallel::{max_workers, set_thread_cap};
 use ucudnn_conv::{
-    exec_ref, exec_with_plan, fft_conv, im2col_gemm, ConvOp, EngineKind, EnginePlan,
+    exec_ref, exec_with_plan, fft_conv, im2col, im2col_gemm, ConvOp, EngineKind, EnginePlan,
 };
 use ucudnn_tensor::{ConvGeometry, FilterShape, Shape4, Tensor};
 
@@ -229,17 +228,16 @@ fn planned_conv_kernels(tag: &'static str, g: &ConvGeometry) -> Vec<Kernel<'stat
     let mut kernels = Vec::new();
 
     // im2col+GEMM forward: naive = im2col + sgemm_ref per sample (the
-    // pre-substrate path), fast = warm plan + packed GEMM, once on one
-    // worker and once on every execution worker.
+    // pre-substrate path), fast = warm plan + packed GEMM over bounded
+    // blocks, once on one worker and once on every execution worker.
     for (suffix, cap) in [("1t", Some(1)), ("mt", None)] {
         let naive = im2col_naive(g, x.clone(), w.clone());
         let (xa, wa) = (x.clone(), w.clone());
         let mut y = vec![0.0f32; y_len];
-        let mut ws = vec![0.0f32; im2col_gemm::workspace_floats(&g)];
         let mut plan = ucudnn_conv::plan::GemmPlan::default();
         let fast = Box::new(move || {
             let prev = set_thread_cap(cap);
-            im2col_gemm::forward_with_plan(&g, &xa, &wa, &mut y, 1.0, 0.0, &mut ws, &mut plan);
+            im2col_gemm::forward_with_plan(&g, &xa, &wa, &mut y, 1.0, 0.0, &mut plan);
             set_thread_cap(prev);
         });
         kernels.push(Kernel {
@@ -252,29 +250,6 @@ fn planned_conv_kernels(tag: &'static str, g: &ConvGeometry) -> Vec<Kernel<'stat
             shape: format!("{g}"),
             flops: 2.0 * macs,
             workers: cap.unwrap_or_else(max_workers),
-            naive,
-            fast,
-        });
-    }
-
-    // Implicit-GEMM forward on one worker: no workspace, the column buffer
-    // lowered in bounded blocks. The naive side is the im2col row's, so a
-    // smoke run spends no time in the seven-loop oracle.
-    if tag == "resnet3x3" {
-        let naive = im2col_naive(g, x.clone(), w.clone());
-        let (xa, wa) = (x.clone(), w.clone());
-        let mut y = vec![0.0f32; y_len];
-        let mut plan = ucudnn_conv::plan::GemmPlan::default();
-        let fast = Box::new(move || {
-            let prev = set_thread_cap(Some(1));
-            im2col_gemm::implicit_forward_with_plan(&g, &xa, &wa, &mut y, 1.0, 0.0, &mut plan);
-            set_thread_cap(prev);
-        });
-        kernels.push(Kernel {
-            name: "implicit_fwd_resnet3x3_1t",
-            shape: format!("{g}"),
-            flops: 2.0 * macs,
-            workers: 1,
             naive,
             fast,
         });
@@ -368,14 +343,13 @@ fn planned_conv_kernels(tag: &'static str, g: &ConvGeometry) -> Vec<Kernel<'stat
 /// lowering and the `sgemm_ref` triple loop.
 fn im2col_naive(g: ConvGeometry, x: Vec<f32>, w: Vec<f32>) -> Box<dyn FnMut()> {
     let mut y = vec![0.0f32; g.output().len()];
-    let mut ws = vec![0.0f32; im2col_gemm::workspace_floats(&g)];
+    let mut col = vec![0.0f32; im2col::col_len(&g)];
     Box::new(move || {
         let (k, crs) = (g.filter.k, g.input.c * g.filter.r * g.filter.s);
         let howo = g.out_h() * g.out_w();
         let in_sample = g.input.sample_len();
         for ni in 0..g.input.n {
-            let col = &mut ws[..crs * howo];
-            ucudnn_conv::im2col::im2col(&g, &x[ni * in_sample..(ni + 1) * in_sample], col);
+            im2col::im2col(&g, &x[ni * in_sample..(ni + 1) * in_sample], &mut col);
             sgemm_ref(
                 Trans::No,
                 Trans::No,
@@ -384,7 +358,7 @@ fn im2col_naive(g: ConvGeometry, x: Vec<f32>, w: Vec<f32>) -> Box<dyn FnMut()> {
                 crs,
                 1.0,
                 &w,
-                col,
+                &col,
                 0.0,
                 &mut y[ni * k * howo..(ni + 1) * k * howo],
             );

@@ -2,8 +2,8 @@
 //!
 //! `C = alpha * op(A) * op(B) + beta * C`, row-major, with optional
 //! transposition of either operand. This is the compute core of the
-//! im2col-based convolution engine (the analogue of cuDNN's `ALGO_GEMM`)
-//! and of the Winograd engines' per-ξ batched products.
+//! im2col-based convolution engine (which runs cuDNN's three GEMM
+//! algorithms) and of the Winograd engines' per-ξ batched products.
 //!
 //! # Structure
 //!

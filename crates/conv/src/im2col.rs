@@ -6,19 +6,13 @@
 //! `(K, C*R*S)` filter matrix. `col2im` is the adjoint scatter-add used for
 //! the data gradient.
 
-use crate::gemm::{packed_b_len, NR};
+use crate::gemm::NR;
 use core::ops::Range;
 use ucudnn_tensor::ConvGeometry;
 
 /// Number of `f32` elements in the column matrix for a single sample.
 pub fn col_len(g: &ConvGeometry) -> usize {
     g.input.c * g.filter.r * g.filter.s * g.out_h() * g.out_w()
-}
-
-/// Number of `f32` elements of [`im2col_packed_b`] output for one sample:
-/// the column matrix rounded up to whole NR panels (`>=` [`col_len`]).
-pub fn packed_col_len(g: &ConvGeometry) -> usize {
-    packed_b_len(g.input.c * g.filter.r * g.filter.s, g.out_h() * g.out_w())
 }
 
 /// Output positions along one axis whose filter tap `t` lands inside the
@@ -406,7 +400,7 @@ mod tests {
                     }
 
                     let panels = howo.div_ceil(NR);
-                    let mut want = vec![f32::NAN; packed_col_len(&g)];
+                    let mut want = vec![f32::NAN; panels * NR * crs];
                     reference::im2col_packed_b(&g, x.as_slice(), &mut want);
                     for range in [0..panels, panels / 2..panels, 0..panels.div_ceil(2)] {
                         let mut part = vec![f32::NAN; range.len() * NR * crs];
@@ -497,7 +491,7 @@ mod tests {
 
     #[test]
     fn fused_pack_matches_im2col_then_pack_b() {
-        use crate::gemm::{pack_b_into, Trans};
+        use crate::gemm::{pack_b_into, packed_b_len, Trans};
         for (pad, stride) in [(0usize, 1usize), (1, 1), (2, 2), (1, 3)] {
             let g = ConvGeometry::with_square(
                 Shape4::new(1, 3, 9, 7),
@@ -512,7 +506,7 @@ mod tests {
             im2col(&g, x.as_slice(), &mut col);
             let mut unfused = Vec::new();
             pack_b_into(Trans::No, crs, howo, &col, &mut unfused);
-            let mut fused = vec![f32::NAN; packed_col_len(&g)];
+            let mut fused = vec![f32::NAN; packed_b_len(crs, howo)];
             im2col_packed_b(&g, x.as_slice(), 0..howo.div_ceil(NR), &mut fused);
             assert_eq!(unfused.len(), fused.len());
             for (a, b) in unfused.iter().zip(&fused) {

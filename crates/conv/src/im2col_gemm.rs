@@ -1,7 +1,8 @@
-//! The im2col + GEMM convolution engines: `GEMM` and `IMPLICIT_GEMM`.
+//! The im2col + GEMM convolution engine. cuDNN's `IMPLICIT_GEMM`,
+//! `IMPLICIT_PRECOMP_GEMM` and `GEMM` all run it, with no workspace.
 //!
-//! Both lower each sample's receptive fields into a `(C*R*S) x (Ho*Wo)`
-//! column matrix and multiply it against the filter matrix. The forward
+//! It lowers each sample's receptive fields into a `(C*R*S) x (Ho*Wo)`
+//! column matrix and multiplies it against the filter matrix. The forward
 //! path fuses the lowering with GEMM operand packing
 //! ([`crate::im2col::im2col_packed_b`]): columns are written straight into
 //! packed-B panels, and the GEMM skips its internal packing pass. The
@@ -10,18 +11,12 @@
 //! operand). The *model* of the GPU algorithms' workspace lives in
 //! `ucudnn-gpu-model`.
 //!
-//! The two engines differ only in where the column buffer lives:
-//!
-//! * **GEMM** ([`forward_with_plan`], ...) lowers a whole sample at once
-//!   into caller-provided workspace, [`workspace_floats`] long. cuDNN's
-//!   `GEMM` and `IMPLICIT_PRECOMP_GEMM` run it.
-//! * **Implicit GEMM** ([`implicit_forward_with_plan`], ...) needs no
-//!   workspace. Each worker lowers its part of the column buffer one block
-//!   at a time into a buffer it owns, multiplies the block and moves on,
-//!   as cuDNN's `IMPLICIT_GEMM` forms tiles of the lowered matrix on chip
-//!   instead of the whole matrix (Chetlur et al.). A block holds at most
-//!   [`BLOCK_FLOATS`], or one aligned unit where a unit is larger, so the
-//!   buffer depends on the layer's shape and never on the batch.
+//! The column matrix never exists whole. Each worker lowers its part of it
+//! one block at a time into a buffer it owns, multiplies the block and
+//! moves on, as cuDNN's `IMPLICIT_GEMM` forms tiles of the lowered matrix
+//! on chip instead of the whole matrix (Chetlur et al.). A block holds at
+//! most [`BLOCK_FLOATS`], or one aligned unit where a unit is larger, so
+//! the buffer depends on the layer's shape and never on the batch.
 //!
 //! Every call runs on `parallel::workers_for` workers with one fork/join.
 //! Each worker owns a slice of the column buffer and the output elements it
@@ -36,53 +31,33 @@
 //!   packed `Wᵀ`: a worker computes its channels' rows of the column buffer
 //!   and `col2im`s them into its own channels of `dx`.
 //! * **BackwardFilter** splits the column-buffer rows (filter taps): a
-//!   worker lowers its rows and accumulates its own columns of `dw`. An
-//!   implicit block holds whole groups of `NR` rows, which fill the packed
-//!   panels of the transposed operand.
+//!   worker lowers its rows and accumulates its own columns of `dw`. A
+//!   block holds whole groups of `NR` rows, which fill the packed panels of
+//!   the transposed operand.
 //!
 //! The backward paths pack each sample's `dy` once per worker, as the GEMM
 //! operand all of the sample's blocks share.
 //!
 //! Every output element keeps its micro-kernel chain and its `col2im`
 //! accumulation order whichever worker or block computes it, so the result
-//! is bit-identical for every worker count, and the two engines are
-//! bit-identical to each other.
+//! is bit-identical for every worker count and every block size.
 
 use crate::gemm::{
     pack_b_into, scale_beta, sgemm_prepacked_a_cols, sgemm_prepacked_cols, sgemm_prepacked_rows,
     PackedA, Trans, MR, NR,
 };
-use crate::im2col::{col2im_add, im2col_packed_b, im2col_rows, packed_col_len};
+use crate::im2col::{col2im_add, im2col_packed_b, im2col_rows};
 use crate::parallel::{even_cuts, fork_join, split_at_cuts, split_columns, workers_for};
 use crate::plan::GemmPlan;
 use core::cell::RefCell;
 use core::ops::Range;
 use ucudnn_tensor::{ConvGeometry, FilterShape, Shape4};
 
-/// Column-buffer floats an implicit-GEMM worker lowers at a time: 256 KiB,
-/// an eighth of a 2 MiB L2, so a block stays cache-resident between its
-/// lowering and its multiply. A unit larger than this (one packed panel,
-/// one `MR`-aligned group of channels, `NR` column-buffer rows) makes a
-/// block of its own.
+/// Column-buffer floats a worker lowers at a time: 256 KiB, an eighth of a
+/// 2 MiB L2, so a block stays cache-resident between its lowering and its
+/// multiply. A unit larger than this (one packed panel, one `MR`-aligned
+/// group of channels, `NR` column-buffer rows) makes a block of its own.
 pub const BLOCK_FLOATS: usize = 64 << 10;
-
-/// Workspace (in `f32` elements) required by the GEMM engine for any of the
-/// three convolution operations: the single-sample column buffer, rounded up
-/// to whole packed-B panels for the fused forward path
-/// (`packed_col_len >= col_len`, so the backward paths fit too). The
-/// implicit engine needs none.
-pub fn workspace_floats(g: &ConvGeometry) -> usize {
-    packed_col_len(g)
-}
-
-fn check_ws(g: &ConvGeometry, ws: &[f32]) {
-    assert!(
-        ws.len() >= workspace_floats(g),
-        "workspace too small: {} < {}",
-        ws.len(),
-        workspace_floats(g)
-    );
-}
 
 /// `cuts` scaled by `unit_len`: unit cut points as element offsets.
 fn scaled(cuts: &[usize], unit_len: usize) -> Vec<usize> {
@@ -108,8 +83,8 @@ fn gcd(a: usize, b: usize) -> usize {
 }
 
 thread_local! {
-    // The implicit-GEMM block buffers of the calls this thread makes, one
-    // per worker. They grow to the largest call the thread has made, which
+    // The block buffers of the calls this thread makes, one per worker.
+    // They grow to the largest call the thread has made, which
     // `BLOCK_FLOATS` bounds per worker and layer shape.
     static BLOCKS: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
     // One sample's `dy`, packed once as the GEMM operand every block of
@@ -128,55 +103,33 @@ impl Blocks {
     fn take() -> Self {
         Blocks(BLOCKS.take())
     }
+
+    /// One block buffer per worker of the unit `cuts`, each unit `unit_len`
+    /// floats: a multiple of `align` units, at most `floats` floats or one
+    /// `align` group where that is larger, and never more than the widest
+    /// worker's part.
+    fn split(
+        &mut self,
+        cuts: &[usize],
+        unit_len: usize,
+        align: usize,
+        floats: usize,
+    ) -> Vec<&mut [f32]> {
+        let widest = cuts.windows(2).map(|c| c[1] - c[0]).max().unwrap_or(0);
+        let units = (floats / (align * unit_len).max(1)).max(1) * align;
+        let (workers, len) = (cuts.len() - 1, units.min(widest) * unit_len);
+        let buf = &mut self.0;
+        if buf.len() < workers * len {
+            buf.resize(workers * len, 0.0);
+        }
+        let offsets: Vec<usize> = (0..=workers).map(|i| i * len).collect();
+        split_at_cuts(&mut buf[..workers * len], &offsets)
+    }
 }
 
 impl Drop for Blocks {
     fn drop(&mut self) {
         BLOCKS.set(std::mem::take(&mut self.0));
-    }
-}
-
-/// Where a call's workers lower their parts of the column buffer.
-enum Cols<'a> {
-    /// The caller's one-sample workspace: each worker lowers its whole
-    /// part at once (GEMM).
-    Workspace(&'a mut [f32]),
-    /// Blocks of at most this many floats (at least one aligned unit) of
-    /// the calling thread's [`Blocks`] (implicit GEMM).
-    Blocked(usize),
-}
-
-impl Cols<'_> {
-    /// One buffer per worker of the unit `cuts`, each unit `unit_len`
-    /// floats: its slice of the workspace, or its block of `blocks`. A
-    /// block holds a multiple of `align` units, or the worker's whole part.
-    fn split<'b>(
-        self,
-        cuts: &[usize],
-        unit_len: usize,
-        align: usize,
-        blocks: &'b mut Blocks,
-    ) -> Vec<&'b mut [f32]>
-    where
-        Self: 'b,
-    {
-        match self {
-            Cols::Workspace(ws) => {
-                let len = cuts.last().map_or(0, |&c| c * unit_len);
-                split_at_cuts(&mut ws[..len], &scaled(cuts, unit_len))
-            }
-            Cols::Blocked(floats) => {
-                let widest = cuts.windows(2).map(|c| c[1] - c[0]).max().unwrap_or(0);
-                let units = (floats / (align * unit_len).max(1)).max(1) * align;
-                let (workers, len) = (cuts.len() - 1, units.min(widest) * unit_len);
-                let buf = &mut blocks.0;
-                if buf.len() < workers * len {
-                    buf.resize(workers * len, 0.0);
-                }
-                let offsets: Vec<usize> = (0..=workers).map(|i| i * len).collect();
-                split_at_cuts(&mut buf[..workers * len], &offsets)
-            }
-        }
     }
 }
 
@@ -196,24 +149,11 @@ fn for_blocks(
     }
 }
 
-/// `y = alpha * conv(x, w) + beta * y` via per-sample im2col + GEMM.
-pub fn forward(
-    g: &ConvGeometry,
-    x: &[f32],
-    w: &[f32],
-    y: &mut [f32],
-    alpha: f32,
-    beta: f32,
-    ws: &mut [f32],
-) {
-    forward_with_plan(g, x, w, y, alpha, beta, ws, &mut GemmPlan::default());
-}
-
-/// [`forward`] with a reusable plan: the filter is packed into GEMM panels
-/// once (revalidated by fingerprint) and every sample — and every subsequent
-/// micro-batch of the same layer — reuses the packed panels. Bit-identical
-/// to the plan-free path (packing is deterministic).
-#[allow(clippy::too_many_arguments)] // mirrors the cuDNN convolution ABI
+/// `y = alpha * conv(x, w) + beta * y` via per-sample im2col + GEMM, with a
+/// reusable plan: the filter is packed into GEMM panels once (revalidated
+/// by fingerprint) and every sample — and every subsequent micro-batch of
+/// the same layer — reuses the packed panels. Bit-identical to a fresh plan
+/// (packing is deterministic).
 pub fn forward_with_plan(
     g: &ConvGeometry,
     x: &[f32],
@@ -221,25 +161,9 @@ pub fn forward_with_plan(
     y: &mut [f32],
     alpha: f32,
     beta: f32,
-    ws: &mut [f32],
     plan: &mut GemmPlan,
 ) {
-    check_ws(g, ws);
-    forward_in(g, x, w, y, alpha, beta, Cols::Workspace(ws), plan);
-}
-
-/// [`forward_with_plan`] without workspace: the implicit-GEMM engine.
-/// Bit-identical to the GEMM engine.
-pub fn implicit_forward_with_plan(
-    g: &ConvGeometry,
-    x: &[f32],
-    w: &[f32],
-    y: &mut [f32],
-    alpha: f32,
-    beta: f32,
-    plan: &mut GemmPlan,
-) {
-    forward_in(g, x, w, y, alpha, beta, Cols::Blocked(BLOCK_FLOATS), plan);
+    forward_in(g, x, w, y, alpha, beta, BLOCK_FLOATS, plan);
 }
 
 #[allow(clippy::too_many_arguments)] // mirrors the cuDNN convolution ABI
@@ -250,7 +174,7 @@ fn forward_in(
     y: &mut [f32],
     alpha: f32,
     beta: f32,
-    cols: Cols<'_>,
+    block_floats: usize,
     plan: &mut GemmPlan,
 ) {
     let n = g.input.n;
@@ -270,7 +194,7 @@ fn forward_in(
     let mut blocks = Blocks::take();
     let parts: Vec<_> = cuts
         .windows(2)
-        .zip(cols.split(&cuts, NR * crs, 1, &mut blocks))
+        .zip(blocks.split(&cuts, NR * crs, 1, block_floats))
         .zip(split_columns(y, n * k, &ycols))
         .collect();
     fork_join(parts, |((p, buf), mut rows)| {
@@ -289,22 +213,8 @@ fn forward_in(
     });
 }
 
-/// `dx = alpha * grad_x + beta * dx` via GEMM + col2im.
-pub fn backward_data(
-    g: &ConvGeometry,
-    dy: &[f32],
-    w: &[f32],
-    dx: &mut [f32],
-    alpha: f32,
-    beta: f32,
-    ws: &mut [f32],
-) {
-    backward_data_with_plan(g, dy, w, dx, alpha, beta, ws, &mut GemmPlan::default());
-}
-
-/// [`backward_data`] with a reusable plan holding the packed `Wᵀ` panels.
-/// Bit-identical to the plan-free path.
-#[allow(clippy::too_many_arguments)] // mirrors the cuDNN convolution ABI
+/// `dx = alpha * grad_x + beta * dx` via GEMM + col2im, with a reusable
+/// plan holding the packed `Wᵀ` panels. Bit-identical to a fresh plan.
 pub fn backward_data_with_plan(
     g: &ConvGeometry,
     dy: &[f32],
@@ -312,25 +222,9 @@ pub fn backward_data_with_plan(
     dx: &mut [f32],
     alpha: f32,
     beta: f32,
-    ws: &mut [f32],
     plan: &mut GemmPlan,
 ) {
-    check_ws(g, ws);
-    backward_data_in(g, dy, w, dx, alpha, beta, Cols::Workspace(ws), plan);
-}
-
-/// [`backward_data_with_plan`] without workspace: the implicit-GEMM engine.
-/// Bit-identical to the GEMM engine.
-pub fn implicit_backward_data_with_plan(
-    g: &ConvGeometry,
-    dy: &[f32],
-    w: &[f32],
-    dx: &mut [f32],
-    alpha: f32,
-    beta: f32,
-    plan: &mut GemmPlan,
-) {
-    backward_data_in(g, dy, w, dx, alpha, beta, Cols::Blocked(BLOCK_FLOATS), plan);
+    backward_data_in(g, dy, w, dx, alpha, beta, BLOCK_FLOATS, plan);
 }
 
 #[allow(clippy::too_many_arguments)] // mirrors the cuDNN convolution ABI
@@ -341,7 +235,7 @@ fn backward_data_in(
     dx: &mut [f32],
     alpha: f32,
     beta: f32,
-    cols: Cols<'_>,
+    block_floats: usize,
     plan: &mut GemmPlan,
 ) {
     let n = g.input.n;
@@ -365,7 +259,7 @@ fn backward_data_in(
     let mut blocks = Blocks::take();
     let parts: Vec<_> = cuts
         .windows(2)
-        .zip(cols.split(&cuts, rs * howo, step, &mut blocks))
+        .zip(blocks.split(&cuts, rs * howo, step, block_floats))
         .zip(split_columns(dx, n, &scaled(&cuts, hw)))
         .collect();
     fork_join(parts, |((ch, buf), mut dxs)| {
@@ -397,23 +291,8 @@ pub fn backward_filter(
     dw: &mut [f32],
     alpha: f32,
     beta: f32,
-    ws: &mut [f32],
 ) {
-    check_ws(g, ws);
-    backward_filter_in(g, x, dy, dw, alpha, beta, Cols::Workspace(ws));
-}
-
-/// [`backward_filter`] without workspace: the implicit-GEMM engine.
-/// Bit-identical to the GEMM engine.
-pub fn implicit_backward_filter(
-    g: &ConvGeometry,
-    x: &[f32],
-    dy: &[f32],
-    dw: &mut [f32],
-    alpha: f32,
-    beta: f32,
-) {
-    backward_filter_in(g, x, dy, dw, alpha, beta, Cols::Blocked(BLOCK_FLOATS));
+    backward_filter_in(g, x, dy, dw, alpha, beta, BLOCK_FLOATS);
 }
 
 fn backward_filter_in(
@@ -423,7 +302,7 @@ fn backward_filter_in(
     dw: &mut [f32],
     alpha: f32,
     beta: f32,
-    cols: Cols<'_>,
+    block_floats: usize,
 ) {
     let n = g.input.n;
     let (k, crs) = (g.filter.k, g.input.c * g.filter.r * g.filter.s);
@@ -441,7 +320,7 @@ fn backward_filter_in(
     let mut blocks = Blocks::take();
     let parts: Vec<_> = cuts
         .windows(2)
-        .zip(cols.split(&cuts, howo, NR, &mut blocks))
+        .zip(blocks.split(&cuts, howo, NR, block_floats))
         .zip(split_columns(dw, k, &cuts))
         .collect();
     fork_join(parts, |((r, buf), mut dw_rows)| {
@@ -485,6 +364,16 @@ mod tests {
         ]
     }
 
+    /// [`forward_with_plan`] on a fresh plan.
+    fn cold_forward(g: &ConvGeometry, x: &[f32], w: &[f32], y: &mut [f32], alpha: f32, beta: f32) {
+        forward_with_plan(g, x, w, y, alpha, beta, &mut GemmPlan::default());
+    }
+
+    /// [`backward_data_with_plan`] on a fresh plan.
+    fn cold_backward_data(g: &ConvGeometry, dy: &[f32], w: &[f32], dx: &mut [f32], beta: f32) {
+        backward_data_with_plan(g, dy, w, dx, 1.0, beta, &mut GemmPlan::default());
+    }
+
     #[test]
     fn forward_matches_direct() {
         for g in geoms() {
@@ -500,16 +389,7 @@ mod tests {
                 0.0,
             );
             let mut y = Tensor::zeros(g.output());
-            let mut ws = vec![0.0; workspace_floats(&g)];
-            forward(
-                &g,
-                x.as_slice(),
-                w.as_slice(),
-                y.as_mut_slice(),
-                1.0,
-                0.0,
-                &mut ws,
-            );
+            cold_forward(&g, x.as_slice(), w.as_slice(), y.as_mut_slice(), 1.0, 0.0);
             assert_all_close(&y_ref, &y, 1e-4);
         }
     }
@@ -529,16 +409,7 @@ mod tests {
                 0.0,
             );
             let mut dx = Tensor::zeros(g.input);
-            let mut ws = vec![0.0; workspace_floats(&g)];
-            backward_data(
-                &g,
-                dy.as_slice(),
-                w.as_slice(),
-                dx.as_mut_slice(),
-                1.0,
-                0.0,
-                &mut ws,
-            );
+            cold_backward_data(&g, dy.as_slice(), w.as_slice(), dx.as_mut_slice(), 0.0);
             assert_all_close(&dx_ref, &dx, 1e-4);
         }
     }
@@ -558,16 +429,7 @@ mod tests {
                 0.0,
             );
             let mut dw = Tensor::zeros(g.filter.as_shape4());
-            let mut ws = vec![0.0; workspace_floats(&g)];
-            backward_filter(
-                &g,
-                x.as_slice(),
-                dy.as_slice(),
-                dw.as_mut_slice(),
-                1.0,
-                0.0,
-                &mut ws,
-            );
+            backward_filter(&g, x.as_slice(), dy.as_slice(), dw.as_mut_slice(), 1.0, 0.0);
             assert_all_close(&dw_ref, &dw, 1e-3);
         }
     }
@@ -589,15 +451,13 @@ mod tests {
             beta,
         );
         let mut y = init.clone();
-        let mut ws = vec![0.0; workspace_floats(&g)];
-        forward(
+        cold_forward(
             &g,
             x.as_slice(),
             w.as_slice(),
             y.as_mut_slice(),
             alpha,
             beta,
-            &mut ws,
         );
         assert_all_close(&y_ref, &y, 1e-4);
     }
@@ -608,7 +468,6 @@ mod tests {
             ConvGeometry::with_square(Shape4::new(6, 2, 6, 6), FilterShape::new(3, 2, 3, 3), 1, 1);
         let x = Tensor::random(g.input, 10);
         let dy = Tensor::random(g.output(), 11);
-        let mut ws = vec![0.0; workspace_floats(&g)];
         let mut dw_full = Tensor::zeros(g.filter.as_shape4());
         backward_filter(
             &g,
@@ -617,7 +476,6 @@ mod tests {
             dw_full.as_mut_slice(),
             1.0,
             0.0,
-            &mut ws,
         );
 
         let mut dw_micro = Tensor::zeros(g.filter.as_shape4());
@@ -630,7 +488,6 @@ mod tests {
                 dw_micro.as_mut_slice(),
                 1.0,
                 if i == 0 { 0.0 } else { 1.0 },
-                &mut ws,
             );
         }
         assert_all_close(&dw_full, &dw_micro, 1e-3);
@@ -642,17 +499,15 @@ mod tests {
             let x = Tensor::random(g.input, 21);
             let w = Tensor::random(g.filter.as_shape4(), 22);
             let dy = Tensor::random(g.output(), 23);
-            let mut ws = vec![0.0; workspace_floats(&g)];
 
             let mut cold_y = Tensor::zeros(g.output());
-            forward(
+            cold_forward(
                 &g,
                 x.as_slice(),
                 w.as_slice(),
                 cold_y.as_mut_slice(),
                 1.0,
                 0.0,
-                &mut ws,
             );
             let mut plan = GemmPlan::default();
             for _ in 0..3 {
@@ -664,7 +519,6 @@ mod tests {
                     warm_y.as_mut_slice(),
                     1.0,
                     0.0,
-                    &mut ws,
                     &mut plan,
                 );
                 for (a, b) in cold_y.as_slice().iter().zip(warm_y.as_slice()) {
@@ -673,15 +527,7 @@ mod tests {
             }
 
             let mut cold_dx = Tensor::zeros(g.input);
-            backward_data(
-                &g,
-                dy.as_slice(),
-                w.as_slice(),
-                cold_dx.as_mut_slice(),
-                1.0,
-                0.0,
-                &mut ws,
-            );
+            cold_backward_data(&g, dy.as_slice(), w.as_slice(), cold_dx.as_mut_slice(), 0.0);
             for _ in 0..2 {
                 let mut warm_dx = Tensor::zeros(g.input);
                 backward_data_with_plan(
@@ -691,7 +537,6 @@ mod tests {
                     warm_dx.as_mut_slice(),
                     1.0,
                     0.0,
-                    &mut ws,
                     &mut plan,
                 );
                 for (a, b) in cold_dx.as_slice().iter().zip(warm_dx.as_slice()) {
@@ -707,28 +552,11 @@ mod tests {
         let g = geoms()[0];
         let dy = Tensor::random(g.output(), 25);
         let w = Tensor::random(g.filter.as_shape4(), 26);
-        let mut ws = vec![0.0; workspace_floats(&g)];
         let mut clean = Tensor::zeros(g.input);
-        backward_data(
-            &g,
-            dy.as_slice(),
-            w.as_slice(),
-            clean.as_mut_slice(),
-            1.0,
-            0.0,
-            &mut ws,
-        );
+        cold_backward_data(&g, dy.as_slice(), w.as_slice(), clean.as_mut_slice(), 0.0);
         let mut dirty = Tensor::zeros(g.input);
         dirty.as_mut_slice().fill(f32::NAN);
-        backward_data(
-            &g,
-            dy.as_slice(),
-            w.as_slice(),
-            dirty.as_mut_slice(),
-            1.0,
-            0.0,
-            &mut ws,
-        );
+        cold_backward_data(&g, dy.as_slice(), w.as_slice(), dirty.as_mut_slice(), 0.0);
         for (a, b) in clean.as_slice().iter().zip(dirty.as_slice()) {
             assert!(b.is_finite(), "beta=0 must not read the NaN-seeded output");
             assert_eq!(a.to_bits(), b.to_bits());
@@ -740,27 +568,15 @@ mod tests {
         let g = geoms()[0];
         let x = Tensor::random(g.input, 27);
         let dy = Tensor::random(g.output(), 28);
-        let mut ws = vec![0.0; workspace_floats(&g)];
         let mut dw = Tensor::zeros(g.filter.as_shape4());
         dw.as_mut_slice().fill(f32::NAN);
-        backward_filter(
-            &g,
-            x.as_slice(),
-            dy.as_slice(),
-            dw.as_mut_slice(),
-            1.0,
-            0.0,
-            &mut ws,
-        );
+        backward_filter(&g, x.as_slice(), dy.as_slice(), dw.as_mut_slice(), 1.0, 0.0);
         assert!(dw.as_slice().iter().all(|v| v.is_finite()));
     }
 
     /// Output bits of every op on `g` with beta scaling a live output,
-    /// lowering into the workspace (`None`) or in blocks of `Some(floats)`.
-    fn op_bits(g: &ConvGeometry, blocked: Option<usize>) -> [Vec<u32>; 3] {
-        fn cols(ws: &mut [f32], blocked: Option<usize>) -> Cols<'_> {
-            blocked.map_or(Cols::Workspace(ws), Cols::Blocked)
-        }
+    /// lowering in blocks of at most `floats` floats.
+    fn op_bits(g: &ConvGeometry, floats: usize) -> [Vec<u32>; 3] {
         let x = Tensor::random(g.input, 31);
         let w = Tensor::random(g.filter.as_shape4(), 32);
         let dy = Tensor::random(g.output(), 33);
@@ -769,37 +585,16 @@ mod tests {
         let mut dx = Tensor::random(g.input, 35);
         let mut dw = Tensor::random(g.filter.as_shape4(), 36);
         let (alpha, beta) = (0.75, -0.5);
-        let mut ws = vec![0.0; workspace_floats(g)];
         let mut plan = GemmPlan::default();
-        let y_out = y.as_mut_slice();
-        forward_in(
-            g,
-            x,
-            w,
-            y_out,
-            alpha,
-            beta,
-            cols(&mut ws, blocked),
-            &mut plan,
-        );
-        let dx_out = dx.as_mut_slice();
-        backward_data_in(
-            g,
-            dy,
-            w,
-            dx_out,
-            alpha,
-            beta,
-            cols(&mut ws, blocked),
-            &mut plan,
-        );
-        let dw_out = dw.as_mut_slice();
-        backward_filter_in(g, x, dy, dw_out, alpha, beta, cols(&mut ws, blocked));
+        forward_in(g, x, w, y.as_mut_slice(), alpha, beta, floats, &mut plan);
+        backward_data_in(g, dy, w, dx.as_mut_slice(), alpha, beta, floats, &mut plan);
+        backward_filter_in(g, x, dy, dw.as_mut_slice(), alpha, beta, floats);
         [y, dx, dw].map(|t| t.as_slice().iter().map(|v| v.to_bits()).collect())
     }
 
-    /// Lowering in blocks — one unit per block, a few units, or whole
-    /// parts — computes the bits of lowering into the workspace.
+    /// Lowering in blocks — one unit per block, a few units, or
+    /// `BLOCK_FLOATS` — computes the bits of lowering each worker's whole
+    /// part at once (`usize::MAX`), as a one-sample workspace would.
     #[test]
     fn blocked_lowering_is_bit_identical_to_the_workspace() {
         let mut shapes = geoms();
@@ -811,30 +606,11 @@ mod tests {
             1,
         ));
         for g in shapes {
-            let want = op_bits(&g, None);
+            let want = op_bits(&g, usize::MAX);
             for floats in [1, 100, 2000, BLOCK_FLOATS] {
-                let got = op_bits(&g, Some(floats));
+                let got = op_bits(&g, floats);
                 assert!(got == want, "{g}: blocks of {floats} floats diverged");
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "workspace too small")]
-    fn rejects_undersized_workspace() {
-        let g = geoms()[0];
-        let x = Tensor::zeros(g.input);
-        let w = Tensor::zeros(g.filter.as_shape4());
-        let mut y = Tensor::zeros(g.output());
-        let mut ws = vec![0.0; workspace_floats(&g) - 1];
-        forward(
-            &g,
-            x.as_slice(),
-            w.as_slice(),
-            y.as_mut_slice(),
-            1.0,
-            0.0,
-            &mut ws,
-        );
     }
 }

@@ -1,14 +1,13 @@
 //! CPU convolution engines for the μ-cuDNN reproduction.
 //!
-//! Five interchangeable engines ([`EngineKind`]) compute the same
+//! Four interchangeable engines ([`EngineKind`]) compute the same
 //! mathematical operation with different algorithm/workspace trade-offs,
 //! mirroring cuDNN's algorithm families; the two Winograd ones are one
 //! engine with two tile sizes:
 //!
 //! | Engine       | cuDNN analogue           | workspace               | constraints |
 //! |--------------|--------------------------|-------------------------|-------------|
-//! | [`im2col_gemm`] implicit | `IMPLICIT_GEMM` | zero (bounded blocks in engine-owned buffers) | none |
-//! | [`im2col_gemm`] | `GEMM`, `IMPLICIT_PRECOMP_GEMM` | per-sample column matrix | none |
+//! | [`im2col_gemm`] | `IMPLICIT_GEMM`, `IMPLICIT_PRECOMP_GEMM`, `GEMM` | zero (bounded blocks in engine-owned buffers) | none |
 //! | [`fft_conv`] | `FFT` / `FFT_TILING`     | activation+filter spectra (∝ batch) | stride 1, pad < filter |
 //! | [`winograd`] | `WINOGRAD` (F(2×2) tiles), `WINOGRAD_NONFUSED` (F(4×4) tiles) | transformed tiles (∝ batch) | 3×3, stride 1, pad ≤ 2; fwd & bwd-data only |
 //!
@@ -69,8 +68,6 @@ pub enum EngineKind {
     /// im2col + GEMM lowering bounded blocks into engine-owned buffers,
     /// zero workspace.
     ImplicitGemm,
-    /// im2col + GEMM lowering one sample at a time into the workspace.
-    Gemm,
     /// Frequency-domain convolution.
     Fft,
     /// Winograd F(2×2, 3×3) (fused).
@@ -81,9 +78,8 @@ pub enum EngineKind {
 
 impl EngineKind {
     /// All engines.
-    pub const ALL: [EngineKind; 5] = [
+    pub const ALL: [EngineKind; 4] = [
         EngineKind::ImplicitGemm,
-        EngineKind::Gemm,
         EngineKind::Fft,
         EngineKind::Winograd,
         EngineKind::WinogradF4,
@@ -140,7 +136,7 @@ impl std::error::Error for ConvError {}
 
 fn support_reason(engine: EngineKind, op: ConvOp, g: &ConvGeometry) -> Option<&'static str> {
     match engine {
-        EngineKind::ImplicitGemm | EngineKind::Gemm => None,
+        EngineKind::ImplicitGemm => None,
         EngineKind::Fft => {
             if !fft_conv::supports(g) {
                 Some("requires unit stride and pad < filter size")
@@ -176,7 +172,6 @@ pub fn workspace_floats(engine: EngineKind, op: ConvOp, g: &ConvGeometry) -> usi
     }
     match engine {
         EngineKind::ImplicitGemm => 0,
-        EngineKind::Gemm => im2col_gemm::workspace_floats(g),
         EngineKind::Fft => {
             let fop = match op {
                 ConvOp::Forward => fft_conv::FftOp::Forward,
@@ -248,23 +243,14 @@ pub fn exec_with_plan(
     check_call(engine, op, g, ws)?;
     match (engine, op, plan) {
         (EngineKind::ImplicitGemm, ConvOp::Forward, EnginePlan::Gemm(p)) => {
-            im2col_gemm::implicit_forward_with_plan(g, a, b, out, alpha, beta, p)
+            im2col_gemm::forward_with_plan(g, a, b, out, alpha, beta, p)
         }
         (EngineKind::ImplicitGemm, ConvOp::BackwardData, EnginePlan::Gemm(p)) => {
-            im2col_gemm::implicit_backward_data_with_plan(g, a, b, out, alpha, beta, p)
+            im2col_gemm::backward_data_with_plan(g, a, b, out, alpha, beta, p)
         }
         (EngineKind::ImplicitGemm, ConvOp::BackwardFilter, EnginePlan::Gemm(_)) => {
-            im2col_gemm::implicit_backward_filter(g, a, b, out, alpha, beta)
-        }
-        (EngineKind::Gemm, ConvOp::Forward, EnginePlan::Gemm(p)) => {
-            im2col_gemm::forward_with_plan(g, a, b, out, alpha, beta, ws, p)
-        }
-        (EngineKind::Gemm, ConvOp::BackwardData, EnginePlan::Gemm(p)) => {
-            im2col_gemm::backward_data_with_plan(g, a, b, out, alpha, beta, ws, p)
-        }
-        (EngineKind::Gemm, ConvOp::BackwardFilter, EnginePlan::Gemm(_)) => {
             // Both GEMM operands vary per call here; nothing to cache.
-            im2col_gemm::backward_filter(g, a, b, out, alpha, beta, ws)
+            im2col_gemm::backward_filter(g, a, b, out, alpha, beta)
         }
         (EngineKind::Fft, ConvOp::Forward, EnginePlan::Fft(p)) => {
             return fft_conv::forward_with_plan(g, a, b, out, alpha, beta, ws, p)
@@ -435,7 +421,7 @@ mod tests {
         let w = Tensor::zeros(g.filter.as_shape4());
         let mut y = Tensor::zeros(g.output());
         let err = exec(
-            EngineKind::Gemm,
+            EngineKind::Winograd,
             ConvOp::Forward,
             &g,
             x.as_slice(),
@@ -448,7 +434,7 @@ mod tests {
         .unwrap_err();
         match err {
             ConvError::WorkspaceTooSmall { need, got } => {
-                assert_eq!(need, im2col_gemm::workspace_floats(&g));
+                assert_eq!(need, winograd::workspace_floats(F2, &g));
                 assert_eq!(got, 0);
             }
             other => panic!("unexpected error {other:?}"),
@@ -511,10 +497,9 @@ mod tests {
         let x = Tensor::zeros(g.input);
         let w = Tensor::zeros(g.filter.as_shape4());
         let mut y = Tensor::zeros(g.output());
-        let mut ws = vec![0.0; workspace_floats(EngineKind::Gemm, ConvOp::Forward, &g)];
         let mut plan = EnginePlan::for_engine(EngineKind::Fft);
         let err = exec_with_plan(
-            EngineKind::Gemm,
+            EngineKind::ImplicitGemm,
             ConvOp::Forward,
             &g,
             x.as_slice(),
@@ -522,7 +507,7 @@ mod tests {
             y.as_mut_slice(),
             1.0,
             0.0,
-            &mut ws,
+            &mut [],
             &mut plan,
         )
         .unwrap_err();
@@ -535,10 +520,9 @@ mod tests {
         let x = Tensor::zeros(g.input);
         let w = Tensor::zeros(g.filter.as_shape4());
         let mut y = Tensor::zeros(g.output());
-        let mut ws = vec![0.0; workspace_floats(EngineKind::Gemm, ConvOp::Forward, &g)];
         let (xs, wf) = (x.as_slice(), w.as_slice());
         let err = exec_ref(
-            EngineKind::Gemm,
+            EngineKind::ImplicitGemm,
             ConvOp::Forward,
             &g,
             xs,
@@ -546,7 +530,7 @@ mod tests {
             y.as_mut_slice(),
             1.0,
             0.0,
-            &mut ws,
+            &mut [],
         )
         .unwrap_err();
         assert!(err.to_string().contains("no retained naive baseline"));

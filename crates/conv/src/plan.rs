@@ -251,7 +251,7 @@ impl WinogradPlan {
 /// filter-derived entries by fingerprint.
 #[derive(Debug)]
 pub enum EnginePlan {
-    /// im2col+GEMM packed filter panels, for both of its engines.
+    /// im2col+GEMM packed filter panels.
     Gemm(GemmPlan),
     /// FFT tables, scratch grids, and filter spectra.
     Fft(FftPlan),
@@ -263,7 +263,7 @@ impl EnginePlan {
     /// An empty plan for `engine`.
     pub fn for_engine(engine: EngineKind) -> Self {
         match engine {
-            EngineKind::ImplicitGemm | EngineKind::Gemm => EnginePlan::Gemm(GemmPlan::default()),
+            EngineKind::ImplicitGemm => EnginePlan::Gemm(GemmPlan::default()),
             EngineKind::Fft => EnginePlan::Fft(FftPlan::default()),
             EngineKind::Winograd | EngineKind::WinogradF4 => {
                 EnginePlan::Winograd(WinogradPlan::default())

@@ -1,19 +1,17 @@
-//! Both im2col+GEMM engines split every call across the execution workers
+//! The im2col+GEMM engine splits every call across the execution workers
 //! (forward by column panels, backward-data by input channels, backward-
-//! filter by column-buffer rows), and the implicit-GEMM engine lowers each
-//! worker's part in bounded blocks. Neither the split nor the blocks may
-//! show: every op's output is bit-identical at thread caps 1, 2, 3 and 8,
-//! through `exec` and through a warm plan, for micro-batches 1 to 16 of the
-//! `train` layer shapes and of shapes chosen to make the split awkward —
-//! for GEMM with its one-sample workspace and for implicit GEMM with an
-//! empty one.
+//! filter by column-buffer rows) and lowers each worker's part in bounded
+//! blocks. Neither the split nor the blocks may show: every op's output is
+//! bit-identical at thread caps 1, 2, 3 and 8, through `exec` and through a
+//! warm plan, for micro-batches 1 to 16 of the `train` layer shapes and of
+//! shapes chosen to make the split awkward.
 
 use std::sync::Mutex;
 use ucudnn_conv::gemm::NR;
-use ucudnn_conv::im2col::packed_col_len;
+use ucudnn_conv::im2col::col_len;
 use ucudnn_conv::im2col_gemm::BLOCK_FLOATS;
 use ucudnn_conv::parallel::{set_thread_cap, MIN_MACS_PER_WORKER};
-use ucudnn_conv::{exec, exec_with_plan, workspace_floats, ConvOp, EngineKind, EnginePlan};
+use ucudnn_conv::{exec, exec_with_plan, ConvOp, EngineKind, EnginePlan};
 use ucudnn_tensor::{ConvGeometry, FilterShape, Shape4, Tensor};
 
 /// The thread cap is process-global: tests that sweep it take turns.
@@ -43,8 +41,8 @@ fn shapes() -> Vec<(&'static str, ConvGeometry)> {
         // Seven channels: an even channel split never starts an MR row
         // panel of the 63 column-buffer rows, so it rounds to aligned blocks.
         ("odd_c", layer(7, 20, 96, 3, 1, 1)),
-        // 3x3 outputs: fewer columns than one NR panel.
-        ("tiny_howo", layer(64, 3, 128, 3, 1, 1)),
+        // 2x2 outputs: fewer columns than one NR panel (8 or 16 lanes).
+        ("tiny_howo", layer(64, 2, 128, 3, 1, 1)),
         // Two input channels: fewer than the workers at caps 3 and 8.
         ("two_c", layer(2, 48, 64, 3, 1, 1)),
         // A column buffer of 3.4 implicit-GEMM blocks: split workers lower
@@ -57,9 +55,9 @@ fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
-/// Output bits of `op` on `g` for both engines at every cap: through
-/// `exec`, then through a plan warmed by a first call (only the second
-/// call's output counts). GEMM at cap 1 comes first.
+/// Output bits of `op` on `g` at every cap: through `exec`, then through a
+/// plan warmed by a first call (only the second call's output counts).
+/// `exec` at cap 1 comes first.
 fn outputs(op: ConvOp, g: &ConvGeometry) -> Vec<(String, Vec<u32>)> {
     let x = Tensor::random(g.input, 1);
     let w = Tensor::random(g.filter.as_shape4(), 2);
@@ -71,24 +69,30 @@ fn outputs(op: ConvOp, g: &ConvGeometry) -> Vec<(String, Vec<u32>)> {
     };
     let init = Tensor::random(out_shape, 4);
     let mut runs = Vec::new();
-    let gemm_ws = workspace_floats(EngineKind::Gemm, op, g);
-    for (engine, ws_len) in [(EngineKind::Gemm, gemm_ws), (EngineKind::ImplicitGemm, 0)] {
-        let mut ws = vec![0.0f32; ws_len];
-        for cap in CAPS {
-            set_thread_cap(Some(cap));
+    let engine = EngineKind::ImplicitGemm;
+    for cap in CAPS {
+        set_thread_cap(Some(cap));
+        let mut out = init.as_slice().to_vec();
+        exec(engine, op, g, a, b, &mut out, ALPHA, BETA, &mut []).unwrap();
+        runs.push((format!("exec cap {cap}"), bits(&out)));
+        let mut plan = EnginePlan::for_engine(engine);
+        for pass in 0..2 {
             let mut out = init.as_slice().to_vec();
-            exec(engine, op, g, a, b, &mut out, ALPHA, BETA, &mut ws).unwrap();
-            runs.push((format!("{engine:?} exec cap {cap}"), bits(&out)));
-            let mut plan = EnginePlan::for_engine(engine);
-            for pass in 0..2 {
-                let mut out = init.as_slice().to_vec();
-                exec_with_plan(
-                    engine, op, g, a, b, &mut out, ALPHA, BETA, &mut ws, &mut plan,
-                )
-                .unwrap();
-                if pass == 1 {
-                    runs.push((format!("{engine:?} warm plan cap {cap}"), bits(&out)));
-                }
+            exec_with_plan(
+                engine,
+                op,
+                g,
+                a,
+                b,
+                &mut out,
+                ALPHA,
+                BETA,
+                &mut [],
+                &mut plan,
+            )
+            .unwrap();
+            if pass == 1 {
+                runs.push((format!("warm plan cap {cap}"), bits(&out)));
             }
         }
     }
@@ -121,7 +125,7 @@ fn check_op(op: ConvOp) {
             for (label, got) in &runs[1..] {
                 assert!(
                     got == want,
-                    "{op} {name} n={n}: {label} differs from GEMM at cap 1"
+                    "{op} {name} n={n}: {label} differs from exec at cap 1"
                 );
             }
         }
@@ -152,5 +156,5 @@ fn awkward_shapes_cover_the_split_edges() {
     assert!(geoms.iter().any(|g| g.out_h() * g.out_w() < NR));
     assert!(geoms.iter().any(|g| g.input.c < 3));
     assert!(geoms.iter().any(|g| (g.out_h() * g.out_w()) % NR != 0));
-    assert!(geoms.iter().any(|g| packed_col_len(g) > 3 * BLOCK_FLOATS));
+    assert!(geoms.iter().any(|g| col_len(g) > 3 * BLOCK_FLOATS));
 }

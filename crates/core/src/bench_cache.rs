@@ -69,8 +69,10 @@ struct CacheKey {
 /// engines behind the algorithms: bump it whenever an algorithm's engine
 /// changes, so rows timed on the old engine are measured again rather than
 /// served. Revision 2 runs `IMPLICIT_GEMM` on the implicit-GEMM engine
-/// instead of the seven-loop direct convolution.
-const CPU_TAG: &str = "cpu:2";
+/// instead of the seven-loop direct convolution; revision 3 runs `GEMM` and
+/// `IMPLICIT_PRECOMP_GEMM` on it too, without their one-sample column
+/// buffer.
+const CPU_TAG: &str = "cpu:3";
 
 /// Identity string of a handle's engine; results from different devices
 /// must never be mixed.

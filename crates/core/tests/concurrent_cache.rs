@@ -12,7 +12,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use ucudnn::{BenchCache, BenchEntry, CacheStats, KernelKey};
 use ucudnn_cudnn_sim::{
-    set_call_observer, supported_on, CallSite, ConvAlgo, ConvOp, CudnnHandle, Engine,
+    set_call_observer, supported_on, workspace_bytes_on, CallSite, ConvAlgo, ConvOp, CudnnHandle,
+    Engine,
 };
 use ucudnn_gpu_model::p100_sxm2;
 use ucudnn_tensor::{ConvGeometry, FilterShape, Shape4};
@@ -180,13 +181,21 @@ fn rows_benchmarked(keys: &[KernelKey]) -> usize {
 #[test]
 fn real_cpu_budgets_widen_without_re_measuring() {
     benchmarked_rows();
-    // 12 channels on 16x16 at batch 16: IMPLICIT_GEMM needs no workspace,
-    // the GEMM pair fits 512 KiB, Winograd and FFT need more.
+    // 12 channels on 16x16 at batch 16: the GEMM algorithms need no
+    // workspace, and the middle budget fits the smallest workspace of
+    // Winograd or FFT but not the largest.
     let k = key(12, 16);
+    let g = k.geometry();
+    let middle = ConvAlgo::ALL
+        .into_iter()
+        .filter_map(|a| workspace_bytes_on(&Engine::RealCpu, a, ConvOp::Forward, &g))
+        .filter(|&b| b > 0)
+        .min()
+        .unwrap();
     let h = CudnnHandle::real_cpu();
     let cache = BenchCache::new();
     let mut earlier: Vec<BenchEntry> = Vec::new();
-    for budget in [0, 512 << 10, usize::MAX] {
+    for budget in [0, middle, usize::MAX] {
         let rows = cache.try_get_or_bench(&h, &k, budget).unwrap();
         assert!(rows.iter().all(|e| e.memory_bytes <= budget));
         assert!(
@@ -203,7 +212,6 @@ fn real_cpu_budgets_widen_without_re_measuring() {
         }
         earlier = rows;
     }
-    let g = k.geometry();
     let supported = ConvAlgo::ALL
         .into_iter()
         .filter(|&a| supported_on(&Engine::RealCpu, a, ConvOp::Forward, &g))
@@ -219,7 +227,7 @@ fn real_cpu_budgets_widen_without_re_measuring() {
     assert!(stats.bench_points_over_budget > 0);
     assert_eq!(stats.bench_points_dropped, 0);
     // Every budget up to the measured one is now served without a Find.
-    for budget in [usize::MAX, 512 << 10, 0] {
+    for budget in [usize::MAX, middle, 0] {
         cache.try_get_or_bench(&h, &k, budget).unwrap();
     }
     assert_eq!(cache.stats().hits, 3);

@@ -301,14 +301,23 @@ fn cpu_rows_of_an_earlier_engine_revision_are_measured_again() {
     let writer = BenchCache::with_file(&db);
     let want = writer.get_or_bench(&sim, &key(8));
     writer.save().unwrap();
-    // A v3 file written before the revision tag: RealCpu rows were tagged
-    // "cpu", and its IMPLICIT_GEMM row timed the seven-loop direct engine.
-    let stale = format!(
-        "{{\"engine\":\"cpu\",\"op\":\"fwd\",\
-         \"geometry\":[1,16,16,16,16,16,3,3,1,1,1,1],\"budget\":0,\
-         \"entries\":[[{},1,0]]}}",
-        ConvAlgo::ImplicitGemm.id()
-    );
+    // v3 rows of two earlier engine revisions. Before the revision tag,
+    // RealCpu rows were tagged "cpu", and IMPLICIT_GEMM timed the seven-loop
+    // direct engine; under "cpu:2", GEMM timed its own engine with a
+    // one-sample column buffer.
+    let stale = |tag: &str, algo: ConvAlgo, bytes: usize| {
+        format!(
+            "{{\"engine\":\"{tag}\",\"op\":\"fwd\",\
+             \"geometry\":[1,16,16,16,16,16,3,3,1,1,1,1],\"budget\":{bytes},\
+             \"entries\":[[{},1,{bytes}]]}}",
+            algo.id()
+        )
+    };
+    let stale = [
+        stale("cpu", ConvAlgo::ImplicitGemm, 0),
+        stale("cpu:2", ConvAlgo::Gemm, 147456),
+    ]
+    .join(",");
     let text = std::fs::read_to_string(&db).unwrap();
     assert!(text.starts_with("{\"version\":3,"), "{text}");
     std::fs::write(
@@ -319,7 +328,11 @@ fn cpu_rows_of_an_earlier_engine_revision_are_measured_again() {
 
     let cache = BenchCache::with_file(&db);
     assert_eq!(cache.stats().db_rows_loaded, 1);
-    assert_eq!(cache.stats().db_rows_quarantined, 1, "the cpu row is stale");
+    assert_eq!(
+        cache.stats().db_rows_quarantined,
+        2,
+        "the cpu rows are stale"
+    );
     assert_eq!(cache.get_or_bench(&sim, &key(8)), want);
     assert_eq!(cache.stats().misses, 0, "the sim row is still served");
 
@@ -328,12 +341,16 @@ fn cpu_rows_of_an_earlier_engine_revision_are_measured_again() {
     assert_eq!(cache.stats().misses, 1, "the cpu kernel is measured again");
     assert_eq!(
         rows.iter().map(|e| e.algo).collect::<Vec<_>>(),
-        [ConvAlgo::ImplicitGemm]
+        [
+            ConvAlgo::ImplicitGemm,
+            ConvAlgo::ImplicitPrecompGemm,
+            ConvAlgo::Gemm
+        ]
     );
     cache.save().unwrap();
     let engines: Vec<String> = db_rows(&db)
         .iter()
         .map(|r| r.get("engine").unwrap().to_json())
         .collect();
-    assert_eq!(engines, ["\"cpu:2\"", "\"sim:P100-SXM2\""]);
+    assert_eq!(engines, ["\"cpu:3\"", "\"sim:P100-SXM2\""]);
 }

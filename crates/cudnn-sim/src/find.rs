@@ -80,9 +80,9 @@ impl CudnnHandle {
     /// each group is sorted by time, then algorithm id. On the simulated
     /// engine times come from the performance model; on the CPU engine each
     /// compute engine runs once on deterministic synthetic data and its wall
-    /// time is shared by the algorithms that alias it (`GEMM` and
-    /// `IMPLICIT_PRECOMP_GEMM`, `FFT` and `FFT_TILING`) — the honest
-    /// equivalent of cuDNN's exhaustive auto-tuner.
+    /// time is shared by the algorithms that alias it (`IMPLICIT_GEMM`,
+    /// `IMPLICIT_PRECOMP_GEMM` and `GEMM`; `FFT` and `FFT_TILING`) — the
+    /// honest equivalent of cuDNN's exhaustive auto-tuner.
     pub fn find_algorithms_within(
         &self,
         op: ConvOp,
@@ -337,12 +337,14 @@ mod tests {
         let (x, w, c) = descs(2);
         let perfs = h.find_algorithms(ConvOp::Forward, &x, &w, &c).unwrap();
         let row = |a: ConvAlgo| *perfs.iter().find(|p| p.algo == a).unwrap();
+        let at = |a: ConvAlgo| perfs.iter().position(|p| p.algo == a).unwrap();
         for (first, alias) in [
+            (ConvAlgo::ImplicitGemm, ConvAlgo::ImplicitPrecompGemm),
             (ConvAlgo::ImplicitPrecompGemm, ConvAlgo::Gemm),
             (ConvAlgo::Fft, ConvAlgo::FftTiling),
         ] {
             assert_eq!(row(first).time_us, row(alias).time_us);
-            let at = |a: ConvAlgo| perfs.iter().position(|p| p.algo == a).unwrap();
+            assert_eq!(row(first).memory_bytes, row(alias).memory_bytes);
             assert_eq!(at(first) + 1, at(alias), "ties break by algorithm id");
         }
     }

@@ -7,11 +7,14 @@ use ucudnn_gpu_model::{algo_supported, workspace_bytes, ConvAlgo};
 use ucudnn_tensor::ConvGeometry;
 
 /// The CPU engine that executes a given cuDNN-level algorithm, or `None`
-/// when the algorithm has no kernel at all (`DIRECT`, as in cuDNN).
+/// when the algorithm has no kernel at all (`DIRECT`, as in cuDNN). The
+/// three GEMM algorithms run one zero-workspace implicit-GEMM engine: on
+/// the CPU a column buffer in workspace buys no time.
 pub fn cpu_engine_for(algo: ConvAlgo) -> Option<EngineKind> {
     match algo {
-        ConvAlgo::ImplicitGemm => Some(EngineKind::ImplicitGemm),
-        ConvAlgo::ImplicitPrecompGemm | ConvAlgo::Gemm => Some(EngineKind::Gemm),
+        ConvAlgo::ImplicitGemm | ConvAlgo::ImplicitPrecompGemm | ConvAlgo::Gemm => {
+            Some(EngineKind::ImplicitGemm)
+        }
         ConvAlgo::Direct => None,
         ConvAlgo::Fft | ConvAlgo::FftTiling => Some(EngineKind::Fft),
         ConvAlgo::Winograd => Some(EngineKind::Winograd),
@@ -92,12 +95,18 @@ mod tests {
 
     #[test]
     fn cpu_engine_workspace_is_engine_specific() {
-        // On the CPU engine, GEMM workspace is the real column buffer of the
-        // im2col engine, not the GPU model's figure.
-        let g = g33();
-        let cpu =
-            workspace_bytes_on(&Engine::RealCpu, ConvAlgo::Gemm, ConvOp::Forward, &g).unwrap();
-        assert_eq!(cpu, 4 * ucudnn_conv::im2col_gemm::workspace_floats(&g));
+        // The CPU engine runs the GEMM algorithms without workspace; the
+        // simulated engine keeps the GPU model's figures, a column matrix
+        // for GEMM.
+        let (g, op, sim) = (g33(), ConvOp::Forward, Engine::Simulated(p100_sxm2()));
+        for algo in [ConvAlgo::ImplicitPrecompGemm, ConvAlgo::Gemm] {
+            assert_eq!(workspace_bytes_on(&Engine::RealCpu, algo, op, &g), Some(0));
+            assert_eq!(
+                workspace_bytes_on(&sim, algo, op, &g),
+                workspace_bytes(algo, op, &g)
+            );
+        }
+        assert!(workspace_bytes_on(&sim, ConvAlgo::Gemm, op, &g).unwrap() > 0);
     }
 
     #[test]

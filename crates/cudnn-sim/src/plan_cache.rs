@@ -237,10 +237,12 @@ mod tests {
     use super::*;
     use ucudnn_tensor::{FilterShape, Shape4};
 
+    const GEMM: EngineKind = EngineKind::ImplicitGemm;
+
     fn key(n: usize, k: usize) -> PlanKey {
         let g =
             ConvGeometry::with_square(Shape4::new(n, 3, 8, 8), FilterShape::new(k, 3, 3, 3), 1, 1);
-        plan_key(EngineKind::Gemm, ConvOp::Forward, &g)
+        plan_key(GEMM, ConvOp::Forward, &g)
     }
 
     /// Touch the plan so it holds some bytes, mimicking an engine call.
@@ -259,7 +261,6 @@ mod tests {
                 &mut vec![0.0; k * 64],
                 1.0,
                 0.0,
-                &mut vec![0.0; 27 * 64],
                 p,
             );
         }
@@ -269,7 +270,7 @@ mod tests {
     fn hit_after_first_call() {
         let cache = PlanCache::new(1 << 20);
         for round in 0..3 {
-            cache.with_plan(key(4, 4), EngineKind::Gemm, |_| true, |p| warm(p, 4));
+            cache.with_plan(key(4, 4), GEMM, |_| true, |p| warm(p, 4));
             let s = cache.stats();
             assert_eq!(s.misses, 1, "round {round}");
             assert_eq!(s.hits, round);
@@ -284,7 +285,7 @@ mod tests {
         assert_ne!(key(1, 4), key(1, 8));
         let cache = PlanCache::new(1 << 20);
         for n in [64, 32, 16, 1] {
-            cache.with_plan(key(n, 4), EngineKind::Gemm, |_| true, |p| warm(p, 4));
+            cache.with_plan(key(n, 4), GEMM, |_| true, |p| warm(p, 4));
         }
         let s = cache.stats();
         assert_eq!((s.misses, s.hits), (1, 3));
@@ -294,18 +295,18 @@ mod tests {
     fn lru_evicts_at_byte_cap() {
         let cache = PlanCache::new(1 << 20);
         // Measure one entry's footprint, then cap the cache to two of them.
-        cache.with_plan(key(1, 4), EngineKind::Gemm, |_| true, |p| warm(p, 4));
+        cache.with_plan(key(1, 4), GEMM, |_| true, |p| warm(p, 4));
         let one = cache.stats().bytes as usize;
         assert!(one > 0);
         let cache = PlanCache::new(2 * one + one / 2);
         for k in [4, 5, 6] {
-            cache.with_plan(key(1, k), EngineKind::Gemm, |_| true, |p| warm(p, k));
+            cache.with_plan(key(1, k), GEMM, |_| true, |p| warm(p, k));
         }
         let s = cache.stats();
         assert!(s.evictions >= 1, "third entry must evict the LRU one");
         assert!(s.bytes as usize <= 2 * one + one / 2);
         // k=4 was least recently used; k=6 must still be warm.
-        cache.with_plan(key(1, 6), EngineKind::Gemm, |_| true, |p| warm(p, 6));
+        cache.with_plan(key(1, 6), GEMM, |_| true, |p| warm(p, 6));
         assert_eq!(cache.stats().hits, 1);
     }
 
@@ -314,7 +315,7 @@ mod tests {
         let cache = PlanCache::new(1 << 20);
         let r = cache.with_plan(
             key(1, 4),
-            EngineKind::Gemm,
+            GEMM,
             |_| false, // every retention allocation fails
             |p| {
                 warm(p, 4);
@@ -345,7 +346,7 @@ mod tests {
                 std::thread::spawn(move || {
                     barrier.wait();
                     for _ in 0..rounds {
-                        cache.with_plan(key(4, 4), EngineKind::Gemm, |_| true, |p| warm(p, 4));
+                        cache.with_plan(key(4, 4), GEMM, |_| true, |p| warm(p, 4));
                     }
                 })
             })
@@ -360,7 +361,7 @@ mod tests {
         // Bytes held must equal exactly one warm plan's footprint — the
         // replace-on-reinsert path must not double-count under races.
         let single = PlanCache::new(1 << 20);
-        single.with_plan(key(4, 4), EngineKind::Gemm, |_| true, |p| warm(p, 4));
+        single.with_plan(key(4, 4), GEMM, |_| true, |p| warm(p, 4));
         assert_eq!(s.bytes, single.stats().bytes, "byte accounting drifted");
     }
 
@@ -368,7 +369,7 @@ mod tests {
     fn zero_capacity_disables_caching() {
         let cache = PlanCache::new(0);
         for _ in 0..3 {
-            cache.with_plan(key(1, 4), EngineKind::Gemm, |_| true, |p| warm(p, 4));
+            cache.with_plan(key(1, 4), GEMM, |_| true, |p| warm(p, 4));
         }
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.bytes), (0, 3, 0));

@@ -168,7 +168,7 @@ fn rectangular_geometry_agreement() {
         1.0,
         0.0,
     );
-    for engine in [EngineKind::ImplicitGemm, EngineKind::Gemm, EngineKind::Fft] {
+    for engine in [EngineKind::ImplicitGemm, EngineKind::Fft] {
         if !supports(engine, ConvOp::Forward, &g) {
             continue;
         }
