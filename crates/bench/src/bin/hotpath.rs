@@ -5,8 +5,7 @@
 //!
 //! * **naive** — the reference path kept for exactly this purpose
 //!   (`sgemm_ref` triple loops, scalar per-tile Winograd transforms with
-//!   16/36 separate naive GEMMs, plan-free FFT that rebuilds tables and
-//!   filter spectra on every call);
+//!   16/36 separate naive GEMMs);
 //! * **fast** — the register-blocked packed GEMM with a warm
 //!   [`ucudnn_conv::EnginePlan`], i.e. what a layer's second and later
 //!   micro-batches execute. The im2col rows time the zero-workspace
@@ -21,9 +20,7 @@
 use std::time::Instant;
 use ucudnn_conv::gemm::{sgemm, sgemm_ref, Trans};
 use ucudnn_conv::parallel::{max_workers, set_thread_cap};
-use ucudnn_conv::{
-    exec_ref, exec_with_plan, fft_conv, im2col, im2col_gemm, ConvOp, EngineKind, EnginePlan,
-};
+use ucudnn_conv::{exec_ref, exec_with_plan, im2col, im2col_gemm, ConvOp, EngineKind, EnginePlan};
 use ucudnn_tensor::{ConvGeometry, FilterShape, Shape4, Tensor};
 
 /// One benchmarked kernel: label, shape note, FLOPs per call, and the two
@@ -297,36 +294,6 @@ fn planned_conv_kernels(tag: &'static str, g: &ConvGeometry) -> Vec<Kernel<'stat
                 resnet_name
             } else {
                 vgg_name
-            },
-            shape: format!("{g}"),
-            flops: 2.0 * macs,
-            workers: 1,
-            naive,
-            fast,
-        });
-    }
-
-    // FFT forward: naive = plan-free (tables + filter spectra rebuilt per
-    // call), fast = warm plan reusing both.
-    if fft_conv::supports(&g) {
-        let (xa, wa) = (x.clone(), w.clone());
-        let mut y = vec![0.0f32; y_len];
-        let mut ws = vec![0.0f32; fft_conv::workspace_floats(&g, fft_conv::FftOp::Forward)];
-        let naive = Box::new(move || {
-            fft_conv::forward(&g, &xa, &wa, &mut y, 1.0, 0.0, &mut ws).unwrap();
-        });
-        let (xa, wa) = (x, w);
-        let mut y = vec![0.0f32; y_len];
-        let mut ws = vec![0.0f32; fft_conv::workspace_floats(&g, fft_conv::FftOp::Forward)];
-        let mut plan = ucudnn_conv::plan::FftPlan::default();
-        let fast = Box::new(move || {
-            fft_conv::forward_with_plan(&g, &xa, &wa, &mut y, 1.0, 0.0, &mut ws, &mut plan)
-                .unwrap();
-        });
-        kernels.push(Kernel {
-            name: match tag {
-                "resnet3x3" => "fft_fwd_resnet3x3",
-                _ => "fft_fwd_vgg3x3",
             },
             shape: format!("{g}"),
             flops: 2.0 * macs,

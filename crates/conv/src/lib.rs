@@ -1,6 +1,6 @@
 //! CPU convolution engines for the μ-cuDNN reproduction.
 //!
-//! Four interchangeable engines ([`EngineKind`]) compute the same
+//! Three interchangeable engines ([`EngineKind`]) compute the same
 //! mathematical operation with different algorithm/workspace trade-offs,
 //! mirroring cuDNN's algorithm families; the two Winograd ones are one
 //! engine with two tile sizes:
@@ -8,18 +8,18 @@
 //! | Engine       | cuDNN analogue           | workspace               | constraints |
 //! |--------------|--------------------------|-------------------------|-------------|
 //! | [`im2col_gemm`] | `IMPLICIT_GEMM`, `IMPLICIT_PRECOMP_GEMM`, `GEMM` | zero (bounded blocks in engine-owned buffers) | none |
-//! | [`fft_conv`] | `FFT` / `FFT_TILING`     | activation+filter spectra (∝ batch) | stride 1, pad < filter |
 //! | [`winograd`] | `WINOGRAD` (F(2×2) tiles), `WINOGRAD_NONFUSED` (F(4×4) tiles) | transformed tiles (∝ batch) | 3×3, stride 1, pad ≤ 2; fwd & bwd-data only |
 //!
 //! The [`exec`] dispatcher gives the cuDNN-simulation layer one entry point
 //! with uniform (alpha, beta, workspace) semantics and explicit
 //! `NotSupported` errors, exactly like `cudnnConvolution*` status codes.
 //! The seven-loop [`direct`] convolution is no engine: it is the reference
-//! the tests hold every engine to.
+//! the tests hold every engine to. cuDNN's `FFT` and `FFT_TILING` have no
+//! engine either: warm on a 2-vCPU x86-64 VM, a CPU FFT engine ran 7–382×
+//! slower than the zero-workspace im2col+GEMM engine at every micro-batch
+//! of the layers measured, so no plan could choose it (DESIGN.md §7).
 
 pub mod direct;
-pub mod fft;
-pub mod fft_conv;
 pub mod gemm;
 pub mod im2col;
 pub mod im2col_gemm;
@@ -68,8 +68,6 @@ pub enum EngineKind {
     /// im2col + GEMM lowering bounded blocks into engine-owned buffers,
     /// zero workspace.
     ImplicitGemm,
-    /// Frequency-domain convolution.
-    Fft,
     /// Winograd F(2×2, 3×3) (fused).
     Winograd,
     /// Winograd F(4×4, 3×3) (non-fused, larger tiles).
@@ -78,9 +76,8 @@ pub enum EngineKind {
 
 impl EngineKind {
     /// All engines.
-    pub const ALL: [EngineKind; 4] = [
+    pub const ALL: [EngineKind; 3] = [
         EngineKind::ImplicitGemm,
-        EngineKind::Fft,
         EngineKind::Winograd,
         EngineKind::WinogradF4,
     ];
@@ -105,15 +102,6 @@ pub enum ConvError {
         /// Elements provided.
         got: usize,
     },
-    /// A caller-held plan arrived in a state the engine cannot execute
-    /// (e.g. an FFT plan without tables for this grid). Callers should
-    /// degrade to planless execution rather than abort.
-    PlanState {
-        /// Engine that refused the plan.
-        engine: EngineKind,
-        /// Human-readable description of the bad state.
-        reason: &'static str,
-    },
 }
 
 impl core::fmt::Display for ConvError {
@@ -125,9 +113,6 @@ impl core::fmt::Display for ConvError {
             ConvError::WorkspaceTooSmall { need, got } => {
                 write!(f, "workspace too small: need {need} floats, got {got}")
             }
-            ConvError::PlanState { engine, reason } => {
-                write!(f, "{engine:?} plan unusable: {reason}")
-            }
         }
     }
 }
@@ -137,16 +122,6 @@ impl std::error::Error for ConvError {}
 fn support_reason(engine: EngineKind, op: ConvOp, g: &ConvGeometry) -> Option<&'static str> {
     match engine {
         EngineKind::ImplicitGemm => None,
-        EngineKind::Fft => {
-            if !fft_conv::supports(g) {
-                Some("requires unit stride and pad < filter size")
-            } else if op == ConvOp::BackwardFilter && (g.pad_h >= g.out_h() || g.pad_w >= g.out_w())
-            {
-                Some("backward-filter requires pad < output size")
-            } else {
-                None
-            }
-        }
         EngineKind::Winograd | EngineKind::WinogradF4 => {
             if !winograd::supports(g) {
                 Some("requires 3x3 filter, unit stride, pad <= 2")
@@ -172,14 +147,6 @@ pub fn workspace_floats(engine: EngineKind, op: ConvOp, g: &ConvGeometry) -> usi
     }
     match engine {
         EngineKind::ImplicitGemm => 0,
-        EngineKind::Fft => {
-            let fop = match op {
-                ConvOp::Forward => fft_conv::FftOp::Forward,
-                ConvOp::BackwardData => fft_conv::FftOp::BackwardData,
-                ConvOp::BackwardFilter => fft_conv::FftOp::BackwardFilter,
-            };
-            fft_conv::workspace_floats(g, fop)
-        }
         EngineKind::Winograd => match op {
             ConvOp::Forward => winograd::workspace_floats(F2, g),
             ConvOp::BackwardData => winograd::workspace_floats_backward_data(F2, g),
@@ -220,10 +187,10 @@ pub fn exec(
 }
 
 /// [`exec`] with a caller-held [`EnginePlan`] that caches call-invariant
-/// state (packed filter panels, FFT tables and filter spectra, transformed
-/// Winograd filters) across invocations. Reusing one plan for a layer's
-/// micro-batches — and across training iterations — skips the per-call
-/// re-derivation; results are bit-identical to [`exec`].
+/// state (packed filter panels, transformed Winograd filters) across
+/// invocations. Reusing one plan for a layer's micro-batches — and across
+/// training iterations — skips the per-call re-derivation; results are
+/// bit-identical to [`exec`].
 ///
 /// The plan variant must match `engine` (pass
 /// [`EnginePlan::for_engine`]`(engine)`); a mismatch returns `NotSupported`.
@@ -251,15 +218,6 @@ pub fn exec_with_plan(
         (EngineKind::ImplicitGemm, ConvOp::BackwardFilter, EnginePlan::Gemm(_)) => {
             // Both GEMM operands vary per call here; nothing to cache.
             im2col_gemm::backward_filter(g, a, b, out, alpha, beta)
-        }
-        (EngineKind::Fft, ConvOp::Forward, EnginePlan::Fft(p)) => {
-            return fft_conv::forward_with_plan(g, a, b, out, alpha, beta, ws, p)
-        }
-        (EngineKind::Fft, ConvOp::BackwardData, EnginePlan::Fft(p)) => {
-            return fft_conv::backward_data_with_plan(g, a, b, out, alpha, beta, ws, p)
-        }
-        (EngineKind::Fft, ConvOp::BackwardFilter, EnginePlan::Fft(p)) => {
-            return fft_conv::backward_filter_with_plan(g, a, b, out, alpha, beta, ws, p)
         }
         (EngineKind::Winograd, ConvOp::Forward, EnginePlan::Winograd(p)) => {
             winograd::forward_with_plan(F2, g, a, b, out, alpha, beta, ws, p)
@@ -393,7 +351,7 @@ mod tests {
         let w = Tensor::zeros(g.filter.as_shape4());
         let mut y = Tensor::zeros(g.output());
         let err = exec(
-            EngineKind::Fft,
+            EngineKind::Winograd,
             ConvOp::Forward,
             &g,
             x.as_slice(),
@@ -407,7 +365,7 @@ mod tests {
         assert!(matches!(
             err,
             ConvError::NotSupported {
-                engine: EngineKind::Fft,
+                engine: EngineKind::Winograd,
                 ..
             }
         ));
@@ -497,7 +455,7 @@ mod tests {
         let x = Tensor::zeros(g.input);
         let w = Tensor::zeros(g.filter.as_shape4());
         let mut y = Tensor::zeros(g.output());
-        let mut plan = EnginePlan::for_engine(EngineKind::Fft);
+        let mut plan = EnginePlan::for_engine(EngineKind::Winograd);
         let err = exec_with_plan(
             EngineKind::ImplicitGemm,
             ConvOp::Forward,

@@ -1,14 +1,13 @@
 //! Per-(engine, op, geometry) execution plans.
 //!
 //! Every engine re-derives call-invariant state on each invocation: the GEMM
-//! engine packs the filter panels, the FFT engine rebuilds twiddle and
-//! bit-reversal tables and re-transforms the filter spectra, the Winograd
-//! engines re-transform (and re-pack) the filters. A [`EnginePlan`] owns that
-//! state so it can be derived once and reused — across the micro-batches of
-//! one layer execution (the filter operand is identical for all of them, the
-//! packed-weight analogue of WR's workspace reuse) and across training
-//! iterations (the cuDNN-simulation layer keys plans by geometry and keeps
-//! them in an LRU cache).
+//! engine packs the filter panels, the Winograd engines re-transform (and
+//! re-pack) the filters. A [`EnginePlan`] owns that state so it can be
+//! derived once and reused — across the micro-batches of one layer execution
+//! (the filter operand is identical for all of them, the packed-weight
+//! analogue of WR's workspace reuse) and across training iterations (the
+//! cuDNN-simulation layer keys plans by geometry and keeps them in an LRU
+//! cache).
 //!
 //! Filter-dependent state is revalidated by a cheap 64-bit FNV fingerprint
 //! of the filter bits: within an iteration every micro-batch hits; after an
@@ -17,7 +16,6 @@
 //! to what the uncached path would recompute, so execution with and without
 //! plans (or with a cold vs. warm plan) produces byte-identical outputs.
 
-use crate::fft::{FftTables, C32};
 use crate::gemm::{pack_a, PackedA, Trans};
 use crate::EngineKind;
 
@@ -103,54 +101,6 @@ impl GemmPlan {
     /// Heap bytes held.
     pub fn bytes(&self) -> usize {
         self.fwd.as_ref().map_or(0, PackedA::bytes) + self.bwd.as_ref().map_or(0, PackedA::bytes)
-    }
-}
-
-/// Cached state for the FFT engine: twiddle/bit-reversal tables for the
-/// transform grid, reusable complex scratch, and — for forward and
-/// backward-data, whose `b` operand is the filter — the filter spectra.
-#[derive(Debug, Default)]
-pub struct FftPlan {
-    /// Tables for the row (width `fw`) and column (height `fh`) transforms,
-    /// tagged with the grid they were built for.
-    pub(crate) tables: Option<((usize, usize), FftTables, FftTables)>,
-    /// Column-gather scratch for the 2-D transforms.
-    pub(crate) col: Vec<C32>,
-    /// Spectra of the per-call operand (activations / gradients).
-    pub(crate) a_spec: Vec<C32>,
-    /// Spectra of the reusable operand (filter), cached under `b_fp`.
-    pub(crate) b_spec: Vec<C32>,
-    /// Product accumulator grid.
-    pub(crate) acc: Vec<C32>,
-    /// Fingerprint of the filter bits `b_spec` was derived from, when valid.
-    pub(crate) b_fp: Option<u64>,
-}
-
-impl FftPlan {
-    /// Make sure tables exist for an `fh x fw` grid, rebuilding only when
-    /// the grid changed (callers then borrow `self.tables` directly so the
-    /// scratch fields stay independently borrowable).
-    pub(crate) fn ensure_tables(&mut self, fh: usize, fw: usize) {
-        if self.tables.as_ref().is_none_or(|(g, ..)| *g != (fh, fw)) {
-            self.tables = Some(((fh, fw), FftTables::new(fh), FftTables::new(fw)));
-            self.b_fp = None; // spectra were for the old grid
-        }
-    }
-
-    /// Heap bytes held (vector capacities, not lengths — the scratch grows
-    /// to the largest micro-batch and stays).
-    pub fn bytes(&self) -> usize {
-        let c32 = core::mem::size_of::<C32>();
-        let tables = self
-            .tables
-            .as_ref()
-            .map_or(0, |(_, th, tw)| th.bytes() + tw.bytes());
-        tables
-            + (self.col.capacity()
-                + self.a_spec.capacity()
-                + self.b_spec.capacity()
-                + self.acc.capacity())
-                * c32
     }
 }
 
@@ -253,8 +203,6 @@ impl WinogradPlan {
 pub enum EnginePlan {
     /// im2col+GEMM packed filter panels.
     Gemm(GemmPlan),
-    /// FFT tables, scratch grids, and filter spectra.
-    Fft(FftPlan),
     /// Packed transformed filters, for both Winograd tiles.
     Winograd(WinogradPlan),
 }
@@ -264,7 +212,6 @@ impl EnginePlan {
     pub fn for_engine(engine: EngineKind) -> Self {
         match engine {
             EngineKind::ImplicitGemm => EnginePlan::Gemm(GemmPlan::default()),
-            EngineKind::Fft => EnginePlan::Fft(FftPlan::default()),
             EngineKind::Winograd | EngineKind::WinogradF4 => {
                 EnginePlan::Winograd(WinogradPlan::default())
             }
@@ -275,7 +222,6 @@ impl EnginePlan {
     pub fn bytes(&self) -> usize {
         match self {
             EnginePlan::Gemm(p) => p.bytes(),
-            EnginePlan::Fft(p) => p.bytes(),
             EnginePlan::Winograd(p) => p.bytes(),
         }
     }

@@ -16,25 +16,14 @@
 //! | `UCUDNN_TRACE_BUF` | event-buffer capacity ≥ 1 | [`crate::trace::TraceConfig::capacity`] |
 //! | `UCUDNN_EXEC_THREADS` | execution worker threads ≥ 1 | `ucudnn_conv::parallel::max_workers` (workers per direct or im2col+GEMM call; results are bit-identical at any value) |
 //! | `UCUDNN_EXEC_CACHE_BYTES` | bytes, or suffixed `K`/`M`/`G` (binary); `0` disables | execution-plan cache capacity in the cuDNN simulation layer |
-//! | `UCUDNN_SERVE_SLO_US` | deadline budget per request, µs ≥ 1 | [`ServeOptions::slo_us`] |
-//! | `UCUDNN_SERVE_QUEUE_CAP` | admission-queue capacity ≥ 1 | [`ServeOptions::queue_cap`] |
-//! | `UCUDNN_SERVE_WORKERS` | serving worker threads ≥ 1 | [`ServeOptions::workers`] |
-//! | `UCUDNN_SERVE_MAX_BATCH` | coalesced-batch cap ≥ 1 | [`ServeOptions::max_batch`] |
 //! | `UCUDNN_SERVE_MAX_CONNS` | concurrent-connection cap ≥ 1 | [`IngressOptions::max_conns`] (listener rejects beyond it) |
 //! | `UCUDNN_SERVE_LOOPS` | event-loop threads ≥ 1 | [`IngressOptions::loops`] |
 //! | `UCUDNN_SERVE_BACKEND` | `epoll` / `poll` | [`IngressOptions::backend`] (readiness backend; default epoll on Linux) |
-//! | `UCUDNN_REOPT` | `0` / `1` | `ucudnn_serve::ReoptConfig::enabled` (drift detection + hot-swap) |
-//! | `UCUDNN_REOPT_WINDOW` | observations per drift window ≥ 1 | `ucudnn_serve::ReoptConfig::window_samples` |
-//! | `UCUDNN_REOPT_RATIO` | stale-p50 ratio > 1.0 | `ucudnn_serve::ReoptConfig::p50_ratio` |
-//! | `UCUDNN_REOPT_CONSECUTIVE` | breached windows before re-benchmark ≥ 1 | `ucudnn_serve::ReoptConfig::consecutive` |
 //! | `UCUDNN_PERTURB_AT_US` | virtual-clock instant, µs | `ucudnn_gpu_model::Perturbation::at_us` (simulated drift oracle) |
 //! | `UCUDNN_PERTURB_FACTOR` | execution-time multiplier > 0 | `ucudnn_gpu_model::Perturbation::factor` |
 //! | `UCUDNN_TELEMETRY_RING` | window snapshots kept per series ≥ 1 | [`crate::telemetry::Registry::with_ring`] capacity |
 //! | `UCUDNN_SLO_BUDGET` | bad-request budget fraction in (0, 1] | `ucudnn_serve::BurnConfig::budget` |
 //! | `UCUDNN_BURN_WINDOWS` | `<fast_us>,<slow_us>`, both > 0, fast < slow | `ucudnn_serve::BurnConfig::{fast_us, slow_us}` |
-//! | `UCUDNN_FLEET_REPLICAS` | comma list of device cards (`k80` / `p100` / `v100`) | [`FleetOptions::replicas`] |
-//! | `UCUDNN_FLEET_BUDGET` | global workspace bytes, or suffixed `K`/`M`/`G` | [`FleetOptions::global_budget_bytes`] |
-//! | `UCUDNN_FLEET_POLICY` | `feasibility` / `least_loaded` | [`FleetOptions::policy`] |
 
 use crate::handle::{OptimizerMode, UcudnnOptions};
 use crate::policy::BatchSizePolicy;
@@ -142,21 +131,19 @@ impl UcudnnOptions {
     }
 }
 
-/// Configuration of the serving subsystem (`ucudnn-serve`), read from the
-/// `UCUDNN_SERVE_*` variables.
+/// Configuration of the serving subsystem (`ucudnn-serve`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServeOptions {
-    /// Per-request deadline budget in microseconds (`UCUDNN_SERVE_SLO_US`):
-    /// a request admitted at time `a` must complete by `a + slo_us` or be
-    /// shed.
+    /// Per-request deadline budget in microseconds: a request admitted at
+    /// time `a` must complete by `a + slo_us` or be shed.
     pub slo_us: f64,
-    /// Admission-queue capacity (`UCUDNN_SERVE_QUEUE_CAP`); submissions
-    /// beyond it are rejected with backpressure.
+    /// Admission-queue capacity; submissions beyond it are rejected with
+    /// backpressure.
     pub queue_cap: usize,
-    /// Worker threads executing coalesced batches (`UCUDNN_SERVE_WORKERS`).
+    /// Worker threads executing coalesced batches.
     pub workers: usize,
-    /// Upper bound on the coalesced batch size (`UCUDNN_SERVE_MAX_BATCH`);
-    /// also the largest micro-batch size the latency table is built for.
+    /// Upper bound on the coalesced batch size; also the largest
+    /// micro-batch size the latency table is built for.
     pub max_batch: usize,
 }
 
@@ -168,57 +155,6 @@ impl Default for ServeOptions {
             workers: 2,
             max_batch: 32,
         }
-    }
-}
-
-impl ServeOptions {
-    /// Build options from a key-lookup function (exposed for testing, like
-    /// [`UcudnnOptions::from_lookup`]). Unset keys keep their defaults;
-    /// malformed values are errors, not silent fallbacks.
-    ///
-    /// # Errors
-    /// [`EnvError`] naming the malformed variable.
-    pub fn from_lookup(
-        lookup: impl Fn(&str) -> Option<String>,
-    ) -> core::result::Result<Self, EnvError> {
-        let mut opts = ServeOptions::default();
-        if let Some(v) = lookup("UCUDNN_SERVE_SLO_US") {
-            opts.slo_us = v
-                .trim()
-                .parse::<f64>()
-                .ok()
-                .filter(|s| s.is_finite() && *s >= 1.0)
-                .ok_or(EnvError {
-                    variable: "UCUDNN_SERVE_SLO_US",
-                    value: v,
-                })?;
-        }
-        let uint = |key: &'static str, field: &mut usize| -> core::result::Result<(), EnvError> {
-            if let Some(v) = lookup(key) {
-                *field = v
-                    .trim()
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or(EnvError {
-                        variable: key,
-                        value: v,
-                    })?;
-            }
-            Ok(())
-        };
-        uint("UCUDNN_SERVE_QUEUE_CAP", &mut opts.queue_cap)?;
-        uint("UCUDNN_SERVE_WORKERS", &mut opts.workers)?;
-        uint("UCUDNN_SERVE_MAX_BATCH", &mut opts.max_batch)?;
-        Ok(opts)
-    }
-
-    /// Build options from the process environment.
-    ///
-    /// # Errors
-    /// [`EnvError`] naming the malformed variable.
-    pub fn from_env() -> core::result::Result<Self, EnvError> {
-        Self::from_lookup(|k| std::env::var(k).ok())
     }
 }
 
@@ -259,7 +195,7 @@ impl Default for IngressOptions {
 
 impl IngressOptions {
     /// Build options from a key-lookup function (exposed for testing, like
-    /// [`ServeOptions::from_lookup`]). Unset keys keep their defaults;
+    /// [`UcudnnOptions::from_lookup`]). Unset keys keep their defaults;
     /// malformed values are errors, not silent fallbacks.
     ///
     /// # Errors
@@ -321,110 +257,19 @@ pub enum FleetRouterPolicy {
 }
 
 impl FleetRouterPolicy {
-    /// Stable lowercase spelling, used in env parsing, logs, and bench
-    /// report lane names.
+    /// Stable lowercase spelling, used in logs and bench report lane names.
     pub fn name(self) -> &'static str {
         match self {
             FleetRouterPolicy::Feasibility => "feasibility",
             FleetRouterPolicy::LeastLoaded => "least_loaded",
         }
     }
-
-    /// Parse the spelling accepted by `UCUDNN_FLEET_POLICY`.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.trim() {
-            "feasibility" => Some(FleetRouterPolicy::Feasibility),
-            "least_loaded" => Some(FleetRouterPolicy::LeastLoaded),
-            _ => None,
-        }
-    }
 }
 
 /// Device cards a fleet replica may be instantiated from. The vocabulary
 /// is closed on purpose: it doubles as the replica metric-label vocabulary,
-/// so an unknown spelling must fail at configuration time, not allocate a
-/// label series at runtime.
+/// so an unknown spelling never allocates a label series at runtime.
 pub const FLEET_REPLICA_CARDS: [&str; 3] = ["k80", "p100", "v100"];
-
-/// Configuration of the fleet tier (`ucudnn_serve::fleet`), read from the
-/// `UCUDNN_FLEET_*` variables.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FleetOptions {
-    /// Replica device cards in dispatch order (`UCUDNN_FLEET_REPLICAS`,
-    /// comma-separated). Each entry must be one of
-    /// [`FLEET_REPLICA_CARDS`]; duplicates are allowed (two `v100`
-    /// replicas are two distinct replicas of the same card).
-    pub replicas: Vec<String>,
-    /// Global workspace budget the arbiter partitions across replicas
-    /// (`UCUDNN_FLEET_BUDGET`).
-    pub global_budget_bytes: usize,
-    /// Router policy (`UCUDNN_FLEET_POLICY`).
-    pub policy: FleetRouterPolicy,
-}
-
-impl Default for FleetOptions {
-    fn default() -> Self {
-        Self {
-            replicas: FLEET_REPLICA_CARDS.iter().map(|s| s.to_string()).collect(),
-            global_budget_bytes: 768 << 20,
-            policy: FleetRouterPolicy::Feasibility,
-        }
-    }
-}
-
-impl FleetOptions {
-    /// Build options from a key-lookup function (exposed for testing, like
-    /// [`ServeOptions::from_lookup`]). Unset keys keep their defaults;
-    /// malformed values are errors, not silent fallbacks.
-    ///
-    /// # Errors
-    /// [`EnvError`] naming the malformed variable — including any replica
-    /// spelling outside [`FLEET_REPLICA_CARDS`] and an empty replica list.
-    pub fn from_lookup(
-        lookup: impl Fn(&str) -> Option<String>,
-    ) -> core::result::Result<Self, EnvError> {
-        let mut opts = FleetOptions::default();
-        if let Some(v) = lookup("UCUDNN_FLEET_REPLICAS") {
-            let names: Vec<String> = v
-                .split(',')
-                .map(|s| s.trim().to_string())
-                .filter(|s| !s.is_empty())
-                .collect();
-            if names.is_empty()
-                || names
-                    .iter()
-                    .any(|n| !FLEET_REPLICA_CARDS.contains(&n.as_str()))
-            {
-                return Err(EnvError {
-                    variable: "UCUDNN_FLEET_REPLICAS",
-                    value: v,
-                });
-            }
-            opts.replicas = names;
-        }
-        if let Some(v) = lookup("UCUDNN_FLEET_BUDGET") {
-            opts.global_budget_bytes = parse_bytes(&v).ok_or(EnvError {
-                variable: "UCUDNN_FLEET_BUDGET",
-                value: v,
-            })?;
-        }
-        if let Some(v) = lookup("UCUDNN_FLEET_POLICY") {
-            opts.policy = FleetRouterPolicy::parse(&v).ok_or(EnvError {
-                variable: "UCUDNN_FLEET_POLICY",
-                value: v,
-            })?;
-        }
-        Ok(opts)
-    }
-
-    /// Build options from the process environment.
-    ///
-    /// # Errors
-    /// [`EnvError`] naming the malformed variable.
-    pub fn from_env() -> core::result::Result<Self, EnvError> {
-        Self::from_lookup(|k| std::env::var(k).ok())
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -479,49 +324,12 @@ mod tests {
     }
 
     #[test]
-    fn serve_defaults_when_unset() {
-        let opts = ServeOptions::from_lookup(|_| None).unwrap();
-        assert_eq!(opts, ServeOptions::default());
+    fn serve_defaults() {
+        let opts = ServeOptions::default();
         assert_eq!(opts.slo_us, 50_000.0);
         assert_eq!(opts.queue_cap, 1024);
         assert_eq!(opts.workers, 2);
         assert_eq!(opts.max_batch, 32);
-    }
-
-    #[test]
-    fn serve_full_configuration() {
-        let opts = ServeOptions::from_lookup(lookup(&[
-            ("UCUDNN_SERVE_SLO_US", "2500.5"),
-            ("UCUDNN_SERVE_QUEUE_CAP", "64"),
-            ("UCUDNN_SERVE_WORKERS", "4"),
-            ("UCUDNN_SERVE_MAX_BATCH", "16"),
-        ]))
-        .unwrap();
-        assert_eq!(opts.slo_us, 2500.5);
-        assert_eq!(opts.queue_cap, 64);
-        assert_eq!(opts.workers, 4);
-        assert_eq!(opts.max_batch, 16);
-    }
-
-    #[test]
-    fn serve_malformed_values_error_loudly() {
-        let e = ServeOptions::from_lookup(lookup(&[("UCUDNN_SERVE_SLO_US", "soon")])).unwrap_err();
-        assert_eq!(e.variable, "UCUDNN_SERVE_SLO_US");
-        // Sub-microsecond and non-finite SLOs are rejected.
-        assert!(ServeOptions::from_lookup(lookup(&[("UCUDNN_SERVE_SLO_US", "0.5")])).is_err());
-        assert!(ServeOptions::from_lookup(lookup(&[("UCUDNN_SERVE_SLO_US", "inf")])).is_err());
-        for key in [
-            "UCUDNN_SERVE_QUEUE_CAP",
-            "UCUDNN_SERVE_WORKERS",
-            "UCUDNN_SERVE_MAX_BATCH",
-        ] {
-            let e = ServeOptions::from_lookup(lookup(&[(key, "0")])).unwrap_err();
-            assert_eq!(e.variable, key);
-            assert!(ServeOptions::from_lookup(lookup(&[(key, "lots")])).is_err());
-        }
-        // Whitespace-tolerant like the rest of the table.
-        let opts = ServeOptions::from_lookup(lookup(&[("UCUDNN_SERVE_WORKERS", " 8 ")])).unwrap();
-        assert_eq!(opts.workers, 8);
     }
 
     #[test]
@@ -563,46 +371,6 @@ mod tests {
         let opts =
             IngressOptions::from_lookup(lookup(&[("UCUDNN_SERVE_BACKEND", " poll ")])).unwrap();
         assert_eq!(opts.backend, Some(IngressBackend::Poll));
-    }
-
-    #[test]
-    fn fleet_defaults_when_unset() {
-        let opts = FleetOptions::from_lookup(|_| None).unwrap();
-        assert_eq!(opts, FleetOptions::default());
-        assert_eq!(opts.replicas, vec!["k80", "p100", "v100"]);
-        assert_eq!(opts.global_budget_bytes, 768 << 20);
-        assert_eq!(opts.policy, FleetRouterPolicy::Feasibility);
-    }
-
-    #[test]
-    fn fleet_full_configuration() {
-        let opts = FleetOptions::from_lookup(lookup(&[
-            ("UCUDNN_FLEET_REPLICAS", "v100, v100 ,k80"),
-            ("UCUDNN_FLEET_BUDGET", "1G"),
-            ("UCUDNN_FLEET_POLICY", "least_loaded"),
-        ]))
-        .unwrap();
-        assert_eq!(opts.replicas, vec!["v100", "v100", "k80"]);
-        assert_eq!(opts.global_budget_bytes, 1 << 30);
-        assert_eq!(opts.policy, FleetRouterPolicy::LeastLoaded);
-        // Whitespace-tolerant like the rest of the table.
-        let opts =
-            FleetOptions::from_lookup(lookup(&[("UCUDNN_FLEET_POLICY", " feasibility ")])).unwrap();
-        assert_eq!(opts.policy, FleetRouterPolicy::Feasibility);
-    }
-
-    #[test]
-    fn fleet_malformed_values_error_loudly() {
-        // Unknown card spellings are rejected — the replica vocabulary is
-        // closed so metric labels can't be allocated from config typos.
-        let e = FleetOptions::from_lookup(lookup(&[("UCUDNN_FLEET_REPLICAS", "k80,titan_x")]))
-            .unwrap_err();
-        assert_eq!(e.variable, "UCUDNN_FLEET_REPLICAS");
-        assert!(FleetOptions::from_lookup(lookup(&[("UCUDNN_FLEET_REPLICAS", " , ,")])).is_err());
-        assert!(FleetOptions::from_lookup(lookup(&[("UCUDNN_FLEET_BUDGET", "plenty")])).is_err());
-        let e = FleetOptions::from_lookup(lookup(&[("UCUDNN_FLEET_POLICY", "round_robin")]))
-            .unwrap_err();
-        assert_eq!(e.variable, "UCUDNN_FLEET_POLICY");
     }
 
     #[test]

@@ -64,8 +64,8 @@ pub mod wr;
 pub use bench_cache::{BenchCache, BenchEntry, CacheStats};
 pub use config::{Configuration, MicroConfig};
 pub use env::{
-    parse_bytes, EnvError, FleetOptions, FleetRouterPolicy, IngressBackend, IngressOptions,
-    ServeOptions, FLEET_REPLICA_CARDS,
+    parse_bytes, EnvError, FleetRouterPolicy, IngressBackend, IngressOptions, ServeOptions,
+    FLEET_REPLICA_CARDS,
 };
 pub use error::UcudnnError;
 pub use fleet::{

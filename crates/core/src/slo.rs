@@ -47,9 +47,10 @@ pub struct SloDecision {
 /// `table` is the `t*(m)` latency table: `(micro_batch, exec_us)` rows,
 /// typically from [`forward_latency_table`]. `queue_depth` is how many
 /// requests are waiting, `max_batch` caps the coalesced count
-/// (`UCUDNN_SERVE_MAX_BATCH`), and `deadline_us` is the *oldest* queued
-/// request's remaining budget — every younger request has more slack, so a
-/// composition feasible for the oldest is feasible for the whole batch.
+/// ([`crate::ServeOptions::max_batch`]), and `deadline_us` is the *oldest*
+/// queued request's remaining budget — every younger request has more
+/// slack, so a composition feasible for the oldest is feasible for the
+/// whole batch.
 ///
 /// Returns the feasible `n ≤ min(queue_depth, max_batch)` maximizing
 /// throughput `n / T(n)` (ties broken toward larger `n`, so equal-rate

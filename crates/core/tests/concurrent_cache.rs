@@ -182,8 +182,8 @@ fn rows_benchmarked(keys: &[KernelKey]) -> usize {
 fn real_cpu_budgets_widen_without_re_measuring() {
     benchmarked_rows();
     // 12 channels on 16x16 at batch 16: the GEMM algorithms need no
-    // workspace, and the middle budget fits the smallest workspace of
-    // Winograd or FFT but not the largest.
+    // workspace, and the middle budget fits the smaller Winograd tile's
+    // workspace but not the larger one's.
     let k = key(12, 16);
     let g = k.geometry();
     let middle = ConvAlgo::ALL

@@ -301,10 +301,10 @@ fn cpu_rows_of_an_earlier_engine_revision_are_measured_again() {
     let writer = BenchCache::with_file(&db);
     let want = writer.get_or_bench(&sim, &key(8));
     writer.save().unwrap();
-    // v3 rows of two earlier engine revisions. Before the revision tag,
+    // v3 rows of three earlier engine revisions. Before the revision tag,
     // RealCpu rows were tagged "cpu", and IMPLICIT_GEMM timed the seven-loop
     // direct engine; under "cpu:2", GEMM timed its own engine with a
-    // one-sample column buffer.
+    // one-sample column buffer; under "cpu:3", FFT timed a CPU engine.
     let stale = |tag: &str, algo: ConvAlgo, bytes: usize| {
         format!(
             "{{\"engine\":\"{tag}\",\"op\":\"fwd\",\
@@ -316,6 +316,7 @@ fn cpu_rows_of_an_earlier_engine_revision_are_measured_again() {
     let stale = [
         stale("cpu", ConvAlgo::ImplicitGemm, 0),
         stale("cpu:2", ConvAlgo::Gemm, 147456),
+        stale("cpu:3", ConvAlgo::Fft, 1572864),
     ]
     .join(",");
     let text = std::fs::read_to_string(&db).unwrap();
@@ -330,7 +331,7 @@ fn cpu_rows_of_an_earlier_engine_revision_are_measured_again() {
     assert_eq!(cache.stats().db_rows_loaded, 1);
     assert_eq!(
         cache.stats().db_rows_quarantined,
-        2,
+        3,
         "the cpu rows are stale"
     );
     assert_eq!(cache.get_or_bench(&sim, &key(8)), want);
@@ -352,5 +353,5 @@ fn cpu_rows_of_an_earlier_engine_revision_are_measured_again() {
         .iter()
         .map(|r| r.get("engine").unwrap().to_json())
         .collect();
-    assert_eq!(engines, ["\"cpu:3\"", "\"sim:P100-SXM2\""]);
+    assert_eq!(engines, ["\"cpu:4\"", "\"sim:P100-SXM2\""]);
 }

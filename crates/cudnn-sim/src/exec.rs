@@ -94,13 +94,12 @@ impl CudnnHandle {
                     .ok_or_else(|| CudnnError::NotSupported(format!("{algo} has no kernel")))?;
                 let start = std::time::Instant::now();
                 // Execute through the plan cache: call-invariant state
-                // (packed filter panels, FFT tables and filter spectra,
-                // Winograd-transformed filters) is derived once per
-                // (engine, op, batch-1 geometry) and reused across the
-                // micro-batches and iterations that follow. Cached and
-                // uncached execution are bit-identical, so the cache — and
-                // an injected allocation fault degrading a call to uncached
-                // execution — never changes results.
+                // (packed filter panels, Winograd-transformed filters) is
+                // derived once per (engine, op, batch-1 geometry) and reused
+                // across the micro-batches and iterations that follow.
+                // Cached and uncached execution are bit-identical, so the
+                // cache — and an injected allocation fault degrading a call
+                // to uncached execution — never changes results.
                 self.plan_cache()
                     .with_plan(
                         crate::plan_cache::plan_key(kind, op, &g),
@@ -338,8 +337,8 @@ mod tests {
         for algo in [
             ConvAlgo::ImplicitGemm,
             ConvAlgo::Gemm,
-            ConvAlgo::Fft,
             ConvAlgo::Winograd,
+            ConvAlgo::WinogradNonfused,
         ] {
             let bytes = h
                 .get_workspace_size(ConvOp::Forward, &xd, &wd, &cd, algo)
@@ -361,6 +360,28 @@ mod tests {
             )
             .unwrap();
             assert_all_close(&want, &y, 5e-3);
+        }
+        // FFT has no CPU kernel: its workspace query and execution refuse.
+        for algo in [ConvAlgo::Fft, ConvAlgo::FftTiling] {
+            assert!(matches!(
+                h.get_workspace_size(ConvOp::Forward, &xd, &wd, &cd, algo),
+                Err(CudnnError::NotSupported(_))
+            ));
+            let mut y = Tensor::zeros(g.output());
+            let run = h.convolution_forward(
+                1.0,
+                &xd,
+                x.as_slice(),
+                &wd,
+                w.as_slice(),
+                &cd,
+                algo,
+                &mut [],
+                0.0,
+                &yd,
+                y.as_mut_slice(),
+            );
+            assert!(matches!(run, Err(CudnnError::NotSupported(_))));
         }
         assert!(h.elapsed_us() > 0.0);
     }

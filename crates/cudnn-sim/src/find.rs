@@ -81,8 +81,9 @@ impl CudnnHandle {
     /// engine times come from the performance model; on the CPU engine each
     /// compute engine runs once on deterministic synthetic data and its wall
     /// time is shared by the algorithms that alias it (`IMPLICIT_GEMM`,
-    /// `IMPLICIT_PRECOMP_GEMM` and `GEMM`; `FFT` and `FFT_TILING`) — the
-    /// honest equivalent of cuDNN's exhaustive auto-tuner.
+    /// `IMPLICIT_PRECOMP_GEMM` and `GEMM`) — the honest equivalent of
+    /// cuDNN's exhaustive auto-tuner. Algorithms without a CPU kernel
+    /// (`DIRECT`, `FFT`, `FFT_TILING`) return no row there.
     pub fn find_algorithms_within(
         &self,
         op: ConvOp,
@@ -280,9 +281,13 @@ mod tests {
         let h = CudnnHandle::real_cpu();
         let (x, w, c) = descs(2);
         let perfs = h.find_algorithms(ConvOp::Forward, &x, &w, &c).unwrap();
-        // Implicit GEMM, Gemm-family, FFT-family and Winograd-family all apply.
+        // The GEMM family and both Winograd tiles apply; FFT has no CPU
+        // kernel, so it returns no row.
         assert!(perfs.len() >= 4);
         assert!(perfs.iter().all(|p| p.time_us > 0.0));
+        assert!(perfs
+            .iter()
+            .all(|p| !matches!(p.algo, ConvAlgo::Fft | ConvAlgo::FftTiling)));
     }
 
     #[test]
@@ -341,7 +346,6 @@ mod tests {
         for (first, alias) in [
             (ConvAlgo::ImplicitGemm, ConvAlgo::ImplicitPrecompGemm),
             (ConvAlgo::ImplicitPrecompGemm, ConvAlgo::Gemm),
-            (ConvAlgo::Fft, ConvAlgo::FftTiling),
         ] {
             assert_eq!(row(first).time_us, row(alias).time_us);
             assert_eq!(row(first).memory_bytes, row(alias).memory_bytes);
@@ -354,8 +358,8 @@ mod tests {
         use crate::fault::{FaultPlan, FaultTarget};
         let h = CudnnHandle::real_cpu().with_faults(FaultPlan {
             targets: vec![
-                FaultTarget::algo(ConvAlgo::Fft),
-                FaultTarget::algo(ConvAlgo::FftTiling),
+                FaultTarget::algo(ConvAlgo::Winograd),
+                FaultTarget::algo(ConvAlgo::WinogradNonfused),
             ],
             ..FaultPlan::default()
         });
@@ -364,7 +368,7 @@ mod tests {
             .get_algorithm(ConvOp::Forward, &x, &w, &c, AlgoPreference::NoWorkspace)
             .unwrap();
         assert_eq!(algo, ConvAlgo::ImplicitGemm);
-        assert_eq!(h.faults_injected(), 0, "FFT was never attempted");
+        assert_eq!(h.faults_injected(), 0, "Winograd was never attempted");
     }
 
     #[test]
@@ -410,26 +414,29 @@ mod tests {
     #[test]
     fn faulted_benchmarks_report_failed_rows_instead_of_dying() {
         use crate::fault::{FaultPlan, FaultTarget};
-        let plan = FaultPlan {
-            targets: vec![
-                FaultTarget::algo(ConvAlgo::Fft),
-                FaultTarget::algo(ConvAlgo::FftTiling),
-            ],
-            ..FaultPlan::default()
-        };
         let (x, w, c) = descs(32);
-        for h in [
-            CudnnHandle::simulated(p100_sxm2()).with_faults(plan.clone()),
-            CudnnHandle::real_cpu().with_faults(plan),
+        // FFT on the simulated engine; Winograd on the CPU, which has no
+        // FFT kernel.
+        for (h, pair) in [
+            (
+                CudnnHandle::simulated(p100_sxm2()),
+                [ConvAlgo::Fft, ConvAlgo::FftTiling],
+            ),
+            (
+                CudnnHandle::real_cpu(),
+                [ConvAlgo::Winograd, ConvAlgo::WinogradNonfused],
+            ),
         ] {
+            let h = h.with_faults(FaultPlan {
+                targets: pair.map(FaultTarget::algo).to_vec(),
+                ..FaultPlan::default()
+            });
             let perfs = h.find_algorithms(ConvOp::Forward, &x, &w, &c).unwrap();
             let (ok, failed): (Vec<&AlgoPerf>, Vec<&AlgoPerf>) =
                 perfs.iter().partition(|p| p.status == AlgoStatus::Success);
             assert!(!ok.is_empty(), "non-targeted algorithms still succeed");
-            assert_eq!(failed.len(), 2, "both FFT variants must be failed rows");
-            assert!(failed
-                .iter()
-                .all(|p| matches!(p.algo, ConvAlgo::Fft | ConvAlgo::FftTiling)));
+            assert_eq!(failed.len(), 2, "both faulted variants must be failed rows");
+            assert!(failed.iter().all(|p| pair.contains(&p.algo)));
             // Failed rows sort after every successful row.
             let first_failed = perfs
                 .iter()
@@ -440,7 +447,7 @@ mod tests {
             let fastest = h
                 .get_algorithm(ConvOp::Forward, &x, &w, &c, AlgoPreference::PreferFastest)
                 .unwrap();
-            assert!(!matches!(fastest, ConvAlgo::Fft | ConvAlgo::FftTiling));
+            assert!(!pair.contains(&fastest));
             assert!(h.faults_injected() > 0);
             assert!(!h.fault_log().is_empty());
         }

@@ -7,16 +7,17 @@ use ucudnn_gpu_model::{algo_supported, workspace_bytes, ConvAlgo};
 use ucudnn_tensor::ConvGeometry;
 
 /// The CPU engine that executes a given cuDNN-level algorithm, or `None`
-/// when the algorithm has no kernel at all (`DIRECT`, as in cuDNN). The
-/// three GEMM algorithms run one zero-workspace implicit-GEMM engine: on
-/// the CPU a column buffer in workspace buys no time.
+/// when the algorithm has no CPU kernel: `DIRECT`, as in cuDNN, and `FFT`
+/// and `FFT_TILING`, which the implicit-GEMM engine outran at every
+/// micro-batch measured (DESIGN.md §7). The three GEMM algorithms run one
+/// zero-workspace implicit-GEMM engine: on the CPU a column buffer in
+/// workspace buys no time.
 pub fn cpu_engine_for(algo: ConvAlgo) -> Option<EngineKind> {
     match algo {
         ConvAlgo::ImplicitGemm | ConvAlgo::ImplicitPrecompGemm | ConvAlgo::Gemm => {
             Some(EngineKind::ImplicitGemm)
         }
-        ConvAlgo::Direct => None,
-        ConvAlgo::Fft | ConvAlgo::FftTiling => Some(EngineKind::Fft),
+        ConvAlgo::Direct | ConvAlgo::Fft | ConvAlgo::FftTiling => None,
         ConvAlgo::Winograd => Some(EngineKind::Winograd),
         ConvAlgo::WinogradNonfused => Some(EngineKind::WinogradF4),
     }
@@ -80,6 +81,15 @@ mod tests {
                 ConvOp::Forward,
                 &g33()
             ));
+        }
+        // FFT has no CPU kernel either, but the simulated engine keeps it.
+        let sim = Engine::Simulated(p100_sxm2());
+        for algo in [ConvAlgo::Fft, ConvAlgo::FftTiling] {
+            assert!(cpu_engine_for(algo).is_none());
+            for op in ConvOp::ALL {
+                assert!(!supported_on(&Engine::RealCpu, algo, op, &g33()));
+                assert!(supported_on(&sim, algo, op, &g33()));
+            }
         }
     }
 

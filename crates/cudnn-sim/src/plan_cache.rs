@@ -1,10 +1,10 @@
 //! Geometry-keyed execution-plan cache.
 //!
 //! The CPU engines can derive call-invariant state once per
-//! (engine, op, geometry) — packed filter panels, FFT twiddle/bit-reversal
-//! tables and filter spectra, Winograd-transformed filters — and reuse it
-//! on every subsequent call ([`ucudnn_conv::EnginePlan`]). This cache owns
-//! those plans for a [`crate::CudnnHandle`], so `convolution_forward` /
+//! (engine, op, geometry) — packed filter panels, Winograd-transformed
+//! filters — and reuse it on every subsequent call
+//! ([`ucudnn_conv::EnginePlan`]). This cache owns those plans for a
+//! [`crate::CudnnHandle`], so `convolution_forward` /
 //! `convolution_backward_*` stop re-deriving per-call state across
 //! micro-batches and training iterations.
 //!

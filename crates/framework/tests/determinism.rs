@@ -3,13 +3,13 @@
 //! thread count.
 //!
 //! The fast path earns its keep only if it is invisible to numerics: packed
-//! panels, cached FFT tables/spectra and Winograd filter transforms must
-//! reproduce the uncached computation bit for bit, and the batch-parallel
-//! engines must not let the thread split leak into results. This test pins
-//! all of it end to end — per-step losses (f64 bits) and final parameters
-//! (f32 bits) across cache on/off × thread caps {1, 2, 8}, for a network
-//! whose convolutions run inline and for one whose convolutions are large
-//! enough to split across the workers.
+//! panels and cached Winograd filter transforms must reproduce the uncached
+//! computation bit for bit, and the batch-parallel engines must not let the
+//! thread split leak into results. This test pins all of it end to end —
+//! per-step losses (f64 bits) and final parameters (f32 bits) across cache
+//! on/off × thread caps {1, 2, 8}, for a network whose convolutions run
+//! inline and for one whose convolutions are large enough to split across
+//! the workers.
 
 use std::collections::HashMap;
 use std::sync::Mutex;

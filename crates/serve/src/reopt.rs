@@ -17,25 +17,21 @@
 
 use std::collections::BTreeMap;
 use ucudnn::telemetry::StreamingHistogram;
-use ucudnn::EnvError;
 
-/// Configuration of the re-optimization loop, read from `UCUDNN_REOPT_*`.
+/// Configuration of the re-optimization loop.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReoptConfig {
-    /// Master switch (`UCUDNN_REOPT`): when false the detector never fires
-    /// and no re-benchmark worker is spawned.
+    /// Master switch: when false the detector never fires and no
+    /// re-benchmark worker is spawned.
     pub enabled: bool,
-    /// Samples per drift window (`UCUDNN_REOPT_WINDOW`): the detector
-    /// closes a window and judges its p50 every this many observations of a
-    /// micro-batch size.
+    /// Samples per drift window: the detector closes a window and judges
+    /// its p50 every this many observations of a micro-batch size.
     pub window_samples: usize,
-    /// Deviation ratio that breaches a window (`UCUDNN_REOPT_RATIO`): a
-    /// window is a breach when observed p50 / expected falls outside
-    /// `[1/ratio, ratio]`.
+    /// Deviation ratio that breaches a window: a window is a breach when
+    /// observed p50 / expected falls outside `[1/ratio, ratio]`.
     pub p50_ratio: f64,
-    /// Consecutive breached windows required to flag staleness
-    /// (`UCUDNN_REOPT_CONSECUTIVE`) — one window can be noise; K in a row
-    /// is drift.
+    /// Consecutive breached windows required to flag staleness — one
+    /// window can be noise; K in a row is drift.
     pub consecutive: u32,
 }
 
@@ -47,74 +43,6 @@ impl Default for ReoptConfig {
             p50_ratio: 1.5,
             consecutive: 2,
         }
-    }
-}
-
-impl ReoptConfig {
-    /// Build a config from a key-lookup function (testable, like
-    /// `ServeOptions::from_lookup`). Unset keys keep their defaults;
-    /// malformed values are errors, not silent fallbacks.
-    ///
-    /// # Errors
-    /// [`EnvError`] naming the malformed variable.
-    pub fn from_lookup(
-        lookup: impl Fn(&str) -> Option<String>,
-    ) -> core::result::Result<Self, EnvError> {
-        let mut cfg = ReoptConfig::default();
-        if let Some(v) = lookup("UCUDNN_REOPT") {
-            cfg.enabled = match v.trim() {
-                "1" | "true" => true,
-                "0" | "false" => false,
-                _ => {
-                    return Err(EnvError {
-                        variable: "UCUDNN_REOPT",
-                        value: v,
-                    })
-                }
-            };
-        }
-        if let Some(v) = lookup("UCUDNN_REOPT_WINDOW") {
-            cfg.window_samples =
-                v.trim()
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or(EnvError {
-                        variable: "UCUDNN_REOPT_WINDOW",
-                        value: v,
-                    })?;
-        }
-        if let Some(v) = lookup("UCUDNN_REOPT_RATIO") {
-            cfg.p50_ratio = v
-                .trim()
-                .parse::<f64>()
-                .ok()
-                .filter(|r| r.is_finite() && *r > 1.0)
-                .ok_or(EnvError {
-                    variable: "UCUDNN_REOPT_RATIO",
-                    value: v,
-                })?;
-        }
-        if let Some(v) = lookup("UCUDNN_REOPT_CONSECUTIVE") {
-            cfg.consecutive = v
-                .trim()
-                .parse::<u32>()
-                .ok()
-                .filter(|&n| n >= 1)
-                .ok_or(EnvError {
-                    variable: "UCUDNN_REOPT_CONSECUTIVE",
-                    value: v,
-                })?;
-        }
-        Ok(cfg)
-    }
-
-    /// Build a config from the process environment.
-    ///
-    /// # Errors
-    /// [`EnvError`] naming the malformed variable.
-    pub fn from_env() -> core::result::Result<Self, EnvError> {
-        Self::from_lookup(|k| std::env::var(k).ok())
     }
 }
 
@@ -228,40 +156,10 @@ mod tests {
     }
 
     #[test]
-    fn default_config_and_env_parsing() {
+    fn default_config() {
         let d = ReoptConfig::default();
         assert!(d.enabled);
         assert_eq!((d.window_samples, d.p50_ratio, d.consecutive), (8, 1.5, 2));
-        assert_eq!(ReoptConfig::from_lookup(|_| None).unwrap(), d);
-        let c = ReoptConfig::from_lookup(|k| {
-            Some(
-                match k {
-                    "UCUDNN_REOPT" => "0",
-                    "UCUDNN_REOPT_WINDOW" => "16",
-                    "UCUDNN_REOPT_RATIO" => "2.5",
-                    "UCUDNN_REOPT_CONSECUTIVE" => "3",
-                    _ => return None,
-                }
-                .to_string(),
-            )
-        })
-        .unwrap();
-        assert!(!c.enabled);
-        assert_eq!((c.window_samples, c.p50_ratio, c.consecutive), (16, 2.5, 3));
-    }
-
-    #[test]
-    fn malformed_reopt_vars_error_loudly() {
-        for (key, bad) in [
-            ("UCUDNN_REOPT", "maybe"),
-            ("UCUDNN_REOPT_WINDOW", "0"),
-            ("UCUDNN_REOPT_RATIO", "1.0"), // must be > 1
-            ("UCUDNN_REOPT_RATIO", "inf"),
-            ("UCUDNN_REOPT_CONSECUTIVE", "0"),
-        ] {
-            let e = ReoptConfig::from_lookup(|k| (k == key).then(|| bad.to_string())).unwrap_err();
-            assert_eq!(e.variable, key, "{key}={bad}");
-        }
     }
 
     #[test]

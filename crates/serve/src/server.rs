@@ -266,7 +266,7 @@ impl Server {
             .collect();
         assert!(
             !table.is_empty(),
-            "runner supports no batch size within UCUDNN_SERVE_MAX_BATCH"
+            "runner supports no batch size within ServeOptions::max_batch"
         );
         let sched = Scheduler::new(table, opts.slo_us, opts.max_batch, BatchPolicy::Dynamic);
         let detector_cfg = reopt.unwrap_or(ReoptConfig {
@@ -423,7 +423,7 @@ impl Server {
         Ok(id)
     }
 
-    /// The admission queue's capacity (`UCUDNN_SERVE_QUEUE_CAP`) — the
+    /// The admission queue's capacity (`ServeOptions::queue_cap`) — the
     /// reactor sizes its backpressure thresholds off this.
     pub fn queue_cap(&self) -> usize {
         self.inner.queue_cap

@@ -81,7 +81,7 @@ proptest! {
 
     /// Policy conformance: every fired micro-batch size is a candidate of
     /// the batch-size policy that built the table, and no coalesced batch
-    /// exceeds `UCUDNN_SERVE_MAX_BATCH`.
+    /// exceeds `ServeOptions::max_batch`.
     #[test]
     fn batches_respect_the_policy_and_the_cap(
         seed in 1u64..1_000_000,

@@ -138,37 +138,31 @@ fn algorithms_over_budget_are_neither_degradations_nor_retried() {
 
 #[test]
 fn real_cpu_tuning_never_runs_an_algorithm_over_the_limit() {
-    // Every FFT execution fails, but the WR limit sits below FFT's
-    // workspace at every candidate micro-batch: the budgeted Find never
-    // attempts FFT, so tuning injects no fault at all.
+    // Every Winograd execution fails, but the WR limit sits below both
+    // tiles' workspaces at every candidate micro-batch: the budgeted Find
+    // never attempts Winograd, so tuning injects no fault at all.
     let g = ConvGeometry::with_square(
         Shape4::new(8, 8, 16, 16),
         FilterShape::new(8, 8, 3, 3),
         1,
         1,
     );
-    let fft_bytes = |m: usize| {
-        workspace_bytes_on(
-            &Engine::RealCpu,
-            ConvAlgo::Fft,
-            ConvOp::Forward,
-            &g.with_batch(m),
-        )
-        .expect("FFT runs this geometry")
-    };
+    let winograd = [ConvAlgo::Winograd, ConvAlgo::WinogradNonfused];
     let limit = BatchSizePolicy::PowerOfTwo
         .candidate_sizes(8)
         .into_iter()
-        .map(fft_bytes)
+        .flat_map(|m| {
+            winograd.map(|algo| {
+                workspace_bytes_on(&Engine::RealCpu, algo, ConvOp::Forward, &g.with_batch(m))
+                    .expect("Winograd runs this geometry")
+            })
+        })
         .min()
         .unwrap()
         - 1;
     let h = UcudnnHandle::new(
         CudnnHandle::real_cpu().with_faults(FaultPlan {
-            targets: vec![
-                FaultTarget::algo(ConvAlgo::Fft),
-                FaultTarget::algo(ConvAlgo::FftTiling),
-            ],
+            targets: winograd.map(FaultTarget::algo).to_vec(),
             ..FaultPlan::default()
         }),
         UcudnnOptions {

@@ -5,7 +5,7 @@
 use ucudnn::{optimize_wd, optimize_wr, BatchSizePolicy, BenchCache, KernelKey};
 use ucudnn_conv::{direct, exec, supports, workspace_floats, ConvOp, EngineKind};
 use ucudnn_cudnn_sim::CudnnHandle;
-use ucudnn_gpu_model::p100_sxm2;
+use ucudnn_gpu_model::{algo_supported, p100_sxm2, ConvAlgo};
 use ucudnn_tensor::{ConvGeometry, FilterShape, Shape4, Tensor};
 
 /// The smallest possible convolution: 1×1×1×1 input, 1×1 kernel.
@@ -56,7 +56,10 @@ fn kernel_equals_image() {
         1.0,
         0.0,
     );
-    for engine in [EngineKind::ImplicitGemm, EngineKind::Fft] {
+    for engine in EngineKind::ALL {
+        if !supports(engine, ConvOp::Forward, &g) {
+            continue;
+        }
         let mut y = Tensor::zeros(g.output());
         let mut ws = vec![0.0; workspace_floats(engine, ConvOp::Forward, &g)];
         exec(
@@ -118,11 +121,11 @@ fn wd_with_no_kernels() {
 /// Huge-kernel geometry where padding pushes FFT off its support envelope.
 #[test]
 fn oversized_padding_falls_back_cleanly() {
-    // pad == filter size would alias in the frequency domain; the engine and
-    // the model must both refuse, and the optimizer must still produce a
-    // plan from the remaining algorithms.
+    // pad == filter size would alias in the frequency domain; the model must
+    // refuse, and the optimizer must still produce a plan from the remaining
+    // algorithms.
     let g = ConvGeometry::with_square(Shape4::new(4, 4, 9, 9), FilterShape::new(4, 4, 3, 3), 2, 1);
-    assert!(supports(EngineKind::Fft, ConvOp::Forward, &g)); // pad 2 < 3: fine
+    assert!(algo_supported(ConvAlgo::Fft, ConvOp::Forward, &g)); // pad 2 < 3: fine
     let g_bad = ConvGeometry::new(
         Shape4::new(4, 4, 9, 9),
         FilterShape::new(4, 4, 3, 3),
@@ -131,7 +134,7 @@ fn oversized_padding_falls_back_cleanly() {
         1,
         1,
     );
-    assert!(!supports(EngineKind::Fft, ConvOp::Forward, &g_bad));
+    assert!(!algo_supported(ConvAlgo::Fft, ConvOp::Forward, &g_bad));
     let handle = CudnnHandle::simulated(p100_sxm2());
     let cache = BenchCache::new();
     let r = optimize_wr(
@@ -168,7 +171,7 @@ fn rectangular_geometry_agreement() {
         1.0,
         0.0,
     );
-    for engine in [EngineKind::ImplicitGemm, EngineKind::Fft] {
+    for engine in EngineKind::ALL {
         if !supports(engine, ConvOp::Forward, &g) {
             continue;
         }
