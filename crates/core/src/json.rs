@@ -125,13 +125,13 @@ impl Value {
         }
     }
 
-    /// Parse a JSON document. Returns `None` on any syntax error or
-    /// trailing garbage — callers treat that as "no data" (e.g. a corrupt
-    /// cache file degrades to a cold cache).
+    /// Parse a JSON document. Returns `None` on any syntax error, trailing
+    /// garbage or nesting deeper than `MAX_DEPTH` — callers treat that as
+    /// "no data" (e.g. a corrupt cache file degrades to a cold cache).
     pub fn parse(text: &str) -> Option<Value> {
         let bytes = text.as_bytes();
         let mut pos = 0;
-        let v = parse_value(bytes, &mut pos)?;
+        let v = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos == bytes.len() {
             Some(v)
@@ -190,13 +190,21 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Option<()> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Option<Value> {
+/// Deepest nesting of arrays and objects the parser accepts. It recurses
+/// once per level, so without a cap one request line of `[` overflows the
+/// stack of the thread parsing it. No document the repository writes or
+/// reads nests more than a few levels.
+const MAX_DEPTH: usize = 128;
+
+/// Parse one value that sits inside `depth` enclosing arrays and objects.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Option<Value> {
     skip_ws(b, pos);
     match *b.get(*pos)? {
         b'n' => parse_lit(b, pos, "null", Value::Null),
         b't' => parse_lit(b, pos, "true", Value::Bool(true)),
         b'f' => parse_lit(b, pos, "false", Value::Bool(false)),
         b'"' => parse_string(b, pos).map(Value::Str),
+        b'[' | b'{' if depth == MAX_DEPTH => None,
         b'[' => {
             *pos += 1;
             let mut items = Vec::new();
@@ -206,7 +214,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Option<Value> {
                 return Some(Value::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos)? {
                     b',' => *pos += 1,
@@ -230,7 +238,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Option<Value> {
                 skip_ws(b, pos);
                 let key = parse_string(b, pos)?;
                 expect(b, pos, b':')?;
-                let val = parse_value(b, pos)?;
+                let val = parse_value(b, pos, depth + 1)?;
                 fields.push((key, val));
                 skip_ws(b, pos);
                 match b.get(*pos)? {
@@ -367,6 +375,13 @@ mod tests {
         ] {
             assert!(Value::parse(bad).is_none(), "accepted: {bad}");
         }
+        // Nesting is capped at MAX_DEPTH levels: an unterminated run of `[`
+        // long enough to overflow the stack, and a balanced array one level
+        // too deep, are both rejected; the deepest allowed array parses.
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Value::parse(&"[".repeat(100_000)).is_none());
+        assert!(Value::parse(&nested(MAX_DEPTH + 1)).is_none());
+        assert!(Value::parse(&nested(MAX_DEPTH)).is_some());
     }
 
     #[test]

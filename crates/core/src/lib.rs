@@ -64,8 +64,7 @@ pub mod wr;
 pub use bench_cache::{BenchCache, BenchEntry, CacheStats};
 pub use config::{Configuration, MicroConfig};
 pub use env::{
-    parse_bytes, EnvError, FleetRouterPolicy, IngressBackend, IngressOptions, ServeOptions,
-    FLEET_REPLICA_CARDS,
+    FleetRouterPolicy, IngressBackend, IngressOptions, ServeOptions, FLEET_REPLICA_CARDS,
 };
 pub use error::UcudnnError;
 pub use fleet::{
@@ -82,7 +81,7 @@ pub use policy::BatchSizePolicy;
 pub use slo::{
     forward_latency_table, plan_batch, rebench_latency_table, SloDecision, TableProvenance,
 };
-pub use telemetry::{Counter, CounterVec, Gauge, GaugeVec, Histogram, Registry, WindowSnapshot};
+pub use telemetry::{Counter, CounterVec, Gauge, GaugeVec, Histogram, Registry};
 pub use trace::{
     ClockMode, PlanProvenance, Trace, TraceConfig, TraceEvent, TraceFormat, TraceSession,
 };

@@ -34,8 +34,8 @@ impl BatchSizePolicy {
         }
     }
 
-    /// Parse the environment-variable spelling used by the C++ library
-    /// (`UCUDNN_BATCH_SIZE_POLICY=all|powerOfTwo|undivided`).
+    /// Parse the C++ library's spelling (`all`, `powerOfTwo`,
+    /// `undivided`); the inverse of [`Self::name`].
     pub fn parse(s: &str) -> Option<Self> {
         match s {
             "all" => Some(BatchSizePolicy::All),
@@ -45,7 +45,7 @@ impl BatchSizePolicy {
         }
     }
 
-    /// The environment-variable spelling.
+    /// The C++ library's spelling.
     pub fn name(&self) -> &'static str {
         match self {
             BatchSizePolicy::All => "all",

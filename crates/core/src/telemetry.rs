@@ -18,13 +18,8 @@
 //!   fixed vocabulary; values outside it are rejected and counted by the
 //!   `ucudnn_telemetry_dropped_total` self-metric, so a hostile request
 //!   string can never mint unbounded series.
-//! * **History survives between scrapes.** Each series keeps a fixed-size
-//!   ring of timestamped window snapshots ([`Registry::snapshot`],
-//!   capacity `UCUDNN_TELEMETRY_RING`): a scrape that comes late still sees
-//!   the shape of the interval it missed.
-//! * **Deterministic.** Timestamps are always passed in by the caller
-//!   (virtual-clock sims pass virtual time), never read from a wall clock,
-//!   so expositions are byte-reproducible under the deterministic sims.
+//! * **Deterministic.** The registry reads no clock, so expositions are
+//!   byte-reproducible under the deterministic sims.
 //!
 //! The log-bucket histogram itself ([`StreamingHistogram`]: record, the
 //! quantile walk, the window) is defined here once. The training reports,
@@ -32,10 +27,8 @@
 //! registry's [`Histogram`] wraps one behind a mutex, so quantiles agree
 //! across the training and serving planes.
 
-use crate::env::EnvError;
-use crate::json::{self, Value};
+use crate::json;
 use parking_lot::Mutex;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -67,43 +60,6 @@ pub fn bucket_upper(idx: usize) -> f64 {
 }
 
 // ---------------------------------------------------------------------------
-// Ring capacity configuration.
-
-/// Default per-series ring capacity (window snapshots kept between scrapes).
-pub const DEFAULT_RING: usize = 8;
-
-/// Parse `UCUDNN_TELEMETRY_RING` from a key-lookup function (testable twin
-/// of [`ring_from_env`]). Unset keeps [`DEFAULT_RING`]; malformed values
-/// are errors, not silent fallbacks.
-///
-/// # Errors
-/// [`EnvError`] naming the malformed variable.
-pub fn ring_from_lookup(
-    lookup: impl Fn(&str) -> Option<String>,
-) -> core::result::Result<usize, EnvError> {
-    match lookup("UCUDNN_TELEMETRY_RING") {
-        None => Ok(DEFAULT_RING),
-        Some(v) => v
-            .trim()
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n >= 1)
-            .ok_or(EnvError {
-                variable: "UCUDNN_TELEMETRY_RING",
-                value: v,
-            }),
-    }
-}
-
-/// Ring capacity from the process environment.
-///
-/// # Errors
-/// [`EnvError`] naming the malformed variable.
-pub fn ring_from_env() -> core::result::Result<usize, EnvError> {
-    ring_from_lookup(|k| std::env::var(k).ok())
-}
-
-// ---------------------------------------------------------------------------
 // Instrument kinds and internals.
 
 /// The exposition type of an instrument family.
@@ -126,18 +82,6 @@ impl Kind {
             Kind::Histogram => "summary",
         }
     }
-}
-
-/// One timestamped window snapshot in a series' ring buffer.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WindowSnapshot {
-    /// Caller-supplied timestamp of the snapshot, microseconds.
-    pub ts_us: f64,
-    /// Counter/gauge: the cumulative value at `ts_us`. Histogram: the p50
-    /// of the observations since the previous snapshot (0 when none).
-    pub value: f64,
-    /// Histogram: observations in the window. Counters/gauges: 0.
-    pub count: u64,
 }
 
 /// A single-owner log-bucket histogram over positive durations
@@ -307,7 +251,6 @@ struct SeriesInner {
     /// Counter: integer count. Gauge: f64 bits.
     value: AtomicU64,
     hist: Option<Mutex<HistSeries>>,
-    ring: Mutex<VecDeque<WindowSnapshot>>,
 }
 
 impl SeriesInner {
@@ -316,7 +259,6 @@ impl SeriesInner {
             label,
             value: AtomicU64::new(0),
             hist: (kind == Kind::Histogram).then(|| Mutex::new(HistSeries::default())),
-            ring: Mutex::new(VecDeque::new()),
         }
     }
 }
@@ -427,9 +369,8 @@ impl Histogram {
         self.state().lock().hist.cumulative()
     }
 
-    /// Detach and reset the window, returning its summary. Window consumers
-    /// compose: the serving JSON snapshot and the ring snapshot each see
-    /// the observations that landed since whichever consumer ran last.
+    /// Detach and reset the window, returning its summary: the
+    /// observations that landed since the previous call.
     pub fn take_window(&self) -> HistStats {
         self.state().lock().hist.take_window()
     }
@@ -500,7 +441,6 @@ struct RegistryInner {
     /// The `ucudnn_telemetry_dropped_total` self-metric: label values
     /// rejected for being outside a family's vocabulary.
     dropped: AtomicU64,
-    ring_cap: usize,
 }
 
 /// An insertion-ordered registry of instrument families. Cloning shares
@@ -517,19 +457,12 @@ impl Default for Registry {
 }
 
 impl Registry {
-    /// A registry with the default ring capacity ([`DEFAULT_RING`]).
+    /// An empty registry.
     pub fn new() -> Self {
-        Self::with_ring(DEFAULT_RING)
-    }
-
-    /// A registry whose series keep `ring_cap` window snapshots
-    /// (`UCUDNN_TELEMETRY_RING`; parse with [`ring_from_env`]).
-    pub fn with_ring(ring_cap: usize) -> Self {
         Self {
             inner: Arc::new(RegistryInner {
                 families: Mutex::new(Vec::new()),
                 dropped: AtomicU64::new(0),
-                ring_cap: ring_cap.max(1),
             }),
         }
     }
@@ -624,50 +557,6 @@ impl Registry {
         self.inner.dropped.load(Ordering::Relaxed)
     }
 
-    /// Push one timestamped window snapshot into every series' ring,
-    /// evicting the oldest beyond the ring capacity. Histograms consume
-    /// their window; counters and gauges snapshot their current value.
-    pub fn snapshot(&self, ts_us: f64) {
-        let fams: Vec<Arc<FamilyInner>> = self.inner.families.lock().clone();
-        for fam in fams {
-            for s in &fam.series {
-                let snap = match &s.hist {
-                    Some(h) => {
-                        let w = h.lock().hist.take_window();
-                        WindowSnapshot {
-                            ts_us,
-                            value: w.p50_us.unwrap_or(0.0),
-                            count: w.count,
-                        }
-                    }
-                    None => WindowSnapshot {
-                        ts_us,
-                        value: match fam.kind {
-                            Kind::Gauge => f64::from_bits(s.value.load(Ordering::Relaxed)),
-                            _ => s.value.load(Ordering::Relaxed) as f64,
-                        },
-                        count: 0,
-                    },
-                };
-                let mut ring = s.ring.lock();
-                ring.push_back(snap);
-                while ring.len() > self.inner.ring_cap {
-                    ring.pop_front();
-                }
-            }
-        }
-    }
-
-    /// The ring contents of one series (`label: None` for unlabeled
-    /// families), oldest first. `None` when the series does not exist.
-    pub fn ring(&self, name: &str, label: Option<&str>) -> Option<Vec<WindowSnapshot>> {
-        let fams = self.inner.families.lock();
-        let fam = fams.iter().find(|f| f.name == name)?;
-        let s = fam.series.iter().find(|s| s.label.as_deref() == label)?;
-        let snaps = s.ring.lock().iter().copied().collect();
-        Some(snaps)
-    }
-
     /// Render every family into `out` in Prometheus text format (`# HELP`,
     /// `# TYPE`, escaped labels; histograms as quantile summaries with
     /// `# EXEMPLAR` comment lines). Emits no terminator, so multiple
@@ -755,43 +644,6 @@ impl Registry {
         Self::expose_dropped_into(&mut out, self.dropped());
         out.push_str("# EOF\n");
         out
-    }
-
-    /// The ring history of every series as a JSON document (the offline
-    /// companion of the exposition, written by `--metrics-dump`).
-    pub fn history_json(&self) -> Value {
-        let fams: Vec<Arc<FamilyInner>> = self.inner.families.lock().clone();
-        let mut rows = Vec::new();
-        for fam in fams {
-            for s in &fam.series {
-                let snaps: Vec<Value> = s
-                    .ring
-                    .lock()
-                    .iter()
-                    .map(|w| {
-                        json::obj([
-                            ("ts_us", json::num(w.ts_us)),
-                            ("value", json::num(w.value)),
-                            ("count", json::num(w.count as f64)),
-                        ])
-                    })
-                    .collect();
-                rows.push(json::obj([
-                    ("name", Value::Str(fam.name.clone())),
-                    (
-                        "label",
-                        s.label
-                            .as_ref()
-                            .map_or(Value::Null, |l| Value::Str(l.clone())),
-                    ),
-                    ("snapshots", Value::Arr(snaps)),
-                ]));
-            }
-        }
-        json::obj([
-            ("ring_capacity", json::num(self.inner.ring_cap as f64)),
-            ("series", Value::Arr(rows)),
-        ])
     }
 }
 
@@ -1093,35 +945,6 @@ ucudnn_telemetry_dropped_total 0
     }
 
     #[test]
-    fn ring_snapshots_evict_beyond_capacity() {
-        let reg = Registry::with_ring(3);
-        let c = reg.counter("t_total", "t");
-        let h = reg.histogram("t_h", "t");
-        for i in 0..5 {
-            c.add(10);
-            h.record(100.0 * (i + 1) as f64);
-            reg.snapshot(1_000.0 * i as f64);
-        }
-        let ring = reg.ring("t_total", None).unwrap();
-        assert_eq!(ring.len(), 3, "capacity bounds the ring");
-        // Oldest snapshots (t=0, t=1000) were evicted.
-        assert_eq!(ring[0].ts_us, 2_000.0);
-        assert_eq!(ring[0].value, 30.0);
-        assert_eq!(ring[2].ts_us, 4_000.0);
-        assert_eq!(ring[2].value, 50.0);
-        // Histogram snapshots consume the window: one sample each.
-        let hring = reg.ring("t_h", None).unwrap();
-        assert_eq!(hring.len(), 3);
-        assert_eq!(hring[2].count, 1);
-        assert_eq!(hring[2].value, 500.0);
-        // And the history JSON renders the same content.
-        let j = reg.history_json();
-        assert_eq!(j.get("ring_capacity").unwrap().as_u64(), Some(3));
-        let series = j.get("series").unwrap().as_arr().unwrap();
-        assert_eq!(series.len(), 2);
-    }
-
-    #[test]
     fn histogram_windows_and_cumulative_views_are_independent() {
         let reg = Registry::new();
         let h = reg.histogram("t_h", "t");
@@ -1159,18 +982,5 @@ ucudnn_telemetry_dropped_total 0
         let r =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| reg.gauge("t_total", "t")));
         assert!(r.is_err(), "kind mismatch must be loud");
-    }
-
-    #[test]
-    fn ring_capacity_env_parses_strictly() {
-        assert_eq!(ring_from_lookup(|_| None).unwrap(), DEFAULT_RING);
-        let ok = ring_from_lookup(|k| (k == "UCUDNN_TELEMETRY_RING").then(|| " 16 ".to_string()))
-            .unwrap();
-        assert_eq!(ok, 16);
-        for bad in ["0", "many", "-3"] {
-            let e = ring_from_lookup(|k| (k == "UCUDNN_TELEMETRY_RING").then(|| bad.to_string()))
-                .unwrap_err();
-            assert_eq!(e.variable, "UCUDNN_TELEMETRY_RING");
-        }
     }
 }

@@ -13,15 +13,13 @@
 //! relaxed atomic load, and the key/args builders are closures that only run
 //! when a session is active.
 //!
-//! Sessions are configured programmatically ([`session`]) or from the
-//! environment ([`session_from_env`], `UCUDNN_TRACE*` — see the table in
-//! [`crate::env`]). The [`ClockMode::Logical`] mode replaces wall-clock
+//! Sessions are configured in code: build a [`TraceConfig`] and pass it to
+//! [`session`]. The [`ClockMode::Logical`] mode replaces wall-clock
 //! timestamps with a deterministic logical order at collection time, so a
 //! trace of a deterministic optimization is byte-identical regardless of
 //! thread count or machine speed — the property the determinism tests pin.
 
 use crate::config::Configuration;
-use crate::env::EnvError;
 use crate::json::{self, Value};
 use crate::kernel::KernelKey;
 use parking_lot::Mutex;
@@ -52,21 +50,21 @@ pub enum ClockMode {
     Logical,
 }
 
-/// Default shared-buffer capacity, in events (`UCUDNN_TRACE_BUF`).
+/// Default shared-buffer capacity, in events.
 pub const DEFAULT_CAPACITY: usize = 65536;
 
 /// Configuration of a [`TraceSession`].
 #[derive(Debug, Clone)]
 pub struct TraceConfig {
-    /// File to write at session end (`UCUDNN_TRACE`); `None` keeps the
-    /// trace in memory only.
+    /// File to write at session end; `None` keeps the trace in memory
+    /// only.
     pub path: Option<PathBuf>,
-    /// Serialization format for `path` (`UCUDNN_TRACE_FORMAT`).
+    /// Serialization format for `path`.
     pub format: TraceFormat,
-    /// Timestamp mode (`UCUDNN_TRACE_CLOCK`).
+    /// Timestamp mode.
     pub clock: ClockMode,
-    /// Shared-buffer capacity in events (`UCUDNN_TRACE_BUF`); overflow is
-    /// dropped and counted in [`Trace::dropped`], never reallocated.
+    /// Shared-buffer capacity in events; overflow is dropped and counted
+    /// in [`Trace::dropped`], never reallocated.
     pub capacity: usize,
 }
 
@@ -78,68 +76,6 @@ impl Default for TraceConfig {
             clock: ClockMode::Wall,
             capacity: DEFAULT_CAPACITY,
         }
-    }
-}
-
-impl TraceConfig {
-    /// Build a configuration from a key-lookup function (testable twin of
-    /// [`TraceConfig::from_env`]). Returns `Ok(None)` when `UCUDNN_TRACE`
-    /// is unset — tracing stays disabled.
-    ///
-    /// # Errors
-    /// [`EnvError`] naming the malformed variable.
-    pub fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> Result<Option<Self>, EnvError> {
-        let Some(path) = lookup("UCUDNN_TRACE") else {
-            return Ok(None);
-        };
-        let mut cfg = Self {
-            path: Some(PathBuf::from(path)),
-            ..Self::default()
-        };
-        if let Some(v) = lookup("UCUDNN_TRACE_FORMAT") {
-            cfg.format = match v.as_str() {
-                "jsonl" => TraceFormat::Jsonl,
-                "chrome" => TraceFormat::Chrome,
-                _ => {
-                    return Err(EnvError {
-                        variable: "UCUDNN_TRACE_FORMAT",
-                        value: v,
-                    })
-                }
-            };
-        }
-        if let Some(v) = lookup("UCUDNN_TRACE_BUF") {
-            cfg.capacity = v
-                .trim()
-                .parse::<usize>()
-                .ok()
-                .filter(|&n| n >= 1)
-                .ok_or(EnvError {
-                    variable: "UCUDNN_TRACE_BUF",
-                    value: v,
-                })?;
-        }
-        if let Some(v) = lookup("UCUDNN_TRACE_CLOCK") {
-            cfg.clock = match v.as_str() {
-                "wall" => ClockMode::Wall,
-                "logical" => ClockMode::Logical,
-                _ => {
-                    return Err(EnvError {
-                        variable: "UCUDNN_TRACE_CLOCK",
-                        value: v,
-                    })
-                }
-            };
-        }
-        Ok(Some(cfg))
-    }
-
-    /// Build a configuration from the process environment.
-    ///
-    /// # Errors
-    /// [`EnvError`] naming the malformed variable.
-    pub fn from_env() -> Result<Option<Self>, EnvError> {
-        Self::from_lookup(|k| std::env::var(k).ok())
     }
 }
 
@@ -524,10 +460,10 @@ pub(crate) fn plan_event(kernel: &KernelKey, config: &Configuration, prov: &Plan
 // ---------------------------------------------------------------------------
 // Sessions.
 
-/// An active trace session (RAII). Created by [`session`] /
-/// [`session_from_env`]; sessions are serialized process-wide. Dropping a
-/// session without calling [`TraceSession::finish`] still collects and (if
-/// configured) writes the trace.
+/// An active trace session (RAII). Created by [`session`]; sessions are
+/// serialized process-wide. Dropping a session without calling
+/// [`TraceSession::finish`] still collects and (if configured) writes the
+/// trace.
 pub struct TraceSession {
     config: TraceConfig,
     start_us: f64,
@@ -584,15 +520,6 @@ pub fn session(config: TraceConfig) -> TraceSession {
         finished: false,
         _serial: serial,
     }
-}
-
-/// Start a session from `UCUDNN_TRACE*`, or `Ok(None)` when tracing is not
-/// requested.
-///
-/// # Errors
-/// [`EnvError`] naming the malformed variable.
-pub fn session_from_env() -> Result<Option<TraceSession>, EnvError> {
-    Ok(TraceConfig::from_env()?.map(session))
 }
 
 impl TraceSession {
@@ -663,15 +590,6 @@ impl Drop for TraceSession {
 mod tests {
     use super::*;
 
-    fn lookup<'a>(pairs: &'a [(&'a str, &'a str)]) -> impl Fn(&str) -> Option<String> + 'a {
-        move |k| {
-            pairs
-                .iter()
-                .find(|(key, _)| *key == k)
-                .map(|(_, v)| v.to_string())
-        }
-    }
-
     // Other core tests run concurrently in this process and may emit events
     // while one of these sessions is active, so every assertion filters on
     // a category/key marker unique to this module.
@@ -693,35 +611,6 @@ mod tests {
         }
         let g = span("trace-test", "never", || (String::new(), Value::Null));
         drop(g); // inert guard when built while disabled
-    }
-
-    #[test]
-    fn config_from_lookup_parses_and_rejects() {
-        assert!(TraceConfig::from_lookup(|_| None).unwrap().is_none());
-        let cfg = TraceConfig::from_lookup(lookup(&[
-            ("UCUDNN_TRACE", "/tmp/t.jsonl"),
-            ("UCUDNN_TRACE_FORMAT", "chrome"),
-            ("UCUDNN_TRACE_BUF", "128"),
-            ("UCUDNN_TRACE_CLOCK", "logical"),
-        ]))
-        .unwrap()
-        .unwrap();
-        assert_eq!(cfg.format, TraceFormat::Chrome);
-        assert_eq!(cfg.capacity, 128);
-        assert_eq!(cfg.clock, ClockMode::Logical);
-        assert_eq!(
-            cfg.path.as_deref().unwrap().to_str().unwrap(),
-            "/tmp/t.jsonl"
-        );
-        for (k, v) in [
-            ("UCUDNN_TRACE_FORMAT", "xml"),
-            ("UCUDNN_TRACE_BUF", "0"),
-            ("UCUDNN_TRACE_BUF", "lots"),
-            ("UCUDNN_TRACE_CLOCK", "sundial"),
-        ] {
-            let e = TraceConfig::from_lookup(lookup(&[("UCUDNN_TRACE", "t"), (k, v)])).unwrap_err();
-            assert_eq!(e.variable, k);
-        }
     }
 
     #[test]

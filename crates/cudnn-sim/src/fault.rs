@@ -126,120 +126,10 @@ impl Default for FaultPlan {
 }
 
 impl FaultPlan {
-    /// Build a plan from `UCUDNN_FAULT_*` environment variables, or `None`
-    /// when no fault variable is set:
-    ///
-    /// * `UCUDNN_FAULT_SEED` — seed for rate-based injection (default 0).
-    /// * `UCUDNN_FAULT_ALLOC_ABOVE` — byte threshold (`K`/`M`/`G` suffixes).
-    /// * `UCUDNN_FAULT_EXEC` — comma-separated `[site@]op:algo:batch`
-    ///   patterns, `*` wildcards: e.g. `fwd:FFT:*`, `*:WINOGRAD:64`,
-    ///   `bench@*:FFT_TILING:*`. `site` is `bench` or `exec`; `op` is
-    ///   `fwd`, `bwd_data`, `bwd_filter` or `*`; `algo` is a short name
-    ///   (`FFT`) or numeric id.
-    /// * `UCUDNN_FAULT_EXEC_RATE` — probability in `[0, 1]`.
-    /// * `UCUDNN_FAULT_TRANSIENT` — number of failures before a transient
-    ///   fault key starts succeeding (0 = faults are permanent).
-    pub fn from_env() -> Option<Self> {
-        Self::from_lookup(|k| std::env::var(k).ok())
-    }
-
-    /// [`FaultPlan::from_env`] with an injectable variable source (tests).
-    pub fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> Option<Self> {
-        let seed = lookup("UCUDNN_FAULT_SEED");
-        let alloc = lookup("UCUDNN_FAULT_ALLOC_ABOVE");
-        let exec = lookup("UCUDNN_FAULT_EXEC");
-        let rate = lookup("UCUDNN_FAULT_EXEC_RATE");
-        let transient = lookup("UCUDNN_FAULT_TRANSIENT");
-        if seed.is_none()
-            && alloc.is_none()
-            && exec.is_none()
-            && rate.is_none()
-            && transient.is_none()
-        {
-            return None;
-        }
-        Some(Self {
-            seed: seed.and_then(|s| s.trim().parse().ok()).unwrap_or(0),
-            alloc_fail_above: alloc.as_deref().and_then(parse_bytes),
-            targets: exec
-                .as_deref()
-                .map(|s| {
-                    s.split(',')
-                        .filter(|p| !p.trim().is_empty())
-                        .filter_map(parse_target)
-                        .collect()
-                })
-                .unwrap_or_default(),
-            exec_rate: rate
-                .and_then(|s| s.trim().parse::<f64>().ok())
-                .map(|r| r.clamp(0.0, 1.0))
-                .unwrap_or(0.0),
-            transient_tries: transient.and_then(|s| s.trim().parse().ok()).unwrap_or(0),
-        })
-    }
-
     /// Whether any injection is configured at all.
     pub fn is_active(&self) -> bool {
         self.alloc_fail_above.is_some() || !self.targets.is_empty() || self.exec_rate > 0.0
     }
-}
-
-/// Parse `123`, `64K`, `8M`, `1G` (case-insensitive) into bytes.
-fn parse_bytes(s: &str) -> Option<usize> {
-    let s = s.trim();
-    let (num, mult) = match s.chars().last()? {
-        'k' | 'K' => (&s[..s.len() - 1], 1usize << 10),
-        'm' | 'M' => (&s[..s.len() - 1], 1 << 20),
-        'g' | 'G' => (&s[..s.len() - 1], 1 << 30),
-        _ => (s, 1),
-    };
-    num.trim().parse::<usize>().ok().map(|n| n * mult)
-}
-
-/// Parse one `[site@]op:algo:batch` pattern.
-fn parse_target(s: &str) -> Option<FaultTarget> {
-    let s = s.trim();
-    let (site, rest) = match s.split_once('@') {
-        Some((site, rest)) => {
-            let site = match site.trim() {
-                "bench" => FaultSite::Benchmark,
-                "exec" => FaultSite::Execution,
-                _ => return None,
-            };
-            (Some(site), rest)
-        }
-        None => (None, s),
-    };
-    let mut parts = rest.split(':');
-    let (op, algo, batch) = (parts.next()?, parts.next()?, parts.next()?);
-    if parts.next().is_some() {
-        return None;
-    }
-    let op = match op.trim() {
-        "*" => None,
-        "fwd" => Some(ConvOp::Forward),
-        "bwd_data" => Some(ConvOp::BackwardData),
-        "bwd_filter" => Some(ConvOp::BackwardFilter),
-        _ => return None,
-    };
-    let algo = match algo.trim() {
-        "*" => None,
-        name => Some(
-            ConvAlgo::ALL
-                .into_iter()
-                .find(|a| a.short_name() == name || a.id().to_string() == name)?,
-        ),
-    };
-    let micro_batch = match batch.trim() {
-        "*" => None,
-        n => Some(n.parse().ok()?),
-    };
-    Some(FaultTarget {
-        site,
-        op,
-        algo,
-        micro_batch,
-    })
 }
 
 /// One injected fault, as recorded in the handle's fault log.
@@ -382,61 +272,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn from_lookup_returns_none_without_fault_vars() {
-        assert_eq!(FaultPlan::from_lookup(|_| None), None);
-    }
-
-    #[test]
-    fn from_lookup_parses_every_variable() {
-        let plan = FaultPlan::from_lookup(|k| {
-            Some(
-                match k {
-                    "UCUDNN_FAULT_SEED" => "42",
-                    "UCUDNN_FAULT_ALLOC_ABOVE" => "8M",
-                    "UCUDNN_FAULT_EXEC" => "fwd:FFT:*, bench@*:WINOGRAD:64",
-                    "UCUDNN_FAULT_EXEC_RATE" => "0.25",
-                    "UCUDNN_FAULT_TRANSIENT" => "2",
-                    _ => return None,
-                }
-                .to_string(),
-            )
-        })
-        .unwrap();
-        assert_eq!(plan.seed, 42);
-        assert_eq!(plan.alloc_fail_above, Some(8 << 20));
-        assert_eq!(plan.exec_rate, 0.25);
-        assert_eq!(plan.transient_tries, 2);
-        assert_eq!(
-            plan.targets,
-            vec![
-                FaultTarget {
-                    site: None,
-                    op: Some(ConvOp::Forward),
-                    algo: Some(ConvAlgo::Fft),
-                    micro_batch: None,
-                },
-                FaultTarget {
-                    site: Some(FaultSite::Benchmark),
-                    op: None,
-                    algo: Some(ConvAlgo::Winograd),
-                    micro_batch: Some(64),
-                },
-            ]
-        );
-        assert!(plan.is_active());
-    }
-
-    #[test]
-    fn malformed_targets_are_dropped() {
-        let plan = FaultPlan::from_lookup(|k| {
-            (k == "UCUDNN_FAULT_EXEC").then(|| "bogus, fwd:FFT:*, a:b:c:d, x@*:*:*".to_string())
-        })
-        .unwrap();
-        assert_eq!(plan.targets.len(), 1);
-        assert_eq!(plan.targets[0].algo, Some(ConvAlgo::Fft));
-    }
-
-    #[test]
     fn targets_match_with_wildcards() {
         let t = FaultTarget::algo(ConvAlgo::Fft);
         assert!(t.matches(FaultSite::Benchmark, ConvOp::Forward, ConvAlgo::Fft, 4));
@@ -526,15 +361,6 @@ mod tests {
             ..plan_a.clone()
         });
         assert_ne!(a1, b, "different seeds must change the schedule");
-    }
-
-    #[test]
-    fn parse_bytes_suffixes() {
-        assert_eq!(parse_bytes("123"), Some(123));
-        assert_eq!(parse_bytes("64K"), Some(64 << 10));
-        assert_eq!(parse_bytes("8m"), Some(8 << 20));
-        assert_eq!(parse_bytes("1G"), Some(1 << 30));
-        assert_eq!(parse_bytes("junk"), None);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::error::{CudnnError, Result};
 use crate::fault::{FaultInjector, FaultPlan, FaultRecord, FaultSite};
-use crate::plan_cache::{ExecCacheStats, PlanCache};
+use crate::plan_cache::{ExecCacheStats, PlanCache, DEFAULT_EXEC_CACHE_BYTES};
 use std::sync::atomic::{AtomicU64, Ordering};
 use ucudnn_conv::ConvOp;
 use ucudnn_gpu_model::{ConvAlgo, DeviceSpec, Perturbation};
@@ -52,7 +52,7 @@ impl CudnnHandle {
             kernels_launched: AtomicU64::new(0),
             faults: None,
             perturb: None,
-            plan_cache: PlanCache::from_env(),
+            plan_cache: PlanCache::new(DEFAULT_EXEC_CACHE_BYTES),
         }
     }
 
@@ -64,13 +64,13 @@ impl CudnnHandle {
             kernels_launched: AtomicU64::new(0),
             faults: None,
             perturb: None,
-            plan_cache: PlanCache::from_env(),
+            plan_cache: PlanCache::new(DEFAULT_EXEC_CACHE_BYTES),
         }
     }
 
     /// Replace the execution-plan cache with one of `capacity` bytes
-    /// (builder-style; 0 disables caching). The default capacity comes from
-    /// `UCUDNN_EXEC_CACHE_BYTES`.
+    /// (builder-style; 0 disables caching). The default capacity is
+    /// [`DEFAULT_EXEC_CACHE_BYTES`].
     pub fn with_exec_cache_bytes(mut self, capacity: usize) -> Self {
         self.plan_cache = PlanCache::new(capacity);
         self
@@ -92,15 +92,6 @@ impl CudnnHandle {
         self
     }
 
-    /// Attach the fault plan described by `UCUDNN_FAULT_*` environment
-    /// variables, if any are set ([`FaultPlan::from_env`]).
-    pub fn with_env_faults(self) -> Self {
-        match FaultPlan::from_env() {
-            Some(plan) => self.with_faults(plan),
-            None => self,
-        }
-    }
-
     /// Attach a deterministic latency [`Perturbation`] (builder-style):
     /// every simulated kernel time is multiplied by the perturbation's
     /// factor once the virtual clock passes its timestamp. The CPU engine
@@ -108,15 +99,6 @@ impl CudnnHandle {
     pub fn with_perturbation(mut self, p: Perturbation) -> Self {
         self.perturb = Some(p);
         self
-    }
-
-    /// Attach the perturbation described by `UCUDNN_PERTURB_*` environment
-    /// variables, if any are set ([`Perturbation::from_env`]).
-    pub fn with_env_perturbation(self) -> Self {
-        match Perturbation::from_env() {
-            Some(p) => self.with_perturbation(p),
-            None => self,
-        }
     }
 
     /// The attached perturbation, if any.

@@ -13,8 +13,8 @@
 //! by construction — exactly why the paper's WR scheme can share one
 //! workspace across a layer's micro-batches).
 //!
-//! Capacity is byte-capped (`UCUDNN_EXEC_CACHE_BYTES`, binary suffixes,
-//! default 64 MiB, `0` disables) with LRU eviction. Plans never change
+//! Capacity is byte-capped ([`DEFAULT_EXEC_CACHE_BYTES`] unless a handle
+//! sets its own, `0` disables) with LRU eviction. Plans never change
 //! numerical results, so caching — and eviction, and a disabled cache — are
 //! all invisible to outputs.
 
@@ -24,7 +24,7 @@ use std::sync::Mutex;
 use ucudnn_conv::{ConvOp, EngineKind, EnginePlan};
 use ucudnn_tensor::ConvGeometry;
 
-/// Default byte capacity when `UCUDNN_EXEC_CACHE_BYTES` is unset.
+/// Byte capacity of every handle's cache unless the handle sets its own.
 pub const DEFAULT_EXEC_CACHE_BYTES: usize = 64 << 20;
 
 /// Cache key: engine, operation, and the batch-1 geometry (micro-batches of
@@ -94,17 +94,6 @@ impl PlanCache {
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
         }
-    }
-
-    /// Capacity from `UCUDNN_EXEC_CACHE_BYTES` (binary suffixes accepted),
-    /// defaulting to [`DEFAULT_EXEC_CACHE_BYTES`]; malformed values fall
-    /// back to the default rather than silently disabling the cache.
-    pub fn from_env() -> Self {
-        let cap = std::env::var("UCUDNN_EXEC_CACHE_BYTES")
-            .ok()
-            .and_then(|v| parse_bytes(&v))
-            .unwrap_or(DEFAULT_EXEC_CACHE_BYTES);
-        Self::new(cap)
     }
 
     /// Configured byte capacity.
@@ -216,20 +205,6 @@ impl PlanCache {
         inner.map.clear();
         inner.bytes = 0;
     }
-}
-
-/// Parse a byte size with optional binary suffix (`"64M"` → 64 MiB); local
-/// duplicate of `ucudnn::env::parse_bytes` because the substrate crate sits
-/// below the core crate in the dependency graph.
-fn parse_bytes(s: &str) -> Option<usize> {
-    let s = s.trim();
-    let (digits, mult): (&str, usize) = match s.chars().last()? {
-        'k' | 'K' => (&s[..s.len() - 1], 1 << 10),
-        'm' | 'M' => (&s[..s.len() - 1], 1 << 20),
-        'g' | 'G' => (&s[..s.len() - 1], 1 << 30),
-        _ => (s, 1),
-    };
-    digits.trim().parse::<usize>().ok().map(|v| v * mult)
 }
 
 #[cfg(test)]
@@ -373,14 +348,5 @@ mod tests {
         }
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.bytes), (0, 3, 0));
-    }
-
-    #[test]
-    fn parse_bytes_suffixes() {
-        assert_eq!(parse_bytes("64M"), Some(64 << 20));
-        assert_eq!(parse_bytes(" 2 G"), Some(2 << 30));
-        assert_eq!(parse_bytes("123"), Some(123));
-        assert_eq!(parse_bytes("0"), Some(0));
-        assert_eq!(parse_bytes("nope"), None);
     }
 }

@@ -35,37 +35,6 @@ impl Perturbation {
             1.0
         }
     }
-
-    /// Build a perturbation from `UCUDNN_PERTURB_*` environment variables,
-    /// or `None` when neither is set:
-    ///
-    /// * `UCUDNN_PERTURB_AT_US` — virtual-clock timestamp of the step
-    ///   (default 0: perturbed from the start).
-    /// * `UCUDNN_PERTURB_FACTOR` — latency multiplier (default 2.0).
-    ///
-    /// Non-finite or non-positive values fall back to the defaults, the
-    /// same forgiving posture as `UCUDNN_FAULT_*`.
-    pub fn from_env() -> Option<Self> {
-        Self::from_lookup(|k| std::env::var(k).ok())
-    }
-
-    /// [`Perturbation::from_env`] with an injectable variable source.
-    pub fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> Option<Self> {
-        let at = lookup("UCUDNN_PERTURB_AT_US");
-        let factor = lookup("UCUDNN_PERTURB_FACTOR");
-        if at.is_none() && factor.is_none() {
-            return None;
-        }
-        let parse = |s: Option<String>, default: f64, min_ok: fn(f64) -> bool| {
-            s.and_then(|s| s.trim().parse::<f64>().ok())
-                .filter(|v| v.is_finite() && min_ok(*v))
-                .unwrap_or(default)
-        };
-        Some(Self {
-            at_us: parse(at, 0.0, |v| v >= 0.0),
-            factor: parse(factor, 2.0, |v| v > 0.0),
-        })
-    }
 }
 
 #[cfg(test)]
@@ -79,48 +48,5 @@ mod tests {
         assert_eq!(p.factor_at(999.999), 1.0);
         assert_eq!(p.factor_at(1000.0), 2.0);
         assert_eq!(p.factor_at(1e9), 2.0);
-    }
-
-    #[test]
-    fn from_lookup_returns_none_without_perturb_vars() {
-        assert_eq!(Perturbation::from_lookup(|_| None), None);
-    }
-
-    #[test]
-    fn from_lookup_parses_both_variables() {
-        let p = Perturbation::from_lookup(|k| {
-            Some(
-                match k {
-                    "UCUDNN_PERTURB_AT_US" => "50000",
-                    "UCUDNN_PERTURB_FACTOR" => "1.8",
-                    _ => return None,
-                }
-                .to_string(),
-            )
-        })
-        .unwrap();
-        assert_eq!(p, Perturbation::new(50_000.0, 1.8));
-    }
-
-    #[test]
-    fn partial_and_malformed_values_use_defaults() {
-        // Only the factor set: perturbed from t=0.
-        let p =
-            Perturbation::from_lookup(|k| (k == "UCUDNN_PERTURB_FACTOR").then(|| "3".to_string()))
-                .unwrap();
-        assert_eq!(p, Perturbation::new(0.0, 3.0));
-        // Malformed / non-positive values fall back, not crash.
-        let p = Perturbation::from_lookup(|k| {
-            Some(
-                match k {
-                    "UCUDNN_PERTURB_AT_US" => "soon",
-                    "UCUDNN_PERTURB_FACTOR" => "-2",
-                    _ => return None,
-                }
-                .to_string(),
-            )
-        })
-        .unwrap();
-        assert_eq!(p, Perturbation::new(0.0, 2.0));
     }
 }

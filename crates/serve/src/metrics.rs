@@ -67,7 +67,7 @@ pub struct ServeMetrics {
     /// Ingress: connections accepted by the reactor.
     pub conn_accepted: Counter,
     /// Ingress: connections refused at the listener by the
-    /// `UCUDNN_SERVE_MAX_CONNS` cap.
+    /// `IngressOptions::max_conns` cap.
     pub conn_rejected: Counter,
     /// Ingress: connections torn down on a read error (not clean EOF).
     pub conn_read_err: Counter,
@@ -93,14 +93,9 @@ impl Default for ServeMetrics {
 }
 
 impl ServeMetrics {
-    /// Fresh, zeroed instruments in a fresh registry (default ring size).
+    /// Fresh, zeroed instruments in a fresh registry.
     pub fn new() -> Self {
-        Self::with_registry(Registry::new())
-    }
-
-    /// Fresh instruments in a caller-supplied registry (e.g. one sized by
-    /// `UCUDNN_TELEMETRY_RING`).
-    pub fn with_registry(registry: Registry) -> Self {
+        let registry = Registry::new();
         let shed = registry.counter_vec(
             "ucudnn_serve_shed_total",
             "Requests shed, by ladder rung.",
@@ -226,8 +221,7 @@ impl ServeMetrics {
         self.conn_active_max.set_max(active as f64);
     }
 
-    /// The registry behind these instruments; clone it to scrape or to
-    /// push ring snapshots.
+    /// The registry behind these instruments; clone it to scrape.
     pub fn registry(&self) -> Registry {
         self.registry.clone()
     }

@@ -4,7 +4,7 @@
 //! The previous front-end spent one thread per connection and slept 2 ms
 //! between accepts; it saturated at a few hundred clients while the dynamic
 //! batcher behind it sat idle. This module replaces it with a small fixed
-//! pool of event-loop threads (`UCUDNN_SERVE_LOOPS`), each owning a
+//! pool of event-loop threads (`IngressOptions::loops`), each owning a
 //! [`Poller`](crate::sys::Poller) — raw epoll on Linux, `poll(2)` as the
 //! portable fallback — and a slab of per-connection state machines:
 //!
@@ -24,7 +24,7 @@
 //!   ladder would fire — unread requests wait in kernel socket buffers —
 //!   and resumes at half-drain hysteresis. A slow reader whose outbound
 //!   buffer crosses the high-water mark parks reads the same way. Beyond
-//!   both, `UCUDNN_SERVE_MAX_CONNS` rejects connections at the listener.
+//!   both, `IngressOptions::max_conns` rejects connections at the listener.
 //! * **Shutdown** is a drain, not a leak: [`Reactor::stop`] stops reading,
 //!   finishes half-written responses, waits (bounded) for in-flight
 //!   requests to resolve, closes every fd, and joins the loop threads.

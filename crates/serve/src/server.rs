@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use ucudnn::json;
-use ucudnn::telemetry::{ring_from_env, Registry};
+use ucudnn::telemetry::Registry;
 use ucudnn::{ServeOptions, TableProvenance};
 
 /// Longest the real server will hold a request for coalescing company past
@@ -274,12 +274,7 @@ impl Server {
             ..ReoptConfig::default()
         });
         let reopt_on = detector_cfg.enabled;
-        // Telemetry configuration is read at construction: a malformed
-        // value is a misconfigured deployment, not a load condition.
-        let ring = ring_from_env().expect("UCUDNN_TELEMETRY_RING must be a positive integer");
-        let burn_cfg = BurnConfig::from_env()
-            .expect("UCUDNN_SLO_BUDGET / UCUDNN_BURN_WINDOWS must be well-formed");
-        let metrics = Arc::new(ServeMetrics::with_registry(Registry::with_ring(ring)));
+        let metrics = Arc::new(ServeMetrics::new());
         let inner = Arc::new(Inner {
             runner,
             plan: Epoch::new(PlanState {
@@ -288,7 +283,7 @@ impl Server {
             }),
             metrics,
             detector: Mutex::new(DriftDetector::new(detector_cfg)),
-            burn: Mutex::new(BurnMonitor::new(burn_cfg)),
+            burn: Mutex::new(BurnMonitor::new(BurnConfig::default())),
             reopt: reopt_on.then(|| {
                 Arc::new(ReoptSignal {
                     state: Mutex::new(ReoptCommand::default()),
@@ -457,12 +452,9 @@ impl Server {
     /// runner's core-library registry (optimizer/cache/fault series, when
     /// the runner has one — no hand-copied keys), the combined
     /// `telemetry_dropped` self-metric, an `# ALERT` section with the burn
-    /// state, and the `# EOF` terminator. Each call also pushes a
-    /// timestamped ring snapshot into every serving series.
+    /// state, and the `# EOF` terminator.
     pub fn exposition(&self) -> String {
-        let now = self.inner.now_us();
         let serve_reg = self.inner.metrics.registry();
-        serve_reg.snapshot(now);
         let mut out = String::new();
         serve_reg.expose_into(&mut out);
         let mut dropped = serve_reg.dropped();
@@ -488,12 +480,6 @@ impl Server {
         }
         out.push_str("# EOF\n");
         out
-    }
-
-    /// The ring-buffered window history of the serving registry as JSON
-    /// (companion to [`Server::exposition`] for offline dumps).
-    pub fn telemetry_history_json(&self) -> String {
-        self.inner.metrics.registry().history_json().to_json()
     }
 
     /// The live plan generation (1 = the startup plan, +1 per hot-swap).

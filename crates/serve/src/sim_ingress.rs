@@ -42,7 +42,7 @@ pub struct IngressSimConfig {
     pub churn_rate_cps: f64,
     /// How long each churn connection stays open, microseconds.
     pub churn_hold_us: f64,
-    /// Listener connection cap (`UCUDNN_SERVE_MAX_CONNS`'s stand-in).
+    /// Listener connection cap (`IngressOptions::max_conns`'s stand-in).
     pub max_conns: usize,
     /// Kernel-buffer stand-in capacity: offered requests parked during an
     /// admission pause; overflow sheds as `queue_full`.

@@ -8,7 +8,7 @@
 //!
 //! The ground truth is explicit: the device executes micro-batch `m` in
 //! `base_t(m) · factor_at(now)` where the [`Perturbation`] steps the factor
-//! at a virtual timestamp (the sim twin of `UCUDNN_PERTURB_*` on the
+//! at a virtual timestamp (the sim twin of `with_perturbation` on the
 //! simulated `CudnnHandle`). The *plan* only knows whatever table it was
 //! last benchmarked with — the gap between the two is exactly what the
 //! detector observes and what a re-benchmark closes.

@@ -25,7 +25,6 @@
 //! the same (byte-reproducible) timestamp either way.
 
 use std::collections::VecDeque;
-use ucudnn::env::EnvError;
 
 /// Default error budget: 1% of admitted requests may go bad.
 pub const DEFAULT_BUDGET: f64 = 0.01;
@@ -36,7 +35,8 @@ pub const DEFAULT_SLOW_US: f64 = 10_000_000.0;
 /// Alert when both windows burn at ≥ this multiple of the budget rate.
 pub const DEFAULT_THRESHOLD: f64 = 1.0;
 
-/// Burn-monitor configuration (`UCUDNN_SLO_BUDGET`, `UCUDNN_BURN_WINDOWS`).
+/// Burn-monitor configuration. The live server runs the defaults; the
+/// virtual-clock sims pass their own.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BurnConfig {
     /// Fraction of admitted requests allowed to go bad, in `(0, 1]`.
@@ -57,62 +57,6 @@ impl Default for BurnConfig {
             slow_us: DEFAULT_SLOW_US,
             threshold: DEFAULT_THRESHOLD,
         }
-    }
-}
-
-impl BurnConfig {
-    /// Read the configuration from a key-lookup function (testable twin of
-    /// [`Self::from_env`]). Unset keys keep their defaults; malformed
-    /// values are errors, not silent fallbacks.
-    ///
-    /// * `UCUDNN_SLO_BUDGET` — bad-event budget fraction in `(0, 1]`.
-    /// * `UCUDNN_BURN_WINDOWS` — `"<fast_us>,<slow_us>"`, both positive,
-    ///   fast strictly shorter than slow.
-    ///
-    /// # Errors
-    /// [`EnvError`] naming the malformed variable.
-    pub fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> Result<Self, EnvError> {
-        let mut cfg = Self::default();
-        if let Some(v) = lookup("UCUDNN_SLO_BUDGET") {
-            cfg.budget = v
-                .trim()
-                .parse::<f64>()
-                .ok()
-                .filter(|b| b.is_finite() && *b > 0.0 && *b <= 1.0)
-                .ok_or(EnvError {
-                    variable: "UCUDNN_SLO_BUDGET",
-                    value: v,
-                })?;
-        }
-        if let Some(v) = lookup("UCUDNN_BURN_WINDOWS") {
-            let err = || EnvError {
-                variable: "UCUDNN_BURN_WINDOWS",
-                value: v.clone(),
-            };
-            let (fast, slow) = v.split_once(',').ok_or_else(err)?;
-            let parse = |s: &str| {
-                s.trim()
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|x| x.is_finite() && *x > 0.0)
-            };
-            let fast = parse(fast).ok_or_else(err)?;
-            let slow = parse(slow).ok_or_else(err)?;
-            if fast >= slow {
-                return Err(err());
-            }
-            cfg.fast_us = fast;
-            cfg.slow_us = slow;
-        }
-        Ok(cfg)
-    }
-
-    /// Read the configuration from the process environment.
-    ///
-    /// # Errors
-    /// [`EnvError`] naming the malformed variable.
-    pub fn from_env() -> Result<Self, EnvError> {
-        Self::from_lookup(|k| std::env::var(k).ok())
     }
 }
 
@@ -357,36 +301,5 @@ mod tests {
         m.observe(99_990.0, false);
         assert_eq!(m.max_ts, 100_000.0);
         assert_eq!(m.events.len(), 2);
-    }
-
-    #[test]
-    fn burn_config_env_parses_strictly() {
-        let none = |_: &str| None;
-        assert_eq!(
-            BurnConfig::from_lookup(none).unwrap(),
-            BurnConfig::default()
-        );
-        let both = |k: &str| match k {
-            "UCUDNN_SLO_BUDGET" => Some("0.05".to_string()),
-            "UCUDNN_BURN_WINDOWS" => Some("20000, 100000".to_string()),
-            _ => None,
-        };
-        let cfg = BurnConfig::from_lookup(both).unwrap();
-        assert_eq!(cfg.budget, 0.05);
-        assert_eq!(cfg.fast_us, 20_000.0);
-        assert_eq!(cfg.slow_us, 100_000.0);
-        for (key, bad) in [
-            ("UCUDNN_SLO_BUDGET", "0"),
-            ("UCUDNN_SLO_BUDGET", "1.5"),
-            ("UCUDNN_SLO_BUDGET", "lots"),
-            ("UCUDNN_BURN_WINDOWS", "5000"),
-            ("UCUDNN_BURN_WINDOWS", "5000,1000"),
-            ("UCUDNN_BURN_WINDOWS", "0,1000"),
-            ("UCUDNN_BURN_WINDOWS", "a,b"),
-        ] {
-            let e =
-                BurnConfig::from_lookup(|k| (k == key).then(|| bad.to_string())).expect_err(bad);
-            assert_eq!(e.variable, key);
-        }
     }
 }

@@ -14,7 +14,7 @@
 //! * **epoll** (Linux): one `epoll_create1` instance per event loop,
 //!   level-triggered interest updated with `epoll_ctl`, waits through
 //!   `epoll_pwait`. O(ready) per tick — the C10k path.
-//! * **poll(2)** (portable fallback, or `UCUDNN_SERVE_BACKEND=poll`): the
+//! * **poll(2)** (portable fallback, or chosen by `IngressOptions::backend`): the
 //!   interest list is replayed through `ppoll`/`poll` each tick. O(n) per
 //!   tick, but semantically identical — the reactor proper cannot tell the
 //!   backends apart, which is what the backend-parity tests pin.
@@ -604,7 +604,7 @@ impl Poller {
             #[cfg(not(target_os = "linux"))]
             Backend::Epoll => Err(io::Error::new(
                 io::ErrorKind::Unsupported,
-                "epoll backend requires Linux; set UCUDNN_SERVE_BACKEND=poll",
+                "epoll backend requires Linux; set IngressOptions::backend to poll",
             )),
             Backend::Poll => Ok(Poller::Poll(PollPoller::new())),
         }

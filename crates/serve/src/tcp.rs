@@ -19,8 +19,8 @@
 //! per-connection sequencers, and responses arrive via completion
 //! callbacks. This module keeps the *protocol*: parsing one request line
 //! ([`parse_request`]) and rendering one response line ([`ok_line`] /
-//! [`error_line`]), plus [`TcpFrontend`], the configuration-from-env
-//! facade the callers and tests bind to.
+//! [`error_line`]), plus [`TcpFrontend`], the facade the callers and
+//! tests bind to.
 
 use crate::reactor::Reactor;
 use crate::request::Response;
@@ -32,22 +32,19 @@ use ucudnn::json::{self, Value};
 use ucudnn::IngressOptions;
 
 /// A running TCP front-end bound to a [`Server`]: the reactor, configured
-/// from the `UCUDNN_SERVE_{MAX_CONNS,LOOPS,BACKEND}` environment.
+/// by an [`IngressOptions`].
 pub struct TcpFrontend {
     inner: Reactor,
 }
 
 impl TcpFrontend {
-    /// Bind `addr` (e.g. `"127.0.0.1:0"`) and start accepting, with the
-    /// ingress configuration read from the environment.
+    /// Bind `addr` (e.g. `"127.0.0.1:0"`) and start accepting with the
+    /// default [`IngressOptions`].
     ///
     /// # Errors
-    /// Socket bind failures, or a malformed `UCUDNN_SERVE_*` ingress
-    /// variable (reported as `InvalidInput`).
+    /// Socket bind failures.
     pub fn start(server: Arc<Server>, addr: &str) -> io::Result<Self> {
-        let opts = IngressOptions::from_env()
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-        Self::start_with(server, addr, &opts)
+        Self::start_with(server, addr, &IngressOptions::default())
     }
 
     /// Bind `addr` and start accepting with explicit ingress options.

@@ -72,6 +72,11 @@ fn concurrent_submitters_all_complete_with_correct_outputs() {
     assert_eq!(metrics.completed.get(), n_req as u64);
     assert_eq!(metrics.shed_total(), 0);
     assert!(metrics.batches.get() >= 1);
+    // A STATS scrape leaves the JSON snapshot's latency window alone.
+    server.exposition();
+    let json = ucudnn::json::Value::parse(&server.metrics_json()).unwrap();
+    let window = json.get("latency_window_us").unwrap();
+    assert_eq!(window.get("count").unwrap().as_u64(), Some(n_req as u64));
     // The shared plan cache saw every batch size the scheduler fired.
     let stats = runner.provider().inner().exec_cache_stats();
     assert!(stats.hits > 0, "plan cache must be reused across requests");
@@ -235,13 +240,16 @@ fn tcp_frontend_serves_the_line_protocol() {
         assert!(argmax < runner.output_len());
     }
 
-    // Malformed lines answer with an error instead of dropping the link.
-    writeln!(stream, "this is not json").unwrap();
-    let mut line = String::new();
-    reader.read_line(&mut line).unwrap();
-    let v = ucudnn::json::Value::parse(line.trim()).unwrap();
-    assert_eq!(v.get("ok"), Some(&ucudnn::json::Value::Bool(false)));
-    assert_eq!(v.get("error").unwrap().as_str(), Some("bad_json"));
+    // Malformed lines answer with an error instead of dropping the link,
+    // including one nested deep enough to overflow a recursive parser.
+    for bad in ["this is not json".to_string(), "[".repeat(100_000)] {
+        writeln!(stream, "{bad}").unwrap();
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        let v = ucudnn::json::Value::parse(line.trim()).unwrap();
+        assert_eq!(v.get("ok"), Some(&ucudnn::json::Value::Bool(false)));
+        assert_eq!(v.get("error").unwrap().as_str(), Some("bad_json"));
+    }
 
     writeln!(stream, "{{\"id\":9,\"input\":[1.0]}}").unwrap();
     let mut line = String::new();

@@ -31,19 +31,23 @@ const FAST_ALGOS: [ConvAlgo; 4] = [
     ConvAlgo::WinogradNonfused,
 ];
 
-/// Fault every FFT/Winograd benchmark, built through the `UCUDNN_FAULT_*`
-/// parser so the env surface is exercised end to end (no process-global
-/// env mutation: `from_lookup` takes the variables as a closure).
+/// A plan that faults every benchmark matching `targets`.
+fn benchmarks_faulted(targets: impl IntoIterator<Item = FaultTarget>) -> FaultPlan {
+    FaultPlan {
+        targets: targets
+            .into_iter()
+            .map(|t| FaultTarget {
+                site: Some(FaultSite::Benchmark),
+                ..t
+            })
+            .collect(),
+        ..FaultPlan::default()
+    }
+}
+
+/// Fault every FFT/Winograd benchmark.
 fn all_fast_benchmarks_faulted() -> FaultPlan {
-    let plan = FaultPlan::from_lookup(|k| {
-        (k == "UCUDNN_FAULT_EXEC").then(|| {
-            "bench@*:FFT:*, bench@*:FFT_TILING:*, bench@*:WINOGRAD:*, bench@*:WINOGRAD_NONFUSED:*"
-                .to_string()
-        })
-    })
-    .expect("a fault variable is set");
-    assert_eq!(plan.targets.len(), 4, "all four patterns must parse");
-    plan
+    benchmarks_faulted(FAST_ALGOS.map(FaultTarget::algo))
 }
 
 fn handle_with(plan: FaultPlan, mode: OptimizerMode, threads: usize) -> UcudnnHandle {
@@ -394,9 +398,7 @@ fn a_rebench_that_hits_fast_algorithm_faults_degrades_to_a_fallback_table() {
 fn a_rebench_with_every_benchmark_faulted_errors_instead_of_crashing() {
     // The bottom of the ladder: nothing is measurable, so the refresh
     // reports NoFeasibleConfiguration — the caller keeps the old plan.
-    let plan =
-        FaultPlan::from_lookup(|k| (k == "UCUDNN_FAULT_EXEC").then(|| "bench@*:*:*".to_string()))
-            .expect("a fault variable is set");
+    let plan = benchmarks_faulted([FaultTarget::any()]);
     let handle = CudnnHandle::simulated(p100_sxm2()).with_faults(plan);
     let kernels = [conv2_key()];
     let err = rebench_latency_table(

@@ -7,7 +7,7 @@ use ucudnn::json::Value;
 use ucudnn::{
     BatchSizePolicy, ClockMode, OptimizerMode, Trace, TraceConfig, UcudnnHandle, UcudnnOptions,
 };
-use ucudnn_cudnn_sim::{ConvOp, CudnnHandle};
+use ucudnn_cudnn_sim::{ConvOp, CudnnHandle, FaultPlan, FaultSite, FaultTarget};
 use ucudnn_framework::{setup_network, LayerSpec, NetworkDef};
 use ucudnn_gpu_model::p100_sxm2;
 use ucudnn_tensor::Shape4;
@@ -215,10 +215,13 @@ fn plan_provenance_explains_normal_and_degraded_decisions() {
     // Every benchmark faulted: the DP has no measurements, so the optimizer
     // has to take the last degradation rung — the undivided zero-workspace
     // configuration — and must say so in the provenance.
-    let faults = ucudnn_cudnn_sim::FaultPlan::from_lookup(|k| {
-        (k == "UCUDNN_FAULT_EXEC").then(|| "bench@*:*:*".to_string())
-    })
-    .expect("fault variable is set");
+    let faults = FaultPlan {
+        targets: vec![FaultTarget {
+            site: Some(FaultSite::Benchmark),
+            ..FaultTarget::any()
+        }],
+        ..FaultPlan::default()
+    };
     let h0 = UcudnnHandle::new(
         CudnnHandle::simulated(p100_sxm2()).with_faults(faults),
         UcudnnOptions {
