@@ -34,17 +34,6 @@ impl BatchSizePolicy {
         }
     }
 
-    /// Parse the C++ library's spelling (`all`, `powerOfTwo`,
-    /// `undivided`); the inverse of [`Self::name`].
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "all" => Some(BatchSizePolicy::All),
-            "powerOfTwo" => Some(BatchSizePolicy::PowerOfTwo),
-            "undivided" => Some(BatchSizePolicy::Undivided),
-            _ => None,
-        }
-    }
-
     /// The C++ library's spelling.
     pub fn name(&self) -> &'static str {
         match self {
@@ -97,18 +86,6 @@ mod tests {
         ] {
             assert!(p.candidate_sizes(0).is_empty());
         }
-    }
-
-    #[test]
-    fn parse_round_trips() {
-        for p in [
-            BatchSizePolicy::All,
-            BatchSizePolicy::PowerOfTwo,
-            BatchSizePolicy::Undivided,
-        ] {
-            assert_eq!(BatchSizePolicy::parse(p.name()), Some(p));
-        }
-        assert_eq!(BatchSizePolicy::parse("bogus"), None);
     }
 
     #[test]

@@ -1,6 +1,11 @@
 //! `cudnnActivationForward` / `cudnnActivationBackward`.
+//!
+//! The RealCpu kernels resolve the mode once per call and run one
+//! branch-free loop over the zipped slices; ReLU backward selects `alpha`
+//! or `alpha * 0.0` by `x > 0`. Each element keeps the arithmetic and order
+//! of [`forward_ref`] and [`backward_ref`], the retained per-element loops,
+//! so results are bit-identical to theirs.
 
-use super::check_len;
 use crate::descriptor::TensorDescriptor;
 use crate::error::{CudnnError, Result};
 use crate::handle::CudnnHandle;
@@ -23,6 +28,24 @@ pub struct ActivationDescriptor {
     pub mode: ActivationMode,
 }
 
+fn relu(x: f32) -> f32 {
+    x.max(0.0)
+}
+
+fn sigmoid(x: f32) -> f32 {
+    1.0 / (1.0 + (-x).exp())
+}
+
+/// Sigmoid's derivative through its output `y`.
+fn sigmoid_grad(y: f32) -> f32 {
+    y * (1.0 - y)
+}
+
+/// Tanh's derivative through its output `y`.
+fn tanh_grad(y: f32) -> f32 {
+    1.0 - y * y
+}
+
 impl ActivationDescriptor {
     /// Create a descriptor.
     pub fn new(mode: ActivationMode) -> Self {
@@ -31,8 +54,8 @@ impl ActivationDescriptor {
 
     fn eval(&self, x: f32) -> f32 {
         match self.mode {
-            ActivationMode::Relu => x.max(0.0),
-            ActivationMode::Sigmoid => 1.0 / (1.0 + (-x).exp()),
+            ActivationMode::Relu => relu(x),
+            ActivationMode::Sigmoid => sigmoid(x),
             ActivationMode::Tanh => x.tanh(),
         }
     }
@@ -47,8 +70,8 @@ impl ActivationDescriptor {
                     0.0
                 }
             }
-            ActivationMode::Sigmoid => y * (1.0 - y),
-            ActivationMode::Tanh => 1.0 - y * y,
+            ActivationMode::Sigmoid => sigmoid_grad(y),
+            ActivationMode::Tanh => tanh_grad(y),
         }
     }
 }
@@ -72,13 +95,11 @@ impl CudnnHandle {
         if x_desc.shape() != y_desc.shape() {
             return Err(CudnnError::BadParam("activation shapes must match".into()));
         }
-        check_len("x", x.len(), x_desc.len())?;
-        check_len("y", y.len(), y_desc.len())?;
+        self.check_len("x", x.len(), x_desc.len())?;
+        self.check_len("y", y.len(), y_desc.len())?;
         let bytes = 2 * 4 * x_desc.len();
         self.aux_op(bytes, !x.is_empty() || !y.is_empty(), || {
-            for (yo, &xi) in y.iter_mut().zip(x) {
-                *yo = alpha * act.eval(xi) + beta * *yo;
-            }
+            forward(act, alpha, x, beta, y);
             Ok(())
         })
     }
@@ -109,18 +130,98 @@ impl CudnnHandle {
                 "activation gradient shapes must match".into(),
             ));
         }
-        check_len("y", y.len(), s.len())?;
-        check_len("dy", dy.len(), s.len())?;
-        check_len("x", x.len(), s.len())?;
-        check_len("dx", dx.len(), s.len())?;
+        self.check_len("y", y.len(), s.len())?;
+        self.check_len("dy", dy.len(), s.len())?;
+        self.check_len("x", x.len(), s.len())?;
+        self.check_len("dx", dx.len(), s.len())?;
         let bytes = 4 * 4 * s.len();
         let any = !y.is_empty() || !dy.is_empty() || !x.is_empty() || !dx.is_empty();
         self.aux_op(bytes, any, || {
-            for i in 0..dx.len() {
-                dx[i] = alpha * act.grad(x[i], y[i]) * dy[i] + beta * dx[i];
-            }
+            backward(act, alpha, y, dy, x, beta, dx);
             Ok(())
         })
+    }
+}
+
+/// The RealCpu body of [`CudnnHandle::activation_forward`].
+fn forward(act: &ActivationDescriptor, alpha: f32, x: &[f32], beta: f32, y: &mut [f32]) {
+    #[inline(always)]
+    fn map(alpha: f32, x: &[f32], beta: f32, y: &mut [f32], f: impl Fn(f32) -> f32) {
+        for (yo, &xi) in y.iter_mut().zip(x) {
+            *yo = alpha * f(xi) + beta * *yo;
+        }
+    }
+    match act.mode {
+        ActivationMode::Relu => map(alpha, x, beta, y, relu),
+        ActivationMode::Sigmoid => map(alpha, x, beta, y, sigmoid),
+        ActivationMode::Tanh => map(alpha, x, beta, y, f32::tanh),
+    }
+}
+
+/// The RealCpu body of [`CudnnHandle::activation_backward`]: ReLU reads `x`,
+/// sigmoid and tanh read `y`.
+fn backward(
+    act: &ActivationDescriptor,
+    alpha: f32,
+    y: &[f32],
+    dy: &[f32],
+    x: &[f32],
+    beta: f32,
+    dx: &mut [f32],
+) {
+    // dx = k(src) * dy + beta * dx, where k(src) is alpha * f'.
+    #[inline(always)]
+    fn map(beta: f32, src: &[f32], dy: &[f32], dx: &mut [f32], k: impl Fn(f32) -> f32) {
+        for ((d, &s), &g) in dx.iter_mut().zip(src).zip(dy) {
+            *d = k(s) * g + beta * *d;
+        }
+    }
+    match act.mode {
+        ActivationMode::Relu => {
+            // alpha * 1.0 is alpha; alpha * 0.0 keeps its sign.
+            let off = alpha * 0.0;
+            map(beta, x, dy, dx, |xi| if xi > 0.0 { alpha } else { off });
+        }
+        ActivationMode::Sigmoid => map(beta, y, dy, dx, |yi| alpha * sigmoid_grad(yi)),
+        ActivationMode::Tanh => map(beta, y, dy, dx, |yi| alpha * tanh_grad(yi)),
+    }
+}
+
+/// `y = alpha * f(x) + beta * y` by the retained per-element loop: the
+/// reference that [`CudnnHandle::activation_forward`]'s RealCpu kernel
+/// reproduces bit for bit.
+///
+/// # Panics
+/// When `x` and `y` differ in length.
+pub fn forward_ref(act: &ActivationDescriptor, alpha: f32, x: &[f32], beta: f32, y: &mut [f32]) {
+    assert_eq!(x.len(), y.len(), "buffer lengths");
+    for (yo, &xi) in y.iter_mut().zip(x) {
+        *yo = alpha * act.eval(xi) + beta * *yo;
+    }
+}
+
+/// `dx = alpha * f'(x) ⊙ dy + beta * dx` by the retained per-element loop:
+/// the reference that [`CudnnHandle::activation_backward`]'s RealCpu kernel
+/// reproduces bit for bit.
+///
+/// # Panics
+/// When the four slices differ in length.
+pub fn backward_ref(
+    act: &ActivationDescriptor,
+    alpha: f32,
+    y: &[f32],
+    dy: &[f32],
+    x: &[f32],
+    beta: f32,
+    dx: &mut [f32],
+) {
+    let n = dx.len();
+    assert!(
+        y.len() == n && dy.len() == n && x.len() == n,
+        "buffer lengths"
+    );
+    for i in 0..dx.len() {
+        dx[i] = alpha * act.grad(x[i], y[i]) * dy[i] + beta * dx[i];
     }
 }
 
@@ -217,5 +318,46 @@ mod tests {
         assert!(h
             .activation_forward(&act, 1.0, &a, &[], 0.0, &b, &mut [])
             .is_err());
+    }
+
+    #[test]
+    fn activation_forward_rejects_an_empty_buffer_on_real_cpu() {
+        let h = CudnnHandle::real_cpu();
+        let d = desc();
+        let act = ActivationDescriptor::new(ActivationMode::Relu);
+        let mut y = vec![7.0; d.len()];
+        let err = h
+            .activation_forward(&act, 1.0, &d, &[], 0.0, &d, &mut y)
+            .unwrap_err();
+        assert!(matches!(err, CudnnError::BadParam(_)), "{err}");
+        assert!(y.iter().all(|&v| v == 7.0), "y must be left untouched");
+    }
+
+    #[test]
+    fn activation_backward_rejects_an_empty_buffer_on_real_cpu() {
+        let h = CudnnHandle::real_cpu();
+        let d = desc();
+        let act = ActivationDescriptor::new(ActivationMode::Relu);
+        let full = vec![1.0; d.len()];
+        let mut dx = vec![0.0; d.len()];
+        for empty in 0..3 {
+            let pick = |i: usize| if i == empty { &[][..] } else { &full[..] };
+            let err = h
+                .activation_backward(
+                    &act,
+                    1.0,
+                    &d,
+                    pick(0),
+                    &d,
+                    pick(1),
+                    &d,
+                    pick(2),
+                    0.0,
+                    &d,
+                    &mut dx,
+                )
+                .unwrap_err();
+            assert!(matches!(err, CudnnError::BadParam(_)), "{err}");
+        }
     }
 }

@@ -1,7 +1,6 @@
 //! `cudnnBatchNormalizationForwardTraining` / `cudnnBatchNormalizationBackward`
 //! in `SPATIAL` mode (one statistic per channel over N×H×W).
 
-use super::check_len;
 use crate::descriptor::TensorDescriptor;
 use crate::error::{CudnnError, Result};
 use crate::handle::CudnnHandle;
@@ -76,19 +75,13 @@ impl CudnnHandle {
                 "epsilon {epsilon} < CUDNN_BN_MIN_EPSILON"
             )));
         }
-        check_len("x", x.len(), s.len())?;
-        check_len("y", y.len(), s.len())?;
+        self.check_len("x", x.len(), s.len())?;
+        self.check_len("y", y.len(), s.len())?;
+        self.check_len("gamma", gamma.len(), s.c)?;
+        self.check_len("beta", beta_p.len(), s.c)?;
+        self.check_len("saved_mean", saved_mean.len(), s.c)?;
+        self.check_len("saved_inv_var", saved_inv_var.len(), s.c)?;
         let any = !x.is_empty() || !y.is_empty();
-        if any
-            && (gamma.len() != s.c
-                || beta_p.len() != s.c
-                || saved_mean.len() != s.c
-                || saved_inv_var.len() != s.c)
-        {
-            return Err(CudnnError::BadParam(
-                "per-channel parameter length mismatch".into(),
-            ));
-        }
         // Two passes over x plus one write of y.
         let bytes = 4 * 3 * s.len();
         self.aux_op(bytes, any, || {
@@ -140,9 +133,12 @@ impl CudnnHandle {
                 "batch-norm gradient shapes must match".into(),
             ));
         }
-        check_len("x", x.len(), s.len())?;
-        check_len("dy", dy.len(), s.len())?;
-        check_len("dx", dx.len(), s.len())?;
+        self.check_len("x", x.len(), s.len())?;
+        self.check_len("dy", dy.len(), s.len())?;
+        self.check_len("dx", dx.len(), s.len())?;
+        self.check_len("gamma", gamma.len(), s.c)?;
+        self.check_len("dgamma", dgamma.len(), s.c)?;
+        self.check_len("dbeta", dbeta.len(), s.c)?;
         let any = !x.is_empty() || !dy.is_empty() || !dx.is_empty();
         let bytes = 4 * 4 * s.len();
         self.aux_op(bytes, any, || {
@@ -402,5 +398,74 @@ mod tests {
         )
         .unwrap();
         assert!(h.elapsed_us() > 0.0);
+    }
+
+    #[test]
+    fn forward_training_rejects_an_empty_buffer_on_real_cpu() {
+        let h = CudnnHandle::real_cpu();
+        let d = desc();
+        let c = d.shape().c;
+        let mut y = vec![0.0; d.len()];
+        let (mut sm, mut siv) = (vec![0.0; c], vec![0.0; c]);
+        let err = h
+            .batch_norm_forward_training(
+                1.0,
+                0.0,
+                &d,
+                &[],
+                &d,
+                &mut y,
+                &[1.0, 1.0],
+                &[0.0, 0.0],
+                BN_MIN_EPSILON,
+                &mut sm,
+                &mut siv,
+            )
+            .unwrap_err();
+        assert!(matches!(err, CudnnError::BadParam(_)), "{err}");
+    }
+
+    #[test]
+    fn backward_rejects_an_empty_buffer_on_real_cpu() {
+        let h = CudnnHandle::real_cpu();
+        let d = desc();
+        let c = d.shape().c;
+        let (x, dy) = (vec![1.0; d.len()], vec![1.0; d.len()]);
+        let mut dx = vec![0.0; d.len()];
+        let (mut dg, mut db) = (vec![0.0; c], vec![0.0; c]);
+        let err = h
+            .batch_norm_backward(
+                &d,
+                &x,
+                &d,
+                &[],
+                &d,
+                &mut dx,
+                &[1.0, 1.0],
+                &mut dg,
+                &mut db,
+                BN_MIN_EPSILON,
+                &[],
+                &[],
+            )
+            .unwrap_err();
+        assert!(matches!(err, CudnnError::BadParam(_)), "{err}");
+        let err = h
+            .batch_norm_backward(
+                &d,
+                &x,
+                &d,
+                &dy,
+                &d,
+                &mut dx,
+                &[],
+                &mut dg,
+                &mut db,
+                BN_MIN_EPSILON,
+                &[],
+                &[],
+            )
+            .unwrap_err();
+        assert!(matches!(err, CudnnError::BadParam(_)), "{err}");
     }
 }

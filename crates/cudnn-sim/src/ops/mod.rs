@@ -54,17 +54,19 @@ impl CudnnHandle {
             }
         }
     }
-}
 
-/// Check a data slice against its descriptor length: either empty
-/// (simulated) or exactly matching (real).
-pub(crate) fn check_len(name: &str, got: usize, want: usize) -> Result<()> {
-    if got != 0 && got != want {
-        return Err(CudnnError::BadParam(format!(
-            "{name} buffer has {got} elements, descriptor says {want}"
-        )));
+    /// Check a data slice against its descriptor length: RealCpu computes
+    /// on it, so it must match exactly; the simulated engine also takes an
+    /// empty slice (and [`Self::aux_op`] then rejects any data).
+    pub(crate) fn check_len(&self, name: &str, got: usize, want: usize) -> Result<()> {
+        let simulated_empty = got == 0 && matches!(self.engine(), Engine::Simulated(_));
+        if got != want && !simulated_empty {
+            return Err(CudnnError::BadParam(format!(
+                "{name} buffer has {got} elements, descriptor says {want}"
+            )));
+        }
+        Ok(())
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -107,10 +109,17 @@ mod tests {
     }
 
     #[test]
-    fn check_len_accepts_empty_and_exact() {
+    fn check_len_takes_empty_slices_only_when_simulated() {
         let d = TensorDescriptor::new_4d(2, 3, 4, 4).unwrap();
-        assert!(check_len("x", 0, d.len()).is_ok());
-        assert!(check_len("x", d.len(), d.len()).is_ok());
-        assert!(check_len("x", 5, d.len()).is_err());
+        let sim = CudnnHandle::simulated(p100_sxm2());
+        assert!(sim.check_len("x", 0, d.len()).is_ok());
+        assert!(sim.check_len("x", d.len(), d.len()).is_ok());
+        assert!(sim.check_len("x", 5, d.len()).is_err());
+        let real = CudnnHandle::real_cpu();
+        assert!(real.check_len("x", d.len(), d.len()).is_ok());
+        for got in [0, 5] {
+            let err = real.check_len("x", got, d.len()).unwrap_err();
+            assert!(matches!(err, CudnnError::BadParam(_)));
+        }
     }
 }

@@ -1,9 +1,23 @@
 //! `cudnnPoolingForward` / `cudnnPoolingBackward`.
+//!
+//! The RealCpu kernels resolve the mode, the clipped window bounds and the
+//! plane offsets once per output row instead of per element. Max pooling
+//! with 2×2 windows at horizontal stride 2, the only max pooling `train`
+//! and `serve` run, is lane-parallel over each output row's interior
+//! windows (wholly inside the input): forward reads the two window rows as
+//! column pairs, and backward finds the windows' argmaxes with branch-free
+//! selects before it routes their gradients. Clipped edge windows, other
+//! window shapes and average pooling (GAP included) run one output at a
+//! time. Each output still folds its window row by row and left to right,
+//! and backward still adds into `dx` in output order, so results are
+//! bit-identical to [`forward_ref`] and [`backward_ref`], the retained
+//! per-element loops that `tests/aux_bit_identity.rs` and the `hotpath`
+//! benchmark compare against.
 
-use super::check_len;
 use crate::descriptor::TensorDescriptor;
 use crate::error::{CudnnError, Result};
 use crate::handle::CudnnHandle;
+use std::ops::Range;
 use ucudnn_tensor::Shape4;
 
 /// Pooling mode (`cudnnPoolingMode_t`).
@@ -70,24 +84,72 @@ impl PoolingDescriptor {
     /// Output shape (Caffe/cuDNN ceil-mode).
     pub fn output_dim(&self, x: &TensorDescriptor) -> Shape4 {
         let s = x.shape();
-        let oh = (s.h + 2 * self.pad_h - self.window_h).div_ceil(self.stride_h) + 1;
-        let ow = (s.w + 2 * self.pad_w - self.window_w).div_ceil(self.stride_w) + 1;
-        Shape4::new(s.n, s.c, oh, ow)
+        let (h, w) = self.axes(s);
+        Shape4::new(s.n, s.c, h.out, w.out)
     }
 
-    /// Clipped window bounds along one axis.
-    fn window(
-        &self,
-        p: usize,
-        stride: usize,
-        pad: usize,
-        window: usize,
-        len: usize,
-    ) -> (usize, usize) {
-        let start = (p * stride) as isize - pad as isize;
-        let lo = start.max(0) as usize;
-        let hi = ((start + window as isize).max(0) as usize).min(len);
-        (lo, hi.max(lo))
+    /// The vertical and horizontal window geometry on input shape `xs`.
+    fn axes(&self, xs: Shape4) -> (Axis, Axis) {
+        (
+            Axis::new(xs.h, self.window_h, self.pad_h, self.stride_h),
+            Axis::new(xs.w, self.window_w, self.pad_w, self.stride_w),
+        )
+    }
+
+    /// `1 / window area`, the average mode's scale.
+    fn inv_area(&self) -> f32 {
+        1.0 / (self.window_h * self.window_w) as f32
+    }
+}
+
+/// One spatial axis of a pooling call.
+#[derive(Debug, Clone, Copy)]
+struct Axis {
+    /// Input length.
+    len: usize,
+    /// Output length (ceil mode).
+    out: usize,
+    window: usize,
+    pad: usize,
+    stride: usize,
+}
+
+impl Axis {
+    fn new(len: usize, window: usize, pad: usize, stride: usize) -> Self {
+        let out = (len + 2 * pad - window).div_ceil(stride) + 1;
+        Self {
+            len,
+            out,
+            window,
+            pad,
+            stride,
+        }
+    }
+
+    /// Clipped input range `lo..hi` of output `p`'s window, with
+    /// `lo <= hi <= len`; empty when the window lies wholly in padding,
+    /// which ceil mode allows past the input's far edge.
+    fn clip(&self, p: usize) -> (usize, usize) {
+        let start = (p * self.stride) as isize - self.pad as isize;
+        let lo = (start.max(0) as usize).min(self.len);
+        let hi = ((start + self.window as isize).max(0) as usize).clamp(lo, self.len);
+        (lo, hi)
+    }
+
+    /// The outputs whose windows lie wholly inside the input.
+    fn interior(&self) -> Range<usize> {
+        let first = self.pad.div_ceil(self.stride);
+        let end = match (self.len + self.pad).checked_sub(self.window) {
+            Some(room) => (room / self.stride + 1).min(self.out),
+            None => 0,
+        };
+        first.min(end)..end
+    }
+
+    /// Input column of the first element of interior output `q`'s window
+    /// (`q` may be one past the last).
+    fn start(&self, q: usize) -> usize {
+        q * self.stride - self.pad
     }
 }
 
@@ -114,49 +176,11 @@ impl CudnnHandle {
                 y_desc.shape()
             )));
         }
-        check_len("x", x.len(), x_desc.len())?;
-        check_len("y", y.len(), ys.len())?;
-        let xs = x_desc.shape();
+        self.check_len("x", x.len(), x_desc.len())?;
+        self.check_len("y", y.len(), ys.len())?;
         let bytes = 4 * (ys.len() * pool.window_h * pool.window_w / 2 + ys.len());
         self.aux_op(bytes, !x.is_empty() || !y.is_empty(), || {
-            let inv = 1.0 / (pool.window_h * pool.window_w) as f32;
-            for ni in 0..ys.n {
-                for ci in 0..ys.c {
-                    for p in 0..ys.h {
-                        let (hlo, hhi) =
-                            pool.window(p, pool.stride_h, pool.pad_h, pool.window_h, xs.h);
-                        for q in 0..ys.w {
-                            let (wlo, whi) =
-                                pool.window(q, pool.stride_w, pool.pad_w, pool.window_w, xs.w);
-                            let mut acc = match pool.mode {
-                                PoolingMode::Max => f32::NEG_INFINITY,
-                                PoolingMode::AverageIncludePadding => 0.0,
-                            };
-                            for hi in hlo..hhi {
-                                for wi in wlo..whi {
-                                    let v = x[xs.index(ni, ci, hi, wi)];
-                                    acc = match pool.mode {
-                                        PoolingMode::Max => acc.max(v),
-                                        PoolingMode::AverageIncludePadding => acc + v,
-                                    };
-                                }
-                            }
-                            let val = match pool.mode {
-                                PoolingMode::Max => {
-                                    if hlo == hhi || wlo == whi {
-                                        0.0
-                                    } else {
-                                        acc
-                                    }
-                                }
-                                PoolingMode::AverageIncludePadding => acc * inv,
-                            };
-                            let o = ys.index(ni, ci, p, q);
-                            y[o] = alpha * val + beta * y[o];
-                        }
-                    }
-                }
-            }
+            forward(pool, alpha, x_desc.shape(), x, beta, y);
             Ok(())
         })
     }
@@ -187,58 +211,324 @@ impl CudnnHandle {
                 "pooling gradient shapes must match".into(),
             ));
         }
-        check_len("dy", dy.len(), ys.len())?;
-        check_len("x", x.len(), x_desc.len())?;
-        check_len("dx", dx.len(), x_desc.len())?;
+        self.check_len("dy", dy.len(), ys.len())?;
+        self.check_len("x", x.len(), x_desc.len())?;
+        self.check_len("dx", dx.len(), x_desc.len())?;
         let xs = x_desc.shape();
         let bytes = 4 * (2 * xs.len() + 2 * ys.len());
         let any = !dy.is_empty() || !x.is_empty() || !dx.is_empty();
         self.aux_op(bytes, any, || {
-            if beta != 1.0 {
-                for v in dx.iter_mut() {
-                    *v *= beta;
+            backward(pool, alpha, xs, dy, x, beta, dx);
+            Ok(())
+        })
+    }
+}
+
+/// The RealCpu body of [`CudnnHandle::pooling_forward`]; slice lengths are
+/// checked by the caller.
+fn forward(pool: &PoolingDescriptor, alpha: f32, xs: Shape4, x: &[f32], beta: f32, y: &mut [f32]) {
+    let (ah, aw) = pool.axes(xs);
+    let inv = pool.inv_area();
+    let w = xs.w;
+    let out = |o: &mut f32, val: f32| *o = alpha * val + beta * *o;
+    let interior = lane_span(pool, &aw);
+    for (xp, yp) in x
+        .chunks_exact(xs.h * w)
+        .zip(y.chunks_exact_mut(ah.out * aw.out))
+    {
+        for (p, yrow) in yp.chunks_exact_mut(aw.out).enumerate() {
+            let (hlo, hhi) = ah.clip(p);
+            let rows = &xp[hlo * w..hhi * w];
+            let scalar = |q: usize| window_value(pool.mode, rows, w, aw.clip(q), inv);
+            let full = hhi - hlo == pool.window_h;
+            let lanes = if full { interior.clone() } else { 0..0 };
+            let (left, rest) = yrow.split_at_mut(lanes.start);
+            let (mid, right) = rest.split_at_mut(lanes.len());
+            for (q, o) in left.iter_mut().enumerate() {
+                out(o, scalar(q));
+            }
+            if !lanes.is_empty() {
+                let cols = aw.start(lanes.start)..aw.start(lanes.end);
+                let (r0, r1) = (&rows[cols.clone()], &rows[w..][cols]);
+                for ((o, a), b) in mid
+                    .iter_mut()
+                    .zip(r0.chunks_exact(2))
+                    .zip(r1.chunks_exact(2))
+                {
+                    out(o, f32::NEG_INFINITY.max(a[0]).max(a[1]).max(b[0]).max(b[1]));
                 }
             }
-            let inv = 1.0 / (pool.window_h * pool.window_w) as f32;
-            for ni in 0..ys.n {
-                for ci in 0..ys.c {
-                    for p in 0..ys.h {
-                        let (hlo, hhi) =
-                            pool.window(p, pool.stride_h, pool.pad_h, pool.window_h, xs.h);
-                        for q in 0..ys.w {
-                            let (wlo, whi) =
-                                pool.window(q, pool.stride_w, pool.pad_w, pool.window_w, xs.w);
-                            let g = alpha * dy[ys.index(ni, ci, p, q)];
-                            match pool.mode {
-                                PoolingMode::Max => {
-                                    let (mut bh, mut bw, mut bv) =
-                                        (usize::MAX, usize::MAX, f32::NEG_INFINITY);
-                                    for hi in hlo..hhi {
-                                        for wi in wlo..whi {
-                                            let v = x[xs.index(ni, ci, hi, wi)];
-                                            if v > bv {
-                                                (bh, bw, bv) = (hi, wi, v);
-                                            }
-                                        }
-                                    }
-                                    if bh != usize::MAX {
-                                        dx[xs.index(ni, ci, bh, bw)] += g;
+            for (q, o) in (lanes.end..).zip(right) {
+                out(o, scalar(q));
+            }
+        }
+    }
+}
+
+/// The outputs of each output row that run lane-parallel: for max pooling
+/// with a 2×2 window at horizontal stride 2 (`train`'s and `serve`'s), the
+/// windows wholly inside the input; none otherwise. A row whose window
+/// rows are clipped runs every output scalar.
+fn lane_span(pool: &PoolingDescriptor, aw: &Axis) -> Range<usize> {
+    let shape = (pool.window_h, pool.window_w, pool.stride_w);
+    if pool.mode == PoolingMode::Max && shape == (2, 2, 2) {
+        aw.interior()
+    } else {
+        0..0
+    }
+}
+
+/// One output of [`forward`] on the window rows `rows` (each `w` wide)
+/// and columns `cols`, in [`forward_ref`]'s order.
+fn window_value(mode: PoolingMode, rows: &[f32], w: usize, cols: (usize, usize), inv: f32) -> f32 {
+    let (lo, hi) = cols;
+    match mode {
+        PoolingMode::Max => {
+            if rows.is_empty() || lo == hi {
+                return 0.0;
+            }
+            let mut acc = f32::NEG_INFINITY;
+            for row in rows.chunks_exact(w) {
+                for &v in &row[lo..hi] {
+                    acc = acc.max(v);
+                }
+            }
+            acc
+        }
+        PoolingMode::AverageIncludePadding => {
+            let mut acc = 0.0f32;
+            for row in rows.chunks_exact(w) {
+                for &v in &row[lo..hi] {
+                    acc += v;
+                }
+            }
+            acc * inv
+        }
+    }
+}
+
+/// The RealCpu body of [`CudnnHandle::pooling_backward`]; slice lengths are
+/// checked by the caller.
+fn backward(
+    pool: &PoolingDescriptor,
+    alpha: f32,
+    xs: Shape4,
+    dy: &[f32],
+    x: &[f32],
+    beta: f32,
+    dx: &mut [f32],
+) {
+    if beta != 1.0 {
+        for v in dx.iter_mut() {
+            *v *= beta;
+        }
+    }
+    let (ah, aw) = pool.axes(xs);
+    let inv = pool.inv_area();
+    let w = xs.w;
+    let interior = lane_span(pool, &aw);
+    let mut args = [0u32; LANES];
+    for ((xp, dxp), dyp) in x
+        .chunks_exact(xs.h * w)
+        .zip(dx.chunks_exact_mut(xs.h * w))
+        .zip(dy.chunks_exact(ah.out * aw.out))
+    {
+        for (p, dyrow) in dyp.chunks_exact(aw.out).enumerate() {
+            let (hlo, hhi) = ah.clip(p);
+            let scalar = |q: usize, dxp: &mut [f32]| {
+                let g = alpha * dyrow[q];
+                let (wlo, whi) = aw.clip(q);
+                match pool.mode {
+                    PoolingMode::Max => {
+                        let mut best = (f32::NEG_INFINITY, None);
+                        for hi in hlo..hhi {
+                            for wi in wlo..whi {
+                                let v = xp[hi * w + wi];
+                                if v > best.0 {
+                                    best = (v, Some(hi * w + wi));
+                                }
+                            }
+                        }
+                        if let Some(at) = best.1 {
+                            dxp[at] += g;
+                        }
+                    }
+                    PoolingMode::AverageIncludePadding => {
+                        for hi in hlo..hhi {
+                            for d in &mut dxp[hi * w + wlo..hi * w + whi] {
+                                *d += g * inv;
+                            }
+                        }
+                    }
+                }
+            };
+            let full = hhi - hlo == pool.window_h;
+            let lanes = if full { interior.clone() } else { 0..0 };
+            for q in 0..lanes.start {
+                scalar(q, dxp);
+            }
+            let rows = &xp[hlo * w..hhi * w];
+            let dxrows = &mut dxp[hlo * w..hhi * w];
+            for q0 in lanes.clone().step_by(LANES) {
+                let cols = aw.start(q0)..aw.start(lanes.end.min(q0 + LANES));
+                let (r0, r1) = (&rows[cols.clone()], &rows[w..][cols.clone()]);
+                let args = &mut args[..cols.len() / 2];
+                for ((arg, a), b) in args
+                    .iter_mut()
+                    .zip(r0.chunks_exact(2))
+                    .zip(r1.chunks_exact(2))
+                {
+                    *arg = argmax4([a[0], a[1], b[0], b[1]]);
+                }
+                // Route each gradient to its window's argmax, in output order.
+                for (k, (&arg, &g)) in args.iter().zip(&dyrow[q0..]).enumerate() {
+                    if arg < 4 {
+                        let at = (arg as usize >> 1) * w + cols.start + 2 * k + (arg as usize & 1);
+                        dxrows[at] += alpha * g;
+                    }
+                }
+            }
+            for q in lanes.end..aw.out {
+                scalar(q, dxp);
+            }
+        }
+    }
+}
+
+/// Windows whose argmaxes [`backward`] finds in one vectorized pass before
+/// routing their gradients.
+const LANES: usize = 64;
+
+/// Index of the first maximum of a 2×2 window's elements in row-major
+/// order, by branch-free selects, so NaN never wins, as in
+/// [`backward_ref`]; 4 when nothing beats `-inf`.
+#[inline(always)]
+fn argmax4(v: [f32; 4]) -> u32 {
+    let (mut best, mut arg) = (f32::NEG_INFINITY, 4);
+    for (t, v) in (0..4).zip(v) {
+        let take = v > best;
+        best = if take { v } else { best };
+        arg = if take { t } else { arg };
+    }
+    arg
+}
+
+/// `y = alpha * pool(x) + beta * y` by the retained per-element loops: the
+/// reference that [`CudnnHandle::pooling_forward`]'s RealCpu kernel
+/// reproduces bit for bit.
+///
+/// # Panics
+/// When `x` does not hold `xs` or `y` does not hold the output shape.
+pub fn forward_ref(
+    pool: &PoolingDescriptor,
+    alpha: f32,
+    xs: Shape4,
+    x: &[f32],
+    beta: f32,
+    y: &mut [f32],
+) {
+    let (ah, aw) = pool.axes(xs);
+    let ys = Shape4::new(xs.n, xs.c, ah.out, aw.out);
+    assert!(x.len() == xs.len() && y.len() == ys.len(), "buffer lengths");
+    let inv = pool.inv_area();
+    for ni in 0..ys.n {
+        for ci in 0..ys.c {
+            for p in 0..ys.h {
+                let (hlo, hhi) = ah.clip(p);
+                for q in 0..ys.w {
+                    let (wlo, whi) = aw.clip(q);
+                    let mut acc = match pool.mode {
+                        PoolingMode::Max => f32::NEG_INFINITY,
+                        PoolingMode::AverageIncludePadding => 0.0,
+                    };
+                    for hi in hlo..hhi {
+                        for wi in wlo..whi {
+                            let v = x[xs.index(ni, ci, hi, wi)];
+                            acc = match pool.mode {
+                                PoolingMode::Max => acc.max(v),
+                                PoolingMode::AverageIncludePadding => acc + v,
+                            };
+                        }
+                    }
+                    let val = match pool.mode {
+                        PoolingMode::Max => {
+                            if hlo == hhi || wlo == whi {
+                                0.0
+                            } else {
+                                acc
+                            }
+                        }
+                        PoolingMode::AverageIncludePadding => acc * inv,
+                    };
+                    let o = ys.index(ni, ci, p, q);
+                    y[o] = alpha * val + beta * y[o];
+                }
+            }
+        }
+    }
+}
+
+/// `dx = alpha * pool'(dy) + beta * dx` by the retained per-element loops:
+/// the reference that [`CudnnHandle::pooling_backward`]'s RealCpu kernel
+/// reproduces bit for bit.
+///
+/// # Panics
+/// When `x` or `dx` does not hold `xs`, or `dy` the output shape.
+pub fn backward_ref(
+    pool: &PoolingDescriptor,
+    alpha: f32,
+    xs: Shape4,
+    dy: &[f32],
+    x: &[f32],
+    beta: f32,
+    dx: &mut [f32],
+) {
+    let (ah, aw) = pool.axes(xs);
+    let ys = Shape4::new(xs.n, xs.c, ah.out, aw.out);
+    assert!(
+        x.len() == xs.len() && dx.len() == xs.len() && dy.len() == ys.len(),
+        "buffer lengths"
+    );
+    if beta != 1.0 {
+        for v in dx.iter_mut() {
+            *v *= beta;
+        }
+    }
+    let inv = pool.inv_area();
+    for ni in 0..ys.n {
+        for ci in 0..ys.c {
+            for p in 0..ys.h {
+                let (hlo, hhi) = ah.clip(p);
+                for q in 0..ys.w {
+                    let (wlo, whi) = aw.clip(q);
+                    let g = alpha * dy[ys.index(ni, ci, p, q)];
+                    match pool.mode {
+                        PoolingMode::Max => {
+                            let (mut bh, mut bw, mut bv) =
+                                (usize::MAX, usize::MAX, f32::NEG_INFINITY);
+                            for hi in hlo..hhi {
+                                for wi in wlo..whi {
+                                    let v = x[xs.index(ni, ci, hi, wi)];
+                                    if v > bv {
+                                        (bh, bw, bv) = (hi, wi, v);
                                     }
                                 }
-                                PoolingMode::AverageIncludePadding => {
-                                    for hi in hlo..hhi {
-                                        for wi in wlo..whi {
-                                            dx[xs.index(ni, ci, hi, wi)] += g * inv;
-                                        }
-                                    }
+                            }
+                            if bh != usize::MAX {
+                                dx[xs.index(ni, ci, bh, bw)] += g;
+                            }
+                        }
+                        PoolingMode::AverageIncludePadding => {
+                            for hi in hlo..hhi {
+                                for wi in wlo..whi {
+                                    dx[xs.index(ni, ci, hi, wi)] += g * inv;
                                 }
                             }
                         }
                     }
                 }
             }
-            Ok(())
-        })
+        }
     }
 }
 
@@ -362,5 +652,42 @@ mod tests {
         assert!(h
             .pooling_forward(&p, 1.0, &xd, &[], 0.0, &bad, &mut [])
             .is_err());
+    }
+
+    #[test]
+    fn pooling_forward_rejects_an_empty_buffer_on_real_cpu() {
+        let h = CudnnHandle::real_cpu();
+        let xd = TensorDescriptor::new_4d(1, 2, 4, 4).unwrap();
+        let p = PoolingDescriptor::square(PoolingMode::Max, 2, 0, 2).unwrap();
+        let yd = TensorDescriptor::from_shape(p.output_dim(&xd)).unwrap();
+        let x = Tensor::random(xd.shape(), 1);
+        let err = h
+            .pooling_forward(&p, 1.0, &xd, &[], 0.0, &yd, &mut vec![0.0; yd.len()])
+            .unwrap_err();
+        assert!(matches!(err, CudnnError::BadParam(_)), "{err}");
+        let err = h
+            .pooling_forward(&p, 1.0, &xd, x.as_slice(), 0.0, &yd, &mut [])
+            .unwrap_err();
+        assert!(matches!(err, CudnnError::BadParam(_)), "{err}");
+    }
+
+    #[test]
+    fn pooling_backward_rejects_an_empty_buffer_on_real_cpu() {
+        let h = CudnnHandle::real_cpu();
+        let xd = TensorDescriptor::new_4d(1, 2, 4, 4).unwrap();
+        let p = PoolingDescriptor::square(PoolingMode::Max, 2, 0, 2).unwrap();
+        let yd = TensorDescriptor::from_shape(p.output_dim(&xd)).unwrap();
+        let (x, dy) = (vec![1.0; xd.len()], vec![1.0; yd.len()]);
+        let mut dx = vec![0.0; xd.len()];
+        for (dy, x) in [(&dy[..], &[][..]), (&[][..], &x[..])] {
+            let err = h
+                .pooling_backward(&p, 1.0, &yd, &[], &yd, dy, &xd, x, 0.0, &xd, &mut dx)
+                .unwrap_err();
+            assert!(matches!(err, CudnnError::BadParam(_)), "{err}");
+        }
+        let err = h
+            .pooling_backward(&p, 1.0, &yd, &[], &yd, &dy, &xd, &x, 0.0, &xd, &mut [])
+            .unwrap_err();
+        assert!(matches!(err, CudnnError::BadParam(_)), "{err}");
     }
 }

@@ -1,7 +1,6 @@
 //! `cudnnAddTensor` (broadcast bias add) and
 //! `cudnnConvolutionBackwardBias`.
 
-use super::check_len;
 use crate::descriptor::TensorDescriptor;
 use crate::error::{CudnnError, Result};
 use crate::handle::CudnnHandle;
@@ -29,8 +28,8 @@ impl CudnnHandle {
                 "add_tensor supports (1, C, 1, 1) bias broadcast; got bias {bs} for {ys}"
             )));
         }
-        check_len("b", b.len(), bs.len())?;
-        check_len("y", y.len(), ys.len())?;
+        self.check_len("b", b.len(), bs.len())?;
+        self.check_len("y", y.len(), ys.len())?;
         let bytes = 4 * 2 * ys.len();
         self.aux_op(bytes, !b.is_empty() || !y.is_empty(), || {
             let plane = ys.h * ys.w;
@@ -66,8 +65,8 @@ impl CudnnHandle {
                 "bias gradient must be (1, C, 1, 1); got {bs} for {ys}"
             )));
         }
-        check_len("dy", dy.len(), ys.len())?;
-        check_len("db", db.len(), bs.len())?;
+        self.check_len("dy", dy.len(), ys.len())?;
+        self.check_len("db", db.len(), bs.len())?;
         let bytes = 4 * ys.len();
         self.aux_op(bytes, !dy.is_empty() || !db.is_empty(), || {
             let plane = ys.h * ys.w;
@@ -154,5 +153,27 @@ mod tests {
         h.convolution_backward_bias(1.0, &yd, &[], 0.0, &bd, &mut [])
             .unwrap();
         assert_eq!(h.kernels_launched(), 2);
+    }
+
+    #[test]
+    fn add_tensor_rejects_an_empty_buffer_on_real_cpu() {
+        let h = CudnnHandle::real_cpu();
+        let yd = TensorDescriptor::from_shape(Shape4::new(2, 3, 2, 2)).unwrap();
+        let bd = TensorDescriptor::from_shape(Shape4::new(1, 3, 1, 1)).unwrap();
+        let mut y = vec![0.0; yd.len()];
+        let err = h.add_tensor(1.0, &bd, &[], 1.0, &yd, &mut y).unwrap_err();
+        assert!(matches!(err, CudnnError::BadParam(_)), "{err}");
+    }
+
+    #[test]
+    fn backward_bias_rejects_an_empty_buffer_on_real_cpu() {
+        let h = CudnnHandle::real_cpu();
+        let yd = TensorDescriptor::from_shape(Shape4::new(2, 3, 2, 2)).unwrap();
+        let bd = TensorDescriptor::from_shape(Shape4::new(1, 3, 1, 1)).unwrap();
+        let mut db = vec![0.0; bd.len()];
+        let err = h
+            .convolution_backward_bias(1.0, &yd, &[], 0.0, &bd, &mut db)
+            .unwrap_err();
+        assert!(matches!(err, CudnnError::BadParam(_)), "{err}");
     }
 }
