@@ -12,11 +12,10 @@
 //!   im2col+GEMM engine twice: on one worker (`_1t`) and on every execution
 //!   worker (`_mt`); the other rows are single-threaded engines.
 //!
-//! The `relu_bwd` and `maxpool` rows time the RealCpu auxiliary kernels at
-//! `train`'s conv1 and conv2 output shapes: naive is the retained
-//! per-element loop (`ops::{activation, pooling}::*_ref`), fast the kernel a
-//! RealCpu handle runs. Their `flops` count the window elements read (one
-//! per element for ReLU).
+//! The `maxpool` rows time the RealCpu 2×2/2 max-pooling kernels at
+//! `train`'s conv1 and conv2 output shapes: naive is the per-element
+//! reference loop (`ops::pooling::*_ref`), fast the kernel a RealCpu handle
+//! runs. Their `flops` count the window elements read.
 //!
 //! Results go to stdout and to `BENCH_hotpath.json` (override with
 //! `--out <path>`): per-kernel GFLOP/s for both paths plus the speedup.
@@ -27,11 +26,8 @@ use std::time::Instant;
 use ucudnn_conv::gemm::{sgemm, sgemm_ref, Trans};
 use ucudnn_conv::parallel::{max_workers, set_thread_cap};
 use ucudnn_conv::{exec_ref, exec_with_plan, im2col, im2col_gemm, ConvOp, EngineKind, EnginePlan};
-use ucudnn_cudnn_sim::ops::{activation, pooling};
-use ucudnn_cudnn_sim::{
-    ActivationDescriptor, ActivationMode, CudnnHandle, PoolingDescriptor, PoolingMode,
-    TensorDescriptor,
-};
+use ucudnn_cudnn_sim::ops::pooling;
+use ucudnn_cudnn_sim::{CudnnHandle, PoolingDescriptor, PoolingMode, TensorDescriptor};
 use ucudnn_tensor::{ConvGeometry, FilterShape, Shape4, Tensor};
 
 /// One benchmarked kernel: label, shape note, FLOPs per call, and the two
@@ -318,50 +314,31 @@ fn planned_conv_kernels(tag: &'static str, g: &ConvGeometry) -> Vec<Kernel<'stat
     kernels
 }
 
-/// The ReLU-backward and 2×2/2 max-pool rows at `train`'s conv1 and conv2
-/// output shapes, on pseudo-random pre-activation values in [-1, 1) (so
-/// ReLU's sign test is a coin flip, as on a conv output) and, for pooling,
-/// on their ReLU, which ties at zero.
+/// The 2×2/2 max-pool rows at `train`'s conv1 and conv2 output shapes, on
+/// the ReLU of pseudo-random values in [-1, 1) (as on a conv output), which
+/// ties at zero.
 fn aux_kernels() -> Vec<Kernel<'static>> {
-    let relu = ActivationDescriptor::new(ActivationMode::Relu);
     let pool = PoolingDescriptor::square(PoolingMode::Max, 2, 0, 2).expect("2x2/2 pooling");
     let mut kernels = Vec::new();
-    for (s, [relu_name, fwd_name, bwd_name]) in [
+    for (s, [fwd_name, bwd_name]) in [
         (
             Shape4::new(16, 32, 32, 32),
-            ["relu_bwd_conv1", "maxpool_fwd_conv1", "maxpool_bwd_conv1"],
+            ["maxpool_fwd_conv1", "maxpool_bwd_conv1"],
         ),
         (
             Shape4::new(16, 64, 16, 16),
-            ["relu_bwd_conv2", "maxpool_fwd_conv2", "maxpool_bwd_conv2"],
+            ["maxpool_fwd_conv2", "maxpool_bwd_conv2"],
         ),
     ] {
         let xd = TensorDescriptor::from_shape(s).expect("positive shape");
-        let yd = TensorDescriptor::from_shape(pool.output_dim(&xd)).expect("positive shape");
-        let pre = Tensor::random(s, 3).as_slice().to_vec();
-        let act: Vec<f32> = pre.iter().map(|v| v.max(0.0)).collect();
-        let dy = Tensor::random(s, 4).as_slice().to_vec();
-        let dpool = Tensor::random(yd.shape(), 5).as_slice().to_vec();
-
-        let (x, y, g) = (pre.clone(), act.clone(), dy.clone());
-        let mut dx = vec![0.0f32; s.len()];
-        let naive =
-            Box::new(move || activation::backward_ref(&relu, 1.0, &y, &g, &x, 0.0, &mut dx));
-        let (x, y, g) = (pre, act.clone(), dy);
-        let mut dx = vec![0.0f32; s.len()];
-        let h = CudnnHandle::real_cpu();
-        let fast = Box::new(move || {
-            h.activation_backward(&relu, 1.0, &xd, &y, &xd, &g, &xd, &x, 0.0, &xd, &mut dx)
-                .expect("relu backward");
-        });
-        kernels.push(Kernel {
-            name: relu_name,
-            shape: format!("{s}"),
-            flops: s.len() as f64,
-            workers: 1,
-            naive,
-            fast,
-        });
+        let ys = pool.output_dim(&xd).expect("2x2 windows fit");
+        let yd = TensorDescriptor::from_shape(ys).expect("positive shape");
+        let act: Vec<f32> = Tensor::random(s, 3)
+            .as_slice()
+            .iter()
+            .map(|v| v.max(0.0))
+            .collect();
+        let dpool = Tensor::random(ys, 5).as_slice().to_vec();
 
         let window_reads = (yd.len() * pool.window_h * pool.window_w) as f64;
         let shape = format!("{s} 2x2/2");

@@ -1,23 +1,17 @@
 //! `cudnnPoolingForward` / `cudnnPoolingBackward`.
 //!
-//! The RealCpu kernels resolve the mode, the clipped window bounds and the
-//! plane offsets once per output row instead of per element. Max pooling
-//! with 2×2 windows at horizontal stride 2, the only max pooling `train`
-//! and `serve` run, is lane-parallel over each output row's interior
-//! windows (wholly inside the input): forward reads the two window rows as
-//! column pairs, and backward finds the windows' argmaxes with branch-free
-//! selects before it routes their gradients. Clipped edge windows, other
-//! window shapes and average pooling (GAP included) run one output at a
-//! time. Each output still folds its window row by row and left to right,
-//! and backward still adds into `dx` in output order, so results are
-//! bit-identical to [`forward_ref`] and [`backward_ref`], the retained
-//! per-element loops that `tests/aux_bit_identity.rs` and the `hotpath`
-//! benchmark compare against.
+//! Max pooling with 2×2 windows at horizontal stride 2, all inside the
+//! input (the only max pooling `train` and `serve` run), is lane-parallel
+//! over each output row: forward reads the two window rows as column
+//! pairs, and backward finds the windows' argmaxes with branch-free selects
+//! before it routes their gradients in output order. Every other call
+//! (clipped windows, other window shapes, average pooling and GAP) runs
+//! [`forward_ref`] and [`backward_ref`], the per-element loops, and the
+//! lane path is bit-identical to them (`tests/aux_bit_identity.rs`).
 
 use crate::descriptor::TensorDescriptor;
 use crate::error::{CudnnError, Result};
 use crate::handle::CudnnHandle;
-use std::ops::Range;
 use ucudnn_tensor::Shape4;
 
 /// Pooling mode (`cudnnPoolingMode_t`).
@@ -82,18 +76,25 @@ impl PoolingDescriptor {
     }
 
     /// Output shape (Caffe/cuDNN ceil-mode).
-    pub fn output_dim(&self, x: &TensorDescriptor) -> Shape4 {
+    ///
+    /// # Errors
+    /// `BadParam` when a window is larger than the padded input.
+    pub fn output_dim(&self, x: &TensorDescriptor) -> Result<Shape4> {
         let s = x.shape();
-        let (h, w) = self.axes(s);
-        Shape4::new(s.n, s.c, h.out, w.out)
+        let (h, w) = self.axes(s)?;
+        Ok(Shape4::new(s.n, s.c, h.out, w.out))
     }
 
     /// The vertical and horizontal window geometry on input shape `xs`.
-    fn axes(&self, xs: Shape4) -> (Axis, Axis) {
-        (
-            Axis::new(xs.h, self.window_h, self.pad_h, self.stride_h),
-            Axis::new(xs.w, self.window_w, self.pad_w, self.stride_w),
-        )
+    fn axes(&self, xs: Shape4) -> Result<(Axis, Axis)> {
+        let h = Axis::new(xs.h, self.window_h, self.pad_h, self.stride_h);
+        let w = Axis::new(xs.w, self.window_w, self.pad_w, self.stride_w);
+        h.zip(w).ok_or_else(|| {
+            CudnnError::BadParam(format!(
+                "pooling window {}x{} (pad {}x{}) is larger than the padded input {xs}",
+                self.window_h, self.window_w, self.pad_h, self.pad_w
+            ))
+        })
     }
 
     /// `1 / window area`, the average mode's scale.
@@ -115,15 +116,16 @@ struct Axis {
 }
 
 impl Axis {
-    fn new(len: usize, window: usize, pad: usize, stride: usize) -> Self {
-        let out = (len + 2 * pad - window).div_ceil(stride) + 1;
-        Self {
+    /// `None` when the window is larger than the padded input.
+    fn new(len: usize, window: usize, pad: usize, stride: usize) -> Option<Self> {
+        let room = (len + 2 * pad).checked_sub(window)?;
+        Some(Self {
             len,
-            out,
+            out: room.div_ceil(stride) + 1,
             window,
             pad,
             stride,
-        }
+        })
     }
 
     /// Clipped input range `lo..hi` of output `p`'s window, with
@@ -136,20 +138,9 @@ impl Axis {
         (lo, hi)
     }
 
-    /// The outputs whose windows lie wholly inside the input.
-    fn interior(&self) -> Range<usize> {
-        let first = self.pad.div_ceil(self.stride);
-        let end = match (self.len + self.pad).checked_sub(self.window) {
-            Some(room) => (room / self.stride + 1).min(self.out),
-            None => 0,
-        };
-        first.min(end)..end
-    }
-
-    /// Input column of the first element of interior output `q`'s window
-    /// (`q` may be one past the last).
-    fn start(&self, q: usize) -> usize {
-        q * self.stride - self.pad
+    /// Whether every window lies wholly inside the input.
+    fn inside(&self) -> bool {
+        self.pad == 0 && (self.out - 1) * self.stride + self.window <= self.len
     }
 }
 
@@ -169,7 +160,7 @@ impl CudnnHandle {
         y_desc: &TensorDescriptor,
         y: &mut [f32],
     ) -> Result<()> {
-        let ys = pool.output_dim(x_desc);
+        let ys = pool.output_dim(x_desc)?;
         if y_desc.shape() != ys {
             return Err(CudnnError::BadParam(format!(
                 "pooling output descriptor {} does not match computed {ys}",
@@ -205,7 +196,7 @@ impl CudnnHandle {
         dx_desc: &TensorDescriptor,
         dx: &mut [f32],
     ) -> Result<()> {
-        let ys = pool.output_dim(x_desc);
+        let ys = pool.output_dim(x_desc)?;
         if y_desc.shape() != ys || dy_desc.shape() != ys || dx_desc.shape() != x_desc.shape() {
             return Err(CudnnError::BadParam(
                 "pooling gradient shapes must match".into(),
@@ -224,85 +215,38 @@ impl CudnnHandle {
     }
 }
 
+/// The window geometry of a call that runs lane-parallel: 2×2 max windows
+/// at horizontal stride 2, all wholly inside the input.
+fn lane_axes(pool: &PoolingDescriptor, xs: Shape4) -> Option<(Axis, Axis)> {
+    let (ah, aw) = pool.axes(xs).ok()?;
+    let shape = (pool.mode, pool.window_h, pool.window_w, pool.stride_w);
+    let lanes = shape == (PoolingMode::Max, 2, 2, 2) && ah.inside() && aw.inside();
+    lanes.then_some((ah, aw))
+}
+
 /// The RealCpu body of [`CudnnHandle::pooling_forward`]; slice lengths are
 /// checked by the caller.
 fn forward(pool: &PoolingDescriptor, alpha: f32, xs: Shape4, x: &[f32], beta: f32, y: &mut [f32]) {
-    let (ah, aw) = pool.axes(xs);
-    let inv = pool.inv_area();
-    let w = xs.w;
-    let out = |o: &mut f32, val: f32| *o = alpha * val + beta * *o;
-    let interior = lane_span(pool, &aw);
+    let Some((ah, aw)) = lane_axes(pool, xs) else {
+        forward_ref(pool, alpha, xs, x, beta, y);
+        return;
+    };
+    let (w, cols) = (xs.w, 2 * aw.out);
     for (xp, yp) in x
         .chunks_exact(xs.h * w)
         .zip(y.chunks_exact_mut(ah.out * aw.out))
     {
         for (p, yrow) in yp.chunks_exact_mut(aw.out).enumerate() {
-            let (hlo, hhi) = ah.clip(p);
-            let rows = &xp[hlo * w..hhi * w];
-            let scalar = |q: usize| window_value(pool.mode, rows, w, aw.clip(q), inv);
-            let full = hhi - hlo == pool.window_h;
-            let lanes = if full { interior.clone() } else { 0..0 };
-            let (left, rest) = yrow.split_at_mut(lanes.start);
-            let (mid, right) = rest.split_at_mut(lanes.len());
-            for (q, o) in left.iter_mut().enumerate() {
-                out(o, scalar(q));
+            let top = p * ah.stride * w;
+            let (r0, r1) = (&xp[top..][..cols], &xp[top + w..][..cols]);
+            for ((o, a), b) in yrow
+                .iter_mut()
+                .zip(r0.chunks_exact(2))
+                .zip(r1.chunks_exact(2))
+            {
+                let val = f32::NEG_INFINITY.max(a[0]).max(a[1]).max(b[0]).max(b[1]);
+                *o = alpha * val + beta * *o;
             }
-            if !lanes.is_empty() {
-                let cols = aw.start(lanes.start)..aw.start(lanes.end);
-                let (r0, r1) = (&rows[cols.clone()], &rows[w..][cols]);
-                for ((o, a), b) in mid
-                    .iter_mut()
-                    .zip(r0.chunks_exact(2))
-                    .zip(r1.chunks_exact(2))
-                {
-                    out(o, f32::NEG_INFINITY.max(a[0]).max(a[1]).max(b[0]).max(b[1]));
-                }
-            }
-            for (q, o) in (lanes.end..).zip(right) {
-                out(o, scalar(q));
-            }
-        }
-    }
-}
-
-/// The outputs of each output row that run lane-parallel: for max pooling
-/// with a 2×2 window at horizontal stride 2 (`train`'s and `serve`'s), the
-/// windows wholly inside the input; none otherwise. A row whose window
-/// rows are clipped runs every output scalar.
-fn lane_span(pool: &PoolingDescriptor, aw: &Axis) -> Range<usize> {
-    let shape = (pool.window_h, pool.window_w, pool.stride_w);
-    if pool.mode == PoolingMode::Max && shape == (2, 2, 2) {
-        aw.interior()
-    } else {
-        0..0
-    }
-}
-
-/// One output of [`forward`] on the window rows `rows` (each `w` wide)
-/// and columns `cols`, in [`forward_ref`]'s order.
-fn window_value(mode: PoolingMode, rows: &[f32], w: usize, cols: (usize, usize), inv: f32) -> f32 {
-    let (lo, hi) = cols;
-    match mode {
-        PoolingMode::Max => {
-            if rows.is_empty() || lo == hi {
-                return 0.0;
-            }
-            let mut acc = f32::NEG_INFINITY;
-            for row in rows.chunks_exact(w) {
-                for &v in &row[lo..hi] {
-                    acc = acc.max(v);
-                }
-            }
-            acc
-        }
-        PoolingMode::AverageIncludePadding => {
-            let mut acc = 0.0f32;
-            for row in rows.chunks_exact(w) {
-                for &v in &row[lo..hi] {
-                    acc += v;
-                }
-            }
-            acc * inv
         }
     }
 }
@@ -318,15 +262,16 @@ fn backward(
     beta: f32,
     dx: &mut [f32],
 ) {
+    let Some((ah, aw)) = lane_axes(pool, xs) else {
+        backward_ref(pool, alpha, xs, dy, x, beta, dx);
+        return;
+    };
     if beta != 1.0 {
         for v in dx.iter_mut() {
             *v *= beta;
         }
     }
-    let (ah, aw) = pool.axes(xs);
-    let inv = pool.inv_area();
     let w = xs.w;
-    let interior = lane_span(pool, &aw);
     let mut args = [0u32; LANES];
     for ((xp, dxp), dyp) in x
         .chunks_exact(xs.h * w)
@@ -334,45 +279,13 @@ fn backward(
         .zip(dy.chunks_exact(ah.out * aw.out))
     {
         for (p, dyrow) in dyp.chunks_exact(aw.out).enumerate() {
-            let (hlo, hhi) = ah.clip(p);
-            let scalar = |q: usize, dxp: &mut [f32]| {
-                let g = alpha * dyrow[q];
-                let (wlo, whi) = aw.clip(q);
-                match pool.mode {
-                    PoolingMode::Max => {
-                        let mut best = (f32::NEG_INFINITY, None);
-                        for hi in hlo..hhi {
-                            for wi in wlo..whi {
-                                let v = xp[hi * w + wi];
-                                if v > best.0 {
-                                    best = (v, Some(hi * w + wi));
-                                }
-                            }
-                        }
-                        if let Some(at) = best.1 {
-                            dxp[at] += g;
-                        }
-                    }
-                    PoolingMode::AverageIncludePadding => {
-                        for hi in hlo..hhi {
-                            for d in &mut dxp[hi * w + wlo..hi * w + whi] {
-                                *d += g * inv;
-                            }
-                        }
-                    }
-                }
-            };
-            let full = hhi - hlo == pool.window_h;
-            let lanes = if full { interior.clone() } else { 0..0 };
-            for q in 0..lanes.start {
-                scalar(q, dxp);
-            }
-            let rows = &xp[hlo * w..hhi * w];
-            let dxrows = &mut dxp[hlo * w..hhi * w];
-            for q0 in lanes.clone().step_by(LANES) {
-                let cols = aw.start(q0)..aw.start(lanes.end.min(q0 + LANES));
+            let top = p * ah.stride * w;
+            let rows = &xp[top..top + 2 * w];
+            let dxrows = &mut dxp[top..top + 2 * w];
+            for (c, gs) in dyrow.chunks(LANES).enumerate() {
+                let cols = 2 * c * LANES..2 * (c * LANES + gs.len());
                 let (r0, r1) = (&rows[cols.clone()], &rows[w..][cols.clone()]);
-                let args = &mut args[..cols.len() / 2];
+                let args = &mut args[..gs.len()];
                 for ((arg, a), b) in args
                     .iter_mut()
                     .zip(r0.chunks_exact(2))
@@ -381,15 +294,12 @@ fn backward(
                     *arg = argmax4([a[0], a[1], b[0], b[1]]);
                 }
                 // Route each gradient to its window's argmax, in output order.
-                for (k, (&arg, &g)) in args.iter().zip(&dyrow[q0..]).enumerate() {
+                for (k, (&arg, &g)) in args.iter().zip(gs).enumerate() {
                     if arg < 4 {
                         let at = (arg as usize >> 1) * w + cols.start + 2 * k + (arg as usize & 1);
                         dxrows[at] += alpha * g;
                     }
                 }
-            }
-            for q in lanes.end..aw.out {
-                scalar(q, dxp);
             }
         }
     }
@@ -418,7 +328,8 @@ fn argmax4(v: [f32; 4]) -> u32 {
 /// reproduces bit for bit.
 ///
 /// # Panics
-/// When `x` does not hold `xs` or `y` does not hold the output shape.
+/// When a window is larger than the padded input, `x` does not hold `xs`
+/// or `y` does not hold the output shape.
 pub fn forward_ref(
     pool: &PoolingDescriptor,
     alpha: f32,
@@ -427,7 +338,7 @@ pub fn forward_ref(
     beta: f32,
     y: &mut [f32],
 ) {
-    let (ah, aw) = pool.axes(xs);
+    let (ah, aw) = pool.axes(xs).expect("the window fits the padded input");
     let ys = Shape4::new(xs.n, xs.c, ah.out, aw.out);
     assert!(x.len() == xs.len() && y.len() == ys.len(), "buffer lengths");
     let inv = pool.inv_area();
@@ -473,7 +384,8 @@ pub fn forward_ref(
 /// reproduces bit for bit.
 ///
 /// # Panics
-/// When `x` or `dx` does not hold `xs`, or `dy` the output shape.
+/// When a window is larger than the padded input, `x` or `dx` does not
+/// hold `xs`, or `dy` the output shape.
 pub fn backward_ref(
     pool: &PoolingDescriptor,
     alpha: f32,
@@ -483,7 +395,7 @@ pub fn backward_ref(
     beta: f32,
     dx: &mut [f32],
 ) {
-    let (ah, aw) = pool.axes(xs);
+    let (ah, aw) = pool.axes(xs).expect("the window fits the padded input");
     let ys = Shape4::new(xs.n, xs.c, ah.out, aw.out);
     assert!(
         x.len() == xs.len() && dx.len() == xs.len() && dy.len() == ys.len(),
@@ -542,7 +454,7 @@ mod tests {
     fn output_dim_matches_caffe_ceil_mode() {
         let x = TensorDescriptor::new_4d(1, 1, 55, 55).unwrap();
         let p = PoolingDescriptor::square(PoolingMode::Max, 3, 0, 2).unwrap();
-        assert_eq!(p.output_dim(&x), Shape4::new(1, 1, 27, 27));
+        assert_eq!(p.output_dim(&x).unwrap(), Shape4::new(1, 1, 27, 27));
     }
 
     #[test]
@@ -550,7 +462,7 @@ mod tests {
         let h = CudnnHandle::real_cpu();
         let xd = TensorDescriptor::new_4d(1, 1, 2, 2).unwrap();
         let p = PoolingDescriptor::square(PoolingMode::Max, 2, 0, 2).unwrap();
-        let yd = TensorDescriptor::from_shape(p.output_dim(&xd)).unwrap();
+        let yd = TensorDescriptor::from_shape(p.output_dim(&xd).unwrap()).unwrap();
         let x = Tensor::from_vec(xd.shape(), vec![1.0, 4.0, 2.0, 3.0]);
         let mut y = Tensor::zeros(yd.shape());
         h.pooling_forward(&p, 1.0, &xd, x.as_slice(), 0.0, &yd, y.as_mut_slice())
@@ -581,7 +493,7 @@ mod tests {
         let h = CudnnHandle::real_cpu();
         let xd = TensorDescriptor::new_4d(2, 3, 7, 9).unwrap();
         let p = PoolingDescriptor::square(PoolingMode::AverageIncludePadding, 3, 1, 2).unwrap();
-        let yd = TensorDescriptor::from_shape(p.output_dim(&xd)).unwrap();
+        let yd = TensorDescriptor::from_shape(p.output_dim(&xd).unwrap()).unwrap();
         let x = Tensor::random(xd.shape(), 1);
         let dy = Tensor::random(yd.shape(), 2);
         let mut y = Tensor::zeros(yd.shape());
@@ -623,7 +535,7 @@ mod tests {
         let xd = TensorDescriptor::new_4d(1, 2, 4, 4).unwrap();
         let p = PoolingDescriptor::new_2d(PoolingMode::AverageIncludePadding, 4, 4, 0, 0, 4, 4)
             .unwrap();
-        let yd = TensorDescriptor::from_shape(p.output_dim(&xd)).unwrap();
+        let yd = TensorDescriptor::from_shape(p.output_dim(&xd).unwrap()).unwrap();
         assert_eq!(yd.shape(), Shape4::new(1, 2, 1, 1));
         let x = Tensor::full(xd.shape(), 3.0);
         let mut y = Tensor::zeros(yd.shape());
@@ -637,7 +549,7 @@ mod tests {
         let h = CudnnHandle::simulated(p100_sxm2());
         let xd = TensorDescriptor::new_4d(64, 64, 55, 55).unwrap();
         let p = PoolingDescriptor::square(PoolingMode::Max, 3, 0, 2).unwrap();
-        let yd = TensorDescriptor::from_shape(p.output_dim(&xd)).unwrap();
+        let yd = TensorDescriptor::from_shape(p.output_dim(&xd).unwrap()).unwrap();
         h.pooling_forward(&p, 1.0, &xd, &[], 0.0, &yd, &mut [])
             .unwrap();
         assert!(h.elapsed_us() > 0.0);
@@ -655,11 +567,33 @@ mod tests {
     }
 
     #[test]
+    fn a_window_larger_than_the_padded_input_is_rejected() {
+        let h = CudnnHandle::real_cpu();
+        let xd = TensorDescriptor::new_4d(1, 1, 1, 1).unwrap();
+        let yd = TensorDescriptor::new_4d(1, 1, 1, 1).unwrap();
+        let p = PoolingDescriptor::square(PoolingMode::Max, 3, 0, 1).unwrap();
+        assert!(matches!(p.output_dim(&xd), Err(CudnnError::BadParam(_))));
+        let (x, mut y) = ([1.0], [0.0]);
+        let err = h
+            .pooling_forward(&p, 1.0, &xd, &x, 0.0, &yd, &mut y)
+            .unwrap_err();
+        assert!(matches!(err, CudnnError::BadParam(_)), "{err}");
+        let mut dx = [0.0];
+        let err = h
+            .pooling_backward(&p, 1.0, &yd, &y, &yd, &[1.0], &xd, &x, 0.0, &xd, &mut dx)
+            .unwrap_err();
+        assert!(matches!(err, CudnnError::BadParam(_)), "{err}");
+        // One pixel of padding per side makes the window fit.
+        let padded = PoolingDescriptor::square(PoolingMode::Max, 3, 1, 1).unwrap();
+        assert_eq!(padded.output_dim(&xd).unwrap(), Shape4::new(1, 1, 1, 1));
+    }
+
+    #[test]
     fn pooling_forward_rejects_an_empty_buffer_on_real_cpu() {
         let h = CudnnHandle::real_cpu();
         let xd = TensorDescriptor::new_4d(1, 2, 4, 4).unwrap();
         let p = PoolingDescriptor::square(PoolingMode::Max, 2, 0, 2).unwrap();
-        let yd = TensorDescriptor::from_shape(p.output_dim(&xd)).unwrap();
+        let yd = TensorDescriptor::from_shape(p.output_dim(&xd).unwrap()).unwrap();
         let x = Tensor::random(xd.shape(), 1);
         let err = h
             .pooling_forward(&p, 1.0, &xd, &[], 0.0, &yd, &mut vec![0.0; yd.len()])
@@ -676,7 +610,7 @@ mod tests {
         let h = CudnnHandle::real_cpu();
         let xd = TensorDescriptor::new_4d(1, 2, 4, 4).unwrap();
         let p = PoolingDescriptor::square(PoolingMode::Max, 2, 0, 2).unwrap();
-        let yd = TensorDescriptor::from_shape(p.output_dim(&xd)).unwrap();
+        let yd = TensorDescriptor::from_shape(p.output_dim(&xd).unwrap()).unwrap();
         let (x, dy) = (vec![1.0; xd.len()], vec![1.0; yd.len()]);
         let mut dx = vec![0.0; xd.len()];
         for (dy, x) in [(&dy[..], &[][..]), (&[][..], &x[..])] {

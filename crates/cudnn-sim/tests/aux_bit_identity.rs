@@ -1,6 +1,5 @@
-//! Bit identity of the RealCpu pooling and activation kernels against the
-//! retained per-element loops (`ops::pooling::{forward_ref, backward_ref}`
-//! and `ops::activation::{forward_ref, backward_ref}`).
+//! Bit identity of the RealCpu pooling kernels against the per-element
+//! reference loops (`ops::pooling::{forward_ref, backward_ref}`).
 //!
 //! The sweep covers both pooling modes; windows 1×1, 2×2, 3×3, 2×3 and
 //! 3×2 with every padding below the window and strides 1–3 on each axis;
@@ -8,13 +7,11 @@
 //! ceil-mode windows that start past the input's far edge and overlapping
 //! windows; four `(alpha, beta)` pairs; and inputs full of ±0.0, exact ties,
 //! ±inf and NaN. Bits must match exactly when every input is finite; with
-//! ±inf or NaN in the inputs a NaN output matches any NaN.
+//! ±inf or NaN in the inputs a NaN output matches any NaN. Windows larger
+//! than the padded input must be rejected.
 
-use ucudnn_cudnn_sim::ops::{activation, pooling};
-use ucudnn_cudnn_sim::{
-    ActivationDescriptor, ActivationMode, CudnnHandle, PoolingDescriptor, PoolingMode,
-    TensorDescriptor,
-};
+use ucudnn_cudnn_sim::ops::pooling;
+use ucudnn_cudnn_sim::{CudnnHandle, PoolingDescriptor, PoolingMode, TensorDescriptor};
 use ucudnn_tensor::Shape4;
 
 const ALPHA_BETA: [(f32, f32); 4] = [(1.0, 0.0), (0.75, -0.5), (1.0, 1.0), (-2.0, 0.25)];
@@ -66,6 +63,12 @@ fn window_past_edge(len: usize, window: usize, pad: usize, stride: usize) -> boo
     (out - 1) * stride >= len + pad
 }
 
+/// Whether every window lies wholly inside the input.
+fn all_inside(len: usize, window: usize, pad: usize, stride: usize) -> bool {
+    let out = (len + 2 * pad - window).div_ceil(stride) + 1;
+    pad == 0 && (out - 1) * stride + window <= len
+}
+
 #[test]
 fn pooling_kernels_match_the_reference_loops() {
     let h = CudnnHandle::real_cpu();
@@ -77,9 +80,13 @@ fn pooling_kernels_match_the_reference_loops() {
         Shape4::new(1, 3, 9, 4),
         Shape4::new(1, 1, 4, 37),
         Shape4::new(1, 1, 3, 133),
+        Shape4::new(1, 1, 3, 262),
     ];
     let windows = [(1, 1), (2, 2), (3, 3), (2, 3), (3, 2)];
-    let (mut cases, mut past_edge, mut overlapping) = (0, 0, 0);
+    let (mut cases, mut past_edge, mut overlapping, mut rejected) = (0, 0, 0, 0);
+    // Calls the 2×2/2 max lane path takes, and those with rows of more
+    // than 64 windows.
+    let (mut lanes, mut wide) = (0, 0);
     for mode in [PoolingMode::Max, PoolingMode::AverageIncludePadding] {
         for (wh, ww) in windows {
             for (ph, pw) in (0..wh).flat_map(|ph| (0..ww).map(move |pw| (ph, pw))) {
@@ -87,13 +94,24 @@ fn pooling_kernels_match_the_reference_loops() {
                     let pool = PoolingDescriptor::new_2d(mode, wh, ww, ph, pw, sh, sw).unwrap();
                     for (si, &xs) in shapes.iter().enumerate() {
                         if wh > xs.h + 2 * ph || ww > xs.w + 2 * pw {
-                            continue; // no full window fits; cuDNN rejects these
+                            let xd = TensorDescriptor::from_shape(xs).unwrap();
+                            assert!(pool.output_dim(&xd).is_err(), "{pool:?} on {xs}");
+                            rejected += 1;
+                            continue;
                         }
                         past_edge += usize::from(
                             window_past_edge(xs.h, wh, ph, sh)
                                 || window_past_edge(xs.w, ww, pw, sw),
                         );
                         overlapping += usize::from(sh < wh || sw < ww);
+                        if mode == PoolingMode::Max
+                            && (wh, ww, sw) == (2, 2, 2)
+                            && all_inside(xs.h, wh, ph, sh)
+                            && all_inside(xs.w, ww, pw, sw)
+                        {
+                            lanes += 1;
+                            wide += usize::from(xs.w / 2 > 64);
+                        }
                         for special in [false, true] {
                             for (ai, &(alpha, beta)) in ALPHA_BETA.iter().enumerate() {
                                 let seed = (cases * 8 + ai) as u64;
@@ -108,8 +126,8 @@ fn pooling_kernels_match_the_reference_loops() {
     }
     assert!(cases > 2_000, "the sweep ran only {cases} cases");
     assert!(
-        past_edge > 0 && overlapping > 0,
-        "{past_edge} {overlapping}"
+        past_edge > 0 && overlapping > 0 && rejected > 0 && lanes > 0 && wide > 0,
+        "{past_edge} {overlapping} {rejected} {lanes} {wide}"
     );
 }
 
@@ -125,7 +143,7 @@ fn pooling_case(
     shape_index: usize,
 ) {
     let xd = TensorDescriptor::from_shape(xs).unwrap();
-    let yd = TensorDescriptor::from_shape(pool.output_dim(&xd)).unwrap();
+    let yd = TensorDescriptor::from_shape(pool.output_dim(&xd).unwrap()).unwrap();
     let case = format!("{pool:?} on {xs} (shape {shape_index}), alpha {alpha}, beta {beta}");
     let x = values(xs.len(), seed, special);
     let y0 = values(yd.len(), seed + 1, special);
@@ -145,45 +163,4 @@ fn pooling_case(
     h.pooling_backward(pool, alpha, &yd, &y, &yd, &dy, &xd, &x, beta, &xd, &mut dx)
         .unwrap();
     assert_same(&format!("backward {case}"), special, &dx, &dx_ref);
-}
-
-#[test]
-fn activation_kernels_match_the_reference_loops() {
-    let h = CudnnHandle::real_cpu();
-    let mut cases = 0u64;
-    for mode in [
-        ActivationMode::Relu,
-        ActivationMode::Sigmoid,
-        ActivationMode::Tanh,
-    ] {
-        let act = ActivationDescriptor::new(mode);
-        for len in [1, 7, 16, 33, 100] {
-            let d = TensorDescriptor::new_4d(1, 1, 1, len).unwrap();
-            for special in [false, true] {
-                for &(alpha, beta) in &ALPHA_BETA {
-                    let case = format!("{mode:?} over {len}, alpha {alpha}, beta {beta}");
-                    let x = values(len, cases, special);
-                    let y0 = values(len, cases + 1, special);
-                    let mut y_ref = y0.clone();
-                    activation::forward_ref(&act, alpha, &x, beta, &mut y_ref);
-                    let mut y = y0;
-                    h.activation_forward(&act, alpha, &d, &x, beta, &d, &mut y)
-                        .unwrap();
-                    assert_same(&format!("forward {case}"), special, &y, &y_ref);
-
-                    // y need not be f(x): the kernels read whichever they use.
-                    let y = values(len, cases + 2, special);
-                    let dy = values(len, cases + 3, special);
-                    let dx0 = values(len, cases + 4, special);
-                    let mut dx_ref = dx0.clone();
-                    activation::backward_ref(&act, alpha, &y, &dy, &x, beta, &mut dx_ref);
-                    let mut dx = dx0;
-                    h.activation_backward(&act, alpha, &d, &y, &d, &dy, &d, &x, beta, &d, &mut dx)
-                        .unwrap();
-                    assert_same(&format!("backward {case}"), special, &dx, &dx_ref);
-                    cases += 5;
-                }
-            }
-        }
-    }
 }
