@@ -14,10 +14,14 @@
 //!    are k-major, so the micro-kernel reads both operands with unit stride
 //!    regardless of the original transpose; edge panels are zero-padded to
 //!    full width.
-//! 2. **Micro-kernel**: an `MR x NR` tile of C is accumulated in a local
-//!    `[[f32; NR]; MR]` array whose fixed-trip-count loops the
-//!    autovectorizer unrolls and keeps in vector registers for the whole
-//!    k loop (baseline x86-64 SSE2: two 4-lane registers per row).
+//! 2. **Micro-kernel**: an `MR x NR` tile of C is accumulated in vector
+//!    registers for the whole k loop. On AVX-512 the 12x16 tile is written
+//!    with `core::arch` intrinsics, one zmm accumulator per row: LLVM
+//!    prefers 256-bit vectors on Intel server cores and never put the
+//!    array tile in zmm. Elsewhere the tile is a local `[[f32; NR]; MR]`
+//!    array whose fixed-trip-count loops the autovectorizer unrolls into
+//!    registers (two ymm per row with AVX, two 4-lane xmm per row on
+//!    baseline x86-64 SSE2).
 //! 3. **Masked tail**: edge tiles run the same full-width kernel over the
 //!    zero-padded panels, then write back only the `rows x cols` valid
 //!    corner.
@@ -48,12 +52,18 @@ pub enum Trans {
     Yes,
 }
 
+/// Micro-kernel tile rows. With AVX-512, 12 rows x 16 columns keeps one
+/// zmm accumulator per row plus the B row and a broadcast inside the 32
+/// vector registers. LLVM keeps an autovectorized tile in 256-bit ymm on
+/// Intel server cores, so this tile is written with intrinsics (`tile`).
+#[cfg(target_feature = "avx512f")]
+pub const MR: usize = 12;
 /// Micro-kernel tile rows. With AVX, 6 rows x 16 columns keeps 12 ymm
 /// accumulators plus broadcast and B registers inside the 16 vector
-/// registers (empirically the best shape on AVX2 and AVX-512 hosts).
-#[cfg(target_feature = "avx")]
+/// registers.
+#[cfg(all(target_feature = "avx", not(target_feature = "avx512f")))]
 pub const MR: usize = 6;
-/// Micro-kernel tile columns.
+/// Micro-kernel tile columns: one zmm, or two ymm, per tile row.
 #[cfg(target_feature = "avx")]
 pub const NR: usize = 16;
 
@@ -69,6 +79,7 @@ pub const NR: usize = 8;
 /// One fused (or mul+add) step of the accumulator update. `mul_add` maps to
 /// a single hardware instruction only when the target has FMA; without it
 /// LLVM calls libm per lane, so the plain two-op form is used instead.
+#[cfg(not(target_feature = "avx512f"))]
 #[inline(always)]
 fn madd(acc: f32, a: f32, b: f32) -> f32 {
     if cfg!(target_feature = "fma") {
@@ -78,6 +89,7 @@ fn madd(acc: f32, a: f32, b: f32) -> f32 {
     }
 }
 
+/// The k block of [`sgemm_ref`]; the packed path does not block k.
 const BLOCK: usize = 64;
 
 /// Scale `c` by `beta` with cuDNN semantics: `beta == 0` writes zeros
@@ -248,6 +260,58 @@ impl OutRows for Window<'_, '_> {
     }
 }
 
+/// The product of one A panel and one B panel over `k` steps: element
+/// `(r, j)` is one fused (or, without FMA, mul+add) chain from +0.0 over
+/// `ap[p*MR + r] * bp[p*NR + j]` in `p` order.
+#[cfg(not(target_feature = "avx512f"))]
+#[inline(always)]
+fn tile(k: usize, ap: &[f32], bp: &[f32]) -> [[f32; NR]; MR] {
+    let mut acc = [[0.0f32; NR]; MR];
+    // chunks_exact gives the optimizer fixed-size slices, so the r/j loops
+    // fully unroll and `acc` stays in vector registers across the k loop.
+    for (arow, brow) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)).take(k) {
+        for r in 0..MR {
+            let av = arow[r];
+            for j in 0..NR {
+                acc[r][j] = madd(acc[r][j], av, brow[j]);
+            }
+        }
+    }
+    acc
+}
+
+/// The product of one A panel and one B panel over `k` steps, in 12 zmm
+/// accumulators: per k step one load of the 16-float B row, then one
+/// broadcast and one fused multiply-add per row. Each lane is the same
+/// fused chain from +0.0 in `p` order as the array tile computes.
+#[cfg(target_feature = "avx512f")]
+#[inline(always)]
+fn tile(k: usize, ap: &[f32], bp: &[f32]) -> [[f32; NR]; MR] {
+    use core::arch::x86_64::{
+        _mm512_fmadd_ps, _mm512_loadu_ps, _mm512_set1_ps, _mm512_setzero_ps, _mm512_storeu_ps,
+    };
+    const _: () = assert!(NR == 16, "one zmm holds one tile row");
+    let mut out = [[0.0f32; NR]; MR];
+    // SAFETY: the cfg gate compiles this only where the build enables
+    // avx512f, so the CPU running it has the instructions. Each `brow` is a
+    // `chunks_exact(NR)` row and each `out` row a `[f32; NR]`, and NR = 16
+    // (asserted above), so every unaligned 16-lane load and store stays
+    // inside its row.
+    unsafe {
+        let mut acc = [_mm512_setzero_ps(); MR];
+        for (arow, brow) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)).take(k) {
+            let b = _mm512_loadu_ps(brow.as_ptr());
+            for (acc, &a) in acc.iter_mut().zip(arow) {
+                *acc = _mm512_fmadd_ps(_mm512_set1_ps(a), b, *acc);
+            }
+        }
+        for (row, acc) in out.iter_mut().zip(acc) {
+            _mm512_storeu_ps(row.as_mut_ptr(), acc);
+        }
+    }
+    out
+}
+
 /// The `MR x NR` register tile: accumulate `alpha * panelA . panelB` into
 /// the tile of C at `(i0, j0)`, writing back only `rows x cols` (edge tiles
 /// run full-width over the zero padding and mask on writeback). Every
@@ -266,17 +330,7 @@ fn microkernel<C: OutRows + ?Sized>(
     rows: usize,
     cols: usize,
 ) {
-    let mut acc = [[0.0f32; NR]; MR];
-    // chunks_exact gives the optimizer fixed-size slices, so the r/j loops
-    // fully unroll and `acc` stays in vector registers across the k loop.
-    for (arow, brow) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)).take(k) {
-        for r in 0..MR {
-            let av = arow[r];
-            for j in 0..NR {
-                acc[r][j] = madd(acc[r][j], av, brow[j]);
-            }
-        }
-    }
+    let acc = tile(k, ap, bp);
     if rows == MR && cols == NR {
         for (r, accr) in acc.into_iter().enumerate() {
             let crow = &mut c.row(i0 + r)[j0..][..NR];

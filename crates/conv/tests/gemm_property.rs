@@ -2,12 +2,25 @@
 //! triple-loop oracle across the whole call surface: all four transpose
 //! combinations, odd/tail-heavy shapes, and the alpha/beta values the
 //! engines actually use.
+//!
+//! A second oracle replays the exact f32 chain every entry point computes,
+//! and a sweep over shapes around each tile's edges compares it bit for
+//! bit: the micro-kernel's tile shape changes no element's bits.
 
 use proptest::prelude::*;
 use ucudnn_conv::gemm::{
     pack_a, pack_b_into, packed_b_len, sgemm, sgemm_prepacked, sgemm_prepacked_a,
     sgemm_prepacked_batch, sgemm_ref, Trans,
 };
+
+/// `op(X)` (`rows x cols`) of the row-major `x` as an element getter: `x`
+/// is stored transposed when `trans` is `Yes`.
+fn op(trans: Trans, x: &[f32], rows: usize, cols: usize) -> impl Fn(usize, usize) -> f32 + '_ {
+    move |r, c| match trans {
+        Trans::No => x[r * cols + c],
+        Trans::Yes => x[c * rows + r],
+    }
+}
 
 /// Unblocked triple-loop oracle, deliberately independent of the library's
 /// own `sgemm_ref` blocking. `op(A)` is `m x k`, `op(B)` is `k x n`,
@@ -25,19 +38,12 @@ fn gemm_oracle(
     beta: f32,
     c: &mut [f32],
 ) {
+    let (op_a, op_b) = (op(trans_a, a, m, k), op(trans_b, b, k, n));
     for i in 0..m {
         for j in 0..n {
             let mut acc = 0.0f64;
             for l in 0..k {
-                let av = match trans_a {
-                    Trans::No => a[i * k + l],
-                    Trans::Yes => a[l * m + i],
-                };
-                let bv = match trans_b {
-                    Trans::No => b[l * n + j],
-                    Trans::Yes => b[j * k + l],
-                };
-                acc += f64::from(av) * f64::from(bv);
+                acc += f64::from(op_a(i, l)) * f64::from(op_b(l, j));
             }
             let prior = if beta == 0.0 {
                 0.0
@@ -45,6 +51,125 @@ fn gemm_oracle(
                 beta * c[i * n + j]
             };
             c[i * n + j] = alpha * acc as f32 + prior;
+        }
+    }
+}
+
+/// The exact f32 chain of every GEMM entry point: each element of
+/// `op(A) op(B)` is one accumulator from +0.0 that takes the `k` products
+/// in order, fused where the target has FMA. C is first scaled as `beta`
+/// says (0 writes 0 without reading C, 1 keeps C), then takes the unfused
+/// `alpha * acc`.
+#[allow(clippy::too_many_arguments)]
+fn chain_oracle(
+    trans_a: Trans,
+    trans_b: Trans,
+    m: usize,
+    n: usize,
+    k: usize,
+    alpha: f32,
+    a: &[f32],
+    b: &[f32],
+    beta: f32,
+    c: &mut [f32],
+) {
+    let (op_a, op_b) = (op(trans_a, a, m, k), op(trans_b, b, k, n));
+    for i in 0..m {
+        for j in 0..n {
+            let mut acc = 0.0f32;
+            for l in 0..k {
+                let (av, bv) = (op_a(i, l), op_b(l, j));
+                acc = if cfg!(target_feature = "fma") {
+                    av.mul_add(bv, acc)
+                } else {
+                    acc + av * bv
+                };
+            }
+            let cv = &mut c[i * n + j];
+            if beta == 0.0 {
+                *cv = 0.0;
+            } else if beta != 1.0 {
+                *cv *= beta;
+            }
+            *cv += alpha * acc;
+        }
+    }
+}
+
+fn assert_bits(got: &[f32], want: &[f32], what: &str) {
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        assert_eq!(g.to_bits(), w.to_bits(), "{what}: element {i}: {g} vs {w}");
+    }
+}
+
+/// Every entry point against [`chain_oracle`] bit for bit: rows on both
+/// sides of the 4-, 6- and 12-row tiles, columns on both sides of the 8-
+/// and 16-column tiles, all four transposes, and the engines' scalings,
+/// with beta 0 also onto a NaN-filled C.
+#[test]
+fn every_entry_point_computes_the_exact_chain() {
+    for m in [1, 5, 6, 7, 11, 12, 13, 25] {
+        for n in [1, 15, 16, 17, 33] {
+            for k in [1, 2, 75] {
+                for ta in [Trans::No, Trans::Yes] {
+                    for tb in [Trans::No, Trans::Yes] {
+                        chain_case(ta, tb, m, n, k);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// One shape and transpose pair of the chain sweep, over every scaling;
+/// the batched call runs three ξ slabs.
+fn chain_case(ta: Trans, tb: Trans, m: usize, n: usize, k: usize) {
+    const XIS: usize = 3;
+    let seed = (m * 1000 + n * 10 + k) as u64;
+    let a: Vec<Vec<f32>> = (0..XIS).map(|x| filled(m * k, seed + x as u64)).collect();
+    let b: Vec<Vec<f32>> = (0..XIS)
+        .map(|x| filled(k * n, seed ^ (0x9e37_79b9 + x as u64)))
+        .collect();
+    let pas: Vec<_> = a.iter().map(|a| pack_a(ta, m, k, a)).collect();
+    let pbl = packed_b_len(k, n);
+    let mut pbs = vec![0.0f32; XIS * pbl];
+    for (slab, b) in pbs.chunks_exact_mut(pbl).zip(&b) {
+        let mut pb = Vec::new();
+        pack_b_into(tb, k, n, b, &mut pb);
+        slab.copy_from_slice(&pb);
+    }
+    let filled_c = filled(XIS * m * n, seed ^ 0x5bd1_e995);
+    let nan_c = vec![f32::NAN; XIS * m * n];
+    let scalings = [
+        (0.0, &filled_c),
+        (1.0, &filled_c),
+        (-0.5, &filled_c),
+        (0.0, &nan_c),
+    ];
+    for alpha in [1.0f32, 0.75] {
+        for (beta, c_init) in scalings {
+            let case = format!("m {m} n {n} k {k} {ta:?}/{tb:?} alpha {alpha} beta {beta}");
+            let mut want = c_init.clone();
+            for (x, c) in want.chunks_exact_mut(m * n).enumerate() {
+                chain_oracle(ta, tb, m, n, k, alpha, &a[x], &b[x], beta, c);
+            }
+            let (want0, init0) = (&want[..m * n], &c_init[..m * n]);
+
+            let mut got = init0.to_vec();
+            sgemm(ta, tb, m, n, k, alpha, &a[0], &b[0], beta, &mut got);
+            assert_bits(&got, want0, &format!("sgemm {case}"));
+
+            let mut got = init0.to_vec();
+            sgemm_prepacked_a(&pas[0], tb, n, alpha, &b[0], beta, &mut got);
+            assert_bits(&got, want0, &format!("sgemm_prepacked_a {case}"));
+
+            let mut got = init0.to_vec();
+            sgemm_prepacked(&pas[0], n, alpha, &pbs[..pbl], beta, &mut got);
+            assert_bits(&got, want0, &format!("sgemm_prepacked {case}"));
+
+            let mut got = c_init.clone();
+            sgemm_prepacked_batch(&pas, n, alpha, &pbs, beta, &mut got);
+            assert_bits(&got, &want, &format!("sgemm_prepacked_batch {case}"));
         }
     }
 }

@@ -71,8 +71,10 @@ struct CacheKey {
 /// served. Revision 2 runs `IMPLICIT_GEMM` on the implicit-GEMM engine
 /// instead of the seven-loop direct convolution; revision 3 runs `GEMM` and
 /// `IMPLICIT_PRECOMP_GEMM` on it too, without their one-sample column
-/// buffer; revision 4 runs no CPU kernel for `FFT` and `FFT_TILING`.
-const CPU_TAG: &str = "cpu:4";
+/// buffer; revision 4 runs no CPU kernel for `FFT` and `FFT_TILING`;
+/// revision 5 runs every GEMM and Winograd algorithm on the 12x16 AVX-512
+/// register tile where the build targets AVX-512.
+const CPU_TAG: &str = "cpu:5";
 
 /// Identity string of a handle's engine; results from different devices
 /// must never be mixed.

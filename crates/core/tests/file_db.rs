@@ -301,10 +301,11 @@ fn cpu_rows_of_an_earlier_engine_revision_are_measured_again() {
     let writer = BenchCache::with_file(&db);
     let want = writer.get_or_bench(&sim, &key(8));
     writer.save().unwrap();
-    // v3 rows of three earlier engine revisions. Before the revision tag,
+    // v3 rows of four earlier engine revisions. Before the revision tag,
     // RealCpu rows were tagged "cpu", and IMPLICIT_GEMM timed the seven-loop
     // direct engine; under "cpu:2", GEMM timed its own engine with a
-    // one-sample column buffer; under "cpu:3", FFT timed a CPU engine.
+    // one-sample column buffer; under "cpu:3", FFT timed a CPU engine;
+    // under "cpu:4", the GEMM micro-kernel ran a 6x16 tile on AVX-512.
     let stale = |tag: &str, algo: ConvAlgo, bytes: usize| {
         format!(
             "{{\"engine\":\"{tag}\",\"op\":\"fwd\",\
@@ -317,6 +318,7 @@ fn cpu_rows_of_an_earlier_engine_revision_are_measured_again() {
         stale("cpu", ConvAlgo::ImplicitGemm, 0),
         stale("cpu:2", ConvAlgo::Gemm, 147456),
         stale("cpu:3", ConvAlgo::Fft, 1572864),
+        stale("cpu:4", ConvAlgo::ImplicitPrecompGemm, 0),
     ]
     .join(",");
     let text = std::fs::read_to_string(&db).unwrap();
@@ -331,7 +333,7 @@ fn cpu_rows_of_an_earlier_engine_revision_are_measured_again() {
     assert_eq!(cache.stats().db_rows_loaded, 1);
     assert_eq!(
         cache.stats().db_rows_quarantined,
-        3,
+        4,
         "the cpu rows are stale"
     );
     assert_eq!(cache.get_or_bench(&sim, &key(8)), want);
@@ -353,5 +355,5 @@ fn cpu_rows_of_an_earlier_engine_revision_are_measured_again() {
         .iter()
         .map(|r| r.get("engine").unwrap().to_json())
         .collect();
-    assert_eq!(engines, ["\"cpu:4\"", "\"sim:P100-SXM2\""]);
+    assert_eq!(engines, ["\"cpu:5\"", "\"sim:P100-SXM2\""]);
 }

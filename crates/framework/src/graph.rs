@@ -275,7 +275,14 @@ impl NetworkDef {
                 pad,
                 ..
             } => {
-                let s = in_shapes[0];
+                let (s, name) = (in_shapes[0], &node.name);
+                assert!(*kernel > 0, "pool layer {name}: kernel must be positive");
+                assert!(*stride > 0, "pool layer {name}: stride must be positive");
+                let (ph, pw) = (s.h + 2 * pad, s.w + 2 * pad);
+                assert!(
+                    ph >= *kernel && pw >= *kernel,
+                    "pool layer {name}: padded input {ph}x{pw} smaller than kernel {kernel}x{kernel}"
+                );
                 // Caffe pooling: ceil-mode output size.
                 let oh = (s.h + 2 * pad - kernel).div_ceil(*stride) + 1;
                 let ow = (s.w + 2 * pad - kernel).div_ceil(*stride) + 1;
@@ -439,6 +446,39 @@ mod tests {
             &[net.input()],
         );
         assert_eq!(net.output_shape(p), Shape4::new(1, 1, 27, 27));
+    }
+
+    /// A pool layer `kernel`/`stride` (pad 0) on a 1x1 input.
+    fn pool_on_one_pixel(kernel: usize, stride: usize) {
+        let mut net = NetworkDef::new("t", Shape4::new(1, 1, 1, 1));
+        net.add(
+            "p",
+            LayerSpec::Pool {
+                max: true,
+                kernel,
+                stride,
+                pad: 0,
+            },
+            &[net.input()],
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "pool layer p: padded input 1x1 smaller than kernel 3x3")]
+    fn pool_window_larger_than_its_input_is_rejected() {
+        pool_on_one_pixel(3, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "pool layer p: stride must be positive")]
+    fn pool_stride_zero_is_rejected() {
+        pool_on_one_pixel(1, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "pool layer p: kernel must be positive")]
+    fn pool_kernel_zero_is_rejected() {
+        pool_on_one_pixel(0, 1);
     }
 
     #[test]
