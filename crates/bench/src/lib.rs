@@ -9,6 +9,7 @@ pub mod report;
 use std::io::Write;
 use std::path::PathBuf;
 use ucudnn::KernelKey;
+use ucudnn_cudnn_sim::ConvOp;
 use ucudnn_framework::NetworkDef;
 
 /// One mebibyte.
@@ -77,9 +78,9 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
 /// the paper uses in Fig. 14 (F / BD / BF).
 pub fn kernel_label(net: &NetworkDef, key: &KernelKey) -> String {
     let op = match key.op {
-        ucudnn::OpKind::Forward => "F",
-        ucudnn::OpKind::BackwardData => "BD",
-        ucudnn::OpKind::BackwardFilter => "BF",
+        ConvOp::Forward => "F",
+        ConvOp::BackwardData => "BD",
+        ConvOp::BackwardFilter => "BF",
     };
     for id in net.conv_layers() {
         let g = net.conv_geometry(id);

@@ -27,7 +27,7 @@
 //! lock, so independent keys never serialize behind each other.
 
 use crate::json::{self, Value};
-use crate::kernel::{KernelKey, OpKind};
+use crate::kernel::KernelKey;
 use parking_lot::{Condvar, Mutex, RwLock};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -36,7 +36,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use ucudnn_cudnn_sim::{
-    AlgoStatus, ConvolutionDescriptor, CudnnError, CudnnHandle, Engine, FilterDescriptor,
+    AlgoStatus, ConvOp, ConvolutionDescriptor, CudnnError, CudnnHandle, Engine, FilterDescriptor,
     TensorDescriptor,
 };
 use ucudnn_gpu_model::ConvAlgo;
@@ -228,6 +228,18 @@ struct Slot {
     /// widening (0 for entries loaded from the file DB; more only after
     /// transient-fault retries).
     runs: AtomicU64,
+}
+
+/// A slot's leadership: dropping it clears the in-flight mark and wakes the
+/// waiters, also when the leader's benchmark panics, so that a panic never
+/// leaves later lookups of the key waiting for good.
+struct Lead<'a>(&'a Slot);
+
+impl Drop for Lead<'_> {
+    fn drop(&mut self) {
+        self.0.state.lock().in_flight = false;
+        self.0.ready.notify_all();
+    }
 }
 
 const SHARD_COUNT: usize = 16;
@@ -434,13 +446,13 @@ impl BenchCache {
         st.in_flight = true;
         let window = st.unmeasured_from()..=budget;
         drop(st);
+        let lead = Lead(slot);
         let run = self.run_with_retries(handle, kernel, slot, window);
         let mut st = slot.state.lock();
         st.merge(run, budget);
-        st.in_flight = false;
-        slot.ready.notify_all();
         let outcome = st.within(budget);
         drop(st);
+        drop(lead);
         // Single-flight means exactly one such event per benchmarked
         // window of a micro kernel — the event set is thread-count-invariant.
         crate::trace::event("bench", "benchmark", || {
@@ -501,10 +513,11 @@ impl BenchCache {
     }
 
     /// Benchmark many (kernel, micro-batch) pairs within `budget`,
-    /// evaluating cache misses on parallel threads — the analogue of
-    /// μ-cuDNN's multi-GPU parallel micro-benchmark evaluation (§III-D).
-    /// Redundant with looking keys up from worker threads, but kept as the
-    /// warm-up entry point for callers that batch their keys up front.
+    /// evaluating cache misses on parallel threads (at most one per core)
+    /// — the analogue of μ-cuDNN's multi-GPU parallel micro-benchmark
+    /// evaluation (§III-D). Redundant with looking keys up from worker
+    /// threads, but kept as the warm-up entry point for callers that batch
+    /// their keys up front.
     pub fn prefetch(
         &self,
         handle: &CudnnHandle,
@@ -512,19 +525,16 @@ impl BenchCache {
         budget: usize,
         parallel: bool,
     ) {
-        if parallel && kernels.len() > 1 {
-            std::thread::scope(|scope| {
-                for k in kernels {
-                    scope.spawn(move || {
-                        let _ = self.try_get_or_bench(handle, k, budget);
-                    });
-                }
-            });
+        let threads = if parallel {
+            std::thread::available_parallelism().map_or(1, usize::from)
         } else {
-            for k in kernels {
-                let _ = self.try_get_or_bench(handle, k, budget);
-            }
-        }
+            1
+        };
+        // A key whose benchmark panics twice is left to the lookup that
+        // needs it.
+        let _ = crate::fanout::fan_out(kernels, threads, |k| {
+            let _ = self.try_get_or_bench(handle, k, budget);
+        });
     }
 
     /// Per-kernel benchmark-run counts, sorted by kernel label. Under the
@@ -660,21 +670,16 @@ fn base_kernel_label(key: &CacheKey) -> String {
     )
 }
 
-fn op_tag(op: OpKind) -> &'static str {
+fn op_tag(op: ConvOp) -> &'static str {
     match op {
-        OpKind::Forward => "fwd",
-        OpKind::BackwardData => "bwd_data",
-        OpKind::BackwardFilter => "bwd_filter",
+        ConvOp::Forward => "fwd",
+        ConvOp::BackwardData => "bwd_data",
+        ConvOp::BackwardFilter => "bwd_filter",
     }
 }
 
-fn op_from_tag(tag: &str) -> Option<OpKind> {
-    match tag {
-        "fwd" => Some(OpKind::Forward),
-        "bwd_data" => Some(OpKind::BackwardData),
-        "bwd_filter" => Some(OpKind::BackwardFilter),
-        _ => None,
-    }
+fn op_from_tag(tag: &str) -> Option<ConvOp> {
+    ConvOp::ALL.into_iter().find(|&op| op_tag(op) == tag)
 }
 
 fn row_to_json(key: &CacheKey, up_to: usize, entries: &[BenchEntry]) -> Value {
@@ -873,7 +878,6 @@ fn run_benchmark(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ucudnn_cudnn_sim::ConvOp;
     use ucudnn_gpu_model::p100_sxm2;
     use ucudnn_tensor::{ConvGeometry, FilterShape, Shape4};
 
@@ -1207,6 +1211,37 @@ mod tests {
         for k in &keys {
             assert_eq!(serial.get_or_bench(&h, k), parallel.get_or_bench(&h, k));
         }
+    }
+
+    /// A leader whose benchmark panics must not leave its slot in flight:
+    /// the next lookup of the key leads again (and here panics again)
+    /// instead of waiting for good.
+    #[test]
+    fn a_panicking_benchmark_does_not_wedge_its_slot() {
+        let h = Arc::new(CudnnHandle::simulated(p100_sxm2()));
+        let c = Arc::new(BenchCache::new());
+        // Stride 0 makes `KernelKey::geometry` panic inside the benchmark.
+        let k = KernelKey {
+            stride_h: 0,
+            ..key(4)
+        };
+        let lookup = {
+            let (c, h) = (Arc::clone(&c), Arc::clone(&h));
+            move || {
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    c.try_get_or_bench(&h, &k, usize::MAX)
+                }))
+                .is_err()
+            }
+        };
+        assert!(lookup(), "the first lookup's benchmark panics");
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(lookup()));
+        let panicked = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the second lookup must not wait on the first's slot");
+        assert!(panicked, "the second lookup leads and panics again");
+        assert_eq!(c.stats().misses, 2);
     }
 
     #[test]

@@ -80,18 +80,6 @@ pub struct FleetBudgetPlan {
     pub ilp_solve_us: f64,
 }
 
-impl FleetBudgetPlan {
-    /// Aggregate fleet service capacity: the sum over replicas of the
-    /// best throughput (samples/µs) their granted tables support.
-    pub fn fleet_rate_per_us(&self) -> f64 {
-        self.shares
-            .iter()
-            .filter(|s| s.per_sample_us > 0.0)
-            .map(|s| 1.0 / s.per_sample_us)
-            .sum()
-    }
-}
-
 /// Best per-sample latency of a table: `min over (m, t) of t / m`.
 /// `None` for an empty table (nothing runnable under the share).
 pub fn best_per_sample_us(table: &[(usize, f64)]) -> Option<f64> {

@@ -19,6 +19,7 @@
 use crate::bench_cache::{BenchCache, CacheStats};
 use crate::config::Configuration;
 use crate::error::UcudnnError;
+use crate::fanout::fan_out;
 use crate::kernel::KernelKey;
 use crate::metrics::OptimizerMetrics;
 use crate::policy::BatchSizePolicy;
@@ -27,14 +28,13 @@ use crate::wd::{optimize_wd_weighted_parallel, WdPlan};
 use crate::wr::{optimize_wr_metered, WrResult};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Instant;
 use ucudnn_cudnn_sim::{
-    ConvAlgo, ConvOp, ConvolutionDescriptor, CudnnError, CudnnHandle, FilterDescriptor,
-    TensorDescriptor,
+    check_geometry, ConvAlgo, ConvOp, ConvolutionDescriptor, CudnnError, CudnnHandle,
+    FilterDescriptor, TensorDescriptor,
 };
-use ucudnn_tensor::Shape4;
+use ucudnn_tensor::ConvGeometry;
 
 /// The algorithm id returned to frameworks for every optimized kernel. The
 /// value itself is meaningless (the wrapper ignores the algorithm argument
@@ -103,14 +103,15 @@ pub struct Plan {
 #[derive(Debug, Default)]
 struct State {
     plans: HashMap<KernelKey, Plan>,
-    /// WD: kernels registered during network construction, with counts.
+    /// WD: kernels registered during network construction, in order.
     pending: Vec<KernelKey>,
     wd_plan: Option<WdPlan>,
     /// WR: one workspace per kernel.
     arenas: HashMap<KernelKey, Vec<f32>>,
     /// WD: the single divided workspace.
     wd_arena: Vec<f32>,
-    /// Wall time spent optimizing (benchmarks + DP + ILP), microseconds.
+    /// Wall time spent optimizing (benchmarks + DP + ILP), microseconds:
+    /// each WR installation and each WD run adds its own interval, once.
     opt_wall_us: f64,
 }
 
@@ -180,19 +181,16 @@ impl UcudnnHandle {
         let key = KernelKey::new(op, &g);
         let mut st = self.state.lock();
         match self.opts.mode {
-            OptimizerMode::Wr => {
-                self.ensure_wr_plan(&mut st, &key)?;
-                if let Some(p) = st.plans.get_mut(&key) {
-                    p.multiplicity += 1;
-                }
-            }
+            OptimizerMode::Wr => match st.plans.get_mut(&key) {
+                Some(p) => p.multiplicity += 1,
+                None => self.install_wr(&mut st, &[(key, 1)])?,
+            },
+            OptimizerMode::Wd if st.wd_plan.is_none() => st.pending.push(key),
+            // A kernel registered after WD ran: fall back to WR for it with
+            // the whole limit (rare; keeps the API total).
             OptimizerMode::Wd => {
-                if st.wd_plan.is_none() {
-                    st.pending.push(key);
-                } else if !st.plans.contains_key(&key) {
-                    // A kernel registered after WD ran: fall back to WR for
-                    // it with the whole limit (rare; keeps the API total).
-                    self.ensure_wr_plan(&mut st, &key)?;
+                if !st.plans.contains_key(&key) {
+                    self.install_wr(&mut st, &[(key, 0)])?;
                 }
             }
         }
@@ -232,17 +230,10 @@ impl UcudnnHandle {
         if st.wd_plan.is_some() || st.pending.is_empty() {
             return Ok(());
         }
-        let start = std::time::Instant::now();
-        // Fold duplicate-shape kernels into one group with a multiplicity
-        // weight: the wrapper cannot tell instances apart at execution time,
-        // so they share a configuration and a segment.
-        let mut counts: Vec<(KernelKey, usize)> = Vec::new();
-        for k in &st.pending {
-            match counts.iter_mut().find(|(kk, _)| kk == k) {
-                Some((_, c)) => *c += 1,
-                None => counts.push((*k, 1)),
-            }
-        }
+        let start = Instant::now();
+        // Duplicate-shape kernels share a configuration and a segment: the
+        // wrapper cannot tell instances apart at execution time.
+        let counts = fold(&st.pending);
         let threads = self.opts.opt_threads.max(1);
         self.metrics.set_threads(threads);
         self.metrics.add_kernels(counts.len());
@@ -300,34 +291,51 @@ impl UcudnnHandle {
         Ok(())
     }
 
-    fn ensure_wr_plan(&self, st: &mut State, key: &KernelKey) -> Result<(), UcudnnError> {
-        if st.plans.contains_key(key) {
-            return Ok(());
+    /// The one WR installer, behind `get_algorithm`, `optimize_network`,
+    /// WD's late-kernel fallback and lazy planning in the replay: optimize
+    /// `kernels` (each at most once, none planned yet) on the optimizer
+    /// threads, then allocate their arenas and install their plans with the
+    /// given multiplicities, in order.
+    fn install_wr(
+        &self,
+        st: &mut State,
+        kernels: &[(KernelKey, usize)],
+    ) -> Result<(), UcudnnError> {
+        let start = Instant::now();
+        self.metrics.add_kernels(kernels.len());
+        let keys: Vec<KernelKey> = kernels.iter().map(|(k, _)| *k).collect();
+        let limit = self.opts.workspace_limit_bytes;
+        let results = fan_out(&keys, self.opts.opt_threads, |k| self.optimize_wr(k, limit))?;
+        let mut installed = Vec::with_capacity(keys.len());
+        for (key, r) in keys.iter().zip(results) {
+            installed.push(self.wr_arena_with_shrink(key, r?)?);
         }
-        let start = std::time::Instant::now();
-        let r = optimize_wr_metered(
+        for ((key, multiplicity), (config, arena, provenance)) in kernels.iter().zip(installed) {
+            st.arenas.insert(*key, arena);
+            st.plans.insert(
+                *key,
+                Plan {
+                    config,
+                    offset_floats: 0,
+                    multiplicity: *multiplicity,
+                    provenance,
+                },
+            );
+        }
+        st.opt_wall_us += start.elapsed().as_secs_f64() * 1e6;
+        Ok(())
+    }
+
+    fn optimize_wr(&self, key: &KernelKey, limit: usize) -> Result<WrResult, UcudnnError> {
+        optimize_wr_metered(
             &self.inner,
             &self.cache,
             key,
-            self.opts.workspace_limit_bytes,
+            limit,
             self.opts.policy,
             self.opts.parallel_benchmark,
             Some(&self.metrics),
-        )?;
-        let (config, arena, provenance) = self.wr_arena_with_shrink(key, r)?;
-        st.opt_wall_us += start.elapsed().as_secs_f64() * 1e6;
-        self.metrics.add_kernels(1);
-        st.arenas.insert(*key, arena);
-        st.plans.insert(
-            *key,
-            Plan {
-                config,
-                offset_floats: 0,
-                multiplicity: 0,
-                provenance,
-            },
-        );
-        Ok(())
+        )
     }
 
     /// Allocate a WR arena for an optimized configuration, degrading on
@@ -366,15 +374,7 @@ impl UcudnnHandle {
             }
             self.metrics.degradation();
             shrink_rungs.push(format!("shrink_reoptimize:{}", bytes - 1));
-            r = optimize_wr_metered(
-                &self.inner,
-                &self.cache,
-                key,
-                bytes - 1,
-                self.opts.policy,
-                self.opts.parallel_benchmark,
-                Some(&self.metrics),
-            )?;
+            r = self.optimize_wr(key, bytes - 1)?;
         }
     }
 
@@ -413,25 +413,21 @@ impl UcudnnHandle {
     /// # Errors
     /// Propagates the first optimization failure in registration order.
     pub fn optimize_network(&self, kernels: &[KernelKey]) -> Result<(), UcudnnError> {
-        let start = std::time::Instant::now();
-        let threads = self.opts.opt_threads.max(1);
-        self.metrics.set_threads(threads);
+        self.metrics.set_threads(self.opts.opt_threads.max(1));
+        let mut st = self.state.lock();
+        let unplanned: Vec<KernelKey> = kernels
+            .iter()
+            .filter(|k| !st.plans.contains_key(k))
+            .copied()
+            .collect();
         match self.opts.mode {
-            OptimizerMode::Wr => self.optimize_network_wr(kernels, threads)?,
+            OptimizerMode::Wr => self.install_wr(&mut st, &fold(&unplanned))?,
             OptimizerMode::Wd => {
-                {
-                    let mut st = self.state.lock();
-                    for k in kernels {
-                        if !st.plans.contains_key(k) {
-                            st.pending.push(*k);
-                        }
-                    }
-                }
-                self.finalize_network()?;
+                st.pending.extend(unplanned);
+                self.run_wd(&mut st)?;
             }
         }
-        let mut st = self.state.lock();
-        st.opt_wall_us += start.elapsed().as_secs_f64() * 1e6;
+        drop(st);
         // Args are thread-count-independent on purpose: logical-clock traces
         // of the same network must not differ by `opt_threads`.
         trace::event("opt", "network_done", || {
@@ -446,136 +442,94 @@ impl UcudnnHandle {
         Ok(())
     }
 
-    fn optimize_network_wr(
+    /// The one micro-batch replay behind every convolution call: fetch (or
+    /// lazily build) the kernel's plan and run its micro-batches against
+    /// the wrapped handle, each on its rows of the batch-split buffers.
+    /// Buffers have the roles of [`CudnnHandle::convolution`]
+    /// (`out = alpha * op(a, b) + beta * out`); workspace is supplied
+    /// internally. BackwardFilter micro-batches after the first accumulate
+    /// with `beta = 1` (output scaling), which preserves the undivided
+    /// gradient exactly up to floating-point reassociation — the paper's §II
+    /// argument.
+    ///
+    /// # Errors
+    /// `BadParam` for an invalid geometry; substrate and optimization
+    /// errors.
+    #[allow(clippy::too_many_arguments)] // BLAS/cuDNN-style signature
+    pub fn convolution(
         &self,
-        kernels: &[KernelKey],
-        threads: usize,
+        op: ConvOp,
+        g: &ConvGeometry,
+        a: &[f32],
+        b: &[f32],
+        out: &mut [f32],
+        alpha: f32,
+        beta: f32,
     ) -> Result<(), UcudnnError> {
-        // Fold duplicates and skip kernels that already have plans.
-        let mut counts: Vec<(KernelKey, usize)> = Vec::new();
-        {
-            let st = self.state.lock();
-            for k in kernels {
-                match counts.iter_mut().find(|(kk, _)| kk == k) {
-                    Some((_, c)) => *c += 1,
-                    None if !st.plans.contains_key(k) => counts.push((*k, 1)),
-                    None => {}
-                }
-            }
+        check_geometry(g)?;
+        let key = KernelKey::new(op, g);
+        let mut guard = self.state.lock();
+        if self.opts.mode == OptimizerMode::Wd {
+            self.run_wd(&mut guard)?;
         }
-        if counts.is_empty() {
-            return Ok(());
+        if !guard.plans.contains_key(&key) {
+            // Unregistered kernel (framework skipped get_algorithm):
+            // optimize it on the fly under WR semantics.
+            self.install_wr(&mut guard, &[(key, 0)])?;
         }
-        self.metrics.add_kernels(counts.len());
-        type WrOutcome = Result<crate::wr::WrResult, UcudnnError>;
-        let results: Vec<WrOutcome> = if threads > 1 && counts.len() > 1 {
-            // Work-queue fan-out: workers pull kernel indices off a shared
-            // counter; results land in an index-addressed slot vector so the
-            // installation order below is the registration order. A panic in
-            // one kernel's optimization loses that slot, not the process —
-            // lost slots are recomputed sequentially below.
-            let next = AtomicUsize::new(0);
-            let outcomes: Vec<Vec<(usize, Option<WrOutcome>)>> = std::thread::scope(|scope| {
-                let workers: Vec<_> = (0..threads.min(counts.len()))
-                    .map(|_| {
-                        let (next, counts) = (&next, &counts);
-                        scope.spawn(move || {
-                            let mut done = Vec::new();
-                            loop {
-                                let i = next.fetch_add(1, Ordering::Relaxed);
-                                let Some((k, _)) = counts.get(i) else { break };
-                                let r = catch_unwind(AssertUnwindSafe(|| self.optimize_one_wr(k)));
-                                done.push((i, r.ok()));
-                            }
-                            done
-                        })
-                    })
-                    .collect();
-                workers
-                    .into_iter()
-                    .map(|w| w.join().unwrap_or_default())
-                    .collect()
-            });
-            let mut slots: Vec<Option<WrOutcome>> = (0..counts.len()).map(|_| None).collect();
-            for (i, r) in outcomes.into_iter().flatten() {
-                if let Some(r) = r {
-                    slots[i] = Some(r);
-                }
+        let State {
+            plans,
+            arenas,
+            wd_arena,
+            ..
+        } = &mut *guard;
+        let plan = &plans[&key];
+        // Its private arena under WR, its segment of the global one under WD.
+        let ws = match arenas.get_mut(&key) {
+            Some(buf) => buf.as_mut_slice(),
+            None => {
+                &mut wd_arena[plan.offset_floats..][..plan.config.workspace_bytes().div_ceil(4)]
             }
-            // Refill slots lost to worker panics; a second panic on the
-            // calling thread is reported as an error instead of crashing.
-            slots
-                .into_iter()
-                .enumerate()
-                .map(|(i, r)| match r {
-                    Some(r) => r,
-                    None => {
-                        let (k, _) = &counts[i];
-                        catch_unwind(AssertUnwindSafe(|| self.optimize_one_wr(k))).unwrap_or_else(
-                            |_| {
-                                Err(UcudnnError::WorkerPanicked(format!(
-                                    "WR optimization for {k}"
-                                )))
-                            },
-                        )
-                    }
-                })
-                .collect()
-        } else {
-            counts
-                .iter()
-                .map(|(k, _)| self.optimize_one_wr(k))
-                .collect()
         };
-        let mut installed = Vec::with_capacity(counts.len());
-        for ((key, _), result) in counts.iter().zip(results) {
-            let r = result?;
-            installed.push(self.wr_arena_with_shrink(key, r)?);
+        // Per-sample lengths of the buffers split along the batch; the
+        // filter-shaped one (`None`) is read or accumulated whole.
+        let (x_len, y_len) = (g.input.sample_len(), g.output().sample_len());
+        let [a_len, b_len, out_len] = match op {
+            ConvOp::Forward => [Some(x_len), None, Some(y_len)],
+            ConvOp::BackwardData => [Some(y_len), None, Some(x_len)],
+            ConvOp::BackwardFilter => [Some(x_len), Some(y_len), None],
+        };
+        let mut lo = 0usize;
+        for (i, m) in plan.config.micros.iter().enumerate() {
+            let rows = lo..lo + m.micro_batch;
+            let micro_g = g.with_batch(m.micro_batch);
+            let micro_beta = if op == ConvOp::BackwardFilter && i > 0 {
+                1.0
+            } else {
+                beta
+            };
+            let _micro = micro_span(&key, i, m);
+            self.with_exec_retries(|| {
+                self.inner.convolution(
+                    op,
+                    &micro_g,
+                    m.algo,
+                    sub(a, &rows, a_len),
+                    sub(b, &rows, b_len),
+                    sub_mut(out, &rows, out_len),
+                    alpha,
+                    micro_beta,
+                    ws,
+                )
+            })?;
+            lo = rows.end;
         }
-        let mut st = self.state.lock();
-        for ((key, mult), (config, arena, provenance)) in counts.iter().zip(installed) {
-            st.arenas.insert(*key, arena);
-            st.plans.insert(
-                *key,
-                Plan {
-                    config,
-                    offset_floats: 0,
-                    multiplicity: *mult,
-                    provenance,
-                },
-            );
-        }
+        debug_assert_eq!(lo, g.input.n, "configuration must tile the mini-batch");
         Ok(())
     }
 
-    fn optimize_one_wr(&self, key: &KernelKey) -> Result<crate::wr::WrResult, UcudnnError> {
-        optimize_wr_metered(
-            &self.inner,
-            &self.cache,
-            key,
-            self.opts.workspace_limit_bytes,
-            self.opts.policy,
-            self.opts.parallel_benchmark,
-            Some(&self.metrics),
-        )
-    }
-
-    /// Fetch (or lazily build) the plan for a kernel about to execute.
-    fn plan_for(&self, st: &mut State, key: &KernelKey) -> Result<Plan, UcudnnError> {
-        if self.opts.mode == OptimizerMode::Wd {
-            self.run_wd(st)?;
-        }
-        if !st.plans.contains_key(key) {
-            // Unregistered kernel (framework skipped get_algorithm):
-            // optimize it on the fly under WR semantics.
-            self.ensure_wr_plan(st, key)?;
-        }
-        Ok(st.plans[key].clone())
-    }
-
-    /// `cudnnConvolutionForward` override: execute the planned micro-batch
-    /// sequence. The `algo` argument is accepted for signature compatibility
-    /// and ignored; workspace is supplied internally.
+    /// `cudnnConvolutionForward` override: [`Self::convolution`]. The
+    /// `algo` argument is accepted for signature compatibility and ignored.
     ///
     /// # Errors
     /// Propagates substrate and optimization errors.
@@ -593,50 +547,11 @@ impl UcudnnHandle {
         y_desc: &TensorDescriptor,
         y: &mut [f32],
     ) -> Result<(), UcudnnError> {
-        let g = conv.geometry(x_desc, w_desc)?;
-        if y_desc.shape() != g.output() {
-            return Err(ucudnn_cudnn_sim::CudnnError::BadParam(format!(
-                "output descriptor {} does not match computed {}",
-                y_desc.shape(),
-                g.output()
-            ))
-            .into());
-        }
-        let key = KernelKey::new(ConvOp::Forward, &g);
-        let mut st = self.state.lock();
-        let plan = self.plan_for(&mut st, &key)?;
-        let (in_s, out_s) = (g.input.sample_len(), g.output().sample_len());
-        let out_shape = g.output();
-        let st = &mut *st;
-        let ws = arena(st, &key, &plan);
-        let mut lo = 0usize;
-        for (i, m) in plan.config.micros.iter().enumerate() {
-            let hi = lo + m.micro_batch;
-            let mxd = desc(g.input.with_batch(m.micro_batch));
-            let myd = desc(out_shape.with_batch(m.micro_batch));
-            let _micro = micro_span(&key, i, m);
-            self.with_exec_retries(|| {
-                self.inner.convolution_forward(
-                    alpha,
-                    &mxd,
-                    sub(x, lo, hi, in_s),
-                    w_desc,
-                    w,
-                    conv,
-                    m.algo,
-                    ws,
-                    beta,
-                    &myd,
-                    sub_mut(y, lo, hi, out_s),
-                )
-            })?;
-            lo = hi;
-        }
-        debug_assert_eq!(lo, g.input.n, "configuration must tile the mini-batch");
-        Ok(())
+        let g = conv.call_geometry(x_desc, w_desc, y_desc)?;
+        self.convolution(ConvOp::Forward, &g, x, w, y, alpha, beta)
     }
 
-    /// `cudnnConvolutionBackwardData` override.
+    /// `cudnnConvolutionBackwardData` override: [`Self::convolution`].
     ///
     /// # Errors
     /// Propagates substrate and optimization errors.
@@ -654,53 +569,11 @@ impl UcudnnHandle {
         dx_desc: &TensorDescriptor,
         dx: &mut [f32],
     ) -> Result<(), UcudnnError> {
-        let g = conv.geometry(dx_desc, w_desc)?;
-        if dy_desc.shape() != g.output() {
-            return Err(ucudnn_cudnn_sim::CudnnError::BadParam(format!(
-                "gradient descriptor {} does not match computed {}",
-                dy_desc.shape(),
-                g.output()
-            ))
-            .into());
-        }
-        let key = KernelKey::new(ConvOp::BackwardData, &g);
-        let mut st = self.state.lock();
-        let plan = self.plan_for(&mut st, &key)?;
-        let (in_s, out_s) = (g.input.sample_len(), g.output().sample_len());
-        let out_shape = g.output();
-        let st = &mut *st;
-        let ws = arena(st, &key, &plan);
-        let mut lo = 0usize;
-        for (i, m) in plan.config.micros.iter().enumerate() {
-            let hi = lo + m.micro_batch;
-            let mdyd = desc(out_shape.with_batch(m.micro_batch));
-            let mdxd = desc(g.input.with_batch(m.micro_batch));
-            let _micro = micro_span(&key, i, m);
-            self.with_exec_retries(|| {
-                self.inner.convolution_backward_data(
-                    alpha,
-                    w_desc,
-                    w,
-                    &mdyd,
-                    sub(dy, lo, hi, out_s),
-                    conv,
-                    m.algo,
-                    ws,
-                    beta,
-                    &mdxd,
-                    sub_mut(dx, lo, hi, in_s),
-                )
-            })?;
-            lo = hi;
-        }
-        debug_assert_eq!(lo, g.input.n);
-        Ok(())
+        let g = conv.call_geometry(dx_desc, w_desc, dy_desc)?;
+        self.convolution(ConvOp::BackwardData, &g, dy, w, dx, alpha, beta)
     }
 
-    /// `cudnnConvolutionBackwardFilter` override. Micro-batches after the
-    /// first accumulate with `beta = 1` (output scaling), which preserves
-    /// the undivided gradient exactly up to floating-point reassociation —
-    /// the paper's §II argument.
+    /// `cudnnConvolutionBackwardFilter` override: [`Self::convolution`].
     ///
     /// # Errors
     /// Propagates substrate and optimization errors.
@@ -718,52 +591,12 @@ impl UcudnnHandle {
         dw_desc: &FilterDescriptor,
         dw: &mut [f32],
     ) -> Result<(), UcudnnError> {
-        let g = conv.geometry(x_desc, dw_desc)?;
-        if dy_desc.shape() != g.output() {
-            return Err(ucudnn_cudnn_sim::CudnnError::BadParam(format!(
-                "gradient descriptor {} does not match computed {}",
-                dy_desc.shape(),
-                g.output()
-            ))
-            .into());
-        }
-        let key = KernelKey::new(ConvOp::BackwardFilter, &g);
-        let mut st = self.state.lock();
-        let plan = self.plan_for(&mut st, &key)?;
-        let (in_s, out_s) = (g.input.sample_len(), g.output().sample_len());
-        let out_shape = g.output();
-        let st = &mut *st;
-        let ws = arena(st, &key, &plan);
-        let mut lo = 0usize;
-        for (i, m) in plan.config.micros.iter().enumerate() {
-            let hi = lo + m.micro_batch;
-            let mxd = desc(g.input.with_batch(m.micro_batch));
-            let mdyd = desc(out_shape.with_batch(m.micro_batch));
-            let micro_beta = if i == 0 { beta } else { 1.0 };
-            let _micro = micro_span(&key, i, m);
-            self.with_exec_retries(|| {
-                self.inner.convolution_backward_filter(
-                    alpha,
-                    &mxd,
-                    sub(x, lo, hi, in_s),
-                    &mdyd,
-                    sub(dy, lo, hi, out_s),
-                    conv,
-                    m.algo,
-                    ws,
-                    micro_beta,
-                    dw_desc,
-                    dw,
-                )
-            })?;
-            lo = hi;
-        }
-        debug_assert_eq!(lo, g.input.n);
-        Ok(())
+        let g = conv.call_geometry(x_desc, dw_desc, dy_desc)?;
+        self.convolution(ConvOp::BackwardFilter, &g, x, dy, dw, alpha, beta)
     }
 
     /// The installed plan for a kernel, if any.
-    pub fn plan(&self, op: ConvOp, g: &ucudnn_tensor::ConvGeometry) -> Option<Plan> {
+    pub fn plan(&self, op: ConvOp, g: &ConvGeometry) -> Option<Plan> {
         self.state.lock().plans.get(&KernelKey::new(op, g)).cloned()
     }
 
@@ -861,33 +694,36 @@ fn micro_span(key: &KernelKey, i: usize, m: &crate::config::MicroConfig) -> trac
     })
 }
 
-/// Workspace slice for a kernel: its private arena under WR, its segment of
-/// the global arena under WD.
-fn arena<'a>(st: &'a mut State, key: &KernelKey, plan: &Plan) -> &'a mut [f32] {
-    if let Some(buf) = st.arenas.get_mut(key) {
-        return buf.as_mut_slice();
+/// `keys` with duplicates folded into `(key, occurrences)`, in first-seen
+/// order.
+fn fold(keys: &[KernelKey]) -> Vec<(KernelKey, usize)> {
+    let mut counts: Vec<(KernelKey, usize)> = Vec::new();
+    for k in keys {
+        match counts.iter_mut().find(|(kk, _)| kk == k) {
+            Some((_, c)) => *c += 1,
+            None => counts.push((*k, 1)),
+        }
     }
-    let len = plan.config.workspace_bytes().div_ceil(4);
-    &mut st.wd_arena[plan.offset_floats..plan.offset_floats + len]
+    counts
 }
 
-fn desc(shape: Shape4) -> TensorDescriptor {
-    TensorDescriptor::from_shape(shape).expect("micro shape is valid by construction")
-}
-
-/// Batch sub-slice that passes empty (simulated-engine) buffers through.
-fn sub(data: &[f32], lo: usize, hi: usize, sample_len: usize) -> &[f32] {
-    if data.is_empty() {
-        data
-    } else {
-        &data[lo * sample_len..hi * sample_len]
+/// The micro-batch's rows of a buffer split along the batch
+/// (`sample_len`), the whole buffer otherwise; empty (simulated-engine)
+/// buffers pass through.
+fn sub<'a>(data: &'a [f32], rows: &std::ops::Range<usize>, sample_len: Option<usize>) -> &'a [f32] {
+    match sample_len {
+        Some(n) if !data.is_empty() => &data[rows.start * n..rows.end * n],
+        _ => data,
     }
 }
 
-fn sub_mut(data: &mut [f32], lo: usize, hi: usize, sample_len: usize) -> &mut [f32] {
-    if data.is_empty() {
-        data
-    } else {
-        &mut data[lo * sample_len..hi * sample_len]
+fn sub_mut<'a>(
+    data: &'a mut [f32],
+    rows: &std::ops::Range<usize>,
+    sample_len: Option<usize>,
+) -> &'a mut [f32] {
+    match sample_len {
+        Some(n) if !data.is_empty() => &mut data[rows.start * n..rows.end * n],
+        _ => data,
     }
 }

@@ -8,49 +8,11 @@
 use ucudnn_cudnn_sim::ConvOp;
 use ucudnn_tensor::{ConvGeometry, FilterShape, Shape4};
 
-/// Cache-friendly stand-in for [`ConvOp`], owned by this crate so the
-/// optimizer can hash and persist it without depending on conv internals.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum OpKind {
-    /// Forward convolution.
-    Forward,
-    /// Data gradient.
-    BackwardData,
-    /// Filter gradient.
-    BackwardFilter,
-}
-
-impl From<ConvOp> for OpKind {
-    fn from(op: ConvOp) -> Self {
-        match op {
-            ConvOp::Forward => OpKind::Forward,
-            ConvOp::BackwardData => OpKind::BackwardData,
-            ConvOp::BackwardFilter => OpKind::BackwardFilter,
-        }
-    }
-}
-
-impl From<OpKind> for ConvOp {
-    fn from(op: OpKind) -> Self {
-        match op {
-            OpKind::Forward => ConvOp::Forward,
-            OpKind::BackwardData => ConvOp::BackwardData,
-            OpKind::BackwardFilter => ConvOp::BackwardFilter,
-        }
-    }
-}
-
-impl core::fmt::Display for OpKind {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        ConvOp::from(*self).fmt(f)
-    }
-}
-
 /// Unique identity of an optimizable kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct KernelKey {
     /// Which convolution operation.
-    pub op: OpKind,
+    pub op: ConvOp,
     /// Full mini-batch input shape.
     pub input: Shape4,
     /// Filter shape.
@@ -69,7 +31,7 @@ impl KernelKey {
     /// Build a key from an operation and geometry.
     pub fn new(op: ConvOp, g: &ConvGeometry) -> Self {
         Self {
-            op: op.into(),
+            op,
             input: g.input,
             filter: g.filter,
             pad_h: g.pad_h,
@@ -105,9 +67,9 @@ impl KernelKey {
         }
     }
 
-    /// The operation as the execution-layer enum.
+    /// The operation.
     pub fn conv_op(&self) -> ConvOp {
-        self.op.into()
+        self.op
     }
 
     /// Mini-batch size.
@@ -158,14 +120,5 @@ mod tests {
         let a = KernelKey::new(ConvOp::Forward, &g());
         let b = KernelKey::new(ConvOp::BackwardFilter, &g());
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn op_kind_round_trips() {
-        for op in ConvOp::ALL {
-            let k: OpKind = op.into();
-            let back: ConvOp = k.into();
-            assert_eq!(op, back);
-        }
     }
 }

@@ -48,6 +48,7 @@ pub mod bench_cache;
 pub mod config;
 pub mod env;
 pub mod error;
+mod fanout;
 pub mod fleet;
 pub mod handle;
 pub mod json;
@@ -72,7 +73,7 @@ pub use fleet::{
     BudgetShare, FleetBudgetPlan, ReplicaCandidates,
 };
 pub use handle::{OptimizerMode, Plan, UcudnnHandle, UcudnnOptions, VIRTUAL_ALGO};
-pub use kernel::{KernelKey, OpKind};
+pub use kernel::KernelKey;
 pub use metrics::{OptimizerMetrics, Phase, PhaseTimings};
 pub use pareto::{
     desirable_set, desirable_set_metered, desirable_set_traced, pareto_front, DesirableStats,

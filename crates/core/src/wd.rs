@@ -17,24 +17,15 @@
 use crate::bench_cache::BenchCache;
 use crate::config::Configuration;
 use crate::error::UcudnnError;
+use crate::fanout::fan_out;
 use crate::kernel::KernelKey;
 use crate::metrics::{OptimizerMetrics, Phase};
 use crate::pareto::{desirable_set_traced, DesirableStats};
 use crate::policy::BatchSizePolicy;
 use crate::trace::PlanProvenance;
 use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use ucudnn_cudnn_sim::CudnnHandle;
 use ucudnn_lp::{Item, MckInstance};
-
-/// Best-effort text of a caught panic payload.
-fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
-    p.downcast_ref::<&str>()
-        .map(|s| (*s).to_string())
-        .or_else(|| p.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "non-string panic payload".into())
-}
 
 /// One kernel's slot in a WD plan.
 #[derive(Debug, Clone)]
@@ -158,17 +149,17 @@ pub fn optimize_wd_weighted(
 /// fanned out over `threads` workers and per-phase timings recorded into
 /// `metrics`.
 ///
-/// Workers pull unique kernels off a shared index counter and feed the
-/// shared [`BenchCache`], whose single-flight arbitration guarantees every
-/// micro-benchmark runs exactly once even when kernels share micro-batch
-/// shapes. Completed fronts land in a slot vector indexed by kernel
-/// position, so the ILP consumes them in registration order and the plan is
-/// byte-identical for every thread count (the simulated benchmark is a pure
-/// function of device and kernel, and DP/Pareto/ILP are deterministic given
-/// the cache contents).
+/// Workers share the [`BenchCache`], whose single-flight arbitration
+/// guarantees every micro-benchmark runs exactly once even when kernels
+/// share micro-batch shapes. Fronts come back in registration order, so
+/// the plan is byte-identical for every thread count (the simulated
+/// benchmark is a pure function of device and kernel, and DP/Pareto/ILP are
+/// deterministic given the cache contents).
 ///
 /// # Errors
-/// Same conditions as [`optimize_wd`].
+/// Same conditions as [`optimize_wd`], plus
+/// [`UcudnnError::WorkerPanicked`] when a kernel's desirable set panics on
+/// a worker and again on the calling thread.
 pub fn optimize_wd_weighted_parallel(
     handle: &CudnnHandle,
     cache: &BenchCache,
@@ -188,64 +179,9 @@ pub fn optimize_wd_weighted_parallel(
         }
     }
 
-    type Front = (Vec<Configuration>, DesirableStats);
-    let compute_front = |k: &KernelKey| -> Front {
+    let fronts = fan_out(&unique, threads, |k| {
         desirable_set_traced(handle, cache, k, total_limit, policy, metrics)
-    };
-
-    let fronts: Vec<Front> = if threads > 1 && unique.len() > 1 {
-        let next = AtomicUsize::new(0);
-        let outcomes: Vec<Vec<(usize, Option<Front>)>> = std::thread::scope(|scope| {
-            let workers: Vec<_> = (0..threads.min(unique.len()))
-                .map(|_| {
-                    let (next, unique, compute_front) = (&next, &unique, &compute_front);
-                    scope.spawn(move || {
-                        let mut done = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(k) = unique.get(i) else { break };
-                            // A panic loses this slot, not the process;
-                            // lost slots are refilled sequentially below.
-                            done.push((
-                                i,
-                                catch_unwind(AssertUnwindSafe(|| compute_front(k))).ok(),
-                            ));
-                        }
-                        done
-                    })
-                })
-                .collect();
-            workers
-                .into_iter()
-                .map(|w| w.join().unwrap_or_default())
-                .collect()
-        });
-        let mut merged: Vec<Option<Front>> = vec![None; unique.len()];
-        for (i, ds) in outcomes.into_iter().flatten() {
-            if let Some(ds) = ds {
-                merged[i] = Some(ds);
-            }
-        }
-        // Refill slots lost to worker panics. A second panic on the calling
-        // thread is reported as an error instead of crashing the caller.
-        for (i, slot) in merged.iter_mut().enumerate() {
-            if slot.is_none() {
-                let k = &unique[i];
-                match catch_unwind(AssertUnwindSafe(|| compute_front(k))) {
-                    Ok(ds) => *slot = Some(ds),
-                    Err(p) => {
-                        return Err(UcudnnError::WorkerPanicked(format!(
-                            "desirable set for {k}: {}",
-                            panic_message(p.as_ref())
-                        )))
-                    }
-                }
-            }
-        }
-        merged.into_iter().flatten().collect()
-    } else {
-        unique.iter().map(compute_front).collect()
-    };
+    })?;
 
     // Per unique kernel: the desirable set, its construction stats, and
     // whether it is the undivided fallback (a provenance degradation rung).

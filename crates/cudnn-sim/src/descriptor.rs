@@ -109,39 +109,76 @@ impl ConvolutionDescriptor {
     }
 
     /// Assemble the full geometry, validating descriptor compatibility —
-    /// the checks cuDNN performs at call time.
+    /// the checks cuDNN performs at call time ([`check_geometry`]).
     pub fn geometry(&self, x: &TensorDescriptor, w: &FilterDescriptor) -> Result<ConvGeometry> {
-        let xs = x.shape();
-        let ws = w.shape();
-        if xs.c != ws.c {
+        let g = ConvGeometry {
+            input: x.shape(),
+            filter: w.shape(),
+            pad_h: self.pad_h,
+            pad_w: self.pad_w,
+            stride_h: self.stride_h,
+            stride_w: self.stride_w,
+        };
+        check_geometry(&g)?;
+        Ok(g)
+    }
+
+    /// [`Self::geometry`] of a convolution call, also checking the
+    /// descriptor of its output-shaped operand (`y` forward, `dy` backward)
+    /// against the computed output.
+    pub fn call_geometry(
+        &self,
+        x: &TensorDescriptor,
+        w: &FilterDescriptor,
+        y: &TensorDescriptor,
+    ) -> Result<ConvGeometry> {
+        let g = self.geometry(x, w)?;
+        if y.shape() != g.output() {
             return Err(CudnnError::BadParam(format!(
-                "input channels {} != filter channels {}",
-                xs.c, ws.c
+                "descriptor {} does not match the computed output {}",
+                y.shape(),
+                g.output()
             )));
         }
-        if xs.h + 2 * self.pad_h < ws.r || xs.w + 2 * self.pad_w < ws.s {
-            return Err(CudnnError::BadParam(format!(
-                "padded input {}x{} smaller than filter {}x{}",
-                xs.h + 2 * self.pad_h,
-                xs.w + 2 * self.pad_w,
-                ws.r,
-                ws.s
-            )));
-        }
-        Ok(ConvGeometry::new(
-            xs,
-            ws,
-            self.pad_h,
-            self.pad_w,
-            self.stride_h,
-            self.stride_w,
-        ))
+        Ok(g)
     }
 
     /// `cudnnGetConvolution2dForwardOutputDim`.
     pub fn forward_output_dim(&self, x: &TensorDescriptor, w: &FilterDescriptor) -> Result<Shape4> {
         Ok(self.geometry(x, w)?.output())
     }
+}
+
+/// The checks cuDNN makes of a convolution at call time: nonzero input and
+/// filter dimensions, positive strides, matching channels and a padded
+/// input no smaller than the filter. `ConvGeometry`'s fields are public, so
+/// every geometry-taking entry point runs them too: a geometry built as a
+/// struct literal is a `BadParam`, never a panic in an engine.
+pub fn check_geometry(g: &ConvGeometry) -> Result<()> {
+    TensorDescriptor::from_shape(g.input)?;
+    FilterDescriptor::from_shape(g.filter)?;
+    if g.stride_h == 0 || g.stride_w == 0 {
+        return Err(CudnnError::BadParam(
+            "convolution stride must be positive".into(),
+        ));
+    }
+    let (xs, ws) = (g.input, g.filter);
+    if xs.c != ws.c {
+        return Err(CudnnError::BadParam(format!(
+            "input channels {} != filter channels {}",
+            xs.c, ws.c
+        )));
+    }
+    if xs.h + 2 * g.pad_h < ws.r || xs.w + 2 * g.pad_w < ws.s {
+        return Err(CudnnError::BadParam(format!(
+            "padded input {}x{} smaller than filter {}x{}",
+            xs.h + 2 * g.pad_h,
+            xs.w + 2 * g.pad_w,
+            ws.r,
+            ws.s
+        )));
+    }
+    Ok(())
 }
 
 #[cfg(test)]

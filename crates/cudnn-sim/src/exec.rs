@@ -11,7 +11,9 @@
 //! * **RealCpu** — all data slices must match their descriptors exactly; the
 //!   kernel computes real results and the clock advances by wall time.
 
-use crate::descriptor::{ConvolutionDescriptor, FilterDescriptor, TensorDescriptor};
+use crate::descriptor::{
+    check_geometry, ConvolutionDescriptor, FilterDescriptor, TensorDescriptor,
+};
 use crate::error::{CudnnError, Result};
 use crate::handle::{CudnnHandle, Engine};
 use crate::map::{cpu_engine_for, supported_on, workspace_bytes_on};
@@ -19,32 +21,38 @@ use ucudnn_conv::ConvOp;
 use ucudnn_gpu_model::{kernel_time_us, ConvAlgo};
 use ucudnn_tensor::ConvGeometry;
 
-/// Arguments common to the three convolution calls.
-struct CallCtx<'a> {
-    op: ConvOp,
-    g: ConvGeometry,
-    algo: ConvAlgo,
-    alpha: f32,
-    beta: f32,
-    ws: &'a mut [f32],
-}
-
 impl CudnnHandle {
-    fn run(&self, ctx: CallCtx<'_>, a: &[f32], b: &[f32], out: &mut [f32]) -> Result<()> {
-        let CallCtx {
-            op,
-            g,
-            algo,
-            alpha,
-            beta,
-            ws,
-        } = ctx;
-        if !supported_on(self.engine(), algo, op, &g) {
+    /// One convolution call of any op on geometry `g`:
+    /// `out = alpha * op(a, b) + beta * out`, with the buffer roles of
+    /// `ucudnn_conv::exec` (Forward: `a = x`, `b = w`, `out = y`;
+    /// BackwardData: `a = dy`, `b = w`, `out = dx`; BackwardFilter: `a = x`,
+    /// `b = dy`, `out = dw`). The three descriptor-style calls below
+    /// delegate here.
+    ///
+    /// # Errors
+    /// `BadParam` for an invalid geometry ([`check_geometry`]) or buffers
+    /// that do not match it, `NotSupported`, `WorkspaceTooSmall`, and
+    /// injected execution faults.
+    #[allow(clippy::too_many_arguments)] // BLAS/cuDNN-style signature
+    pub fn convolution(
+        &self,
+        op: ConvOp,
+        g: &ConvGeometry,
+        algo: ConvAlgo,
+        a: &[f32],
+        b: &[f32],
+        out: &mut [f32],
+        alpha: f32,
+        beta: f32,
+        ws: &mut [f32],
+    ) -> Result<()> {
+        check_geometry(g)?;
+        if !supported_on(self.engine(), algo, op, g) {
             return Err(CudnnError::NotSupported(format!(
                 "{algo} cannot run {op} on {g}"
             )));
         }
-        let need = workspace_bytes_on(self.engine(), algo, op, &g).unwrap_or(0);
+        let need = workspace_bytes_on(self.engine(), algo, op, g).unwrap_or(0);
         let got = 4 * ws.len();
         if got < need {
             return Err(CudnnError::WorkspaceTooSmall { need, got });
@@ -61,7 +69,7 @@ impl CudnnHandle {
                             .into(),
                     ));
                 }
-                let t = kernel_time_us(d, algo, op, &g).ok_or_else(|| {
+                let t = kernel_time_us(d, algo, op, g).ok_or_else(|| {
                     CudnnError::NotSupported(format!("{algo} unsupported on {g}"))
                 })? * self.perturb_factor_now();
                 self.advance(t);
@@ -102,12 +110,12 @@ impl CudnnHandle {
                 // to uncached execution — never changes results.
                 self.plan_cache()
                     .with_plan(
-                        crate::plan_cache::plan_key(kind, op, &g),
+                        crate::plan_cache::plan_key(kind, op, g),
                         kind,
                         |bytes| self.fault_check_alloc(bytes).is_ok(),
                         |plan| {
                             ucudnn_conv::exec_with_plan(
-                                kind, op, &g, a, b, out, alpha, beta, ws, plan,
+                                kind, op, g, a, b, out, alpha, beta, ws, plan,
                             )
                         },
                     )
@@ -145,27 +153,8 @@ impl CudnnHandle {
         y_desc: &TensorDescriptor,
         y: &mut [f32],
     ) -> Result<()> {
-        let g = conv.geometry(x_desc, w_desc)?;
-        if y_desc.shape() != g.output() {
-            return Err(CudnnError::BadParam(format!(
-                "output descriptor {} does not match computed {}",
-                y_desc.shape(),
-                g.output()
-            )));
-        }
-        self.run(
-            CallCtx {
-                op: ConvOp::Forward,
-                g,
-                algo,
-                alpha,
-                beta,
-                ws,
-            },
-            x,
-            w,
-            y,
-        )
+        let g = conv.call_geometry(x_desc, w_desc, y_desc)?;
+        self.convolution(ConvOp::Forward, &g, algo, x, w, y, alpha, beta, ws)
     }
 
     /// `cudnnConvolutionBackwardData`: `dx = alpha * grad_x + beta * dx`.
@@ -184,27 +173,8 @@ impl CudnnHandle {
         dx_desc: &TensorDescriptor,
         dx: &mut [f32],
     ) -> Result<()> {
-        let g = conv.geometry(dx_desc, w_desc)?;
-        if dy_desc.shape() != g.output() {
-            return Err(CudnnError::BadParam(format!(
-                "gradient descriptor {} does not match computed {}",
-                dy_desc.shape(),
-                g.output()
-            )));
-        }
-        self.run(
-            CallCtx {
-                op: ConvOp::BackwardData,
-                g,
-                algo,
-                alpha,
-                beta,
-                ws,
-            },
-            dy,
-            w,
-            dx,
-        )
+        let g = conv.call_geometry(dx_desc, w_desc, dy_desc)?;
+        self.convolution(ConvOp::BackwardData, &g, algo, dy, w, dx, alpha, beta, ws)
     }
 
     /// `cudnnConvolutionBackwardFilter`: `dw = alpha * grad_w + beta * dw`.
@@ -225,27 +195,8 @@ impl CudnnHandle {
         dw_desc: &FilterDescriptor,
         dw: &mut [f32],
     ) -> Result<()> {
-        let g = conv.geometry(x_desc, dw_desc)?;
-        if dy_desc.shape() != g.output() {
-            return Err(CudnnError::BadParam(format!(
-                "gradient descriptor {} does not match computed {}",
-                dy_desc.shape(),
-                g.output()
-            )));
-        }
-        self.run(
-            CallCtx {
-                op: ConvOp::BackwardFilter,
-                g,
-                algo,
-                alpha,
-                beta,
-                ws,
-            },
-            x,
-            dy,
-            dw,
-        )
+        let g = conv.call_geometry(x_desc, dw_desc, dy_desc)?;
+        self.convolution(ConvOp::BackwardFilter, &g, algo, x, dy, dw, alpha, beta, ws)
     }
 }
 

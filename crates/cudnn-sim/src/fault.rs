@@ -125,13 +125,6 @@ impl Default for FaultPlan {
     }
 }
 
-impl FaultPlan {
-    /// Whether any injection is configured at all.
-    pub fn is_active(&self) -> bool {
-        self.alloc_fail_above.is_some() || !self.targets.is_empty() || self.exec_rate > 0.0
-    }
-}
-
 /// One injected fault, as recorded in the handle's fault log.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultRecord {

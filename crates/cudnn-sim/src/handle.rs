@@ -114,11 +114,6 @@ impl CudnnHandle {
             .map_or(1.0, |p| p.factor_at(self.elapsed_us()))
     }
 
-    /// The attached fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.faults.as_ref().map(|f| f.plan())
-    }
-
     /// Total number of faults injected through this handle.
     pub fn faults_injected(&self) -> u64 {
         self.faults.as_ref().map_or(0, |f| f.injected())

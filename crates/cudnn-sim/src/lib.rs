@@ -10,7 +10,8 @@
 //!    [`CudnnHandle::find_algorithms`],
 //! 4. query [`CudnnHandle::get_workspace_size`] and allocate,
 //! 5. launch `convolution_forward` / `convolution_backward_data` /
-//!    `convolution_backward_filter` with `alpha`/`beta` output scaling.
+//!    `convolution_backward_filter` with `alpha`/`beta` output scaling
+//!    (each delegates to the op-generic [`CudnnHandle::convolution`]).
 //!
 //! The [`handle::Engine::Simulated`] engine prices kernels with the
 //! deterministic GPU performance model (`ucudnn-gpu-model`) and advances a
@@ -29,7 +30,7 @@ pub mod observe;
 pub mod ops;
 pub mod plan_cache;
 
-pub use descriptor::{ConvolutionDescriptor, FilterDescriptor, TensorDescriptor};
+pub use descriptor::{check_geometry, ConvolutionDescriptor, FilterDescriptor, TensorDescriptor};
 pub use error::{CudnnError, Result};
 pub use fault::{FaultPlan, FaultRecord, FaultSite, FaultTarget};
 pub use find::{AlgoPerf, AlgoPreference, AlgoStatus};

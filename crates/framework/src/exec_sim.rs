@@ -6,7 +6,6 @@ use crate::cost::{layer_backward_us, layer_forward_us};
 use crate::graph::{LayerSpec, NetworkDef};
 use crate::provider::{ConvProvider, ProviderError};
 use ucudnn_cudnn_sim::{ConvOp, Engine};
-use ucudnn_gpu_model::DeviceSpec;
 
 /// Per-layer timing of one forward+backward iteration.
 #[derive(Debug, Clone)]
@@ -219,17 +218,12 @@ fn conv_time(
     Ok(provider.handle().elapsed_us() - before)
 }
 
-/// A device accessor for report headers.
-pub fn device_of(provider: &impl ConvProvider) -> Option<DeviceSpec> {
-    provider.handle().device().cloned()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::graph::NetworkDef;
     use crate::provider::BaselineCudnn;
-    use ucudnn::{UcudnnHandle, UcudnnOptions};
+    use ucudnn::{OptimizerMode, UcudnnHandle, UcudnnOptions};
     use ucudnn_cudnn_sim::CudnnHandle;
     use ucudnn_gpu_model::p100_sxm2;
     use ucudnn_tensor::Shape4;
@@ -297,6 +291,31 @@ mod tests {
                 "limit {limit}: ucudnn {} vs baseline {}",
                 tm.total_us(),
                 tb.total_us()
+            );
+        }
+    }
+
+    /// Each optimization interval is counted once, so the handle's
+    /// optimization wall time never exceeds the set-up that spent it.
+    #[test]
+    fn optimization_wall_time_is_within_the_set_up_time() {
+        let net = small_net(64);
+        for mode in [OptimizerMode::Wr, OptimizerMode::Wd] {
+            let mu = UcudnnHandle::new(
+                CudnnHandle::simulated(p100_sxm2()),
+                UcudnnOptions {
+                    workspace_limit_bytes: 64 * MIB,
+                    mode,
+                    ..Default::default()
+                },
+            );
+            let start = std::time::Instant::now();
+            setup_network(&mu, &net).unwrap();
+            let measured_us = start.elapsed().as_secs_f64() * 1e6;
+            let opt_us = mu.optimization_wall_us();
+            assert!(
+                opt_us > 0.0 && opt_us <= measured_us,
+                "{mode:?}: {opt_us} µs of optimization in a {measured_us} µs set-up"
             );
         }
     }

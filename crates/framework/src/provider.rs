@@ -119,21 +119,16 @@ pub trait ConvProvider {
     fn kernel_workspace_bytes(&self, op: ConvOp, g: &ConvGeometry) -> usize;
 }
 
+/// The descriptors of a geometry, for the descriptor-style set-up calls; a
+/// geometry they cannot describe is a `BadParam`.
 fn descriptors(
     g: &ConvGeometry,
-) -> (
-    TensorDescriptor,
-    FilterDescriptor,
-    ConvolutionDescriptor,
-    TensorDescriptor,
-) {
-    (
-        TensorDescriptor::from_shape(g.input).expect("valid input shape"),
-        FilterDescriptor::from_shape(g.filter).expect("valid filter shape"),
-        ConvolutionDescriptor::new_2d(g.pad_h, g.pad_w, g.stride_h, g.stride_w)
-            .expect("valid convolution"),
-        TensorDescriptor::from_shape(g.output()).expect("valid output shape"),
-    )
+) -> Result<(TensorDescriptor, FilterDescriptor, ConvolutionDescriptor), CudnnError> {
+    Ok((
+        TensorDescriptor::from_shape(g.input)?,
+        FilterDescriptor::from_shape(g.filter)?,
+        ConvolutionDescriptor::new_2d(g.pad_h, g.pad_w, g.stride_h, g.stride_w)?,
+    ))
 }
 
 /// Plain cuDNN with Caffe's workspace policy: per-kernel algorithm chosen
@@ -159,11 +154,6 @@ impl BaselineCudnn {
             state: Mutex::new(BaselineState::default()),
         }
     }
-
-    /// The algorithm selected for a kernel (after `setup`).
-    pub fn chosen_algo(&self, op: ConvOp, g: &ConvGeometry) -> Option<ConvAlgo> {
-        self.state.lock().algos.get(&KernelKey::new(op, g)).copied()
-    }
 }
 
 impl ConvProvider for BaselineCudnn {
@@ -173,7 +163,7 @@ impl ConvProvider for BaselineCudnn {
         if st.algos.contains_key(&key) {
             return Ok(());
         }
-        let (xd, wd, cd, _) = descriptors(g);
+        let (xd, wd, cd) = descriptors(g)?;
         let algo = self.handle.get_algorithm(
             op,
             &xd,
@@ -205,24 +195,13 @@ impl ConvProvider for BaselineCudnn {
             st = self.state.lock();
         }
         let algo = st.algos[&key];
-        let st = &mut *st;
         let ws = st
             .workspaces
             .get_mut(&key)
             .expect("workspace allocated at setup");
-        let (xd, wd, cd, yd) = descriptors(g);
-        match op {
-            ConvOp::Forward => self
-                .handle
-                .convolution_forward(alpha, &xd, a, &wd, b, &cd, algo, ws, beta, &yd, out)?,
-            ConvOp::BackwardData => self
-                .handle
-                .convolution_backward_data(alpha, &wd, b, &yd, a, &cd, algo, ws, beta, &xd, out)?,
-            ConvOp::BackwardFilter => self.handle.convolution_backward_filter(
-                alpha, &xd, a, &yd, b, &cd, algo, ws, beta, &wd, out,
-            )?,
-        }
-        Ok(())
+        Ok(self
+            .handle
+            .convolution(op, g, algo, a, b, out, alpha, beta, ws)?)
     }
 
     fn handle(&self) -> &CudnnHandle {
@@ -251,7 +230,7 @@ impl ConvProvider for BaselineCudnn {
 
 impl ConvProvider for UcudnnHandle {
     fn setup(&self, op: ConvOp, g: &ConvGeometry) -> Result<(), ProviderError> {
-        let (xd, wd, cd, _) = descriptors(g);
+        let (xd, wd, cd) = descriptors(g)?;
         let algo = self.get_algorithm(op, &xd, &wd, &cd)?;
         // The wrapper reports zero workspace; the framework "allocates" none.
         let bytes = self.get_workspace_size(op, &xd, &wd, &cd, algo)?;
@@ -283,46 +262,7 @@ impl ConvProvider for UcudnnHandle {
         alpha: f32,
         beta: f32,
     ) -> Result<(), ProviderError> {
-        let (xd, wd, cd, yd) = descriptors(g);
-        match op {
-            ConvOp::Forward => self.convolution_forward(
-                alpha,
-                &xd,
-                a,
-                &wd,
-                b,
-                &cd,
-                ucudnn::VIRTUAL_ALGO,
-                beta,
-                &yd,
-                out,
-            )?,
-            ConvOp::BackwardData => self.convolution_backward_data(
-                alpha,
-                &wd,
-                b,
-                &yd,
-                a,
-                &cd,
-                ucudnn::VIRTUAL_ALGO,
-                beta,
-                &xd,
-                out,
-            )?,
-            ConvOp::BackwardFilter => self.convolution_backward_filter(
-                alpha,
-                &xd,
-                a,
-                &yd,
-                b,
-                &cd,
-                ucudnn::VIRTUAL_ALGO,
-                beta,
-                &wd,
-                out,
-            )?,
-        }
-        Ok(())
+        Ok(self.convolution(op, g, a, b, out, alpha, beta)?)
     }
 
     fn handle(&self) -> &CudnnHandle {
@@ -427,6 +367,65 @@ mod tests {
         assert!(h.inner().faults_injected() > 0);
         let metrics = h.metrics_json();
         assert!(metrics.contains("\"degradations\""));
+    }
+
+    /// `ConvGeometry`'s fields are public, so a struct literal can skip
+    /// `ConvGeometry::new`'s checks: every geometry-taking entry point must
+    /// reject such a geometry as `BadParam`, never panic.
+    #[test]
+    fn invalid_geometry_literals_are_bad_param() {
+        let good =
+            ConvGeometry::with_square(Shape4::new(4, 3, 8, 8), FilterShape::new(4, 3, 3, 3), 1, 1);
+        let invalid = [
+            ConvGeometry {
+                stride_h: 0,
+                ..good
+            },
+            ConvGeometry {
+                stride_w: 0,
+                ..good
+            },
+            ConvGeometry {
+                filter: FilterShape::new(4, 5, 3, 3),
+                ..good
+            },
+            ConvGeometry {
+                filter: FilterShape::new(4, 3, 11, 11),
+                ..good
+            },
+        ];
+        let bad_param = |e: &CudnnError| matches!(e, CudnnError::BadParam(_));
+        let via_ucudnn =
+            |e: &ucudnn::UcudnnError| matches!(e, ucudnn::UcudnnError::Cudnn(e) if bad_param(e));
+        let via_provider = |e: &ProviderError| match e {
+            ProviderError::Cudnn(e) => bad_param(e),
+            ProviderError::Ucudnn(e) => via_ucudnn(e),
+            ProviderError::MalformedGraph(_) => false,
+        };
+        let sim = || CudnnHandle::simulated(p100_sxm2());
+        let base = BaselineCudnn::new(sim(), 64 * MIB);
+        let mu = UcudnnHandle::new(sim(), ucudnn::UcudnnOptions::default());
+        for g in &invalid {
+            for op in ConvOp::ALL {
+                let algo = ConvAlgo::ImplicitGemm;
+                let e = sim()
+                    .convolution(op, g, algo, &[], &[], &mut [], 1.0, 0.0, &mut [])
+                    .unwrap_err();
+                assert!(bad_param(&e), "CudnnHandle {op} {g:?}: {e}");
+                let e = mu
+                    .convolution(op, g, &[], &[], &mut [], 1.0, 0.0)
+                    .unwrap_err();
+                assert!(via_ucudnn(&e), "UcudnnHandle {op} {g:?}: {e}");
+                let e = base
+                    .execute(op, g, &[], &[], &mut [], 1.0, 0.0)
+                    .unwrap_err();
+                assert!(via_provider(&e), "BaselineCudnn {op} {g:?}: {e}");
+                let e = ConvProvider::execute(&mu, op, g, &[], &[], &mut [], 1.0, 0.0).unwrap_err();
+                assert!(via_provider(&e), "UcudnnHandle provider {op} {g:?}: {e}");
+            }
+        }
+        assert_eq!(base.workspace_bytes(), 0);
+        assert_eq!(mu.total_workspace_bytes(), 0);
     }
 
     #[test]

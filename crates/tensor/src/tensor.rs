@@ -65,11 +65,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consume the tensor, returning its buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Element accessor.
     #[inline]
     pub fn get(&self, n: usize, c: usize, h: usize, w: usize) -> f32 {
