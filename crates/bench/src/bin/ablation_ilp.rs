@@ -4,25 +4,20 @@
 //! now the formulation oracle), and exhaustive enumeration where the search
 //! space is small.
 //!
-//! Rows: the first 2–5 forward kernels of AlexNet (N=32, powerOfTwo); the
-//! fleet arbiter of `serve_bench` (three replicas, 768 MiB); Fig. 13's six
-//! WD points (AlexNet N=256 `all`, ResNet-50 N=32 `powerOfTwo`); the
-//! Fig. 14 instance (AlexNet N=256, `all`, 120 MiB); AlexNet N=256 at
-//! 960 MiB (`powerOfTwo`), where two identical F/BD groups tie; and
-//! `plan_wd`'s DenseNet-40 (k=40, batch 64, `all`, 128 MiB). The program
-//! exits non-zero when any solver's optimum or choice differs from the
-//! production one's.
+//! Rows: the first 2–5 forward kernels of AlexNet (N=32, powerOfTwo);
+//! Fig. 13's six WD points (AlexNet N=256 `all`, ResNet-50 N=32
+//! `powerOfTwo`); the Fig. 14 instance (AlexNet N=256, `all`, 120 MiB);
+//! AlexNet N=256 at 960 MiB (`powerOfTwo`), where two identical F/BD groups
+//! tie; and `plan_wd`'s DenseNet-40 (k=40, batch 64, `all`, 128 MiB). The
+//! program exits non-zero when any solver's optimum or choice differs from
+//! the production one's.
 
-use ucudnn::{
-    best_per_sample_us, desirable_set, fleet_budget_candidates, BatchSizePolicy, BenchCache,
-    KernelKey,
-};
+use ucudnn::{desirable_set, BatchSizePolicy, BenchCache, KernelKey};
 use ucudnn_bench::{print_table, write_csv, MIB};
 use ucudnn_cudnn_sim::{ConvOp, CudnnHandle};
 use ucudnn_framework::{alexnet, densenet40, resnet50, NetworkDef};
-use ucudnn_gpu_model::{k80, p100_sxm2, v100_sxm2};
+use ucudnn_gpu_model::p100_sxm2;
 use ucudnn_lp::{solve_binary, IlpStatus, Item, MckInstance};
-use ucudnn_tensor::{ConvGeometry, FilterShape, Shape4};
 
 /// Enumerate exhaustively only below this many assignments.
 const EXHAUSTIVE_MAX: f64 = 1e6;
@@ -79,47 +74,6 @@ fn wd_instance(
     }
 }
 
-/// The fleet arbiter's knapsack as `serve_bench` poses it: AlexNet conv2
-/// forward (batch 32) on a K80 die, a P100 and a V100, one item per
-/// runnable share, costs the best per-sample latency under the share.
-fn fleet_instance() -> MckInstance {
-    let g = ConvGeometry::with_square(
-        Shape4::new(32, 64, 27, 27),
-        FilterShape::new(192, 64, 5, 5),
-        2,
-        1,
-    );
-    let kernels = [KernelKey::new(ConvOp::Forward, &g)];
-    let shares = [0, 64 * MIB, 128 * MIB, 256 * MIB, 512 * MIB];
-    let groups = [k80(), p100_sxm2(), v100_sxm2()]
-        .into_iter()
-        .map(|dev| {
-            let handle = CudnnHandle::simulated(dev);
-            let cache = BenchCache::new();
-            fleet_budget_candidates(
-                &handle,
-                &cache,
-                &kernels,
-                BatchSizePolicy::PowerOfTwo,
-                32,
-                &shares,
-            )
-            .iter()
-            .filter_map(|c| {
-                best_per_sample_us(&c.table).map(|cost| Item {
-                    cost,
-                    weight: c.ws_limit_bytes as f64,
-                })
-            })
-            .collect()
-        })
-        .collect();
-    MckInstance {
-        groups,
-        capacity: (768 * MIB) as f64,
-    }
-}
-
 /// Run `f` and return its result with the wall time in microseconds.
 fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let t0 = std::time::Instant::now();
@@ -142,7 +96,6 @@ fn main() {
             wd_instance(&kernels, 32 * MIB, 48 * MIB, BatchSizePolicy::PowerOfTwo),
         ));
     }
-    cases.push(("fleet arbiter 768 MiB".into(), fleet_instance()));
     // Fig. 13 divides 8, 64 and 512 MiB per registered kernel.
     for (net, policy) in [
         (alexnet(256), BatchSizePolicy::All),

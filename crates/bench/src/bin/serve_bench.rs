@@ -30,19 +30,12 @@
 //! sustained post-drift burn must fire an `slo_alert` at a replay-stable
 //! virtual timestamp.
 //!
-//! `--ingress` adds the C10k ingress experiment (DESIGN.md §15), a
-//! `connections` axis on top of the request axis. The committed `ingress`
-//! section comes from the deterministic churn + fan-in simulator
-//! ([`ucudnn_serve::run_ingress_sim`]): a nominal lane (10k idle
-//! connections + 20k rps through the dynamic policy — zero pauses, zero
-//! sheds, zero violations) and a burst lane (20× overload against a shallow
-//! queue — admission pauses absorb it, admitted requests still meet the
-//! SLO), byte-identical across replays. The same flag also drives the
-//! *live* gate on real sockets: the epoll reactor must hold ≥5k idle
-//! loopback connections (fd-budget permitting; the attempt raises
-//! `RLIMIT_NOFILE` first) while pipelined traffic completes with zero sheds
-//! and zero SLO violations. Live numbers are printed and asserted, not
-//! committed — the JSON stays reproducible byte-for-byte.
+//! `--ingress` runs the C10k ingress gate (DESIGN.md §15) on real
+//! sockets: the epoll reactor must hold ≥5k idle loopback connections
+//! (fd-budget permitting; the attempt raises `RLIMIT_NOFILE` first) while
+//! pipelined traffic completes with zero sheds and zero SLO violations.
+//! Live numbers are printed and asserted, not committed — the JSON stays
+//! reproducible byte-for-byte.
 //!
 //! `--telemetry-smoke` exercises the live telemetry plane end to end: a
 //! traced real server behind the TCP front-end, ~12 requests, and two
@@ -54,17 +47,14 @@
 use std::sync::Arc;
 use ucudnn::json::{num, obj, Value};
 use ucudnn::{
-    arbitrate_fleet_budget, fleet_budget_candidates, forward_latency_table, BatchSizePolicy,
-    BenchCache, FleetRouterPolicy, IngressOptions, KernelKey, Registry, ReplicaCandidates,
-    ServeOptions, TraceConfig,
+    forward_latency_table, BatchSizePolicy, BenchCache, IngressOptions, KernelKey, ServeOptions,
+    TraceConfig,
 };
 use ucudnn_cudnn_sim::{ConvOp, CudnnHandle};
-use ucudnn_gpu_model::{k80, p100_sxm2, v100_sxm2, Perturbation};
+use ucudnn_gpu_model::{p100_sxm2, Perturbation};
 use ucudnn_serve::{
-    run_fleet_sim, run_ingress_sim, run_reopt_sim, run_sim, sys, BatchPolicy, BatchRunner as _,
-    BurnConfig, FleetMetrics, FleetOutcome, FleetReplicaConfig, FleetSimConfig, IngressOutcome,
-    IngressSimConfig, RealModelRunner, ReoptConfig, ReoptOutcome, ReoptSimConfig, ReplicaFailure,
-    Server, ShedCounts, SimConfig, SimOutcome, TcpFrontend,
+    run_reopt_sim, run_sim, sys, BatchPolicy, BatchRunner as _, BurnConfig, RealModelRunner,
+    ReoptConfig, ReoptOutcome, ReoptSimConfig, Server, SimConfig, SimOutcome, TcpFrontend,
 };
 use ucudnn_tensor::{ConvGeometry, FilterShape, Shape4};
 
@@ -95,23 +85,22 @@ fn opt(v: Option<f64>) -> Value {
     v.map(num).unwrap_or(Value::Null)
 }
 
-/// The full shed ladder of one lane.
-fn shed_ladder(shed: &ShedCounts) -> Value {
-    obj([
-        ("queue_full", num(shed.queue_full as f64)),
-        ("deadline_infeasible", num(shed.deadline_infeasible as f64)),
-        ("exec_failed", num(shed.exec_failed as f64)),
-        ("draining", num(shed.draining as f64)),
-        ("total", num(shed.total() as f64)),
-    ])
-}
-
 fn policy_row(out: &SimOutcome, policy: BatchPolicy) -> Value {
     let pct = out.latencies.cumulative();
+    let shed = &out.shed;
     obj([
         ("name", Value::Str(policy.name().to_string())),
         ("completed", num(out.completed as f64)),
-        ("shed", shed_ladder(&out.shed)),
+        (
+            "shed",
+            obj([
+                ("queue_full", num(shed.queue_full as f64)),
+                ("deadline_infeasible", num(shed.deadline_infeasible as f64)),
+                ("exec_failed", num(shed.exec_failed as f64)),
+                ("draining", num(shed.draining as f64)),
+                ("total", num(shed.total() as f64)),
+            ]),
+        ),
         ("violations", num(out.violations as f64)),
         ("throughput_rps", num(out.throughput_rps())),
         ("mean_batch", num(out.mean_batch())),
@@ -310,147 +299,7 @@ fn reopt_experiment(table: &[(usize, f64)]) -> Value {
     ])
 }
 
-fn ingress_lane_row(rate_rps: f64, queue_cap: usize, out: &IngressOutcome) -> Value {
-    let pct = out.latencies.cumulative();
-    obj([
-        ("rate_rps", num(rate_rps)),
-        ("queue_cap", num(queue_cap as f64)),
-        ("completed", num(out.completed as f64)),
-        ("shed_queue_full", num(out.shed.queue_full as f64)),
-        ("shed_total", num(out.shed.total() as f64)),
-        ("violations", num(out.violations as f64)),
-        ("admission_pauses", num(out.stats.admission_pauses as f64)),
-        ("buffered_peak", num(out.stats.buffered_peak as f64)),
-        ("max_buffer_wait_us", num(out.stats.max_buffer_wait_us)),
-        ("conns_opened", num(out.stats.conns_opened as f64)),
-        ("conns_rejected", num(out.stats.conns_rejected as f64)),
-        ("peak_conns", num(out.stats.peak_conns as f64)),
-        ("throughput_rps", num(out.throughput_rps())),
-        ("mean_batch", num(out.mean_batch())),
-        ("p50_us", opt(pct.p50_us)),
-        ("p99_us", opt(pct.p99_us)),
-    ])
-}
-
-/// The C10k `connections` axis, simulated: the reactor's backpressure
-/// policies (admission pause before the shed ladder, the listener cap,
-/// kernel-buffer absorption) replayed on the virtual clock. Two lanes share
-/// one seed: nominal fan-in (10k idle connections, 20k rps) and a 20×
-/// burst against a shallow queue. `dynamic` is the dynamic policy lane.
-fn ingress_experiment(dynamic: &SimConfig, smoke: bool) -> Value {
-    const IDLE_CONNS: usize = 10_000;
-    const CHURN_CYCLES: usize = 1_000;
-    const CHURN_RATE_CPS: f64 = 2_000.0;
-    const CHURN_HOLD_US: f64 = 5_000.0;
-    const MAX_CONNS: usize = 16_384;
-    const KERNEL_BUF: usize = 4_096;
-    const BURST_RATE_RPS: f64 = 400_000.0;
-    const BURST_QUEUE_CAP: usize = 32;
-    let requests = if smoke { 2_000 } else { 4_000 };
-    let base = IngressSimConfig {
-        sim: SimConfig {
-            requests,
-            ..dynamic.clone()
-        },
-        idle_conns: IDLE_CONNS,
-        churn_cycles: CHURN_CYCLES,
-        churn_rate_cps: CHURN_RATE_CPS,
-        churn_hold_us: CHURN_HOLD_US,
-        max_conns: MAX_CONNS,
-        kernel_buf: KERNEL_BUF,
-    };
-    let burst_cfg = IngressSimConfig {
-        sim: SimConfig {
-            arrival_rate_rps: BURST_RATE_RPS,
-            queue_cap: BURST_QUEUE_CAP,
-            requests: 4_000,
-            ..base.sim.clone()
-        },
-        ..base.clone()
-    };
-    let nominal = replayed(run_ingress_sim, &base, "nominal ingress");
-    let burst = replayed(run_ingress_sim, &burst_cfg, "burst ingress");
-
-    println!("\ningress (connections axis, {IDLE_CONNS} idle + {CHURN_CYCLES} churn):");
-    println!(
-        "  nominal {:>7.0} rps: completed={} pauses={} shed={} violations={} peak_conns={}",
-        RATE_RPS,
-        nominal.completed,
-        nominal.stats.admission_pauses,
-        nominal.shed.total(),
-        nominal.violations,
-        nominal.stats.peak_conns,
-    );
-    println!(
-        "  burst   {:>7.0} rps: completed={} pauses={} buffered_peak={} shed={} violations={}",
-        BURST_RATE_RPS,
-        burst.completed,
-        burst.stats.admission_pauses,
-        burst.stats.buffered_peak,
-        burst.shed.total(),
-        burst.violations,
-    );
-
-    // The headline gates. Nominal: the fan-in must be invisible — no pause,
-    // no shed-by-accident, every deadline kept, p99 inside the SLO.
-    assert_eq!(
-        nominal.stats.admission_pauses, 0,
-        "nominal load must not pause"
-    );
-    assert_eq!(nominal.shed.total(), 0, "nominal load must not shed");
-    assert_eq!(nominal.violations, 0, "nominal load must not violate");
-    assert_eq!(nominal.completed, requests as u64);
-    assert!(
-        nominal.stats.peak_conns >= IDLE_CONNS,
-        "the C10k floor must hold"
-    );
-    let p99 = nominal
-        .latencies
-        .cumulative()
-        .p99_us
-        .expect("completions imply percentiles");
-    assert!(
-        p99 <= SLO_US,
-        "nominal ingress p99 must sit inside the {SLO_US}us SLO, got {p99:.1}us"
-    );
-    // Burst: backpressure engages before the shed ladder and admitted
-    // requests still meet their deadlines.
-    assert!(
-        burst.stats.admission_pauses > 0,
-        "the burst must park admission"
-    );
-    assert_eq!(
-        burst.violations, 0,
-        "pauses delay admission; they never break the deadline contract"
-    );
-    assert_eq!(
-        burst.completed + burst.shed.total(),
-        4_000,
-        "every offered request is accounted for"
-    );
-
-    obj([
-        ("slo_us", num(SLO_US)),
-        ("workers", num(WORKERS as f64)),
-        ("max_batch", num(MAX_BATCH as f64)),
-        ("requests", num(requests as f64)),
-        ("idle_conns", num(IDLE_CONNS as f64)),
-        ("churn_cycles", num(CHURN_CYCLES as f64)),
-        ("churn_rate_cps", num(CHURN_RATE_CPS)),
-        ("churn_hold_us", num(CHURN_HOLD_US)),
-        ("max_conns", num(MAX_CONNS as f64)),
-        ("kernel_buf", num(KERNEL_BUF as f64)),
-        ("nominal", ingress_lane_row(RATE_RPS, QUEUE_CAP, &nominal)),
-        (
-            "burst",
-            ingress_lane_row(BURST_RATE_RPS, BURST_QUEUE_CAP, &burst),
-        ),
-        ("deterministic", Value::Bool(true)),
-    ])
-}
-
-/// The live half of the `--ingress` gate: real sockets against the epoll
-/// reactor. Holds as many idle loopback connections as the fd budget
+/// The `--ingress` gate: real sockets against the epoll reactor. Holds as many idle loopback connections as the fd budget
 /// allows (target 10k, hard floor 5k) while pipelined traffic on a few
 /// active connections completes with zero sheds and zero SLO violations.
 /// Printed and asserted, never committed: wall-clock numbers belong to the
@@ -739,292 +588,14 @@ fn telemetry_smoke(metrics_dump: Option<&str>) {
     );
 }
 
-fn fleet_lane_row(out: &FleetOutcome) -> Value {
-    let pct = out.latencies.cumulative();
-    obj([
-        ("completed", num(out.completed as f64)),
-        ("shed", shed_ladder(&out.shed)),
-        ("violations", num(out.violations as f64)),
-        ("requeued", num(out.stats.requeued as f64)),
-        ("throughput_rps", num(out.throughput_rps())),
-        ("mean_batch", num(out.mean_batch())),
-        ("p50_us", opt(pct.p50_us)),
-        ("p99_us", opt(pct.p99_us)),
-        (
-            "per_replica",
-            Value::Arr(
-                out.stats
-                    .per_replica
-                    .iter()
-                    .map(|r| {
-                        obj([
-                            ("name", Value::Str(r.name.clone())),
-                            ("routed", num(r.routed as f64)),
-                            ("completed", num(r.completed as f64)),
-                            ("shed", num(r.shed as f64)),
-                            ("batches", num(r.batches as f64)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-/// The fleet-tier experiment (DESIGN.md §16): a 3-device heterogeneous
-/// fleet (K80 + P100 + V100), each replica serving from its *own*
-/// per-device latency table built under the workspace share a global-budget
-/// ILP arbiter granted it, at 100k+ rps under the 20 ms SLO.
-///
-/// Three deterministic lanes share one seed:
-/// * `feasibility` — the SLO-aware router: dispatch where the deadline
-///   stays feasible, earliest estimated finish first;
-/// * `least_loaded` — the join-shortest-queue baseline, rate-blind;
-/// * `failover` — the feasibility router with the P100 replica killed
-///   mid-run: its queue re-routes to the survivors, zero tickets lost.
-///
-/// Gates: zero violations on every lane, the feasibility router sheds
-/// strictly less than least-loaded, byte-identical replays, and balanced
-/// ticket accounting through the failure.
-fn fleet_experiment() -> Value {
-    const FLEET_WORKERS: usize = 2;
-    const FLEET_QUEUE_CAP: usize = 2048;
-    // Offered load: ≥100k rps and ~1.2–1.4× the arbitrated fleet's service
-    // capacity — the moderate-overload regime a fleet is provisioned for,
-    // where rate-aware routing visibly beats queue-depth routing.
-    const FLEET_RATE_RPS: f64 = 220_000.0;
-    const GLOBAL_BUDGET: usize = 768 << 20;
-    const FAIL_AT_US: f64 = 15_000.0;
-    // Pure virtual-clock computation (like the reopt experiment), so the
-    // full 20k-request run is cheap enough to keep even under `--smoke` —
-    // and the shed-count gap between the routers only emerges once the
-    // backlog outgrows the slow replica's deadline-feasible depth, which
-    // needs the full horizon.
-    let requests = 20_000;
-
-    // Per-device candidate tables: the same demo kernel benchmarked on
-    // each device card at every candidate workspace share. The zero-byte
-    // share (implicit-GEMM only) keeps the arbitration feasible under any
-    // budget.
-    let g = ConvGeometry::with_square(
-        Shape4::new(MAX_BATCH, 64, 27, 27),
-        FilterShape::new(192, 64, 5, 5),
-        2,
-        1,
-    );
-    let kernels = [KernelKey::new(ConvOp::Forward, &g)];
-    let shares: [usize; 5] = [0, 64 << 20, 128 << 20, 256 << 20, 512 << 20];
-    let cards = [("k80", k80()), ("p100", p100_sxm2()), ("v100", v100_sxm2())];
-    let candidates: Vec<ReplicaCandidates> = cards
-        .iter()
-        .map(|(name, dev)| {
-            let handle = CudnnHandle::simulated(dev.clone());
-            ReplicaCandidates {
-                name: name.to_string(),
-                candidates: fleet_budget_candidates(
-                    &handle,
-                    &BenchCache::new(),
-                    &kernels,
-                    BatchSizePolicy::PowerOfTwo,
-                    MAX_BATCH,
-                    &shares,
-                ),
-            }
-        })
-        .collect();
-    let plan =
-        arbitrate_fleet_budget(&candidates, GLOBAL_BUDGET).expect("fleet arbitration succeeds");
-    println!(
-        "\nfleet arbiter: {} MiB global budget, {} vars, {} nodes, {:.0} us",
-        GLOBAL_BUDGET >> 20,
-        plan.ilp_variables,
-        plan.ilp_nodes,
-        plan.ilp_solve_us
-    );
-    for s in &plan.shares {
-        println!(
-            "  {:<5} granted {:>4} MiB  best {:>7.2} us/sample  (t*(1)={:.0}us t*({})={:.0}us)",
-            s.replica,
-            s.ws_limit_bytes >> 20,
-            s.per_sample_us,
-            s.table.first().map_or(f64::NAN, |&(_, t)| t),
-            s.table.last().map_or(0, |&(m, _)| m),
-            s.table.last().map_or(f64::NAN, |&(_, t)| t),
-        );
-    }
-    assert!(
-        plan.total_granted_bytes <= GLOBAL_BUDGET,
-        "the arbiter must respect the global budget"
-    );
-
-    let replicas: Vec<FleetReplicaConfig> = plan
-        .shares
-        .iter()
-        .map(|s| FleetReplicaConfig {
-            name: s.replica.clone(),
-            table: s.table.clone(),
-            workers: FLEET_WORKERS,
-            queue_cap: FLEET_QUEUE_CAP,
-        })
-        .collect();
-    let lane = |policy: FleetRouterPolicy, fail: Option<ReplicaFailure>| FleetSimConfig {
-        seed: SEED,
-        slo_us: SLO_US,
-        max_batch: MAX_BATCH,
-        arrival_rate_rps: FLEET_RATE_RPS,
-        requests,
-        policy,
-        replicas: replicas.clone(),
-        fail,
-    };
-    let feasibility = lane(FleetRouterPolicy::Feasibility, None);
-    let feas = replayed(run_fleet_sim, &feasibility, "feasibility");
-    let least_loaded = lane(FleetRouterPolicy::LeastLoaded, None);
-    let jsq = replayed(run_fleet_sim, &least_loaded, "least_loaded");
-    let failure = ReplicaFailure {
-        replica: 1,
-        at_us: FAIL_AT_US,
-    };
-    let failover_cfg = lane(FleetRouterPolicy::Feasibility, Some(failure));
-    let failover = replayed(run_fleet_sim, &failover_cfg, "failover");
-
-    println!(
-        "\nfleet: k80+p100+v100, {} req at {:.0}k rps, {:.0} ms SLO:",
-        requests,
-        FLEET_RATE_RPS / 1e3,
-        SLO_US / 1e3
-    );
-    for (name, out) in [
-        ("feasibility", &feas),
-        ("least_loaded", &jsq),
-        ("failover", &failover),
-    ] {
-        println!(
-            "  {:<12} completed={:>6} shed={:>5} (qf {} di {} drain {}) violations={} \
-             requeued={} tput={:.0}rps",
-            name,
-            out.completed,
-            out.shed.total(),
-            out.shed.queue_full,
-            out.shed.deadline_infeasible,
-            out.shed.draining,
-            out.violations,
-            out.stats.requeued,
-            out.throughput_rps()
-        );
-        for r in &out.stats.per_replica {
-            println!(
-                "    {:<5} routed={:>6} completed={:>6} shed={:>5} batches={:>5}",
-                r.name, r.routed, r.completed, r.shed, r.batches
-            );
-        }
-    }
-
-    // Per-replica instruments ride the closed-vocabulary registry path.
-    let registry = Registry::new();
-    let card_names: Vec<&str> = cards.iter().map(|(n, _)| *n).collect();
-    let metrics = FleetMetrics::with_registry(registry.clone(), &card_names);
-    feas.export(&metrics);
-    let exposition = registry.expose();
-    for name in &card_names {
-        assert!(
-            exposition.contains(&format!("ucudnn_fleet_routed_total{{replica=\"{name}\"}}")),
-            "exposition must carry a routed series for every replica"
-        );
-    }
-    assert_eq!(
-        registry.dropped(),
-        0,
-        "configured replica names must be inside the label vocabulary"
-    );
-
-    // The headline gates.
-    // Acceptance floor: the fleet bench must offer 100k+ rps.
-    const _: () = assert!(FLEET_RATE_RPS >= 100_000.0);
-    assert_eq!(
-        feas.violations, 0,
-        "the feasibility router must never violate the SLO for admitted requests"
-    );
-    assert_eq!(jsq.violations, 0);
-    assert_eq!(failover.violations, 0);
-    assert!(
-        feas.shed.total() < jsq.shed.total(),
-        "the feasibility router must shed less than least-loaded ({} vs {})",
-        feas.shed.total(),
-        jsq.shed.total()
-    );
-    for (name, out) in [
-        ("feasibility", &feas),
-        ("least_loaded", &jsq),
-        ("failover", &failover),
-    ] {
-        assert_eq!(
-            out.completed + out.shed.total(),
-            requests as u64,
-            "{name}: ticket accounting must balance"
-        );
-    }
-    // Failure semantics: the dead replica's backlog re-routes or sheds on
-    // the drain rung — and the fleet keeps serving on the survivors.
-    assert!(
-        failover.log.iter().any(|l| l.starts_with("fail ")),
-        "the failover lane must log the replica death"
-    );
-    assert!(
-        failover.stats.per_replica[0].completed + failover.stats.per_replica[2].completed > 0,
-        "survivors must keep serving after the failure"
-    );
-
-    obj([
-        ("workers_per_replica", num(FLEET_WORKERS as f64)),
-        ("queue_cap_per_replica", num(FLEET_QUEUE_CAP as f64)),
-        ("arrival_rate_rps", num(FLEET_RATE_RPS)),
-        ("requests", num(requests as f64)),
-        ("slo_us", num(SLO_US)),
-        (
-            "arbiter",
-            obj([
-                ("global_budget_bytes", num(GLOBAL_BUDGET as f64)),
-                ("total_granted_bytes", num(plan.total_granted_bytes as f64)),
-                ("ilp_variables", num(plan.ilp_variables as f64)),
-                ("ilp_nodes", num(plan.ilp_nodes as f64)),
-                (
-                    "shares",
-                    Value::Arr(
-                        plan.shares
-                            .iter()
-                            .map(|s| {
-                                obj([
-                                    ("replica", Value::Str(s.replica.clone())),
-                                    ("ws_limit_bytes", num(s.ws_limit_bytes as f64)),
-                                    ("per_sample_us", num(s.per_sample_us)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ]),
-        ),
-        (
-            "failure",
-            obj([("replica", num(1.0)), ("at_us", num(FAIL_AT_US))]),
-        ),
-        ("feasibility", fleet_lane_row(&feas)),
-        ("least_loaded", fleet_lane_row(&jsq)),
-        ("failover", fleet_lane_row(&failover)),
-        ("deterministic", Value::Bool(true)),
-    ])
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
     let want_tcp = args.iter().any(|a| a == "--tcp-smoke");
     let want_reopt = args.iter().any(|a| a == "--reopt");
     let want_ingress = args.iter().any(|a| a == "--ingress");
-    let want_fleet = args.iter().any(|a| a == "--fleet");
     let want_telemetry = args.iter().any(|a| a == "--telemetry-smoke");
-    let usage = "serve_bench [--smoke] [--tcp-smoke] [--reopt] [--ingress] [--fleet] \
+    let usage = "serve_bench [--smoke] [--tcp-smoke] [--reopt] [--ingress] \
                  [--telemetry-smoke] [--metrics-dump <path>] [--out <path>]";
     let metrics_dump = ucudnn_bench::flag_value(&args, "--metrics-dump", usage);
     let out_path = ucudnn_bench::flag_value(&args, "--out", usage)
@@ -1114,9 +685,6 @@ fn main() {
     );
 
     let reopt_section = want_reopt.then(|| reopt_experiment(&table));
-    let ingress_section =
-        want_ingress.then(|| ingress_experiment(&lane(BatchPolicy::Dynamic), smoke));
-    let fleet_section = want_fleet.then(fleet_experiment);
 
     let mut doc = obj([
         ("bench", Value::Str("serve".to_string())),
@@ -1152,12 +720,6 @@ fn main() {
     if let Value::Obj(fields) = &mut doc {
         if let Some(section) = reopt_section {
             fields.push(("reopt".to_string(), section));
-        }
-        if let Some(section) = ingress_section {
-            fields.push(("ingress".to_string(), section));
-        }
-        if let Some(section) = fleet_section {
-            fields.push(("fleet".to_string(), section));
         }
     }
     let body = doc.to_json() + "\n";

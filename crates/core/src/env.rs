@@ -1,6 +1,5 @@
 //! Serving configuration, built in code: [`ServeOptions`] for the
-//! `Server`, [`IngressOptions`] for the TCP reactor, and the fleet
-//! router's vocabulary ([`FleetRouterPolicy`], [`FLEET_REPLICA_CARDS`]).
+//! `Server` and [`IngressOptions`] for the TCP reactor.
 //!
 //! The paper's μ-cuDNN takes its policies "via an environment variable or
 //! through a special library function" (§III-D). This reproduction offers
@@ -72,33 +71,6 @@ impl Default for IngressOptions {
         }
     }
 }
-
-/// How the fleet router picks a replica for an admitted request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FleetRouterPolicy {
-    /// Feasibility-first: dispatch to the replica whose estimated
-    /// completion keeps the request's deadline feasible, preferring the
-    /// earliest estimated finish; shed only when no replica is feasible.
-    Feasibility,
-    /// Join-shortest-queue baseline: dispatch to the replica with the
-    /// fewest queued requests, blind to per-device service rates.
-    LeastLoaded,
-}
-
-impl FleetRouterPolicy {
-    /// Stable lowercase spelling, used in logs and bench report lane names.
-    pub fn name(self) -> &'static str {
-        match self {
-            FleetRouterPolicy::Feasibility => "feasibility",
-            FleetRouterPolicy::LeastLoaded => "least_loaded",
-        }
-    }
-}
-
-/// Device cards a fleet replica may be instantiated from. The vocabulary
-/// is closed on purpose: it doubles as the replica metric-label vocabulary,
-/// so an unknown spelling never allocates a label series at runtime.
-pub const FLEET_REPLICA_CARDS: [&str; 3] = ["k80", "p100", "v100"];
 
 #[cfg(test)]
 mod tests {

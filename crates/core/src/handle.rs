@@ -411,8 +411,20 @@ impl UcudnnHandle {
     /// benchmarks are pure functions of (device, kernel).
     ///
     /// # Errors
-    /// Propagates the first optimization failure in registration order.
+    /// `BadParam` for a key with an invalid geometry (`KernelKey`'s fields
+    /// are public, so a key can hold one [`ConvGeometry::new`] rejects);
+    /// otherwise the first optimization failure in registration order.
     pub fn optimize_network(&self, kernels: &[KernelKey]) -> Result<(), UcudnnError> {
+        for k in kernels {
+            check_geometry(&ConvGeometry {
+                input: k.input,
+                filter: k.filter,
+                pad_h: k.pad_h,
+                pad_w: k.pad_w,
+                stride_h: k.stride_h,
+                stride_w: k.stride_w,
+            })?;
+        }
         self.metrics.set_threads(self.opts.opt_threads.max(1));
         let mut st = self.state.lock();
         let unplanned: Vec<KernelKey> = kernels
@@ -725,5 +737,53 @@ fn sub_mut<'a>(
     match sample_len {
         Some(n) if !data.is_empty() => &mut data[rows.start * n..rows.end * n],
         _ => data,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ucudnn_gpu_model::p100_sxm2;
+    use ucudnn_tensor::{FilterShape, Shape4};
+
+    /// A key whose geometry `ConvGeometry::new` would reject reaches
+    /// neither the prefetch, the DP nor the WD sets: the call returns the
+    /// `BadParam` that `convolution` returns for the same geometry.
+    #[test]
+    fn optimize_network_rejects_invalid_keys() {
+        let g = ConvGeometry::with_square(
+            Shape4::new(8, 3, 16, 16),
+            FilterShape::new(4, 3, 3, 3),
+            1,
+            1,
+        );
+        let good = KernelKey::new(ConvOp::Forward, &g);
+        let invalid = [
+            KernelKey {
+                stride_h: 0,
+                ..good
+            },
+            KernelKey {
+                filter: FilterShape::new(4, 5, 3, 3),
+                ..good
+            },
+        ];
+        for mode in [OptimizerMode::Wr, OptimizerMode::Wd] {
+            for bad in invalid {
+                let h = UcudnnHandle::new(
+                    CudnnHandle::simulated(p100_sxm2()),
+                    UcudnnOptions {
+                        mode,
+                        ..UcudnnOptions::default()
+                    },
+                );
+                let err = h.optimize_network(&[good, bad]).unwrap_err();
+                assert!(
+                    matches!(err, UcudnnError::Cudnn(CudnnError::BadParam(_))),
+                    "{mode:?} {bad:?}: {err}"
+                );
+                assert!(h.memory_report().is_empty(), "{mode:?}: nothing planned");
+            }
+        }
     }
 }

@@ -49,7 +49,6 @@ pub mod config;
 pub mod env;
 pub mod error;
 mod fanout;
-pub mod fleet;
 pub mod handle;
 pub mod json;
 pub mod kernel;
@@ -64,14 +63,8 @@ pub mod wr;
 
 pub use bench_cache::{BenchCache, BenchEntry, CacheStats};
 pub use config::{Configuration, MicroConfig};
-pub use env::{
-    FleetRouterPolicy, IngressBackend, IngressOptions, ServeOptions, FLEET_REPLICA_CARDS,
-};
+pub use env::{IngressBackend, IngressOptions, ServeOptions};
 pub use error::UcudnnError;
-pub use fleet::{
-    arbitrate_fleet_budget, best_per_sample_us, fleet_budget_candidates, BudgetCandidate,
-    BudgetShare, FleetBudgetPlan, ReplicaCandidates,
-};
 pub use handle::{OptimizerMode, Plan, UcudnnHandle, UcudnnOptions, VIRTUAL_ALGO};
 pub use kernel::KernelKey;
 pub use metrics::{OptimizerMetrics, Phase, PhaseTimings};

@@ -109,10 +109,9 @@ mod tests {
         assert!(p100_sxm2().launch_overhead_us > v100_sxm2().launch_overhead_us);
     }
 
-    /// Pin every card to the paper's Table I. The fleet tier builds its
-    /// per-replica latency tables from these specs, so a silent edit here
-    /// would skew the routing and arbiter results while all behavioural
-    /// tests kept passing.
+    /// Pin every card to the paper's Table I. `table1_devices` prints these
+    /// specs and Fig. 10 times AlexNet on all three cards, so a silent edit
+    /// here would skew both while all behavioural tests kept passing.
     #[test]
     fn k80_matches_table_i() {
         // Table I lists the dual-die K80 board: 8.73 SP TFlop/s, 24 GiB,

@@ -125,10 +125,9 @@ impl MckInstance {
     ///
     /// The rule matches the choices of the simplex branch and bound on the
     /// paper's formulation ([`MckInstance::to_ilp`]) on the WD plans of
-    /// AlexNet, ResNet-50 and DenseNet-40 and on the fleet arbiter
-    /// (`ablation_ilp`). On synthetic instances full of equal costs the
-    /// simplex's pick among optima follows its pivoting and often differs,
-    /// so there only the optimum is compared.
+    /// AlexNet, ResNet-50 and DenseNet-40 (`ablation_ilp`). On synthetic
+    /// instances full of equal costs the simplex's pick among optima follows
+    /// its pivoting and often differs, so there only the optimum is compared.
     ///
     /// Each group's items are sorted by weight, and an item is dropped when
     /// its group has a lighter item more than 1e-6 cheaper, or one of equal

@@ -13,8 +13,8 @@
 //!   [`ucudnn::UcudnnHandle`], hitting the batch-normalized execution-plan
 //!   cache and the fault-injection/retry machinery;
 //! * [`sim`] — the deterministic discrete-event core (seeded LCG arrivals,
-//!   virtual clock) every simulated twin runs on, with hooks for ground
-//!   truth, completion observation, routing and ingress buffering, and the
+//!   virtual clock, one pool of workers) both simulated twins run on, with
+//!   hooks for ground truth, tick work and completion observation, and the
 //!   plain twin behind the reproducible SLO/throughput claims in
 //!   `BENCH_serve.json`;
 //! * [`reopt`] + [`sim_reopt`] — online re-optimization (DESIGN.md §13):
@@ -33,18 +33,8 @@
 //!   admission/write backpressure, and connection telemetry;
 //! * [`sys`] — libc-free epoll/ppoll syscall shims (the sync-shim
 //!   discipline applied to readiness multiplexing) behind a
-//!   backend-neutral poller;
-//! * [`sim_ingress`] — the connection-churn + fan-in twin (ingress-buffer
-//!   hooks on the core) behind the `ingress` section of `BENCH_serve.json`;
-//! * [`fleet`] + [`sim_fleet`] — the fleet tier (DESIGN.md §16):
-//!   SLO-aware feasibility-first routing across heterogeneous device
-//!   replicas (each with its own per-device latency table), a
-//!   least-loaded baseline to beat, replica drain/failure handling with
-//!   zero ticket loss, closed-vocabulary per-replica instruments, and the
-//!   fleet twin (router hooks on the core, one pool per replica) behind
-//!   the `fleet` section of `BENCH_serve.json`.
+//!   backend-neutral poller.
 
-pub mod fleet;
 pub mod metrics;
 pub mod reactor;
 pub mod reopt;
@@ -52,14 +42,11 @@ pub mod request;
 pub mod scheduler;
 pub mod server;
 pub mod sim;
-pub mod sim_fleet;
-pub mod sim_ingress;
 pub mod sim_reopt;
 pub mod slo_monitor;
 pub mod sys;
 pub mod tcp;
 
-pub use fleet::{replica_rate_per_us, FleetMetrics, ReplicaSnapshot, RouteDecision, Router};
 pub use metrics::ServeMetrics;
 pub use reactor::Reactor;
 pub use reopt::{DriftDetector, DriftReport, ReoptConfig};
@@ -67,11 +54,6 @@ pub use request::{RequestId, Response, ShedReason};
 pub use scheduler::{Action, BatchPolicy, Scheduler};
 pub use server::{BatchRunner, PlanState, RealModelRunner, Server, Ticket};
 pub use sim::{poisson_arrivals, run_sim, ShedCounts, SimConfig, SimOutcome};
-pub use sim_fleet::{
-    run_fleet_sim, FleetOutcome, FleetReplicaConfig, FleetSimConfig, FleetStats, ReplicaFailure,
-    ReplicaOutcome,
-};
-pub use sim_ingress::{run_ingress_sim, IngressOutcome, IngressSimConfig, IngressStats};
 pub use sim_reopt::{run_reopt_sim, ReoptOutcome, ReoptSimConfig, ReoptStats};
 pub use slo_monitor::{BurnAlert, BurnConfig, BurnMonitor};
 pub use tcp::TcpFrontend;

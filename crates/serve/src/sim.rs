@@ -10,28 +10,19 @@
 //! exponential inter-arrival transform, all times are f64 microseconds on
 //! the virtual clock.
 //!
-//! One event core (`Core::run`) drives every twin: [`run_sim`] here, and
-//! the re-optimization, ingress and fleet twins in [`crate::sim_reopt`],
-//! [`crate::sim_ingress`] and [`crate::sim_fleet`]. The core owns the
-//! seeded arrivals, each pool's queue and worker clocks, fire/wait/shed and
-//! the shared outcome; a twin is a configuration plus `Hooks` for ground
-//! truth, completion observation, routing and ingress buffering. Each loop
-//! turn is one *tick*, at the earliest of:
+//! One event core (`Core::run`) drives both twins: [`run_sim`] here and
+//! the re-optimization twin in [`crate::sim_reopt`]. The core owns the
+//! seeded arrivals, the pool's queue and worker clocks, admission at the
+//! queue cap, fire/wait/shed and the shared outcome; a twin is a
+//! configuration plus `Hooks` for ground truth, tick work and completion
+//! observation. Each loop turn is one *tick*, at the pool's earliest-free
+//! worker (ties: lowest index), never before its oldest queued ticket or,
+//! with an empty queue, before the next offered arrival.
 //!
-//! * a pool's service time: its earliest-free worker (ties: lowest index),
-//!   never before its oldest queued ticket;
-//! * for an empty pool, the next offered arrival or the hooks' next wake,
-//!   whichever is first, once a worker is free;
-//! * the hooks' next ordered event (a replica failure), with any arrival
-//!   before it admitted at its own instant first;
-//! * the next offered arrival, when no live pool is left to wake for it.
-//!
-//! An ordered event runs alone at its tick. At any other tick the hooks run
-//! their lazy work first, then every arrival up to the tick is admitted in
-//! order, then the earliest due pool decides once. Lazy work (a plan swap,
-//! connection churn, an admission resume) happens at the tick, not at its
-//! own instant, so a log line can carry an earlier timestamp than the one
-//! before it.
+//! At each tick the hooks run their lazy work first, then every arrival up
+//! to the tick is admitted in order, then the worker decides once. Lazy
+//! work (the re-optimization twin's plan swap) happens at the tick, not at
+//! the instant it became due.
 
 use crate::request::ShedReason;
 use crate::scheduler::{Action, BatchPolicy, Scheduler};
@@ -99,9 +90,8 @@ pub struct SimOutcome<S = ()> {
     pub completed: u64,
     /// Requests shed, by reason.
     pub shed: ShedCounts,
-    /// Completed requests whose end-to-end latency (from the deadline
-    /// anchor: arrival, or admission behind an ingress buffer) exceeded the
-    /// SLO.
+    /// Completed requests whose end-to-end latency (from arrival) exceeded
+    /// the SLO.
     pub violations: u64,
     /// Every fired batch size, in firing order.
     pub batch_sizes: Vec<usize>,
@@ -164,33 +154,20 @@ pub fn poisson_arrivals(seed: u64, n: usize, rate_rps: f64) -> Vec<f64> {
 /// scheduler, and a pool of virtual workers executing from the latency
 /// table.
 pub fn run_sim(cfg: &SimConfig) -> SimOutcome {
-    let (pool, arrivals) = cfg.setup();
-    Core::new(vec![pool], ()).run(&arrivals, &mut Plain)
+    let sched = Scheduler::new(cfg.table.clone(), cfg.slo_us, cfg.max_batch, cfg.policy);
+    let arrivals = poisson_arrivals(cfg.seed, cfg.requests, cfg.arrival_rate_rps);
+    Core::new(Pool::new(sched, cfg.workers, cfg.queue_cap), ()).run(&arrivals, &mut Plain)
 }
 
-impl SimConfig {
-    /// The experiment's one pool and its offered arrivals.
-    pub(crate) fn setup(&self) -> (Pool, Vec<f64>) {
-        let sched = Scheduler::new(self.table.clone(), self.slo_us, self.max_batch, self.policy);
-        let arrivals = poisson_arrivals(self.seed, self.requests, self.arrival_rate_rps);
-        (Pool::new(sched, self.workers, self.queue_cap), arrivals)
-    }
-}
-
-/// One pool of workers behind one scheduler: the whole server in the
-/// single-pool twins, one replica in the fleet.
+/// The server's workers behind one scheduler.
 #[derive(Debug)]
 pub(crate) struct Pool {
     pub(crate) sched: Scheduler,
-    /// Queued tickets `(id, deadline anchor µs)`, oldest first.
-    pub(crate) queue: VecDeque<(u64, f64)>,
-    pub(crate) queue_cap: usize,
+    /// Queued tickets `(id, arrival µs)`, oldest first.
+    queue: VecDeque<(u64, f64)>,
+    queue_cap: usize,
     /// When each worker next goes idle.
-    pub(crate) free_at: Vec<f64>,
-    /// Dead pools are neither served nor woken.
-    pub(crate) alive: bool,
-    /// Names the pool in its log lines (`" replica=<name>"`).
-    pub(crate) tag: String,
+    free_at: Vec<f64>,
     /// Generation of a hot-swappable plan: such a pool logs it, and its
     /// planned against actual execution time.
     pub(crate) version: Option<u64>,
@@ -205,14 +182,12 @@ impl Pool {
             queue: VecDeque::new(),
             queue_cap,
             free_at: vec![0.0; workers],
-            alive: true,
-            tag: String::new(),
             version: None,
         }
     }
 
     /// The earliest-free worker and its clock (ties: lowest index).
-    pub(crate) fn earliest_free(&self) -> (usize, f64) {
+    fn earliest_free(&self) -> (usize, f64) {
         let (w, &free) = self
             .free_at
             .iter()
@@ -223,19 +198,8 @@ impl Pool {
     }
 }
 
-/// Where an offered arrival goes.
-pub(crate) enum Admit {
-    /// Join pool `i`'s queue, anchored at its arrival.
-    Queue(usize),
-    /// Refused on the named rung.
-    Shed(ShedReason),
-    /// Taken by the hooks (an ingress buffer), to be queued later.
-    Held,
-}
-
 /// One fired batch, as the completion observer sees it.
 pub(crate) struct Fired<'a> {
-    pub(crate) pool: usize,
     pub(crate) now: f64,
     pub(crate) finish: f64,
     pub(crate) decision: &'a SloDecision,
@@ -243,9 +207,9 @@ pub(crate) struct Fired<'a> {
     pub(crate) violated: &'a [bool],
 }
 
-/// What one twin adds to the core, in four roles: ground-truth execution
-/// time, a completion observer, a router and an ingress buffer. Every
-/// method defaults to the plain single-pool server.
+/// What one twin adds to the core: ground-truth execution time, lazy tick
+/// work and a completion observer. Every method defaults to the plain
+/// server of [`run_sim`].
 pub(crate) trait Hooks {
     /// The twin's own tallies, carried in [`SimOutcome::stats`].
     type Stats;
@@ -255,96 +219,45 @@ pub(crate) trait Hooks {
         d.exec_us
     }
 
-    /// Completion observer: called after each fire line is logged.
-    fn on_fire(&mut self, _core: &mut Core<Self::Stats>, _fired: &Fired) {}
-
-    /// Completion observer: called after each shed line is logged, with the
-    /// pool that shed (`None` when refused at admission).
-    fn on_shed(&mut self, _core: &mut Core<Self::Stats>, _pool: Option<usize>, _t: f64) {}
-
     /// Lazy work due at the tick `now`, before its arrivals are admitted.
     fn on_tick(&mut self, _core: &mut Core<Self::Stats>, _now: f64) {}
 
-    /// Router: where the arrival `id` offered at `at` goes.
-    fn admit(&mut self, core: &mut Core<Self::Stats>, _id: u64, _at: f64) -> Admit {
-        let pool = &core.pools[0];
-        if pool.queue.len() >= pool.queue_cap {
-            Admit::Shed(ShedReason::QueueFull)
-        } else {
-            Admit::Queue(0)
-        }
-    }
+    /// Completion observer: called after each fire line is logged.
+    fn on_fire(&mut self, _core: &mut Core<Self::Stats>, _fired: &Fired) {}
 
-    /// Router: the next ordered event. Arrivals before it are admitted at
-    /// their own instants; it runs alone at its tick, before an arrival or
-    /// service at the same instant.
-    fn next_event(&self) -> Option<f64> {
-        None
-    }
-
-    /// Router: run the event [`Self::next_event`] announced.
-    fn run_event(&mut self, _core: &mut Core<Self::Stats>) {}
-
-    /// Ingress buffer: when an idle pool's earliest-free worker must wake
-    /// for the hooks' lazy work. A worker woken with nothing to serve stays
-    /// awake at the tick.
-    fn wake_at(&self) -> Option<f64> {
-        None
-    }
-
-    /// Ingress buffer: may the scheduler wait for the next offered arrival?
-    fn lookahead(&self) -> bool {
-        true
-    }
+    /// Completion observer: called after each shed line is logged.
+    fn on_shed(&mut self, _core: &mut Core<Self::Stats>, _t: f64) {}
 }
 
-/// The plain single-pool server of [`run_sim`].
+/// The plain server of [`run_sim`].
 struct Plain;
 
 impl Hooks for Plain {
     type Stats = ();
 }
 
-/// The event core: the pools and the outcome being built.
+/// The event core: the pool and the outcome being built.
 pub(crate) struct Core<S> {
-    pub(crate) pools: Vec<Pool>,
+    pub(crate) pool: Pool,
     pub(crate) out: SimOutcome<S>,
 }
 
 impl<S: Default> Core<S> {
-    pub(crate) fn new(pools: Vec<Pool>, stats: S) -> Self {
+    pub(crate) fn new(pool: Pool, stats: S) -> Self {
         let out = SimOutcome {
             stats,
             ..SimOutcome::default()
         };
-        Self { pools, out }
+        Self { pool, out }
     }
 
-    /// Count and log one shed; `pool` tags the line with the pool that shed.
-    pub(crate) fn shed(&mut self, t: f64, pool: Option<usize>, id: u64, reason: ShedReason) {
+    /// Count and log one shed, then show it to the hooks.
+    fn shed<H: Hooks<Stats = S>>(&mut self, t: f64, id: u64, reason: ShedReason, hooks: &mut H) {
         self.out.shed.bump(reason);
-        let tag = pool.map_or("", |p| self.pools[p].tag.as_str());
-        self.out.log.push(format!(
-            "shed t={t:.3}{tag} id={id} reason={}",
-            reason.name()
-        ));
-    }
-
-    /// The earliest service opportunity `(time, pool, worker)` among live
-    /// pools with queued tickets (ties: lowest pool index).
-    fn due(&self) -> Option<(f64, usize, usize)> {
-        let mut best: Option<(f64, usize, usize)> = None;
-        for (p, pool) in self.pools.iter().enumerate() {
-            let Some(&(_, oldest)) = pool.queue.front().filter(|_| pool.alive) else {
-                continue;
-            };
-            let (w, free) = pool.earliest_free();
-            let t = free.max(oldest);
-            if best.is_none_or(|(bt, _, _)| t < bt) {
-                best = Some((t, p, w));
-            }
-        }
-        best
+        self.out
+            .log
+            .push(format!("shed t={t:.3} id={id} reason={}", reason.name()));
+        hooks.on_shed(self, t);
     }
 
     /// Replay `arrivals` (ids are their indices) to completion.
@@ -356,85 +269,47 @@ impl<S: Default> Core<S> {
         self.out.first_arrival_us = arrivals.first().copied().unwrap_or(0.0);
         let mut next = 0;
         loop {
-            let offered = arrivals.get(next).copied().unwrap_or(f64::INFINITY);
-            let event = hooks.next_event().unwrap_or(f64::INFINITY);
-            let wake = hooks.wake_at().unwrap_or(f64::INFINITY);
-            // An arrival ticks at its own instant when an ordered event is
-            // pending or no live pool is left to wake for it.
-            let mut now = if event.is_finite() || !self.pools.iter().any(|p| p.alive) {
-                event.min(offered)
-            } else {
-                event
+            // The tick: the earliest-free worker, never before the oldest
+            // queued ticket or, with none queued, the next arrival.
+            let (w, free) = self.pool.earliest_free();
+            let first = match self.pool.queue.front() {
+                Some(&(_, at)) => at,
+                None => arrivals.get(next).copied().unwrap_or(f64::INFINITY),
             };
-            let mut woken = None;
-            if let Some((t, _, _)) = self.due() {
-                now = now.min(t);
-            }
-            for (p, pool) in self.pools.iter().enumerate() {
-                if pool.alive && pool.queue.is_empty() {
-                    let t = pool.earliest_free().1.max(offered.min(wake));
-                    if t < now {
-                        now = t;
-                        woken = (wake < offered).then_some(p);
-                    }
-                }
-            }
+            let now = free.max(first);
             if now.is_infinite() {
                 break;
-            }
-
-            if event <= now {
-                hooks.run_event(&mut self);
-                continue;
             }
             hooks.on_tick(&mut self, now);
             while let Some(&at) = arrivals.get(next).filter(|&&at| at <= now) {
                 let id = next as u64;
                 next += 1;
-                match hooks.admit(&mut self, id, at) {
-                    Admit::Queue(p) => self.pools[p].queue.push_back((id, at)),
-                    Admit::Shed(reason) => {
-                        self.shed(at, None, id, reason);
-                        hooks.on_shed(&mut self, None, at);
-                    }
-                    Admit::Held => {}
+                if self.pool.queue.len() >= self.pool.queue_cap {
+                    self.shed(at, id, ShedReason::QueueFull, hooks);
+                } else {
+                    self.pool.queue.push_back((id, at));
                 }
             }
-
-            match self.due() {
-                Some((t, p, w)) if t <= now => {
-                    let lookahead = arrivals.get(next).copied().filter(|_| hooks.lookahead());
-                    self.decide(p, w, t, lookahead, hooks);
-                }
-                _ => {
-                    if let Some(pool) = woken.map(|p| &mut self.pools[p]) {
-                        if pool.queue.is_empty() {
-                            let (w, _) = pool.earliest_free();
-                            pool.free_at[w] = now;
-                        }
-                    }
-                }
-            }
+            self.decide(w, now, arrivals.get(next).copied(), hooks);
         }
         self.out
     }
 
-    /// Worker `w` of pool `p` decides at `now`: fire, wait or shed.
+    /// Worker `w` decides at `now`: fire, wait or shed.
     fn decide<H: Hooks<Stats = S>>(
         &mut self,
-        p: usize,
         w: usize,
         now: f64,
         next_arrival: Option<f64>,
         hooks: &mut H,
     ) {
-        let pool = &self.pools[p];
+        let pool = &self.pool;
         let times: Vec<f64> = pool.queue.iter().map(|&(_, at)| at).collect();
         match pool.sched.decide(now, &times, next_arrival) {
             Action::Fire(d) => {
                 let exec = hooks.exec_us(now, &d);
                 let finish = now + exec;
-                let pool = &mut self.pools[p];
+                let pool = &mut self.pool;
                 pool.free_at[w] = finish;
                 let slo = pool.sched.slo_us();
                 let ids: Vec<(u64, f64)> = pool.queue.drain(..d.batch).collect();
@@ -463,14 +338,12 @@ impl<S: Default> Core<S> {
                     None => (String::new(), format!("exec={:.3}", d.exec_us)),
                 };
                 out.log.push(format!(
-                    "fire t={now:.3}{} worker={w}{plan} batch={} micros={micros} {timing} ids={}..{}",
-                    pool.tag,
+                    "fire t={now:.3} worker={w}{plan} batch={} micros={micros} {timing} ids={}..{}",
                     d.batch,
                     ids[0].0,
                     ids[d.batch - 1].0
                 ));
                 let fired = Fired {
-                    pool: p,
                     now,
                     finish,
                     decision: &d,
@@ -482,12 +355,11 @@ impl<S: Default> Core<S> {
                 // Admission guarantees the next arrival is strictly in the
                 // future, so the clock always advances.
                 debug_assert!(t > now, "wait must move the clock forward");
-                self.pools[p].free_at[w] = t;
+                self.pool.free_at[w] = t;
             }
             Action::ShedOldest => {
-                let (id, _) = self.pools[p].queue.pop_front().expect("non-empty queue");
-                self.shed(now, Some(p), id, ShedReason::DeadlineInfeasible);
-                hooks.on_shed(self, Some(p), now);
+                let (id, _) = self.pool.queue.pop_front().expect("non-empty queue");
+                self.shed(now, id, ShedReason::DeadlineInfeasible, hooks);
             }
         }
     }

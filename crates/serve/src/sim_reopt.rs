@@ -93,11 +93,12 @@ pub struct ReoptStats {
 
 /// Run one drift experiment.
 ///
-/// The core loop of [`crate::sim::run_sim`] with three hooks: execution
-/// uses the perturbed ground truth instead of the plan's belief, every
-/// executed micro-batch feeds the drift detector, and a completed
-/// re-benchmark swaps in a new plan generation at the next tick
-/// (version-stamped into the log, like the threaded server's hot-swap).
+/// The core loop of [`crate::sim::run_sim`] with all four hooks:
+/// execution uses the perturbed ground truth instead of the plan's belief,
+/// every executed micro-batch feeds the drift detector, every completion
+/// and shed feeds the optional burn monitor, and a completed re-benchmark
+/// swaps in a new plan generation at the next tick (version-stamped into
+/// the log, like the threaded server's hot-swap).
 ///
 /// # Panics
 /// Panics on a config with no workers, an empty queue, or a base table with
@@ -127,7 +128,7 @@ pub fn run_reopt_sim(cfg: &ReoptSimConfig) -> ReoptOutcome {
         ..ReoptStats::default()
     };
     let arrivals = poisson_arrivals(cfg.seed, cfg.requests, cfg.arrival_rate_rps);
-    Core::new(vec![pool], stats).run(&arrivals, &mut hooks)
+    Core::new(pool, stats).run(&arrivals, &mut hooks)
 }
 
 /// The drift twin's hooks: perturbed ground truth, the detector and burn
@@ -185,7 +186,7 @@ impl Hooks for Reopt<'_> {
         };
         self.rebench = None;
         let table = self.base.iter().map(|&(m, t)| (m, t * factor)).collect();
-        let pool = &mut core.pools[0];
+        let pool = &mut core.pool;
         pool.sched = self.cfg.plan(table);
         let version = pool.version.map_or(1, |v| v + 1);
         pool.version = Some(version);
@@ -215,7 +216,7 @@ impl Hooks for Reopt<'_> {
         let now = fired.now;
         let factor = self.cfg.perturb.factor_at(now);
         for &m in &fired.decision.micros {
-            let table = core.pools[0].sched.table();
+            let table = core.pool.sched.table();
             let Some(&(_, expected)) = table.iter().find(|&&(size, _)| size == m) else {
                 continue;
             };
@@ -242,7 +243,7 @@ impl Hooks for Reopt<'_> {
         }
     }
 
-    fn on_shed(&mut self, core: &mut Core<ReoptStats>, _pool: Option<usize>, t: f64) {
+    fn on_shed(&mut self, core: &mut Core<ReoptStats>, t: f64) {
         self.observe_burn(core, t, true);
     }
 }

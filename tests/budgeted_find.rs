@@ -2,14 +2,14 @@
 //!
 //! Every benchmark lookup carries the workspace limit its optimizer filters
 //! by, and the substrate never times an algorithm above it. On the
-//! simulated engine, WR and WD plans, serving latency tables and fleet
-//! candidates built from such lookups must equal the ones built from a
-//! cache that benchmarked every algorithm up front with unbudgeted
-//! `get_or_bench` — across limits that widen the same cache entries.
+//! simulated engine, WR and WD plans and serving latency tables built from
+//! such lookups must equal the ones built from a cache that benchmarked
+//! every algorithm up front with unbudgeted `get_or_bench` — across limits
+//! that widen the same cache entries.
 
 use ucudnn::{
-    fleet_budget_candidates, forward_latency_table, optimize_wd_weighted, optimize_wr,
-    BatchSizePolicy, BenchCache, KernelKey,
+    forward_latency_table, optimize_wd_weighted, optimize_wr, BatchSizePolicy, BenchCache,
+    KernelKey,
 };
 use ucudnn_cudnn_sim::{ConvOp, CudnnHandle};
 use ucudnn_framework::{alexnet, densenet40, resnet50, NetworkDef};
@@ -106,13 +106,8 @@ fn serving_tables_and_fleet_candidates_match_an_unbudgeted_cache() {
             "latency table within {limit}"
         );
     }
-    let shares = [0, 512 << 10, 64 * MIB, 256 * MIB];
-    let fresh = BenchCache::new();
-    let got = fleet_budget_candidates(&h, &fresh, &kernels, POLICY, max_batch, &shares);
-    let want = fleet_budget_candidates(&h, &full, &kernels, POLICY, max_batch, &shares);
-    for (a, b) in got.iter().zip(&want) {
-        assert_eq!(a.ws_limit_bytes, b.ws_limit_bytes);
-        assert_eq!(a.table, b.table, "fleet table within {}", a.ws_limit_bytes);
-    }
-    assert!(fresh.stats().bench_points_over_budget > 0);
+    assert!(
+        budgeted.stats().bench_points_over_budget > 0,
+        "the limits skipped algorithms"
+    );
 }

@@ -1,22 +1,16 @@
 //! Golden digests of every deterministic serving-simulator log.
 //!
-//! Each lane `serve_bench --reopt --ingress --fleet` runs (at full and
-//! `--smoke` sizes), and each configuration the simulators' own unit tests
-//! run, is pinned as `(line count, FNV-1a-64 over every log line plus
+//! Each lane `serve_bench --reopt` runs (at full and `--smoke` sizes), and
+//! each configuration the simulators' own unit tests run, is pinned as `(line count, FNV-1a-64 over every log line plus
 //! '\n')`. The logs are pure functions of their configs, so the digests are
 //! the same on every machine and in debug and release builds; any change to
 //! event order, clock rules or log formatting shows up here.
 
-use ucudnn::{
-    arbitrate_fleet_budget, fleet_budget_candidates, forward_latency_table, BatchSizePolicy,
-    BenchCache, FleetRouterPolicy, KernelKey, ReplicaCandidates,
-};
+use ucudnn::{forward_latency_table, BatchSizePolicy, BenchCache, KernelKey};
 use ucudnn_cudnn_sim::{ConvOp, CudnnHandle};
-use ucudnn_gpu_model::{k80, p100_sxm2, v100_sxm2, Perturbation};
+use ucudnn_gpu_model::{p100_sxm2, Perturbation};
 use ucudnn_serve::{
-    run_fleet_sim, run_ingress_sim, run_reopt_sim, run_sim, BatchPolicy, BurnConfig,
-    FleetReplicaConfig, FleetSimConfig, IngressSimConfig, ReoptConfig, ReoptSimConfig,
-    ReplicaFailure, SimConfig,
+    run_reopt_sim, run_sim, BatchPolicy, BurnConfig, ReoptConfig, ReoptSimConfig, SimConfig,
 };
 use ucudnn_tensor::{ConvGeometry, FilterShape, Shape4};
 
@@ -161,119 +155,6 @@ fn serve_bench_reopt_lanes() {
 }
 
 #[test]
-fn serve_bench_ingress_lanes() {
-    let table = p100_conv2_table();
-    let nominal = |requests| IngressSimConfig {
-        sim: SimConfig {
-            seed: SEED,
-            slo_us: SLO_US,
-            queue_cap: 256,
-            workers: 2,
-            max_batch: MAX_BATCH,
-            arrival_rate_rps: 20_000.0,
-            requests,
-            policy: BatchPolicy::Dynamic,
-            table: table.clone(),
-        },
-        idle_conns: 10_000,
-        churn_cycles: 1_000,
-        churn_rate_cps: 2_000.0,
-        churn_hold_us: 5_000.0,
-        max_conns: 16_384,
-        kernel_buf: 4_096,
-    };
-    let burst = IngressSimConfig {
-        sim: SimConfig {
-            arrival_rate_rps: 400_000.0,
-            queue_cap: 32,
-            ..nominal(4_000).sim
-        },
-        ..nominal(4_000)
-    };
-    let lanes = vec![
-        ("nominal", run_ingress_sim(&nominal(4_000)).log),
-        ("nominal_smoke", run_ingress_sim(&nominal(2_000)).log),
-        ("burst", run_ingress_sim(&burst).log),
-    ];
-    check(
-        &lanes,
-        &[
-            ("nominal", 2_604, 0x0c28_479f_338e_219d),
-            ("nominal_smoke", 2_294, 0x22ba_b2f9_cafa_f92a),
-            ("burst", 2_377, 0x08f4_cadf_f5bb_f34d),
-        ],
-    );
-}
-
-#[test]
-fn serve_bench_fleet_lanes() {
-    let kernels = [KernelKey::new(ConvOp::Forward, &conv2())];
-    let shares: [usize; 5] = [0, 64 << 20, 128 << 20, 256 << 20, 512 << 20];
-    let candidates: Vec<ReplicaCandidates> =
-        [("k80", k80()), ("p100", p100_sxm2()), ("v100", v100_sxm2())]
-            .into_iter()
-            .map(|(name, dev)| ReplicaCandidates {
-                name: name.to_string(),
-                candidates: fleet_budget_candidates(
-                    &CudnnHandle::simulated(dev),
-                    &BenchCache::new(),
-                    &kernels,
-                    BatchSizePolicy::PowerOfTwo,
-                    MAX_BATCH,
-                    &shares,
-                ),
-            })
-            .collect();
-    let plan = arbitrate_fleet_budget(&candidates, 768 << 20).expect("fleet arbitration");
-    let replicas: Vec<FleetReplicaConfig> = plan
-        .shares
-        .iter()
-        .map(|s| FleetReplicaConfig {
-            name: s.replica.clone(),
-            table: s.table.clone(),
-            workers: 2,
-            queue_cap: 2048,
-        })
-        .collect();
-    let lane = |policy, fail| FleetSimConfig {
-        seed: SEED,
-        slo_us: SLO_US,
-        max_batch: MAX_BATCH,
-        arrival_rate_rps: 220_000.0,
-        requests: 20_000,
-        policy,
-        replicas: replicas.clone(),
-        fail,
-    };
-    let failure = ReplicaFailure {
-        replica: 1,
-        at_us: 15_000.0,
-    };
-    let lanes = vec![
-        (
-            "feasibility",
-            run_fleet_sim(&lane(FleetRouterPolicy::Feasibility, None)).log,
-        ),
-        (
-            "least_loaded",
-            run_fleet_sim(&lane(FleetRouterPolicy::LeastLoaded, None)).log,
-        ),
-        (
-            "failover",
-            run_fleet_sim(&lane(FleetRouterPolicy::Feasibility, Some(failure))).log,
-        ),
-    ];
-    check(
-        &lanes,
-        &[
-            ("feasibility", 642, 0x8e2b_ca58_1551_e187),
-            ("least_loaded", 2_762, 0x8515_6aeb_fc3f_707c),
-            ("failover", 12_022, 0x5d7b_db2f_8573_e87f),
-        ],
-    );
-}
-
-#[test]
 fn sim_unit_test_configs() {
     let base = SimConfig {
         seed: 7,
@@ -372,162 +253,6 @@ fn reopt_unit_test_configs() {
             ("clean_1", 246, 0xc091_f473_6520_6dea),
             ("clean_7", 253, 0xe746_5217_4cc2_9147),
             ("clean_2018", 253, 0x51f4_ebf8_357f_6259),
-        ],
-    );
-}
-
-#[test]
-fn ingress_unit_test_configs() {
-    let base = IngressSimConfig {
-        sim: SimConfig {
-            seed: SEED,
-            slo_us: SLO_US,
-            queue_cap: 256,
-            workers: 2,
-            max_batch: MAX_BATCH,
-            arrival_rate_rps: 20_000.0,
-            requests: 2_000,
-            policy: BatchPolicy::Dynamic,
-            table: unit_table(),
-        },
-        idle_conns: 10_000,
-        churn_cycles: 200,
-        churn_rate_cps: 2_000.0,
-        churn_hold_us: 5_000.0,
-        max_conns: 16_384,
-        kernel_buf: 4_096,
-    };
-    let burst = IngressSimConfig {
-        sim: SimConfig {
-            arrival_rate_rps: 400_000.0,
-            queue_cap: 32,
-            requests: 4_000,
-            ..base.sim.clone()
-        },
-        ..base.clone()
-    };
-    let tiny_buffer = IngressSimConfig {
-        sim: SimConfig {
-            arrival_rate_rps: 400_000.0,
-            queue_cap: 16,
-            ..base.sim.clone()
-        },
-        kernel_buf: 8,
-        ..base.clone()
-    };
-    let conn_cap = IngressSimConfig {
-        idle_conns: 100,
-        max_conns: 110,
-        churn_cycles: 500,
-        churn_rate_cps: 100_000.0,
-        ..base.clone()
-    };
-    let churn = IngressSimConfig {
-        churn_cycles: 500,
-        ..base.clone()
-    };
-    let no_churn = IngressSimConfig {
-        churn_cycles: 0,
-        ..base.clone()
-    };
-    let lanes = vec![
-        ("nominal", run_ingress_sim(&base).log),
-        ("burst", run_ingress_sim(&burst).log),
-        ("tiny_buffer", run_ingress_sim(&tiny_buffer).log),
-        ("conn_cap", run_ingress_sim(&conn_cap).log),
-        ("churn", run_ingress_sim(&churn).log),
-        ("no_churn", run_ingress_sim(&no_churn).log),
-    ];
-    check(
-        &lanes,
-        &[
-            ("nominal", 714, 0x44a1_09ee_67e0_a7e6),
-            ("burst", 777, 0x2219_605a_e4f8_1a90),
-            ("tiny_buffer", 2_228, 0x4769_aa18_8447_9e8e),
-            ("conn_cap", 834, 0x5bcf_79be_9ea9_0f0c),
-            ("churn", 1_314, 0xd094_3838_f200_0ca9),
-            ("no_churn", 314, 0x3cb5_ea38_dbb4_6771),
-        ],
-    );
-}
-
-#[test]
-fn fleet_unit_test_configs() {
-    let replica = |name: &str, t1: f64, per: f64| FleetReplicaConfig {
-        name: name.into(),
-        table: [1usize, 2, 4, 8, 16, 32]
-            .into_iter()
-            .map(|m| (m, t1 + per * (m as f64 - 1.0)))
-            .collect(),
-        workers: 2,
-        queue_cap: 256,
-    };
-    let hetero = |policy, rate, requests| FleetSimConfig {
-        seed: SEED,
-        slo_us: SLO_US,
-        max_batch: MAX_BATCH,
-        arrival_rate_rps: rate,
-        requests,
-        policy,
-        replicas: vec![
-            replica("k80", 500.0, 200.0),
-            replica("p100", 200.0, 80.0),
-            replica("v100", 120.0, 40.0),
-        ],
-        fail: None,
-    };
-    let (feas, jsq) = (
-        FleetRouterPolicy::Feasibility,
-        FleetRouterPolicy::LeastLoaded,
-    );
-    let mut lanes = Vec::new();
-    for (name, policy) in [("feasibility", feas), ("least_loaded", jsq)] {
-        for (rate, requests) in [
-            (20_000.0, 4_000),
-            (60_000.0, 3_000),
-            (80_000.0, 4_000),
-            (100_000.0, 6_000),
-            (120_000.0, 6_000),
-            (250_000.0, 4_000),
-        ] {
-            lanes.push((name, run_fleet_sim(&hetero(policy, rate, requests)).log));
-        }
-        let failure = Some(ReplicaFailure {
-            replica: 2,
-            at_us: 15_000.0,
-        });
-        let failed = FleetSimConfig {
-            fail: failure,
-            ..hetero(policy, 120_000.0, 5_000)
-        };
-        lanes.push((name, run_fleet_sim(&failed).log));
-    }
-    let mid_burst_failure = FleetSimConfig {
-        fail: Some(ReplicaFailure {
-            replica: 1,
-            at_us: 10_000.0,
-        }),
-        ..hetero(feas, 200_000.0, 5_000)
-    };
-    lanes.push(("mid_burst_failure", run_fleet_sim(&mid_burst_failure).log));
-    check(
-        &lanes,
-        &[
-            ("feasibility", 1_935, 0xf999_bc99_f2e8_9fd5),
-            ("feasibility", 551, 0xa182_a842_74d5_b37f),
-            ("feasibility", 213, 0x5014_4632_20e9_ed3f),
-            ("feasibility", 789, 0x0113_addf_7bd4_585a),
-            ("feasibility", 1_555, 0xb840_8df1_c495_7561),
-            ("feasibility", 2_093, 0xef0e_485b_6e73_dba6),
-            ("feasibility", 2_636, 0xe6c8_fd28_3605_f135),
-            ("least_loaded", 1_956, 0x93fb_6674_1e49_9ba2),
-            ("least_loaded", 539, 0x5d6d_8145_f3d1_e42f),
-            ("least_loaded", 223, 0xfde4_3ce5_f520_7073),
-            ("least_loaded", 962, 0xbe30_0a03_e307_f255),
-            ("least_loaded", 1_641, 0xbd3f_d67c_0866_c137),
-            ("least_loaded", 2_103, 0x06ed_618a_ae65_0c11),
-            ("least_loaded", 2_646, 0xc370_6468_2fc0_4ef7),
-            ("mid_burst_failure", 3_046, 0xe392_b35c_6150_a103),
         ],
     );
 }
