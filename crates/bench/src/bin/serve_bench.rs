@@ -20,16 +20,6 @@
 //! for CI; `--tcp-smoke` additionally drives one request through the real
 //! threaded server's TCP line-protocol front-end on loopback.
 //!
-//! `--reopt` adds the online re-optimization experiment (DESIGN.md §13): a
-//! 2× device slowdown at t=50ms on a single worker at 20k rps / 20ms SLO,
-//! frozen-plan baseline vs. the drift-detecting re-optimizer. The committed
-//! `reopt` section backs the headline claim: the frozen plan sheds, the
-//! re-optimizer detects, hot-swaps, and finishes with zero SLO violations
-//! after re-convergence — byte-identically across runs. Both lanes also run
-//! a multi-window SLO burn-rate monitor (DESIGN.md §14): the frozen lane's
-//! sustained post-drift burn must fire an `slo_alert` at a replay-stable
-//! virtual timestamp.
-//!
 //! `--ingress` runs the C10k ingress gate (DESIGN.md §15) on real
 //! sockets: the epoll reactor must hold ≥5k idle loopback connections
 //! (fd-budget permitting; the attempt raises `RLIMIT_NOFILE` first) while
@@ -51,10 +41,10 @@ use ucudnn::{
     TraceConfig,
 };
 use ucudnn_cudnn_sim::{ConvOp, CudnnHandle};
-use ucudnn_gpu_model::{p100_sxm2, Perturbation};
+use ucudnn_gpu_model::p100_sxm2;
 use ucudnn_serve::{
-    run_reopt_sim, run_sim, sys, BatchPolicy, BatchRunner as _, BurnConfig, RealModelRunner,
-    ReoptConfig, ReoptOutcome, ReoptSimConfig, Server, SimConfig, SimOutcome, TcpFrontend,
+    run_sim, sys, BatchPolicy, BatchRunner as _, RealModelRunner, Server, SimConfig, SimOutcome,
+    TcpFrontend,
 };
 use ucudnn_tensor::{ConvGeometry, FilterShape, Shape4};
 
@@ -74,9 +64,9 @@ const MAX_BATCH: usize = 32;
 
 /// Run one lane twice: the reproducibility gate every lane passes is a
 /// byte-identical decision log on a same-seed replay.
-fn replayed<C, S>(run: fn(&C) -> SimOutcome<S>, cfg: &C, lane: &str) -> SimOutcome<S> {
-    let out = run(cfg);
-    assert_eq!(out.log, run(cfg).log, "{lane} replay diverged");
+fn replayed(cfg: &SimConfig, lane: &str) -> SimOutcome {
+    let out = run_sim(cfg);
+    assert_eq!(out.log, run_sim(cfg).log, "{lane} replay diverged");
     out
 }
 
@@ -108,194 +98,6 @@ fn policy_row(out: &SimOutcome, policy: BatchPolicy) -> Value {
         ("p95_us", opt(pct.p95_us)),
         ("p99_us", opt(pct.p99_us)),
         ("mean_us", opt((out.completed > 0).then(|| pct.mean()))),
-    ])
-}
-
-fn reopt_lane_row(out: &ReoptOutcome) -> Value {
-    let pct = out.latencies.cumulative();
-    obj([
-        ("completed", num(out.completed as f64)),
-        (
-            "shed",
-            obj([
-                ("queue_full", num(out.shed.queue_full as f64)),
-                (
-                    "deadline_infeasible",
-                    num(out.shed.deadline_infeasible as f64),
-                ),
-                ("total", num(out.shed.total() as f64)),
-            ]),
-        ),
-        ("violations", num(out.violations as f64)),
-        (
-            "violations_post_swap",
-            num(out.stats.violations_post_swap as f64),
-        ),
-        ("stale_detections", num(out.stats.stale_detections as f64)),
-        ("plan_swaps", num(out.stats.swaps as f64)),
-        ("final_plan_version", num(out.stats.final_version as f64)),
-        ("detect_time_us", opt(out.stats.detect_time_us)),
-        ("swap_time_us", opt(out.stats.swap_time_us)),
-        ("slo_alerts", num(out.stats.slo_alerts as f64)),
-        ("first_alert_us", opt(out.stats.first_alert_us)),
-        ("p50_us", opt(pct.p50_us)),
-        ("p99_us", opt(pct.p99_us)),
-    ])
-}
-
-/// The online re-optimization experiment: one worker, a 2× mid-run device
-/// slowdown, frozen plan vs. drift-detecting re-optimizer on the same seeded
-/// load. Pure virtual-clock computation, so the full 4000-request run is
-/// cheap enough to keep even under `--smoke`.
-fn reopt_experiment(table: &[(usize, f64)]) -> Value {
-    const REOPT_WORKERS: usize = 1;
-    const REOPT_REQUESTS: usize = 4_000;
-    const PERTURB_AT_US: f64 = 50_000.0;
-    const PERTURB_FACTOR: f64 = 2.0;
-    const REBENCH_LATENCY_US: f64 = 5_000.0;
-    // Deep queue: admission control must not mask the stale plan. With a
-    // shallow queue the wait is capped below the violation threshold and the
-    // damage shows only as queue_full sheds; at depth 1024 the frozen plan
-    // keeps *promising* deadlines the 2x-slower device cannot meet (fired
-    // batches land past the SLO), while the re-optimized plan knows the true
-    // t*(m) and converts those doomed fires into honest deadline sheds.
-    const REOPT_QUEUE_CAP: usize = 1024;
-    // Burn monitor sized for the sim's ~200 ms horizon: 20 ms fast window,
-    // 100 ms slow window, 1% budget. Both lanes watch through the same
-    // config — the monitor is pure observation, so serving decisions (and
-    // the frozen-vs-reopt comparison) are untouched.
-    const BURN_BUDGET: f64 = 0.01;
-    const BURN_FAST_US: f64 = 20_000.0;
-    const BURN_SLOW_US: f64 = 100_000.0;
-    let burn = BurnConfig {
-        budget: BURN_BUDGET,
-        fast_us: BURN_FAST_US,
-        slow_us: BURN_SLOW_US,
-        threshold: 1.0,
-    };
-    let lane = |reopt: Option<ReoptConfig>| ReoptSimConfig {
-        seed: SEED,
-        slo_us: SLO_US,
-        queue_cap: REOPT_QUEUE_CAP,
-        workers: REOPT_WORKERS,
-        max_batch: MAX_BATCH,
-        arrival_rate_rps: RATE_RPS,
-        requests: REOPT_REQUESTS,
-        base_table: table.to_vec(),
-        perturb: Perturbation::new(PERTURB_AT_US, PERTURB_FACTOR),
-        reopt,
-        rebench_latency_us: REBENCH_LATENCY_US,
-        burn: Some(burn),
-    };
-    let frozen = replayed(run_reopt_sim, &lane(None), "frozen");
-    let reopt = replayed(run_reopt_sim, &lane(Some(ReoptConfig::default())), "reopt");
-
-    println!("\nre-optimization under a {PERTURB_FACTOR}x slowdown at t={PERTURB_AT_US}us:");
-    println!(
-        "  frozen: completed={} shed={} violations={}",
-        frozen.completed,
-        frozen.shed.total(),
-        frozen.violations
-    );
-    println!(
-        "  reopt:  completed={} shed={} violations={} (post-swap: {}) \
-         detections={} swaps={} detect_t={:.0}us swap_t={:.0}us",
-        reopt.completed,
-        reopt.shed.total(),
-        reopt.violations,
-        reopt.stats.violations_post_swap,
-        reopt.stats.stale_detections,
-        reopt.stats.swaps,
-        reopt.stats.detect_time_us.unwrap_or(f64::NAN),
-        reopt.stats.swap_time_us.unwrap_or(f64::NAN),
-    );
-    println!(
-        "  burn:   frozen alerts={} first_t={:.0}us | reopt alerts={} first_t={:.0}us",
-        frozen.stats.slo_alerts,
-        frozen.stats.first_alert_us.unwrap_or(f64::NAN),
-        reopt.stats.slo_alerts,
-        reopt.stats.first_alert_us.unwrap_or(f64::NAN),
-    );
-
-    // The headline gates.
-    assert!(
-        frozen.shed.total() > 0,
-        "the frozen plan must shed under the post-drift overload"
-    );
-    assert!(
-        frozen.violations > 0,
-        "the stale plan must break deadline promises it can no longer keep"
-    );
-    assert_eq!(frozen.stats.swaps, 0, "the frozen lane must never swap");
-    assert!(
-        reopt.stats.stale_detections >= 1,
-        "the detector must flag the 2x drift"
-    );
-    assert!(reopt.stats.swaps >= 1, "a re-benchmarked plan must land");
-    assert_eq!(
-        reopt.stats.violations_post_swap, 0,
-        "after re-convergence the re-optimized lane must serve violation-free"
-    );
-    // The observability gate: the sustained post-drift burn on the frozen
-    // plan must page, after the drift exists, at a replay-stable timestamp
-    // (the log byte-identity above already pins the exact microsecond).
-    assert!(
-        frozen.stats.slo_alerts >= 1,
-        "the frozen lane's sustained burn must fire an slo_alert"
-    );
-    let first_alert = frozen
-        .stats
-        .first_alert_us
-        .expect("an alert implies a first-alert timestamp");
-    assert!(
-        first_alert >= PERTURB_AT_US,
-        "no alert may fire before the drift exists (got t={first_alert:.0}us)"
-    );
-    for out in [&frozen, &reopt] {
-        assert_eq!(
-            out.completed + out.shed.total(),
-            REOPT_REQUESTS as u64,
-            "ticket accounting must balance"
-        );
-    }
-
-    obj([
-        ("workers", num(REOPT_WORKERS as f64)),
-        ("requests", num(REOPT_REQUESTS as f64)),
-        ("queue_cap", num(REOPT_QUEUE_CAP as f64)),
-        (
-            "perturb",
-            obj([
-                ("at_us", num(PERTURB_AT_US)),
-                ("factor", num(PERTURB_FACTOR)),
-            ]),
-        ),
-        ("rebench_latency_us", num(REBENCH_LATENCY_US)),
-        (
-            "burn",
-            obj([
-                ("budget", num(BURN_BUDGET)),
-                ("fast_us", num(BURN_FAST_US)),
-                ("slow_us", num(BURN_SLOW_US)),
-            ]),
-        ),
-        (
-            "detector",
-            obj([
-                (
-                    "window_samples",
-                    num(ReoptConfig::default().window_samples as f64),
-                ),
-                ("p50_ratio", num(ReoptConfig::default().p50_ratio)),
-                (
-                    "consecutive",
-                    num(f64::from(ReoptConfig::default().consecutive)),
-                ),
-            ]),
-        ),
-        ("frozen", reopt_lane_row(&frozen)),
-        ("reopt", reopt_lane_row(&reopt)),
-        ("deterministic", Value::Bool(true)),
     ])
 }
 
@@ -539,7 +341,6 @@ fn telemetry_smoke(metrics_dump: Option<&str>) {
         "ucudnn_serve_shed_total{reason=\"deadline_infeasible\"}",
         "ucudnn_serve_shed_total{reason=\"exec_failed\"}",
         "ucudnn_serve_shed_total{reason=\"draining\"}",
-        "ucudnn_serve_plan_version ",
         "ucudnn_slo_alert_active ",
         "# ALERT slo_burn ",
         "ucudnn_serve_latency_us_count ",
@@ -558,7 +359,6 @@ fn telemetry_smoke(metrics_dump: Option<&str>) {
             "{name}: {before} -> {after} must cover the {REQUESTS}-request burst"
         );
     }
-    assert_eq!(scraped_value(&second, "ucudnn_serve_plan_version "), 1.0);
 
     if let Some(path) = metrics_dump {
         if let Some(parent) = std::path::Path::new(path)
@@ -592,11 +392,10 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
     let want_tcp = args.iter().any(|a| a == "--tcp-smoke");
-    let want_reopt = args.iter().any(|a| a == "--reopt");
     let want_ingress = args.iter().any(|a| a == "--ingress");
     let want_telemetry = args.iter().any(|a| a == "--telemetry-smoke");
-    let usage = "serve_bench [--smoke] [--tcp-smoke] [--reopt] [--ingress] \
-                 [--telemetry-smoke] [--metrics-dump <path>] [--out <path>]";
+    let usage = "serve_bench [--smoke] [--tcp-smoke] [--ingress] [--telemetry-smoke] \
+                 [--metrics-dump <path>] [--out <path>]";
     let metrics_dump = ucudnn_bench::flag_value(&args, "--metrics-dump", usage);
     let out_path = ucudnn_bench::flag_value(&args, "--out", usage)
         .unwrap_or_else(|| "BENCH_serve.json".to_string());
@@ -649,7 +448,7 @@ fn main() {
     };
     let outcomes: Vec<_> = policies
         .into_iter()
-        .map(|policy| (policy, replayed(run_sim, &lane(policy), policy.name())))
+        .map(|policy| (policy, replayed(&lane(policy), policy.name())))
         .collect();
 
     println!(
@@ -684,9 +483,7 @@ fn main() {
         "acceptance gate: dynamic must beat fixed-batch-1 by >= 1.3x, got {speedup:.3}"
     );
 
-    let reopt_section = want_reopt.then(|| reopt_experiment(&table));
-
-    let mut doc = obj([
+    let doc = obj([
         ("bench", Value::Str("serve".to_string())),
         ("smoke", Value::Bool(smoke)),
         ("seed", num(SEED as f64)),
@@ -717,11 +514,6 @@ fn main() {
         ("speedup_vs_fixed1", num(speedup)),
         ("deterministic", Value::Bool(true)),
     ]);
-    if let Value::Obj(fields) = &mut doc {
-        if let Some(section) = reopt_section {
-            fields.push(("reopt".to_string(), section));
-        }
-    }
     let body = doc.to_json() + "\n";
     if let Some(dir) = std::path::Path::new(&out_path)
         .parent()

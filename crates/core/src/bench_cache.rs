@@ -114,9 +114,6 @@ pub struct CacheStats {
     /// malformed fields, truncation, a wrong/missing format version, or
     /// timings of an earlier CPU engine revision.
     pub db_rows_quarantined: u64,
-    /// Entries evicted by [`BenchCache::invalidate`] — stale measurements
-    /// discarded so a re-benchmark re-measures the kernel as it is now.
-    pub invalidations: u64,
 }
 
 /// What a lookup returns: the measurements within its budget, or the
@@ -260,7 +257,6 @@ pub struct BenchCache {
     bench_retries: AtomicU64,
     db_rows_loaded: AtomicU64,
     db_rows_quarantined: AtomicU64,
-    invalidations: AtomicU64,
 }
 
 impl BenchCache {
@@ -279,7 +275,6 @@ impl BenchCache {
             bench_retries: AtomicU64::new(0),
             db_rows_loaded: AtomicU64::new(0),
             db_rows_quarantined: AtomicU64::new(0),
-            invalidations: AtomicU64::new(0),
         }
     }
 
@@ -348,31 +343,7 @@ impl BenchCache {
             bench_retries: self.bench_retries.load(Ordering::Relaxed),
             db_rows_loaded: self.db_rows_loaded.load(Ordering::Relaxed),
             db_rows_quarantined: self.db_rows_quarantined.load(Ordering::Relaxed),
-            invalidations: self.invalidations.load(Ordering::Relaxed),
         }
-    }
-
-    /// Evict the cached benchmark for `kernel` on `handle`'s engine, so the
-    /// next lookup re-measures it. Returns whether an entry (or an
-    /// in-flight slot) was actually present.
-    ///
-    /// An invalidated slot is only *detached* from the map: a leader still
-    /// benchmarking into it will fill it and wake its waiters normally —
-    /// they observe the measurement they asked for, just one that no longer
-    /// serves future lookups. Nobody blocks, nothing tears.
-    pub fn invalidate(&self, handle: &CudnnHandle, kernel: &KernelKey) -> bool {
-        let key = CacheKey {
-            engine: engine_tag(handle),
-            kernel: *kernel,
-        };
-        let removed = self.shards[shard_index(&key)]
-            .write()
-            .remove(&key)
-            .is_some();
-        if removed {
-            self.invalidations.fetch_add(1, Ordering::Relaxed);
-        }
-        removed
     }
 
     /// Every algorithm's benchmark for `kernel` (whose `input.n` *is* the
@@ -400,6 +371,14 @@ impl BenchCache {
     /// The substrate's refusal of the kernel, or — when every algorithm
     /// within the budget failed while benchmarking — an execution failure;
     /// cached like any other result.
+    ///
+    /// # Panics
+    /// Panics when `kernel`'s geometry is invalid (a zero stride, mismatched
+    /// channels, or a filter larger than the padded input): the benchmark
+    /// builds it with `ConvGeometry::new`. Keys built from descriptors, and
+    /// the keys `UcudnnHandle::optimize_network` takes, are validated before
+    /// they reach the cache. The panic does not wedge the key's slot: the
+    /// next lookup benchmarks again.
     pub fn try_get_or_bench(
         &self,
         handle: &CudnnHandle,
@@ -1264,45 +1243,6 @@ mod tests {
             "batch folded out of {}",
             agg[0].0
         );
-    }
-
-    #[test]
-    fn invalidate_forces_a_re_benchmark() {
-        let h = CudnnHandle::simulated(p100_sxm2());
-        let c = BenchCache::new();
-        let before = c.get_or_bench(&h, &key(16));
-        assert!(c.invalidate(&h, &key(16)), "the entry was present");
-        assert!(!c.invalidate(&h, &key(16)), "already evicted");
-        assert_eq!(c.len(), 0);
-        let after = c.get_or_bench(&h, &key(16));
-        assert_eq!(after, before, "a stable device re-measures identically");
-        let stats = c.stats();
-        assert_eq!(stats.misses, 2, "the second lookup re-benchmarked");
-        assert_eq!(stats.invalidations, 1);
-        // Other engines' entries are untouched.
-        let v = CudnnHandle::simulated(ucudnn_gpu_model::v100_sxm2());
-        c.get_or_bench(&v, &key(16));
-        assert!(!c.invalidate(&h, &key(8)), "different kernel, no entry");
-        assert_eq!(c.len(), 2);
-    }
-
-    #[test]
-    fn invalidate_sees_the_perturbed_device_on_re_benchmark() {
-        // The re-optimization story end to end at the cache layer: a cached
-        // pre-drift measurement survives the perturbation until it is
-        // invalidated, after which the re-benchmark observes the slower
-        // device.
-        use ucudnn_gpu_model::Perturbation;
-        let h = CudnnHandle::simulated(p100_sxm2()).with_perturbation(Perturbation::new(0.0, 2.0));
-        let clean = BenchCache::new().get_or_bench(&CudnnHandle::simulated(p100_sxm2()), &key(16));
-        let c = BenchCache::new();
-        let perturbed = c.get_or_bench(&h, &key(16));
-        assert!(
-            (perturbed[0].time_us - 2.0 * clean[0].time_us).abs() < 1e-9,
-            "benchmarks observe the perturbed curve"
-        );
-        c.invalidate(&h, &key(16));
-        assert_eq!(c.get_or_bench(&h, &key(16)), perturbed);
     }
 
     #[test]

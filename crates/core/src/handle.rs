@@ -416,14 +416,7 @@ impl UcudnnHandle {
     /// otherwise the first optimization failure in registration order.
     pub fn optimize_network(&self, kernels: &[KernelKey]) -> Result<(), UcudnnError> {
         for k in kernels {
-            check_geometry(&ConvGeometry {
-                input: k.input,
-                filter: k.filter,
-                pad_h: k.pad_h,
-                pad_w: k.pad_w,
-                stride_h: k.stride_h,
-                stride_w: k.stride_w,
-            })?;
+            check_geometry(&k.raw_geometry())?;
         }
         self.metrics.set_threads(self.opts.opt_threads.max(1));
         let mut st = self.state.lock();

@@ -53,6 +53,20 @@ impl KernelKey {
         )
     }
 
+    /// The geometry built field by field, without [`ConvGeometry::new`]'s
+    /// validation: the fields are public, so a key can hold a geometry
+    /// that `new` rejects. Rendering and validating a key read this.
+    pub(crate) fn raw_geometry(&self) -> ConvGeometry {
+        ConvGeometry {
+            input: self.input,
+            filter: self.filter,
+            pad_h: self.pad_h,
+            pad_w: self.pad_w,
+            stride_h: self.stride_h,
+            stride_w: self.stride_w,
+        }
+    }
+
     /// The geometry at a micro-batch size.
     pub fn micro_geometry(&self, micro_batch: usize) -> ConvGeometry {
         self.geometry().with_batch(micro_batch)
@@ -80,7 +94,7 @@ impl KernelKey {
 
 impl core::fmt::Display for KernelKey {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(f, "{}[{}]", self.op, self.geometry())
+        write!(f, "{}[{}]", self.op, self.raw_geometry())
     }
 }
 
@@ -113,6 +127,18 @@ mod tests {
         let mut set = HashSet::new();
         set.insert(a);
         assert!(set.contains(&b));
+    }
+
+    #[test]
+    fn display_renders_an_invalid_key_without_panicking() {
+        let valid = KernelKey::new(ConvOp::Forward, &g());
+        assert_eq!(valid.to_string(), format!("{}[{}]", ConvOp::Forward, g()));
+        let bad = KernelKey {
+            stride_h: 0,
+            ..valid
+        };
+        let text = bad.to_string();
+        assert!(text.contains("stride=0x"), "{text}");
     }
 
     #[test]

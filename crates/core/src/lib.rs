@@ -72,9 +72,7 @@ pub use pareto::{
     desirable_set, desirable_set_metered, desirable_set_traced, pareto_front, DesirableStats,
 };
 pub use policy::BatchSizePolicy;
-pub use slo::{
-    forward_latency_table, plan_batch, rebench_latency_table, SloDecision, TableProvenance,
-};
+pub use slo::{forward_latency_table, plan_batch, SloDecision};
 pub use telemetry::{Counter, CounterVec, Gauge, GaugeVec, Histogram, Registry};
 pub use trace::{
     ClockMode, PlanProvenance, Trace, TraceConfig, TraceEvent, TraceFormat, TraceSession,

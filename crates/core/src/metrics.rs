@@ -437,7 +437,6 @@ mod tests {
             bench_retries: 1,
             db_rows_loaded: 7,
             db_rows_quarantined: 2,
-            invalidations: 0,
         };
         let counts = vec![("fwd[k]".to_string(), 1u64)];
         let exec = ExecCacheStats {

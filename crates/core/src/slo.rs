@@ -22,7 +22,6 @@
 //! flipped from time to rate.
 
 use crate::bench_cache::BenchCache;
-use crate::error::UcudnnError;
 use crate::kernel::KernelKey;
 use crate::policy::BatchSizePolicy;
 use crate::wr::best_micro;
@@ -162,81 +161,6 @@ pub fn forward_latency_table(
     table
 }
 
-/// Where a serving latency table came from — carried alongside the plan so
-/// the drift detector knows which measurement generation it is judging
-/// observations against, and operators can see how many times (and why) a
-/// server re-planned.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TableProvenance {
-    /// Monotone re-benchmark generation: 1 for the startup table, +1 per
-    /// successful refresh.
-    pub generation: u64,
-    /// Human-readable origin: `"startup"`, or `"rebench"` for refreshed
-    /// tables.
-    pub source: String,
-    /// How many kernels had their cached benchmarks invalidated and
-    /// re-measured to produce this table (0 at startup).
-    pub refreshed_kernels: usize,
-}
-
-impl TableProvenance {
-    /// Provenance of the table built at server startup.
-    pub fn startup() -> Self {
-        Self {
-            generation: 1,
-            source: "startup".to_string(),
-            refreshed_kernels: 0,
-        }
-    }
-
-    /// Provenance of the table produced by the next re-benchmark after
-    /// `self`, which refreshed `refreshed_kernels` kernels.
-    pub fn rebenched(&self, refreshed_kernels: usize) -> Self {
-        Self {
-            generation: self.generation + 1,
-            source: "rebench".to_string(),
-            refreshed_kernels,
-        }
-    }
-}
-
-/// Refresh the serving latency table after drift: invalidate the `stale`
-/// kernels' cached benchmarks (every candidate micro-batch size of
-/// `policy`), then rebuild the full table through the cache's single-flight
-/// path. Kernels *not* listed in `stale` keep their cached measurements, so
-/// a re-benchmark costs only the drifted kernels' Pareto fronts.
-///
-/// Serving is expected to continue on the old plan while this runs; the
-/// caller swaps the returned table in atomically (see `ucudnn-serve`).
-///
-/// # Errors
-/// [`UcudnnError::NoFeasibleConfiguration`] when the rebuilt table is empty
-/// — every candidate size lost its feasible configuration, e.g. because the
-/// re-benchmark itself hit injected faults. The caller must keep the old
-/// plan live (DESIGN §9: degrade, never crash).
-pub fn rebench_latency_table(
-    handle: &CudnnHandle,
-    cache: &BenchCache,
-    kernels: &[KernelKey],
-    stale: &[KernelKey],
-    policy: BatchSizePolicy,
-    max_batch: usize,
-    ws_limit: usize,
-) -> Result<Vec<(usize, f64)>, UcudnnError> {
-    for kernel in stale {
-        for m in policy.candidate_sizes(max_batch) {
-            cache.invalidate(handle, &kernel.with_batch(m));
-        }
-    }
-    let table = forward_latency_table(handle, cache, kernels, policy, max_batch, ws_limit);
-    if table.is_empty() {
-        return Err(UcudnnError::NoFeasibleConfiguration(
-            "re-benchmark produced an empty latency table".to_string(),
-        ));
-    }
-    Ok(table)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -365,116 +289,6 @@ mod tests {
         let table: Vec<(usize, f64)> = (1..=4).map(|m| (m, 10.0 * m as f64)).collect();
         let d = plan_batch(&table, 4, 8, 1e6).unwrap();
         assert_eq!(d.batch, 4);
-    }
-
-    #[test]
-    fn rebench_refreshes_only_the_stale_kernel_and_sees_the_drift() {
-        use ucudnn_gpu_model::Perturbation;
-        let g = ConvGeometry::with_square(
-            Shape4::new(32, 64, 27, 27),
-            FilterShape::new(192, 64, 5, 5),
-            2,
-            1,
-        );
-        // Perturbed from t=0, but the startup table is benchmarked on a
-        // clean handle into the shared cache first — the classic stale
-        // situation: cached truth predates the drift.
-        let clean = CudnnHandle::simulated(p100_sxm2());
-        let drifted =
-            CudnnHandle::simulated(p100_sxm2()).with_perturbation(Perturbation::new(0.0, 2.0));
-        let cache = BenchCache::new();
-        let kernels = [KernelKey::new(ConvOp::Forward, &g)];
-        let startup = forward_latency_table(
-            &clean,
-            &cache,
-            &kernels,
-            BatchSizePolicy::PowerOfTwo,
-            32,
-            512 << 20,
-        );
-        // Without invalidation the cache still serves the stale table even
-        // through the drifted handle (same engine tag).
-        let stale_read = forward_latency_table(
-            &drifted,
-            &cache,
-            &kernels,
-            BatchSizePolicy::PowerOfTwo,
-            32,
-            512 << 20,
-        );
-        assert_eq!(stale_read, startup, "cache hides the drift until evicted");
-        let refreshed = rebench_latency_table(
-            &drifted,
-            &cache,
-            &kernels,
-            &kernels,
-            BatchSizePolicy::PowerOfTwo,
-            32,
-            512 << 20,
-        )
-        .unwrap();
-        assert_eq!(refreshed.len(), startup.len());
-        for (&(m, t_new), &(m0, t_old)) in refreshed.iter().zip(startup.iter()) {
-            assert_eq!(m, m0);
-            assert!(
-                (t_new - 2.0 * t_old).abs() < 1e-6 * t_old,
-                "size {m}: refreshed {t_new} must be 2x stale {t_old}"
-            );
-        }
-        assert_eq!(
-            cache.stats().invalidations,
-            startup.len() as u64,
-            "one eviction per candidate size"
-        );
-        // Provenance bookkeeping.
-        let p0 = TableProvenance::startup();
-        let p1 = p0.rebenched(kernels.len());
-        assert_eq!((p0.generation, p1.generation), (1, 2));
-        assert_eq!(p1.source, "rebench");
-        assert_eq!(p1.refreshed_kernels, 1);
-    }
-
-    #[test]
-    fn rebench_with_an_empty_result_is_an_error_not_a_swap() {
-        use ucudnn_cudnn_sim::{FaultPlan, FaultTarget};
-        let g = ConvGeometry::with_square(
-            Shape4::new(32, 64, 27, 27),
-            FilterShape::new(192, 64, 5, 5),
-            2,
-            1,
-        );
-        let kernels = [KernelKey::new(ConvOp::Forward, &g)];
-        let cache = BenchCache::new();
-        let clean = CudnnHandle::simulated(p100_sxm2());
-        let startup = forward_latency_table(
-            &clean,
-            &cache,
-            &kernels,
-            BatchSizePolicy::PowerOfTwo,
-            32,
-            512 << 20,
-        );
-        assert!(!startup.is_empty());
-        // The re-benchmark runs on a handle whose every benchmark faults:
-        // the rebuild finds nothing feasible and must surface an error.
-        let faulted = CudnnHandle::simulated(p100_sxm2()).with_faults(FaultPlan {
-            targets: vec![FaultTarget::any()],
-            ..FaultPlan::default()
-        });
-        let err = rebench_latency_table(
-            &faulted,
-            &cache,
-            &kernels,
-            &kernels,
-            BatchSizePolicy::PowerOfTwo,
-            32,
-            512 << 20,
-        )
-        .unwrap_err();
-        assert!(
-            matches!(err, UcudnnError::NoFeasibleConfiguration(_)),
-            "got {err}"
-        );
     }
 
     #[test]

@@ -185,11 +185,6 @@ impl StreamingHistogram {
         }
     }
 
-    /// Observations recorded since the last [`Self::take_window`].
-    pub fn window_count(&self) -> u64 {
-        self.w_total
-    }
-
     /// Summarize the window and reset it in place; the cumulative view is
     /// untouched.
     pub fn take_window(&mut self) -> HistStats {
@@ -798,12 +793,11 @@ mod tests {
         let early = h.take_window();
         assert_eq!(early.count, 1000);
         assert!((early.p50_us.unwrap() - 100.0).abs() < 6.0);
-        assert_eq!(h.window_count(), 0, "take_window resets the window");
         for _ in 0..100 {
             h.record(200.0);
         }
         let late = h.take_window();
-        assert_eq!(late.count, 100);
+        assert_eq!(late.count, 100, "take_window resets the window");
         let p50 = late.p50_us.unwrap();
         assert!(
             (p50 - 200.0).abs() < 12.0,
@@ -826,11 +820,12 @@ mod tests {
         for v in [10.0, 20.0, 30.0] {
             h.record(v);
         }
-        assert_eq!(h.window_count(), 3);
-        assert_eq!(h.take_window(), h.cumulative());
+        let first = h.take_window();
+        assert_eq!(first.count, 3);
+        assert_eq!(first, h.cumulative());
         h.record(40.0);
-        assert_eq!(h.window_count(), 1);
-        assert_eq!(h.take_window().p99_us, Some(40.0));
+        let second = h.take_window();
+        assert_eq!((second.count, second.p99_us), (1, Some(40.0)));
         assert_eq!(h.cumulative().count, 4);
     }
 

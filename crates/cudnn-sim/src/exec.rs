@@ -71,7 +71,7 @@ impl CudnnHandle {
                 }
                 let t = kernel_time_us(d, algo, op, g).ok_or_else(|| {
                     CudnnError::NotSupported(format!("{algo} unsupported on {g}"))
-                })? * self.perturb_factor_now();
+                })?;
                 self.advance(t);
                 crate::observe::emit_with(|| crate::observe::CallEvent {
                     site: crate::observe::CallSite::Exec,

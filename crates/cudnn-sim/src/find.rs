@@ -93,10 +93,6 @@ impl CudnnHandle {
         workspace: RangeInclusive<usize>,
     ) -> Result<Vec<AlgoPerf>> {
         let g = conv.geometry(x, w)?;
-        // Benchmarks observe the device as it is *now*: a perturbed latency
-        // curve re-measures slower, which is exactly what a re-benchmark
-        // after drift must see.
-        let factor = self.perturb_factor_now();
         let mut cpu_times: Vec<(EngineKind, Option<f64>)> = Vec::new();
         let mut perfs: Vec<AlgoPerf> = ConvAlgo::ALL
             .iter()
@@ -111,7 +107,7 @@ impl CudnnHandle {
                 let mut time_us = 0.0;
                 if status == AlgoStatus::Success {
                     let measured = match self.engine() {
-                        Engine::Simulated(d) => kernel_time_us(d, algo, op, &g).map(|t| t * factor),
+                        Engine::Simulated(d) => kernel_time_us(d, algo, op, &g),
                         Engine::RealCpu => cpu_engine_for(algo)
                             .and_then(|kind| cpu_time(&mut cpu_times, kind, op, &g, mem)),
                     };

@@ -5,7 +5,7 @@ use crate::fault::{FaultInjector, FaultPlan, FaultRecord, FaultSite};
 use crate::plan_cache::{ExecCacheStats, PlanCache, DEFAULT_EXEC_CACHE_BYTES};
 use std::sync::atomic::{AtomicU64, Ordering};
 use ucudnn_conv::ConvOp;
-use ucudnn_gpu_model::{ConvAlgo, DeviceSpec, Perturbation};
+use ucudnn_gpu_model::{ConvAlgo, DeviceSpec};
 
 /// Which substrate executes kernels issued through a [`CudnnHandle`].
 #[derive(Debug, Clone)]
@@ -39,7 +39,6 @@ pub struct CudnnHandle {
     clock_us_bits: AtomicU64,
     kernels_launched: AtomicU64,
     faults: Option<FaultInjector>,
-    perturb: Option<Perturbation>,
     plan_cache: PlanCache,
 }
 
@@ -51,7 +50,6 @@ impl CudnnHandle {
             clock_us_bits: AtomicU64::new(0f64.to_bits()),
             kernels_launched: AtomicU64::new(0),
             faults: None,
-            perturb: None,
             plan_cache: PlanCache::new(DEFAULT_EXEC_CACHE_BYTES),
         }
     }
@@ -63,7 +61,6 @@ impl CudnnHandle {
             clock_us_bits: AtomicU64::new(0f64.to_bits()),
             kernels_launched: AtomicU64::new(0),
             faults: None,
-            perturb: None,
             plan_cache: PlanCache::new(DEFAULT_EXEC_CACHE_BYTES),
         }
     }
@@ -90,28 +87,6 @@ impl CudnnHandle {
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.faults = Some(FaultInjector::new(plan));
         self
-    }
-
-    /// Attach a deterministic latency [`Perturbation`] (builder-style):
-    /// every simulated kernel time is multiplied by the perturbation's
-    /// factor once the virtual clock passes its timestamp. The CPU engine
-    /// measures real wall time and is unaffected.
-    pub fn with_perturbation(mut self, p: Perturbation) -> Self {
-        self.perturb = Some(p);
-        self
-    }
-
-    /// The attached perturbation, if any.
-    pub fn perturbation(&self) -> Option<&Perturbation> {
-        self.perturb.as_ref()
-    }
-
-    /// The latency multiplier in effect at the current virtual-clock time
-    /// (1.0 without a perturbation).
-    pub fn perturb_factor_now(&self) -> f64 {
-        self.perturb
-            .as_ref()
-            .map_or(1.0, |p| p.factor_at(self.elapsed_us()))
     }
 
     /// Total number of faults injected through this handle.
@@ -241,22 +216,6 @@ mod tests {
         // 1.0 sums exactly in f64 at this magnitude, so the CAS loop must
         // account for every advance.
         assert_eq!(h.elapsed_us(), 4000.0);
-    }
-
-    #[test]
-    fn perturbation_steps_the_latency_multiplier_with_the_clock() {
-        let h =
-            CudnnHandle::simulated(p100_sxm2()).with_perturbation(Perturbation::new(100.0, 2.0));
-        assert_eq!(h.perturb_factor_now(), 1.0);
-        h.advance(99.0);
-        assert_eq!(h.perturb_factor_now(), 1.0);
-        h.advance(1.0);
-        assert_eq!(h.perturb_factor_now(), 2.0);
-        // Unperturbed handles always answer 1.0.
-        assert_eq!(
-            CudnnHandle::simulated(p100_sxm2()).perturb_factor_now(),
-            1.0
-        );
     }
 
     #[test]

@@ -44,4 +44,4 @@ pub use plan_cache::{ExecCacheStats, PlanCache, DEFAULT_EXEC_CACHE_BYTES};
 
 // Re-export the vocabulary types callers need alongside the API.
 pub use ucudnn_conv::ConvOp;
-pub use ucudnn_gpu_model::{ConvAlgo, Perturbation};
+pub use ucudnn_gpu_model::ConvAlgo;

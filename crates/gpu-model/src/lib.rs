@@ -9,13 +9,11 @@
 
 pub mod algo;
 pub mod device;
-pub mod perturb;
 pub mod time;
 pub mod workspace;
 
 pub use algo::{algo_supported, ConvAlgo, ConvOp};
 pub use device::{all_devices, k80, p100_sxm2, v100_sxm2, DeviceSpec};
-pub use perturb::Perturbation;
 pub use time::{kernel_time_us, memory_bound_time_us};
 pub use workspace::workspace_bytes;
 

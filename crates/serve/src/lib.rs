@@ -12,15 +12,9 @@
 //!   drain; execution goes through [`ucudnn_framework::RealExecutor`] over a
 //!   [`ucudnn::UcudnnHandle`], hitting the batch-normalized execution-plan
 //!   cache and the fault-injection/retry machinery;
-//! * [`sim`] — the deterministic discrete-event core (seeded LCG arrivals,
-//!   virtual clock, one pool of workers) both simulated twins run on, with
-//!   hooks for ground truth, tick work and completion observation, and the
-//!   plain twin behind the reproducible SLO/throughput claims in
-//!   `BENCH_serve.json`;
-//! * [`reopt`] + [`sim_reopt`] — online re-optimization (DESIGN.md §13):
-//!   windowed-percentile drift detection against the plan's latency table,
-//!   background re-benchmarking, and atomic epoch-pointer plan hot-swaps,
-//!   with the drift-and-recover twin as hooks on the core;
+//! * [`sim`] — the deterministic discrete-event simulator (seeded LCG
+//!   arrivals, virtual clock, one pool of workers) behind the reproducible
+//!   SLO/throughput claims in `BENCH_serve.json`;
 //! * [`metrics`] — queue depth, batch occupancy, shed/degradation counters,
 //!   latency percentiles — typed instruments in a `ucudnn::telemetry`
 //!   registry, exported as JSON and as a Prometheus-style exposition;
@@ -31,29 +25,29 @@
 //!   readiness-driven epoll/poll event-loop reactor (DESIGN.md §15):
 //!   C10k-scale connection multiplexing on a fixed thread pool, explicit
 //!   admission/write backpressure, and connection telemetry;
-//! * [`sys`] — libc-free epoll/ppoll syscall shims (the sync-shim
-//!   discipline applied to readiness multiplexing) behind a
-//!   backend-neutral poller.
+//! * [`sys`] — the epoll and `poll(2)` readiness backends, declared as C
+//!   symbols from the platform's C library, behind a backend-neutral
+//!   poller.
+//!
+//! The server plans once: it measures the runner's latency table at start
+//! and schedules from it until drain, as μ-cuDNN plans each kernel once and
+//! then reuses the measurements.
 
 pub mod metrics;
 pub mod reactor;
-pub mod reopt;
 pub mod request;
 pub mod scheduler;
 pub mod server;
 pub mod sim;
-pub mod sim_reopt;
 pub mod slo_monitor;
 pub mod sys;
 pub mod tcp;
 
 pub use metrics::ServeMetrics;
 pub use reactor::Reactor;
-pub use reopt::{DriftDetector, DriftReport, ReoptConfig};
 pub use request::{RequestId, Response, ShedReason};
 pub use scheduler::{Action, BatchPolicy, Scheduler};
-pub use server::{BatchRunner, PlanState, RealModelRunner, Server, Ticket};
+pub use server::{BatchRunner, RealModelRunner, Server, Ticket};
 pub use sim::{poisson_arrivals, run_sim, ShedCounts, SimConfig, SimOutcome};
-pub use sim_reopt::{run_reopt_sim, ReoptOutcome, ReoptSimConfig, ReoptStats};
 pub use slo_monitor::{BurnAlert, BurnConfig, BurnMonitor};
 pub use tcp::TcpFrontend;

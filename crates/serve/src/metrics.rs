@@ -45,15 +45,6 @@ pub struct ServeMetrics {
     /// Completions whose end-to-end latency exceeded the SLO (the burn
     /// monitor's "bad event" feed, alongside sheds).
     pub violations: Counter,
-    /// Re-optimization: windows the drift detector flagged as stale.
-    pub stale_detections: Counter,
-    /// Re-optimization: successful atomic plan hot-swaps.
-    pub plan_swaps: Counter,
-    /// Re-optimization: re-benchmarks that failed (empty table or runner
-    /// error) — the old plan stayed live (DESIGN §9: degrade, never crash).
-    pub reopt_failed: Counter,
-    /// Current plan generation (gauge; mirrors `Server::plan_version`).
-    pub plan_version: Gauge,
     /// SLO burn-rate alerts fired (inactive→active transitions).
     pub slo_alerts: Counter,
     /// 1 while a burn-rate alert is active, 0 otherwise.
@@ -143,19 +134,6 @@ impl ServeMetrics {
                 "ucudnn_serve_violations_total",
                 "Completions whose latency exceeded the SLO.",
             ),
-            stale_detections: registry.counter(
-                "ucudnn_serve_stale_detections_total",
-                "Windows the drift detector flagged as stale.",
-            ),
-            plan_swaps: registry.counter(
-                "ucudnn_serve_plan_swaps_total",
-                "Successful atomic plan hot-swaps.",
-            ),
-            reopt_failed: registry.counter(
-                "ucudnn_serve_reopt_failed_total",
-                "Re-benchmarks that failed; the old plan stayed live.",
-            ),
-            plan_version: registry.gauge("ucudnn_serve_plan_version", "Current plan generation."),
             slo_alerts: registry.counter("ucudnn_slo_alerts_total", "SLO burn-rate alerts fired."),
             slo_alert_active: registry.gauge(
                 "ucudnn_slo_alert_active",
@@ -315,15 +293,6 @@ impl ServeMetrics {
             ("queue_depth", g(&self.queue_depth)),
             ("queue_depth_max", g(&self.queue_depth_max)),
             (
-                "reopt",
-                json::obj([
-                    ("stale_detections", n(&self.stale_detections)),
-                    ("plan_swaps", n(&self.plan_swaps)),
-                    ("reopt_failed", n(&self.reopt_failed)),
-                    ("plan_version", g(&self.plan_version)),
-                ]),
-            ),
-            (
                 "latency_us",
                 json::obj([
                     ("p50", opt(cum.p50_us)),
@@ -427,21 +396,6 @@ mod tests {
         let w3 = w3.get("latency_window_us").unwrap();
         assert_eq!(w3.get("count").unwrap().as_u64(), Some(0));
         assert_eq!(w3.get("p50"), Some(&Value::Null));
-    }
-
-    #[test]
-    fn reopt_counters_are_exported() {
-        let m = ServeMetrics::new();
-        m.stale_detections.add(3);
-        m.plan_swaps.add(2);
-        m.reopt_failed.inc();
-        m.plan_version.set(3.0);
-        let j = m.to_json();
-        let r = j.get("reopt").unwrap();
-        assert_eq!(r.get("stale_detections").unwrap().as_u64(), Some(3));
-        assert_eq!(r.get("plan_swaps").unwrap().as_u64(), Some(2));
-        assert_eq!(r.get("reopt_failed").unwrap().as_u64(), Some(1));
-        assert_eq!(r.get("plan_version").unwrap().as_u64(), Some(3));
     }
 
     #[test]

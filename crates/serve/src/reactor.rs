@@ -5,8 +5,8 @@
 //! between accepts; it saturated at a few hundred clients while the dynamic
 //! batcher behind it sat idle. This module replaces it with a small fixed
 //! pool of event-loop threads (`IngressOptions::loops`), each owning a
-//! [`Poller`](crate::sys::Poller) — raw epoll on Linux, `poll(2)` as the
-//! portable fallback — and a slab of per-connection state machines:
+//! [`Poller`](crate::sys::Poller) — epoll on Linux, `poll(2)` on every
+//! other unix target — and a slab of per-connection state machines:
 //!
 //! * **Framing** lives in the connection, not a thread: partial lines
 //!   accumulate in a read buffer across readiness events, pipelined

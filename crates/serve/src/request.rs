@@ -70,8 +70,4 @@ pub struct Response {
     pub latency_us: f64,
     /// Size of the coalesced batch this request rode in.
     pub batch: usize,
-    /// Which plan generation scheduled this request (see
-    /// `Server::plan_version`): in-flight batches finish on the plan version
-    /// they were fired under, even if a hot-swap lands mid-execution.
-    pub plan_version: u64,
 }

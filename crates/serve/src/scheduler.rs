@@ -84,11 +84,6 @@ impl Scheduler {
         self.max_batch
     }
 
-    /// The policy this scheduler runs.
-    pub fn policy(&self) -> BatchPolicy {
-        self.policy
-    }
-
     /// The latency table.
     pub fn table(&self) -> &[(usize, f64)] {
         &self.table

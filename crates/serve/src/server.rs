@@ -14,18 +14,16 @@
 //! window.
 
 use crate::metrics::ServeMetrics;
-use crate::reopt::{DriftDetector, ReoptConfig};
 use crate::request::{RequestId, Response, ShedReason};
 use crate::scheduler::{Action, BatchPolicy, Scheduler};
 use crate::slo_monitor::{BurnConfig, BurnMonitor};
-use parking_lot::{Epoch, Versioned};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use ucudnn::json;
 use ucudnn::telemetry::Registry;
-use ucudnn::{ServeOptions, TableProvenance};
+use ucudnn::ServeOptions;
 
 /// Longest the real server will hold a request for coalescing company past
 /// its arrival, microseconds. Without an arrival oracle, waiting is only
@@ -56,18 +54,14 @@ pub trait BatchRunner: Send + Sync + 'static {
     /// Measured execution latency `t*(m)` for each supported batch size,
     /// microseconds.
     fn latency_table(&self) -> Vec<(usize, f64)>;
-    /// Re-measure the latency table after the drift detector flagged the
-    /// current one stale. Called off the serving path (a background worker
-    /// or an explicit [`Server::trigger_rebench`]) while requests keep
-    /// flowing on the old plan; the result is hot-swapped in atomically.
-    ///
-    /// The default re-measures via [`BatchRunner::latency_table`]; runners
-    /// with a benchmark cache should invalidate the stale kernels first
-    /// (see [`ucudnn::rebench_latency_table`]).
+    /// Re-measure the latency table. The server never calls this: it
+    /// schedules for its whole life from the [`BatchRunner::latency_table`]
+    /// it measured at start. The method stays for runners that wrap
+    /// another runner and forward it; the default re-measures via
+    /// [`BatchRunner::latency_table`].
     ///
     /// # Errors
-    /// A human-readable re-benchmark failure; the server keeps the old plan
-    /// live and counts `reopt_failed`.
+    /// A human-readable re-measurement failure.
     fn rebench(&self) -> Result<Vec<(usize, f64)>, String> {
         Ok(self.latency_table())
     }
@@ -77,30 +71,6 @@ pub trait BatchRunner: Send + Sync + 'static {
     fn telemetry(&self) -> Option<Registry> {
         None
     }
-}
-
-/// One published plan generation: the scheduler (latency table plus policy
-/// knobs) and the provenance of the table it was built from. Generations
-/// are immutable once published through the [`Epoch`] pointer — a swap
-/// publishes a *new* `PlanState`, it never mutates a live one.
-#[derive(Debug)]
-pub struct PlanState {
-    /// The scheduler over this generation's latency table.
-    pub sched: Scheduler,
-    /// Where the table came from (startup vs. which re-benchmark).
-    pub provenance: TableProvenance,
-}
-
-/// Wake-up channel for the background re-benchmark worker.
-struct ReoptSignal {
-    state: Mutex<ReoptCommand>,
-    cv: Condvar,
-}
-
-#[derive(Default)]
-struct ReoptCommand {
-    rebench: bool,
-    stop: bool,
 }
 
 /// One queued request.
@@ -173,16 +143,12 @@ struct QueueState {
 
 struct Inner {
     runner: Arc<dyn BatchRunner>,
-    /// The live plan, behind an epoch pointer: workers `load()` it wait-free
-    /// at each scheduling opportunity, re-benchmarks `store()` a new
-    /// generation, and in-flight batches keep the `&Versioned<PlanState>`
-    /// they fired under until they resolve their tickets.
-    plan: Epoch<PlanState>,
+    /// The plan: the startup latency table and the policy knobs, fixed for
+    /// the server's whole life.
+    sched: Scheduler,
     metrics: Arc<ServeMetrics>,
-    detector: Mutex<DriftDetector>,
     /// The SLO error-budget burn monitor, fed by every shed and completion.
     burn: Mutex<BurnMonitor>,
-    reopt: Option<Arc<ReoptSignal>>,
     state: Mutex<QueueState>,
     cv: Condvar,
     queue_cap: usize,
@@ -230,35 +196,17 @@ impl Inner {
 pub struct Server {
     inner: Arc<Inner>,
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
-    reopt_worker: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
 impl Server {
     /// Start a server: `opts.workers` threads over a shared bounded queue,
-    /// scheduling with the runner's measured latency table. No online
-    /// re-optimization — the startup plan serves until drain (equivalent to
-    /// [`Server::start_with_reopt`] with `None`).
-    pub fn start(runner: Arc<dyn BatchRunner>, opts: &ServeOptions) -> Self {
-        Self::start_with_reopt(runner, opts, None)
-    }
-
-    /// Start a server with the online re-optimization loop (DESIGN.md §13):
-    /// every executed micro-batch feeds the drift detector, a flagged plan
-    /// wakes a background re-benchmark worker, and a successful re-benchmark
-    /// hot-swaps a new plan generation while serving continues.
-    ///
-    /// `reopt: None` (or a config with `enabled: false`) starts without the
-    /// detector or the worker; [`Server::swap_plan`] and
-    /// [`Server::trigger_rebench`] still work for explicit control.
+    /// scheduling with the runner's latency table as measured now. That
+    /// plan serves until drain; nothing re-plans at run time.
     ///
     /// # Panics
     /// Panics when the runner's table has no batch size within
     /// `opts.max_batch` — a misconfigured deployment, not a load condition.
-    pub fn start_with_reopt(
-        runner: Arc<dyn BatchRunner>,
-        opts: &ServeOptions,
-        reopt: Option<ReoptConfig>,
-    ) -> Self {
+    pub fn start(runner: Arc<dyn BatchRunner>, opts: &ServeOptions) -> Self {
         let table: Vec<(usize, f64)> = runner
             .latency_table()
             .into_iter()
@@ -268,28 +216,11 @@ impl Server {
             !table.is_empty(),
             "runner supports no batch size within ServeOptions::max_batch"
         );
-        let sched = Scheduler::new(table, opts.slo_us, opts.max_batch, BatchPolicy::Dynamic);
-        let detector_cfg = reopt.unwrap_or(ReoptConfig {
-            enabled: false,
-            ..ReoptConfig::default()
-        });
-        let reopt_on = detector_cfg.enabled;
-        let metrics = Arc::new(ServeMetrics::new());
         let inner = Arc::new(Inner {
             runner,
-            plan: Epoch::new(PlanState {
-                sched,
-                provenance: TableProvenance::startup(),
-            }),
-            metrics,
-            detector: Mutex::new(DriftDetector::new(detector_cfg)),
+            sched: Scheduler::new(table, opts.slo_us, opts.max_batch, BatchPolicy::Dynamic),
+            metrics: Arc::new(ServeMetrics::new()),
             burn: Mutex::new(BurnMonitor::new(BurnConfig::default())),
-            reopt: reopt_on.then(|| {
-                Arc::new(ReoptSignal {
-                    state: Mutex::new(ReoptCommand::default()),
-                    cv: Condvar::new(),
-                })
-            }),
             state: Mutex::new(QueueState {
                 queue: VecDeque::new(),
                 draining: false,
@@ -299,7 +230,6 @@ impl Server {
             epoch: Instant::now(),
             next_id: AtomicU64::new(0),
         });
-        inner.metrics.plan_version.set(inner.plan.version() as f64);
         let workers = (0..opts.workers.max(1))
             .map(|w| {
                 let inner = Arc::clone(&inner);
@@ -309,17 +239,9 @@ impl Server {
                     .expect("spawn serve worker")
             })
             .collect();
-        let reopt_worker = inner.reopt.is_some().then(|| {
-            let inner = Arc::clone(&inner);
-            std::thread::Builder::new()
-                .name("serve-rebench".to_string())
-                .spawn(move || rebench_loop(&inner))
-                .expect("spawn rebench worker")
-        });
         Self {
             inner,
             workers: Mutex::new(workers),
-            reopt_worker: Mutex::new(reopt_worker),
         }
     }
 
@@ -482,44 +404,6 @@ impl Server {
         out
     }
 
-    /// The live plan generation (1 = the startup plan, +1 per hot-swap).
-    pub fn plan_version(&self) -> u64 {
-        self.inner.plan.version()
-    }
-
-    /// Provenance of the live plan's latency table.
-    pub fn plan_provenance(&self) -> TableProvenance {
-        self.inner.plan.load().provenance.clone()
-    }
-
-    /// Atomically hot-swap a new latency table in as the next plan
-    /// generation, returning its version. Workers pick it up at their next
-    /// scheduling opportunity; in-flight batches finish on the generation
-    /// they fired under. The drift detector is reset so it judges the new
-    /// table against fresh observations only.
-    ///
-    /// # Errors
-    /// When `table` has no batch size within the server's `max_batch` — the
-    /// old plan stays live.
-    pub fn swap_plan(&self, table: Vec<(usize, f64)>) -> Result<u64, String> {
-        install_table(&self.inner, table)
-    }
-
-    /// Run one re-benchmark cycle *synchronously* on the calling thread:
-    /// [`BatchRunner::rebench`], then hot-swap on success. Serving continues
-    /// on the old plan throughout. Returns the new plan version.
-    ///
-    /// This is the deterministic handle for tests and operators; the
-    /// detector-driven path goes through the background worker instead.
-    ///
-    /// # Errors
-    /// The runner's re-benchmark error, or an unusable (empty after the
-    /// `max_batch` filter) table; either way `reopt_failed` is counted and
-    /// the old plan stays live.
-    pub fn trigger_rebench(&self) -> Result<u64, String> {
-        do_rebench(&self.inner)
-    }
-
     /// Stop admitting, finish everything already queued, and join the
     /// workers. Every outstanding ticket is resolved before this returns;
     /// idempotent, and also runs on drop.
@@ -529,15 +413,8 @@ impl Server {
             st.draining = true;
         }
         self.inner.cv.notify_all();
-        if let Some(sig) = &self.inner.reopt {
-            sig.state.lock().unwrap().stop = true;
-            sig.cv.notify_all();
-        }
         let workers = std::mem::take(&mut *self.workers.lock().unwrap());
         for w in workers {
-            let _ = w.join();
-        }
-        if let Some(w) = self.reopt_worker.lock().unwrap().take() {
             let _ = w.join();
         }
     }
@@ -559,20 +436,18 @@ fn worker_loop(inner: &Inner, worker: usize) {
             st = inner.cv.wait(st).unwrap();
             continue;
         }
-        // Pin this opportunity's plan generation: the decision and the
-        // execution below both use it, even if a hot-swap lands in between.
-        let plan = inner.plan.load();
+        let sched = &inner.sched;
         let now = inner.now_us();
         let arrivals: Vec<f64> = st.queue.iter().map(|p| p.arrival_us).collect();
-        match plan.sched.decide(now, &arrivals, None) {
+        match sched.decide(now, &arrivals, None) {
             Action::Fire(decision) => {
                 // The live server has no arrival oracle, so the coalescing
                 // window is a bounded condvar wait: if more slack remains
                 // than the next-larger plan needs, sleep a sliver of it and
                 // re-decide; a timeout means no one came — fire what we
                 // have.
-                if !st.draining && decision.batch < plan.sched.max_batch() {
-                    if let Some(wait_us) = coalesce_wait_us(&plan.sched, now, &arrivals) {
+                if !st.draining && decision.batch < sched.max_batch() {
+                    if let Some(wait_us) = coalesce_wait_us(sched, now, &arrivals) {
                         let dur = Duration::from_nanos((wait_us * 1e3) as u64);
                         let (guard, timeout) = inner.cv.wait_timeout(st, dur).unwrap();
                         st = guard;
@@ -588,7 +463,7 @@ fn worker_loop(inner: &Inner, worker: usize) {
                 let batch: Vec<Pending> = st.queue.drain(..decision.batch).collect();
                 inner.metrics.set_queue_depth(st.queue.len() as u64);
                 drop(st);
-                execute_batch(inner, worker, plan, &decision.micros, batch);
+                execute_batch(inner, worker, &decision.micros, batch);
                 inner.cv.notify_one();
                 st = inner.state.lock().unwrap();
             }
@@ -642,92 +517,8 @@ fn coalesce_wait_us(sched: &Scheduler, now: f64, arrivals: &[f64]) -> Option<f64
     (slack > 1.0).then(|| slack.min(window_left))
 }
 
-/// Wake the background re-benchmark worker (no-op when re-opt is off).
-fn request_rebench(inner: &Inner) {
-    if let Some(sig) = &inner.reopt {
-        sig.state.lock().unwrap().rebench = true;
-        sig.cv.notify_one();
-    }
-}
-
-/// The background re-benchmark worker: park until the drift detector (or
-/// drain) wakes it, then run one re-benchmark cycle off the serving path.
-fn rebench_loop(inner: &Inner) {
-    let sig = inner.reopt.as_ref().expect("rebench worker needs a signal");
-    loop {
-        {
-            let mut cmd = sig.state.lock().unwrap();
-            while !cmd.rebench && !cmd.stop {
-                cmd = sig.cv.wait(cmd).unwrap();
-            }
-            if cmd.stop {
-                return;
-            }
-            cmd.rebench = false;
-        }
-        let _ = do_rebench(inner);
-    }
-}
-
-/// One re-benchmark cycle: re-measure via [`BatchRunner::rebench`] (the
-/// expensive part, no server locks held), then atomically install the new
-/// table. Failures leave the old plan live and count `reopt_failed`.
-fn do_rebench(inner: &Inner) -> Result<u64, String> {
-    match inner.runner.rebench() {
-        Ok(table) => install_table(inner, table),
-        Err(err) => {
-            inner.metrics.reopt_failed.inc();
-            ucudnn::trace::event("serve", "reopt_failed", || {
-                (
-                    "rebench".to_string(),
-                    json::obj([("error", json::Value::Str(err.clone()))]),
-                )
-            });
-            Err(err)
-        }
-    }
-}
-
-/// Publish `table` as the next plan generation through the epoch pointer.
-fn install_table(inner: &Inner, table: Vec<(usize, f64)>) -> Result<u64, String> {
-    let old = inner.plan.load();
-    let max_batch = old.sched.max_batch();
-    let table: Vec<(usize, f64)> = table.into_iter().filter(|&(m, _)| m <= max_batch).collect();
-    if table.is_empty() {
-        inner.metrics.reopt_failed.inc();
-        return Err("re-benchmark produced an empty latency table".to_string());
-    }
-    let refreshed = table.len();
-    let next = PlanState {
-        sched: Scheduler::new(table, old.sched.slo_us(), max_batch, old.sched.policy()),
-        provenance: old.provenance.rebenched(refreshed),
-    };
-    let version = inner.plan.store(next);
-    inner.metrics.plan_swaps.inc();
-    inner.metrics.plan_version.set(version as f64);
-    inner.detector.lock().unwrap().reset();
-    ucudnn::trace::event("serve", "plan_swap", || {
-        (
-            format!("v{version}"),
-            json::obj([("refreshed_sizes", json::num(refreshed as f64))]),
-        )
-    });
-    // Wake any worker parked in a coalescing wait so the new plan takes
-    // effect at the next opportunity, not after a stale timeout.
-    inner.cv.notify_all();
-    Ok(version)
-}
-
 /// Run one fired batch, micro-batch by micro-batch, and resolve tickets.
-/// `plan` is the generation the batch was scheduled under: its table is the
-/// drift detector's expectation, and its version is stamped on responses.
-fn execute_batch(
-    inner: &Inner,
-    worker: usize,
-    plan: &Versioned<PlanState>,
-    micros: &[usize],
-    batch: Vec<Pending>,
-) {
+fn execute_batch(inner: &Inner, worker: usize, micros: &[usize], batch: Vec<Pending>) {
     let total: usize = micros.iter().sum();
     debug_assert_eq!(total, batch.len(), "micros must tile the batch");
     let _span = ucudnn::trace::span("serve", "batch", || {
@@ -773,7 +564,6 @@ fn execute_batch(
         match result {
             Ok(outputs) => {
                 let exec_us = exec_start.elapsed().as_secs_f64() * 1e6;
-                observe_micro(inner, plan, m, exec_us);
                 ucudnn::trace::event("serve", "micro", || {
                     (
                         format!("worker{worker}"),
@@ -791,7 +581,7 @@ fn execute_batch(
                 });
                 let out_len = inner.runner.output_len();
                 let done = inner.now_us();
-                let slo_us = plan.sched.slo_us();
+                let slo_us = inner.sched.slo_us();
                 for (i, p) in chunk.into_iter().enumerate() {
                     let latency_us = done - p.arrival_us;
                     inner.metrics.complete_for(latency_us, p.id.0);
@@ -814,7 +604,6 @@ fn execute_batch(
                         output: outputs[i * out_len..(i + 1) * out_len].to_vec(),
                         latency_us,
                         batch: m,
-                        plan_version: plan.version(),
                     };
                     p.waiter.resolve(Ok(response));
                 }
@@ -849,39 +638,6 @@ fn execute_batch(
                 }
             }
         }
-    }
-}
-
-/// Feed one executed micro-batch to the drift detector: `observed_us`
-/// against the firing plan's `t*(m)`. A drift report counts a stale
-/// detection and wakes the re-benchmark worker.
-fn observe_micro(inner: &Inner, plan: &Versioned<PlanState>, m: usize, observed_us: f64) {
-    let Some(&(_, expected_us)) = plan.sched.table().iter().find(|&&(size, _)| size == m) else {
-        return;
-    };
-    // Only judge the *current* plan: a batch still in flight from an older
-    // generation must not re-trigger drift against a table already replaced.
-    if plan.version() != inner.plan.version() {
-        return;
-    }
-    let report = inner
-        .detector
-        .lock()
-        .unwrap()
-        .observe(m, observed_us, expected_us);
-    if let Some(r) = report {
-        inner.metrics.stale_detections.inc();
-        ucudnn::trace::event("serve", "drift", || {
-            (
-                format!("m{}", r.micro),
-                json::obj([
-                    ("observed_p50_us", json::num(r.observed_p50_us)),
-                    ("expected_us", json::num(r.expected_us)),
-                    ("ratio", json::num(r.ratio)),
-                ]),
-            )
-        });
-        request_rebench(inner);
     }
 }
 

@@ -10,25 +10,19 @@
 //! exponential inter-arrival transform, all times are f64 microseconds on
 //! the virtual clock.
 //!
-//! One event core (`Core::run`) drives both twins: [`run_sim`] here and
-//! the re-optimization twin in [`crate::sim_reopt`]. The core owns the
-//! seeded arrivals, the pool's queue and worker clocks, admission at the
-//! queue cap, fire/wait/shed and the shared outcome; a twin is a
-//! configuration plus `Hooks` for ground truth, tick work and completion
-//! observation. Each loop turn is one *tick*, at the pool's earliest-free
-//! worker (ties: lowest index), never before its oldest queued ticket or,
-//! with an empty queue, before the next offered arrival.
-//!
-//! At each tick the hooks run their lazy work first, then every arrival up
-//! to the tick is admitted in order, then the worker decides once. Lazy
-//! work (the re-optimization twin's plan swap) happens at the tick, not at
-//! the instant it became due.
+//! One event core (`Core::run`) drives [`run_sim`]: it owns the seeded
+//! arrivals, one pool's queue and worker clocks, admission at the queue
+//! cap, fire/wait/shed and the outcome. Each loop turn is one *tick*, at
+//! the pool's earliest-free worker (ties: lowest index), never before its
+//! oldest queued ticket or, with an empty queue, before the next offered
+//! arrival. At each tick every arrival up to the tick is admitted in
+//! order, then the worker decides once; a fired batch runs for exactly
+//! its plan's `t*(m)`.
 
 use crate::request::ShedReason;
 use crate::scheduler::{Action, BatchPolicy, Scheduler};
 use std::collections::VecDeque;
 use ucudnn::telemetry::StreamingHistogram;
-use ucudnn::SloDecision;
 
 /// One simulated load experiment.
 #[derive(Debug, Clone)]
@@ -83,9 +77,9 @@ impl ShedCounts {
     }
 }
 
-/// What one simulated run produced; `S` holds the twin's own tallies.
+/// What one simulated run produced.
 #[derive(Debug, Clone, Default)]
-pub struct SimOutcome<S = ()> {
+pub struct SimOutcome {
     /// Requests that completed within the simulation.
     pub completed: u64,
     /// Requests shed, by reason.
@@ -104,11 +98,9 @@ pub struct SimOutcome<S = ()> {
     pub first_arrival_us: f64,
     /// Virtual time of the last batch completion.
     pub last_completion_us: f64,
-    /// The twin's own tallies.
-    pub stats: S,
 }
 
-impl<S> SimOutcome<S> {
+impl SimOutcome {
     /// Completed-request throughput over the active window, requests/s.
     pub fn throughput_rps(&self) -> f64 {
         let span = self.last_completion_us - self.first_arrival_us;
@@ -156,25 +148,23 @@ pub fn poisson_arrivals(seed: u64, n: usize, rate_rps: f64) -> Vec<f64> {
 pub fn run_sim(cfg: &SimConfig) -> SimOutcome {
     let sched = Scheduler::new(cfg.table.clone(), cfg.slo_us, cfg.max_batch, cfg.policy);
     let arrivals = poisson_arrivals(cfg.seed, cfg.requests, cfg.arrival_rate_rps);
-    Core::new(Pool::new(sched, cfg.workers, cfg.queue_cap), ()).run(&arrivals, &mut Plain)
+    Core::new(sched, cfg.workers, cfg.queue_cap).run(&arrivals)
 }
 
-/// The server's workers behind one scheduler.
-#[derive(Debug)]
-pub(crate) struct Pool {
-    pub(crate) sched: Scheduler,
+/// The event core: one pool of workers behind one scheduler, and the
+/// outcome being built.
+struct Core {
+    sched: Scheduler,
     /// Queued tickets `(id, arrival µs)`, oldest first.
     queue: VecDeque<(u64, f64)>,
     queue_cap: usize,
     /// When each worker next goes idle.
     free_at: Vec<f64>,
-    /// Generation of a hot-swappable plan: such a pool logs it, and its
-    /// planned against actual execution time.
-    pub(crate) version: Option<u64>,
+    out: SimOutcome,
 }
 
-impl Pool {
-    pub(crate) fn new(sched: Scheduler, workers: usize, queue_cap: usize) -> Self {
+impl Core {
+    fn new(sched: Scheduler, workers: usize, queue_cap: usize) -> Self {
         assert!(workers >= 1, "need at least one worker");
         assert!(queue_cap >= 1, "need a non-empty queue");
         Self {
@@ -182,7 +172,7 @@ impl Pool {
             queue: VecDeque::new(),
             queue_cap,
             free_at: vec![0.0; workers],
-            version: None,
+            out: SimOutcome::default(),
         }
     }
 
@@ -196,83 +186,24 @@ impl Pool {
             .expect("a pool has workers");
         (w, free)
     }
-}
 
-/// One fired batch, as the completion observer sees it.
-pub(crate) struct Fired<'a> {
-    pub(crate) now: f64,
-    pub(crate) finish: f64,
-    pub(crate) decision: &'a SloDecision,
-    /// Per request, oldest first: did it finish past its deadline?
-    pub(crate) violated: &'a [bool],
-}
-
-/// What one twin adds to the core: ground-truth execution time, lazy tick
-/// work and a completion observer. Every method defaults to the plain
-/// server of [`run_sim`].
-pub(crate) trait Hooks {
-    /// The twin's own tallies, carried in [`SimOutcome::stats`].
-    type Stats;
-
-    /// Ground truth: how long the fired plan really runs.
-    fn exec_us(&self, _now: f64, d: &SloDecision) -> f64 {
-        d.exec_us
-    }
-
-    /// Lazy work due at the tick `now`, before its arrivals are admitted.
-    fn on_tick(&mut self, _core: &mut Core<Self::Stats>, _now: f64) {}
-
-    /// Completion observer: called after each fire line is logged.
-    fn on_fire(&mut self, _core: &mut Core<Self::Stats>, _fired: &Fired) {}
-
-    /// Completion observer: called after each shed line is logged.
-    fn on_shed(&mut self, _core: &mut Core<Self::Stats>, _t: f64) {}
-}
-
-/// The plain server of [`run_sim`].
-struct Plain;
-
-impl Hooks for Plain {
-    type Stats = ();
-}
-
-/// The event core: the pool and the outcome being built.
-pub(crate) struct Core<S> {
-    pub(crate) pool: Pool,
-    pub(crate) out: SimOutcome<S>,
-}
-
-impl<S: Default> Core<S> {
-    pub(crate) fn new(pool: Pool, stats: S) -> Self {
-        let out = SimOutcome {
-            stats,
-            ..SimOutcome::default()
-        };
-        Self { pool, out }
-    }
-
-    /// Count and log one shed, then show it to the hooks.
-    fn shed<H: Hooks<Stats = S>>(&mut self, t: f64, id: u64, reason: ShedReason, hooks: &mut H) {
+    /// Count and log one shed.
+    fn shed(&mut self, t: f64, id: u64, reason: ShedReason) {
         self.out.shed.bump(reason);
         self.out
             .log
             .push(format!("shed t={t:.3} id={id} reason={}", reason.name()));
-        hooks.on_shed(self, t);
     }
 
     /// Replay `arrivals` (ids are their indices) to completion.
-    pub(crate) fn run<H: Hooks<Stats = S>>(
-        mut self,
-        arrivals: &[f64],
-        hooks: &mut H,
-    ) -> SimOutcome<S> {
+    fn run(mut self, arrivals: &[f64]) -> SimOutcome {
         self.out.first_arrival_us = arrivals.first().copied().unwrap_or(0.0);
         let mut next = 0;
         loop {
             // The tick: the earliest-free worker, never before the oldest
             // queued ticket or, with none queued, the next arrival.
-            let (w, free) = self.pool.earliest_free();
-            let first = match self.pool.queue.front() {
+            let (w, free) = self.earliest_free();
+            let first = match self.queue.front() {
                 Some(&(_, at)) => at,
                 None => arrivals.get(next).copied().unwrap_or(f64::INFINITY),
             };
@@ -280,47 +211,37 @@ impl<S: Default> Core<S> {
             if now.is_infinite() {
                 break;
             }
-            hooks.on_tick(&mut self, now);
             while let Some(&at) = arrivals.get(next).filter(|&&at| at <= now) {
                 let id = next as u64;
                 next += 1;
-                if self.pool.queue.len() >= self.pool.queue_cap {
-                    self.shed(at, id, ShedReason::QueueFull, hooks);
+                if self.queue.len() >= self.queue_cap {
+                    self.shed(at, id, ShedReason::QueueFull);
                 } else {
-                    self.pool.queue.push_back((id, at));
+                    self.queue.push_back((id, at));
                 }
             }
-            self.decide(w, now, arrivals.get(next).copied(), hooks);
+            self.decide(w, now, arrivals.get(next).copied());
         }
         self.out
     }
 
     /// Worker `w` decides at `now`: fire, wait or shed.
-    fn decide<H: Hooks<Stats = S>>(
-        &mut self,
-        w: usize,
-        now: f64,
-        next_arrival: Option<f64>,
-        hooks: &mut H,
-    ) {
-        let pool = &self.pool;
-        let times: Vec<f64> = pool.queue.iter().map(|&(_, at)| at).collect();
-        match pool.sched.decide(now, &times, next_arrival) {
+    fn decide(&mut self, w: usize, now: f64, next_arrival: Option<f64>) {
+        let times: Vec<f64> = self.queue.iter().map(|&(_, at)| at).collect();
+        match self.sched.decide(now, &times, next_arrival) {
             Action::Fire(d) => {
-                let exec = hooks.exec_us(now, &d);
-                let finish = now + exec;
-                let pool = &mut self.pool;
-                pool.free_at[w] = finish;
-                let slo = pool.sched.slo_us();
-                let ids: Vec<(u64, f64)> = pool.queue.drain(..d.batch).collect();
-                let mut violated = Vec::with_capacity(d.batch);
+                let finish = now + d.exec_us;
+                self.free_at[w] = finish;
+                let slo = self.sched.slo_us();
+                let ids: Vec<(u64, f64)> = self.queue.drain(..d.batch).collect();
+                let out = &mut self.out;
                 for &(_, at) in &ids {
                     let latency = finish - at;
-                    violated.push(latency > slo + 1e-6);
-                    self.out.latencies.record(latency);
+                    if latency > slo + 1e-6 {
+                        out.violations += 1;
+                    }
+                    out.latencies.record(latency);
                 }
-                let out = &mut self.out;
-                out.violations += violated.iter().filter(|&&v| v).count() as u64;
                 out.completed += d.batch as u64;
                 out.last_completion_us = out.last_completion_us.max(finish);
                 out.batch_sizes.push(d.batch);
@@ -330,36 +251,23 @@ impl<S: Default> Core<S> {
                     .map(|m| m.to_string())
                     .collect::<Vec<_>>()
                     .join("+");
-                let (plan, timing) = match pool.version {
-                    Some(v) => (
-                        format!(" plan=v{v}"),
-                        format!("planned={:.3} actual={exec:.3}", d.exec_us),
-                    ),
-                    None => (String::new(), format!("exec={:.3}", d.exec_us)),
-                };
                 out.log.push(format!(
-                    "fire t={now:.3} worker={w}{plan} batch={} micros={micros} {timing} ids={}..{}",
+                    "fire t={now:.3} worker={w} batch={} micros={micros} exec={:.3} ids={}..{}",
                     d.batch,
+                    d.exec_us,
                     ids[0].0,
                     ids[d.batch - 1].0
                 ));
-                let fired = Fired {
-                    now,
-                    finish,
-                    decision: &d,
-                    violated: &violated,
-                };
-                hooks.on_fire(self, &fired);
             }
             Action::WaitUntil(t) => {
                 // Admission guarantees the next arrival is strictly in the
                 // future, so the clock always advances.
                 debug_assert!(t > now, "wait must move the clock forward");
-                self.pool.free_at[w] = t;
+                self.free_at[w] = t;
             }
             Action::ShedOldest => {
-                let (id, _) = self.pool.queue.pop_front().expect("non-empty queue");
-                self.shed(now, id, ShedReason::DeadlineInfeasible, hooks);
+                let (id, _) = self.queue.pop_front().expect("non-empty queue");
+                self.shed(now, id, ShedReason::DeadlineInfeasible);
             }
         }
     }

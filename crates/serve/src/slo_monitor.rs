@@ -87,7 +87,6 @@ pub struct BurnMonitor {
     max_ts: f64,
     active: bool,
     alerts_fired: u64,
-    first_alert_us: Option<f64>,
 }
 
 impl BurnMonitor {
@@ -101,7 +100,6 @@ impl BurnMonitor {
             max_ts: f64::NEG_INFINITY,
             active: false,
             alerts_fired: 0,
-            first_alert_us: None,
         }
     }
 
@@ -138,7 +136,6 @@ impl BurnMonitor {
             if fast_burn >= self.cfg.threshold && slow_burn >= self.cfg.threshold {
                 self.active = true;
                 self.alerts_fired += 1;
-                self.first_alert_us.get_or_insert(now_us);
                 return Some(BurnAlert {
                     at_us: now_us,
                     fast_burn,
@@ -188,11 +185,6 @@ impl BurnMonitor {
     pub fn alerts_fired(&self) -> u64 {
         self.alerts_fired
     }
-
-    /// Timestamp of the first alert, if any ever fired.
-    pub fn first_alert_us(&self) -> Option<f64> {
-        self.first_alert_us
-    }
 }
 
 #[cfg(test)]
@@ -216,7 +208,6 @@ mod tests {
         }
         assert!(!m.active());
         assert_eq!(m.alerts_fired(), 0);
-        assert_eq!(m.first_alert_us(), None);
         assert_eq!(m.burn_rates(), (0.0, 0.0));
     }
 
@@ -236,7 +227,6 @@ mod tests {
         assert_eq!(alerts.len(), 1, "one alert per incident, not a storm");
         let a = alerts[0];
         assert!(a.fast_burn >= 1.0 && a.slow_burn >= 1.0);
-        assert_eq!(m.first_alert_us(), Some(a.at_us));
         assert!(m.active());
     }
 

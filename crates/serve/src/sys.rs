@@ -1,22 +1,19 @@
-//! Readiness-multiplexing syscall shims for the reactor front-end.
+//! Readiness multiplexing for the reactor front-end.
 //!
-//! The workspace builds fully offline with zero external dependencies, so
-//! there is no `libc` crate to lean on. On Linux x86-64/aarch64 the epoll
-//! and ppoll entry points are invoked as *raw syscalls* through inline
-//! assembly — the same shim discipline as `sync-shim`/`proptest-shim`: a
-//! thin, auditable stand-in for the dependency the container cannot fetch.
-//! On other targets the shims fall back to the C symbols `std` already
-//! links (every unix program carries them), keeping the reactor portable
-//! without pulling in a crate.
+//! The workspace builds fully offline with no external dependencies, so
+//! there is no `libc` crate to lean on. This module declares the few C
+//! symbols it needs itself (`epoll_*`, `poll` and, on Linux,
+//! `getrlimit`/`setrlimit`): `std` already links the platform's C library
+//! on every unix target, so the declarations resolve without a new crate.
 //!
 //! Two readiness backends are exposed behind one [`Poller`] type:
 //!
 //! * **epoll** (Linux): one `epoll_create1` instance per event loop,
 //!   level-triggered interest updated with `epoll_ctl`, waits through
-//!   `epoll_pwait`. O(ready) per tick — the C10k path.
-//! * **poll(2)** (portable fallback, or chosen by `IngressOptions::backend`): the
-//!   interest list is replayed through `ppoll`/`poll` each tick. O(n) per
-//!   tick, but semantically identical — the reactor proper cannot tell the
+//!   `epoll_wait`. O(ready) per tick — the C10k path.
+//! * **poll(2)** (every unix, or chosen by `IngressOptions::backend`): the
+//!   interest list is replayed through `poll` each tick. O(n) per tick,
+//!   but semantically identical — the reactor proper cannot tell the
 //!   backends apart, which is what the backend-parity tests pin.
 //!
 //! The loop waker is a nonblocking `UnixStream` pair (`std`-only, works
@@ -47,104 +44,6 @@ pub struct Event {
     pub writable: bool,
     /// Error condition on the fd (`EPOLLERR`/`POLLERR`/`POLLNVAL`).
     pub error: bool,
-}
-
-// ---------------------------------------------------------------------------
-// Raw syscalls (Linux x86-64 / aarch64): libc-free via inline assembly.
-
-#[cfg(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
-mod raw {
-    #[cfg(target_arch = "x86_64")]
-    pub mod nr {
-        pub const EPOLL_CTL: usize = 233;
-        pub const EPOLL_PWAIT: usize = 281;
-        pub const EPOLL_CREATE1: usize = 291;
-        pub const PPOLL: usize = 271;
-        pub const PRLIMIT64: usize = 302;
-    }
-
-    #[cfg(target_arch = "aarch64")]
-    pub mod nr {
-        pub const EPOLL_CTL: usize = 21;
-        pub const EPOLL_PWAIT: usize = 22;
-        pub const EPOLL_CREATE1: usize = 20;
-        pub const PPOLL: usize = 73;
-        pub const PRLIMIT64: usize = 261;
-    }
-
-    /// Six-argument raw syscall. Returns the kernel's raw result: negative
-    /// values in `[-4095, -1]` are `-errno`.
-    ///
-    /// # Safety
-    /// The caller must uphold the invoked syscall's contract (valid
-    /// pointers, correct lengths).
-    #[cfg(target_arch = "x86_64")]
-    pub unsafe fn syscall6(
-        n: usize,
-        a1: usize,
-        a2: usize,
-        a3: usize,
-        a4: usize,
-        a5: usize,
-        a6: usize,
-    ) -> isize {
-        let ret: isize;
-        core::arch::asm!(
-            "syscall",
-            inlateout("rax") n => ret,
-            in("rdi") a1,
-            in("rsi") a2,
-            in("rdx") a3,
-            in("r10") a4,
-            in("r8") a5,
-            in("r9") a6,
-            lateout("rcx") _,
-            lateout("r11") _,
-            options(nostack),
-        );
-        ret
-    }
-
-    /// Six-argument raw syscall (aarch64 `svc 0` convention).
-    ///
-    /// # Safety
-    /// The caller must uphold the invoked syscall's contract.
-    #[cfg(target_arch = "aarch64")]
-    pub unsafe fn syscall6(
-        n: usize,
-        a1: usize,
-        a2: usize,
-        a3: usize,
-        a4: usize,
-        a5: usize,
-        a6: usize,
-    ) -> isize {
-        let ret: isize;
-        core::arch::asm!(
-            "svc 0",
-            inlateout("x0") a1 => ret,
-            in("x1") a2,
-            in("x2") a3,
-            in("x3") a4,
-            in("x4") a5,
-            in("x5") a6,
-            in("x8") n,
-            options(nostack),
-        );
-        ret
-    }
-
-    /// Fold a raw kernel return into `io::Result`.
-    pub fn check(ret: isize) -> std::io::Result<isize> {
-        if (-4095..0).contains(&ret) {
-            Err(std::io::Error::from_raw_os_error(-ret as i32))
-        } else {
-            Ok(ret)
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -181,7 +80,12 @@ mod epoll_consts {
     pub const EPOLL_CTL_ADD: i32 = 1;
     pub const EPOLL_CTL_DEL: i32 = 2;
     pub const EPOLL_CTL_MOD: i32 = 3;
-    pub const EPOLL_CLOEXEC: i32 = 0o2000000;
+    /// `O_CLOEXEC`, which SPARC numbers differently.
+    pub const EPOLL_CLOEXEC: i32 = if cfg!(any(target_arch = "sparc", target_arch = "sparc64")) {
+        0x40_0000
+    } else {
+        0o2000000
+    };
 }
 #[cfg(target_os = "linux")]
 use epoll_consts::*;
@@ -192,241 +96,129 @@ const POLLERR: i16 = 0x008;
 const POLLHUP: i16 = 0x010;
 const POLLNVAL: i16 = 0x020;
 
-// ---------------------------------------------------------------------------
-// Linux syscall wrappers: raw on x86-64/aarch64, C symbols elsewhere.
-
-#[cfg(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
-mod sysimpl {
-    use super::raw::{check, nr, syscall6};
-    use super::EpollEvent;
-    use std::io;
-
-    pub fn epoll_create1(flags: i32) -> io::Result<i32> {
-        // SAFETY: no pointers; flags is a plain bitmask.
-        let r = check(unsafe { syscall6(nr::EPOLL_CREATE1, flags as usize, 0, 0, 0, 0, 0) })?;
-        Ok(r as i32)
-    }
-
-    pub fn epoll_ctl(epfd: i32, op: i32, fd: i32, ev: Option<&mut EpollEvent>) -> io::Result<()> {
-        let ptr = ev.map_or(core::ptr::null_mut(), |e| e as *mut EpollEvent);
-        // SAFETY: `ptr` is null (DEL) or a live, exclusive EpollEvent.
-        check(unsafe {
-            syscall6(
-                nr::EPOLL_CTL,
-                epfd as usize,
-                op as usize,
-                fd as usize,
-                ptr as usize,
-                0,
-                0,
-            )
-        })?;
-        Ok(())
-    }
-
-    pub fn epoll_wait(epfd: i32, events: &mut [EpollEvent], timeout_ms: i32) -> io::Result<usize> {
-        // epoll_pwait with a null sigmask == epoll_wait; aarch64 only has
-        // the pwait flavour.
-        // SAFETY: `events` is a live exclusive slice; the kernel writes at
-        // most `events.len()` entries.
-        let r = check(unsafe {
-            syscall6(
-                nr::EPOLL_PWAIT,
-                epfd as usize,
-                events.as_mut_ptr() as usize,
-                events.len(),
-                timeout_ms as usize,
-                0,
-                8,
-            )
-        })?;
+/// Fold a C return value into `io::Result`: negative means `errno` is set.
+fn cvt(r: i32) -> io::Result<usize> {
+    if r < 0 {
+        Err(io::Error::last_os_error())
+    } else {
         Ok(r as usize)
-    }
-
-    #[repr(C)]
-    struct Timespec {
-        sec: i64,
-        nsec: i64,
-    }
-
-    pub fn poll(fds: &mut [super::PollFd], timeout_ms: i32) -> io::Result<usize> {
-        // The kernel writes the remaining time back through `tmo_p`, so the
-        // timespec must be passed as a mutable pointer — glibc's ppoll hides
-        // that with a local copy; this raw shim owns the local itself.
-        let mut ts = Timespec {
-            sec: i64::from(timeout_ms) / 1000,
-            nsec: (i64::from(timeout_ms) % 1000) * 1_000_000,
-        };
-        let ts_ptr = if timeout_ms < 0 {
-            core::ptr::null_mut()
-        } else {
-            &mut ts as *mut Timespec
-        };
-        // SAFETY: `fds` is a live exclusive slice of kernel-ABI pollfds;
-        // the timespec (when non-null) is a live exclusive out-pointer that
-        // outlives the call.
-        let r = check(unsafe {
-            syscall6(
-                nr::PPOLL,
-                fds.as_mut_ptr() as usize,
-                fds.len(),
-                ts_ptr as usize,
-                0,
-                8,
-                0,
-            )
-        })?;
-        Ok(r as usize)
-    }
-
-    #[repr(C)]
-    struct Rlimit64 {
-        cur: u64,
-        max: u64,
-    }
-
-    const RLIMIT_NOFILE: usize = 7;
-
-    /// Raise the soft open-file limit to the hard limit; returns the
-    /// resulting soft limit, or `None` when the kernel refused.
-    pub fn raise_nofile_limit() -> Option<u64> {
-        let mut old = Rlimit64 { cur: 0, max: 0 };
-        // SAFETY: pid 0 = self; `old` is a live exclusive out-pointer.
-        check(unsafe {
-            syscall6(
-                nr::PRLIMIT64,
-                0,
-                RLIMIT_NOFILE,
-                0,
-                &mut old as *mut Rlimit64 as usize,
-                0,
-                0,
-            )
-        })
-        .ok()?;
-        if old.cur >= old.max {
-            return Some(old.cur);
-        }
-        let new = Rlimit64 {
-            cur: old.max,
-            max: old.max,
-        };
-        // SAFETY: `new` is a live const in-pointer for the call's duration.
-        match check(unsafe {
-            syscall6(
-                nr::PRLIMIT64,
-                0,
-                RLIMIT_NOFILE,
-                &new as *const Rlimit64 as usize,
-                0,
-                0,
-                0,
-            )
-        }) {
-            Ok(_) => Some(new.cur),
-            Err(_) => Some(old.cur),
-        }
     }
 }
 
-#[cfg(all(
-    target_os = "linux",
-    not(any(target_arch = "x86_64", target_arch = "aarch64"))
-))]
+// ---------------------------------------------------------------------------
+// The C symbols, wrapped.
+
+#[cfg(target_os = "linux")]
 mod sysimpl {
-    //! Linux, but no inline-asm shim for this architecture: call the C
-    //! symbols `std` already links.
-    use super::EpollEvent;
+    use super::{cvt, EpollEvent, PollFd};
     use std::io;
+    use std::os::raw::{c_int, c_ulong};
 
-    extern "C" {
-        fn epoll_create1(flags: i32) -> i32;
-        fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
-        fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
-        fn poll(fds: *mut super::PollFd, nfds: u64, timeout: i32) -> i32;
+    /// `rlim_t`: `unsigned long`, but 64 bits in musl.
+    #[cfg(not(target_env = "musl"))]
+    type RlimT = c_ulong;
+    #[cfg(target_env = "musl")]
+    type RlimT = u64;
+
+    /// `struct rlimit`.
+    #[repr(C)]
+    struct Rlimit {
+        cur: RlimT,
+        max: RlimT,
     }
 
-    pub fn epoll_create1_shim(flags: i32) -> io::Result<i32> {
-        // SAFETY: plain flags argument.
-        let r = unsafe { epoll_create1(flags) };
-        if r < 0 {
-            Err(io::Error::last_os_error())
-        } else {
-            Ok(r)
+    /// `RLIMIT_NOFILE`: 7, except on MIPS (5) and SPARC (6).
+    const RLIMIT_NOFILE: c_int = if cfg!(any(target_arch = "mips", target_arch = "mips64")) {
+        5
+    } else if cfg!(any(target_arch = "sparc", target_arch = "sparc64")) {
+        6
+    } else {
+        7
+    };
+
+    mod c {
+        use super::{EpollEvent, PollFd, Rlimit};
+        use std::os::raw::{c_int, c_ulong};
+
+        extern "C" {
+            pub fn epoll_create1(flags: c_int) -> c_int;
+            pub fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
+            pub fn epoll_wait(
+                epfd: c_int,
+                events: *mut EpollEvent,
+                maxevents: c_int,
+                timeout: c_int,
+            ) -> c_int;
+            pub fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
+            pub fn getrlimit(resource: c_int, rlim: *mut Rlimit) -> c_int;
+            pub fn setrlimit(resource: c_int, rlim: *const Rlimit) -> c_int;
         }
     }
-    pub use epoll_create1_shim as epoll_create1;
 
-    pub fn epoll_ctl_shim(
-        epfd: i32,
-        op: i32,
-        fd: i32,
-        ev: Option<&mut EpollEvent>,
-    ) -> io::Result<()> {
-        let ptr = ev.map_or(core::ptr::null_mut(), |e| e as *mut EpollEvent);
+    pub fn epoll_create1(flags: i32) -> io::Result<i32> {
+        // SAFETY: no pointers; flags is a plain bitmask.
+        cvt(unsafe { c::epoll_create1(flags) }).map(|fd| fd as i32)
+    }
+
+    pub fn epoll_ctl(epfd: i32, op: i32, fd: i32, ev: Option<&mut EpollEvent>) -> io::Result<()> {
+        let ptr = ev.map_or(std::ptr::null_mut(), |e| e as *mut EpollEvent);
         // SAFETY: `ptr` is null (DEL) or a live, exclusive EpollEvent.
-        if unsafe { epoll_ctl(epfd, op, fd, ptr) } < 0 {
-            Err(io::Error::last_os_error())
-        } else {
-            Ok(())
-        }
+        cvt(unsafe { c::epoll_ctl(epfd, op, fd, ptr) }).map(drop)
     }
-    pub use epoll_ctl_shim as epoll_ctl;
 
-    pub fn epoll_wait_shim(
-        epfd: i32,
-        events: &mut [EpollEvent],
-        timeout_ms: i32,
-    ) -> io::Result<usize> {
-        // SAFETY: `events` is a live exclusive slice.
-        let r = unsafe { epoll_wait(epfd, events.as_mut_ptr(), events.len() as i32, timeout_ms) };
-        if r < 0 {
-            Err(io::Error::last_os_error())
-        } else {
-            Ok(r as usize)
-        }
+    pub fn epoll_wait(epfd: i32, events: &mut [EpollEvent], timeout_ms: i32) -> io::Result<usize> {
+        let max = c_int::try_from(events.len()).unwrap_or(c_int::MAX);
+        // SAFETY: `events` is a live exclusive slice; the kernel writes at
+        // most `max` entries.
+        cvt(unsafe { c::epoll_wait(epfd, events.as_mut_ptr(), max, timeout_ms) })
     }
-    pub use epoll_wait_shim as epoll_wait;
 
-    pub fn poll_shim(fds: &mut [super::PollFd], timeout_ms: i32) -> io::Result<usize> {
+    pub fn poll(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize> {
         // SAFETY: `fds` is a live exclusive slice of kernel-ABI pollfds.
-        let r = unsafe { poll(fds.as_mut_ptr(), fds.len() as u64, timeout_ms) };
-        if r < 0 {
-            Err(io::Error::last_os_error())
-        } else {
-            Ok(r as usize)
-        }
+        cvt(unsafe { c::poll(fds.as_mut_ptr(), fds.len() as c_ulong, timeout_ms) })
     }
-    pub use poll_shim as poll;
 
     pub fn raise_nofile_limit() -> Option<u64> {
-        None
+        let mut lim = Rlimit { cur: 0, max: 0 };
+        // SAFETY: `lim` is a live exclusive out-pointer.
+        cvt(unsafe { c::getrlimit(RLIMIT_NOFILE, &mut lim) }).ok()?;
+        if lim.cur < lim.max {
+            let raised = Rlimit {
+                cur: lim.max,
+                max: lim.max,
+            };
+            // SAFETY: `raised` is a live in-pointer for the call's duration.
+            if cvt(unsafe { c::setrlimit(RLIMIT_NOFILE, &raised) }).is_ok() {
+                lim.cur = lim.max;
+            }
+        }
+        // `rlim_t` is 32 bits on 32-bit glibc targets.
+        let soft: RlimT = lim.cur;
+        Some(soft as u64)
     }
 }
 
 #[cfg(all(unix, not(target_os = "linux")))]
 mod sysimpl {
-    //! Non-Linux unix: no epoll; `poll(2)` through the C symbol `std`
-    //! links. The reactor's poll backend is the only one available here.
+    //! Non-Linux unix: no epoll; the reactor's poll backend is the only
+    //! one available here.
+    use super::{cvt, PollFd};
     use std::io;
+    use std::os::raw::c_uint;
 
-    extern "C" {
-        fn poll(fds: *mut super::PollFd, nfds: u32, timeout: i32) -> i32;
-    }
+    mod c {
+        use super::PollFd;
+        use std::os::raw::{c_int, c_uint};
 
-    pub fn poll_shim(fds: &mut [super::PollFd], timeout_ms: i32) -> io::Result<usize> {
-        // SAFETY: `fds` is a live exclusive slice of kernel-ABI pollfds.
-        let r = unsafe { poll(fds.as_mut_ptr(), fds.len() as u32, timeout_ms) };
-        if r < 0 {
-            Err(io::Error::last_os_error())
-        } else {
-            Ok(r as usize)
+        extern "C" {
+            pub fn poll(fds: *mut PollFd, nfds: c_uint, timeout: c_int) -> c_int;
         }
     }
-    pub use poll_shim as poll;
+
+    pub fn poll(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize> {
+        // SAFETY: `fds` is a live exclusive slice of kernel-ABI pollfds.
+        cvt(unsafe { c::poll(fds.as_mut_ptr(), fds.len() as c_uint, timeout_ms) })
+    }
 
     pub fn raise_nofile_limit() -> Option<u64> {
         None
@@ -577,7 +369,7 @@ impl PollPoller {
 /// Which readiness backend a [`Poller`] runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
-    /// Linux epoll via raw syscalls — O(ready) per tick.
+    /// Linux epoll — O(ready) per tick.
     Epoll,
     /// Portable `poll(2)` — O(registered) per tick.
     Poll,

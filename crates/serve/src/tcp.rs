@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! → {"id": 7, "input": [0.1, 0.2, …]}            # sample_len floats
-//! ← {"id": 7, "ok": true, "argmax": 3, "latency_us": 812.5, "batch": 4, "plan_version": 1}
+//! ← {"id": 7, "ok": true, "argmax": 3, "latency_us": 812.5, "batch": 4}
 //! ← {"id": 7, "ok": false, "error": "shed:queue_full"}
 //! ```
 //!
@@ -133,7 +133,6 @@ pub(crate) fn ok_line(id: Option<f64>, resp: &Response) -> String {
         ("argmax", json::num(argmax as f64)),
         ("latency_us", json::num(resp.latency_us)),
         ("batch", json::num(resp.batch as f64)),
-        ("plan_version", json::num(resp.plan_version as f64)),
     ])
     .to_json()
 }

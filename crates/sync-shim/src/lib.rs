@@ -12,9 +12,6 @@ use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::{self, PoisonError};
 
-mod epoch;
-pub use epoch::{Epoch, Versioned};
-
 /// A mutual-exclusion primitive with `parking_lot`'s infallible `lock()`.
 pub struct Mutex<T: ?Sized>(sync::Mutex<T>);
 

@@ -7,10 +7,9 @@
 //! cannot allocate, and reports every concession through
 //! [`UcudnnHandle::metrics_json`]'s `robustness` section.
 
-use std::sync::Arc;
 use ucudnn::{
-    forward_latency_table, rebench_latency_table, BatchSizePolicy, BenchCache, KernelKey,
-    OptimizerMode, ServeOptions, UcudnnHandle, UcudnnOptions,
+    forward_latency_table, BatchSizePolicy, BenchCache, KernelKey, OptimizerMode, UcudnnHandle,
+    UcudnnOptions,
 };
 use ucudnn_cudnn_sim::{
     workspace_bytes_on, ConvOp, ConvolutionDescriptor, CudnnHandle, Engine, FaultPlan, FaultSite,
@@ -18,7 +17,6 @@ use ucudnn_cudnn_sim::{
 };
 use ucudnn_framework::{alexnet, setup_network};
 use ucudnn_gpu_model::{p100_sxm2, ConvAlgo};
-use ucudnn_serve::{BatchRunner, Server};
 use ucudnn_tensor::{ConvGeometry, FilterShape, Shape4};
 
 const MIB: usize = 1024 * 1024;
@@ -342,9 +340,9 @@ fn allocation_faults_shrink_the_wd_global_workspace() {
 }
 
 // ---------------------------------------------------------------------------
-// Fault × online re-optimization (DESIGN §9 meets §13): a re-benchmark that
-// hits injected faults degrades — the old plan stays live, `reopt_failed`
-// counts the concession, serving continues — and never crashes.
+// Fault × serving table (DESIGN §9): the latency table a server plans from
+// at start degrades to the surviving algorithms when the fast benchmarks
+// fault, and still covers every micro-batch size.
 
 /// conv2-shaped kernel key for the serving table.
 fn conv2_key() -> KernelKey {
@@ -358,127 +356,30 @@ fn conv2_key() -> KernelKey {
 }
 
 #[test]
-fn a_rebench_that_hits_fast_algorithm_faults_degrades_to_a_fallback_table() {
-    // Healthy startup benchmark, then every FFT/Winograd re-benchmark fails:
-    // the refresh must climb down the §9 ladder to the surviving algorithms
-    // and still return a usable table rather than an error.
-    let healthy = CudnnHandle::simulated(p100_sxm2());
-    let cache = BenchCache::new();
+fn a_serving_table_with_fast_algorithm_faults_degrades_to_a_fallback_table() {
+    // Every FFT/Winograd benchmark fails: the table must climb down the §9
+    // ladder to the surviving algorithms and still cover every size the
+    // healthy table covers.
     let kernels = [conv2_key()];
-    let startup = forward_latency_table(
-        &healthy,
-        &cache,
-        &kernels,
-        BatchSizePolicy::PowerOfTwo,
-        32,
-        512 << 20,
-    );
-    assert!(!startup.is_empty());
+    let table = |handle: &CudnnHandle| {
+        forward_latency_table(
+            handle,
+            &BenchCache::new(),
+            &kernels,
+            BatchSizePolicy::PowerOfTwo,
+            32,
+            512 << 20,
+        )
+    };
+    let healthy = table(&CudnnHandle::simulated(p100_sxm2()));
+    assert!(!healthy.is_empty());
 
     let faulted = CudnnHandle::simulated(p100_sxm2()).with_faults(all_fast_benchmarks_faulted());
-    let refreshed = rebench_latency_table(
-        &faulted,
-        &cache,
-        &kernels,
-        &kernels, // every kernel is stale
-        BatchSizePolicy::PowerOfTwo,
-        32,
-        512 << 20,
-    )
-    .expect("fallback algorithms must keep the re-benchmark feasible");
+    let degraded = table(&faulted);
     assert_eq!(
-        refreshed.iter().map(|&(m, _)| m).collect::<Vec<_>>(),
-        startup.iter().map(|&(m, _)| m).collect::<Vec<_>>(),
+        degraded.iter().map(|&(m, _)| m).collect::<Vec<_>>(),
+        healthy.iter().map(|&(m, _)| m).collect::<Vec<_>>(),
         "the degraded table must cover the same micro-batch sizes"
     );
     assert!(faulted.faults_injected() > 0, "faults must have fired");
-}
-
-#[test]
-fn a_rebench_with_every_benchmark_faulted_errors_instead_of_crashing() {
-    // The bottom of the ladder: nothing is measurable, so the refresh
-    // reports NoFeasibleConfiguration — the caller keeps the old plan.
-    let plan = benchmarks_faulted([FaultTarget::any()]);
-    let handle = CudnnHandle::simulated(p100_sxm2()).with_faults(plan);
-    let kernels = [conv2_key()];
-    let err = rebench_latency_table(
-        &handle,
-        &BenchCache::new(),
-        &kernels,
-        &kernels,
-        BatchSizePolicy::PowerOfTwo,
-        32,
-        512 << 20,
-    )
-    .expect_err("an unmeasurable device cannot produce a table");
-    assert!(
-        err.to_string().contains("empty latency table"),
-        "unexpected error: {err}"
-    );
-}
-
-/// A serving model whose re-benchmark always fails — the serve-level stand-in
-/// for a device that faults every benchmark mid-flight.
-struct FaultedRebenchRunner;
-
-impl BatchRunner for FaultedRebenchRunner {
-    fn sample_len(&self) -> usize {
-        1
-    }
-    fn output_len(&self) -> usize {
-        1
-    }
-    fn batch_sizes(&self) -> Vec<usize> {
-        vec![1, 2]
-    }
-    fn run(&self, n: usize, inputs: &[f32]) -> Result<Vec<f32>, String> {
-        assert_eq!(inputs.len(), n);
-        Ok(inputs.to_vec())
-    }
-    fn latency_table(&self) -> Vec<(usize, f64)> {
-        vec![(1, 100.0), (2, 150.0)]
-    }
-    fn rebench(&self) -> Result<Vec<(usize, f64)>, String> {
-        Err("injected bench fault".to_string())
-    }
-}
-
-#[test]
-fn a_failed_rebench_keeps_the_old_plan_serving() {
-    let server = Server::start(
-        Arc::new(FaultedRebenchRunner),
-        &ServeOptions {
-            slo_us: 60_000_000.0,
-            queue_cap: 64,
-            workers: 1,
-            max_batch: 2,
-        },
-    );
-    assert_eq!(server.plan_version(), 1);
-
-    let err = server
-        .trigger_rebench()
-        .expect_err("the injected bench fault must surface");
-    assert!(err.contains("injected bench fault"), "got: {err}");
-
-    // §9 ladder: the failure is a counted concession, not a crash — the
-    // startup plan stays live and requests keep completing on it.
-    let m = server.metrics();
-    assert_eq!(m.reopt_failed.get(), 1);
-    assert_eq!(m.plan_swaps.get(), 0);
-    assert_eq!(server.plan_version(), 1, "the old plan must stay live");
-    assert_eq!(server.plan_provenance().source, "startup");
-
-    let resp = server
-        .submit(vec![1.0])
-        .expect("admit")
-        .wait()
-        .expect("serving must continue after the failed refresh");
-    assert_eq!(resp.plan_version, 1);
-
-    // Repeated failures keep counting without disturbing the plan.
-    server.trigger_rebench().expect_err("still faulted");
-    assert_eq!(m.reopt_failed.get(), 2);
-    assert_eq!(server.plan_version(), 1);
-    server.drain();
 }

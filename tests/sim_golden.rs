@@ -1,17 +1,15 @@
 //! Golden digests of every deterministic serving-simulator log.
 //!
-//! Each lane `serve_bench --reopt` runs (at full and `--smoke` sizes), and
-//! each configuration the simulators' own unit tests run, is pinned as `(line count, FNV-1a-64 over every log line plus
-//! '\n')`. The logs are pure functions of their configs, so the digests are
+//! Each lane `serve_bench` runs (at full and `--smoke` sizes), and each
+//! configuration the simulator's own unit tests run, is pinned as `(line
+//! count, FNV-1a-64 over every log line plus '\n')`. The logs are pure functions of their configs, so the digests are
 //! the same on every machine and in debug and release builds; any change to
 //! event order, clock rules or log formatting shows up here.
 
 use ucudnn::{forward_latency_table, BatchSizePolicy, BenchCache, KernelKey};
 use ucudnn_cudnn_sim::{ConvOp, CudnnHandle};
-use ucudnn_gpu_model::{p100_sxm2, Perturbation};
-use ucudnn_serve::{
-    run_reopt_sim, run_sim, BatchPolicy, BurnConfig, ReoptConfig, ReoptSimConfig, SimConfig,
-};
+use ucudnn_gpu_model::p100_sxm2;
+use ucudnn_serve::{run_sim, BatchPolicy, SimConfig};
 use ucudnn_tensor::{ConvGeometry, FilterShape, Shape4};
 
 const SEED: u64 = 2018;
@@ -71,7 +69,7 @@ fn conv2() -> ConvGeometry {
     )
 }
 
-/// The synthetic table of the simulators' unit tests: t(m) = 480 + 20m.
+/// The synthetic table of the simulator's unit tests: t(m) = 480 + 20m.
 fn unit_table() -> Vec<(usize, f64)> {
     [1usize, 2, 4, 8, 16, 32]
         .into_iter()
@@ -112,44 +110,6 @@ fn serve_bench_policy_lanes() {
             ("dynamic", 92, 0x8582_f76b_4064_2457),
             ("fixed1", 600, 0x5a68_a565_9d59_64e0),
             ("fixedmax", 20, 0xa228_7d2a_cc0a_56b5),
-        ],
-    );
-}
-
-#[test]
-fn serve_bench_reopt_lanes() {
-    let table = p100_conv2_table();
-    let lane = |reopt: Option<ReoptConfig>| ReoptSimConfig {
-        seed: SEED,
-        slo_us: SLO_US,
-        queue_cap: 1024,
-        workers: 1,
-        max_batch: MAX_BATCH,
-        arrival_rate_rps: 20_000.0,
-        requests: 4_000,
-        base_table: table.clone(),
-        perturb: Perturbation::new(50_000.0, 2.0),
-        reopt,
-        rebench_latency_us: 5_000.0,
-        burn: Some(BurnConfig {
-            budget: 0.01,
-            fast_us: 20_000.0,
-            slow_us: 100_000.0,
-            threshold: 1.0,
-        }),
-    };
-    let lanes = vec![
-        ("frozen", run_reopt_sim(&lane(None)).log),
-        (
-            "reopt",
-            run_reopt_sim(&lane(Some(ReoptConfig::default()))).log,
-        ),
-    ];
-    check(
-        &lanes,
-        &[
-            ("frozen", 1_512, 0xa20a_29dd_c2ea_065d),
-            ("reopt", 1_684, 0xd62c_c8bd_b19a_0675),
         ],
     );
 }
@@ -198,61 +158,6 @@ fn sim_unit_test_configs() {
             ("overload", 1_678, 0xf09e_4502_80e6_7153),
             ("fixed1", 400, 0xedd2_236b_e126_a81a),
             ("tiny_queue", 179, 0xc280_b40a_6285_6e5f),
-        ],
-    );
-}
-
-#[test]
-fn reopt_unit_test_configs() {
-    let cfg = |reopt| ReoptSimConfig {
-        seed: SEED,
-        slo_us: SLO_US,
-        queue_cap: 256,
-        workers: 1,
-        max_batch: MAX_BATCH,
-        arrival_rate_rps: 20_000.0,
-        requests: 4_000,
-        base_table: unit_table(),
-        perturb: Perturbation::new(50_000.0, 2.0),
-        reopt,
-        rebench_latency_us: 5_000.0,
-        burn: None,
-    };
-    let burn = Some(BurnConfig {
-        budget: 0.01,
-        fast_us: 20_000.0,
-        slow_us: 100_000.0,
-        threshold: 1.0,
-    });
-    let mut lanes = vec![
-        ("frozen", run_reopt_sim(&cfg(None)).log),
-        (
-            "reopt",
-            run_reopt_sim(&cfg(Some(ReoptConfig::default()))).log,
-        ),
-        (
-            "frozen_burn",
-            run_reopt_sim(&ReoptSimConfig { burn, ..cfg(None) }).log,
-        ),
-    ];
-    for (name, seed) in [("clean_1", 1), ("clean_7", 7), ("clean_2018", 2018)] {
-        let c = ReoptSimConfig {
-            seed,
-            perturb: Perturbation::new(f64::INFINITY, 2.0),
-            burn,
-            ..cfg(Some(ReoptConfig::default()))
-        };
-        lanes.push((name, run_reopt_sim(&c).log));
-    }
-    check(
-        &lanes,
-        &[
-            ("frozen", 717, 0x5bd4_4faa_4671_a991),
-            ("reopt", 2_108, 0x65ae_1f07_6d06_52f0),
-            ("frozen_burn", 718, 0xd2df_76bb_2d7e_bdb1),
-            ("clean_1", 246, 0xc091_f473_6520_6dea),
-            ("clean_7", 253, 0xe746_5217_4cc2_9147),
-            ("clean_2018", 253, 0x51f4_ebf8_357f_6259),
         ],
     );
 }
