@@ -341,8 +341,7 @@ fn telemetry_smoke(metrics_dump: Option<&str>) {
         "ucudnn_serve_shed_total{reason=\"deadline_infeasible\"}",
         "ucudnn_serve_shed_total{reason=\"exec_failed\"}",
         "ucudnn_serve_shed_total{reason=\"draining\"}",
-        "ucudnn_slo_alert_active ",
-        "# ALERT slo_burn ",
+        "ucudnn_serve_violations_total ",
         "ucudnn_serve_latency_us_count ",
         "ucudnn_telemetry_dropped_total ",
     ] {

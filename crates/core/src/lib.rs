@@ -73,7 +73,7 @@ pub use pareto::{
 };
 pub use policy::BatchSizePolicy;
 pub use slo::{forward_latency_table, plan_batch, SloDecision};
-pub use telemetry::{Counter, CounterVec, Gauge, GaugeVec, Histogram, Registry};
+pub use telemetry::{Counter, CounterVec, Gauge, Histogram, Registry};
 pub use trace::{
     ClockMode, PlanProvenance, Trace, TraceConfig, TraceEvent, TraceFormat, TraceSession,
 };

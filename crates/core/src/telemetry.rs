@@ -21,11 +21,11 @@
 //! * **Deterministic.** The registry reads no clock, so expositions are
 //!   byte-reproducible under the deterministic sims.
 //!
-//! The log-bucket histogram itself ([`StreamingHistogram`]: record, the
-//! quantile walk, the window) is defined here once. The training reports,
-//! the serving simulators and the drift detector own one directly; the
-//! registry's [`Histogram`] wraps one behind a mutex, so quantiles agree
-//! across the training and serving planes.
+//! The log-bucket histogram itself ([`StreamingHistogram`]: record and the
+//! quantile walk) is defined here once. The training reports and the
+//! serving simulator own one directly; the registry's [`Histogram`] wraps
+//! one behind a mutex, so quantiles agree across the training and serving
+//! planes.
 
 use crate::json;
 use parking_lot::Mutex;
@@ -87,13 +87,6 @@ impl Kind {
 /// A single-owner log-bucket histogram over positive durations
 /// (microseconds): O(1) `record` into the shared bucket geometry, fixed
 /// memory, and quantiles with one bucket width (~5%) of relative error.
-///
-/// Two accumulations run side by side: the cumulative view that
-/// [`Self::cumulative`] summarizes, and a window that [`Self::take_window`]
-/// summarizes and resets in place. The cumulative view is what training
-/// reports want; the window is what a drift detector wants — a late 2×
-/// slowdown is averaged away in the cumulative p50 but dominates the
-/// windowed one.
 #[derive(Debug, Clone)]
 pub struct StreamingHistogram {
     counts: Vec<u64>,
@@ -101,11 +94,6 @@ pub struct StreamingHistogram {
     sum: f64,
     min: f64,
     max: f64,
-    w_counts: Vec<u64>,
-    w_total: u64,
-    w_sum: f64,
-    w_min: f64,
-    w_max: f64,
 }
 
 impl Default for StreamingHistogram {
@@ -123,11 +111,6 @@ impl StreamingHistogram {
             sum: 0.0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
-            w_counts: vec![0; HIST_BUCKETS],
-            w_total: 0,
-            w_sum: 0.0,
-            w_min: f64::INFINITY,
-            w_max: f64::NEG_INFINITY,
         }
     }
 
@@ -142,35 +125,26 @@ impl StreamingHistogram {
         self.sum += us;
         self.min = self.min.min(us);
         self.max = self.max.max(us);
-        self.w_counts[idx] += 1;
-        self.w_total += 1;
-        self.w_sum += us;
-        self.w_min = self.w_min.min(us);
-        self.w_max = self.w_max.max(us);
     }
 
-    /// The quantile walk: the representative value of the bucket holding
-    /// the target rank, clamped to the observed `[min, max]` so
-    /// single-sample histograms answer exactly. `None` when empty.
-    fn quantile_of(counts: &[u64], total: u64, min: f64, max: f64, q: f64) -> Option<f64> {
-        if total == 0 {
+    /// The q-quantile (`0.0 ..= 1.0`) by the quantile walk: the
+    /// representative value of the bucket holding the target rank, clamped
+    /// to the observed `[min, max]` so single-sample histograms answer
+    /// exactly. `None` when nothing has been recorded yet (no fake 0µs tail
+    /// before the first sample).
+    fn try_quantile(&self, q: f64) -> Option<f64> {
+        if self.total == 0 {
             return None;
         }
-        let rank = (q.clamp(0.0, 1.0) * total as f64).ceil().max(1.0) as u64;
+        let rank = (q.clamp(0.0, 1.0) * self.total as f64).ceil().max(1.0) as u64;
         let mut seen = 0u64;
-        for (idx, &c) in counts.iter().enumerate() {
+        for (idx, &c) in self.counts.iter().enumerate() {
             seen += c;
             if seen >= rank {
-                return Some(bucket_upper(idx).clamp(min, max));
+                return Some(bucket_upper(idx).clamp(self.min, self.max));
             }
         }
-        Some(max)
-    }
-
-    /// Cumulative q-quantile (`0.0 ..= 1.0`), or `None` when nothing has
-    /// been recorded yet (no fake 0µs tail before the first sample).
-    fn try_quantile(&self, q: f64) -> Option<f64> {
-        Self::quantile_of(&self.counts, self.total, self.min, self.max, q)
+        Some(self.max)
     }
 
     /// Cumulative summary (quantiles `None` when empty).
@@ -184,28 +158,9 @@ impl StreamingHistogram {
             p99_us: q(0.99),
         }
     }
-
-    /// Summarize the window and reset it in place; the cumulative view is
-    /// untouched.
-    pub fn take_window(&mut self) -> HistStats {
-        let q = |p| Self::quantile_of(&self.w_counts, self.w_total, self.w_min, self.w_max, p);
-        let stats = HistStats {
-            count: self.w_total,
-            sum: self.w_sum,
-            p50_us: q(0.50),
-            p95_us: q(0.95),
-            p99_us: q(0.99),
-        };
-        self.w_counts.iter_mut().for_each(|c| *c = 0);
-        self.w_total = 0;
-        self.w_sum = 0.0;
-        self.w_min = f64::INFINITY;
-        self.w_max = f64::NEG_INFINITY;
-        stats
-    }
 }
 
-/// Summary of one histogram window (or of the cumulative state).
+/// Summary of a histogram's cumulative state.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HistStats {
     /// Observations covered.
@@ -231,21 +186,13 @@ impl HistStats {
     }
 }
 
-/// A registry histogram's state: the distribution plus the last
-/// request-correlated observation `(request id, value µs)`.
-#[derive(Debug, Default)]
-struct HistSeries {
-    hist: StreamingHistogram,
-    exemplar: Option<(u64, f64)>,
-}
-
 #[derive(Debug)]
 struct SeriesInner {
     /// Label value of this series (`None` for unlabeled families).
     label: Option<String>,
     /// Counter: integer count. Gauge: f64 bits.
     value: AtomicU64,
-    hist: Option<Mutex<HistSeries>>,
+    hist: Option<Mutex<StreamingHistogram>>,
 }
 
 impl SeriesInner {
@@ -253,7 +200,7 @@ impl SeriesInner {
         Self {
             label,
             value: AtomicU64::new(0),
-            hist: (kind == Kind::Histogram).then(|| Mutex::new(HistSeries::default())),
+            hist: (kind == Kind::Histogram).then(|| Mutex::new(StreamingHistogram::new())),
         }
     }
 }
@@ -331,43 +278,25 @@ impl Gauge {
 }
 
 /// A registry latency histogram: a [`StreamingHistogram`] behind a mutex,
-/// exposed as a quantile summary, plus the last request-correlated
-/// exemplar.
+/// exposed as a quantile summary.
 #[derive(Debug, Clone)]
 pub struct Histogram {
     series: Arc<SeriesInner>,
 }
 
 impl Histogram {
-    fn state(&self) -> &Mutex<HistSeries> {
+    fn state(&self) -> &Mutex<StreamingHistogram> {
         self.series.hist.as_ref().expect("histogram series")
     }
 
     /// Record one observation, microseconds. Non-finite values are ignored.
     pub fn record(&self, us: f64) {
-        self.state().lock().hist.record(us);
-    }
-
-    /// Record one observation correlated with a request id; the id/value
-    /// pair is kept as the series' exemplar (last one wins) and rendered
-    /// into the exposition.
-    pub fn record_with_exemplar(&self, us: f64, request_id: u64) {
-        let mut h = self.state().lock();
-        h.hist.record(us);
-        if us.is_finite() {
-            h.exemplar = Some((request_id, us));
-        }
+        self.state().lock().record(us);
     }
 
     /// Cumulative p50/p95/p99 bundle (quantiles `None` when empty).
     pub fn cumulative(&self) -> HistStats {
-        self.state().lock().hist.cumulative()
-    }
-
-    /// Detach and reset the window, returning its summary: the
-    /// observations that landed since the previous call.
-    pub fn take_window(&self) -> HistStats {
-        self.state().lock().hist.take_window()
+        self.state().lock().cumulative()
     }
 }
 
@@ -390,33 +319,6 @@ impl CounterVec {
             .find(|s| s.label.as_deref() == Some(label))
         {
             Some(s) => Some(Counter {
-                series: Arc::clone(s),
-            }),
-            None => {
-                self.registry.inner.dropped.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-}
-
-/// A labeled gauge family with a fixed vocabulary.
-#[derive(Debug, Clone)]
-pub struct GaugeVec {
-    family: Arc<FamilyInner>,
-    registry: Registry,
-}
-
-impl GaugeVec {
-    /// The gauge for `label`, or `None` (counted) outside the vocabulary.
-    pub fn with(&self, label: &str) -> Option<Gauge> {
-        match self
-            .family
-            .series
-            .iter()
-            .find(|s| s.label.as_deref() == Some(label))
-        {
-            Some(s) => Some(Gauge {
                 series: Arc::clone(s),
             }),
             None => {
@@ -529,16 +431,6 @@ impl Registry {
         }
     }
 
-    /// Register (or fetch) a gauge family labeled by `label_key` with a
-    /// fixed vocabulary.
-    pub fn gauge_vec(&self, name: &str, help: &str, label_key: &str, vocab: &[&str]) -> GaugeVec {
-        let fam = self.register(name, help, Kind::Gauge, Some(label_key), vocab);
-        GaugeVec {
-            family: fam,
-            registry: self.clone(),
-        }
-    }
-
     /// Register (or fetch) an unlabeled histogram.
     pub fn histogram(&self, name: &str, help: &str) -> Histogram {
         let fam = self.register(name, help, Kind::Histogram, None, &[]);
@@ -553,8 +445,8 @@ impl Registry {
     }
 
     /// Render every family into `out` in Prometheus text format (`# HELP`,
-    /// `# TYPE`, escaped labels; histograms as quantile summaries with
-    /// `# EXEMPLAR` comment lines). Emits no terminator, so multiple
+    /// `# TYPE`, escaped labels; histograms as quantile summaries). Emits
+    /// no terminator, so multiple
     /// registries compose into one scrape; the caller appends the
     /// `telemetry_dropped` self-metric and `# EOF`.
     pub fn expose_into(&self, out: &mut String) {
@@ -586,8 +478,7 @@ impl Registry {
                         out.push_str(&format!("{}{} {}\n", fam.name, label(None), fmt_num(v)));
                     }
                     Some(h) => {
-                        let h = h.lock();
-                        let c = h.hist.cumulative();
+                        let c = h.lock().cumulative();
                         for (v, qs) in [(c.p50_us, "0.5"), (c.p95_us, "0.95"), (c.p99_us, "0.99")] {
                             if let Some(v) = v {
                                 out.push_str(&format!(
@@ -610,13 +501,6 @@ impl Registry {
                             label(None),
                             fmt_num(c.count as f64)
                         ));
-                        if let Some((id, us)) = h.exemplar {
-                            out.push_str(&format!(
-                                "# EXEMPLAR {} request_id=\"{id}\" value={}\n",
-                                fam.name,
-                                fmt_num(us)
-                            ));
-                        }
                     }
                 }
             }
@@ -783,63 +667,6 @@ mod tests {
     }
 
     #[test]
-    fn take_window_isolates_late_drift_from_the_cumulative_view() {
-        // 1000 fast samples, then 100 slow ones. Cumulatively the slow tail
-        // is invisible at p50; the window after a reset sees only it.
-        let mut h = StreamingHistogram::new();
-        for _ in 0..1000 {
-            h.record(100.0);
-        }
-        let early = h.take_window();
-        assert_eq!(early.count, 1000);
-        assert!((early.p50_us.unwrap() - 100.0).abs() < 6.0);
-        for _ in 0..100 {
-            h.record(200.0);
-        }
-        let late = h.take_window();
-        assert_eq!(late.count, 100, "take_window resets the window");
-        let p50 = late.p50_us.unwrap();
-        assert!(
-            (p50 - 200.0).abs() < 12.0,
-            "window p50 {p50} must see the drift"
-        );
-        assert!((late.mean() - 200.0).abs() < 1e-9);
-        // The cumulative path is untouched by window resets: p50 of the
-        // 1100-sample history is still the fast mode.
-        let c = h.cumulative();
-        assert_eq!(c.count, 1100);
-        assert!((c.p50_us.unwrap() - 100.0).abs() < 6.0);
-        assert!((c.mean() - (1000.0 * 100.0 + 100.0 * 200.0) / 1100.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn fresh_window_matches_the_cumulative_view() {
-        // Before any take_window, the window summary equals the cumulative
-        // one; after it, the next window starts empty and fills alone.
-        let mut h = StreamingHistogram::new();
-        for v in [10.0, 20.0, 30.0] {
-            h.record(v);
-        }
-        let first = h.take_window();
-        assert_eq!(first.count, 3);
-        assert_eq!(first, h.cumulative());
-        h.record(40.0);
-        let second = h.take_window();
-        assert_eq!((second.count, second.p99_us), (1, Some(40.0)));
-        assert_eq!(h.cumulative().count, 4);
-    }
-
-    #[test]
-    fn empty_window_is_cold() {
-        let mut h = StreamingHistogram::new();
-        h.record(5.0);
-        let _ = h.take_window();
-        let w = h.take_window();
-        assert_eq!(w.count, 0);
-        assert_eq!((w.p50_us, w.p95_us, w.p99_us), (None, None, None));
-    }
-
-    #[test]
     fn extreme_and_nonfinite_values_are_safe() {
         let mut h = StreamingHistogram::new();
         h.record(f64::NAN);
@@ -893,7 +720,7 @@ mod tests {
         let g = reg.gauge("ucudnn_t_depth", "Queue depth.");
         g.set(4.5);
         let h = reg.histogram("ucudnn_t_latency_us", "Latency.");
-        h.record_with_exemplar(100.0, 42);
+        h.record(100.0);
         let got = reg.expose();
         let want = "\
 # HELP ucudnn_t_events_total Events seen.
@@ -913,7 +740,6 @@ ucudnn_t_latency_us{quantile=\"0.95\"} 100
 ucudnn_t_latency_us{quantile=\"0.99\"} 100
 ucudnn_t_latency_us_sum 100
 ucudnn_t_latency_us_count 1
-# EXEMPLAR ucudnn_t_latency_us request_id=\"42\" value=100
 # HELP ucudnn_telemetry_dropped_total Label values rejected for exceeding a family's fixed vocabulary.
 # TYPE ucudnn_telemetry_dropped_total counter
 ucudnn_telemetry_dropped_total 0
@@ -934,36 +760,6 @@ ucudnn_telemetry_dropped_total 0
         assert!(text.contains("ucudnn_telemetry_dropped_total 2"));
         // The rejected values minted no series.
         assert!(!text.contains("hostile"));
-        let gv = reg.gauge_vec("t_g", "t", "window", &["fast"]);
-        assert!(gv.with("slow").is_none());
-        assert_eq!(reg.dropped(), 3);
-    }
-
-    #[test]
-    fn histogram_windows_and_cumulative_views_are_independent() {
-        let reg = Registry::new();
-        let h = reg.histogram("t_h", "t");
-        for _ in 0..10 {
-            h.record(100.0);
-        }
-        let w = h.take_window();
-        assert_eq!(w.count, 10);
-        assert_eq!(w.p50_us, Some(100.0));
-        h.record(400.0);
-        let w2 = h.take_window();
-        assert_eq!(w2.count, 1);
-        assert_eq!(w2.p50_us, Some(400.0));
-        // The cumulative view still answers over the full history (bucket
-        // upper edge: ≤5% relative error).
-        let c = h.cumulative();
-        assert_eq!(c.count, 11);
-        let p50 = c.p50_us.unwrap();
-        assert!((100.0..=105.0).contains(&p50), "p50 {p50}");
-        // An empty window has no quantiles, not fake zeros.
-        let w3 = h.take_window();
-        assert_eq!(w3.count, 0);
-        assert_eq!(w3.p50_us, None);
-        assert_eq!(w3.mean(), 0.0);
     }
 
     #[test]

@@ -18,8 +18,6 @@
 //! * [`metrics`] — queue depth, batch occupancy, shed/degradation counters,
 //!   latency percentiles — typed instruments in a `ucudnn::telemetry`
 //!   registry, exported as JSON and as a Prometheus-style exposition;
-//! * [`slo_monitor`] — deterministic multi-window (fast/slow) SLO
-//!   error-budget burn-rate alerting over the shed/violation outcomes;
 //! * [`tcp`] + [`reactor`] — the newline-delimited-JSON TCP front-end
 //!   (with a `STATS` verb serving the live exposition), carried by a
 //!   readiness-driven epoll/poll event-loop reactor (DESIGN.md §15):
@@ -39,7 +37,6 @@ pub mod request;
 pub mod scheduler;
 pub mod server;
 pub mod sim;
-pub mod slo_monitor;
 pub mod sys;
 pub mod tcp;
 
@@ -49,5 +46,4 @@ pub use request::{RequestId, Response, ShedReason};
 pub use scheduler::{Action, BatchPolicy, Scheduler};
 pub use server::{BatchRunner, RealModelRunner, Server, Ticket};
 pub use sim::{poisson_arrivals, run_sim, ShedCounts, SimConfig, SimOutcome};
-pub use slo_monitor::{BurnAlert, BurnConfig, BurnMonitor};
 pub use tcp::TcpFrontend;

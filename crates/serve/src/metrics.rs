@@ -42,18 +42,9 @@ pub struct ServeMetrics {
     pub queue_depth: Gauge,
     /// High-water mark of the queue depth.
     pub queue_depth_max: Gauge,
-    /// Completions whose end-to-end latency exceeded the SLO (the burn
-    /// monitor's "bad event" feed, alongside sheds).
+    /// Completions whose end-to-end latency exceeded the SLO.
     pub violations: Counter,
-    /// SLO burn-rate alerts fired (inactive→active transitions).
-    pub slo_alerts: Counter,
-    /// 1 while a burn-rate alert is active, 0 otherwise.
-    pub slo_alert_active: Gauge,
-    /// Error-budget burn rate over the fast window (gauge).
-    pub burn_fast: Gauge,
-    /// Error-budget burn rate over the slow window (gauge).
-    pub burn_slow: Gauge,
-    /// End-to-end latency of completed requests (summary + exemplar).
+    /// End-to-end latency of completed requests (cumulative summary).
     pub latency: Histogram,
     /// Ingress: connections accepted by the reactor.
     pub conn_accepted: Counter,
@@ -133,19 +124,6 @@ impl ServeMetrics {
             violations: registry.counter(
                 "ucudnn_serve_violations_total",
                 "Completions whose latency exceeded the SLO.",
-            ),
-            slo_alerts: registry.counter("ucudnn_slo_alerts_total", "SLO burn-rate alerts fired."),
-            slo_alert_active: registry.gauge(
-                "ucudnn_slo_alert_active",
-                "1 while a burn-rate alert is active.",
-            ),
-            burn_fast: registry.gauge(
-                "ucudnn_slo_burn_rate_fast",
-                "Error-budget burn rate over the fast window.",
-            ),
-            burn_slow: registry.gauge(
-                "ucudnn_slo_burn_rate_slow",
-                "Error-budget burn rate over the slow window.",
             ),
             latency: registry.histogram(
                 "ucudnn_serve_latency_us",
@@ -235,13 +213,6 @@ impl ServeMetrics {
         self.latency.record(latency_us);
     }
 
-    /// Record one completed request correlated with its `RequestId`; the
-    /// id lands as the latency histogram's exemplar.
-    pub fn complete_for(&self, latency_us: f64, request_id: u64) {
-        self.completed.inc();
-        self.latency.record_with_exemplar(latency_us, request_id);
-    }
-
     /// Record one fired batch of `n` requests.
     pub fn fired(&self, n: usize) {
         self.batches.inc();
@@ -252,11 +223,6 @@ impl ServeMetrics {
     ///
     /// Percentiles use the histogram's optional accessors, so a server that
     /// has completed nothing reports `null` — not a fake 0µs tail.
-    ///
-    /// `latency_window_us` reports the percentiles of the completions *since
-    /// the previous snapshot* and consumes that window: each scrape sees only
-    /// its own interval, which is what makes late drift visible instead of
-    /// being averaged into the cumulative view.
     pub fn to_json(&self) -> Value {
         let n = |c: &Counter| json::num(c.get() as f64);
         let g = |c: &Gauge| json::num(c.get());
@@ -266,7 +232,6 @@ impl ServeMetrics {
         } else {
             json::num(self.batched_requests.get() as f64 / batches as f64)
         };
-        let window = self.latency.take_window();
         let opt = |q: Option<f64>| q.map_or(Value::Null, json::num);
         let cum = self.latency.cumulative();
         let mean = if cum.count == 0 {
@@ -300,15 +265,6 @@ impl ServeMetrics {
                     ("p99", opt(cum.p99_us)),
                     ("mean", mean),
                     ("count", json::num(cum.count as f64)),
-                ]),
-            ),
-            (
-                "latency_window_us",
-                json::obj([
-                    ("p50", opt(window.p50_us)),
-                    ("p95", opt(window.p95_us)),
-                    ("p99", opt(window.p99_us)),
-                    ("count", json::num(window.count as f64)),
                 ]),
             ),
             (
@@ -371,34 +327,6 @@ mod tests {
     }
 
     #[test]
-    fn the_latency_window_resets_per_snapshot() {
-        let m = ServeMetrics::new();
-        for _ in 0..4 {
-            m.complete(100.0);
-        }
-        let w1 = m.to_json();
-        let w1 = w1.get("latency_window_us").unwrap();
-        assert_eq!(w1.get("count").unwrap().as_u64(), Some(4));
-        assert_eq!(w1.get("p50").unwrap().as_f64(), Some(100.0));
-        // A drifted interval dominates its own window even though the
-        // cumulative histogram still remembers the fast past.
-        for _ in 0..2 {
-            m.complete(400.0);
-        }
-        let j2 = m.to_json();
-        let w2 = j2.get("latency_window_us").unwrap();
-        assert_eq!(w2.get("count").unwrap().as_u64(), Some(2));
-        assert_eq!(w2.get("p50").unwrap().as_f64(), Some(400.0));
-        let cum = j2.get("latency_us").unwrap();
-        assert_eq!(cum.get("count").unwrap().as_u64(), Some(6));
-        // And a quiet interval is an empty window, not a stale echo.
-        let w3 = m.to_json();
-        let w3 = w3.get("latency_window_us").unwrap();
-        assert_eq!(w3.get("count").unwrap().as_u64(), Some(0));
-        assert_eq!(w3.get("p50"), Some(&Value::Null));
-    }
-
-    #[test]
     fn ingress_counters_are_exported_in_both_views() {
         let m = ServeMetrics::new();
         m.conn_opened(1);
@@ -438,13 +366,13 @@ mod tests {
         let m = ServeMetrics::new();
         m.submitted.add(7);
         m.shed(ShedReason::DeadlineInfeasible);
-        m.complete_for(812.5, 42);
+        m.complete(812.5);
         let text = m.registry().expose();
         for line in [
             "ucudnn_serve_submitted_total 7",
             "ucudnn_serve_shed_total{reason=\"deadline_infeasible\"} 1",
             "ucudnn_serve_completed_total 1",
-            "# EXEMPLAR ucudnn_serve_latency_us request_id=\"42\" value=812.5",
+            "ucudnn_serve_latency_us_count 1",
         ] {
             assert!(text.contains(line), "exposition missing {line:?}:\n{text}");
         }

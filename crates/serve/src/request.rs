@@ -2,10 +2,9 @@
 
 /// A request's identity, minted at admission and threaded through
 /// queue → batch → micro-batch execution → response. The id is stamped
-/// into every trace event about the request (`req{n}` keys), into shed
-/// and degradation events, and into the latency histogram's exemplar, so
-/// `ucudnn-report --request <n>` can reconstruct one request's full
-/// timeline from a JSONL trace.
+/// into every trace event about the request (`req{n}` keys) and into shed
+/// and degradation events, so `ucudnn-report --request <n>` can
+/// reconstruct one request's full timeline from a JSONL trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RequestId(pub u64);
 

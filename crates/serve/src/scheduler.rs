@@ -91,34 +91,42 @@ impl Scheduler {
 
     /// Decide at absolute time `now_us` for a non-empty queue.
     ///
-    /// `arrivals` are the queued requests' arrival times, oldest first
-    /// (deadline of request `i` is `arrivals[i] + slo_us`); `next_arrival`
-    /// is the next future submission when known (the deterministic
-    /// simulator knows it; the threaded server passes `None` and handles
-    /// waiting with condvar timeouts).
+    /// `oldest_us` is the oldest queued request's arrival time (its deadline
+    /// is `oldest_us + slo_us`, the earliest in the queue) and `queued` the
+    /// queue length; `next_arrival` is the next future submission when
+    /// known (the deterministic simulator knows it; the threaded server
+    /// passes `None` and handles waiting with condvar timeouts).
     ///
     /// # Panics
-    /// Panics when `arrivals` is empty — an idle lane has nothing to decide.
-    pub fn decide(&self, now_us: f64, arrivals: &[f64], next_arrival: Option<f64>) -> Action {
-        assert!(!arrivals.is_empty(), "decide() needs a non-empty queue");
-        let q = arrivals.len();
-        let deadline = arrivals[0] + self.slo_us;
+    /// Panics when `queued` is 0 — an idle lane has nothing to decide.
+    pub fn decide(
+        &self,
+        now_us: f64,
+        oldest_us: f64,
+        queued: usize,
+        next_arrival: Option<f64>,
+    ) -> Action {
+        assert!(queued > 0, "decide() needs a non-empty queue");
+        let deadline = oldest_us + self.slo_us;
         match self.policy {
             BatchPolicy::Dynamic => {
-                let Some(cur) = plan_batch(&self.table, q, self.max_batch, deadline - now_us)
+                let Some(cur) = plan_batch(&self.table, queued, self.max_batch, deadline - now_us)
                 else {
                     return Action::ShedOldest;
                 };
-                if q < self.max_batch {
+                if queued < self.max_batch {
                     if let Some(na) = next_arrival {
                         // Waiting is useful only if the plan enabled by one
                         // more request is strictly faster per request *and*
                         // still meets the oldest deadline when fired at the
                         // arrival instant.
                         let wait_start = now_us.max(na);
-                        if let Some(fut) =
-                            plan_batch(&self.table, q + 1, self.max_batch, deadline - wait_start)
-                        {
+                        if let Some(fut) = plan_batch(
+                            &self.table,
+                            queued + 1,
+                            self.max_batch,
+                            deadline - wait_start,
+                        ) {
                             if fut.throughput > cur.throughput {
                                 return Action::WaitUntil(na);
                             }
@@ -134,14 +142,14 @@ impl Scheduler {
                 Action::Fire(d)
             }
             BatchPolicy::FixedMax => {
-                if q < self.max_batch {
+                if queued < self.max_batch {
                     if let Some(na) = next_arrival {
                         // Static batching waits for a full batch no matter
                         // what the deadline says — its signature failure.
                         return Action::WaitUntil(na);
                     }
                 }
-                let n = q.min(self.max_batch);
+                let n = queued.min(self.max_batch);
                 let Some(d) = plan_batch(&self.table, n, n, f64::MAX) else {
                     return Action::ShedOldest;
                 };
@@ -170,8 +178,7 @@ mod tests {
     #[test]
     fn dynamic_fires_a_full_queue_immediately() {
         let s = sched(BatchPolicy::Dynamic);
-        let arrivals = vec![0.0; 8];
-        match s.decide(10.0, &arrivals, Some(11.0)) {
+        match s.decide(10.0, 0.0, 8, Some(11.0)) {
             Action::Fire(d) => assert_eq!(d.batch, 8),
             a => panic!("expected Fire, got {a:?}"),
         }
@@ -182,7 +189,7 @@ mod tests {
         let s = sched(BatchPolicy::Dynamic);
         // One queued request with lots of slack; another arrives soon:
         // coalescing two (t=14, 7/req) beats firing one (t=13).
-        match s.decide(1.0, &[0.0], Some(2.0)) {
+        match s.decide(1.0, 0.0, 1, Some(2.0)) {
             Action::WaitUntil(t) => assert_eq!(t, 2.0),
             a => panic!("expected WaitUntil, got {a:?}"),
         }
@@ -193,7 +200,7 @@ mod tests {
         let s = sched(BatchPolicy::Dynamic);
         // Slack is 99−85=14 at the arrival instant: enough for t(2)=14 —
         // but at 95 slack is 4 < t(1): must fire now, not wait.
-        match s.decide(86.0, &[0.0], Some(95.0)) {
+        match s.decide(86.0, 0.0, 1, Some(95.0)) {
             Action::Fire(d) => assert_eq!(d.batch, 1),
             a => panic!("expected Fire, got {a:?}"),
         }
@@ -203,13 +210,13 @@ mod tests {
     fn dynamic_sheds_the_hopeless_oldest() {
         let s = sched(BatchPolicy::Dynamic);
         // Deadline was 100; at t=99 even t(1)=13 cannot fit.
-        assert_eq!(s.decide(99.0, &[0.0], None), Action::ShedOldest);
+        assert_eq!(s.decide(99.0, 0.0, 1, None), Action::ShedOldest);
     }
 
     #[test]
     fn fixed_one_never_coalesces() {
         let s = sched(BatchPolicy::FixedOne);
-        match s.decide(0.0, &[0.0; 8], Some(1.0)) {
+        match s.decide(0.0, 0.0, 8, Some(1.0)) {
             Action::Fire(d) => assert_eq!(d.batch, 1),
             a => panic!("expected Fire, got {a:?}"),
         }
@@ -219,11 +226,11 @@ mod tests {
     fn fixed_max_waits_even_when_waiting_is_fatal() {
         let s = sched(BatchPolicy::FixedMax);
         // 7 queued, deadline imminent — static batching still waits.
-        match s.decide(95.0, &[0.0; 7], Some(200.0)) {
+        match s.decide(95.0, 0.0, 7, Some(200.0)) {
             Action::WaitUntil(t) => assert_eq!(t, 200.0),
             a => panic!("expected WaitUntil, got {a:?}"),
         }
         // And once full, the expired oldest is shed.
-        assert_eq!(s.decide(95.0, &[0.0; 8], None), Action::ShedOldest);
+        assert_eq!(s.decide(95.0, 0.0, 8, None), Action::ShedOldest);
     }
 }

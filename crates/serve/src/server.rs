@@ -16,14 +16,13 @@
 use crate::metrics::ServeMetrics;
 use crate::request::{RequestId, Response, ShedReason};
 use crate::scheduler::{Action, BatchPolicy, Scheduler};
-use crate::slo_monitor::{BurnConfig, BurnMonitor};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use ucudnn::json;
 use ucudnn::telemetry::Registry;
-use ucudnn::ServeOptions;
+use ucudnn::{ServeOptions, SloDecision};
 
 /// Longest the real server will hold a request for coalescing company past
 /// its arrival, microseconds. Without an arrival oracle, waiting is only
@@ -78,37 +77,15 @@ struct Pending {
     id: RequestId,
     arrival_us: f64,
     input: Vec<f32>,
-    waiter: Waiter,
+    /// Delivers the outcome, exactly once, on a server worker thread (see
+    /// [`Server::submit_with`]).
+    waiter: Box<dyn FnOnce(Result<Response, ShedReason>) + Send>,
 }
 
 /// Shared resolution slot of one submitted request.
-pub(crate) struct TicketState {
+struct TicketState {
     slot: Mutex<Option<Result<Response, ShedReason>>>,
     cv: Condvar,
-}
-
-/// How one queued request's outcome is delivered: a blocking [`Ticket`]
-/// (the original synchronous path) or a completion callback (the reactor
-/// path — the event loop must never park a thread per request).
-pub(crate) enum Waiter {
-    /// Resolve into the ticket's slot and wake the waiting thread.
-    Ticket(Arc<TicketState>),
-    /// Invoke the callback with the outcome. Callbacks run on a server
-    /// worker thread and must be cheap and non-blocking with respect to the
-    /// server's own locks (the reactor's only touches its loop inbox).
-    Callback(Box<dyn FnOnce(Result<Response, ShedReason>) + Send + 'static>),
-}
-
-impl Waiter {
-    fn resolve(self, result: Result<Response, ShedReason>) {
-        match self {
-            Waiter::Ticket(t) => {
-                *t.slot.lock().unwrap() = Some(result);
-                t.cv.notify_all();
-            }
-            Waiter::Callback(cb) => cb(result),
-        }
-    }
 }
 
 /// A handle to one in-flight request; wait on it for the response.
@@ -147,8 +124,6 @@ struct Inner {
     /// the server's whole life.
     sched: Scheduler,
     metrics: Arc<ServeMetrics>,
-    /// The SLO error-budget burn monitor, fed by every shed and completion.
-    burn: Mutex<BurnMonitor>,
     state: Mutex<QueueState>,
     cv: Condvar,
     queue_cap: usize,
@@ -161,34 +136,16 @@ impl Inner {
         self.epoch.elapsed().as_secs_f64() * 1e6
     }
 
-    /// Feed one outcome (`bad` = shed or SLO violation) to the burn
-    /// monitor, mirror the burn state into the gauges, and emit an
-    /// `slo_alert` trace event on each inactive→active transition.
-    fn observe_outcome(&self, now_us: f64, bad: bool) {
-        let (alert, fast, slow, active) = {
-            let mut b = self.burn.lock().unwrap();
-            let alert = b.observe(now_us, bad);
-            let (fast, slow) = b.burn_rates();
-            (alert, fast, slow, b.active())
-        };
-        self.metrics.burn_fast.set(fast);
-        self.metrics.burn_slow.set(slow);
-        self.metrics
-            .slo_alert_active
-            .set(if active { 1.0 } else { 0.0 });
-        if let Some(a) = alert {
-            self.metrics.slo_alerts.inc();
-            ucudnn::trace::event("serve", "slo_alert", || {
-                (
-                    "slo".to_string(),
-                    json::obj([
-                        ("at_us", json::num(a.at_us)),
-                        ("fast_burn", json::num(a.fast_burn)),
-                        ("slow_burn", json::num(a.slow_burn)),
-                    ]),
-                )
-            });
-        }
+    /// Count one shed of request `id` and emit its `shed` trace event. The
+    /// caller resolves the request, or returns the refusal.
+    fn shed(&self, id: RequestId, reason: ShedReason) {
+        self.metrics.shed(reason);
+        ucudnn::trace::event("serve", "shed", || {
+            (
+                id.trace_key(),
+                json::obj([("reason", json::Value::Str(reason.name().to_string()))]),
+            )
+        });
     }
 }
 
@@ -220,7 +177,6 @@ impl Server {
             runner,
             sched: Scheduler::new(table, opts.slo_us, opts.max_batch, BatchPolicy::Dynamic),
             metrics: Arc::new(ServeMetrics::new()),
-            burn: Mutex::new(BurnMonitor::new(BurnConfig::default())),
             state: Mutex::new(QueueState {
                 queue: VecDeque::new(),
                 draining: false,
@@ -255,13 +211,16 @@ impl Server {
     /// # Panics
     /// Panics when `input.len()` does not match the runner's sample length.
     pub fn submit(&self, input: Vec<f32>) -> Result<Ticket, ShedReason> {
-        let ticket = Arc::new(TicketState {
+        let state = Arc::new(TicketState {
             slot: Mutex::new(None),
             cv: Condvar::new(),
         });
-        let state = Arc::clone(&ticket);
-        self.submit_inner(input, move || Waiter::Ticket(state))?;
-        Ok(Ticket { state: ticket })
+        let ticket = Arc::clone(&state);
+        self.submit_with(input, move |result| {
+            *ticket.slot.lock().unwrap() = Some(result);
+            ticket.cv.notify_all();
+        })?;
+        Ok(Ticket { state })
     }
 
     /// Submit one input sample with a completion callback instead of a
@@ -271,6 +230,9 @@ impl Server {
     /// admission and **the callback is never invoked** — the caller still
     /// owns the refusal and renders it inline, which is what keeps the
     /// reactor's per-connection response sequencing single-sourced.
+    ///
+    /// The callback must be cheap and must not block on the server's own
+    /// locks (the reactor's only touches its loop inbox).
     ///
     /// # Errors
     /// [`ShedReason::QueueFull`] under backpressure, [`ShedReason::Draining`]
@@ -282,16 +244,6 @@ impl Server {
     where
         F: FnOnce(Result<Response, ShedReason>) + Send + 'static,
     {
-        self.submit_inner(input, move || Waiter::Callback(Box::new(cb)))
-    }
-
-    /// Shared admission path: mint an id, run the shed ladder, and only on
-    /// admission materialize the waiter and enqueue.
-    fn submit_inner(
-        &self,
-        input: Vec<f32>,
-        make: impl FnOnce() -> Waiter,
-    ) -> Result<RequestId, ShedReason> {
         assert_eq!(
             input.len(),
             self.inner.runner.sample_len(),
@@ -310,15 +262,8 @@ impl Server {
             ),
         ] {
             if refused {
-                m.shed(reason);
                 drop(st);
-                ucudnn::trace::event("serve", "shed", || {
-                    (
-                        id.trace_key(),
-                        json::obj([("reason", json::Value::Str(reason.name().to_string()))]),
-                    )
-                });
-                self.inner.observe_outcome(arrival_us, true);
+                self.inner.shed(id, reason);
                 return Err(reason);
             }
         }
@@ -326,7 +271,7 @@ impl Server {
             id,
             arrival_us,
             input,
-            waiter: make(),
+            waiter: Box::new(cb),
         });
         m.set_queue_depth(st.queue.len() as u64);
         drop(st);
@@ -373,8 +318,7 @@ impl Server {
     /// verb and written by `--metrics-dump`: the serving instruments, the
     /// runner's core-library registry (optimizer/cache/fault series, when
     /// the runner has one — no hand-copied keys), the combined
-    /// `telemetry_dropped` self-metric, an `# ALERT` section with the burn
-    /// state, and the `# EOF` terminator.
+    /// `telemetry_dropped` self-metric, and the `# EOF` terminator.
     pub fn exposition(&self) -> String {
         let serve_reg = self.inner.metrics.registry();
         let mut out = String::new();
@@ -385,21 +329,6 @@ impl Server {
             dropped += core_reg.dropped();
         }
         Registry::expose_dropped_into(&mut out, dropped);
-        {
-            let b = self.inner.burn.lock().unwrap();
-            let (fast, slow) = b.burn_rates();
-            let cfg = b.config();
-            out.push_str(&format!(
-                "# ALERT slo_burn active={} fired={} fast={} slow={} budget={} fast_window_us={} slow_window_us={}\n",
-                u8::from(b.active()),
-                b.alerts_fired(),
-                json::num(fast).to_json(),
-                json::num(slow).to_json(),
-                json::num(cfg.budget).to_json(),
-                json::num(cfg.fast_us).to_json(),
-                json::num(cfg.slow_us).to_json(),
-            ));
-        }
         out.push_str("# EOF\n");
         out
     }
@@ -438,25 +367,19 @@ fn worker_loop(inner: &Inner, worker: usize) {
         }
         let sched = &inner.sched;
         let now = inner.now_us();
-        let arrivals: Vec<f64> = st.queue.iter().map(|p| p.arrival_us).collect();
-        match sched.decide(now, &arrivals, None) {
+        let queued = st.queue.len();
+        let oldest = st.queue[0].arrival_us;
+        match sched.decide(now, oldest, queued, None) {
             Action::Fire(decision) => {
                 // The live server has no arrival oracle, so the coalescing
                 // window is a bounded condvar wait: if more slack remains
                 // than the next-larger plan needs, sleep a sliver of it and
-                // re-decide; a timeout means no one came — fire what we
-                // have.
+                // re-decide at the new instant, whether new work, a drain
+                // or the timeout woke us.
                 if !st.draining && decision.batch < sched.max_batch() {
-                    if let Some(wait_us) = coalesce_wait_us(sched, now, &arrivals) {
+                    if let Some(wait_us) = coalesce_wait_us(sched, now, oldest, queued, &decision) {
                         let dur = Duration::from_nanos((wait_us * 1e3) as u64);
-                        let (guard, timeout) = inner.cv.wait_timeout(st, dur).unwrap();
-                        st = guard;
-                        if !timeout.timed_out() || st.queue.len() > arrivals.len() {
-                            continue; // new work or drain: re-decide
-                        }
-                        // Timed out with the same queue: fall through and
-                        // fire the decision we already validated — but the
-                        // clock moved, so re-plan at the new instant.
+                        st = inner.cv.wait_timeout(st, dur).unwrap().0;
                         continue;
                     }
                 }
@@ -468,25 +391,12 @@ fn worker_loop(inner: &Inner, worker: usize) {
                 st = inner.state.lock().unwrap();
             }
             Action::ShedOldest => {
-                // The queue can only have shrunk if another worker raced us
-                // between the snapshot and here; nothing to shed then.
-                let Some(p) = st.queue.pop_front() else {
-                    continue;
-                };
+                // `decide` ran under this lock, so the oldest is still queued.
+                let p = st.queue.pop_front().expect("decide saw a non-empty queue");
                 inner.metrics.set_queue_depth(st.queue.len() as u64);
-                inner.metrics.shed(ShedReason::DeadlineInfeasible);
                 inner.metrics.degradations.inc();
-                ucudnn::trace::event("serve", "shed", || {
-                    (
-                        p.id.trace_key(),
-                        json::obj([(
-                            "reason",
-                            json::Value::Str(ShedReason::DeadlineInfeasible.name().to_string()),
-                        )]),
-                    )
-                });
-                inner.observe_outcome(now, true);
-                p.waiter.resolve(Err(ShedReason::DeadlineInfeasible));
+                inner.shed(p.id, ShedReason::DeadlineInfeasible);
+                (p.waiter)(Err(ShedReason::DeadlineInfeasible));
             }
             Action::WaitUntil(_) => unreachable!("no arrival oracle was given"),
         }
@@ -494,12 +404,17 @@ fn worker_loop(inner: &Inner, worker: usize) {
 }
 
 /// How long a worker may wait for coalescing company, or `None` to fire
-/// immediately: the next-larger plan must beat the current one, still fit
-/// the oldest deadline with room for its own execution, and the oldest
-/// request must still be inside its bounded batching window.
-fn coalesce_wait_us(sched: &Scheduler, now: f64, arrivals: &[f64]) -> Option<f64> {
-    let q = arrivals.len();
-    let oldest = arrivals[0];
+/// immediately: the plan for one more request must beat `cur` (the plan
+/// `decide` returned for the `queued` requests), still fit the oldest
+/// deadline with room for its own execution, and the oldest request must
+/// still be inside its bounded batching window.
+fn coalesce_wait_us(
+    sched: &Scheduler,
+    now: f64,
+    oldest: f64,
+    queued: usize,
+    cur: &SloDecision,
+) -> Option<f64> {
     // The batching window caps how long the oldest request is held overall,
     // so firing always happens with nearly the full SLO budget left.
     let window_left = oldest + MAX_COALESCE_WAIT_US - now;
@@ -507,8 +422,7 @@ fn coalesce_wait_us(sched: &Scheduler, now: f64, arrivals: &[f64]) -> Option<f64
         return None;
     }
     let deadline = oldest + sched.slo_us();
-    let cur = ucudnn::plan_batch(sched.table(), q, sched.max_batch(), deadline - now)?;
-    let bigger = ucudnn::plan_batch(sched.table(), q + 1, sched.max_batch(), deadline - now)?;
+    let bigger = ucudnn::plan_batch(sched.table(), queued + 1, sched.max_batch(), deadline - now)?;
     if bigger.throughput <= cur.throughput {
         return None;
     }
@@ -584,12 +498,10 @@ fn execute_batch(inner: &Inner, worker: usize, micros: &[usize], batch: Vec<Pend
                 let slo_us = inner.sched.slo_us();
                 for (i, p) in chunk.into_iter().enumerate() {
                     let latency_us = done - p.arrival_us;
-                    inner.metrics.complete_for(latency_us, p.id.0);
-                    let violated = latency_us > slo_us;
-                    if violated {
+                    inner.metrics.complete(latency_us);
+                    if latency_us > slo_us {
                         inner.metrics.violations.inc();
                     }
-                    inner.observe_outcome(done, violated);
                     ucudnn::trace::event("serve", "complete", || {
                         (
                             p.id.trace_key(),
@@ -605,7 +517,7 @@ fn execute_batch(inner: &Inner, worker: usize, micros: &[usize], batch: Vec<Pend
                         latency_us,
                         batch: m,
                     };
-                    p.waiter.resolve(Ok(response));
+                    (p.waiter)(Ok(response));
                 }
             }
             Err(err) => {
@@ -621,20 +533,9 @@ fn execute_batch(inner: &Inner, worker: usize, micros: &[usize], batch: Vec<Pend
                         ]),
                     )
                 });
-                let now = inner.now_us();
                 for p in chunk {
-                    inner.metrics.shed(ShedReason::ExecFailed);
-                    ucudnn::trace::event("serve", "shed", || {
-                        (
-                            p.id.trace_key(),
-                            json::obj([(
-                                "reason",
-                                json::Value::Str(ShedReason::ExecFailed.name().to_string()),
-                            )]),
-                        )
-                    });
-                    inner.observe_outcome(now, true);
-                    p.waiter.resolve(Err(ShedReason::ExecFailed));
+                    inner.shed(p.id, ShedReason::ExecFailed);
+                    (p.waiter)(Err(ShedReason::ExecFailed));
                 }
             }
         }

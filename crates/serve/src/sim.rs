@@ -227,8 +227,9 @@ impl Core {
 
     /// Worker `w` decides at `now`: fire, wait or shed.
     fn decide(&mut self, w: usize, now: f64, next_arrival: Option<f64>) {
-        let times: Vec<f64> = self.queue.iter().map(|&(_, at)| at).collect();
-        match self.sched.decide(now, &times, next_arrival) {
+        let &(_, oldest) = self.queue.front().expect("non-empty queue");
+        let queued = self.queue.len();
+        match self.sched.decide(now, oldest, queued, next_arrival) {
             Action::Fire(d) => {
                 let finish = now + d.exec_us;
                 self.free_at[w] = finish;

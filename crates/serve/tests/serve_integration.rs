@@ -72,14 +72,33 @@ fn concurrent_submitters_all_complete_with_correct_outputs() {
     assert_eq!(metrics.completed.get(), n_req as u64);
     assert_eq!(metrics.shed_total(), 0);
     assert!(metrics.batches.get() >= 1);
-    // A STATS scrape leaves the JSON snapshot's latency window alone.
+    // A STATS scrape leaves the JSON snapshot's latency summary alone.
     server.exposition();
     let json = ucudnn::json::Value::parse(&server.metrics_json()).unwrap();
-    let window = json.get("latency_window_us").unwrap();
-    assert_eq!(window.get("count").unwrap().as_u64(), Some(n_req as u64));
+    let latency = json.get("latency_us").unwrap();
+    assert_eq!(latency.get("count").unwrap().as_u64(), Some(n_req as u64));
     // The shared plan cache saw every batch size the scheduler fired.
     let stats = runner.provider().inner().exec_cache_stats();
     assert!(stats.hits > 0, "plan cache must be reused across requests");
+    server.drain();
+}
+
+#[test]
+fn metrics_json_is_a_pure_read() {
+    let runner = Arc::new(RealModelRunner::new(CudnnHandle::real_cpu(), 9, 4));
+    let server = Server::start(runner.clone(), &opts());
+    let len = runner.sample_len();
+    let tickets: Vec<_> = (0..6)
+        .map(|i| server.submit(sample(i, len)).expect("admitted"))
+        .collect();
+    for t in tickets {
+        t.wait().expect("completed");
+    }
+    // Reading the snapshot changes nothing: the next read sees the same
+    // bytes.
+    let first = server.metrics_json();
+    assert!(first.contains("\"completed\":6"), "{first}");
+    assert_eq!(server.metrics_json(), first);
     server.drain();
 }
 
