@@ -126,7 +126,7 @@ fn tracing_overhead(key: &KernelKey) {
         start.elapsed().as_secs_f64() * 1e6 / f64::from(reps)
     };
     let disabled_us = run();
-    let session = ucudnn::trace::session(ucudnn::TraceConfig::default());
+    let session = ucudnn::trace::session(ucudnn::ClockMode::Wall);
     let enabled_us = run();
     let trace = session.finish();
     println!(

@@ -37,8 +37,8 @@
 use std::sync::Arc;
 use ucudnn::json::{num, obj, Value};
 use ucudnn::{
-    forward_latency_table, BatchSizePolicy, BenchCache, IngressOptions, KernelKey, ServeOptions,
-    TraceConfig,
+    forward_latency_table, BatchSizePolicy, BenchCache, ClockMode, IngressOptions, KernelKey,
+    ServeOptions,
 };
 use ucudnn_cudnn_sim::{ConvOp, CudnnHandle};
 use ucudnn_gpu_model::p100_sxm2;
@@ -296,10 +296,7 @@ fn telemetry_smoke(metrics_dump: Option<&str>) {
     const REQUESTS: usize = 12;
     let dir = ucudnn_bench::results_dir();
     let trace_path = dir.join("serve_trace.jsonl");
-    let session = ucudnn::trace::session(TraceConfig {
-        path: Some(trace_path.clone()),
-        ..TraceConfig::default()
-    });
+    let session = ucudnn::trace::session(ClockMode::Wall);
 
     let runner = Arc::new(RealModelRunner::new(CudnnHandle::real_cpu(), 5, 4));
     let opts = ServeOptions {
@@ -375,6 +372,7 @@ fn telemetry_smoke(metrics_dump: Option<&str>) {
     tcp.stop();
     server.drain();
     let trace = session.finish();
+    std::fs::write(&trace_path, trace.to_jsonl()).expect("cannot write trace");
     let timeline = ucudnn_bench::report::request_timeline(&trace, 0)
         .expect("request 0 must have a timeline in the trace");
     assert!(

@@ -19,7 +19,7 @@
 
 use std::process::ExitCode;
 use ucudnn::json::Value;
-use ucudnn::{Trace, TraceConfig, UcudnnHandle, UcudnnOptions};
+use ucudnn::{ClockMode, Trace, UcudnnHandle, UcudnnOptions};
 use ucudnn_bench::report::TraceReport;
 use ucudnn_bench::{results_dir, MIB};
 use ucudnn_cudnn_sim::CudnnHandle;
@@ -126,12 +126,11 @@ fn traced_workload() -> Result<(), String> {
 fn demo() -> Result<(), String> {
     let dir = results_dir();
     let jsonl_path = dir.join("demo_trace.jsonl");
-    let session = ucudnn::trace::session(TraceConfig {
-        path: Some(jsonl_path.clone()),
-        ..TraceConfig::default()
-    });
+    let session = ucudnn::trace::session(ClockMode::Wall);
     let workload = traced_workload();
     let trace = session.finish();
+    std::fs::write(&jsonl_path, trace.to_jsonl())
+        .map_err(|e| format!("cannot write trace: {e}"))?;
     workload?;
 
     // The trace file must re-parse...

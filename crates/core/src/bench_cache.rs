@@ -106,8 +106,6 @@ pub struct CacheStats {
     /// lookup's budget and never ran, summed over benchmark runs. Not a
     /// degradation: no plan within the budget could use them.
     pub bench_points_over_budget: u64,
-    /// Whole-key benchmark re-runs taken to ride out transient faults.
-    pub bench_retries: u64,
     /// Rows accepted from the file DB at load time.
     pub db_rows_loaded: u64,
     /// Rows (or whole files counted as one) rejected at load time:
@@ -222,8 +220,7 @@ struct Slot {
     state: Mutex<SlotState>,
     ready: Condvar,
     /// How many times this key's benchmark actually ran: once per budget
-    /// widening (0 for entries loaded from the file DB; more only after
-    /// transient-fault retries).
+    /// widening (0 for entries loaded from the file DB).
     runs: AtomicU64,
 }
 
@@ -254,7 +251,6 @@ pub struct BenchCache {
     single_flight_waits: AtomicU64,
     bench_points_dropped: AtomicU64,
     bench_points_over_budget: AtomicU64,
-    bench_retries: AtomicU64,
     db_rows_loaded: AtomicU64,
     db_rows_quarantined: AtomicU64,
 }
@@ -272,7 +268,6 @@ impl BenchCache {
             single_flight_waits: AtomicU64::new(0),
             bench_points_dropped: AtomicU64::new(0),
             bench_points_over_budget: AtomicU64::new(0),
-            bench_retries: AtomicU64::new(0),
             db_rows_loaded: AtomicU64::new(0),
             db_rows_quarantined: AtomicU64::new(0),
         }
@@ -340,7 +335,6 @@ impl BenchCache {
             single_flight_waits: self.single_flight_waits.load(Ordering::Relaxed),
             bench_points_dropped: self.bench_points_dropped.load(Ordering::Relaxed),
             bench_points_over_budget: self.bench_points_over_budget.load(Ordering::Relaxed),
-            bench_retries: self.bench_retries.load(Ordering::Relaxed),
             db_rows_loaded: self.db_rows_loaded.load(Ordering::Relaxed),
             db_rows_quarantined: self.db_rows_quarantined.load(Ordering::Relaxed),
         }
@@ -362,10 +356,7 @@ impl BenchCache {
     ///
     /// Safe to call from many threads at once: per-key single-flight
     /// arbitration ensures no algorithm is benchmarked twice, and
-    /// benchmarks for distinct keys proceed in parallel. Transient faults
-    /// are retried here, up to the handle's
-    /// [`CudnnHandle::fault_retry_budget`] extra attempts (counted in
-    /// [`CacheStats::bench_retries`]).
+    /// benchmarks for distinct keys proceed in parallel.
     ///
     /// # Errors
     /// The substrate's refusal of the kernel, or — when every algorithm
@@ -411,8 +402,10 @@ impl BenchCache {
     }
 
     /// Benchmark, as the key's leader, the algorithms up to `budget` that
-    /// the slot is not measured up to yet, then publish them and wake the
-    /// waiters.
+    /// the slot is not measured up to yet with one `Find`, count its failed
+    /// rows into [`CacheStats::bench_points_dropped`] and its over-budget
+    /// rows into [`CacheStats::bench_points_over_budget`], then publish them
+    /// and wake the waiters.
     fn lead(
         &self,
         handle: &CudnnHandle,
@@ -426,7 +419,14 @@ impl BenchCache {
         let window = st.unmeasured_from()..=budget;
         drop(st);
         let lead = Lead(slot);
-        let run = self.run_with_retries(handle, kernel, slot, window);
+        let run = run_benchmark(handle, kernel, window);
+        slot.runs.fetch_add(1, Ordering::Relaxed);
+        if let Ok(run) = &run {
+            self.bench_points_dropped
+                .fetch_add(run.failed_bytes.len() as u64, Ordering::Relaxed);
+            self.bench_points_over_budget
+                .fetch_add(run.over_budget, Ordering::Relaxed);
+        }
         let mut st = slot.state.lock();
         st.merge(run, budget);
         let outcome = st.within(budget);
@@ -447,39 +447,6 @@ impl BenchCache {
             )
         });
         outcome
-    }
-
-    /// Run one benchmark window, riding out transient faults within the
-    /// handle's retry budget and counting the final run's failed rows into
-    /// [`CacheStats::bench_points_dropped`] and its over-budget rows into
-    /// [`CacheStats::bench_points_over_budget`]. Over-budget rows are not
-    /// failures and never trigger a retry.
-    fn run_with_retries(
-        &self,
-        handle: &CudnnHandle,
-        kernel: &KernelKey,
-        slot: &Slot,
-        window: RangeInclusive<usize>,
-    ) -> Result<FindRun, CudnnError> {
-        let retries = handle.fault_retry_budget();
-        let mut attempt = 0u32;
-        let result = loop {
-            let res = run_benchmark(handle, kernel, window.clone());
-            slot.runs.fetch_add(1, Ordering::Relaxed);
-            let clean = matches!(&res, Ok(run) if run.failed_bytes.is_empty());
-            if clean || attempt >= retries {
-                break res;
-            }
-            attempt += 1;
-            self.bench_retries.fetch_add(1, Ordering::Relaxed);
-        };
-        if let Ok(run) = &result {
-            self.bench_points_dropped
-                .fetch_add(run.failed_bytes.len() as u64, Ordering::Relaxed);
-            self.bench_points_over_budget
-                .fetch_add(run.over_budget, Ordering::Relaxed);
-        }
-        result
     }
 
     /// Find or create the slot for `key`.
@@ -1080,24 +1047,6 @@ mod tests {
     }
 
     #[test]
-    fn transient_bench_fault_recovers_within_retry_budget() {
-        use ucudnn_cudnn_sim::{FaultPlan, FaultTarget};
-        let clean = CudnnHandle::simulated(p100_sxm2());
-        let want = BenchCache::new().get_or_bench(&clean, &key(8));
-        let h = CudnnHandle::simulated(p100_sxm2()).with_faults(FaultPlan {
-            targets: vec![FaultTarget::any()],
-            transient_tries: 1,
-            ..FaultPlan::default()
-        });
-        let c = BenchCache::new();
-        let got = c.try_get_or_bench(&h, &key(8), usize::MAX).unwrap();
-        assert_eq!(got, want, "the retried benchmark is a clean measurement");
-        let stats = c.stats();
-        assert_eq!(stats.bench_retries, 1);
-        assert_eq!(stats.bench_points_dropped, 0, "the retry wiped the drops");
-    }
-
-    #[test]
     fn one_benchmark_serves_every_smaller_budget() {
         let h = CudnnHandle::simulated(p100_sxm2());
         let c = BenchCache::new();
@@ -1142,12 +1091,11 @@ mod tests {
     #[test]
     fn over_budget_points_are_neither_failures_nor_retried() {
         use ucudnn_cudnn_sim::FaultPlan;
-        // Transient faults on every algorithm that needs a workspace: a
-        // zero-budget lookup never attempts them, so nothing fails, nothing
-        // is retried and nothing is dropped.
+        // Faults on every algorithm that needs a workspace: a zero-budget
+        // lookup never attempts them, so nothing fails and nothing is
+        // dropped.
         let h = CudnnHandle::simulated(p100_sxm2()).with_faults(FaultPlan {
             targets: targets_needing_workspace(true),
-            transient_tries: 1,
             ..FaultPlan::default()
         });
         let c = BenchCache::new();
@@ -1156,7 +1104,6 @@ mod tests {
         let stats = c.stats();
         assert!(stats.bench_points_over_budget > 0);
         assert_eq!(stats.bench_points_dropped, 0);
-        assert_eq!(stats.bench_retries, 0);
         assert_eq!(h.faults_injected(), 0);
     }
 

@@ -31,8 +31,8 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::time::Instant;
 use ucudnn_cudnn_sim::{
-    check_geometry, ConvAlgo, ConvOp, ConvolutionDescriptor, CudnnError, CudnnHandle,
-    FilterDescriptor, TensorDescriptor,
+    check_geometry, ConvAlgo, ConvOp, ConvolutionDescriptor, CudnnHandle, FilterDescriptor,
+    TensorDescriptor,
 };
 use ucudnn_tensor::ConvGeometry;
 
@@ -110,9 +110,6 @@ struct State {
     arenas: HashMap<KernelKey, Vec<f32>>,
     /// WD: the single divided workspace.
     wd_arena: Vec<f32>,
-    /// Wall time spent optimizing (benchmarks + DP + ILP), microseconds:
-    /// each WR installation and each WD run adds its own interval, once.
-    opt_wall_us: f64,
 }
 
 /// The transparent μ-cuDNN handle.
@@ -287,7 +284,8 @@ impl UcudnnHandle {
         }
         st.pending.clear();
         st.wd_plan = Some(plan);
-        st.opt_wall_us += start.elapsed().as_secs_f64() * 1e6;
+        self.metrics
+            .add_total_us(start.elapsed().as_secs_f64() * 1e6);
         Ok(())
     }
 
@@ -322,7 +320,8 @@ impl UcudnnHandle {
                 },
             );
         }
-        st.opt_wall_us += start.elapsed().as_secs_f64() * 1e6;
+        self.metrics
+            .add_total_us(start.elapsed().as_secs_f64() * 1e6);
         Ok(())
     }
 
@@ -375,27 +374,6 @@ impl UcudnnHandle {
             self.metrics.degradation();
             shrink_rungs.push(format!("shrink_reoptimize:{}", bytes - 1));
             r = self.optimize_wr(key, bytes - 1)?;
-        }
-    }
-
-    /// Run a substrate call, retrying transient injected execution faults
-    /// up to the handle's retry budget. Non-execution errors (and faults
-    /// that persist past the budget) propagate.
-    fn with_exec_retries(
-        &self,
-        mut call: impl FnMut() -> ucudnn_cudnn_sim::Result<()>,
-    ) -> Result<(), UcudnnError> {
-        let budget = self.inner.fault_retry_budget();
-        let mut attempt = 0u32;
-        loop {
-            match call() {
-                Ok(()) => return Ok(()),
-                Err(CudnnError::ExecutionFailed(_)) if attempt < budget => {
-                    attempt += 1;
-                    self.metrics.add_exec_retries(1);
-                }
-                Err(e) => return Err(e.into()),
-            }
         }
     }
 
@@ -514,19 +492,17 @@ impl UcudnnHandle {
                 beta
             };
             let _micro = micro_span(&key, i, m);
-            self.with_exec_retries(|| {
-                self.inner.convolution(
-                    op,
-                    &micro_g,
-                    m.algo,
-                    sub(a, &rows, a_len),
-                    sub(b, &rows, b_len),
-                    sub_mut(out, &rows, out_len),
-                    alpha,
-                    micro_beta,
-                    ws,
-                )
-            })?;
+            self.inner.convolution(
+                op,
+                &micro_g,
+                m.algo,
+                sub(a, &rows, a_len),
+                sub(b, &rows, b_len),
+                sub_mut(out, &rows, out_len),
+                alpha,
+                micro_beta,
+                ws,
+            )?;
             lo = rows.end;
         }
         debug_assert_eq!(lo, g.input.n, "configuration must tile the mini-batch");
@@ -625,9 +601,10 @@ impl UcudnnHandle {
         4 * (st.wd_arena.len() + st.arenas.values().map(Vec::len).sum::<usize>())
     }
 
-    /// Wall time spent in optimization (benchmarks + DP + ILP).
+    /// Wall time spent in optimization (benchmarks + DP + ILP), as
+    /// recorded in [`Self::metrics`].
     pub fn optimization_wall_us(&self) -> f64 {
-        self.state.lock().opt_wall_us
+        self.metrics.total_wall_us()
     }
 
     /// The WD plan, once computed.
@@ -650,8 +627,6 @@ impl UcudnnHandle {
     /// ([`crate::telemetry::Registry::expose`]) or compose it into a larger
     /// exposition (the serving stack embeds it under its `STATS` verb).
     pub fn telemetry(&self) -> crate::telemetry::Registry {
-        self.metrics
-            .set_total_us(self.state.lock().opt_wall_us as u64);
         self.metrics.sync_cache(
             &self.cache.stats(),
             &self.inner.exec_cache_stats(),
@@ -663,11 +638,9 @@ impl UcudnnHandle {
     /// Full metrics report as JSON: per-phase timings, thread and kernel
     /// counts, cache traffic, per-kernel benchmark counts (aggregated over
     /// micro-batch sizes), execution-plan cache counters, and the
-    /// robustness ledger (degradations, injected faults, retries, DB
-    /// quarantine counts).
+    /// robustness ledger (degradations, injected faults, DB quarantine
+    /// counts).
     pub fn metrics_json(&self) -> String {
-        self.metrics
-            .set_total_us(self.state.lock().opt_wall_us as u64);
         self.metrics.to_json(
             self.cache.stats(),
             &self.cache.benchmark_counts_by_kernel(),
@@ -736,6 +709,7 @@ fn sub_mut<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ucudnn_cudnn_sim::CudnnError;
     use ucudnn_gpu_model::p100_sxm2;
     use ucudnn_tensor::{FilterShape, Shape4};
 

@@ -67,11 +67,6 @@ impl KernelKey {
         }
     }
 
-    /// The geometry at a micro-batch size.
-    pub fn micro_geometry(&self, micro_batch: usize) -> ConvGeometry {
-        self.geometry().with_batch(micro_batch)
-    }
-
     /// The same kernel at a micro-batch size: the key its benchmarks are
     /// cached under.
     pub fn with_batch(&self, micro_batch: usize) -> Self {
@@ -117,7 +112,7 @@ mod tests {
         let k = KernelKey::new(ConvOp::Forward, &g());
         assert_eq!(k.geometry(), g());
         assert_eq!(k.batch(), 256);
-        assert_eq!(k.micro_geometry(32).batch(), 32);
+        assert_eq!(k.with_batch(32).geometry().batch(), 32);
     }
 
     #[test]

@@ -68,15 +68,11 @@ pub use error::UcudnnError;
 pub use handle::{OptimizerMode, Plan, UcudnnHandle, UcudnnOptions, VIRTUAL_ALGO};
 pub use kernel::KernelKey;
 pub use metrics::{OptimizerMetrics, Phase, PhaseTimings};
-pub use pareto::{
-    desirable_set, desirable_set_metered, desirable_set_traced, pareto_front, DesirableStats,
-};
+pub use pareto::{desirable_set, desirable_set_traced, pareto_front, DesirableStats};
 pub use policy::BatchSizePolicy;
 pub use slo::{forward_latency_table, plan_batch, SloDecision};
 pub use telemetry::{Counter, CounterVec, Gauge, Histogram, Registry};
-pub use trace::{
-    ClockMode, PlanProvenance, Trace, TraceConfig, TraceEvent, TraceFormat, TraceSession,
-};
+pub use trace::{ClockMode, PlanProvenance, Trace, TraceEvent, TraceSession};
 pub use wd::{
     optimize_wd, optimize_wd_weighted, optimize_wd_weighted_parallel, WdAssignment, WdPlan,
 };

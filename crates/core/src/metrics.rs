@@ -16,9 +16,9 @@
 //! [`OptimizerMetrics::sync_cache`] at export time.
 //!
 //! Phase times are *aggregated over threads*, so with N workers the
-//! per-phase sums can exceed the end-to-end wall clock; `total_wall` is
-//! recorded once by the orchestrator and is the actual elapsed time. The
-//! ratio between the two is the parallel speedup.
+//! per-phase sums can exceed the end-to-end wall clock; `total_wall` is the
+//! actual elapsed time, to which each WR installation and each WD solve adds
+//! its own interval once. The ratio between the two is the parallel speedup.
 
 use crate::bench_cache::CacheStats;
 use crate::json::{self, Value};
@@ -68,14 +68,12 @@ pub struct OptimizerMetrics {
     threads: Gauge,
     kernels: Counter,
     degradations: Counter,
-    exec_retries: Counter,
     // Mirrors of externally owned tallies, written by `sync_cache`.
     cache_hits: Counter,
     cache_misses: Counter,
     cache_single_flight: Counter,
     cache_points_dropped: Counter,
     cache_points_over_budget: Counter,
-    cache_bench_retries: Counter,
     cache_db_loaded: Counter,
     cache_db_quarantined: Counter,
     exec_cache_hits: Counter,
@@ -123,10 +121,6 @@ impl OptimizerMetrics {
                 "ucudnn_opt_degradations_total",
                 "Graceful-degradation ladder steps taken by the optimizer.",
             ),
-            exec_retries: registry.counter(
-                "ucudnn_exec_retries_total",
-                "Execution-time retries after transient kernel faults.",
-            ),
             cache_hits: registry.counter("ucudnn_cache_hits_total", "Benchmark cache hits."),
             cache_misses: registry.counter(
                 "ucudnn_cache_misses_total",
@@ -143,10 +137,6 @@ impl OptimizerMetrics {
             cache_points_over_budget: registry.counter(
                 "ucudnn_cache_bench_points_over_budget_total",
                 "Benchmark points over the lookup's workspace budget, never run.",
-            ),
-            cache_bench_retries: registry.counter(
-                "ucudnn_cache_bench_retries_total",
-                "Benchmark retries after transient faults.",
             ),
             cache_db_loaded: registry.counter(
                 "ucudnn_cache_db_rows_loaded_total",
@@ -195,8 +185,19 @@ impl OptimizerMetrics {
         counter.add(micros);
     }
 
-    /// Record the end-to-end wall clock of the whole optimization.
-    pub fn set_total_us(&self, micros: u64) {
+    /// Add one optimization's end-to-end wall clock (a WR installation or a
+    /// WD solve) to the total.
+    pub(crate) fn add_total_us(&self, micros: f64) {
+        self.total_wall_us.add(micros);
+    }
+
+    /// End-to-end optimization wall clock recorded so far, microseconds.
+    pub(crate) fn total_wall_us(&self) -> f64 {
+        self.total_wall_us.get()
+    }
+
+    #[cfg(test)]
+    fn set_total_us(&self, micros: u64) {
         self.total_wall_us.set(micros as f64);
     }
 
@@ -232,16 +233,6 @@ impl OptimizerMetrics {
         self.degradations.get()
     }
 
-    /// Count execution-time retries after transient kernel faults.
-    pub fn add_exec_retries(&self, n: u64) {
-        self.exec_retries.add(n);
-    }
-
-    /// Execution retries recorded so far.
-    pub fn exec_retries(&self) -> u64 {
-        self.exec_retries.get()
-    }
-
     /// Snapshot the per-phase timings.
     pub fn timings(&self) -> PhaseTimings {
         PhaseTimings {
@@ -251,23 +242,6 @@ impl OptimizerMetrics {
             ilp_us: self.ilp_us.get(),
             total_us: self.total_wall_us.get() as u64,
         }
-    }
-
-    /// Reset every instrument to zero (for back-to-back measured runs).
-    pub fn reset(&self) {
-        for c in [
-            &self.benchmark_us,
-            &self.dp_us,
-            &self.pareto_us,
-            &self.ilp_us,
-            &self.kernels,
-            &self.degradations,
-            &self.exec_retries,
-        ] {
-            c.set(0);
-        }
-        self.total_wall_us.set(0.0);
-        self.threads.set(0.0);
     }
 
     /// Mirror the externally owned tallies — benchmark cache, execution
@@ -281,7 +255,6 @@ impl OptimizerMetrics {
         self.cache_points_dropped.set(cache.bench_points_dropped);
         self.cache_points_over_budget
             .set(cache.bench_points_over_budget);
-        self.cache_bench_retries.set(cache.bench_retries);
         self.cache_db_loaded.set(cache.db_rows_loaded);
         self.cache_db_quarantined.set(cache.db_rows_quarantined);
         self.exec_cache_hits.set(exec_cache.hits);
@@ -294,7 +267,7 @@ impl OptimizerMetrics {
     /// Render the full metrics report as a JSON document: per-phase
     /// timings, cache traffic, per-kernel benchmark counts, the
     /// execution-plan cache counters, and the robustness ledger
-    /// (degradations, injected faults, retries, and DB quarantine counts).
+    /// (degradations, injected faults, and DB quarantine counts).
     /// `faults_injected` comes from the substrate's fault injector
     /// ([`ucudnn_cudnn_sim::CudnnHandle::faults_injected`]); `exec_cache`
     /// from [`ucudnn_cudnn_sim::CudnnHandle::exec_cache_stats`]. The same
@@ -360,8 +333,6 @@ impl OptimizerMetrics {
                         "bench_points_dropped",
                         json::num(cache.bench_points_dropped as f64),
                     ),
-                    ("bench_retries", json::num(cache.bench_retries as f64)),
-                    ("exec_retries", json::num(self.exec_retries() as f64)),
                     ("db_rows_loaded", json::num(cache.db_rows_loaded as f64)),
                     (
                         "db_rows_quarantined",
@@ -427,14 +398,12 @@ mod tests {
         m.set_threads(4);
         m.add_kernels(9);
         m.degradation();
-        m.add_exec_retries(2);
         let stats = crate::CacheStats {
             hits: 3,
             misses: 2,
             single_flight_waits: 1,
             bench_points_dropped: 4,
             bench_points_over_budget: 5,
-            bench_retries: 1,
             db_rows_loaded: 7,
             db_rows_quarantined: 2,
         };
@@ -503,8 +472,6 @@ mod tests {
         // over budget are not degradations.
         assert_eq!(rob.get("degradations").unwrap().as_u64(), Some(5));
         assert_eq!(rob.get("faults_injected").unwrap().as_u64(), Some(6));
-        assert_eq!(rob.get("bench_retries").unwrap().as_u64(), Some(1));
-        assert_eq!(rob.get("exec_retries").unwrap().as_u64(), Some(2));
         assert_eq!(rob.get("db_rows_loaded").unwrap().as_u64(), Some(7));
         assert_eq!(rob.get("db_rows_quarantined").unwrap().as_u64(), Some(2));
         // The same export mirrored the external tallies into the registry:
@@ -521,21 +488,5 @@ mod tests {
         ] {
             assert!(text.contains(line), "exposition missing {line:?}:\n{text}");
         }
-    }
-
-    #[test]
-    fn reset_zeroes_everything() {
-        let m = OptimizerMetrics::new();
-        m.add(Phase::Ilp, 5);
-        m.set_threads(2);
-        m.add_kernels(3);
-        m.degradation();
-        m.add_exec_retries(4);
-        m.reset();
-        assert_eq!(m.timings(), PhaseTimings::default());
-        assert_eq!(m.threads(), 0);
-        assert_eq!(m.kernels(), 0);
-        assert_eq!(m.degradations(), 0);
-        assert_eq!(m.exec_retries(), 0);
     }
 }

@@ -75,24 +75,7 @@ pub fn desirable_set(
     ws_cap: usize,
     policy: BatchSizePolicy,
 ) -> Vec<Configuration> {
-    desirable_set_metered(handle, cache, kernel, ws_cap, policy, None)
-}
-
-/// [`desirable_set`] with degradations recorded into `metrics`: a
-/// benchmarked size whose `Find` call failed outright contributes no
-/// micro-configurations (its points are dropped — one rung down the
-/// degradation ladder) instead of aborting the construction. When *every*
-/// size fails, the returned set is empty and the WD optimizer substitutes
-/// the undivided zero-workspace fallback.
-pub fn desirable_set_metered(
-    handle: &CudnnHandle,
-    cache: &BenchCache,
-    kernel: &KernelKey,
-    ws_cap: usize,
-    policy: BatchSizePolicy,
-    metrics: Option<&OptimizerMetrics>,
-) -> Vec<Configuration> {
-    desirable_set_traced(handle, cache, kernel, ws_cap, policy, metrics).0
+    desirable_set_traced(handle, cache, kernel, ws_cap, policy, None).0
 }
 
 /// How a desirable set was built — the Pareto half of a WD plan's
@@ -109,8 +92,13 @@ pub struct DesirableStats {
     pub kept: usize,
 }
 
-/// [`desirable_set_metered`], additionally reporting [`DesirableStats`]
-/// for plan provenance.
+/// [`desirable_set`] with phase times and degradations recorded into
+/// `metrics`, additionally reporting [`DesirableStats`] for plan
+/// provenance. A benchmarked size whose `Find` call failed outright
+/// contributes no micro-configurations (its points are dropped — one rung
+/// down the degradation ladder) instead of aborting the construction. When
+/// *every* size fails, the returned set is empty and the WD optimizer
+/// substitutes the undivided zero-workspace fallback.
 pub fn desirable_set_traced(
     handle: &CudnnHandle,
     cache: &BenchCache,
@@ -503,7 +491,7 @@ mod tests {
         let h = CudnnHandle::simulated(p100_sxm2());
         let cache = BenchCache::new();
         let m = OptimizerMetrics::new();
-        desirable_set_metered(
+        desirable_set_traced(
             &h,
             &cache,
             &conv2(64),

@@ -261,6 +261,16 @@ impl Gauge {
         self.series.value.store(v.to_bits(), Ordering::Relaxed);
     }
 
+    /// Add `v` to the gauge.
+    pub(crate) fn add(&self, v: f64) {
+        let _ = self
+            .series
+            .value
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |bits| {
+                Some((f64::from_bits(bits) + v).to_bits())
+            });
+    }
+
     /// Raise the gauge to `v` if above the current value (high-water mark).
     pub fn set_max(&self, v: f64) {
         let _ = self

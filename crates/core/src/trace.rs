@@ -13,8 +13,9 @@
 //! relaxed atomic load, and the key/args builders are closures that only run
 //! when a session is active.
 //!
-//! Sessions are configured in code: build a [`TraceConfig`] and pass it to
-//! [`session`]. The [`ClockMode::Logical`] mode replaces wall-clock
+//! A session takes only its [`ClockMode`]: [`session`] starts it, and
+//! [`TraceSession::finish`] returns the [`Trace`] in memory, for the caller
+//! to render or write. The [`ClockMode::Logical`] mode replaces wall-clock
 //! timestamps with a deterministic logical order at collection time, so a
 //! trace of a deterministic optimization is byte-identical regardless of
 //! thread count or machine speed — the property the determinism tests pin.
@@ -23,19 +24,9 @@ use crate::config::Configuration;
 use crate::json::{self, Value};
 use crate::kernel::KernelKey;
 use parking_lot::Mutex;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
-
-/// Serialization format of a trace file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceFormat {
-    /// One event object per line (`Trace::to_jsonl`), the parseable default.
-    Jsonl,
-    /// Chrome trace-event JSON (`Trace::to_chrome_json`), for Perfetto.
-    Chrome,
-}
 
 /// Timestamp source for collected events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,34 +41,9 @@ pub enum ClockMode {
     Logical,
 }
 
-/// Default shared-buffer capacity, in events.
+/// Shared-buffer capacity of a session, in events; overflow is dropped and
+/// counted in [`Trace::dropped`], never reallocated.
 pub const DEFAULT_CAPACITY: usize = 65536;
-
-/// Configuration of a [`TraceSession`].
-#[derive(Debug, Clone)]
-pub struct TraceConfig {
-    /// File to write at session end; `None` keeps the trace in memory
-    /// only.
-    pub path: Option<PathBuf>,
-    /// Serialization format for `path`.
-    pub format: TraceFormat,
-    /// Timestamp mode.
-    pub clock: ClockMode,
-    /// Shared-buffer capacity in events; overflow is dropped and counted
-    /// in [`Trace::dropped`], never reallocated.
-    pub capacity: usize,
-}
-
-impl Default for TraceConfig {
-    fn default() -> Self {
-        Self {
-            path: None,
-            format: TraceFormat::Jsonl,
-            clock: ClockMode::Wall,
-            capacity: DEFAULT_CAPACITY,
-        }
-    }
-}
 
 /// One collected span or instant event.
 ///
@@ -279,7 +245,6 @@ fn now_us() -> f64 {
 }
 
 struct Collector {
-    capacity: usize,
     events: Mutex<Vec<TraceEvent>>,
     dropped: AtomicU64,
 }
@@ -289,7 +254,7 @@ impl Collector {
     /// counting) whatever exceeds the capacity.
     fn absorb(&self, batch: &mut Vec<TraceEvent>) {
         let mut shared = self.events.lock();
-        let room = self.capacity.saturating_sub(shared.len());
+        let room = DEFAULT_CAPACITY.saturating_sub(shared.len());
         if batch.len() > room {
             self.dropped
                 .fetch_add((batch.len() - room) as u64, Ordering::Relaxed);
@@ -462,22 +427,20 @@ pub(crate) fn plan_event(kernel: &KernelKey, config: &Configuration, prov: &Plan
 
 /// An active trace session (RAII). Created by [`session`]; sessions are
 /// serialized process-wide. Dropping a session without calling
-/// [`TraceSession::finish`] still collects and (if configured) writes the
-/// trace.
+/// [`TraceSession::finish`] stops the collection and discards the trace.
 pub struct TraceSession {
-    config: TraceConfig,
+    clock: ClockMode,
     start_us: f64,
     collector: Arc<Collector>,
     finished: bool,
     _serial: parking_lot::MutexGuard<'static, ()>,
 }
 
-/// Start collecting a trace under `config`. Blocks until any other active
-/// session finishes.
-pub fn session(config: TraceConfig) -> TraceSession {
+/// Start collecting a trace stamped by `clock`. Blocks until any other
+/// active session finishes.
+pub fn session(clock: ClockMode) -> TraceSession {
     let serial = SESSION.lock();
     let collector = Arc::new(Collector {
-        capacity: config.capacity.max(1),
         events: Mutex::new(Vec::new()),
         dropped: AtomicU64::new(0),
     });
@@ -514,7 +477,7 @@ pub fn session(config: TraceConfig) -> TraceSession {
     let start_us = now_us();
     ENABLED.store(true, Ordering::SeqCst);
     TraceSession {
-        config,
+        clock,
         start_us,
         collector,
         finished: false,
@@ -523,8 +486,7 @@ pub fn session(config: TraceConfig) -> TraceSession {
 }
 
 impl TraceSession {
-    /// Stop collecting and return the trace (also written to the configured
-    /// path, best-effort).
+    /// Stop collecting and return the trace.
     pub fn finish(mut self) -> Trace {
         self.close()
     }
@@ -540,7 +502,7 @@ impl TraceSession {
         *COLLECTOR.lock() = None;
         let mut events = std::mem::take(&mut *self.collector.events.lock());
         let dropped = self.collector.dropped.load(Ordering::Relaxed);
-        match self.config.clock {
+        match self.clock {
             ClockMode::Wall => {
                 for e in &mut events {
                     e.ts_us -= self.start_us;
@@ -564,17 +526,7 @@ impl TraceSession {
                 }
             }
         }
-        let trace = Trace { events, dropped };
-        if let Some(path) = &self.config.path {
-            let text = match self.config.format {
-                TraceFormat::Jsonl => trace.to_jsonl(),
-                TraceFormat::Chrome => trace.to_chrome_json(),
-            };
-            // Best-effort: a trace that cannot be written must not fail the
-            // traced computation.
-            let _ = std::fs::write(path, text);
-        }
-        trace
+        Trace { events, dropped }
     }
 }
 
@@ -615,7 +567,7 @@ mod tests {
 
     #[test]
     fn events_and_spans_are_collected() {
-        let s = session(TraceConfig::default());
+        let s = session(ClockMode::Wall);
         event("trace-test", "e", || {
             ("k1".into(), json::obj([("x", json::num(1.0))]))
         });
@@ -636,7 +588,7 @@ mod tests {
 
     #[test]
     fn worker_thread_events_drain_at_thread_exit() {
-        let s = session(TraceConfig::default());
+        let s = session(ClockMode::Wall);
         std::thread::scope(|scope| {
             for i in 0..4 {
                 scope.spawn(move || {
@@ -650,24 +602,18 @@ mod tests {
 
     #[test]
     fn bounded_buffer_drops_and_counts_overflow() {
-        let s = session(TraceConfig {
-            capacity: 10,
-            ..TraceConfig::default()
-        });
-        for i in 0..500 {
+        let s = session(ClockMode::Wall);
+        for i in 0..DEFAULT_CAPACITY + 100 {
             event("trace-test", "flood", || (format!("{i}"), Value::Null));
         }
         let t = s.finish();
-        assert!(t.events.len() <= 10);
-        assert!(t.dropped >= 490, "dropped {}", t.dropped);
+        assert!(t.events.len() <= DEFAULT_CAPACITY);
+        assert!(t.dropped >= 100, "dropped {}", t.dropped);
     }
 
     #[test]
     fn jsonl_round_trips_and_chrome_is_valid_json() {
-        let s = session(TraceConfig {
-            clock: ClockMode::Logical,
-            ..TraceConfig::default()
-        });
+        let s = session(ClockMode::Logical);
         event("trace-test", "r", || {
             (
                 "kernel[x]".into(),
@@ -685,23 +631,6 @@ mod tests {
                 assert!(e.get(k).is_some(), "chrome event missing {k}");
             }
         }
-    }
-
-    #[test]
-    fn session_writes_configured_file() {
-        let dir = std::env::temp_dir().join(format!("ucudnn-trace-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("t.jsonl");
-        let s = session(TraceConfig {
-            path: Some(path.clone()),
-            clock: ClockMode::Logical,
-            ..TraceConfig::default()
-        });
-        event("trace-test", "f", || ("k".into(), Value::Null));
-        let t = s.finish();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(text, t.to_jsonl());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

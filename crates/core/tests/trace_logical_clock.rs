@@ -9,7 +9,7 @@
 
 use ucudnn::json;
 use ucudnn::trace::{event, session};
-use ucudnn::{ClockMode, Trace, TraceConfig, TraceEvent};
+use ucudnn::{ClockMode, Trace, TraceEvent};
 
 fn mine<'t>(t: &'t Trace, name: &str) -> Vec<&'t TraceEvent> {
     t.events
@@ -21,10 +21,7 @@ fn mine<'t>(t: &'t Trace, name: &str) -> Vec<&'t TraceEvent> {
 #[test]
 fn logical_clock_normalizes_order_and_stamps() {
     let run = || {
-        let s = session(TraceConfig {
-            clock: ClockMode::Logical,
-            ..TraceConfig::default()
-        });
+        let s = session(ClockMode::Logical);
         // Emit from several threads in schedule-dependent order.
         std::thread::scope(|scope| {
             for i in 0..4 {

@@ -14,43 +14,23 @@
 //!   above a byte threshold fail with `CUDNN_STATUS_ALLOC_FAILED`.
 //!
 //! Every decision is a pure function of the plan and the call's own key
-//! (site, op, algo, micro-batch, bytes) — never of wall clock, call order
-//! across keys, or thread schedule. That is what keeps the optimizer's
+//! (site, op, algo, micro-batch, bytes) — never of wall clock, call order,
+//! earlier attempts, or thread schedule. That is what keeps the optimizer's
 //! plan-determinism guarantee intact under injected faults: N worker
-//! threads see exactly the same failures as one.
-//!
-//! Transient faults are the one stateful exception, and they are keyed so
-//! the state stays schedule-independent: each distinct fault key carries
-//! its own attempt counter, and the first `transient_tries` attempts fail
-//! before the key succeeds forever after. The benchmark cache single-flights
-//! each key and execution replays are serial, so the counter for a given
-//! key is only ever advanced by one logical caller.
+//! threads see exactly the same failures as one, and a repeated call fails
+//! exactly as the first did.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 use ucudnn_conv::ConvOp;
 use ucudnn_gpu_model::ConvAlgo;
 
-/// Where a fault was (or may be) injected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// Where a fault may be injected by a [`FaultTarget`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultSite {
     /// Algorithm benchmarking (`find_algorithms`).
     Benchmark,
     /// Kernel execution (`convolution_*`).
     Execution,
-    /// Workspace query / allocation.
-    Allocation,
-}
-
-impl core::fmt::Display for FaultSite {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.write_str(match self {
-            FaultSite::Benchmark => "bench",
-            FaultSite::Execution => "exec",
-            FaultSite::Allocation => "alloc",
-        })
-    }
 }
 
 /// One (op, algo, micro-batch) pattern that triggers injected failures.
@@ -87,8 +67,7 @@ impl FaultTarget {
     }
 
     fn matches(&self, site: FaultSite, op: ConvOp, algo: ConvAlgo, micro_batch: usize) -> bool {
-        self.site
-            .map_or(site != FaultSite::Allocation, |s| s == site)
+        self.site.is_none_or(|s| s == site)
             && self.op.is_none_or(|o| o == op)
             && self.algo.is_none_or(|a| a == algo)
             && self.micro_batch.is_none_or(|m| m == micro_batch)
@@ -108,9 +87,6 @@ pub struct FaultPlan {
     /// Probability in `[0, 1]` that any given (site, op, algo, micro-batch)
     /// key fails, decided by hashing the key with [`FaultPlan::seed`].
     pub exec_rate: f64,
-    /// If nonzero, matched faults are transient: each distinct fault key
-    /// fails this many times, then succeeds on every later attempt.
-    pub transient_tries: u32,
 }
 
 impl Default for FaultPlan {
@@ -120,31 +96,14 @@ impl Default for FaultPlan {
             alloc_fail_above: None,
             targets: Vec::new(),
             exec_rate: 0.0,
-            transient_tries: 0,
         }
     }
 }
 
-/// One injected fault, as recorded in the handle's fault log.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FaultRecord {
-    /// Where the fault fired.
-    pub site: FaultSite,
-    /// Human-readable description of the faulted call.
-    pub detail: String,
-}
-
-/// Cap on retained [`FaultRecord`]s; the injected *counter* is unbounded.
-const FAULT_LOG_CAP: usize = 1024;
-
-/// A plan plus the mutable bookkeeping that makes transients and the log
-/// work. Owned by the handle.
+/// A plan plus the counter of faults it injected. Owned by the handle.
 #[derive(Debug)]
 pub(crate) struct FaultInjector {
     plan: FaultPlan,
-    /// Attempt counts per fault key (site, op, algo, micro-batch).
-    attempts: Mutex<HashMap<(FaultSite, u8, u8, usize), u32>>,
-    log: Mutex<Vec<FaultRecord>>,
     injected: AtomicU64,
 }
 
@@ -152,53 +111,23 @@ impl FaultInjector {
     pub(crate) fn new(plan: FaultPlan) -> Self {
         Self {
             plan,
-            attempts: Mutex::new(HashMap::new()),
-            log: Mutex::new(Vec::new()),
             injected: AtomicU64::new(0),
         }
-    }
-
-    pub(crate) fn plan(&self) -> &FaultPlan {
-        &self.plan
     }
 
     pub(crate) fn injected(&self) -> u64 {
         self.injected.load(Ordering::Relaxed)
     }
 
-    pub(crate) fn log(&self) -> Vec<FaultRecord> {
-        self.log.lock().unwrap().clone()
+    /// Count `fail` when it is a fault, and pass it through.
+    fn count(&self, fail: bool) -> bool {
+        if fail {
+            self.injected.fetch_add(1, Ordering::Relaxed);
+        }
+        fail
     }
 
-    fn record(&self, site: FaultSite, detail: String) {
-        self.injected.fetch_add(1, Ordering::Relaxed);
-        let mut log = self.log.lock().unwrap();
-        if log.len() < FAULT_LOG_CAP {
-            log.push(FaultRecord { site, detail });
-        }
-    }
-
-    /// Whether the key matches the plan (ignoring transient state).
-    fn matched(&self, site: FaultSite, op: ConvOp, algo: ConvAlgo, micro_batch: usize) -> bool {
-        if self
-            .plan
-            .targets
-            .iter()
-            .any(|t| t.matches(site, op, algo, micro_batch))
-        {
-            return true;
-        }
-        if self.plan.exec_rate > 0.0 && site != FaultSite::Allocation {
-            // Hash the key, not the call: both sites see the same verdict
-            // for a triple, and repeated calls agree.
-            let h = mix(self.plan.seed ^ key_bits(op, algo, micro_batch));
-            return ((h % 10_000) as f64) < self.plan.exec_rate * 10_000.0;
-        }
-        false
-    }
-
-    /// Decide (and record) whether this attempt of `key` fails. Advances
-    /// the transient attempt counter for matched keys.
+    /// Decide (and count) whether a call with this key fails.
     pub(crate) fn should_fail(
         &self,
         site: FaultSite,
@@ -206,37 +135,29 @@ impl FaultInjector {
         algo: ConvAlgo,
         micro_batch: usize,
     ) -> bool {
-        if !self.matched(site, op, algo, micro_batch) {
-            return false;
-        }
-        if self.plan.transient_tries > 0 {
-            let key = (site, op_id(op), algo.id(), micro_batch);
-            let mut attempts = self.attempts.lock().unwrap();
-            let n = attempts.entry(key).or_insert(0);
-            *n += 1;
-            if *n > self.plan.transient_tries {
-                return false;
-            }
-        }
-        self.record(
-            site,
-            format!("{site}: {op} {algo} micro-batch {micro_batch}"),
-        );
-        true
+        let targeted = self
+            .plan
+            .targets
+            .iter()
+            .any(|t| t.matches(site, op, algo, micro_batch));
+        // Hash the key, not the call: both sites see the same verdict for a
+        // triple, and repeated calls agree.
+        self.count(
+            targeted
+                || (self.plan.exec_rate > 0.0 && {
+                    let h = mix(self.plan.seed ^ key_bits(op, algo, micro_batch));
+                    ((h % 10_000) as f64) < self.plan.exec_rate * 10_000.0
+                }),
+        )
     }
 
-    /// Decide (and record) whether an allocation of `bytes` fails.
+    /// Decide (and count) whether an allocation of `bytes` fails.
     pub(crate) fn should_fail_alloc(&self, bytes: usize) -> bool {
-        match self.plan.alloc_fail_above {
-            Some(limit) if bytes > limit => {
-                self.record(
-                    FaultSite::Allocation,
-                    format!("alloc: {bytes} bytes > threshold {limit}"),
-                );
-                true
-            }
-            _ => false,
-        }
+        self.count(
+            self.plan
+                .alloc_fail_above
+                .is_some_and(|limit| bytes > limit),
+        )
     }
 }
 
@@ -275,8 +196,6 @@ mod tests {
             99
         ));
         assert!(!t.matches(FaultSite::Benchmark, ConvOp::Forward, ConvAlgo::Gemm, 4));
-        // Targets never match the allocation site unless explicitly sited.
-        assert!(!t.matches(FaultSite::Allocation, ConvOp::Forward, ConvAlgo::Fft, 4));
     }
 
     #[test]
@@ -300,24 +219,6 @@ mod tests {
         }
         assert!(!inj.should_fail(FaultSite::Benchmark, ConvOp::Forward, ConvAlgo::Gemm, 8));
         assert_eq!(inj.injected(), 3);
-        assert_eq!(inj.log().len(), 3);
-    }
-
-    #[test]
-    fn transient_faults_succeed_after_budgeted_failures() {
-        let inj = FaultInjector::new(FaultPlan {
-            targets: vec![FaultTarget::algo(ConvAlgo::Fft)],
-            transient_tries: 2,
-            ..FaultPlan::default()
-        });
-        // Each distinct key gets its own budget.
-        for batch in [8usize, 16] {
-            assert!(inj.should_fail(FaultSite::Execution, ConvOp::Forward, ConvAlgo::Fft, batch));
-            assert!(inj.should_fail(FaultSite::Execution, ConvOp::Forward, ConvAlgo::Fft, batch));
-            assert!(!inj.should_fail(FaultSite::Execution, ConvOp::Forward, ConvAlgo::Fft, batch));
-            assert!(!inj.should_fail(FaultSite::Execution, ConvOp::Forward, ConvAlgo::Fft, batch));
-        }
-        assert_eq!(inj.injected(), 4);
     }
 
     #[test]
@@ -354,18 +255,5 @@ mod tests {
             ..plan_a.clone()
         });
         assert_ne!(a1, b, "different seeds must change the schedule");
-    }
-
-    #[test]
-    fn log_is_capped_but_counter_is_not() {
-        let inj = FaultInjector::new(FaultPlan {
-            targets: vec![FaultTarget::any()],
-            ..FaultPlan::default()
-        });
-        for b in 0..(FAULT_LOG_CAP + 10) {
-            inj.should_fail(FaultSite::Execution, ConvOp::Forward, ConvAlgo::Gemm, b);
-        }
-        assert_eq!(inj.log().len(), FAULT_LOG_CAP);
-        assert_eq!(inj.injected() as usize, FAULT_LOG_CAP + 10);
     }
 }

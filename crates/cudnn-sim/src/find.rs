@@ -445,7 +445,6 @@ mod tests {
                 .unwrap();
             assert!(!pair.contains(&fastest));
             assert!(h.faults_injected() > 0);
-            assert!(!h.fault_log().is_empty());
         }
     }
 

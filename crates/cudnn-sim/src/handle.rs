@@ -1,7 +1,7 @@
 //! The library handle and its execution engines.
 
 use crate::error::{CudnnError, Result};
-use crate::fault::{FaultInjector, FaultPlan, FaultRecord, FaultSite};
+use crate::fault::{FaultInjector, FaultPlan, FaultSite};
 use crate::plan_cache::{ExecCacheStats, PlanCache, DEFAULT_EXEC_CACHE_BYTES};
 use std::sync::atomic::{AtomicU64, Ordering};
 use ucudnn_conv::ConvOp;
@@ -94,17 +94,6 @@ impl CudnnHandle {
         self.faults.as_ref().map_or(0, |f| f.injected())
     }
 
-    /// The recorded fault log (capped; the counter is not).
-    pub fn fault_log(&self) -> Vec<FaultRecord> {
-        self.faults.as_ref().map_or_else(Vec::new, |f| f.log())
-    }
-
-    /// How many retries a caller should budget for transient faults:
-    /// the plan's `transient_tries`, or 0 without a plan.
-    pub fn fault_retry_budget(&self) -> u32 {
-        self.faults.as_ref().map_or(0, |f| f.plan().transient_tries)
-    }
-
     /// Fail if the fault plan rejects an allocation of `bytes`
     /// (`CUDNN_STATUS_ALLOC_FAILED`). The wrapper calls this before every
     /// workspace arena allocation; a plan-less handle always succeeds.
@@ -117,7 +106,7 @@ impl CudnnHandle {
         }
     }
 
-    /// Whether benchmarking `algo` for (`op`, micro-batch) should fail now.
+    /// Whether benchmarking `algo` for (`op`, micro-batch) fails.
     pub(crate) fn fault_bench(&self, op: ConvOp, algo: ConvAlgo, micro_batch: usize) -> bool {
         self.faults
             .as_ref()

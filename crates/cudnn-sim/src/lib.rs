@@ -32,7 +32,7 @@ pub mod plan_cache;
 
 pub use descriptor::{check_geometry, ConvolutionDescriptor, FilterDescriptor, TensorDescriptor};
 pub use error::{CudnnError, Result};
-pub use fault::{FaultPlan, FaultRecord, FaultSite, FaultTarget};
+pub use fault::{FaultPlan, FaultSite, FaultTarget};
 pub use find::{AlgoPerf, AlgoPreference, AlgoStatus};
 pub use handle::{CudnnHandle, Engine};
 pub use map::{cpu_engine_for, supported_on, workspace_bytes_on};

@@ -320,6 +320,28 @@ mod tests {
         }
     }
 
+    /// The metrics hold the optimization wall time from the moment it is
+    /// spent: the phase timings read it right after set-up, before any
+    /// export.
+    #[test]
+    fn set_up_records_its_wall_time_into_the_metrics() {
+        let net = small_net(64);
+        for mode in [OptimizerMode::Wr, OptimizerMode::Wd] {
+            let mu = UcudnnHandle::new(
+                CudnnHandle::simulated(p100_sxm2()),
+                UcudnnOptions {
+                    workspace_limit_bytes: 64 * MIB,
+                    mode,
+                    ..Default::default()
+                },
+            );
+            setup_network(&mu, &net).unwrap();
+            let total_us = mu.metrics().timings().total_us;
+            assert!(total_us > 0, "{mode:?}: no wall time in the metrics");
+            assert_eq!(total_us, mu.optimization_wall_us() as u64, "{mode:?}");
+        }
+    }
+
     #[test]
     fn deterministic_timing() {
         let net = small_net(32);

@@ -11,7 +11,7 @@
 //! * [`server`] — bounded queue, worker pool, per-request tickets, graceful
 //!   drain; execution goes through [`ucudnn_framework::RealExecutor`] over a
 //!   [`ucudnn::UcudnnHandle`], hitting the batch-normalized execution-plan
-//!   cache and the fault-injection/retry machinery;
+//!   cache and the fault injector;
 //! * [`sim`] — the deterministic discrete-event simulator (seeded LCG
 //!   arrivals, virtual clock, one pool of workers) behind the reproducible
 //!   SLO/throughput claims in `BENCH_serve.json`;

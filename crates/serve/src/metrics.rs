@@ -29,8 +29,9 @@ pub struct ServeMetrics {
     pub shed_exec_failed: Counter,
     /// Sheds: refused during drain.
     pub shed_draining: Counter,
-    /// Batches that degraded (faulted, retried, or shed) but left the
-    /// server running — the serving face of the graceful-degradation
+    /// Degradations that left the server running: a micro-batch whose
+    /// execution failed, or a request the scheduler shed as
+    /// deadline-infeasible — the serving face of the graceful-degradation
     /// counter in the optimizer.
     pub degradations: Counter,
     /// Fired batches.

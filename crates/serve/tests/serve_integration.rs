@@ -6,7 +6,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use ucudnn::ServeOptions;
-use ucudnn_cudnn_sim::{CudnnHandle, FaultPlan, FaultSite, FaultTarget};
+use ucudnn_cudnn_sim::CudnnHandle;
 use ucudnn_serve::{BatchRunner, RealModelRunner, ServeMetrics, Server, ShedReason, TcpFrontend};
 
 fn opts() -> ServeOptions {
@@ -122,38 +122,6 @@ fn drain_finishes_queued_work_and_refuses_new_work() {
         Ok(_) => panic!("expected Draining, got an admitted ticket"),
     }
     assert!(server.metrics_json().contains("\"draining\":1"));
-}
-
-#[test]
-fn transient_faults_are_retried_within_budget() {
-    // Every execution-site fault key fails twice, then succeeds; the
-    // wrapper's retry budget equals the plan's transient_tries, so the
-    // serving path must absorb every fault without shedding anything.
-    let handle = CudnnHandle::real_cpu().with_faults(FaultPlan {
-        targets: vec![FaultTarget {
-            site: Some(FaultSite::Execution),
-            ..FaultTarget::any()
-        }],
-        transient_tries: 2,
-        ..FaultPlan::default()
-    });
-    let runner = Arc::new(RealModelRunner::new(handle, 11, 4));
-    let server = Server::start(runner.clone(), &opts());
-    let len = runner.sample_len();
-    let tickets: Vec<_> = (0..10)
-        .map(|i| server.submit(sample(i, len)).expect("admitted"))
-        .collect();
-    for t in tickets {
-        t.wait()
-            .expect("transient faults must be retried to success");
-    }
-    assert!(
-        runner.provider().inner().faults_injected() > 0,
-        "the plan must actually have fired"
-    );
-    let m = server.metrics();
-    assert_eq!(m.shed_total(), 0);
-    server.drain();
 }
 
 /// A runner that permanently fails one micro-batch size — the serving-side

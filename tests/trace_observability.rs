@@ -4,9 +4,7 @@
 
 use std::sync::Mutex;
 use ucudnn::json::Value;
-use ucudnn::{
-    BatchSizePolicy, ClockMode, OptimizerMode, Trace, TraceConfig, UcudnnHandle, UcudnnOptions,
-};
+use ucudnn::{BatchSizePolicy, ClockMode, OptimizerMode, Trace, UcudnnHandle, UcudnnOptions};
 use ucudnn_cudnn_sim::{ConvOp, CudnnHandle, FaultPlan, FaultSite, FaultTarget};
 use ucudnn_framework::{setup_network, LayerSpec, NetworkDef};
 use ucudnn_gpu_model::p100_sxm2;
@@ -54,10 +52,7 @@ fn handle(mode: OptimizerMode, threads: usize, limit: usize) -> UcudnnHandle {
 /// Optimize the small net under a logical-clock session; return the
 /// serialized trace.
 fn traced_setup(mode: OptimizerMode, threads: usize) -> String {
-    let session = ucudnn::trace::session(TraceConfig {
-        clock: ClockMode::Logical,
-        ..TraceConfig::default()
-    });
+    let session = ucudnn::trace::session(ClockMode::Logical);
     let h = handle(mode, threads, 64 * MIB);
     setup_network(&h, &small_net(64)).unwrap();
     session.finish().to_jsonl()
@@ -132,7 +127,7 @@ fn jsonl_schema_is_stable() {
 #[test]
 fn chrome_export_is_valid_trace_event_json() {
     let _g = GATE.lock().unwrap_or_else(|e| e.into_inner());
-    let session = ucudnn::trace::session(TraceConfig::default());
+    let session = ucudnn::trace::session(ClockMode::Wall);
     let h = handle(OptimizerMode::Wr, 2, 64 * MIB);
     setup_network(&h, &small_net(64)).unwrap();
     let trace = session.finish();
@@ -181,8 +176,6 @@ fn metrics_json_golden_schema() {
         "degradations",
         "faults_injected",
         "bench_points_dropped",
-        "bench_retries",
-        "exec_retries",
         "db_rows_loaded",
         "db_rows_quarantined",
     ] {
