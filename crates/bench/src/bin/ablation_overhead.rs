@@ -6,7 +6,9 @@
 //! showing where fine division stops paying (the design constraint the DP
 //! navigates implicitly).
 
-use ucudnn::{optimize_wr_metered, BatchSizePolicy, BenchCache, KernelKey, OptimizerMetrics};
+use ucudnn::{
+    optimize_wr, BatchSizePolicy, BenchCache, KernelKey, OptimizerMode, UcudnnHandle, UcudnnOptions,
+};
 use ucudnn_bench::{print_table, write_csv, MIB};
 use ucudnn_cudnn_sim::{ConvOp, CudnnHandle};
 use ucudnn_gpu_model::p100_sxm2;
@@ -26,53 +28,40 @@ fn main() {
     for overhead_us in [0.0f64, 2.0, 8.0, 32.0, 128.0, 512.0, 2048.0] {
         let mut device = p100_sxm2();
         device.launch_overhead_us = overhead_us;
-        let handle = CudnnHandle::simulated(device);
-        let cache = BenchCache::new();
-        let metrics = OptimizerMetrics::new();
-        let undiv = optimize_wr_metered(
-            &handle,
-            &cache,
-            &key,
-            64 * MIB,
-            BatchSizePolicy::Undivided,
-            false,
-            Some(&metrics),
-        )
-        .unwrap();
-        let all = optimize_wr_metered(
-            &handle,
-            &cache,
-            &key,
-            64 * MIB,
-            BatchSizePolicy::All,
-            false,
-            Some(&metrics),
-        )
-        .unwrap();
-        metrics.add_kernels(2);
-        // Per-kernel counts elided: policy=all benchmarks every micro-batch
-        // size, which would print hundreds of rows here.
-        sample_json = metrics.to_json(
-            cache.stats(),
-            &[],
-            handle.faults_injected(),
-            handle.exec_cache_stats(),
-        );
-        let t = metrics.timings();
+        // One handle per policy, each recording its optimization's phases,
+        // wall time and thread count.
+        let optimize = |policy| {
+            let handle = UcudnnHandle::new(
+                CudnnHandle::simulated(device.clone()),
+                UcudnnOptions {
+                    policy,
+                    workspace_limit_bytes: 64 * MIB,
+                    mode: OptimizerMode::Wr,
+                    ..Default::default()
+                },
+            );
+            handle.optimize_network(&[key]).unwrap();
+            let config = handle.plan(ConvOp::Forward, &g).unwrap().config;
+            (handle, config)
+        };
+        let (_, undiv) = optimize(BatchSizePolicy::Undivided);
+        let (handle, all) = optimize(BatchSizePolicy::All);
+        sample_json = handle.metrics_json();
+        let t = handle.metrics().timings();
         rows.push(vec![
             format!("{overhead_us}"),
-            all.config.micros.len().to_string(),
-            all.config.describe(),
-            format!("{:.3}", all.config.time_us() / 1000.0),
-            format!("{:.2}x", undiv.config.time_us() / all.config.time_us()),
+            all.micros.len().to_string(),
+            all.describe(),
+            format!("{:.3}", all.time_us() / 1000.0),
+            format!("{:.2}x", undiv.time_us() / all.time_us()),
             format!("{}/{}", t.benchmark_us, t.dp_us),
         ]);
         csv.push(vec![
             format!("{overhead_us}"),
-            all.config.micros.len().to_string(),
-            all.config.describe().replace(',', ";"),
-            format!("{}", all.config.time_us()),
-            format!("{}", undiv.config.time_us() / all.config.time_us()),
+            all.micros.len().to_string(),
+            all.describe().replace(',', ";"),
+            format!("{}", all.time_us()),
+            format!("{}", undiv.time_us() / all.time_us()),
         ]);
     }
     print_table(
@@ -96,7 +85,7 @@ fn main() {
     let path = ucudnn_bench::results_dir().join("ablation_overhead_metrics.json");
     std::fs::write(&path, &sample_json).expect("cannot write metrics JSON");
     println!("[json] wrote {}", path.display());
-    println!("\nMetrics JSON (last row):\n{sample_json}");
+    println!("\nMetrics JSON (last row, policy=all):\n{sample_json}");
 
     tracing_overhead(&key);
 }
@@ -112,16 +101,7 @@ fn tracing_overhead(key: &KernelKey) {
         let start = std::time::Instant::now();
         for _ in 0..reps {
             let cache = BenchCache::new();
-            optimize_wr_metered(
-                &handle,
-                &cache,
-                key,
-                64 * MIB,
-                BatchSizePolicy::All,
-                false,
-                None,
-            )
-            .unwrap();
+            optimize_wr(&handle, &cache, key, 64 * MIB, BatchSizePolicy::All, false).unwrap();
         }
         start.elapsed().as_secs_f64() * 1e6 / f64::from(reps)
     };

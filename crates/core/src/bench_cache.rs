@@ -458,31 +458,6 @@ impl BenchCache {
         Arc::clone(shard.write().entry(key).or_default())
     }
 
-    /// Benchmark many (kernel, micro-batch) pairs within `budget`,
-    /// evaluating cache misses on parallel threads (at most one per core)
-    /// — the analogue of μ-cuDNN's multi-GPU parallel micro-benchmark
-    /// evaluation (§III-D). Redundant with looking keys up from worker
-    /// threads, but kept as the warm-up entry point for callers that batch
-    /// their keys up front.
-    pub fn prefetch(
-        &self,
-        handle: &CudnnHandle,
-        kernels: &[KernelKey],
-        budget: usize,
-        parallel: bool,
-    ) {
-        let threads = if parallel {
-            std::thread::available_parallelism().map_or(1, usize::from)
-        } else {
-            1
-        };
-        // A key whose benchmark panics twice is left to the lookup that
-        // needs it.
-        let _ = crate::fanout::fan_out(kernels, threads, |k| {
-            let _ = self.try_get_or_bench(handle, k, budget);
-        });
-    }
-
     /// Per-kernel benchmark-run counts, sorted by kernel label. Under the
     /// single-flight guarantee every count is the number of budgets that
     /// widened the entry — 1 when all lookups share one budget (file-DB
@@ -1124,19 +1099,6 @@ mod tests {
             "the zero budget still admits only failed algorithms"
         );
         assert_eq!(c.stats().bench_points_dropped, failed.len() as u64);
-    }
-
-    #[test]
-    fn prefetch_parallel_matches_serial() {
-        let h = CudnnHandle::simulated(p100_sxm2());
-        let keys: Vec<KernelKey> = [1usize, 2, 4, 8, 16].iter().map(|&n| key(n)).collect();
-        let serial = BenchCache::new();
-        serial.prefetch(&h, &keys, usize::MAX, false);
-        let parallel = BenchCache::new();
-        parallel.prefetch(&h, &keys, usize::MAX, true);
-        for k in &keys {
-            assert_eq!(serial.get_or_bench(&h, k), parallel.get_or_bench(&h, k));
-        }
     }
 
     /// A leader whose benchmark panics must not leave its slot in flight:

@@ -1,6 +1,6 @@
-//! The optimizer's one worker fan-out (DESIGN.md §8): WR installation, WD
-//! desirable sets and benchmark prefetch all map their kernels through
-//! [`fan_out`].
+//! The optimizer's one worker fan-out (DESIGN.md §8): WR installation, WR's
+//! per-size benchmark lookups and WD desirable sets all map their items
+//! through [`fan_out`].
 
 use crate::error::UcudnnError;
 use std::fmt::Display;

@@ -714,8 +714,9 @@ mod tests {
     use ucudnn_tensor::{FilterShape, Shape4};
 
     /// A key whose geometry `ConvGeometry::new` would reject reaches
-    /// neither the prefetch, the DP nor the WD sets: the call returns the
-    /// `BadParam` that `convolution` returns for the same geometry.
+    /// neither the benchmark lookups, the DP nor the WD sets: the call
+    /// returns the `BadParam` that `convolution` returns for the same
+    /// geometry.
     #[test]
     fn optimize_network_rejects_invalid_keys() {
         let g = ConvGeometry::with_square(
@@ -752,5 +753,49 @@ mod tests {
                 assert!(h.memory_report().is_empty(), "{mode:?}: nothing planned");
             }
         }
+    }
+
+    /// A dropped benchmark point is a degradation (DESIGN.md §9) in both
+    /// exports: the metrics JSON and the registry `STATS` serves agree.
+    #[test]
+    fn degradation_exports_agree_when_points_drop() {
+        use crate::json::Value;
+        use ucudnn_cudnn_sim::{FaultPlan, FaultSite, FaultTarget};
+        let faults = FaultPlan {
+            targets: vec![FaultTarget {
+                site: Some(FaultSite::Benchmark),
+                ..FaultTarget::algo(ConvAlgo::Fft)
+            }],
+            ..FaultPlan::default()
+        };
+        // AlexNet conv2 forward, powerOfTwo, 64 MiB, WR.
+        let h = UcudnnHandle::new(
+            CudnnHandle::simulated(p100_sxm2()).with_faults(faults),
+            UcudnnOptions::default(),
+        );
+        let g = ConvGeometry::with_square(
+            Shape4::new(64, 64, 27, 27),
+            FilterShape::new(192, 64, 5, 5),
+            2,
+            1,
+        );
+        h.optimize_network(&[KernelKey::new(ConvOp::Forward, &g)])
+            .unwrap();
+        assert!(h.cache_stats().bench_points_dropped > 0);
+        let json = Value::parse(&h.metrics_json()).unwrap();
+        let reported = json
+            .get("robustness")
+            .and_then(|r| r.get("degradations"))
+            .and_then(Value::as_f64)
+            .unwrap();
+        let exposition = h.telemetry().expose();
+        let exposed = exposition
+            .lines()
+            .find_map(|l| l.strip_prefix("ucudnn_opt_degradations_total "))
+            .and_then(|v| v.parse::<f64>().ok())
+            .unwrap();
+        assert!(reported > 0.0);
+        assert_eq!(reported, exposed, "{exposition}");
+        assert_eq!(h.metrics().degradations() as f64, reported);
     }
 }

@@ -23,6 +23,7 @@
 use crate::bench_cache::CacheStats;
 use crate::json::{self, Value};
 use crate::telemetry::{Counter, Gauge, Registry};
+use std::sync::atomic::{AtomicU64, Ordering};
 use ucudnn_cudnn_sim::ExecCacheStats;
 
 /// The optimizer phases that are individually timed.
@@ -67,6 +68,9 @@ pub struct OptimizerMetrics {
     total_wall_us: Gauge,
     threads: Gauge,
     kernels: Counter,
+    /// Ladder steps the optimizers took themselves; [`Self::degradations`]
+    /// adds the benchmark points the cache dropped.
+    ladder_steps: AtomicU64,
     degradations: Counter,
     // Mirrors of externally owned tallies, written by `sync_cache`.
     cache_hits: Counter,
@@ -117,9 +121,10 @@ impl OptimizerMetrics {
                 "ucudnn_opt_kernels_total",
                 "Kernels whose plans were (re)computed.",
             ),
+            ladder_steps: AtomicU64::new(0),
             degradations: registry.counter(
                 "ucudnn_opt_degradations_total",
-                "Graceful-degradation ladder steps taken by the optimizer.",
+                "Graceful-degradation ladder steps, dropped benchmark points included.",
             ),
             cache_hits: registry.counter("ucudnn_cache_hits_total", "Benchmark cache hits."),
             cache_misses: registry.counter(
@@ -221,16 +226,19 @@ impl OptimizerMetrics {
         self.kernels.get()
     }
 
-    /// Record one graceful degradation: a plan fell down a rung of the
-    /// ladder (dropped benchmark point, undivided fallback, shrunk
-    /// workspace) instead of failing the optimization.
+    /// Record one graceful degradation the optimizer took itself: a plan
+    /// fell down a rung of the ladder (a size whose lookup failed, the
+    /// undivided fallback, a shrunk workspace) instead of failing the
+    /// optimization.
     pub fn degradation(&self) {
-        self.degradations.inc();
+        self.ladder_steps.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Degradations recorded so far.
+    /// Degradations so far, the number both exports report (DESIGN.md §9):
+    /// the optimizer's own ladder steps plus the benchmark points the cache
+    /// dropped (rung 1), as of the last [`Self::sync_cache`].
     pub fn degradations(&self) -> u64 {
-        self.degradations.get()
+        self.ladder_steps.load(Ordering::Relaxed) + self.cache_points_dropped.get()
     }
 
     /// Snapshot the per-phase timings.
@@ -262,6 +270,7 @@ impl OptimizerMetrics {
         self.exec_cache_evictions.set(exec_cache.evictions);
         self.exec_cache_bytes.set(exec_cache.bytes as f64);
         self.faults_injected.set(faults);
+        self.degradations.set(self.degradations());
     }
 
     /// Render the full metrics report as a JSON document: per-phase
@@ -282,11 +291,6 @@ impl OptimizerMetrics {
     ) -> String {
         self.sync_cache(&cache, &exec_cache, faults_injected);
         let t = self.timings();
-        // Degradations observed anywhere: explicit ladder steps recorded by
-        // the optimizers plus benchmark points the cache had to drop. Points
-        // over the lookup's budget are not among them: no plan within the
-        // budget could have used them.
-        let degradations = self.degradations() + cache.bench_points_dropped;
         json::obj([
             (
                 "phases_us",
@@ -327,7 +331,7 @@ impl OptimizerMetrics {
             (
                 "robustness",
                 json::obj([
-                    ("degradations", json::num(degradations as f64)),
+                    ("degradations", json::num(self.degradations() as f64)),
                     ("faults_injected", json::num(faults_injected as f64)),
                     (
                         "bench_points_dropped",
@@ -484,7 +488,7 @@ mod tests {
             "ucudnn_exec_cache_hits_total 12",
             "ucudnn_exec_cache_bytes 2048",
             "ucudnn_faults_injected_total 6",
-            "ucudnn_opt_degradations_total 1",
+            "ucudnn_opt_degradations_total 5",
         ] {
             assert!(text.contains(line), "exposition missing {line:?}:\n{text}");
         }

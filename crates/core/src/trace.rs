@@ -4,8 +4,8 @@
 //! aggregate; this module answers *what happened*: which algorithm each
 //! kernel got and why, which degradation rungs fired, how long each
 //! iteration/layer/micro-batch actually took. Emit sites across the
-//! workspace record [`TraceEvent`]s into thread-local buffers that drain
-//! into one shared bounded buffer; a [`TraceSession`] collects them into a
+//! workspace record [`TraceEvent`]s straight into the active
+//! [`TraceSession`]'s one bounded buffer, which the session returns as a
 //! [`Trace`] renderable as JSONL or Chrome trace-event JSON (loadable in
 //! Perfetto / `chrome://tracing`).
 //!
@@ -25,7 +25,7 @@ use crate::json::{self, Value};
 use crate::kernel::KernelKey;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Timestamp source for collected events.
@@ -41,8 +41,8 @@ pub enum ClockMode {
     Logical,
 }
 
-/// Shared-buffer capacity of a session, in events; overflow is dropped and
-/// counted in [`Trace::dropped`], never reallocated.
+/// Buffer capacity of a session, in events; overflow is dropped and counted
+/// in [`Trace::dropped`], never reallocated.
 pub const DEFAULT_CAPACITY: usize = 65536;
 
 /// One collected span or instant event.
@@ -57,8 +57,8 @@ pub struct TraceEvent {
     /// Wall duration in microseconds; 0 for instant events and in logical
     /// mode.
     pub dur_us: f64,
-    /// Event category (`"plan"`, `"bench"`, `"substrate"`, `"exec"`,
-    /// `"train"`, `"opt"`, …).
+    /// Event category (`"plan"`, `"bench"`, `"exec"`, `"train"`, `"opt"`,
+    /// …).
     pub cat: String,
     /// Event name within the category.
     pub name: String,
@@ -105,7 +105,7 @@ impl TraceEvent {
 pub struct Trace {
     /// The events, ordered by timestamp (wall) or logical rank (logical).
     pub events: Vec<TraceEvent>,
-    /// Events discarded because the shared buffer was full.
+    /// Events discarded because the session's buffer was full.
     pub dropped: u64,
 }
 
@@ -224,14 +224,16 @@ impl PlanProvenance {
 // ---------------------------------------------------------------------------
 // Recording machinery.
 
-/// Events buffered per thread before draining into the shared buffer.
-const FLUSH_CHUNK: usize = 64;
-
 static ENABLED: AtomicBool = AtomicBool::new(false);
 /// Serializes sessions process-wide: only one trace collects at a time.
 static SESSION: Mutex<()> = Mutex::new(());
-static COLLECTOR: Mutex<Option<Arc<Collector>>> = Mutex::new(None);
+/// The active session's buffer; `None` between sessions.
+static COLLECTOR: Mutex<Option<Collector>> = Mutex::new(None);
 static NEXT_TID: AtomicU64 = AtomicU64::new(1);
+
+thread_local! {
+    static TID: u64 = NEXT_TID.fetch_add(1, Ordering::Relaxed);
+}
 
 /// Process-wide monotonic epoch; event timestamps are made session-relative
 /// at collection time.
@@ -244,76 +246,23 @@ fn now_us() -> f64 {
     epoch().elapsed().as_secs_f64() * 1e6
 }
 
+#[derive(Default)]
 struct Collector {
-    events: Mutex<Vec<TraceEvent>>,
-    dropped: AtomicU64,
+    events: Vec<TraceEvent>,
+    dropped: u64,
 }
 
-impl Collector {
-    /// Move a thread-local batch into the shared buffer, dropping (and
-    /// counting) whatever exceeds the capacity.
-    fn absorb(&self, batch: &mut Vec<TraceEvent>) {
-        let mut shared = self.events.lock();
-        let room = DEFAULT_CAPACITY.saturating_sub(shared.len());
-        if batch.len() > room {
-            self.dropped
-                .fetch_add((batch.len() - room) as u64, Ordering::Relaxed);
-            batch.truncate(room);
-        }
-        shared.append(batch);
-    }
-}
-
-/// One thread's recorder. The thread holds it in a thread-local and
-/// [`BUFFERS`] holds it too, so the collector can drain a thread's unflushed
-/// tail itself: a scoped worker's thread-local destructors run after
-/// `thread::scope` has joined it, too late for a session finishing right
-/// after the join.
-type LocalBuf = Arc<Mutex<Vec<TraceEvent>>>;
-
-/// The buffer of every live thread that has recorded, plus those of threads
-/// that exited since the last drain.
-static BUFFERS: Mutex<Vec<LocalBuf>> = Mutex::new(Vec::new());
-
-thread_local! {
-    static LOCAL: LocalBuf = {
-        let buf = LocalBuf::default();
-        BUFFERS.lock().push(Arc::clone(&buf));
-        buf
-    };
-    static TID: u64 = NEXT_TID.fetch_add(1, Ordering::Relaxed);
-}
-
-fn flush_local(buf: &mut Vec<TraceEvent>) {
-    if buf.is_empty() {
-        return;
-    }
-    let collector = COLLECTOR.lock().clone();
-    match collector {
-        Some(c) => c.absorb(buf),
-        None => buf.clear(),
-    }
-}
-
-/// Drain every thread's buffer: into the active collector, or (with none)
-/// discarding stragglers recorded as the previous session closed. Buffers
-/// of exited threads are drained once more and then released.
-fn drain_all() {
-    let mut buffers = BUFFERS.lock();
-    for buf in buffers.iter() {
-        flush_local(&mut buf.lock());
-    }
-    buffers.retain(|b| Arc::strong_count(b) > 1);
-}
-
+/// Append to the active session's buffer, or count the event dropped when
+/// the buffer is full. An event is in the trace once this returns, whatever
+/// thread recorded it and whenever that thread exits.
 fn record(event: TraceEvent) {
-    LOCAL.with(|l| {
-        let mut l = l.lock();
-        l.push(event);
-        if l.len() >= FLUSH_CHUNK {
-            flush_local(&mut l);
+    if let Some(c) = COLLECTOR.lock().as_mut() {
+        if c.events.len() < DEFAULT_CAPACITY {
+            c.events.push(event);
+        } else {
+            c.dropped += 1;
         }
-    });
+    }
 }
 
 fn current_tid() -> u64 {
@@ -431,7 +380,6 @@ pub(crate) fn plan_event(kernel: &KernelKey, config: &Configuration, prov: &Plan
 pub struct TraceSession {
     clock: ClockMode,
     start_us: f64,
-    collector: Arc<Collector>,
     finished: bool,
     _serial: parking_lot::MutexGuard<'static, ()>,
 }
@@ -440,46 +388,12 @@ pub struct TraceSession {
 /// active session finishes.
 pub fn session(clock: ClockMode) -> TraceSession {
     let serial = SESSION.lock();
-    let collector = Arc::new(Collector {
-        events: Mutex::new(Vec::new()),
-        dropped: AtomicU64::new(0),
-    });
-    drain_all();
-    *COLLECTOR.lock() = Some(Arc::clone(&collector));
-    // Bridge substrate find/exec hooks into trace events. Args carry only
-    // modeled quantities, keeping logical-mode traces deterministic.
-    ucudnn_cudnn_sim::set_call_observer(Some(Arc::new(
-        |e: &ucudnn_cudnn_sim::CallEvent| match e.site {
-            ucudnn_cudnn_sim::CallSite::Find => event("substrate", "find", || {
-                (
-                    format!("{}[{}]", e.op, e.geometry),
-                    json::obj([
-                        ("micro_batch", json::num(e.micro_batch as f64)),
-                        ("rows", json::num(e.rows as f64)),
-                    ]),
-                )
-            }),
-            ucudnn_cudnn_sim::CallSite::Exec => event("substrate", "exec", || {
-                (
-                    format!("{}[{}]", e.op, e.geometry),
-                    json::obj([
-                        (
-                            "algo",
-                            e.algo.map_or(Value::Null, |a| Value::Str(a.to_string())),
-                        ),
-                        ("micro_batch", json::num(e.micro_batch as f64)),
-                        ("modeled_us", json::num(e.modeled_us)),
-                    ]),
-                )
-            }),
-        },
-    )));
+    *COLLECTOR.lock() = Some(Collector::default());
     let start_us = now_us();
     ENABLED.store(true, Ordering::SeqCst);
     TraceSession {
         clock,
         start_us,
-        collector,
         finished: false,
         _serial: serial,
     }
@@ -494,14 +408,10 @@ impl TraceSession {
     fn close(&mut self) -> Trace {
         self.finished = true;
         ENABLED.store(false, Ordering::SeqCst);
-        ucudnn_cudnn_sim::set_call_observer(None);
-        // Every event emitted before now sits in some thread's buffer or in
-        // the collector, including those of joined workers whose
-        // thread-local destructors have not run yet.
-        drain_all();
-        *COLLECTOR.lock() = None;
-        let mut events = std::mem::take(&mut *self.collector.events.lock());
-        let dropped = self.collector.dropped.load(Ordering::Relaxed);
+        let Collector {
+            mut events,
+            dropped,
+        } = COLLECTOR.lock().take().unwrap_or_default();
         match self.clock {
             ClockMode::Wall => {
                 for e in &mut events {
@@ -510,8 +420,8 @@ impl TraceSession {
                 events.sort_by(|a, b| a.ts_us.total_cmp(&b.ts_us));
             }
             ClockMode::Logical => {
-                // Stable sort: events with equal (cat, key, name) keep their
-                // single-thread program order from the drain.
+                // Stable sort: events with equal (cat, key, name) keep the
+                // order they were recorded in.
                 events.sort_by(|a, b| {
                     (a.cat.as_str(), a.key.as_str(), a.name.as_str()).cmp(&(
                         b.cat.as_str(),

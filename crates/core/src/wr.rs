@@ -15,6 +15,7 @@
 use crate::bench_cache::{BenchCache, BenchEntry};
 use crate::config::{Configuration, MicroConfig};
 use crate::error::UcudnnError;
+use crate::fanout::fan_out;
 use crate::kernel::KernelKey;
 use crate::metrics::{OptimizerMetrics, Phase};
 use crate::policy::BatchSizePolicy;
@@ -46,30 +47,6 @@ fn fastest(micro_batch: usize, entries: &[BenchEntry]) -> Option<MicroConfig> {
         time_us: e.time_us,
         workspace_bytes: e.memory_bytes,
     })
-}
-
-/// Like [`best_micro`], but aware of benchmark failures: a size whose
-/// benchmark errored out (injected or real) is dropped from the DP — one
-/// rung down the degradation ladder — and counted in `metrics`.
-fn best_micro_degrading(
-    handle: &CudnnHandle,
-    cache: &BenchCache,
-    kernel: &KernelKey,
-    micro_batch: usize,
-    ws_limit: usize,
-    metrics: Option<&OptimizerMetrics>,
-    lost_points: &mut bool,
-) -> Option<MicroConfig> {
-    match cache.try_get_or_bench(handle, &kernel.with_batch(micro_batch), ws_limit) {
-        Ok(entries) => fastest(micro_batch, &entries),
-        Err(_) => {
-            *lost_points = true;
-            if let Some(m) = metrics {
-                m.degradation();
-            }
-            None
-        }
-    }
 }
 
 /// The last rung of the degradation ladder: the undivided configuration on
@@ -157,7 +134,9 @@ pub struct WrResult {
 /// *degrades* to the undivided zero-workspace configuration rather than
 /// erroring, marking [`WrResult::degraded`]. [`UcudnnError::Degraded`] is
 /// returned only when even that fallback is impossible — no zero-workspace
-/// algorithm supports the kernel on this engine.
+/// algorithm supports the kernel on this engine. A benchmark that panics
+/// on its worker and again on the calling thread is
+/// [`UcudnnError::WorkerPanicked`].
 #[allow(clippy::too_many_arguments)] // BLAS/cuDNN-style signature
 pub fn optimize_wr(
     handle: &CudnnHandle,
@@ -195,28 +174,36 @@ pub fn optimize_wr_metered(
 ) -> Result<WrResult, UcudnnError> {
     let b = kernel.batch();
     let sizes = policy.candidate_sizes(b);
-    // Warm the cache for all candidate sizes (optionally in parallel, the
-    // analogue of multi-GPU benchmark distribution).
+    // Step 1: t*(m) for every candidate size, each looked up once. With
+    // `parallel_benchmark` the misses run on one worker per core, the
+    // analogue of μ-cuDNN's multi-GPU benchmark distribution (§III-D). A
+    // size whose benchmark failed (injected or real) is dropped from the
+    // DP — the first rung of the degradation ladder.
+    let threads = if parallel_benchmark {
+        std::thread::available_parallelism().map_or(1, usize::from)
+    } else {
+        1
+    };
     let micro_keys: Vec<KernelKey> = sizes.iter().map(|&m| kernel.with_batch(m)).collect();
     let bench_start = std::time::Instant::now();
-    cache.prefetch(handle, &micro_keys, ws_limit, parallel_benchmark);
-
+    let lookups = fan_out(&micro_keys, threads, |k| {
+        cache
+            .try_get_or_bench(handle, k, ws_limit)
+            .map(|entries| fastest(k.batch(), &entries))
+    })?;
     let mut lost_points = false;
     let per_size: Vec<(usize, Option<MicroConfig>)> = sizes
         .iter()
-        .map(|&m| {
-            (
-                m,
-                best_micro_degrading(
-                    handle,
-                    cache,
-                    kernel,
-                    m,
-                    ws_limit,
-                    metrics,
-                    &mut lost_points,
-                ),
-            )
+        .zip(lookups)
+        .map(|(&m, lookup)| match lookup {
+            Ok(mc) => (m, mc),
+            Err(_) => {
+                lost_points = true;
+                if let Some(metrics) = metrics {
+                    metrics.degradation();
+                }
+                (m, None)
+            }
         })
         .collect();
     if let Some(m) = metrics {

@@ -4,8 +4,7 @@
 //! and a logical-clock `ts` is the event's rank in that whole collection.
 //! Comparing absolute ranks across two sessions therefore needs a process
 //! in which nothing else emits: in the library's unit-test binary the
-//! `bench` and `substrate` events of optimizer tests running at the same
-//! time shift them.
+//! `bench` events of optimizer tests running at the same time shift them.
 
 use ucudnn::json;
 use ucudnn::trace::{event, session};

@@ -73,15 +73,6 @@ impl CudnnHandle {
                     CudnnError::NotSupported(format!("{algo} unsupported on {g}"))
                 })?;
                 self.advance(t);
-                crate::observe::emit_with(|| crate::observe::CallEvent {
-                    site: crate::observe::CallSite::Exec,
-                    op,
-                    algo: Some(algo),
-                    micro_batch: g.input.n,
-                    geometry: format!("{g}"),
-                    rows: 1,
-                    modeled_us: t,
-                });
                 Ok(())
             }
             Engine::RealCpu => {
@@ -121,17 +112,6 @@ impl CudnnHandle {
                     )
                     .map_err(|e| CudnnError::ExecutionFailed(e.to_string()))?;
                 self.advance(start.elapsed().as_secs_f64() * 1e6);
-                crate::observe::emit_with(|| crate::observe::CallEvent {
-                    site: crate::observe::CallSite::Exec,
-                    op,
-                    algo: Some(algo),
-                    micro_batch: g.input.n,
-                    geometry: format!("{g}"),
-                    rows: 1,
-                    // Wall-priced: the CPU engine has no model. Consumers
-                    // must not treat this as a deterministic quantity.
-                    modeled_us: 0.0,
-                });
                 Ok(())
             }
         }

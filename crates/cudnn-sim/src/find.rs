@@ -140,15 +140,11 @@ impl CudnnHandle {
         });
         crate::observe::emit_with(|| crate::observe::CallEvent {
             site: crate::observe::CallSite::Find,
-            op,
-            algo: None,
-            micro_batch: g.input.n,
             geometry: format!("{g}"),
             rows: perfs
                 .iter()
                 .filter(|p| p.status != AlgoStatus::OverBudget)
                 .count(),
-            modeled_us: 0.0,
         });
         Ok(perfs)
     }

@@ -1,25 +1,21 @@
 //! Call-event hooks: a process-wide observer of substrate activity.
 //!
-//! The tracing layer lives above this crate (`ucudnn_core::trace`), but the
-//! interesting moments — a `Find` benchmark sweep, a kernel execution —
-//! happen here. Rather than invert the dependency, the substrate exposes a
+//! Callers above this crate count what the substrate's `Find` actually
+//! benchmarked, which only the substrate sees (rows over a call's budget
+//! never run). Rather than invert the dependency, the substrate exposes a
 //! single registration point: an observer callback invoked with a
 //! [`CallEvent`] at each hook site. When no observer is registered the hook
 //! is one relaxed atomic load; event construction is deferred behind that
-//! check, so an untraced process pays nothing else.
+//! check, so an unobserved process pays nothing else.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
-use ucudnn_conv::ConvOp;
-use ucudnn_gpu_model::ConvAlgo;
 
 /// Which hook produced a [`CallEvent`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CallSite {
     /// A `find_algorithms` benchmark sweep completed.
     Find,
-    /// A convolution kernel executed successfully.
-    Exec,
 }
 
 /// One observed substrate call.
@@ -27,20 +23,11 @@ pub enum CallSite {
 pub struct CallEvent {
     /// The hook site.
     pub site: CallSite,
-    /// The convolution operation.
-    pub op: ConvOp,
-    /// The executed algorithm ([`CallSite::Exec`] only).
-    pub algo: Option<ConvAlgo>,
-    /// Micro-batch size of the call (the geometry's `input.n`).
-    pub micro_batch: usize,
-    /// Rendered geometry, identifying the kernel beyond (op, batch).
+    /// Rendered geometry of the call, micro-batch size included.
     pub geometry: String,
-    /// `Find`: number of rows benchmarked (rows over the call's budget
-    /// never run and are not counted). `Exec`: always 1.
+    /// Number of rows benchmarked (rows over the call's budget never run
+    /// and are not counted).
     pub rows: usize,
-    /// `Exec` on the simulated engine: the modeled kernel time. Zero for
-    /// `Find` events and wall-clock-priced CPU executions.
-    pub modeled_us: f64,
 }
 
 /// The observer callback type.
@@ -79,18 +66,14 @@ mod tests {
 
     fn event() -> CallEvent {
         CallEvent {
-            site: CallSite::Exec,
-            op: ConvOp::Forward,
-            algo: Some(ConvAlgo::Gemm),
-            micro_batch: 8,
+            site: CallSite::Find,
             geometry: "observe-test".into(),
             rows: 1,
-            modeled_us: 1.0,
         }
     }
 
     // One test, not several: the observer slot is process-global, and other
-    // tests in this crate exercise the find/exec hooks concurrently. The
+    // tests in this crate exercise the find hook concurrently. The
     // callback therefore filters on a marker geometry it alone emits.
     #[test]
     fn observer_sees_events_until_removed() {
@@ -99,7 +82,7 @@ mod tests {
         let seen = Arc::clone(&count);
         set_call_observer(Some(Arc::new(move |e| {
             if e.geometry == "observe-test" {
-                assert_eq!(e.site, CallSite::Exec);
+                assert_eq!(e.site, CallSite::Find);
                 seen.fetch_add(1, Ordering::Relaxed);
             }
         })));

@@ -161,51 +161,6 @@ pub fn time_iteration(
     Ok(IterationTiming { layers })
 }
 
-/// Run one simulated *forward-only* pass and return its total time in
-/// microseconds — the inference path a serving worker executes for a
-/// coalesced batch (no backward, no weight update).
-///
-/// Convolutions go through the provider exactly like [`time_iteration`]'s
-/// forward half, so an optimizing provider replays its micro-batched plan
-/// and a coalesced batch hits the batch-normalized execution-plan cache;
-/// other layers are priced by the cost model.
-///
-/// # Errors
-/// Execution failures.
-///
-/// # Panics
-/// Panics when the provider's engine is not [`Engine::Simulated`].
-pub fn time_forward(provider: &impl ConvProvider, net: &NetworkDef) -> Result<f64, ProviderError> {
-    let Engine::Simulated(device) = provider.handle().engine().clone() else {
-        panic!("time_forward requires the simulated engine; use exec_real for CPU numerics");
-    };
-    let mut total_us = 0.0;
-    for (id, node) in net.nodes().iter().enumerate() {
-        let forward_us = match &node.spec {
-            LayerSpec::Conv { .. } => {
-                let g = net.conv_geometry(id);
-                conv_time(provider, ConvOp::Forward, &g)?
-            }
-            _ => layer_forward_us(&device, net, id),
-        };
-        ucudnn::trace::event("serve", "sim_forward", || {
-            (
-                node.name.clone(),
-                ucudnn::json::obj([
-                    ("node", ucudnn::json::num(id as f64)),
-                    (
-                        "kind",
-                        ucudnn::json::Value::Str(node.spec.kind_name().to_string()),
-                    ),
-                    ("modeled_us", ucudnn::json::num(forward_us)),
-                ]),
-            )
-        });
-        total_us += forward_us;
-    }
-    Ok(total_us)
-}
-
 /// Execute one conv kernel on the simulated engine and return the virtual
 /// clock delta.
 fn conv_time(
@@ -351,21 +306,6 @@ mod tests {
         let b = time_iteration(&p, &net).unwrap();
         // Clock deltas can differ by one ULP as the accumulator grows.
         assert!((a.total_us() - b.total_us()).abs() < 1e-9 * a.total_us());
-    }
-
-    #[test]
-    fn forward_only_matches_the_iteration_forward_half() {
-        let net = small_net(32);
-        let p = BaselineCudnn::new(CudnnHandle::simulated(p100_sxm2()), 64 * MIB);
-        setup_network(&p, &net).unwrap();
-        let fwd = time_forward(&p, &net).unwrap();
-        let it = time_iteration(&p, &net).unwrap();
-        assert!(fwd > 0.0);
-        assert!(
-            (fwd - it.forward_us()).abs() < 1e-9 * fwd.max(1.0),
-            "forward-only {fwd} vs iteration forward {}",
-            it.forward_us()
-        );
     }
 
     #[test]

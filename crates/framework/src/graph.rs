@@ -371,17 +371,6 @@ impl NetworkDef {
             })
             .sum()
     }
-
-    /// Consumers of each node (used by real backward execution).
-    pub fn consumers(&self) -> Vec<Vec<NodeId>> {
-        let mut out = vec![Vec::new(); self.nodes.len()];
-        for (id, n) in self.nodes.iter().enumerate() {
-            for &i in &n.inputs {
-                out[i].push(id);
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]

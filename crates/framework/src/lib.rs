@@ -27,7 +27,7 @@ pub mod timing;
 pub mod train;
 
 pub use exec_real::{Params, RealExecutor};
-pub use exec_sim::{setup_network, time_forward, time_iteration, IterationTiming, LayerTiming};
+pub use exec_sim::{setup_network, time_iteration, IterationTiming, LayerTiming};
 pub use graph::{LayerSpec, NetworkDef, NodeId};
 pub use memory::{memory_report, totals, LayerMemory, MemoryTotals};
 pub use models::{alexnet, densenet40, inception_module, resnet18, resnet50};

@@ -103,12 +103,6 @@ impl Tensor {
         &mut self.data[lo * s..hi * s]
     }
 
-    /// Copy samples `[lo, hi)` into a new standalone tensor.
-    pub fn batch_clone(&self, lo: usize, hi: usize) -> Tensor {
-        let shape = self.shape.with_batch(hi - lo);
-        Tensor::from_vec(shape, self.batch_slice(lo, hi).to_vec())
-    }
-
     /// `self = alpha * other + beta * self`, the cuDNN output-scaling
     /// convention μ-cuDNN relies on to accumulate filter gradients across
     /// micro-batches (`beta = 1`).
@@ -165,14 +159,6 @@ mod tests {
         assert_eq!(view.len(), 2 * s);
         assert_eq!(view[0], s as f32);
         assert_eq!(view[view.len() - 1], (3 * s - 1) as f32);
-    }
-
-    #[test]
-    fn batch_clone_matches_slice() {
-        let t = Tensor::random(Shape4::new(8, 3, 5, 5), 42);
-        let c = t.batch_clone(2, 6);
-        assert_eq!(c.shape(), t.shape().with_batch(4));
-        assert_eq!(c.as_slice(), t.batch_slice(2, 6));
     }
 
     #[test]

@@ -24,17 +24,6 @@ proptest! {
         prop_assert_eq!(rebuilt.as_slice(), t.as_slice());
     }
 
-    /// `batch_clone` equals the view it was cloned from, with the right shape.
-    #[test]
-    fn batch_clone_matches_view(shape in shapes(), seed in 0u64..500) {
-        let t = Tensor::random(shape, seed);
-        let lo = shape.n / 3;
-        let hi = shape.n;
-        let c = t.batch_clone(lo, hi);
-        prop_assert_eq!(c.shape(), shape.with_batch(hi - lo));
-        prop_assert_eq!(c.as_slice(), t.batch_slice(lo, hi));
-    }
-
     /// axpby is linear: (a·x + b·y) computed in one call equals the
     /// two-step computation.
     #[test]

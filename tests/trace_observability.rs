@@ -247,3 +247,63 @@ fn plan_provenance_explains_normal_and_degraded_decisions() {
     assert!(planwd.provenance.wr_choice.is_some());
     assert!(planwd.provenance.pareto_kept <= planwd.provenance.pareto_generated);
 }
+
+/// The trace records each fact once: one `bench/benchmark` event per
+/// benchmark the cache ran (its single-flight leader's), and none echoed
+/// from the substrate's own calls.
+#[test]
+fn traces_hold_one_benchmark_event_per_cache_miss() {
+    let _g = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    for mode in [OptimizerMode::Wr, OptimizerMode::Wd] {
+        let session = ucudnn::trace::session(ClockMode::Logical);
+        let h = handle(mode, 2, 64 * MIB);
+        setup_network(&h, &small_net(64)).unwrap();
+        let trace = session.finish();
+        let benchmarks = trace
+            .events
+            .iter()
+            .filter(|e| e.cat == "bench" && e.name == "benchmark")
+            .count() as u64;
+        let misses = h.cache_stats().misses;
+        assert!(misses > 0, "{mode:?}: nothing was benchmarked");
+        assert_eq!(benchmarks, misses, "{mode:?}");
+        assert!(
+            trace.events.iter().all(|e| e.cat != "substrate"),
+            "{mode:?}: substrate calls echoed into the trace"
+        );
+    }
+}
+
+/// A session neither replaces nor removes a call observer the program
+/// installed: the substrate's `Find` rows still reach it afterwards.
+#[test]
+fn sessions_leave_the_call_observer_alone() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+    use ucudnn_cudnn_sim::{
+        set_call_observer, AlgoStatus, ConvolutionDescriptor, FilterDescriptor, TensorDescriptor,
+    };
+    let _g = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    // A geometry no other test in this binary benchmarks.
+    let x = TensorDescriptor::new_4d(7, 3, 11, 13).unwrap();
+    let w = FilterDescriptor::new_4d(5, 3, 3, 3).unwrap();
+    let c = ConvolutionDescriptor::new_2d(1, 1, 1, 1).unwrap();
+    let marker = c.geometry(&x, &w).unwrap().to_string();
+    let rows = Arc::new(AtomicUsize::new(0));
+    let sink = Arc::clone(&rows);
+    set_call_observer(Some(Arc::new(move |e| {
+        if e.geometry == marker {
+            sink.fetch_add(e.rows, Ordering::Relaxed);
+        }
+    })));
+    ucudnn::trace::session(ClockMode::Wall).finish();
+    let h = CudnnHandle::simulated(p100_sxm2());
+    let perfs = h.find_algorithms(ConvOp::Forward, &x, &w, &c).unwrap();
+    set_call_observer(None);
+    let want = perfs
+        .iter()
+        .filter(|p| p.status != AlgoStatus::OverBudget)
+        .count();
+    assert!(want > 0);
+    assert_eq!(rows.load(Ordering::Relaxed), want);
+}
