@@ -5,12 +5,19 @@
 //! overhead and reports the WR optimizer's chosen division and its speedup —
 //! showing where fine division stops paying (the design constraint the DP
 //! navigates implicitly).
+//!
+//! Two host-side overheads follow, timed on the wall clock: an active trace
+//! session on the WR optimizer, and the wrapper's dispatch, a DenseNet-40
+//! WD replay through `UcudnnHandle::convolution` against the bare substrate
+//! launches of the same micro-batches.
 
+use std::time::Instant;
 use ucudnn::{
     optimize_wr, BatchSizePolicy, BenchCache, KernelKey, OptimizerMode, UcudnnHandle, UcudnnOptions,
 };
 use ucudnn_bench::{print_table, write_csv, MIB};
-use ucudnn_cudnn_sim::{ConvOp, CudnnHandle};
+use ucudnn_cudnn_sim::{ConvAlgo, ConvOp, CudnnHandle};
+use ucudnn_framework::{densenet40, setup_network};
 use ucudnn_gpu_model::p100_sxm2;
 use ucudnn_tensor::{ConvGeometry, FilterShape, Shape4};
 
@@ -88,6 +95,7 @@ fn main() {
     println!("\nMetrics JSON (last row, policy=all):\n{sample_json}");
 
     tracing_overhead(&key);
+    dispatch_overhead();
 }
 
 /// A/B the trace instrumentation on the WR optimizer: the disabled path is
@@ -115,5 +123,92 @@ fn tracing_overhead(key: &KernelKey) {
          ({:+.2}% while collecting {} events/opt)",
         (enabled_us / disabled_us - 1.0) * 100.0,
         trace.events.len() / reps as usize
+    );
+}
+
+/// Time the wrapper's dispatch: one replay of DenseNet-40's WD plan (k = 40,
+/// batch 64, policy all, 128 MiB on the simulated P100, the end-to-end
+/// benchmark's `plan_wd` network) issued as its convolution calls through
+/// `UcudnnHandle::convolution`, against the bare `CudnnHandle::convolution`
+/// launches of the same micro-batches. The two alternate, and each reports
+/// its fastest of `ROUNDS` replays; the ratio is the wrapper's cost per
+/// replay over the kernels' own.
+fn dispatch_overhead() {
+    const ROUNDS: usize = 500;
+    let net = densenet40(64, 40);
+    let h = UcudnnHandle::new(
+        CudnnHandle::simulated(p100_sxm2()),
+        UcudnnOptions {
+            policy: BatchSizePolicy::All,
+            workspace_limit_bytes: 128 * MIB,
+            mode: OptimizerMode::Wd,
+            ..Default::default()
+        },
+    );
+    setup_network(&h, &net).unwrap();
+    // The calls of one iteration, in the framework's order: forward, then
+    // backward-filter and backward-data from the last layer back.
+    let layers = net.conv_layers();
+    let mut calls: Vec<(ConvOp, ConvGeometry)> = layers
+        .iter()
+        .map(|&id| (ConvOp::Forward, net.conv_geometry(id)))
+        .collect();
+    for &id in layers.iter().rev() {
+        let g = net.conv_geometry(id);
+        calls.push((ConvOp::BackwardFilter, g));
+        if net.needs_backward_data(id) {
+            calls.push((ConvOp::BackwardData, g));
+        }
+    }
+    // Each call's micro-batch launches as the replay issues them:
+    // BackwardFilter accumulates from its second micro-batch on.
+    let mut launches: Vec<(ConvOp, ConvGeometry, ConvAlgo, f32)> = Vec::new();
+    let mut ws_floats = 0;
+    for (op, g) in &calls {
+        let config = h.plan(*op, g).unwrap().config;
+        ws_floats = ws_floats.max(config.workspace_bytes().div_ceil(4));
+        for (i, m) in config.micros.iter().enumerate() {
+            let beta = if *op == ConvOp::BackwardFilter && i > 0 {
+                1.0
+            } else {
+                0.0
+            };
+            launches.push((*op, g.with_batch(m.micro_batch), m.algo, beta));
+        }
+    }
+    let mut ws = vec![0.0f32; ws_floats];
+    let inner = h.inner();
+    let through_handle = || {
+        let start = Instant::now();
+        for (op, g) in &calls {
+            h.convolution(*op, g, &[], &[], &mut [], 1.0, 0.0).unwrap();
+        }
+        start.elapsed().as_secs_f64()
+    };
+    let mut bare = || {
+        let start = Instant::now();
+        for (op, g, algo, beta) in &launches {
+            inner
+                .convolution(*op, g, *algo, &[], &[], &mut [], 1.0, *beta, &mut ws)
+                .unwrap();
+        }
+        start.elapsed().as_secs_f64()
+    };
+    let (mut handle_s, mut bare_s) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..ROUNDS {
+        handle_s = handle_s.min(through_handle());
+        bare_s = bare_s.min(bare());
+    }
+    println!(
+        "\nDispatch overhead on a DenseNet-40 WD replay (k=40, batch 64, policy=all, 128 MiB; \
+         fastest of {ROUNDS} alternating replays):\n\
+         UcudnnHandle::convolution {:.0} ns per call ({} calls), \
+         bare CudnnHandle::convolution {:.0} ns per launch ({} launches)\n\
+         dispatch ratio {:.2}x (replay through the handle / bare launches)",
+        handle_s * 1e9 / calls.len() as f64,
+        calls.len(),
+        bare_s * 1e9 / launches.len() as f64,
+        launches.len(),
+        handle_s / bare_s
     );
 }

@@ -41,7 +41,7 @@ fn main() {
                         device.name.clone(),
                         format!("{}", limit_mib * MIB),
                         policy.name().to_string(),
-                        l.name.clone(),
+                        l.name.to_string(),
                         l.kind.to_string(),
                         format!("{}", l.forward_us),
                         format!("{}", l.backward_us),

@@ -29,8 +29,7 @@
 use crate::json::{self, Value};
 use crate::kernel::KernelKey;
 use parking_lot::{Condvar, Mutex, RwLock};
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::ops::RangeInclusive;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -40,6 +39,7 @@ use ucudnn_cudnn_sim::{
     TensorDescriptor,
 };
 use ucudnn_gpu_model::ConvAlgo;
+use ucudnn_tensor::{GeometryBuildHasher, GeometryMap};
 
 /// File-DB format version. Bump on any incompatible layout change; files
 /// with an unknown (or missing) version are quarantined wholesale rather
@@ -58,9 +58,9 @@ pub struct BenchEntry {
     pub memory_bytes: usize,
 }
 
-/// Cache key: the engine identity plus the micro-batch kernel.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct CacheKey {
+/// A file-DB row's key: its engine tag plus the micro-batch kernel.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct DbKey {
     engine: String,
     kernel: KernelKey,
 }
@@ -82,6 +82,15 @@ fn engine_tag(handle: &CudnnHandle) -> String {
     match handle.engine() {
         Engine::Simulated(d) => format!("sim:{}", d.name),
         Engine::RealCpu => CPU_TAG.to_string(),
+    }
+}
+
+/// Whether `tag` is [`engine_tag`]`(handle)`, compared without formatting
+/// one.
+fn is_engine_tag(tag: &str, handle: &CudnnHandle) -> bool {
+    match handle.engine() {
+        Engine::Simulated(d) => tag.strip_prefix("sim:") == Some(d.name.as_str()),
+        Engine::RealCpu => tag == CPU_TAG,
     }
 }
 
@@ -118,7 +127,7 @@ pub struct CacheStats {
 /// failure every lookup at that budget observes (failures are cached too —
 /// retrying a permanently faulted kernel on every lookup would serialize
 /// the optimizer behind known-dead benchmarks).
-type BenchOutcome = Result<Vec<BenchEntry>, CudnnError>;
+type BenchOutcome = Result<Arc<[BenchEntry]>, CudnnError>;
 
 /// The measurements of one (engine, kernel) key.
 #[derive(Debug, Default)]
@@ -127,7 +136,7 @@ struct Measured {
     /// algorithm whose workspace fits it has been benchmarked.
     up_to: usize,
     /// Successful rows, by time, then algorithm id.
-    rows: Vec<BenchEntry>,
+    rows: Arc<[BenchEntry]>,
     /// Smallest workspace among the algorithms that failed while
     /// benchmarking: a budget that admits a failure but no success is a
     /// failed benchmark.
@@ -135,14 +144,19 @@ struct Measured {
 }
 
 impl Measured {
-    /// The lookup result at a budget up to `up_to`.
+    /// The lookup result at a budget up to `up_to`. A budget that keeps
+    /// every row (the one the entry was measured at always does) shares
+    /// them without copying.
     fn within(&self, budget: usize) -> BenchOutcome {
-        let rows: Vec<BenchEntry> = self
-            .rows
-            .iter()
-            .filter(|e| e.memory_bytes <= budget)
-            .copied()
-            .collect();
+        let rows: Arc<[BenchEntry]> = if self.rows.iter().all(|e| e.memory_bytes <= budget) {
+            Arc::clone(&self.rows)
+        } else {
+            self.rows
+                .iter()
+                .filter(|e| e.memory_bytes <= budget)
+                .copied()
+                .collect()
+        };
         if rows.is_empty() && self.min_failed_bytes.is_some_and(|b| b <= budget) {
             return Err(CudnnError::ExecutionFailed(
                 "every algorithm failed while benchmarking".into(),
@@ -192,7 +206,7 @@ impl SlotState {
         match &self.measured {
             Some(Ok(m)) => m.within(budget),
             Some(Err(e)) => Err(e.clone()),
-            None => Ok(Vec::new()),
+            None => Ok(Arc::default()),
         }
     }
 
@@ -203,8 +217,10 @@ impl SlotState {
             (_, Err(e)) => Err(e),
             (earlier, Ok(run)) => {
                 let mut m = earlier.and_then(Result::ok).unwrap_or_default();
-                m.rows.extend(run.rows);
-                sort_rows(&mut m.rows);
+                let mut rows = m.rows.to_vec();
+                rows.extend(run.rows);
+                sort_rows(&mut rows);
+                m.rows = rows.into();
                 m.min_failed_bytes = m.min_failed_bytes.into_iter().chain(run.failed_bytes).min();
                 m.up_to = budget;
                 Ok(m)
@@ -238,13 +254,45 @@ impl Drop for Lead<'_> {
 
 const SHARD_COUNT: usize = 16;
 
-type Shard = RwLock<HashMap<CacheKey, Arc<Slot>>>;
+/// Cache key: an engine (its index in [`BenchCache::engines`]) and a
+/// micro-batch kernel, with their hash computed once per lookup: the hash
+/// picks the shard, and the shard's map hashes only it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct CacheKey {
+    hash: u64,
+    engine: usize,
+    kernel: KernelKey,
+}
+
+impl CacheKey {
+    fn new(engine: usize, kernel: KernelKey) -> Self {
+        Self {
+            hash: GeometryBuildHasher::default().hash_one((engine, kernel)),
+            engine,
+            kernel,
+        }
+    }
+
+    fn shard(&self) -> usize {
+        (self.hash % SHARD_COUNT as u64) as usize
+    }
+}
+
+impl Hash for CacheKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+type Shard = RwLock<GeometryMap<CacheKey, Arc<Slot>>>;
 
 /// The concurrent benchmark cache. Shared by reference across optimizer
 /// threads; all methods take `&self`.
 #[derive(Debug)]
 pub struct BenchCache {
     shards: Vec<Shard>,
+    /// The engine tag of every entry, each once; keys hold an index.
+    engines: RwLock<Vec<String>>,
     file: Option<PathBuf>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -260,8 +308,9 @@ impl BenchCache {
     pub fn new() -> Self {
         Self {
             shards: (0..SHARD_COUNT)
-                .map(|_| RwLock::new(HashMap::new()))
+                .map(|_| RwLock::new(GeometryMap::default()))
                 .collect(),
+            engines: RwLock::new(Vec::new()),
             file: None,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -291,15 +340,18 @@ impl BenchCache {
             cache
                 .db_rows_quarantined
                 .store(quarantined, Ordering::Relaxed);
-            for (key, up_to, rows) in rows {
+            for (DbKey { engine, kernel }, up_to, rows) in rows {
                 let slot = Slot::default();
                 slot.state.lock().measured = Some(Ok(Measured {
                     up_to,
-                    rows,
+                    rows: rows.into(),
                     min_failed_bytes: None,
                 }));
-                let shard = &cache.shards[shard_index(&key)];
-                shard.write().insert(key, Arc::new(slot));
+                let engine = cache.engine_index(|tag| tag == engine, || engine.clone());
+                let key = CacheKey::new(engine, kernel);
+                cache.shards[key.shard()]
+                    .write()
+                    .insert(key, Arc::new(slot));
             }
         }
         cache
@@ -309,17 +361,39 @@ impl BenchCache {
     /// measurement (in-flight first benchmarks and failed keys are not
     /// counted).
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.read()
-                    .values()
-                    .filter(|slot| {
-                        matches!(&slot.state.lock().measured, Some(Ok(m)) if !m.rows.is_empty())
-                    })
-                    .count()
-            })
-            .sum()
+        let mut n = 0;
+        self.for_each_slot(|_, _, slot| {
+            n += usize::from(
+                matches!(&slot.state.lock().measured, Some(Ok(m)) if !m.rows.is_empty()),
+            );
+        });
+        n
+    }
+
+    /// Visit every slot with its engine tag and kernel.
+    fn for_each_slot(&self, mut visit: impl FnMut(&str, &KernelKey, &Slot)) {
+        let engines = self.engines.read();
+        for shard in &self.shards {
+            for (key, slot) in shard.read().iter() {
+                visit(&engines[key.engine], &key.kernel, slot);
+            }
+        }
+    }
+
+    /// The index of the engine tag `is` accepts, adding `tag()` first when
+    /// none does.
+    fn engine_index(&self, is: impl Fn(&str) -> bool, tag: impl FnOnce() -> String) -> usize {
+        if let Some(i) = self.engines.read().iter().position(|t| is(t)) {
+            return i;
+        }
+        let mut engines = self.engines.write();
+        match engines.iter().position(|t| is(t)) {
+            Some(i) => i,
+            None => {
+                engines.push(tag());
+                engines.len() - 1
+            }
+        }
     }
 
     /// True when nothing is cached.
@@ -343,16 +417,18 @@ impl BenchCache {
     /// Every algorithm's benchmark for `kernel` (whose `input.n` *is* the
     /// micro-batch size), served from cache when possible, fastest-first:
     /// [`Self::try_get_or_bench`] with an unlimited budget, failures read
-    /// as no rows.
+    /// as no rows, copied out.
     pub fn get_or_bench(&self, handle: &CudnnHandle, kernel: &KernelKey) -> Vec<BenchEntry> {
         self.try_get_or_bench(handle, kernel, usize::MAX)
+            .map(|rows| rows.to_vec())
             .unwrap_or_default()
     }
 
     /// The benchmark rows of the algorithms whose workspace fits `budget`,
     /// by time, then algorithm id — exactly the rows of an unbudgeted
     /// `Find` within the budget. Only algorithms the entry has not been
-    /// measured up to are benchmarked.
+    /// measured up to are benchmarked. A hit hashes the kernel once and
+    /// allocates nothing unless its budget drops some of the entry's rows.
     ///
     /// Safe to call from many threads at once: per-key single-flight
     /// arbitration ensures no algorithm is benchmarked twice, and
@@ -376,10 +452,8 @@ impl BenchCache {
         kernel: &KernelKey,
         budget: usize,
     ) -> BenchOutcome {
-        let slot = self.slot_for(CacheKey {
-            engine: engine_tag(handle),
-            kernel: *kernel,
-        });
+        let engine = self.engine_index(|tag| is_engine_tag(tag, handle), || engine_tag(handle));
+        let slot = self.slot_for(CacheKey::new(engine, *kernel));
         let mut st = slot.state.lock();
         let mut waited = false;
         while !st.covers(budget) {
@@ -440,7 +514,7 @@ impl BenchCache {
                 crate::json::obj([
                     (
                         "entries",
-                        crate::json::num(outcome.as_ref().map_or(0, Vec::len) as f64),
+                        crate::json::num(outcome.as_ref().map_or(0, |rows| rows.len()) as f64),
                     ),
                     ("failed", crate::json::Value::Bool(outcome.is_err())),
                 ]),
@@ -451,7 +525,7 @@ impl BenchCache {
 
     /// Find or create the slot for `key`.
     fn slot_for(&self, key: CacheKey) -> Arc<Slot> {
-        let shard = &self.shards[shard_index(&key)];
+        let shard = &self.shards[key.shard()];
         if let Some(slot) = shard.read().get(&key) {
             return Arc::clone(slot);
         }
@@ -463,19 +537,13 @@ impl BenchCache {
     /// widened the entry — 1 when all lookups share one budget (file-DB
     /// entries that were never re-measured do not appear).
     pub fn benchmark_counts(&self) -> Vec<(String, u64)> {
-        let mut counts: Vec<(String, u64)> = self
-            .shards
-            .iter()
-            .flat_map(|s| {
-                s.read()
-                    .iter()
-                    .filter_map(|(key, slot)| {
-                        let runs = slot.runs.load(Ordering::Relaxed);
-                        (runs > 0).then(|| (format!("{}@{}", key.kernel, key.engine), runs))
-                    })
-                    .collect::<Vec<_>>()
-            })
-            .collect();
+        let mut counts: Vec<(String, u64)> = Vec::new();
+        self.for_each_slot(|tag, kernel, slot| {
+            let runs = slot.runs.load(Ordering::Relaxed);
+            if runs > 0 {
+                counts.push((format!("{kernel}@{tag}"), runs));
+            }
+        });
         counts.sort();
         counts
     }
@@ -488,19 +556,17 @@ impl BenchCache {
     /// [`Self::benchmark_counts`] for the per-entry invariant.
     pub fn benchmark_counts_by_kernel(&self) -> Vec<(String, u64)> {
         let mut counts: Vec<(String, u64)> = Vec::new();
-        for shard in &self.shards {
-            for (key, slot) in shard.read().iter() {
-                let runs = slot.runs.load(Ordering::Relaxed);
-                if runs == 0 {
-                    continue;
-                }
-                let label = base_kernel_label(key);
-                match counts.iter_mut().find(|(l, _)| *l == label) {
-                    Some((_, n)) => *n += runs,
-                    None => counts.push((label, runs)),
-                }
+        self.for_each_slot(|tag, kernel, slot| {
+            let runs = slot.runs.load(Ordering::Relaxed);
+            if runs == 0 {
+                return;
             }
-        }
+            let label = base_kernel_label(kernel, tag);
+            match counts.iter_mut().find(|(l, _)| *l == label) {
+                Some((_, n)) => *n += runs,
+                None => counts.push((label, runs)),
+            }
+        });
         counts.sort();
         counts
     }
@@ -522,21 +588,18 @@ impl BenchCache {
         let Some(path) = &self.file else {
             return Ok(());
         };
-        let mut rows: Vec<DbRow> = self
-            .shards
-            .iter()
-            .flat_map(|s| {
-                s.read()
-                    .iter()
-                    .filter_map(|(key, slot)| match &slot.state.lock().measured {
-                        Some(Ok(m)) if !m.rows.is_empty() => {
-                            Some((key.clone(), m.up_to, m.rows.clone()))
-                        }
-                        _ => None,
-                    })
-                    .collect::<Vec<_>>()
-            })
-            .collect();
+        let mut rows: Vec<DbRow> = Vec::new();
+        self.for_each_slot(|tag, kernel, slot| {
+            if let Some(Ok(m)) = &slot.state.lock().measured {
+                if !m.rows.is_empty() {
+                    let key = DbKey {
+                        engine: tag.to_string(),
+                        kernel: *kernel,
+                    };
+                    rows.push((key, m.up_to, m.rows.to_vec()));
+                }
+            }
+        });
         rows.sort_by_key(|(k, _, _)| (k.engine.clone(), format!("{}", k.kernel)));
         let doc = json::obj([
             ("version", json::num(DB_VERSION as f64)),
@@ -563,16 +626,9 @@ impl Default for BenchCache {
     }
 }
 
-fn shard_index(key: &CacheKey) -> usize {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    key.hash(&mut h);
-    (h.finish() as usize) % SHARD_COUNT
-}
-
 /// Kernel label with the micro-batch size (`input.n`) elided, shared by
 /// every micro-batch entry of one optimized layer kernel.
-fn base_kernel_label(key: &CacheKey) -> String {
-    let k = &key.kernel;
+fn base_kernel_label(k: &KernelKey, engine: &str) -> String {
     format!(
         "{}[in=*x{}x{}x{} filt={}x{}x{}x{} pad={}x{} stride={}x{}]@{}",
         op_tag(k.op),
@@ -587,7 +643,7 @@ fn base_kernel_label(key: &CacheKey) -> String {
         k.pad_w,
         k.stride_h,
         k.stride_w,
-        key.engine,
+        engine,
     )
 }
 
@@ -603,7 +659,7 @@ fn op_from_tag(tag: &str) -> Option<ConvOp> {
     ConvOp::ALL.into_iter().find(|&op| op_tag(op) == tag)
 }
 
-fn row_to_json(key: &CacheKey, up_to: usize, entries: &[BenchEntry]) -> Value {
+fn row_to_json(key: &DbKey, up_to: usize, entries: &[BenchEntry]) -> Value {
     let k = &key.kernel;
     json::obj([
         ("engine", Value::Str(key.engine.clone())),
@@ -706,11 +762,11 @@ fn row_from_json(row: &Value, version: usize) -> Option<DbRow> {
         return None;
     }
     sort_rows(&mut entries);
-    Some((CacheKey { engine, kernel }, up_to, entries))
+    Some((DbKey { engine, kernel }, up_to, entries))
 }
 
 /// A DB row: key, the budget it was measured up to, entries.
-type DbRow = (CacheKey, usize, Vec<BenchEntry>);
+type DbRow = (DbKey, usize, Vec<BenchEntry>);
 
 /// Parse a file DB: `(accepted rows, loaded count, quarantined count)`.
 ///
@@ -1027,7 +1083,7 @@ mod tests {
         let c = BenchCache::new();
         let full = c.get_or_bench(&h, &key(16));
         for budget in [0, 1 << 20, usize::MAX] {
-            let want: Vec<BenchEntry> = full
+            let want: Arc<[BenchEntry]> = full
                 .iter()
                 .filter(|e| e.memory_bytes <= budget)
                 .copied()

@@ -27,14 +27,13 @@ use crate::trace::{self, PlanProvenance};
 use crate::wd::{optimize_wd_weighted_parallel, WdPlan};
 use crate::wr::{optimize_wr_metered, WrResult};
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::path::PathBuf;
 use std::time::Instant;
 use ucudnn_cudnn_sim::{
     check_geometry, ConvAlgo, ConvOp, ConvolutionDescriptor, CudnnHandle, FilterDescriptor,
     TensorDescriptor,
 };
-use ucudnn_tensor::ConvGeometry;
+use ucudnn_tensor::{ConvGeometry, GeometryMap};
 
 /// The algorithm id returned to frameworks for every optimized kernel. The
 /// value itself is meaningless (the wrapper ignores the algorithm argument
@@ -100,14 +99,23 @@ pub struct Plan {
     pub provenance: PlanProvenance,
 }
 
+/// A planned kernel: its plan and, under WR, its own workspace.
+#[derive(Debug)]
+struct Kernel {
+    plan: Plan,
+    /// WR: the kernel's arena. `None` under WD, whose kernels run in their
+    /// segment of [`State::wd_arena`].
+    arena: Option<Vec<f32>>,
+}
+
 #[derive(Debug, Default)]
 struct State {
-    plans: HashMap<KernelKey, Plan>,
+    /// One entry per planned kernel, so the replay finds a kernel's plan
+    /// and workspace with one lookup.
+    kernels: GeometryMap<KernelKey, Kernel>,
     /// WD: kernels registered during network construction, in order.
     pending: Vec<KernelKey>,
     wd_plan: Option<WdPlan>,
-    /// WR: one workspace per kernel.
-    arenas: HashMap<KernelKey, Vec<f32>>,
     /// WD: the single divided workspace.
     wd_arena: Vec<f32>,
 }
@@ -178,15 +186,15 @@ impl UcudnnHandle {
         let key = KernelKey::new(op, &g);
         let mut st = self.state.lock();
         match self.opts.mode {
-            OptimizerMode::Wr => match st.plans.get_mut(&key) {
-                Some(p) => p.multiplicity += 1,
+            OptimizerMode::Wr => match st.kernels.get_mut(&key) {
+                Some(k) => k.plan.multiplicity += 1,
                 None => self.install_wr(&mut st, &[(key, 1)])?,
             },
             OptimizerMode::Wd if st.wd_plan.is_none() => st.pending.push(key),
             // A kernel registered after WD ran: fall back to WR for it with
             // the whole limit (rare; keeps the API total).
             OptimizerMode::Wd => {
-                if !st.plans.contains_key(&key) {
+                if !st.kernels.contains_key(&key) {
                     self.install_wr(&mut st, &[(key, 0)])?;
                 }
             }
@@ -272,13 +280,16 @@ impl UcudnnHandle {
                 provenance.degradations = rungs;
             }
             trace::plan_event(&a.kernel, &a.config, &provenance);
-            st.plans.insert(
+            st.kernels.insert(
                 a.kernel,
-                Plan {
-                    config: a.config.clone(),
-                    offset_floats: a.offset_bytes / 4,
-                    multiplicity: *mult,
-                    provenance,
+                Kernel {
+                    plan: Plan {
+                        config: a.config.clone(),
+                        offset_floats: a.offset_bytes / 4,
+                        multiplicity: *mult,
+                        provenance,
+                    },
+                    arena: None,
                 },
             );
         }
@@ -309,14 +320,16 @@ impl UcudnnHandle {
             installed.push(self.wr_arena_with_shrink(key, r?)?);
         }
         for ((key, multiplicity), (config, arena, provenance)) in kernels.iter().zip(installed) {
-            st.arenas.insert(*key, arena);
-            st.plans.insert(
+            st.kernels.insert(
                 *key,
-                Plan {
-                    config,
-                    offset_floats: 0,
-                    multiplicity: *multiplicity,
-                    provenance,
+                Kernel {
+                    plan: Plan {
+                        config,
+                        offset_floats: 0,
+                        multiplicity: *multiplicity,
+                        provenance,
+                    },
+                    arena: Some(arena),
                 },
             );
         }
@@ -400,7 +413,7 @@ impl UcudnnHandle {
         let mut st = self.state.lock();
         let unplanned: Vec<KernelKey> = kernels
             .iter()
-            .filter(|k| !st.plans.contains_key(k))
+            .filter(|k| !st.kernels.contains_key(k))
             .copied()
             .collect();
         match self.opts.mode {
@@ -428,6 +441,7 @@ impl UcudnnHandle {
     /// The one micro-batch replay behind every convolution call: fetch (or
     /// lazily build) the kernel's plan and run its micro-batches against
     /// the wrapped handle, each on its rows of the batch-split buffers.
+    /// A planned kernel costs one map lookup and no allocation.
     /// Buffers have the roles of [`CudnnHandle::convolution`]
     /// (`out = alpha * op(a, b) + beta * out`); workspace is supplied
     /// internally. BackwardFilter micro-batches after the first accumulate
@@ -455,23 +469,19 @@ impl UcudnnHandle {
         if self.opts.mode == OptimizerMode::Wd {
             self.run_wd(&mut guard)?;
         }
-        if !guard.plans.contains_key(&key) {
+        let st = &mut *guard;
+        let Some(Kernel { plan, arena }) = st.kernels.get_mut(&key) else {
             // Unregistered kernel (framework skipped get_algorithm):
-            // optimize it on the fly under WR semantics.
-            self.install_wr(&mut guard, &[(key, 0)])?;
-        }
-        let State {
-            plans,
-            arenas,
-            wd_arena,
-            ..
-        } = &mut *guard;
-        let plan = &plans[&key];
+            // optimize it on the fly under WR semantics, then replay it.
+            self.install_wr(st, &[(key, 0)])?;
+            drop(guard);
+            return self.convolution(op, g, a, b, out, alpha, beta);
+        };
         // Its private arena under WR, its segment of the global one under WD.
-        let ws = match arenas.get_mut(&key) {
+        let ws = match arena {
             Some(buf) => buf.as_mut_slice(),
             None => {
-                &mut wd_arena[plan.offset_floats..][..plan.config.workspace_bytes().div_ceil(4)]
+                &mut st.wd_arena[plan.offset_floats..][..plan.config.workspace_bytes().div_ceil(4)]
             }
         };
         // Per-sample lengths of the buffers split along the batch; the
@@ -578,7 +588,11 @@ impl UcudnnHandle {
 
     /// The installed plan for a kernel, if any.
     pub fn plan(&self, op: ConvOp, g: &ConvGeometry) -> Option<Plan> {
-        self.state.lock().plans.get(&KernelKey::new(op, g)).cloned()
+        self.state
+            .lock()
+            .kernels
+            .get(&KernelKey::new(op, g))
+            .map(|k| k.plan.clone())
     }
 
     /// Per-kernel workspace assignment: `(kernel, configuration, bytes)` —
@@ -586,9 +600,12 @@ impl UcudnnHandle {
     pub fn memory_report(&self) -> Vec<(KernelKey, Configuration, usize)> {
         let st = self.state.lock();
         let mut v: Vec<_> = st
-            .plans
+            .kernels
             .iter()
-            .map(|(k, p)| (*k, p.config.clone(), p.config.workspace_bytes()))
+            .map(|(k, kernel)| {
+                let config = &kernel.plan.config;
+                (*k, config.clone(), config.workspace_bytes())
+            })
             .collect();
         v.sort_by_key(|(k, _, _)| format!("{k}"));
         v
@@ -598,7 +615,13 @@ impl UcudnnHandle {
     /// under WR; the single divided arena under WD).
     pub fn total_workspace_bytes(&self) -> usize {
         let st = self.state.lock();
-        4 * (st.wd_arena.len() + st.arenas.values().map(Vec::len).sum::<usize>())
+        let arenas: usize = st
+            .kernels
+            .values()
+            .filter_map(|k| k.arena.as_ref())
+            .map(Vec::len)
+            .sum();
+        4 * (st.wd_arena.len() + arenas)
     }
 
     /// Wall time spent in optimization (benchmarks + DP + ILP), as

@@ -13,6 +13,7 @@ use crate::config::{Configuration, MicroConfig};
 use crate::kernel::KernelKey;
 use crate::metrics::{OptimizerMetrics, Phase};
 use crate::policy::BatchSizePolicy;
+use std::sync::Arc;
 use std::time::Instant;
 use ucudnn_cudnn_sim::CudnnHandle;
 
@@ -113,7 +114,7 @@ pub fn desirable_set_traced(
     // Benchmark every candidate size. The cap is the benchmark budget:
     // algorithms that cannot fit are never timed.
     let bench_start = Instant::now();
-    let entries: Vec<(usize, Vec<BenchEntry>)> = sizes
+    let entries: Vec<(usize, Arc<[BenchEntry]>)> = sizes
         .iter()
         .map(|&m| {
             let found = cache
@@ -122,7 +123,7 @@ pub fn desirable_set_traced(
                     if let Some(mx) = metrics {
                         mx.degradation();
                     }
-                    Vec::new()
+                    Arc::default()
                 });
             (m, found)
         })
@@ -139,7 +140,7 @@ pub fn desirable_set_traced(
     let mut micro_fronts: Vec<(usize, std::ops::Range<usize>)> = Vec::with_capacity(sizes.len());
     for (m, found) in entries {
         let mut front: Vec<MicroConfig> = found
-            .into_iter()
+            .iter()
             .map(|e| MicroConfig {
                 micro_batch: m,
                 algo: e.algo,
@@ -411,7 +412,7 @@ mod tests {
                 let singles = cache
                     .try_get_or_bench(h, &kernel.with_batch(m), ws_cap)
                     .unwrap_or_default()
-                    .into_iter()
+                    .iter()
                     .map(|e| {
                         Configuration::undivided(MicroConfig {
                             micro_batch: m,

@@ -23,9 +23,9 @@ use crate::metrics::{OptimizerMetrics, Phase};
 use crate::pareto::{desirable_set_traced, DesirableStats};
 use crate::policy::BatchSizePolicy;
 use crate::trace::PlanProvenance;
-use std::collections::HashMap;
 use ucudnn_cudnn_sim::CudnnHandle;
 use ucudnn_lp::{Item, MckInstance};
+use ucudnn_tensor::GeometryMap;
 
 /// One kernel's slot in a WD plan.
 #[derive(Debug, Clone)]
@@ -185,7 +185,8 @@ pub fn optimize_wd_weighted_parallel(
 
     // Per unique kernel: the desirable set, its construction stats, and
     // whether it is the undivided fallback (a provenance degradation rung).
-    let mut sets: HashMap<KernelKey, (Vec<Configuration>, DesirableStats, bool)> = HashMap::new();
+    let mut sets: GeometryMap<KernelKey, (Vec<Configuration>, DesirableStats, bool)> =
+        GeometryMap::default();
     for (k, (ds, stats)) in unique.iter().zip(fronts) {
         let (ds, fallback) = if ds.is_empty() {
             // Every benchmark for this kernel failed outright: degrade to

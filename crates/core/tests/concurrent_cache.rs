@@ -210,7 +210,7 @@ fn real_cpu_budgets_widen_without_re_measuring() {
                 "{e:?} changed after widening to {budget}"
             );
         }
-        earlier = rows;
+        earlier = rows.to_vec();
     }
     let supported = ConvAlgo::ALL
         .into_iter()
@@ -262,7 +262,7 @@ fn stress_mixed_budget_lookups_measure_each_algorithm_once() {
                         budgets[budgets.len() - 1 - bi]
                     };
                     let got = cache.try_get_or_bench(h, &keys[ki], budget).unwrap();
-                    let want: Vec<BenchEntry> = full[ki]
+                    let want: Arc<[BenchEntry]> = full[ki]
                         .iter()
                         .filter(|e| e.memory_bytes <= budget)
                         .copied()

@@ -2,6 +2,7 @@
 //! concurrent save/load round-trips and graceful degradation on corruption.
 
 use std::path::PathBuf;
+use std::sync::Arc;
 use ucudnn::{BenchCache, BenchEntry, KernelKey};
 use ucudnn_cudnn_sim::{ConvOp, CudnnHandle};
 use ucudnn_gpu_model::{p100_sxm2, ConvAlgo};
@@ -190,7 +191,7 @@ fn v3_rows_round_trip_with_their_budgets() {
     let h = CudnnHandle::simulated(p100_sxm2());
     let budgets = [(key(8), 0), (key(16), 1 << 20), (key(32), usize::MAX)];
     let writer = BenchCache::with_file(&db);
-    let want: Vec<Vec<BenchEntry>> = budgets
+    let want: Vec<Arc<[BenchEntry]>> = budgets
         .iter()
         .map(|(k, b)| writer.try_get_or_bench(&h, k, *b).unwrap())
         .collect();
@@ -246,7 +247,7 @@ fn v2_rows_load_as_unlimited() {
         want.iter()
             .filter(|e| e.memory_bytes == 0)
             .copied()
-            .collect::<Vec<_>>()
+            .collect::<Arc<[_]>>()
     );
     assert_eq!(
         cache.stats().misses,

@@ -87,18 +87,76 @@ impl CudnnHandle {
         dx_desc: &TensorDescriptor,
         dx: &mut [f32],
     ) -> Result<()> {
+        if dy_desc.shape() != x_desc.shape() {
+            return Err(CudnnError::BadParam(
+                "activation gradient shapes must match".into(),
+            ));
+        }
+        self.check_len("dy", dy.len(), dy_desc.len())?;
+        self.backward(
+            act,
+            alpha,
+            y_desc,
+            y,
+            Some(dy),
+            x_desc,
+            x,
+            beta,
+            dx_desc,
+            dx,
+        )
+    }
+
+    /// [`Self::activation_backward`] with `dx` aliasing `dy`, which cuDNN
+    /// allows: `d` holds `dy` on entry and `dx = alpha * f'(x) ⊙ dy` on
+    /// exit, the bits the out-of-place call writes with `beta = 0` into a
+    /// zeroed `dx`. A backward pass that owns `dy` saves a buffer.
+    ///
+    /// # Errors
+    /// Shape mismatches and engine-contract violations.
+    #[allow(clippy::too_many_arguments)]
+    pub fn activation_backward_in_place(
+        &self,
+        act: &ActivationDescriptor,
+        alpha: f32,
+        y_desc: &TensorDescriptor,
+        y: &[f32],
+        x_desc: &TensorDescriptor,
+        x: &[f32],
+        d_desc: &TensorDescriptor,
+        d: &mut [f32],
+    ) -> Result<()> {
+        self.backward(act, alpha, y_desc, y, None, x_desc, x, 0.0, d_desc, d)
+    }
+
+    /// Both backward calls; the in-place one passes `dy = None`, which
+    /// reads `dy` from `dx`, and `beta = 0`.
+    #[allow(clippy::too_many_arguments)]
+    fn backward(
+        &self,
+        act: &ActivationDescriptor,
+        alpha: f32,
+        y_desc: &TensorDescriptor,
+        y: &[f32],
+        dy: Option<&[f32]>,
+        x_desc: &TensorDescriptor,
+        x: &[f32],
+        beta: f32,
+        dx_desc: &TensorDescriptor,
+        dx: &mut [f32],
+    ) -> Result<()> {
         let s = x_desc.shape();
-        if y_desc.shape() != s || dy_desc.shape() != s || dx_desc.shape() != s {
+        if y_desc.shape() != s || dx_desc.shape() != s {
             return Err(CudnnError::BadParam(
                 "activation gradient shapes must match".into(),
             ));
         }
         self.check_len("y", y.len(), s.len())?;
-        self.check_len("dy", dy.len(), s.len())?;
         self.check_len("x", x.len(), s.len())?;
         self.check_len("dx", dx.len(), s.len())?;
         let bytes = 4 * 4 * s.len();
-        let any = !y.is_empty() || !dy.is_empty() || !x.is_empty() || !dx.is_empty();
+        let any =
+            !y.is_empty() || dy.is_some_and(|dy| !dy.is_empty()) || !x.is_empty() || !dx.is_empty();
         self.aux_op(bytes, any, || {
             // `dy/dx` through `x` and `y = f(x)`, as cuDNN takes them. Match
             // once, outside the loop, so each mode's loop vectorizes; a
@@ -128,19 +186,30 @@ fn relu_grad(x: f32, _y: f32) -> f32 {
 }
 
 /// `dx = alpha * grad(x, y) * dy + beta * dx` over the zipped slices, with
-/// `grad` inlined so that the loop vectorizes.
+/// `grad` inlined so that the loop vectorizes. With `dy = None`, `dx` holds
+/// `dy` and its blend term is the `+0.0` that `beta = 0` adds on a zeroed
+/// `dx` (it turns `-0.0` into `+0.0`), so both calls write the same bits.
 #[inline(always)]
 fn backward_loop(
     alpha: f32,
     y: &[f32],
-    dy: &[f32],
+    dy: Option<&[f32]>,
     x: &[f32],
     beta: f32,
     dx: &mut [f32],
     grad: impl Fn(f32, f32) -> f32,
 ) {
-    for (((d, &xi), &yi), &g) in dx.iter_mut().zip(x).zip(y).zip(dy) {
-        *d = alpha * grad(xi, yi) * g + beta * *d;
+    match dy {
+        Some(dy) => {
+            for (((d, &xi), &yi), &g) in dx.iter_mut().zip(x).zip(y).zip(dy) {
+                *d = alpha * grad(xi, yi) * g + beta * *d;
+            }
+        }
+        None => {
+            for ((d, &xi), &yi) in dx.iter_mut().zip(x).zip(y) {
+                *d = alpha * grad(xi, yi) * *d + 0.0;
+            }
+        }
     }
 }
 

@@ -18,11 +18,10 @@
 //! numerical results, so caching — and eviction, and a disabled cache — are
 //! all invisible to outputs.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use ucudnn_conv::{ConvOp, EngineKind, EnginePlan};
-use ucudnn_tensor::ConvGeometry;
+use ucudnn_tensor::{ConvGeometry, GeometryMap};
 
 /// Byte capacity of every handle's cache unless the handle sets its own.
 pub const DEFAULT_EXEC_CACHE_BYTES: usize = 64 << 20;
@@ -57,7 +56,7 @@ struct Entry {
 
 #[derive(Default)]
 struct Inner {
-    map: HashMap<PlanKey, Entry>,
+    map: GeometryMap<PlanKey, Entry>,
     bytes: usize,
     tick: u64,
 }

@@ -1,5 +1,6 @@
 //! Bit identity of the RealCpu pooling kernels against the per-element
-//! reference loops (`ops::pooling::{forward_ref, backward_ref}`).
+//! reference loops (`ops::pooling::{forward_ref, backward_ref}`), and of the
+//! in-place activation backward against the out-of-place call.
 //!
 //! The sweep covers both pooling modes; windows 1×1, 2×2, 3×3, 2×3 and
 //! 3×2 with every padding below the window and strides 1–3 on each axis;
@@ -11,7 +12,10 @@
 //! than the padded input must be rejected.
 
 use ucudnn_cudnn_sim::ops::pooling;
-use ucudnn_cudnn_sim::{CudnnHandle, PoolingDescriptor, PoolingMode, TensorDescriptor};
+use ucudnn_cudnn_sim::{
+    ActivationDescriptor, ActivationMode, CudnnHandle, PoolingDescriptor, PoolingMode,
+    TensorDescriptor,
+};
 use ucudnn_tensor::Shape4;
 
 const ALPHA_BETA: [(f32, f32); 4] = [(1.0, 0.0), (0.75, -0.5), (1.0, 1.0), (-2.0, 0.25)];
@@ -163,4 +167,47 @@ fn pooling_case(
     h.pooling_backward(pool, alpha, &yd, &y, &yd, &dy, &xd, &x, beta, &xd, &mut dx)
         .unwrap();
     assert_same(&format!("backward {case}"), special, &dx, &dx_ref);
+}
+
+/// The in-place activation backward (`dx` aliasing `dy`) writes the bits of
+/// the out-of-place call with `beta = 0` into a zeroed `dx`, for every mode
+/// and for negative `dy`, `x ≤ 0` (`-0.0` included), ±inf and NaN; with
+/// ±inf or NaN in the inputs a NaN output matches any NaN.
+#[test]
+fn in_place_activation_backward_matches_the_out_of_place_call() {
+    let h = CudnnHandle::real_cpu();
+    let d = TensorDescriptor::from_shape(Shape4::new(2, 3, 5, 7)).unwrap();
+    let (mut negative_dy, mut nonpositive_x, mut nan) = (0, 0, 0);
+    for mode in [
+        ActivationMode::Relu,
+        ActivationMode::Sigmoid,
+        ActivationMode::Tanh,
+    ] {
+        let act = ActivationDescriptor::new(mode);
+        for special in [false, true] {
+            for (seed, alpha) in [1.0f32, 0.75, -2.0].into_iter().enumerate() {
+                let case = format!("{mode:?}, alpha {alpha}, special {special}");
+                let seed = 2 * seed as u64 + u64::from(special);
+                let x = values(d.len(), seed, special);
+                let dy = values(d.len(), seed + 100, special);
+                let mut y = vec![0.0f32; d.len()];
+                h.activation_forward(&act, 1.0, &d, &x, 0.0, &d, &mut y)
+                    .unwrap();
+                let mut dx = vec![0.0f32; d.len()];
+                h.activation_backward(&act, alpha, &d, &y, &d, &dy, &d, &x, 0.0, &d, &mut dx)
+                    .unwrap();
+                let mut in_place = dy.clone();
+                h.activation_backward_in_place(&act, alpha, &d, &y, &d, &x, &d, &mut in_place)
+                    .unwrap();
+                assert_same(&case, special, &in_place, &dx);
+                negative_dy += dy.iter().filter(|v| v.is_sign_negative()).count();
+                nonpositive_x += x.iter().filter(|v| **v <= 0.0).count();
+                nan += dy.iter().chain(&x).filter(|v| v.is_nan()).count();
+            }
+        }
+    }
+    assert!(
+        negative_dy > 0 && nonpositive_x > 0 && nan > 0,
+        "{negative_dy} {nonpositive_x} {nan}"
+    );
 }

@@ -418,18 +418,16 @@ impl RealExecutor {
                     accumulate(&mut grads[node.inputs[0]], dx);
                 }
                 LayerSpec::Relu => {
+                    // The gradient is written over `dy`, which this step owns.
                     let x = &acts[node.inputs[0]];
-                    let mut dx = Tensor::zeros(x.shape());
-                    h.activation_backward(
+                    let mut dx = dy;
+                    h.activation_backward_in_place(
                         &RELU,
                         1.0,
                         &tdesc(out_shape),
                         acts[id].as_slice(),
-                        &tdesc(out_shape),
-                        dy.as_slice(),
                         &tdesc(x.shape()),
                         x.as_slice(),
-                        0.0,
                         &tdesc(x.shape()),
                         dx.as_mut_slice(),
                     )?;

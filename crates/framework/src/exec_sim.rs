@@ -5,13 +5,13 @@
 use crate::cost::{layer_backward_us, layer_forward_us};
 use crate::graph::{LayerSpec, NetworkDef};
 use crate::provider::{ConvProvider, ProviderError};
-use ucudnn_cudnn_sim::{ConvOp, Engine};
+use ucudnn_cudnn_sim::{ConvOp, CudnnError};
 
 /// Per-layer timing of one forward+backward iteration.
 #[derive(Debug, Clone)]
-pub struct LayerTiming {
-    /// Layer name.
-    pub name: String,
+pub struct LayerTiming<'a> {
+    /// Layer name, borrowed from the network.
+    pub name: &'a str,
     /// Layer kind ("conv", "pool", ...).
     pub kind: &'static str,
     /// Forward time, microseconds.
@@ -22,12 +22,12 @@ pub struct LayerTiming {
 
 /// One iteration's timing report.
 #[derive(Debug, Clone)]
-pub struct IterationTiming {
+pub struct IterationTiming<'a> {
     /// Per-layer rows, topological order.
-    pub layers: Vec<LayerTiming>,
+    pub layers: Vec<LayerTiming<'a>>,
 }
 
-impl IterationTiming {
+impl IterationTiming<'_> {
     /// Total forward time.
     pub fn forward_us(&self) -> f64 {
         self.layers.iter().map(|l| l.forward_us).sum()
@@ -82,21 +82,23 @@ pub fn setup_network(provider: &impl ConvProvider, net: &NetworkDef) -> Result<(
 ///
 /// Convolution layers execute through the provider (empty data buffers) and
 /// are timed by the virtual clock; all other layers are priced by the cost
-/// model in [`crate::cost`].
+/// model in [`crate::cost`]. Once every kernel is set up, an untraced
+/// iteration allocates its report and nothing else.
 ///
 /// # Errors
-/// Execution failures.
-///
-/// # Panics
-/// Panics when the provider's engine is not [`Engine::Simulated`].
-pub fn time_iteration(
+/// `NotSupported` when the provider's engine is not simulated; execution
+/// failures.
+pub fn time_iteration<'a>(
     provider: &impl ConvProvider,
-    net: &NetworkDef,
-) -> Result<IterationTiming, ProviderError> {
-    let Engine::Simulated(device) = provider.handle().engine().clone() else {
-        panic!("time_iteration requires the simulated engine; use exec_real for CPU numerics");
+    net: &'a NetworkDef,
+) -> Result<IterationTiming<'a>, ProviderError> {
+    let Some(device) = provider.handle().device() else {
+        return Err(CudnnError::NotSupported(
+            "time_iteration requires the simulated engine; use exec_real for CPU numerics".into(),
+        )
+        .into());
     };
-    let mut layers: Vec<LayerTiming> = Vec::with_capacity(net.len());
+    let mut layers: Vec<LayerTiming<'a>> = Vec::with_capacity(net.len());
 
     // Forward pass, topological order.
     for (id, node) in net.nodes().iter().enumerate() {
@@ -105,7 +107,7 @@ pub fn time_iteration(
                 let g = net.conv_geometry(id);
                 conv_time(provider, ConvOp::Forward, &g)?
             }
-            _ => layer_forward_us(&device, net, id),
+            _ => layer_forward_us(device, net, id),
         };
         ucudnn::trace::event("train", "sim_forward", || {
             (
@@ -121,7 +123,7 @@ pub fn time_iteration(
             )
         });
         layers.push(LayerTiming {
-            name: node.name.clone(),
+            name: &node.name,
             kind: node.spec.kind_name(),
             forward_us,
             backward_us: 0.0,
@@ -140,7 +142,7 @@ pub fn time_iteration(
                 t
             }
             LayerSpec::Input => 0.0,
-            _ => layer_backward_us(&device, net, id),
+            _ => layer_backward_us(device, net, id),
         };
         ucudnn::trace::event("train", "sim_backward", || {
             (
@@ -306,6 +308,19 @@ mod tests {
         let b = time_iteration(&p, &net).unwrap();
         // Clock deltas can differ by one ULP as the accumulator grows.
         assert!((a.total_us() - b.total_us()).abs() < 1e-9 * a.total_us());
+    }
+
+    /// Timing needs the virtual clock: a CPU provider is an error, not a
+    /// panic.
+    #[test]
+    fn a_real_cpu_provider_is_an_error() {
+        let net = small_net(2);
+        let p = BaselineCudnn::new(CudnnHandle::real_cpu(), 64 * MIB);
+        let err = time_iteration(&p, &net).unwrap_err();
+        assert!(
+            matches!(err, ProviderError::Cudnn(CudnnError::NotSupported(_))),
+            "{err}"
+        );
     }
 
     #[test]

@@ -13,13 +13,12 @@
 //! paper (three lines in Caffe).
 
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use ucudnn::{KernelKey, UcudnnHandle};
 use ucudnn_cudnn_sim::{
     AlgoPreference, ConvAlgo, ConvOp, ConvolutionDescriptor, CudnnError, CudnnHandle,
     FilterDescriptor, TensorDescriptor,
 };
-use ucudnn_tensor::ConvGeometry;
+use ucudnn_tensor::{ConvGeometry, GeometryMap};
 
 /// Errors from a provider (substrate or optimizer).
 #[derive(Debug)]
@@ -136,13 +135,8 @@ fn descriptors(
 pub struct BaselineCudnn {
     handle: CudnnHandle,
     ws_limit: usize,
-    state: Mutex<BaselineState>,
-}
-
-#[derive(Default)]
-struct BaselineState {
-    algos: HashMap<KernelKey, ConvAlgo>,
-    workspaces: HashMap<KernelKey, Vec<f32>>,
+    /// Each set-up kernel's algorithm and workspace, in one entry.
+    state: Mutex<GeometryMap<KernelKey, (ConvAlgo, Vec<f32>)>>,
 }
 
 impl BaselineCudnn {
@@ -151,7 +145,7 @@ impl BaselineCudnn {
         Self {
             handle,
             ws_limit,
-            state: Mutex::new(BaselineState::default()),
+            state: Mutex::new(GeometryMap::default()),
         }
     }
 }
@@ -160,7 +154,7 @@ impl ConvProvider for BaselineCudnn {
     fn setup(&self, op: ConvOp, g: &ConvGeometry) -> Result<(), ProviderError> {
         let key = KernelKey::new(op, g);
         let mut st = self.state.lock();
-        if st.algos.contains_key(&key) {
+        if st.contains_key(&key) {
             return Ok(());
         }
         let (xd, wd, cd) = descriptors(g)?;
@@ -172,8 +166,7 @@ impl ConvProvider for BaselineCudnn {
             AlgoPreference::SpecifyWorkspaceLimit(self.ws_limit),
         )?;
         let bytes = self.handle.get_workspace_size(op, &xd, &wd, &cd, algo)?;
-        st.algos.insert(key, algo);
-        st.workspaces.insert(key, vec![0.0f32; bytes.div_ceil(4)]);
+        st.insert(key, (algo, vec![0.0f32; bytes.div_ceil(4)]));
         Ok(())
     }
 
@@ -187,21 +180,16 @@ impl ConvProvider for BaselineCudnn {
         alpha: f32,
         beta: f32,
     ) -> Result<(), ProviderError> {
-        let key = KernelKey::new(op, g);
         let mut st = self.state.lock();
-        if !st.algos.contains_key(&key) {
+        let Some((algo, ws)) = st.get_mut(&KernelKey::new(op, g)) else {
+            // A kernel the framework did not set up: set it up, then run it.
             drop(st);
             self.setup(op, g)?;
-            st = self.state.lock();
-        }
-        let algo = st.algos[&key];
-        let ws = st
-            .workspaces
-            .get_mut(&key)
-            .expect("workspace allocated at setup");
+            return self.execute(op, g, a, b, out, alpha, beta);
+        };
         Ok(self
             .handle
-            .convolution(op, g, algo, a, b, out, alpha, beta, ws)?)
+            .convolution(op, g, *algo, a, b, out, alpha, beta, ws)?)
     }
 
     fn handle(&self) -> &CudnnHandle {
@@ -212,19 +200,16 @@ impl ConvProvider for BaselineCudnn {
         4 * self
             .state
             .lock()
-            .workspaces
             .values()
-            .map(Vec::len)
+            .map(|(_, ws)| ws.len())
             .sum::<usize>()
     }
 
     fn kernel_workspace_bytes(&self, op: ConvOp, g: &ConvGeometry) -> usize {
         self.state
             .lock()
-            .workspaces
             .get(&KernelKey::new(op, g))
-            .map(|v| 4 * v.len())
-            .unwrap_or(0)
+            .map_or(0, |(_, ws)| 4 * ws.len())
     }
 }
 

@@ -8,13 +8,13 @@ use ucudnn::telemetry::{HistStats, StreamingHistogram};
 
 /// Aggregated result of a `time` run.
 #[derive(Debug, Clone)]
-pub struct TimeReport {
+pub struct TimeReport<'a> {
     /// Network name.
     pub network: String,
     /// Mini-batch size.
     pub batch: usize,
     /// Averaged per-layer timing.
-    pub timing: IterationTiming,
+    pub timing: IterationTiming<'a>,
     /// Iterations measured.
     pub iterations: usize,
     /// Provider workspace footprint after setup, bytes.
@@ -26,7 +26,7 @@ pub struct TimeReport {
     pub layer_percentiles: Vec<(HistStats, HistStats)>,
 }
 
-impl TimeReport {
+impl TimeReport<'_> {
     /// Average iteration time, milliseconds.
     pub fn iteration_ms(&self) -> f64 {
         self.timing.total_us() / 1000.0
@@ -75,11 +75,11 @@ impl TimeReport {
 ///
 /// # Errors
 /// Setup or execution failures.
-pub fn time_command(
+pub fn time_command<'a>(
     provider: &impl ConvProvider,
-    net: &NetworkDef,
+    net: &'a NetworkDef,
     iterations: usize,
-) -> Result<TimeReport, ProviderError> {
+) -> Result<TimeReport<'a>, ProviderError> {
     assert!(iterations > 0, "at least one iteration");
     setup_network(provider, net)?;
     let mut acc: Option<IterationTiming> = None;

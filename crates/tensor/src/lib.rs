@@ -12,10 +12,12 @@
 
 pub mod compare;
 pub mod fill;
+pub mod hash;
 pub mod shape;
 pub mod tensor;
 
 pub use compare::{assert_all_close, max_abs_diff, max_rel_diff};
 pub use fill::DeterministicRng;
+pub use hash::{GeometryBuildHasher, GeometryHasher, GeometryMap};
 pub use shape::{ConvGeometry, FilterShape, Shape4};
 pub use tensor::Tensor;
